@@ -48,6 +48,7 @@ from .subgroups import (
     chirp,
     crystallization_check,
     eigenbasis_for_line,
+    eigenvector,
     pulsone,
 )
 from .symplectic import (

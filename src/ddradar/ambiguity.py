@@ -33,7 +33,7 @@ import numpy as np
 
 from .ddcore import PeriodicSequence, dzt
 from .errors import BadRoot, ConfigurationError, EmptyChip, IndexOutOfRange, ModulusMismatch
-from .modmath import Modulus
+from .modmath import Modulus, phases_to_complex
 
 __all__ = [
     "AmbiguitySurface",
@@ -107,8 +107,9 @@ def cross_ambiguity_point(x: PeriodicSequence, y: PeriodicSequence, k: int, l: i
     if x.mod != y.mod:
         raise ModulusMismatch("ambiguity operands use different moduli")
     mn = x.mod.MN
-    offsets = (np.arange(mn) - k) % mn
-    return complex(np.sum(x.samples * np.conj(y.samples[offsets]) * np.exp(-2j * np.pi * l * offsets / mn)))
+    offsets = (np.arange(mn, dtype=np.int64) - k) % mn
+    phases = phases_to_complex(-2 * ((l % mn) * offsets % mn), x.mod)
+    return complex(np.sum(x.samples * np.conj(y.samples[offsets]) * phases))
 
 
 def cross_ambiguity_array(xa: np.ndarray, ya: np.ndarray, workers: int = 1) -> np.ndarray:

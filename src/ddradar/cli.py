@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -35,7 +36,7 @@ from .ddcore import PeriodicSequence, sequence_to_csv
 from .errors import EngineUnsupported, PreconditionError, ValidationError
 from .modmath import Modulus
 from .radarsim import add_noise, apply_channel, form_image, readout_targets, scene_from_json
-from .subgroups import DDRegion, LineSubgroup, chirp, eigenbasis_for_line, pulsone
+from .subgroups import DDRegion, LineSubgroup, chirp, eigenvector, pulsone
 from .symplectic import SL2Element, gdaft_apply, lfm_apply, papr_db, sl2_apply
 
 __all__ = ["main"]
@@ -246,10 +247,9 @@ def cmd_simulate(args, parser) -> int:
     region = _parse_region(args.region)
 
     if args.waveform == "eigen":
-        basis = eigenbasis_for_line(line)
-        if not 0 <= args.eigen_index < len(basis):
-            parser.error(f"--eigen-index out of range 0..{len(basis) - 1}")
-        seq = basis[args.eigen_index]
+        if not 0 <= args.eigen_index < mod.MN:
+            parser.error(f"--eigen-index out of range 0..{mod.MN - 1}")
+        seq = eigenvector(line, args.eigen_index)
         fast = None
         if line.is_rectangular():
             fast = (args.eigen_index % mod.M, args.eigen_index // mod.M, None)
@@ -276,14 +276,15 @@ def cmd_simulate(args, parser) -> int:
         "N": mod.N,
         "waveform": spec.label,
         "engine": img.meta.get("engine", "naive"),
-        "snr_db": args.snr_db,
+        # +inf is noiseless, recorded like an omitted --snr-db
+        "snr_db": None if args.snr_db == math.inf else args.snr_db,
         "seed": args.seed,
         "targets": [
             {"k": k, "l": l, "re": v.real, "im": v.imag} for k, l, v in targets
         ],
     }
     with open(out / "targets.json", "w", encoding="ascii") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     print(f"recovered {len(targets)} target(s); outputs in {out}")
     return 0

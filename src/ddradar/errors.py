@@ -70,6 +70,10 @@ class ZeroSignal(ZeroSequence):
     """Noise addition undefined on a zero-energy signal."""
 
 
+class BadSNR(ValidationError):
+    """Requested SNR is NaN, -inf, or gives a noise variance that is not finite."""
+
+
 class GridMismatch(ValidationError):
     """Surface grid does not match what the operation requires."""
 

@@ -10,7 +10,9 @@ can be read back exactly.
 
 from __future__ import annotations
 
+import cmath
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,13 +20,14 @@ import numpy as np
 from .ambiguity import AmbiguitySurface, cross_ambiguity_naive, fast_cross_ambiguity
 from .ddcore import PeriodicSequence
 from .errors import (
+    BadSNR,
     ConfigurationError,
     GridMismatch,
     ModulusMismatch,
     NotCrystallized,
     ZeroSignal,
 )
-from .modmath import Modulus
+from .modmath import Modulus, phases_to_complex
 from .subgroups import DDRegion, LineSubgroup, crystallization_check
 
 __all__ = [
@@ -42,7 +45,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScatteringEnvironment:
-    """Sparse delay-Doppler channel: taps (k, l, h) with distinct coordinates."""
+    """Sparse delay-Doppler channel: taps (k, l, h) with distinct coordinates and finite h."""
 
     mod: Modulus
     taps: tuple
@@ -53,6 +56,8 @@ class ScatteringEnvironment:
         coords = [(k, l) for k, l, _ in normed]
         if len(set(coords)) != len(coords):
             raise ConfigurationError(f"duplicate tap coordinates in {coords}")
+        if not all(cmath.isfinite(h) for _, _, h in normed):
+            raise ConfigurationError("tap gains must be finite")
         object.__setattr__(self, "taps", normed)
 
 
@@ -69,11 +74,11 @@ def apply_channel(env: ScatteringEnvironment, x: PeriodicSequence) -> PeriodicSe
     if env.mod != x.mod:
         raise ModulusMismatch("environment and waveform use different moduli")
     mn = env.mod.MN
-    n = np.arange(mn)
+    n = np.arange(mn, dtype=np.int64)
     out = np.zeros(mn, dtype=np.complex128)
     for k, l, h in env.taps:
         offsets = (n - k) % mn
-        out += h * x.samples[offsets] * np.exp(2j * np.pi * l * offsets / mn)
+        out += h * x.samples[offsets] * phases_to_complex(2 * (l * offsets % mn), env.mod)
     return PeriodicSequence(env.mod, out)
 
 
@@ -83,14 +88,21 @@ def add_noise(y: PeriodicSequence, snr_db: float | None, seed: int) -> PeriodicS
     Per-sample variance solves 10*log10(||y||^2 / E||w||^2) = snr_db, so the
     quoted SNR is total signal energy over expected total noise energy.
     Deterministic for a fixed seed; snr_db = None (or +inf) returns y as is.
+    NaN, -inf and SNRs whose noise variance is not a finite float are
+    refused with BadSNR.
     """
-    if snr_db is None or snr_db == float("inf"):
+    if snr_db is None or snr_db == math.inf:
         return y
     energy = y.norm() ** 2
     if energy == 0.0:
         raise ZeroSignal("cannot set an SNR against a zero-energy signal")
     mn = y.mod.MN
-    var = energy / (mn * 10.0 ** (snr_db / 10.0))
+    try:
+        var = energy / (mn * 10.0 ** (snr_db / 10.0))
+    except (OverflowError, ZeroDivisionError):
+        var = math.inf
+    if not math.isfinite(var):
+        raise BadSNR(f"snr_db = {snr_db} does not give a finite noise variance")
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(mn) + 1j * rng.standard_normal(mn)
     w *= np.sqrt(var / 2.0)
@@ -162,7 +174,8 @@ def readout_targets(
     Refuses (NotCrystallized) when region translates by the line support
     overlap, since the image would alias.  `threshold` is an absolute
     magnitude cut; None means half the strongest magnitude in the region.
-    Coordinates are returned reduced mod MN, sorted by (k, l).
+    A region whose strongest magnitude is 0 holds no targets.  Coordinates
+    are returned reduced mod MN, sorted by (k, l).
     """
     if img.surface.mod != line.mod:
         raise ModulusMismatch("image and line subgroup use different moduli")
@@ -177,8 +190,10 @@ def readout_targets(
     values = {}
     for k, l in region.points():
         values[(k % mn, l % mn)] = complex(img.surface.values[k % mn, l % mn])
+    peak = max(abs(v) for v in values.values())
+    if peak == 0.0:
+        return []
     if threshold is None:
-        peak = max(abs(v) for v in values.values())
         threshold = 0.5 * peak
     hits = [(k, l, v) for (k, l), v in values.items() if abs(v) >= threshold]
     hits.sort(key=lambda t: (t[0], t[1]))
@@ -199,7 +214,7 @@ def scene_to_json(env: ScatteringEnvironment, path) -> None:
         ],
     }
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

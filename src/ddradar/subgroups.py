@@ -31,6 +31,7 @@ __all__ = [
     "chirp",
     "crystallization_check",
     "eigenbasis_for_line",
+    "eigenvector",
     "pulsone",
 ]
 
@@ -140,24 +141,30 @@ def chirp(mod: Modulus, alpha: int, beta: int = 0, gamma: int = 0) -> PeriodicSe
     return PeriodicSequence(mod, np.exp(1j * 2 * np.pi * expo / mod.MN) / np.sqrt(mod.MN))
 
 
-def eigenbasis_for_line(line: LineSubgroup) -> list[PeriodicSequence]:
-    """MN orthonormal common eigenvectors of every element of the line.
+def eigenvector(line: LineSubgroup, index: int) -> PeriodicSequence:
+    """The index-th of MN orthonormal common eigenvectors of every element of the line.
 
-    Rectangular line: the pulsone basis.  Coprime-slope line: the chirp
-    basis at fixed alpha, indexed by beta (gamma only contributes a global
-    phase).  Any other line: the pulsone basis transported by a symplectic
+    Rectangular line: pulsone(index % M, index // M).  Coprime-slope line:
+    the chirp at fixed alpha with beta = index (gamma only contributes a
+    global phase).  Any other line: that pulsone transported by a symplectic
     transform mapping the rectangular direction onto the line direction.
+    Builds only the requested vector.
     """
     mod = line.mod
+    if not 0 <= index < mod.MN:
+        raise IndexOutOfRange(f"eigenvector index must lie in 0..{mod.MN - 1}, got {index}")
     if line.is_rectangular():
-        return [pulsone(mod, k0, l0) for l0 in range(mod.N) for k0 in range(mod.M)]
+        return pulsone(mod, index % mod.M, index // mod.M)
     alpha = line.coprime_slope()
     if alpha is not None:
-        return [chirp(mod, alpha, beta, 0) for beta in range(mod.MN)]
+        return chirp(mod, alpha, index, 0)
     g = sl2_mapping_direction(mod, (mod.M, mod.N), (line.c, line.d))
-    return [
-        sl2_apply(g, pulsone(mod, k0, l0)) for l0 in range(mod.N) for k0 in range(mod.M)
-    ]
+    return sl2_apply(g, pulsone(mod, index % mod.M, index // mod.M))
+
+
+def eigenbasis_for_line(line: LineSubgroup) -> list[PeriodicSequence]:
+    """All MN eigenvectors of the line, in eigenvector's index order."""
+    return [eigenvector(line, i) for i in range(line.mod.MN)]
 
 
 def crystallization_check(line: LineSubgroup, region: DDRegion) -> bool:

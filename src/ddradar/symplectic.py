@@ -7,15 +7,26 @@ transform (GDAFT, invertible b entry)
     (W x)[n] = (1/sqrt(MN)) * sum_n1 exp(j*pi*binv*(d*n^2 - 2*n*n1 + a*n1^2)/MN) * x[n1].
 
 The half-integer exponent is evaluated ring-exactly: since MN is odd, the
-division by two is multiplication by inv2 = (MN+1)/2 in Z_MN, and the whole
+division by two is multiplication by inv2 = (MN+1)/2 in Z_MN, and every
 exponent is an integer reduced mod 2MN before the single complex
 exponential call.  This is the reading under which b*binv = 1 holds exactly
 inside the exponent, making the shift-conjugation law and the ambiguity
 remap law identities rather than approximations; the literal
 real-division-by-pi reading breaks both for labels such as [[1, 1], [0, 1]].
+
+The kernel is never formed.  Splitting the exponent term by term, the
+cross term -2*inv2*binv*n*n1 = -binv*n*n1 is a DFT kernel read at the
+permuted bin binv*n mod MN, so the transform is chirp, FFT, chirp:
+
+    W x  = c_d * FFT(c_a * x)[binv*n mod MN] / sqrt(MN)
+    W^H y = conj(c_a) * IFFT(conj(c_d) * y)[binv*n mod MN] * sqrt(MN)
+
+with integer-index chirps c_a[n] = exp(j*pi*2*(inv2*binv*a*n^2 mod MN)/MN)
+and c_d likewise with d.  Each costs O(MN log MN) time and O(MN) memory.
 A general determinant-1 matrix with non-invertible b is realised through a
-shear decomposition; that route fixes the operator only up to a global
-unimodular phase, so composition identities are checked projectively.
+shear decomposition into two such transforms; that route fixes the operator
+only up to a global unimodular phase, so composition identities are checked
+projectively.
 """
 
 from __future__ import annotations
@@ -104,19 +115,19 @@ def lfm_apply(A: int, x: PeriodicSequence) -> PeriodicSequence:
     return PeriodicSequence(mod, x.samples * phases_to_complex(idx, mod))
 
 
-def _gdaft_kernel(g: SL2Element) -> np.ndarray:
-    """Dense GDAFT matrix K[n, n1] with ring-exact half-integer exponents."""
+def _gdaft_factors(g: SL2Element) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Chirps c_a, c_d and the output permutation binv*n mod MN of the GDAFT for g."""
     mod = g.mod
-    if gcd(g.b, mod.MN) != 1:
-        raise BNotCoprime(f"GDAFT needs gcd(b, MN) = 1, got b = {g.b}, MN = {mod.MN}")
     mn = mod.MN
-    half_binv = mod.inv2 * mod_inv(g.b, mn) % mn
+    if gcd(g.b, mn) != 1:
+        raise BNotCoprime(f"GDAFT needs gcd(b, MN) = 1, got b = {g.b}, MN = {mn}")
+    binv = mod_inv(g.b, mn)
+    half_binv = mod.inv2 * binv % mn
     n = np.arange(mn, dtype=np.int64)
-    dn2 = g.d * (n * n % mn) % mn             # d*n^2 along rows
-    an2 = g.a * (n * n % mn) % mn             # a*n1^2 along columns
-    cross = (-2 * np.outer(n, n)) % mn        # -2*n*n1
-    idx = 2 * (half_binv * ((dn2[:, None] + an2[None, :] + cross) % mn) % mn)
-    return phases_to_complex(idx, mod) / np.sqrt(mod.MN)
+    n2 = n * n % mn
+    c_a = phases_to_complex(2 * ((half_binv * g.a % mn) * n2 % mn), mod)
+    c_d = phases_to_complex(2 * ((half_binv * g.d % mn) * n2 % mn), mod)
+    return c_a, c_d, binv * n % mn
 
 
 def gdaft_apply(g: SL2Element, x: PeriodicSequence) -> PeriodicSequence:
@@ -125,11 +136,13 @@ def gdaft_apply(g: SL2Element, x: PeriodicSequence) -> PeriodicSequence:
     For g = [[0, 1], [-1, 0]] this reduces to the unitary DFT.  Unitary for
     every admissible g; maps impulse trains to constant-modulus waveforms
     exactly when gcd(a, N) = 1 (the quadratic Gauss sum over the train slots
-    degenerates otherwise).
+    degenerates otherwise).  O(MN log MN): chirp, FFT, permuted chirp.
     """
     if g.mod != x.mod:
         raise ModulusMismatch("transform label and sequence use different moduli")
-    return PeriodicSequence(x.mod, _gdaft_kernel(g) @ x.samples)
+    c_a, c_d, perm = _gdaft_factors(g)
+    spectrum = np.fft.fft(c_a * x.samples)[perm]
+    return PeriodicSequence(x.mod, c_d * spectrum / np.sqrt(x.mod.MN))
 
 
 def gdaft_adjoint(g: SL2Element, x: PeriodicSequence) -> PeriodicSequence:
@@ -140,15 +153,18 @@ def gdaft_adjoint(g: SL2Element, x: PeriodicSequence) -> PeriodicSequence:
     """
     if g.mod != x.mod:
         raise ModulusMismatch("transform label and sequence use different moduli")
-    return PeriodicSequence(x.mod, _gdaft_kernel(g).conj().T @ x.samples)
+    c_a, c_d, perm = _gdaft_factors(g)
+    spectrum = np.fft.ifft(np.conj(c_d) * x.samples)[perm]
+    return PeriodicSequence(x.mod, np.conj(c_a) * spectrum * np.sqrt(x.mod.MN))
 
 
 def sl2_apply(g: SL2Element, x: PeriodicSequence) -> PeriodicSequence:
     """Apply a unitary realising any determinant-1 label g.
 
-    Direct GDAFT when gcd(b, MN) = 1; otherwise factor through a shear
-    S = [[1, x0], [0, 1]] chosen so both factors have invertible b entries.
-    The result is then defined up to a global unimodular phase.
+    Direct GDAFT when gcd(b, MN) = 1; otherwise factor through the shear
+    S = [[1, x0], [0, 1]] with the smallest x0 for which both factors have
+    invertible b entries, as W(S^-1) W(S g): two GDAFTs.  The result is then
+    defined up to a global unimodular phase.
     """
     mod = g.mod
     if gcd(g.b, mod.MN) == 1:

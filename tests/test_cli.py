@@ -174,6 +174,60 @@ class TestSimulateCommand:
         assert got[(0, 0)] == pytest.approx(1.0, abs=1e-9)
         assert got[(0, 7)] == pytest.approx(1j, abs=1e-9)
 
+    @pytest.mark.parametrize("snr", ["-inf", "nan", "-4000"])
+    def test_unusable_snr_rejected_before_output(self, tmp_path, capsys, snr):
+        scene = tmp_path / "scene.json"
+        write_scene(scene, FOUR_TAPS)
+        out = tmp_path / "run"
+        assert run(["simulate", "--scene", scene, f"--snr-db={snr}", "--line", "3,5",
+                    "--region", "0:2,0:4", "--out", out]) == 4
+        assert not out.exists()
+        assert "snr" in capsys.readouterr().err.lower()
+
+    def test_infinite_snr_writes_strict_json(self, tmp_path):
+        scene = tmp_path / "scene.json"
+        write_scene(scene, FOUR_TAPS)
+        out = tmp_path / "run"
+        assert run(["simulate", "--scene", scene, "--snr-db=inf", "--line", "3,5",
+                    "--region", "0:2,0:4", "--out", out]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        doc = json.loads((out / "targets.json").read_text(), parse_constant=reject)
+        assert doc["snr_db"] is None
+
+    def test_empty_scene_yields_no_targets(self, tmp_path, capsys):
+        scene = tmp_path / "scene.json"
+        write_scene(scene, [])
+        out = tmp_path / "run"
+        assert run(["simulate", "--scene", scene, "--line", "3,5", "--region", "0:2,0:4",
+                    "--out", out]) == 0
+        assert json.loads((out / "targets.json").read_text())["targets"] == []
+        assert "recovered 0 target(s)" in capsys.readouterr().out
+
+    def test_eigen_index_range_checked(self, tmp_path):
+        scene = tmp_path / "scene.json"
+        write_scene(scene, FOUR_TAPS)
+        for index in (-1, 15):
+            with pytest.raises(SystemExit) as err:
+                run(["simulate", "--scene", scene, "--line", "3,1", "--region", "0:0,0:0",
+                     "--eigen-index", index, "--out", tmp_path / "run"])
+            assert err.value.code == 2
+
+    def test_transported_eigenvector_recovers_tap(self, tmp_path):
+        # line (3,1) is neither rectangular nor a coprime slope: its eigenvector
+        # is a transformed pulsone, and a single tap reads back exactly
+        scene = tmp_path / "scene.json"
+        write_scene(scene, [(1, 0, 0.6, -0.2)])
+        out = tmp_path / "run"
+        assert run(["simulate", "--scene", scene, "--line", "3,1", "--eigen-index", 7,
+                    "--region", "0:1,0:0", "--out", out]) == 0
+        doc = json.loads((out / "targets.json").read_text())
+        assert [(t["k"], t["l"]) for t in doc["targets"]] == [(1, 0)]
+        assert doc["targets"][0]["re"] == pytest.approx(0.6, abs=1e-9)
+        assert doc["targets"][0]["im"] == pytest.approx(-0.2, abs=1e-9)
+
 
 class TestBenchCommand:
     def test_small_sizes(self, tmp_path, capsys):

@@ -5,7 +5,13 @@ import pytest
 
 from ddradar.ambiguity import cross_ambiguity_fft, cross_ambiguity_naive
 from ddradar.ddcore import PeriodicSequence
-from ddradar.errors import ConfigurationError, GridMismatch, NotCrystallized, ZeroSignal
+from ddradar.errors import (
+    ConfigurationError,
+    GridMismatch,
+    NotCrystallized,
+    ValidationError,
+    ZeroSignal,
+)
 from ddradar.radarsim import (
     ScatteringEnvironment,
     add_noise,
@@ -97,6 +103,12 @@ class TestAddNoise:
     def test_zero_signal_rejected(self, mod15):
         with pytest.raises(ZeroSignal):
             add_noise(PeriodicSequence.zeros(mod15), 10.0, seed=0)
+
+    @pytest.mark.parametrize("snr_db", [float("nan"), float("-inf"), -4000.0, 4000.0])
+    def test_unusable_snr_rejected(self, mod15, snr_db):
+        y = rand_unit_seq(mod15, np.random.default_rng(7))
+        with pytest.raises(ValidationError):
+            add_noise(y, snr_db, seed=0)
 
 
 class TestFormImage:
@@ -241,5 +253,11 @@ class TestSceneJson:
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"M": 3, "N": 5}')
+        with pytest.raises(ConfigurationError):
+            scene_from_json(path)
+
+    def test_non_finite_tap_rejected(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"M": 3, "N": 5, "taps": [{"k": 0, "l": 0, "re": NaN, "im": 0.0}]}')
         with pytest.raises(ConfigurationError):
             scene_from_json(path)

@@ -1,11 +1,14 @@
+from math import gcd
+
 import numpy as np
 import pytest
 
 from ddradar.ambiguity import cross_ambiguity_naive
 from ddradar.ddcore import PeriodicSequence
-from ddradar.errors import BNotCoprime, DetNotOne, NotCoprime, ZeroSequence
+from ddradar.errors import BNotCoprime, DetNotOne, IndexOutOfRange, NotCoprime, ZeroSequence
 from ddradar.heisenberg import HeisenbergElement, apply_td
-from ddradar.subgroups import LineSubgroup, chirp, pulsone
+from ddradar.modmath import Modulus, mod_inv
+from ddradar.subgroups import LineSubgroup, chirp, eigenbasis_for_line, eigenvector, pulsone
 from ddradar.symplectic import (
     SL2Element,
     gdaft_adjoint,
@@ -17,6 +20,7 @@ from ddradar.symplectic import (
     sl2_mapping_direction,
 )
 from conftest import op_matrix, rand_unit_seq
+from oracles import gdaft_kernel, sl2_matrix
 
 
 def random_sl2(mod, rng):
@@ -26,7 +30,21 @@ def random_sl2(mod, rng):
             return SL2Element(mod, a, b, c, d)
 
 
+def random_label(mod, rng, b_invertible):
+    """Determinant-1 label whose b entry is (or is not) invertible mod MN."""
+    mn = mod.MN
+    while True:
+        a, b, c, d = (int(v) for v in rng.integers(0, mn, 4))
+        if (gcd(b, mn) == 1) != b_invertible:
+            continue
+        if gcd(b, mn) == 1:  # solve a*d - b*c = 1 for c
+            return SL2Element(mod, a, b, (a * d - 1) * mod_inv(b, mn), d)
+        if gcd(a, mn) == 1:  # solve for d instead
+            return SL2Element(mod, a, b, c, (1 + b * c) * mod_inv(a, mn))
+
+
 GDAFT_LABELS = [(0, 1, -1, 0), (1, 1, 0, 1), (2, 1, 1, 1), (1, 2, 7, 0)]
+ORACLE_SIZES = [(3, 5), (11, 13), (13, 17)]
 
 
 class TestSL2Element:
@@ -113,6 +131,53 @@ class TestGdaft:
         for label in GDAFT_LABELS:
             g = SL2Element(mod15, *label)
             np.testing.assert_allclose(gdaft_adjoint(g, gdaft_apply(g, x)).samples, x.samples, atol=1e-12)
+
+
+class TestAgainstDenseOracle:
+    @pytest.mark.parametrize("M, N", ORACLE_SIZES)
+    def test_gdaft_apply_and_adjoint_match_kernel(self, M, N):
+        mod = Modulus(M, N)
+        rng = np.random.default_rng(M * N)
+        labels = [SL2Element.dft(mod)] + [random_label(mod, rng, True) for _ in range(6)]
+        for g in labels:
+            K = gdaft_kernel(g)
+            x = rand_unit_seq(mod, rng)
+            assert np.max(np.abs(gdaft_apply(g, x).samples - K @ x.samples)) < 1e-12
+            assert np.max(np.abs(gdaft_adjoint(g, x).samples - K.conj().T @ x.samples)) < 1e-12
+
+    @pytest.mark.parametrize("M, N", ORACLE_SIZES)
+    def test_sl2_apply_shear_route_matches_dense_composition(self, M, N):
+        mod = Modulus(M, N)
+        rng = np.random.default_rng(M * N + 1)
+        labels = [SL2Element.identity(mod), SL2Element(mod, 1, 0, 2, 1), SL2Element(mod, 1, M, 0, 1)]
+        labels += [random_label(mod, rng, False) for _ in range(4)]
+        for g in labels:
+            assert gcd(g.b, mod.MN) != 1
+            x = rand_unit_seq(mod, rng)
+            out = sl2_apply(g, x).samples
+            assert np.max(np.abs(out - sl2_matrix(g) @ x.samples)) < 1e-12
+
+    @pytest.mark.parametrize("c, d", [(3, 5), (1, 4), (3, 1)])
+    def test_eigenvector_matches_basis_and_construction(self, mod15, c, d):
+        line = LineSubgroup(mod15, c, d)
+        basis = eigenbasis_for_line(line)
+        g = sl2_mapping_direction(mod15, (3, 5), (c, d))
+        for i in range(15):
+            v = eigenvector(line, i).samples
+            np.testing.assert_array_equal(v, basis[i].samples)
+            if (c, d) == (3, 5):
+                want = pulsone(mod15, i % 3, i // 3).samples
+            elif (c, d) == (1, 4):
+                want = chirp(mod15, 2, i, 0).samples
+            else:
+                want = sl2_matrix(g) @ pulsone(mod15, i % 3, i // 3).samples
+            assert np.max(np.abs(v - want)) < 1e-12
+
+    def test_eigenvector_index_range(self, mod15):
+        line = LineSubgroup(mod15, 3, 1)
+        for index in (-1, 15):
+            with pytest.raises(IndexOutOfRange):
+                eigenvector(line, index)
 
 
 class TestSl2Apply:
