@@ -17,8 +17,6 @@ from .ambiguity import (
 from .ddcore import (
     PeriodicSequence,
     QuasiPeriodicArray,
-    SampleGrid,
-    basis_vrs,
     dzt,
     idzt,
     inner,

@@ -1,4 +1,4 @@
-"""Cross-ambiguity surfaces: brute-force oracle, FFT row path, and the fast pulsone engine.
+"""Cross-ambiguity surfaces: direct sums, FFT row path, and the fast pulsone engine.
 
 The cross-ambiguity of two unit-norm period-L sequences is
 
@@ -6,9 +6,12 @@ The cross-ambiguity of two unit-norm period-L sequences is
 
 Three evaluation routes live here:
 
-* cross_ambiguity_naive: the literal definition, vectorised but O(L) per
-  point.  This is the oracle every faster route is tested against, and the
-  honest O(M^2 N^2) baseline for fundamental-grid benchmarks.
+* direct sums: one row kernel evaluates the definition, O(L) per point,
+  taking exp(-j*2*pi*l*n/L) from the L roots of unity at l*n mod L.
+  cross_ambiguity_naive runs it on a modulus-bound pair over either grid;
+  it is what the faster routes are tested against, and the honest
+  O(M^2 N^2) baseline for fundamental-grid benchmarks.
+  cross_ambiguity_array runs it on plain period-L arrays (coded waveforms).
 * cross_ambiguity_fft: full-grid surface via one FFT per delay row,
   O(L^2 log L) total.  Production route for Moyal checks at large MN.
 * fast_pulsone_*: when the reference y is a pulsone, the whole surface
@@ -24,6 +27,7 @@ arbitrary regions), evaluated as vectorised point queries.
 
 from __future__ import annotations
 
+import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -70,17 +74,10 @@ class AmbiguitySurface:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        expected = {
-            "full": (self.mod.MN, self.mod.MN),
-            "fundamental": (self.mod.M, self.mod.N),
-        }
-        if self.grid not in expected:
-            raise ConfigurationError(f"unknown grid kind {self.grid!r}")
+        expected = _grid_shape(self.mod, self.grid)
         arr = np.asarray(self.values, dtype=np.complex128)
-        if arr.shape != expected[self.grid]:
-            raise ConfigurationError(
-                f"{self.grid} grid needs shape {expected[self.grid]}, got {arr.shape}"
-            )
+        if arr.shape != expected:
+            raise ConfigurationError(f"{self.grid} grid needs shape {expected}, got {arr.shape}")
         object.__setattr__(self, "values", arr)
 
 
@@ -112,29 +109,37 @@ def cross_ambiguity_point(x: PeriodicSequence, y: PeriodicSequence, k: int, l: i
     return complex(np.sum(x.samples * np.conj(y.samples[offsets]) * phases))
 
 
+def _direct_rows(xa: np.ndarray, ya: np.ndarray, nk: int, nl: int, workers: int) -> np.ndarray:
+    """Direct-sum surface rows k < nk, columns l < nl, of two period-L arrays.
+
+    Each row is one (nl x L) by L product against the table of
+    exp(-j*2*pi*l*n/L), gathered from the L roots of unity at l*n mod L.
+    """
+    L = xa.shape[0]
+    n = np.arange(L)
+    roots = np.exp(-2j * np.pi / L * n)
+    base = roots[np.outer(np.arange(nl), n) % L]  # [l, n]
+    out = np.empty((nk, nl), dtype=np.complex128)
+
+    def rows(k_range) -> None:
+        for k in k_range:
+            offsets = (n - k) % L
+            out[k] = base[:, offsets] @ (xa * np.conj(ya[offsets]))
+
+    _run_rows(rows, nk, workers)
+    return out
+
+
 def cross_ambiguity_array(xa: np.ndarray, ya: np.ndarray, workers: int = 1) -> np.ndarray:
     """Full L x L ambiguity surface of two plain period-L arrays, by direct sums.
 
-    The modulus-free kernel behind cross_ambiguity_naive; also serves coded
-    waveforms whose period is not a product of two primes.
+    Serves coded waveforms whose period is not a product of two primes.
     """
     xa = np.asarray(xa, dtype=np.complex128)
     ya = np.asarray(ya, dtype=np.complex128)
     if xa.shape != ya.shape or xa.ndim != 1:
         raise ConfigurationError(f"need equal-length vectors, got {xa.shape} and {ya.shape}")
-    L = xa.shape[0]
-    base = np.exp(-2j * np.pi * np.outer(np.arange(L), np.arange(L)) / L)  # [l, n]
-    out = np.empty((L, L), dtype=np.complex128)
-
-    def rows(k_range) -> None:
-        n = np.arange(L)
-        for k in k_range:
-            offsets = (n - k) % L
-            w = xa * np.conj(ya[offsets])
-            out[k] = base[:, offsets] @ w
-
-    _run_rows(rows, L, workers)
-    return out
+    return _direct_rows(xa, ya, xa.shape[0], xa.shape[0], workers)
 
 
 def _run_rows(fn, total: int, workers: int) -> None:
@@ -167,21 +172,8 @@ def cross_ambiguity_naive(
     if warn_nonunit:
         _warn_if_not_unit(x, "x")
         _warn_if_not_unit(y, "y")
-    mod = x.mod
-    mn = mod.MN
-    nk, nl = _grid_shape(mod, grid)
-    base = np.exp(-2j * np.pi * np.outer(np.arange(nl), np.arange(mn)) / mn)  # [l, n]
-    out = np.empty((nk, nl), dtype=np.complex128)
-    n = np.arange(mn)
-
-    def rows(k_range) -> None:
-        for k in k_range:
-            offsets = (n - k) % mn
-            w = x.samples * np.conj(y.samples[offsets])
-            out[k] = base[:, offsets] @ w
-
-    _run_rows(rows, nk, workers)
-    return AmbiguitySurface(mod, grid, out)
+    nk, nl = _grid_shape(x.mod, grid)
+    return AmbiguitySurface(x.mod, grid, _direct_rows(x.samples, y.samples, nk, nl, workers))
 
 
 def cross_ambiguity_fft(x: PeriodicSequence, y: PeriodicSequence) -> AmbiguitySurface:
@@ -197,7 +189,7 @@ def cross_ambiguity_fft(x: PeriodicSequence, y: PeriodicSequence) -> AmbiguitySu
     offsets = (n[None, :] - n[:, None]) % mn               # [k, n]
     w = x.samples[None, :] * np.conj(y.samples[offsets])
     spectra = np.fft.fft(w, axis=1)                        # [k, l]
-    phases = np.exp(2j * np.pi * np.outer(n, n) / mn)      # [k, l] -> e^{j2pi lk/MN}
+    phases = phases_to_complex(2 * (np.outer(n, n) % mn), mod)  # [k, l] -> e^{j2pi lk/MN}
     return AmbiguitySurface(mod, "full", spectra * phases)
 
 
@@ -273,12 +265,11 @@ def fast_cross_ambiguity(
     from .symplectic import SL2Element, gdaft_adjoint, lfm_apply, remap_for
 
     mod = x.mod
+    nk, nl = _grid_shape(mod, grid)
+    kk, ll = np.meshgrid(np.arange(nk), np.arange(nl), indexing="ij")
     if transform is None:
         pre = fast_pulsone_precompute(x, k0, l0)
-        if grid == "fundamental":
-            return fast_pulsone_surface(pre)
-        kk, ll = np.meshgrid(np.arange(mod.MN), np.arange(mod.MN), indexing="ij")
-        return AmbiguitySurface(mod, "full", fast_pulsone_query(pre, kk, ll))
+        return AmbiguitySurface(mod, grid, fast_pulsone_query(pre, kk, ll))
 
     kind, label = transform
     if kind == "lfm":
@@ -293,8 +284,6 @@ def fast_cross_ambiguity(
         raise ConfigurationError(f"unknown transform kind {kind!r}")
     pre = fast_pulsone_precompute(x_back, k0, l0)
     ginv = remap.g.inverse()
-    shape = _grid_shape(mod, grid)
-    kk, ll = np.meshgrid(np.arange(shape[0]), np.arange(shape[1]), indexing="ij")
     # A_{x, W p}[K, L] = conj(remap phase at g^-1(K, L)) * A_{W^-1 x, p}[g^-1(K, L)]
     ks = (ginv.a * kk + ginv.b * ll) % mod.MN
     ls = (ginv.c * kk + ginv.d * ll) % mod.MN
@@ -394,24 +383,30 @@ def surface_to_pgm(values: np.ndarray, path, scale: str = "linear", floor: float
     """8-bit binary PGM of |values|; rows are delay k, columns Doppler l.
 
     linear: 0..255 spans 0..max|A|.  db: 0..255 spans floor..0 dB relative
-    to the surface peak, clamping below the floor.
+    to the surface peak, clamping below the floor; the floor must be a finite
+    negative number.
     """
+    _check_scale(scale, floor)
     mags = np.abs(np.asarray(values))
     peak = mags.max()
     if peak == 0.0:
         pixels = np.zeros(mags.shape, dtype=np.uint8)
     elif scale == "linear":
         pixels = np.round(255.0 * mags / peak).astype(np.uint8)
-    elif scale == "db":
-        if floor >= 0:
-            raise ConfigurationError(f"dB floor must be negative, got {floor}")
+    else:
         with np.errstate(divide="ignore"):
             rel = 20.0 * np.log10(mags / peak)
         rel = np.clip(rel, floor, 0.0)
         pixels = np.round(255.0 * (rel - floor) / (-floor)).astype(np.uint8)
-    else:
-        raise ConfigurationError(f"unknown scale {scale!r}")
     height, width = pixels.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
         fh.write(pixels.tobytes())
+
+
+def _check_scale(scale: str, floor: float) -> None:
+    """Refuse an unknown PGM scale, or a dB floor that is not finite and negative."""
+    if scale not in ("linear", "db"):
+        raise ConfigurationError(f"unknown scale {scale!r}")
+    if scale == "db" and not (math.isfinite(floor) and floor < 0):
+        raise ConfigurationError(f"dB floor must be a finite negative number, got {floor}")

@@ -21,13 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from .ambiguity import (
+    _check_scale,
     coded_waveform,
     cross_ambiguity_array,
     cross_ambiguity_fft,
     cross_ambiguity_naive,
     fast_cross_ambiguity,
-    fast_pulsone_precompute,
-    fast_pulsone_surface,
     surface_to_csv,
     surface_to_pgm,
     zc_sequence,
@@ -37,7 +36,7 @@ from .errors import EngineUnsupported, PreconditionError, ValidationError
 from .modmath import Modulus
 from .radarsim import add_noise, apply_channel, form_image, readout_targets, scene_from_json
 from .subgroups import DDRegion, LineSubgroup, chirp, eigenvector, pulsone
-from .symplectic import SL2Element, gdaft_apply, lfm_apply, papr_db, sl2_apply
+from .symplectic import SL2Element, gdaft_apply, lfm_apply, papr_db
 
 __all__ = ["main"]
 
@@ -57,6 +56,13 @@ def _parse_pair(text: str, what: str) -> tuple[int, int]:
         return int(parts[0]), int(parts[1])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"{what} must be integers, got {text!r}") from exc
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _parse_region(text: str) -> DDRegion:
@@ -164,7 +170,9 @@ def _out_dir(args) -> Path:
 
 def cmd_waveform(args, parser) -> int:
     mod = Modulus(args.M, args.N, allow_composite=args.allow_composite)
+    _check_scale(args.scale, args.floor)
     kind = args.kind
+    prefix = ""
     if kind in ("gdaft-of", "lfm-of"):
         if args.base is None:
             parser.error(f"{kind} needs a base waveform kind")
@@ -172,25 +180,18 @@ def cmd_waveform(args, parser) -> int:
             parser.error("gdaft-of needs --sl2 a,b,c,d")
         if kind == "lfm-of" and args.lfm is None:
             parser.error("lfm-of needs --lfm A")
-        base_kind = args.base
-    else:
-        base_kind = kind
+        prefix = f"gdaft({args.sl2}):" if kind == "gdaft-of" else f"lfm({args.lfm}):"
+        kind = args.base
 
-    if base_kind == "pulsone":
-        seq = pulsone(mod, args.k0, args.l0)
-    elif base_kind == "chirp":
+    if kind == "pulsone":
+        base = f"pulsone:{args.k0},{args.l0}"
+    elif kind == "chirp":
         if args.alpha is None:
             parser.error("chirp needs --alpha")
-        seq = chirp(mod, args.alpha, args.beta, args.gamma)
-    elif base_kind == "zc":
-        seq = PeriodicSequence(mod, zc_sequence(args.root, mod.MN))
+        base = f"chirp:{args.alpha},{args.beta},{args.gamma}"
     else:
-        parser.error(f"unknown waveform kind {base_kind!r}")
-
-    if kind == "gdaft-of":
-        seq = gdaft_apply(_parse_sl2(args.sl2, mod), seq)
-    elif kind == "lfm-of":
-        seq = lfm_apply(args.lfm, seq)
+        base = f"zc:{args.root}"
+    seq = parse_waveform_spec(prefix + base, mod).seq
 
     out = _out_dir(args)
     sequence_to_csv(seq, out / "waveform.csv")
@@ -210,6 +211,7 @@ def cmd_waveform(args, parser) -> int:
 
 def cmd_ambiguity(args, parser) -> int:
     mod = Modulus(args.M, args.N, allow_composite=args.allow_composite)
+    _check_scale(args.scale, args.floor)
     x = parse_waveform_spec(args.x, mod)
     y = parse_waveform_spec(args.y, mod)
     out = _out_dir(args)
@@ -241,6 +243,7 @@ def cmd_ambiguity(args, parser) -> int:
 
 
 def cmd_simulate(args, parser) -> int:
+    _check_scale(args.scale, args.floor)
     env = scene_from_json(args.scene, allow_composite=args.allow_composite)
     mod = env.mod
     line = LineSubgroup(mod, *_parse_pair(args.line, "--line"))
@@ -261,11 +264,12 @@ def cmd_simulate(args, parser) -> int:
 
     y = apply_channel(env, spec.seq)
     y = add_noise(y, args.snr_db, args.seed)
+    pulsone_indices = transform = None
     if spec.fast is not None:
         k0, l0, transform = spec.fast
-        img = form_image(y, spec.seq, grid="full", pulsone_indices=(k0, l0), transform=transform)
-    else:
-        img = form_image(y, spec.seq, grid="full", workers=_workers())
+        pulsone_indices = (k0, l0)
+    img = form_image(y, spec.seq, grid="full", pulsone_indices=pulsone_indices,
+                     transform=transform, workers=_workers())
 
     targets = readout_targets(img, line, region, threshold=args.threshold)
     out = _out_dir(args)
@@ -294,14 +298,6 @@ def cmd_simulate(args, parser) -> int:
 # bench
 
 
-def _bench_naive(x: PeriodicSequence, y: PeriodicSequence):
-    return cross_ambiguity_naive(x, y, grid="fundamental")
-
-
-def _bench_fast(x: PeriodicSequence, k0: int, l0: int):
-    return fast_pulsone_surface(fast_pulsone_precompute(x, k0, l0))
-
-
 def cmd_bench(args, parser) -> int:
     out = _out_dir(args)
     rng = np.random.default_rng(args.seed)
@@ -311,17 +307,18 @@ def cmd_bench(args, parser) -> int:
         samples = rng.standard_normal(mod.MN) + 1j * rng.standard_normal(mod.MN)
         x = PeriodicSequence(mod, samples / np.linalg.norm(samples))
         y = pulsone(mod, 0, 0)
-        naive = _bench_naive(x, y)
-        fast = _bench_fast(x, 0, 0)
-        err = float(np.max(np.abs(naive.values - fast.values)))
+
+        def naive():
+            return cross_ambiguity_naive(x, y, grid="fundamental")
+
+        def fast():
+            return fast_cross_ambiguity(x, 0, 0)
+
+        err = float(np.max(np.abs(naive().values - fast().values)))
         if err > 1e-10:
             raise ValidationError(f"fast/naive disagreement {err:.3e} at (M, N) = ({m}, {n})")
-        t_naive = min(
-            _timed(lambda: _bench_naive(x, y)) for _ in range(args.repeats)
-        )
-        t_fast = min(
-            _timed(lambda: _bench_fast(x, 0, 0)) for _ in range(args.repeats)
-        )
+        t_naive = min(_timed(naive) for _ in range(args.repeats))
+        t_fast = min(_timed(fast) for _ in range(args.repeats))
         ratio = t_naive / t_fast if t_fast > 0 else float("inf")
         rows.append((m, n, mod.MN, t_naive, t_fast, ratio, err))
         print(
@@ -406,7 +403,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(bench, with_mod=False)
     bench.add_argument("--size", action="append", required=True,
                        help="M,N pair; repeatable")
-    bench.add_argument("--repeats", type=int, default=5, help="timing repetitions (best-of)")
+    bench.add_argument("--repeats", type=_positive_int, default=5,
+                       help="timing repetitions (best-of), at least 1")
     bench.set_defaults(func=cmd_bench)
     return parser
 

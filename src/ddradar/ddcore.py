@@ -14,7 +14,7 @@ is the unitary map between them; its inverse reads
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,14 +24,8 @@ from .modmath import Modulus
 __all__ = [
     "PeriodicSequence",
     "QuasiPeriodicArray",
-    "SampleGrid",
-    "array_from_csv",
-    "array_to_csv",
-    "basis_vrs",
     "dzt",
-    "dzt_direct",
     "idzt",
-    "idzt_direct",
     "inner",
     "inner_dd",
     "sequence_from_csv",
@@ -67,18 +61,8 @@ class PeriodicSequence:
         samples[n % mod.MN] = 1.0
         return cls(mod, samples)
 
-    def at(self, n: int) -> complex:
-        """Sample at any integer index, reduced mod MN."""
-        return complex(self.samples[n % self.mod.MN])
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.samples))
-
-    def unit(self) -> "PeriodicSequence":
-        nrm = self.norm()
-        if nrm == 0.0:
-            raise ConfigurationError("cannot normalise the zero sequence")
-        return PeriodicSequence(self.mod, self.samples / nrm)
 
 
 @dataclass(frozen=True)
@@ -111,34 +95,6 @@ class QuasiPeriodicArray:
         return complex(phase * self.values[k % M, l % N])
 
 
-@dataclass(frozen=True)
-class SampleGrid:
-    """Physical metadata: delay period tau_p (s) and Doppler period nu_p (Hz).
-
-    Units never touch the numerics; the discrete core is unit-free.
-    """
-
-    mod: Modulus
-    tau_p: float
-    nu_p: float = field(default=0.0)
-
-    def __post_init__(self) -> None:
-        nu = self.nu_p if self.nu_p else 1.0 / self.tau_p
-        object.__setattr__(self, "nu_p", nu)
-        if abs(self.tau_p * self.nu_p - 1.0) > 1e-12:
-            raise ConfigurationError(
-                f"tau_p*nu_p must be 1, got {self.tau_p * self.nu_p!r}"
-            )
-
-    @property
-    def delay_resolution(self) -> float:
-        return self.tau_p / self.mod.M
-
-    @property
-    def doppler_resolution(self) -> float:
-        return self.nu_p / self.mod.N
-
-
 def _require_same_mod(a, b) -> None:
     if a.mod != b.mod:
         raise ModulusMismatch(f"operands use different moduli: {a.mod} vs {b.mod}")
@@ -165,20 +121,6 @@ def dzt(x: PeriodicSequence) -> QuasiPeriodicArray:
     return QuasiPeriodicArray(mod, values)
 
 
-def dzt_direct(x: PeriodicSequence) -> QuasiPeriodicArray:
-    """Direct-sum Zak transform; the oracle the FFT path must match."""
-    mod = x.mod
-    M, N = mod.M, mod.N
-    values = np.zeros((M, N), dtype=np.complex128)
-    for k in range(M):
-        for l in range(N):
-            acc = 0.0 + 0.0j
-            for p in range(N):
-                acc += x.samples[k + p * M] * np.exp(-1j * 2 * np.pi * p * l / N)
-            values[k, l] = acc / np.sqrt(N)
-    return QuasiPeriodicArray(mod, values)
-
-
 def idzt(X: QuasiPeriodicArray) -> PeriodicSequence:
     """Inverse Zak transform, one length-N inverse FFT per delay row."""
     mod = X.mod
@@ -187,34 +129,8 @@ def idzt(X: QuasiPeriodicArray) -> PeriodicSequence:
     return PeriodicSequence(mod, reshaped.T.reshape(mod.MN))
 
 
-def idzt_direct(X: QuasiPeriodicArray) -> PeriodicSequence:
-    """Direct-sum inverse Zak transform (oracle)."""
-    mod = X.mod
-    M, N = mod.M, mod.N
-    samples = np.zeros(mod.MN, dtype=np.complex128)
-    for n in range(mod.MN):
-        acc = 0.0 + 0.0j
-        for q in range(N):
-            acc += X.values[n % M, q] * np.exp(1j * 2 * np.pi * q * (n // M) / N)
-        samples[n] = acc / np.sqrt(N)
-    return PeriodicSequence(mod, samples)
-
-
-def basis_vrs(r: int, s: int, mod: Modulus) -> PeriodicSequence:
-    """Windowed-exponential orthonormal basis of the time-domain space.
-
-    v[n] = (1/sqrt(M)) * exp(j*2*pi*s*n/M) for r*M <= n < (r+1)*M, else 0.
-    """
-    if not (0 <= r < mod.N and 0 <= s < mod.M):
-        raise ConfigurationError(f"need 0 <= r < N and 0 <= s < M, got (r, s) = ({r}, {s})")
-    samples = np.zeros(mod.MN, dtype=np.complex128)
-    n = np.arange(r * mod.M, (r + 1) * mod.M)
-    samples[n] = np.exp(1j * 2 * np.pi * s * n / mod.M) / np.sqrt(mod.M)
-    return PeriodicSequence(mod, samples)
-
-
 # ---------------------------------------------------------------------------
-# CSV serialisation: sequences use header n,re,im; arrays use k,l,re,im.
+# CSV serialisation: header n,re,im, one row per sample.
 # Values are printed with 17 significant digits, enough to round-trip float64.
 
 _FMT = "%.17g"
@@ -241,28 +157,3 @@ def sequence_from_csv(path, mod: Modulus) -> PeriodicSequence:
     if count != mod.MN:
         raise ConfigurationError(f"expected {mod.MN} rows, got {count}")
     return PeriodicSequence(mod, samples)
-
-
-def array_to_csv(X: QuasiPeriodicArray, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("k,l,re,im\n")
-        for k in range(X.mod.M):
-            for l in range(X.mod.N):
-                v = X.values[k, l]
-                fh.write(f"{k},{l},{_FMT % v.real},{_FMT % v.imag}\n")
-
-
-def array_from_csv(path, mod: Modulus) -> QuasiPeriodicArray:
-    values = np.zeros((mod.M, mod.N), dtype=np.complex128)
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != "k,l,re,im":
-            raise ConfigurationError(f"bad array CSV header: {header!r}")
-        count = 0
-        for line in fh:
-            k_s, l_s, re_s, im_s = line.strip().split(",")
-            values[int(k_s), int(l_s)] = float(re_s) + 1j * float(im_s)
-            count += 1
-    if count != mod.MN:
-        raise ConfigurationError(f"expected {mod.MN} rows, got {count}")
-    return QuasiPeriodicArray(mod, values)

@@ -21,7 +21,6 @@ from .errors import ConfigurationError, NotInvertible
 __all__ = [
     "Modulus",
     "crt_join",
-    "crt_split",
     "gcd",
     "is_prime",
     "mod_inv",
@@ -103,16 +102,8 @@ def mod_inv(a: int, n: int) -> int:
         raise NotInvertible(f"{a} has no inverse mod {n} (gcd = {gcd(a, n)})") from exc
 
 
-def crt_split(x: int, mod: Modulus) -> tuple[int, int]:
-    """Split x in Z_MN into (a, b) with x = (M^-1 mod N)*a*M + (N^-1 mod M)*b*N mod MN.
-
-    Concretely a = x mod N and b = x mod M.
-    """
-    return x % mod.N, x % mod.M
-
-
 def crt_join(a: int, b: int, mod: Modulus) -> int:
-    """Inverse of crt_split: recompose x in Z_MN from residues (a mod N, b mod M)."""
+    """The x in Z_MN with x = a mod N and x = b mod M (Chinese remainder theorem)."""
     minv = mod_inv(mod.M, mod.N)
     ninv = mod_inv(mod.N, mod.M)
     return (minv * a * mod.M + ninv * b * mod.N) % mod.MN

@@ -25,6 +25,7 @@ from .errors import (
     GridMismatch,
     ModulusMismatch,
     NotCrystallized,
+    ValidationError,
     ZeroSignal,
 )
 from .modmath import Modulus, phases_to_complex
@@ -158,7 +159,7 @@ def predicted_image(env: ScatteringEnvironment, a_x: AmbiguitySurface) -> Ambigu
     for k_t, l_t, h in env.taps:
         rows = (idx - k_t) % mn
         cols = (idx - l_t) % mn
-        phases = np.exp(2j * np.pi * l_t * (idx - k_t) / mn)
+        phases = phases_to_complex(2 * (l_t * rows % mn), env.mod)
         out += h * phases[:, None] * a_x.values[np.ix_(rows, cols)]
     return AmbiguitySurface(env.mod, "full", out)
 
@@ -173,10 +174,13 @@ def readout_targets(
 
     Refuses (NotCrystallized) when region translates by the line support
     overlap, since the image would alias.  `threshold` is an absolute
-    magnitude cut; None means half the strongest magnitude in the region.
-    A region whose strongest magnitude is 0 holds no targets.  Coordinates
-    are returned reduced mod MN, sorted by (k, l).
+    magnitude cut and must be finite (ValidationError otherwise); None means
+    half the strongest magnitude in the region.  A region whose strongest
+    magnitude is 0 holds no targets.  Coordinates are returned reduced mod
+    MN, sorted by (k, l).
     """
+    if threshold is not None and not math.isfinite(threshold):
+        raise ValidationError(f"readout threshold must be finite, got {threshold}")
     if img.surface.mod != line.mod:
         raise ModulusMismatch("image and line subgroup use different moduli")
     if not crystallization_check(line, region):

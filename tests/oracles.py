@@ -4,9 +4,48 @@ from math import gcd
 
 import numpy as np
 
+from ddradar.ddcore import PeriodicSequence, QuasiPeriodicArray
 from ddradar.errors import BNotCoprime
-from ddradar.modmath import mod_inv, phases_to_complex
+from ddradar.modmath import Modulus, mod_inv, phases_to_complex
 from ddradar.symplectic import SL2Element
+
+
+def dzt_direct(x: PeriodicSequence) -> QuasiPeriodicArray:
+    """Direct-sum Zak transform; the oracle the FFT path must match."""
+    mod = x.mod
+    M, N = mod.M, mod.N
+    values = np.zeros((M, N), dtype=np.complex128)
+    for k in range(M):
+        for l in range(N):
+            acc = 0.0 + 0.0j
+            for p in range(N):
+                acc += x.samples[k + p * M] * np.exp(-1j * 2 * np.pi * p * l / N)
+            values[k, l] = acc / np.sqrt(N)
+    return QuasiPeriodicArray(mod, values)
+
+
+def idzt_direct(X: QuasiPeriodicArray) -> PeriodicSequence:
+    """Direct-sum inverse Zak transform (oracle)."""
+    mod = X.mod
+    M, N = mod.M, mod.N
+    samples = np.zeros(mod.MN, dtype=np.complex128)
+    for n in range(mod.MN):
+        acc = 0.0 + 0.0j
+        for q in range(N):
+            acc += X.values[n % M, q] * np.exp(1j * 2 * np.pi * q * (n // M) / N)
+        samples[n] = acc / np.sqrt(N)
+    return PeriodicSequence(mod, samples)
+
+
+def basis_vrs(r: int, s: int, mod: Modulus) -> PeriodicSequence:
+    """Windowed-exponential orthonormal basis, a closed-form input for the Zak transform.
+
+    v[n] = (1/sqrt(M)) * exp(j*2*pi*s*n/M) for r*M <= n < (r+1)*M, else 0.
+    """
+    samples = np.zeros(mod.MN, dtype=np.complex128)
+    n = np.arange(r * mod.M, (r + 1) * mod.M)
+    samples[n] = np.exp(1j * 2 * np.pi * s * n / mod.M) / np.sqrt(mod.M)
+    return PeriodicSequence(mod, samples)
 
 
 def gdaft_kernel(g: SL2Element) -> np.ndarray:

@@ -138,6 +138,28 @@ class TestFastPulsone:
                 cross_ambiguity_point(x, y, k, l), abs=1e-10
             )
 
+    @pytest.mark.parametrize("grid", ["fundamental", "full"])
+    def test_untransformed_engine_is_the_point_query(self, mod15, grid):
+        rng = np.random.default_rng(17)
+        x = rand_unit_seq(mod15, rng)
+        pre = fast_pulsone_precompute(x, 2, 1)
+        shape = (3, 5) if grid == "fundamental" else (15, 15)
+        kk, ll = np.meshgrid(np.arange(shape[0]), np.arange(shape[1]), indexing="ij")
+        surf = fast_cross_ambiguity(x, 2, 1, grid=grid)
+        assert surf.grid == grid
+        np.testing.assert_array_equal(surf.values, fast_pulsone_query(pre, kk, ll))
+        if grid == "fundamental":
+            np.testing.assert_array_equal(surf.values, fast_pulsone_surface(pre).values)
+
+    def test_unknown_grid_rejected(self, mod15):
+        x = pulsone(mod15, 0, 0)
+        with pytest.raises(ConfigurationError):
+            fast_cross_ambiguity(x, 0, 0, grid="diagonal")
+        with pytest.raises(ConfigurationError):
+            cross_ambiguity_naive(x, x, grid="diagonal")
+        with pytest.raises(ConfigurationError):
+            AmbiguitySurface(mod15, "diagonal", np.zeros((3, 5)))
+
     def test_transformed_reference_gdaft(self, mod15):
         rng = np.random.default_rng(8)
         x = rand_unit_seq(mod15, rng)
@@ -294,3 +316,34 @@ class TestSurfaceIo:
     def test_pgm_rejects_bad_floor(self, tmp_path):
         with pytest.raises(ConfigurationError):
             surface_to_pgm(np.ones((2, 2)), tmp_path / "x.pgm", scale="db", floor=10.0)
+
+    @pytest.mark.parametrize("floor", [float("nan"), float("-inf"), float("inf"), 0.0])
+    def test_pgm_rejects_floor_that_is_not_finite_negative(self, tmp_path, floor):
+        path = tmp_path / "x.pgm"
+        with pytest.raises(ConfigurationError):
+            surface_to_pgm(np.ones((2, 2)), path, scale="db", floor=floor)
+        assert not path.exists()
+
+
+class TestRingExactPhases:
+    """At (31, 37) every l*n product is reduced mod MN before its exponential."""
+
+    def test_naive_grid_matches_point_sums(self, mod1147):
+        rng = np.random.default_rng(15)
+        x, y = rand_unit_seq(mod1147, rng), rand_unit_seq(mod1147, rng)
+        surf = cross_ambiguity_naive(x, y, grid="full").values
+        worst = max(
+            abs(surf[k, l] - cross_ambiguity_point(x, y, k, l))
+            for k, l in rng.integers(mod1147.MN, size=(300, 2))
+        )
+        assert worst <= 1e-15
+
+    def test_fft_rows_match_point_sums(self, mod1147):
+        rng = np.random.default_rng(16)
+        x, y = rand_unit_seq(mod1147, rng), rand_unit_seq(mod1147, rng)
+        surf = cross_ambiguity_fft(x, y).values
+        worst = max(
+            abs(surf[k, l] - cross_ambiguity_point(x, y, k, l))
+            for k, l in rng.integers(mod1147.MN, size=(300, 2))
+        )
+        assert worst <= 1e-15

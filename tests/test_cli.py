@@ -6,10 +6,12 @@ import sys
 import numpy as np
 import pytest
 
-from ddradar.ambiguity import surface_from_csv
+from ddradar.ambiguity import surface_from_csv, zc_sequence
 from ddradar.cli import main
-from ddradar.ddcore import sequence_from_csv
+from ddradar.ddcore import PeriodicSequence, sequence_from_csv
 from ddradar.modmath import Modulus
+from ddradar.subgroups import chirp, pulsone
+from ddradar.symplectic import SL2Element, gdaft_apply, lfm_apply
 
 
 def run(args):
@@ -49,7 +51,9 @@ class TestWaveformCommand:
     def test_self_ambiguity_pgm(self, tmp_path):
         assert run(["waveform", "pulsone", "--M", 3, "--N", 5, "--out", tmp_path,
                     "--self-ambiguity", "--scale", "db", "--floor", -120]) == 0
-        assert (tmp_path / "selfambiguity.pgm").read_bytes().startswith(b"P5\n15 15\n255\n")
+        blob = (tmp_path / "selfambiguity.pgm").read_bytes()
+        assert blob.startswith(b"P5\n15 15\n255\n")
+        assert blob[len(b"P5\n15 15\n255\n")] == 255  # peak at the origin
 
     def test_composite_modulus_exit_code(self, tmp_path):
         assert run(["waveform", "pulsone", "--M", 9, "--N", 5, "--out", tmp_path]) == 4
@@ -62,6 +66,39 @@ class TestWaveformCommand:
         with pytest.raises(SystemExit) as err:
             run(["waveform", "nonsense", "--M", 3, "--N", 5, "--out", tmp_path])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flags, build",
+        [
+            (["pulsone", "--k0", 2, "--l0", 4], lambda m: pulsone(m, 2, 4)),
+            (["chirp", "--alpha", 1, "--beta", 2, "--gamma", 3], lambda m: chirp(m, 1, 2, 3)),
+            (["zc", "--root", 2], lambda m: PeriodicSequence(m, zc_sequence(2, 15))),
+            (["lfm-of", "zc", "--lfm", 2, "--root", 1],
+             lambda m: lfm_apply(2, PeriodicSequence(m, zc_sequence(1, 15)))),
+            (["gdaft-of", "chirp", "--sl2", "1,2,0,1", "--alpha", 2],
+             lambda m: gdaft_apply(SL2Element(m, 1, 2, 0, 1), chirp(m, 2, 0, 0))),
+        ],
+    )
+    def test_flags_build_the_named_waveform(self, tmp_path, flags, build):
+        assert run(["waveform", *flags, "--M", 3, "--N", 5, "--out", tmp_path]) == 0
+        seq = sequence_from_csv(tmp_path / "waveform.csv", Modulus(3, 5))
+        np.testing.assert_array_equal(seq.samples, build(Modulus(3, 5)).samples)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["chirp"], ["gdaft-of", "pulsone"], ["lfm-of", "zc"], ["gdaft-of", "--sl2", "1,2,0,1"]],
+    )
+    def test_missing_parameter_is_usage_error(self, tmp_path, flags):
+        with pytest.raises(SystemExit) as err:
+            run(["waveform", *flags, "--M", 3, "--N", 5, "--out", tmp_path / "out"])
+        assert err.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_malformed_sl2_is_usage_error(self, tmp_path):
+        assert run(["waveform", "gdaft-of", "pulsone", "--sl2", "1,2,x,1", "--M", 3, "--N", 5,
+                    "--out", tmp_path / "out"]) == 2
+        assert run(["waveform", "gdaft-of", "pulsone", "--sl2", "1,2,1,1", "--M", 3, "--N", 5,
+                    "--out", tmp_path / "out"]) == 4
 
 
 class TestAmbiguityCommand:
@@ -229,7 +266,48 @@ class TestSimulateCommand:
         assert doc["targets"][0]["im"] == pytest.approx(-0.2, abs=1e-9)
 
 
+class TestDbFloorFlag:
+    @pytest.mark.parametrize("floor", ["nan", "-inf", "inf", "0"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["waveform", "pulsone", "--M", 3, "--N", 5, "--self-ambiguity"],
+            ["ambiguity", "--M", 3, "--N", 5, "--x", "pulsone:0,0", "--y", "pulsone:0,0"],
+            ["simulate", "--line", "3,5", "--region", "0:2,0:4"],
+        ],
+        ids=["waveform", "ambiguity", "simulate"],
+    )
+    def test_rejected_before_output(self, tmp_path, capsys, argv, floor):
+        scene = tmp_path / "scene.json"
+        write_scene(scene, FOUR_TAPS)
+        if argv[0] == "simulate":
+            argv = argv + ["--scene", scene]
+        out = tmp_path / "run"
+        assert run([*argv, "--scale", "db", f"--floor={floor}", "--out", out]) == 4
+        assert not out.exists()
+        assert "floor" in capsys.readouterr().err
+
+
+class TestThresholdFlag:
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_non_finite_rejected_before_output(self, tmp_path, capsys, threshold):
+        scene = tmp_path / "scene.json"
+        write_scene(scene, FOUR_TAPS)
+        out = tmp_path / "run"
+        assert run(["simulate", "--scene", scene, f"--threshold={threshold}", "--line", "3,5",
+                    "--region", "0:2,0:4", "--out", out]) == 4
+        assert not out.exists()
+        assert "threshold" in capsys.readouterr().err
+
+
 class TestBenchCommand:
+    @pytest.mark.parametrize("repeats", [0, -3])
+    def test_repeats_below_one_is_usage_error(self, tmp_path, repeats):
+        with pytest.raises(SystemExit) as err:
+            run(["bench", "--size", "3,5", "--repeats", repeats, "--out", tmp_path / "out"])
+        assert err.value.code == 2
+        assert not (tmp_path / "out").exists()
+
     def test_small_sizes(self, tmp_path, capsys):
         assert run(["bench", "--size", "3,5", "--size", "11,13", "--repeats", 2,
                     "--out", tmp_path]) == 0

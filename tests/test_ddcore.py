@@ -4,14 +4,8 @@ import pytest
 from ddradar.ddcore import (
     PeriodicSequence,
     QuasiPeriodicArray,
-    SampleGrid,
-    array_from_csv,
-    array_to_csv,
-    basis_vrs,
     dzt,
-    dzt_direct,
     idzt,
-    idzt_direct,
     inner,
     inner_dd,
     sequence_from_csv,
@@ -20,6 +14,7 @@ from ddradar.ddcore import (
 from ddradar.errors import ConfigurationError, ModulusMismatch
 from ddradar.modmath import Modulus
 from conftest import rand_unit_seq
+from oracles import basis_vrs, dzt_direct, idzt_direct
 
 
 class TestInner:
@@ -132,21 +127,6 @@ class TestBasisVrs:
                 np.testing.assert_allclose(X, expected, atol=1e-12)
 
 
-class TestSampleGrid:
-    def test_derived_resolutions(self, mod15):
-        grid = SampleGrid(mod15, tau_p=2.0, nu_p=0.5)
-        assert grid.delay_resolution == pytest.approx(2.0 / 3)
-        assert grid.doppler_resolution == pytest.approx(0.5 / 5)
-
-    def test_defaults_to_reciprocal(self, mod15):
-        grid = SampleGrid(mod15, tau_p=4.0)
-        assert grid.nu_p == pytest.approx(0.25)
-
-    def test_rejects_inconsistent_periods(self, mod15):
-        with pytest.raises(ConfigurationError):
-            SampleGrid(mod15, tau_p=2.0, nu_p=2.0)
-
-
 class TestCsv:
     def test_sequence_round_trip(self, mod15, tmp_path):
         rng = np.random.default_rng(6)
@@ -155,14 +135,6 @@ class TestCsv:
         sequence_to_csv(x, path)
         back = sequence_from_csv(path, mod15)
         np.testing.assert_array_equal(back.samples, x.samples)
-
-    def test_array_round_trip(self, mod15, tmp_path):
-        rng = np.random.default_rng(7)
-        X = QuasiPeriodicArray(mod15, rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5)))
-        path = tmp_path / "arr.csv"
-        array_to_csv(X, path)
-        back = array_from_csv(path, mod15)
-        np.testing.assert_array_equal(back.values, X.values)
 
     def test_bad_header_rejected(self, mod15, tmp_path):
         path = tmp_path / "bad.csv"

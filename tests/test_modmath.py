@@ -8,7 +8,6 @@ from ddradar.errors import ConfigurationError, NotInvertible
 from ddradar.modmath import (
     Modulus,
     crt_join,
-    crt_split,
     is_prime,
     mod_inv,
     phase_from_whole,
@@ -78,13 +77,13 @@ class TestGcdInverse:
 
 class TestCrt:
     def test_zero(self, mod15):
-        assert crt_split(0, mod15) == (0, 0)
+        assert crt_join(0, 0, mod15) == 0
 
     def test_single_component(self, mod15):
         # x = M * (M^-1 mod N) carries residues (1 mod N, 0 mod M)
         x = (mod15.M * mod_inv(mod15.M, mod15.N)) % mod15.MN
         assert x == 6
-        assert crt_split(x, mod15) == (1, 0)
+        assert crt_join(1, 0, mod15) == x
 
     def test_x7_against_brute_force(self, mod15):
         # the unique pair satisfying the recomposition, found by scanning Z_5 x Z_3
@@ -94,13 +93,11 @@ class TestCrt:
             for b in range(mod15.M)
             if crt_join(a, b, mod15) == 7
         ]
-        assert matches == [crt_split(7, mod15)]
+        assert matches == [(7 % mod15.N, 7 % mod15.M)]
 
     def test_round_trip_exhaustive(self, mod15):
         for x in range(mod15.MN):
-            a, b = crt_split(x, mod15)
-            assert 0 <= a < mod15.N and 0 <= b < mod15.M
-            assert crt_join(a, b, mod15) == x
+            assert crt_join(x % mod15.N, x % mod15.M, mod15) == x
 
 
 class TestPhases:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ddradar.ambiguity import cross_ambiguity_fft, cross_ambiguity_naive
+from ddradar.ambiguity import cross_ambiguity_fft, cross_ambiguity_naive, fast_cross_ambiguity
 from ddradar.ddcore import PeriodicSequence
 from ddradar.errors import (
     ConfigurationError,
@@ -176,6 +176,21 @@ class TestPredictedImage:
             pred = predicted_image(env, cross_ambiguity_fft(x, x))
             np.testing.assert_allclose(img.surface.values, pred.values, atol=1e-10)
 
+    def test_ring_exact_at_large_modulus(self, mod1147):
+        # tap phases exp(j*2*pi*l_t*(k - k_t)/MN) from indices reduced mod MN
+        rng = np.random.default_rng(11)
+        mn = mod1147.MN
+        k0, l0 = int(rng.integers(mod1147.M)), int(rng.integers(mod1147.N))
+        coords = rng.choice(mn * mn, size=4, replace=False)
+        taps = tuple(
+            (int(c // mn), int(c % mn), complex(*rng.standard_normal(2))) for c in coords
+        )
+        env = ScatteringEnvironment(mod1147, taps)
+        x = pulsone(mod1147, k0, l0)
+        img = form_image(apply_channel(env, x), x, grid="full", pulsone_indices=(k0, l0))
+        pred = predicted_image(env, fast_cross_ambiguity(x, k0, l0, grid="full"))
+        assert np.max(np.abs(img.surface.values - pred.values)) <= 1e-14
+
     def test_requires_full_grid(self, mod15):
         v = pulsone(mod15, 0, 0)
         fund = cross_ambiguity_naive(v, v, grid="fundamental")
@@ -203,6 +218,14 @@ class TestReadout:
         assert [(k, l) for k, l, _ in hits] == sorted((k, l) for k, l, _ in FOUR_TAPS)
         for (k, l, got), (_, _, want) in zip(hits, sorted(FOUR_TAPS)):
             assert got == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_threshold_rejected(self, mod15, threshold):
+        env = ScatteringEnvironment(mod15, FOUR_TAPS)
+        x = pulsone(mod15, 0, 0)
+        img = form_image(apply_channel(env, x), x, grid="full", pulsone_indices=(0, 0))
+        with pytest.raises(ValidationError):
+            readout_targets(img, LineSubgroup(mod15, 3, 5), DDRegion(0, 2, 0, 4), threshold)
 
     def test_not_crystallized_guard(self, mod15):
         env = ScatteringEnvironment(mod15, ((0, 0, 1.0),))
