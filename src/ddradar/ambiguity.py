@@ -17,6 +17,8 @@ Three evaluation routes live here:
 * fast_pulsone_*: when the reference y is a pulsone, the whole surface
   collapses to a phased lookup into the M x N table of delay-decimated FFTs
   of x.  Precompute costs O(MN log N); every point afterwards is O(1).
+  fast_cross_ambiguity extends this to y = chain_apply(labels, pulsone): a
+  pulsone followed by a chain of SL2 labels, undone on x label by label.
 
 The fast path exposes O(1) point queries plus the fundamental M x N
 materialisation; writing all (MN)^2 points would itself cost O(M^2 N^2) and
@@ -38,6 +40,7 @@ import numpy as np
 from .ddcore import PeriodicSequence, dzt
 from .errors import BadRoot, ConfigurationError, EmptyChip, IndexOutOfRange, ModulusMismatch
 from .modmath import Modulus, phases_to_complex
+from .symplectic import SL2Element, gdaft_adjoint, lfm_apply, remap_for
 
 __all__ = [
     "AmbiguitySurface",
@@ -224,11 +227,9 @@ def fast_pulsone_query(pre: FastPulsonePrecomp, k, l):
     mod = pre.mod
     k = np.asarray(k, dtype=np.int64) % mod.MN
     l = np.asarray(l, dtype=np.int64) % mod.MN
-    ks = k + pre.k0
-    row = ks % mod.M
-    quot = ks // mod.M
-    idx = (-2 * (l * (row - k) - quot * pre.l0 * mod.M)) % mod.twoMN
-    phase = np.exp(1j * np.pi / mod.MN * idx)
+    quot, row = np.divmod(k + pre.k0, mod.M)
+    # a named phase keeps numpy's operand order in the product below, so outputs stay bit-stable
+    phase = phases_to_complex(-2 * (l * (row - k) - quot * pre.l0 * mod.M), mod)
     value = phase * pre.rowfft[row, (l + pre.l0) % mod.N]
     if value.ndim == 0:
         return complex(value)
@@ -251,43 +252,31 @@ def fast_cross_ambiguity(
     x: PeriodicSequence,
     k0: int,
     l0: int,
-    transform: tuple[str, object] | None = None,
+    transform: tuple[SL2Element, ...] = (),
     grid: str = "fundamental",
 ) -> AmbiguitySurface:
-    """A_{x, ref} where ref is pulsone(k0, l0) or a symplectic image of it.
+    """A_{x, ref} for ref = chain_apply(transform, pulsone(k0, l0)); () is the plain pulsone.
 
-    `transform` describes how the reference was built from the pulsone:
-    None, ("lfm", A) or ("gdaft", SL2Element).  The transformed case undoes
-    the transform on x with the exact operator adjoint and reads the result
-    through the remap phase law, so values match the naive oracle to
-    rounding error.  Point cost stays O(1) after the O(MN log N) precompute.
+    Each label is undone on x by its exact adjoint, last label first, while
+    the grid is mapped through g^-1 and the remap phase indices add up; one
+    pulsone query then reads every point, matching the naive oracle to
+    rounding error at O(1) per point after O(MN log MN) per label.
     """
-    from .symplectic import SL2Element, gdaft_adjoint, lfm_apply, remap_for
-
     mod = x.mod
     nk, nl = _grid_shape(mod, grid)
-    kk, ll = np.meshgrid(np.arange(nk), np.arange(nl), indexing="ij")
-    if transform is None:
-        pre = fast_pulsone_precompute(x, k0, l0)
-        return AmbiguitySurface(mod, grid, fast_pulsone_query(pre, kk, ll))
-
-    kind, label = transform
-    if kind == "lfm":
-        remap = remap_for(SL2Element.lfm(mod, int(label)))
-        x_back = lfm_apply((-int(label)) % mod.MN, x)
-    elif kind == "gdaft":
-        if not isinstance(label, SL2Element):
-            raise ConfigurationError("gdaft transform label must be an SL2Element")
-        remap = remap_for(label)
-        x_back = gdaft_adjoint(label, x)
-    else:
-        raise ConfigurationError(f"unknown transform kind {kind!r}")
-    pre = fast_pulsone_precompute(x_back, k0, l0)
-    ginv = remap.g.inverse()
-    # A_{x, W p}[K, L] = conj(remap phase at g^-1(K, L)) * A_{W^-1 x, p}[g^-1(K, L)]
-    ks = (ginv.a * kk + ginv.b * ll) % mod.MN
-    ls = (ginv.c * kk + ginv.d * ll) % mod.MN
-    phases = np.exp(-1j * np.pi / mod.MN * remap.phase_index(ks, ls))
+    ks, ls = np.meshgrid(np.arange(nk), np.arange(nl), indexing="ij", sparse=True)
+    phases = 0  # remap phase indices until the loop ends
+    for g in reversed(transform):
+        remap = remap_for(g)
+        # A_{x, W p}[K, L] = conj(remap phase at g^-1(K, L)) * A_{W^H x, p}[g^-1(K, L)]
+        x = lfm_apply(-g.c * mod.inv2, x) if g.b == 0 else gdaft_adjoint(g, x)
+        ks, ls = g.inverse().apply_vec(ks, ls)
+        phases = phases + remap.phase_index(ks, ls)
+    pre = fast_pulsone_precompute(x, k0, l0)
+    if not transform:
+        return AmbiguitySurface(mod, grid, fast_pulsone_query(pre, ks, ls))
+    # + 0.0 turns conj's -0.0 imaginary part at index 0 into the +0.0 of exp(-j*0)
+    phases = np.conj(phases_to_complex(phases, mod)) + 0.0
     return AmbiguitySurface(mod, grid, phases * fast_pulsone_query(pre, ks, ls))
 
 

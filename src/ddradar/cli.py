@@ -32,11 +32,11 @@ from .ambiguity import (
     zc_sequence,
 )
 from .ddcore import PeriodicSequence, sequence_to_csv
-from .errors import EngineUnsupported, PreconditionError, ValidationError
+from .errors import BNotCoprime, EngineUnsupported, PreconditionError, ValidationError
 from .modmath import Modulus
 from .radarsim import add_noise, apply_channel, form_image, readout_targets, scene_from_json
-from .subgroups import DDRegion, LineSubgroup, chirp, eigenvector, pulsone
-from .symplectic import SL2Element, gdaft_apply, lfm_apply, papr_db
+from .subgroups import DDRegion, LineSubgroup, chirp, eigenvector, pulsone, pulsone_chain
+from .symplectic import SL2Element, chain_apply, papr_db
 
 __all__ = ["main"]
 
@@ -84,6 +84,8 @@ def _parse_sl2(text: str, mod: Modulus) -> SL2Element:
         raise argparse.ArgumentTypeError(f"--sl2 must be integers 'a,b,c,d', got {text!r}") from exc
     if len(parts) != 4:
         raise argparse.ArgumentTypeError(f"--sl2 must be 'a,b,c,d', got {text!r}")
+    if math.gcd(parts[1], mod.MN) != 1:
+        raise BNotCoprime(f"GDAFT needs gcd(b, MN) = 1, got b = {parts[1]}, MN = {mod.MN}")
     return SL2Element(mod, *parts)
 
 
@@ -91,9 +93,9 @@ class WaveformSpec:
     """Parsed waveform description.
 
     `seq` is a PeriodicSequence for modulus-bound waveforms, otherwise
-    `array` holds a modulus-free coded waveform.  `fast` carries
-    (k0, l0, transform) when the waveform is a pulsone or a symplectic image
-    of one, enabling the O(1)-per-point ambiguity engine.
+    `array` holds a modulus-free coded waveform.  `fast` is ((k0, l0), labels)
+    when the waveform is chain_apply(labels, pulsone(k0, l0)), enabling the
+    O(1)-per-point ambiguity engine.
     """
 
     def __init__(self, label, seq=None, array=None, fast=None):
@@ -108,7 +110,7 @@ def parse_waveform_spec(text: str, mod: Modulus) -> WaveformSpec:
     pulsone:k0,l0 | chirp:alpha[,beta[,gamma]] | zc:root | zc-coded:root,chip.
     """
     spec = text.strip()
-    transform = None
+    labels = ()
     if spec.startswith("lfm(") or spec.startswith("gdaft("):
         head, _, rest = spec.partition(":")
         if not rest or not head.endswith(")"):
@@ -116,31 +118,29 @@ def parse_waveform_spec(text: str, mod: Modulus) -> WaveformSpec:
         inner = head[head.index("(") + 1 : -1]
         try:
             if head.startswith("lfm"):
-                transform = ("lfm", int(inner))
+                labels = (SL2Element.lfm(mod, int(inner)),)
             else:
-                transform = ("gdaft", _parse_sl2(inner, mod))
+                labels = (_parse_sl2(inner, mod),)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"malformed transform {head!r}") from exc
         spec = rest
 
     kind, _, args = spec.partition(":")
+    fast = None
     try:
         if kind == "pulsone":
-            k0, l0 = _parse_pair(args, "pulsone indices")
-            base = pulsone(mod, k0, l0)
-            fast = (k0, l0, transform)
+            fast = (_parse_pair(args, "pulsone indices"), labels)
+            base = pulsone(mod, *fast[0])
         elif kind == "chirp":
             vals = [int(v) for v in args.split(",")] if args else []
             if not 1 <= len(vals) <= 3:
                 raise argparse.ArgumentTypeError(f"chirp needs alpha[,beta[,gamma]]: {text!r}")
             base = chirp(mod, *vals)
-            fast = None
         elif kind == "zc":
             base = PeriodicSequence(mod, zc_sequence(int(args), mod.MN))
-            fast = None
         elif kind == "zc-coded":
             root, chip_len = _parse_pair(args, "zc-coded parameters")
-            if transform is not None:
+            if labels:
                 raise argparse.ArgumentTypeError("transforms do not apply to zc-coded waveforms")
             arr = coded_waveform(zc_sequence(root, mod.MN), np.ones(chip_len))
             return WaveformSpec(text, array=arr)
@@ -148,14 +148,7 @@ def parse_waveform_spec(text: str, mod: Modulus) -> WaveformSpec:
             raise argparse.ArgumentTypeError(f"unknown waveform kind {kind!r}")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"malformed waveform parameters in {text!r}") from exc
-
-    if transform is None:
-        return WaveformSpec(text, seq=base, fast=fast)
-    if transform[0] == "lfm":
-        seq = lfm_apply(transform[1], base)
-    else:
-        seq = gdaft_apply(transform[1], base)
-    return WaveformSpec(text, seq=seq, fast=fast)
+    return WaveformSpec(text, seq=chain_apply(labels, base), fast=fast)
 
 
 def _out_dir(args) -> Path:
@@ -227,8 +220,8 @@ def cmd_ambiguity(args, parser) -> int:
             raise EngineUnsupported(
                 f"fast engine requires y to be a pulsone or a symplectic image of one, got {y.label!r}"
             )
-        k0, l0, transform = y.fast
-        values = fast_cross_ambiguity(x.seq, k0, l0, transform=transform, grid=args.grid).values
+        (k0, l0), labels = y.fast
+        values = fast_cross_ambiguity(x.seq, k0, l0, transform=labels, grid=args.grid).values
     else:
         values = cross_ambiguity_naive(x.seq, y.seq, grid=args.grid, workers=_workers()).values
 
@@ -252,11 +245,8 @@ def cmd_simulate(args, parser) -> int:
     if args.waveform == "eigen":
         if not 0 <= args.eigen_index < mod.MN:
             parser.error(f"--eigen-index out of range 0..{mod.MN - 1}")
-        seq = eigenvector(line, args.eigen_index)
-        fast = None
-        if line.is_rectangular():
-            fast = (args.eigen_index % mod.M, args.eigen_index // mod.M, None)
-        spec = WaveformSpec("eigen", seq=seq, fast=fast)
+        spec = WaveformSpec("eigen", seq=eigenvector(line, args.eigen_index),
+                            fast=pulsone_chain(line, args.eigen_index))
     else:
         spec = parse_waveform_spec(args.waveform, mod)
         if spec.array is not None:
@@ -264,12 +254,9 @@ def cmd_simulate(args, parser) -> int:
 
     y = apply_channel(env, spec.seq)
     y = add_noise(y, args.snr_db, args.seed)
-    pulsone_indices = transform = None
-    if spec.fast is not None:
-        k0, l0, transform = spec.fast
-        pulsone_indices = (k0, l0)
+    pulsone_indices, labels = spec.fast or (None, ())
     img = form_image(y, spec.seq, grid="full", pulsone_indices=pulsone_indices,
-                     transform=transform, workers=_workers())
+                     transform=labels, workers=_workers())
 
     targets = readout_targets(img, line, region, threshold=args.threshold)
     out = _out_dir(args)

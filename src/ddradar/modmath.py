@@ -10,8 +10,8 @@ tests bit-exact instead of tolerance-based.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -121,10 +121,19 @@ def phase_from_whole(m: int, mod: Modulus) -> int:
 
 def to_complex(p: int, mod: Modulus) -> complex:
     """Evaluate phase index p as exp(j*pi*p/MN)."""
-    return cmath.exp(1j * cmath.pi * (p % mod.twoMN) / mod.MN)
+    return complex(_roots_of_unity(mod.MN)[p % mod.twoMN])
 
 
 def phases_to_complex(p: np.ndarray, mod: Modulus) -> np.ndarray:
-    """Vectorised to_complex for integer index arrays (reduced mod 2MN)."""
-    reduced = np.asarray(p, dtype=np.int64) % mod.twoMN
-    return np.exp(1j * np.pi / mod.MN * reduced)
+    """Vectorised to_complex for integer index arrays (reduced mod 2MN).
+
+    Both gather from the 2MN roots of unity exp(j*pi*p/MN), computed once per MN.
+    """
+    return _roots_of_unity(mod.MN)[np.asarray(p, dtype=np.int64) % mod.twoMN]
+
+
+@lru_cache(maxsize=16)
+def _roots_of_unity(mn: int) -> np.ndarray:
+    roots = np.exp(1j * np.pi / mn * np.arange(2 * mn, dtype=np.int64))
+    roots.flags.writeable = False  # shared by every caller through the cache
+    return roots

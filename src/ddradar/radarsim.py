@@ -115,16 +115,14 @@ def form_image(
     x: PeriodicSequence,
     grid: str = "full",
     pulsone_indices: tuple[int, int] | None = None,
-    transform: tuple[str, object] | None = None,
+    transform: tuple = (),
     workers: int = 1,
 ) -> RadarImage:
     """Radar image: surface[k, l] = A_{y,x}[k, l].
 
-    When the reference x is the pulsone with indices (k0, l0), or such a
-    pulsone passed through a known transform, the surface is produced by the
-    O(1)-per-point fast engine; otherwise by the naive oracle.  `transform`
-    is ("lfm", A) or ("gdaft", SL2Element) describing how x was built from
-    the pulsone.
+    When the reference x is built from the pulsone with indices (k0, l0) by
+    the label chain `transform` (empty for the plain pulsone), the surface is
+    produced by the O(1)-per-point fast engine; otherwise by the naive oracle.
     """
     if y.mod != x.mod:
         raise ModulusMismatch("return and reference use different moduli")
@@ -134,12 +132,8 @@ def form_image(
         surface = cross_ambiguity_naive(y, x, grid=grid, workers=workers, warn_nonunit=False)
         meta["engine"] = "naive"
         return RadarImage(surface, meta)
-    k0, l0 = pulsone_indices
     meta["engine"] = "fast"
-    meta["pulsone"] = (k0, l0)
-    if transform is not None:
-        meta["transform"] = transform[0]
-    surface = fast_cross_ambiguity(y, k0, l0, transform=transform, grid=grid)
+    surface = fast_cross_ambiguity(y, *pulsone_indices, transform=transform, grid=grid)
     return RadarImage(surface, meta)
 
 
@@ -174,13 +168,13 @@ def readout_targets(
 
     Refuses (NotCrystallized) when region translates by the line support
     overlap, since the image would alias.  `threshold` is an absolute
-    magnitude cut and must be finite (ValidationError otherwise); None means
-    half the strongest magnitude in the region.  A region whose strongest
-    magnitude is 0 holds no targets.  Coordinates are returned reduced mod
-    MN, sorted by (k, l).
+    magnitude cut and must be finite and positive (ValidationError
+    otherwise); None means half the strongest magnitude in the region.  A
+    region whose strongest magnitude is 0 holds no targets.  Coordinates are
+    returned reduced mod MN, sorted by (k, l).
     """
-    if threshold is not None and not math.isfinite(threshold):
-        raise ValidationError(f"readout threshold must be finite, got {threshold}")
+    if threshold is not None and not (math.isfinite(threshold) and threshold > 0):
+        raise ValidationError(f"readout threshold must be finite and positive, got {threshold}")
     if img.surface.mod != line.mod:
         raise ModulusMismatch("image and line subgroup use different moduli")
     if not crystallization_check(line, region):
@@ -223,14 +217,15 @@ def scene_to_json(env: ScatteringEnvironment, path) -> None:
 
 
 def scene_from_json(path, allow_composite: bool = False) -> ScatteringEnvironment:
-    with open(path, "r", encoding="ascii") as fh:
-        doc = json.load(fh)
+    """Read a scene file; an unreadable file or a malformed scene is a ConfigurationError."""
     try:
+        with open(path, "r", encoding="ascii") as fh:
+            doc = json.load(fh)
         mod = Modulus(int(doc["M"]), int(doc["N"]), allow_composite=allow_composite)
         taps = [
             (int(t["k"]), int(t["l"]), float(t["re"]) + 1j * float(t["im"]))
             for t in doc["taps"]
         ]
-    except (KeyError, TypeError) as exc:
-        raise ConfigurationError(f"malformed scene file {path}: {exc}") from exc
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigurationError(f"unreadable or malformed scene file {path}: {exc}") from exc
     return ScatteringEnvironment(mod, tuple(taps))

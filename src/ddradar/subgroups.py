@@ -23,7 +23,7 @@ import numpy as np
 from .ddcore import PeriodicSequence
 from .errors import AlphaNotCoprime, ConfigurationError, IndexOutOfRange, NotPrimitive
 from .modmath import Modulus, mod_inv
-from .symplectic import sl2_apply, sl2_mapping_direction
+from .symplectic import chain_apply, sl2_factors, sl2_mapping_direction
 
 __all__ = [
     "DDRegion",
@@ -33,6 +33,7 @@ __all__ = [
     "eigenbasis_for_line",
     "eigenvector",
     "pulsone",
+    "pulsone_chain",
 ]
 
 
@@ -141,25 +142,35 @@ def chirp(mod: Modulus, alpha: int, beta: int = 0, gamma: int = 0) -> PeriodicSe
     return PeriodicSequence(mod, np.exp(1j * 2 * np.pi * expo / mod.MN) / np.sqrt(mod.MN))
 
 
-def eigenvector(line: LineSubgroup, index: int) -> PeriodicSequence:
-    """The index-th of MN orthonormal common eigenvectors of every element of the line.
+def pulsone_chain(line: LineSubgroup, index: int) -> tuple | None:
+    """eigenvector(line, index) as ((k0, l0), labels) for chain_apply, None for a chirp.
 
-    Rectangular line: pulsone(index % M, index // M).  Coprime-slope line:
-    the chirp at fixed alpha with beta = index (gamma only contributes a
-    global phase).  Any other line: that pulsone transported by a symplectic
-    transform mapping the rectangular direction onto the line direction.
-    Builds only the requested vector.
+    The rectangular line has no labels; any other line the sl2_factors of a
+    transform mapping (M, N) onto (c, d).
     """
     mod = line.mod
     if not 0 <= index < mod.MN:
         raise IndexOutOfRange(f"eigenvector index must lie in 0..{mod.MN - 1}, got {index}")
-    if line.is_rectangular():
-        return pulsone(mod, index % mod.M, index // mod.M)
-    alpha = line.coprime_slope()
-    if alpha is not None:
-        return chirp(mod, alpha, index, 0)
-    g = sl2_mapping_direction(mod, (mod.M, mod.N), (line.c, line.d))
-    return sl2_apply(g, pulsone(mod, index % mod.M, index // mod.M))
+    if line.coprime_slope() is not None:
+        return None
+    labels = ()
+    if not line.is_rectangular():
+        labels = sl2_factors(sl2_mapping_direction(mod, (mod.M, mod.N), (line.c, line.d)))
+    return (index % mod.M, index // mod.M), labels
+
+
+def eigenvector(line: LineSubgroup, index: int) -> PeriodicSequence:
+    """The index-th of MN orthonormal common eigenvectors of every element of the line.
+
+    Coprime-slope line: the chirp at fixed alpha with beta = index (gamma
+    only contributes a global phase).  Every other line: the pulsone and
+    labels of pulsone_chain(line, index).  Builds only the requested vector.
+    """
+    chain = pulsone_chain(line, index)
+    if chain is None:
+        return chirp(line.mod, line.coprime_slope(), index, 0)
+    (k0, l0), labels = chain
+    return chain_apply(labels, pulsone(line.mod, k0, l0))
 
 
 def eigenbasis_for_line(line: LineSubgroup) -> list[PeriodicSequence]:

@@ -24,9 +24,8 @@ permuted bin binv*n mod MN, so the transform is chirp, FFT, chirp:
 with integer-index chirps c_a[n] = exp(j*pi*2*(inv2*binv*a*n^2 mod MN)/MN)
 and c_d likewise with d.  Each costs O(MN log MN) time and O(MN) memory.
 A general determinant-1 matrix with non-invertible b is realised through a
-shear decomposition into two such transforms; that route fixes the operator
-only up to a global unimodular phase, so composition identities are checked
-projectively.
+shear decomposition into two such transforms (sl2_factors), which fixes the
+operator only up to a global unimodular phase; chain_apply realises chains.
 """
 
 from __future__ import annotations
@@ -43,12 +42,14 @@ from .modmath import Modulus, crt_join, mod_inv, phases_to_complex
 __all__ = [
     "AmbiguityRemap",
     "SL2Element",
+    "chain_apply",
     "gdaft_adjoint",
     "gdaft_apply",
     "lfm_apply",
     "papr_db",
     "remap_for",
     "sl2_apply",
+    "sl2_factors",
     "sl2_mapping_direction",
 ]
 
@@ -158,24 +159,36 @@ def gdaft_adjoint(g: SL2Element, x: PeriodicSequence) -> PeriodicSequence:
     return PeriodicSequence(x.mod, np.conj(c_a) * spectrum * np.sqrt(x.mod.MN))
 
 
-def sl2_apply(g: SL2Element, x: PeriodicSequence) -> PeriodicSequence:
-    """Apply a unitary realising any determinant-1 label g.
+def sl2_factors(g: SL2Element) -> tuple[SL2Element, ...]:
+    """GDAFT labels whose product is g, first applied first: (g,) if gcd(b, MN) = 1.
 
-    Direct GDAFT when gcd(b, MN) = 1; otherwise factor through the shear
-    S = [[1, x0], [0, 1]] with the smallest x0 for which both factors have
-    invertible b entries, as W(S^-1) W(S g): two GDAFTs.  The result is then
-    defined up to a global unimodular phase.
+    Otherwise (S g, S^-1) for the shear S = [[1, x0], [0, 1]] with the
+    smallest x0 that makes both b entries invertible; their realisation
+    matches g only up to a global unimodular phase.
     """
     mod = g.mod
     if gcd(g.b, mod.MN) == 1:
-        return gdaft_apply(g, x)
+        return (g,)
     for x0 in range(1, mod.MN):
         if gcd(x0, mod.MN) == 1 and gcd(g.b + x0 * g.d, mod.MN) == 1:
             break
     else:  # unreachable for M, N >= 3 (two forbidden residues per prime factor)
         raise DetNotOne(f"no admissible shear found for {g}")
     shear = SL2Element(mod, 1, x0, 0, 1)
-    return gdaft_apply(shear.inverse(), gdaft_apply(shear.matmul(g), x))
+    return shear.matmul(g), shear.inverse()
+
+
+def sl2_apply(g: SL2Element, x: PeriodicSequence) -> PeriodicSequence:
+    """Apply a unitary realising any determinant-1 label g: the GDAFTs of sl2_factors(g)."""
+    return chain_apply(sl2_factors(g), x)
+
+
+def chain_apply(labels: tuple[SL2Element, ...], x: PeriodicSequence) -> PeriodicSequence:
+    """Apply labels to x, first label first: b = 0 as lfm_apply, else gdaft_apply."""
+    for g in labels:
+        remap_for(g)  # refuses labels neither [[1, 0], [2A, 1]] nor with b invertible
+        x = lfm_apply(g.c * g.mod.inv2, x) if g.b == 0 else gdaft_apply(g, x)
+    return x
 
 
 @dataclass(frozen=True)
@@ -215,7 +228,8 @@ def remap_for(g: SL2Element) -> AmbiguityRemap:
         raise BNotCoprime(
             f"remap law is defined for b = 0 or gcd(b, MN) = 1, got b = {g.b}"
         )
-    if g.b == 0 and not (g.a == 1 and g.d == 1 and g.c % 2 == 0):
+    # with b = 0, det = 1 forces d = 1/a; every c is 2A for A = c*inv2 (MN is odd)
+    if g.b == 0 and g.a != 1:
         raise NotCoprime(
             f"b = 0 labels must be LFM-shaped [[1, 0], [2A, 1]], got {g}"
         )

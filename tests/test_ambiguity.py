@@ -22,8 +22,9 @@ from ddradar.ambiguity import (
 )
 from ddradar.ddcore import PeriodicSequence
 from ddradar.errors import BadRoot, ConfigurationError, EmptyChip
-from ddradar.subgroups import chirp, pulsone
-from ddradar.symplectic import SL2Element, gdaft_apply, lfm_apply
+from ddradar.modmath import Modulus
+from ddradar.subgroups import LineSubgroup, chirp, pulsone, pulsone_chain
+from ddradar.symplectic import SL2Element, chain_apply, gdaft_apply, lfm_apply
 from conftest import rand_unit_seq
 
 
@@ -165,7 +166,7 @@ class TestFastPulsone:
         x = rand_unit_seq(mod15, rng)
         g = SL2Element(mod15, 1, 2, 7, 0)
         ref = gdaft_apply(g, pulsone(mod15, 1, 2))
-        fast = fast_cross_ambiguity(x, 1, 2, transform=("gdaft", g), grid="full").values
+        fast = fast_cross_ambiguity(x, 1, 2, transform=(g,), grid="full").values
         naive = cross_ambiguity_naive(x, ref, grid="full").values
         np.testing.assert_allclose(fast, naive, atol=1e-10)
 
@@ -173,9 +174,37 @@ class TestFastPulsone:
         rng = np.random.default_rng(9)
         x = rand_unit_seq(mod15, rng)
         ref = lfm_apply(2, pulsone(mod15, 0, 3))
-        fast = fast_cross_ambiguity(x, 0, 3, transform=("lfm", 2), grid="full").values
+        fast = fast_cross_ambiguity(x, 0, 3, transform=(SL2Element.lfm(mod15, 2),), grid="full").values
         naive = cross_ambiguity_naive(x, ref, grid="full").values
         np.testing.assert_allclose(fast, naive, atol=1e-10)
+
+
+def _chain(mod, kind):
+    """Label chains of every shape the engine folds over."""
+    if kind == "empty":
+        return ()
+    if kind == "lfm":
+        return (SL2Element.lfm(mod, 2),)
+    if kind == "lfm-odd-c":  # rate inv2: the label's c entry is 1
+        return (SL2Element.lfm(mod, mod.inv2),)
+    if kind == "gdaft":
+        return (SL2Element(mod, 1, 2, 7, 15),)
+    labels = pulsone_chain(LineSubgroup(mod, 0, 1), 0)[1]  # transported line, shear route
+    assert len(labels) == 2
+    return labels
+
+
+@pytest.mark.parametrize("grid", ["fundamental", "full"])
+@pytest.mark.parametrize("kind", ["empty", "lfm", "lfm-odd-c", "gdaft", "shear"])
+@pytest.mark.parametrize("M, N", [(3, 5), (11, 13), (13, 17)])
+def test_engine_matches_naive_for_every_chain(M, N, kind, grid):
+    mod = Modulus(M, N)
+    labels = _chain(mod, kind)
+    x = rand_unit_seq(mod, np.random.default_rng(M * N))
+    ref = chain_apply(labels, pulsone(mod, 1, 2))
+    fast = fast_cross_ambiguity(x, 1, 2, transform=labels, grid=grid).values
+    naive = cross_ambiguity_naive(x, ref, grid=grid).values
+    np.testing.assert_allclose(fast, naive, atol=1e-10)
 
 
 class TestMoyal:

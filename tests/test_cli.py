@@ -10,7 +10,8 @@ from ddradar.ambiguity import surface_from_csv, zc_sequence
 from ddradar.cli import main
 from ddradar.ddcore import PeriodicSequence, sequence_from_csv
 from ddradar.modmath import Modulus
-from ddradar.subgroups import chirp, pulsone
+from ddradar.radarsim import ScatteringEnvironment, add_noise, apply_channel, form_image, readout_targets
+from ddradar.subgroups import DDRegion, LineSubgroup, chirp, eigenvector, pulsone
 from ddradar.symplectic import SL2Element, gdaft_apply, lfm_apply
 
 
@@ -266,6 +267,43 @@ class TestSimulateCommand:
         assert doc["targets"][0]["im"] == pytest.approx(-0.2, abs=1e-9)
 
 
+    @pytest.mark.parametrize("line", ["3,1", "5,1"])  # two labels (shear route), one label
+    def test_transported_line_uses_fast_engine(self, tmp_path, line):
+        scene = tmp_path / "scene.json"
+        taps = [(0, 0, 1.0, 0.0), (1, 2, 0.5, -0.25), (2, 1, 0.0, -0.8)]
+        write_scene(scene, taps)
+        out = tmp_path / "run"
+        assert run(["simulate", "--scene", scene, "--line", line, "--eigen-index", 7,
+                    "--region", "0:2,0:2", "--snr-db", 30, "--seed", 4, "--out", out]) == 0
+        doc = json.loads((out / "targets.json").read_text())
+        assert doc["engine"] == "fast"
+        mod = Modulus(3, 5)
+        lsub = LineSubgroup(mod, *(int(v) for v in line.split(",")))
+        x = eigenvector(lsub, 7)
+        env = ScatteringEnvironment(mod, [(k, l, re + 1j * im) for k, l, re, im in taps])
+        img = form_image(add_noise(apply_channel(env, x), 30.0, 4), x, grid="full")
+        assert img.meta["engine"] == "naive"
+        want = readout_targets(img, lsub, DDRegion(0, 2, 0, 2))
+        assert [(t["k"], t["l"]) for t in doc["targets"]] == [(k, l) for k, l, _ in want]
+        for t, (_, _, v) in zip(doc["targets"], want):
+            assert abs(complex(t["re"], t["im"]) - v) < 1e-10
+
+    @pytest.mark.parametrize(
+        "content",
+        [None, '{"M": 3, ', '{"M": 3, "N": 5, "taps": [{"k": 0, "l": 0, "re": "x", "im": 0}]}'],
+        ids=["missing", "malformed-json", "non-numeric-tap"],
+    )
+    def test_unreadable_scene_rejected_before_output(self, tmp_path, capsys, content):
+        scene = tmp_path / "scene.json"
+        if content is not None:
+            scene.write_text(content)
+        out = tmp_path / "run"
+        assert run(["simulate", "--scene", scene, "--line", "3,5", "--region", "0:2,0:4",
+                    "--out", out]) == 4
+        assert not out.exists()
+        assert str(scene) in capsys.readouterr().err
+
+
 class TestDbFloorFlag:
     @pytest.mark.parametrize("floor", ["nan", "-inf", "inf", "0"])
     @pytest.mark.parametrize(
@@ -289,7 +327,7 @@ class TestDbFloorFlag:
 
 
 class TestThresholdFlag:
-    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "-1", "0"])
     def test_non_finite_rejected_before_output(self, tmp_path, capsys, threshold):
         scene = tmp_path / "scene.json"
         write_scene(scene, FOUR_TAPS)

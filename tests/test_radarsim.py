@@ -142,7 +142,7 @@ class TestFormImage:
         ref = gdaft_apply(g, pulsone(mod15, 0, 1))
         env = ScatteringEnvironment(mod15, FOUR_TAPS)
         y = apply_channel(env, ref)
-        fast = form_image(y, ref, grid="full", pulsone_indices=(0, 1), transform=("gdaft", g))
+        fast = form_image(y, ref, grid="full", pulsone_indices=(0, 1), transform=(g,))
         naive = form_image(y, ref, grid="full")
         np.testing.assert_allclose(fast.surface.values, naive.surface.values, atol=1e-10)
 
@@ -219,7 +219,7 @@ class TestReadout:
         for (k, l, got), (_, _, want) in zip(hits, sorted(FOUR_TAPS)):
             assert got == pytest.approx(want, abs=1e-9)
 
-    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf"), -1.0, 0.0])
     def test_non_finite_threshold_rejected(self, mod15, threshold):
         env = ScatteringEnvironment(mod15, FOUR_TAPS)
         x = pulsone(mod15, 0, 0)

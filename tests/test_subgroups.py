@@ -12,7 +12,9 @@ from ddradar.subgroups import (
     crystallization_check,
     eigenbasis_for_line,
     pulsone,
+    pulsone_chain,
 )
+from ddradar.symplectic import sl2_factors, sl2_mapping_direction
 from conftest import rand_unit_seq
 
 
@@ -192,6 +194,18 @@ class TestEigenbasisForLine:
                         assert abs(abs(surf[k, l]) - 1) < 1e-10
                     else:
                         assert abs(surf[k, l]) < 1e-10
+
+
+class TestPulsoneChain:
+    def test_families(self, mod15):
+        assert pulsone_chain(LineSubgroup(mod15, 3, 5), 7) == ((1, 2), ())
+        assert pulsone_chain(LineSubgroup(mod15, 1, 4), 7) is None
+        g = sl2_mapping_direction(mod15, (3, 5), (3, 1))
+        assert pulsone_chain(LineSubgroup(mod15, 3, 1), 7) == ((1, 2), sl2_factors(g))
+
+    def test_index_out_of_range(self, mod15):
+        with pytest.raises(IndexOutOfRange):
+            pulsone_chain(LineSubgroup(mod15, 3, 5), 15)
 
 
 class TestCrystallization:

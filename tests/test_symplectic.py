@@ -11,12 +11,14 @@ from ddradar.modmath import Modulus, mod_inv
 from ddradar.subgroups import LineSubgroup, chirp, eigenbasis_for_line, eigenvector, pulsone
 from ddradar.symplectic import (
     SL2Element,
+    chain_apply,
     gdaft_adjoint,
     gdaft_apply,
     lfm_apply,
     papr_db,
     remap_for,
     sl2_apply,
+    sl2_factors,
     sl2_mapping_direction,
 )
 from conftest import op_matrix, rand_unit_seq
@@ -181,6 +183,20 @@ class TestAgainstDenseOracle:
 
 
 class TestSl2Apply:
+    def test_factors_multiply_to_g_with_invertible_b(self, mod15):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            g = random_sl2(mod15, rng)
+            factors = sl2_factors(g)
+            assert len(factors) == (1 if gcd(g.b, 15) == 1 else 2)
+            assert all(gcd(f.b, 15) == 1 for f in factors)
+            product = factors[0] if len(factors) == 1 else factors[1].matmul(factors[0])
+            assert product == g
+
+    def test_chain_refuses_b_zero_label_that_is_not_lfm(self, mod15):
+        with pytest.raises(NotCoprime):
+            chain_apply((SL2Element(mod15, 2, 0, 1, 8),), pulsone(mod15, 0, 0))
+
     def test_identity_up_to_phase(self, mod15):
         rng = np.random.default_rng(5)
         x = rand_unit_seq(mod15, rng)
