@@ -1,19 +1,21 @@
-"""Cross-ambiguity surfaces: direct sums, FFT row path, and the fast pulsone engine.
+"""Cross-ambiguity surfaces: direct sums, FFT rows, and the fast pulsone engine.
 
 The cross-ambiguity of two unit-norm period-L sequences is
 
     A_{x,y}[k, l] = sum_n x[n] * conj(y[(n-k) mod L]) * exp(-j*2*pi*l*(n-k)/L).
 
-Three evaluation routes live here:
+Two kinds of route live here:
 
-* direct sums: one row kernel evaluates the definition, O(L) per point,
-  taking exp(-j*2*pi*l*n/L) from the L roots of unity at l*n mod L.
-  cross_ambiguity_naive runs it on a modulus-bound pair over either grid;
-  it is what the faster routes are tested against, and the honest
-  O(M^2 N^2) baseline for fundamental-grid benchmarks.
-  cross_ambiguity_array runs it on plain period-L arrays (coded waveforms).
-* cross_ambiguity_fft: full-grid surface via one FFT per delay row,
-  O(L^2 log L) total.  Production route for Moyal checks at large MN.
+* lag products: with m = n - k, A[k, l] = sum_m S[k, m] * exp(-j*2*pi*l*m/L)
+  for S[k, m] = x[(m+k) mod L] * conj(y[m]).  One kernel forms S in blocks
+  of rows and reduces each block along m, in one of two ways:
+  - direct sums (cross_ambiguity_naive for a modulus-bound pair on either
+    grid, cross_ambiguity_array for plain period-L arrays such as coded
+    waveforms): S times the table of exp(-j*2*pi*l*m/L), gathered from the
+    2L roots of unity.  O(L) per point, the honest O(M^2 N^2) baseline on
+    the fundamental grid; memory is the table plus the output.
+  - cross_ambiguity_fft: one FFT per row of S, O(L^2 log L) for the full
+    grid; memory is the output plus one block.
 * fast_pulsone_*: when the reference y is a pulsone, the whole surface
   collapses to a phased lookup into the M x N table of delay-decimated FFTs
   of x.  Precompute costs O(MN log N); every point afterwards is O(1).
@@ -31,15 +33,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .ddcore import PeriodicSequence, dzt
+from .ddcore import PeriodicSequence, complex_from_csv, complex_to_csv, dzt
 from .errors import BadRoot, ConfigurationError, EmptyChip, IndexOutOfRange, ModulusMismatch
-from .modmath import Modulus, phases_to_complex
+from .modmath import Modulus, _roots_of_unity, phases_to_complex
 from .symplectic import SL2Element, gdaft_adjoint, lfm_apply, remap_for
 
 __all__ = [
@@ -66,6 +68,10 @@ __all__ = [
 # |A| above this counts as unimodular; separates exact-1 support points from
 # numerically-zero sidelobes by far more than 150 dB in every tested case.
 UNIMODULAR_THRESHOLD = 1.0 - 1e-6
+
+# Lag-product rows formed at once: bounds the direct and FFT routes' temporaries
+# to 64 rows whatever the grid, while each block is still one GEMM or FFT call.
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -112,28 +118,34 @@ def cross_ambiguity_point(x: PeriodicSequence, y: PeriodicSequence, k: int, l: i
     return complex(np.sum(x.samples * np.conj(y.samples[offsets]) * phases))
 
 
-def _direct_rows(xa: np.ndarray, ya: np.ndarray, nk: int, nl: int, workers: int) -> np.ndarray:
-    """Direct-sum surface rows k < nk, columns l < nl, of two period-L arrays.
+def _lag_product_rows(xa: np.ndarray, ya: np.ndarray, nk: int, nl: int, reduce) -> np.ndarray:
+    """Rows k < nk of reduce(S) for the lag products S[k, m] = x[(m + k) mod L] * conj(y[m]).
 
-    Each row is one (nl x L) by L product against the table of
-    exp(-j*2*pi*l*n/L), gathered from the L roots of unity at l*n mod L.
+    S is formed _BLOCK_ROWS rows at a time, each block reduced along m straight
+    into one preallocated (nk x nl) output; x is read through a sliding window
+    over two periods, so no index matrix is built.
     """
     L = xa.shape[0]
-    n = np.arange(L)
-    roots = np.exp(-2j * np.pi / L * n)
-    base = roots[np.outer(np.arange(nl), n) % L]  # [l, n]
+    shifted = sliding_window_view(np.concatenate((xa, xa)), L)[:nk]  # [k, m] -> x[(m + k) mod L]
+    yc = np.conj(ya)
     out = np.empty((nk, nl), dtype=np.complex128)
-
-    def rows(k_range) -> None:
-        for k in k_range:
-            offsets = (n - k) % L
-            out[k] = base[:, offsets] @ (xa * np.conj(ya[offsets]))
-
-    _run_rows(rows, nk, workers)
+    for start in range(0, nk, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        out[rows] = reduce(shifted[rows] * yc)
     return out
 
 
-def cross_ambiguity_array(xa: np.ndarray, ya: np.ndarray, workers: int = 1) -> np.ndarray:
+def _direct_rows(xa: np.ndarray, ya: np.ndarray, nk: int, nl: int) -> np.ndarray:
+    """Direct-sum surface rows k < nk, columns l < nl, of two period-L arrays.
+
+    S @ E, with E[m, l] = exp(-j*2*pi*l*m/L) gathered from the 2L roots of unity.
+    """
+    L = xa.shape[0]
+    table = _roots_of_unity(L)[-2 * (np.outer(np.arange(L), np.arange(nl)) % L) % (2 * L)]
+    return _lag_product_rows(xa, ya, nk, nl, lambda s: s @ table)
+
+
+def cross_ambiguity_array(xa: np.ndarray, ya: np.ndarray) -> np.ndarray:
     """Full L x L ambiguity surface of two plain period-L arrays, by direct sums.
 
     Serves coded waveforms whose period is not a product of two primes.
@@ -142,25 +154,13 @@ def cross_ambiguity_array(xa: np.ndarray, ya: np.ndarray, workers: int = 1) -> n
     ya = np.asarray(ya, dtype=np.complex128)
     if xa.shape != ya.shape or xa.ndim != 1:
         raise ConfigurationError(f"need equal-length vectors, got {xa.shape} and {ya.shape}")
-    return _direct_rows(xa, ya, xa.shape[0], xa.shape[0], workers)
-
-
-def _run_rows(fn, total: int, workers: int) -> None:
-    """Evaluate disjoint row ranges, optionally across a thread pool."""
-    if workers <= 1:
-        fn(range(total))
-        return
-    chunk = -(-total // workers)
-    ranges = [range(i, min(i + chunk, total)) for i in range(0, total, chunk)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(fn, ranges))
+    return _direct_rows(xa, ya, xa.shape[0], xa.shape[0])
 
 
 def cross_ambiguity_naive(
     x: PeriodicSequence,
     y: PeriodicSequence,
     grid: str = "full",
-    workers: int = 1,
     warn_nonunit: bool = True,
 ) -> AmbiguitySurface:
     """Surface from the defining sums; the oracle all fast paths must match.
@@ -176,24 +176,16 @@ def cross_ambiguity_naive(
         _warn_if_not_unit(x, "x")
         _warn_if_not_unit(y, "y")
     nk, nl = _grid_shape(x.mod, grid)
-    return AmbiguitySurface(x.mod, grid, _direct_rows(x.samples, y.samples, nk, nl, workers))
+    return AmbiguitySurface(x.mod, grid, _direct_rows(x.samples, y.samples, nk, nl))
 
 
 def cross_ambiguity_fft(x: PeriodicSequence, y: PeriodicSequence) -> AmbiguitySurface:
-    """Full-grid surface using one length-MN FFT per delay row.
-
-    A[k, l] = exp(j*2*pi*l*k/MN) * FFT_n(x[n] * conj(y[n-k]))[l].
-    """
+    """Full-grid surface, one length-MN FFT per lag-product row: A[k, :] = FFT_m(S[k, m])."""
     if x.mod != y.mod:
         raise ModulusMismatch("ambiguity operands use different moduli")
-    mod = x.mod
-    mn = mod.MN
-    n = np.arange(mn)
-    offsets = (n[None, :] - n[:, None]) % mn               # [k, n]
-    w = x.samples[None, :] * np.conj(y.samples[offsets])
-    spectra = np.fft.fft(w, axis=1)                        # [k, l]
-    phases = phases_to_complex(2 * (np.outer(n, n) % mn), mod)  # [k, l] -> e^{j2pi lk/MN}
-    return AmbiguitySurface(mod, "full", spectra * phases)
+    mn = x.mod.MN
+    rows = _lag_product_rows(x.samples, y.samples, mn, mn, lambda s: np.fft.fft(s, axis=1))
+    return AmbiguitySurface(x.mod, "full", rows)
 
 
 @dataclass(frozen=True)
@@ -336,36 +328,14 @@ def coded_waveform(z: np.ndarray, chip: np.ndarray) -> np.ndarray:
 # Surface export: CSV with columns k,l,re,im,abs and 8-bit binary PGM
 # heatmaps of |A| with linear or dB scaling.
 
-_FMT = "%.17g"
-
 
 def surface_to_csv(surface, path) -> None:
     """Write a surface (AmbiguitySurface or plain 2-D array) as k,l,re,im,abs CSV."""
-    values = surface.values if isinstance(surface, AmbiguitySurface) else np.asarray(surface)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("k,l,re,im,abs\n")
-        for k in range(values.shape[0]):
-            for l in range(values.shape[1]):
-                v = values[k, l]
-                fh.write(
-                    f"{k},{l},{_FMT % v.real},{_FMT % v.imag},{_FMT % abs(v)}\n"
-                )
+    complex_to_csv(surface.values if isinstance(surface, AmbiguitySurface) else surface, path)
 
 
 def surface_from_csv(path, mod: Modulus, grid: str) -> AmbiguitySurface:
-    values = np.zeros(_grid_shape(mod, grid), dtype=np.complex128)
-    count = 0
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != "k,l,re,im,abs":
-            raise ConfigurationError(f"bad surface CSV header: {header!r}")
-        for line in fh:
-            k_s, l_s, re_s, im_s, _abs = line.strip().split(",")
-            values[int(k_s), int(l_s)] = float(re_s) + 1j * float(im_s)
-            count += 1
-    if count != values.size:
-        raise ConfigurationError(f"expected {values.size} rows, got {count}")
-    return AmbiguitySurface(mod, grid, values)
+    return AmbiguitySurface(mod, grid, complex_from_csv(path, _grid_shape(mod, grid)))
 
 
 def surface_to_pgm(values: np.ndarray, path, scale: str = "linear", floor: float = -120.0) -> None:

@@ -3,9 +3,7 @@
 Exit codes: 0 success, 2 usage error, 3 refused precondition (aliasing
 readout, unsupported fast engine), 4 numeric validation failure (composite
 modulus, non-coprime parameters).  All file outputs land under --out with
-fixed names; every command is deterministic for a fixed --seed.  The
-DDRADAR_THREADS environment variable caps the worker threads used by the
-naive ambiguity engine.
+fixed names; every command is deterministic for a fixed --seed.
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -39,13 +36,6 @@ from .subgroups import DDRegion, LineSubgroup, chirp, eigenvector, pulsone, puls
 from .symplectic import SL2Element, chain_apply, papr_db
 
 __all__ = ["main"]
-
-
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("DDRADAR_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _parse_pair(text: str, what: str) -> tuple[int, int]:
@@ -214,7 +204,7 @@ def cmd_ambiguity(args, parser) -> int:
             parser.error("zc-coded waveforms can only be paired with zc-coded waveforms")
         if args.engine == "fast":
             raise EngineUnsupported("fast engine requires a pulsone-family reference")
-        values = cross_ambiguity_array(x.array, y.array, workers=_workers())
+        values = cross_ambiguity_array(x.array, y.array)
     elif args.engine == "fast":
         if y.fast is None:
             raise EngineUnsupported(
@@ -223,7 +213,7 @@ def cmd_ambiguity(args, parser) -> int:
         (k0, l0), labels = y.fast
         values = fast_cross_ambiguity(x.seq, k0, l0, transform=labels, grid=args.grid).values
     else:
-        values = cross_ambiguity_naive(x.seq, y.seq, grid=args.grid, workers=_workers()).values
+        values = cross_ambiguity_naive(x.seq, y.seq, grid=args.grid).values
 
     surface_to_csv(values, out / "ambiguity.csv")
     surface_to_pgm(values, out / "ambiguity.pgm", scale=args.scale, floor=args.floor)
@@ -255,8 +245,7 @@ def cmd_simulate(args, parser) -> int:
     y = apply_channel(env, spec.seq)
     y = add_noise(y, args.snr_db, args.seed)
     pulsone_indices, labels = spec.fast or (None, ())
-    img = form_image(y, spec.seq, grid="full", pulsone_indices=pulsone_indices,
-                     transform=labels, workers=_workers())
+    img = form_image(y, spec.seq, grid="full", pulsone_indices=pulsone_indices, transform=labels)
 
     targets = readout_targets(img, line, region, threshold=args.threshold)
     out = _out_dir(args)

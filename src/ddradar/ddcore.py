@@ -15,15 +15,18 @@ is the unitary map between them; its inverse reads
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .errors import ConfigurationError, ModulusMismatch
-from .modmath import Modulus
+from .modmath import Modulus, to_complex
 
 __all__ = [
     "PeriodicSequence",
     "QuasiPeriodicArray",
+    "complex_from_csv",
+    "complex_to_csv",
     "dzt",
     "idzt",
     "inner",
@@ -91,7 +94,8 @@ class QuasiPeriodicArray:
         """
         M, N = self.mod.M, self.mod.N
         n = k // M
-        phase = np.exp(1j * 2 * np.pi * n * (l % N) / N)
+        # exp(j*2*pi*n*l/N) is the phase index 2*M*(n*l mod N), reduced before evaluation
+        phase = to_complex(2 * M * (n % N * (l % N) % N), self.mod)
         return complex(phase * self.values[k % M, l % N])
 
 
@@ -130,30 +134,55 @@ def idzt(X: QuasiPeriodicArray) -> PeriodicSequence:
 
 
 # ---------------------------------------------------------------------------
-# CSV serialisation: header n,re,im, one row per sample.
-# Values are printed with 17 significant digits, enough to round-trip float64.
+# CSV serialisation of a complex vector (header n,re,im) or matrix (header
+# k,l,re,im,abs), one line per value.  Floats are printed with 17 significant
+# digits, enough to round-trip float64.
 
-_FMT = "%.17g"
+_CSV_HEADER = {1: "n,re,im", 2: "k,l,re,im,abs"}
+_NUM = "{:.17g}"
+
+
+def complex_to_csv(values: np.ndarray, path) -> None:
+    """Write a complex vector or matrix as CSV, a matrix one row at a time.
+
+    The abs column of a matrix is Python's abs() of each value (np.abs can
+    differ in the last digit).
+    """
+    values = np.asarray(values, dtype=np.complex128)
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(_CSV_HEADER[values.ndim] + "\n")
+        if values.ndim == 1:
+            line = f"{{}},{_NUM},{_NUM}\n"
+            fh.write("".join(map(line.format, range(values.size), values.real.tolist(),
+                                 values.imag.tolist())))
+            return
+        line = f"{{}},{{}},{_NUM},{_NUM},{_NUM}\n"
+        for k, row in enumerate(values):
+            fh.write("".join(map(line.format, repeat(k), range(row.size), row.real.tolist(),
+                                 row.imag.tolist(), map(abs, row.tolist()))))
+
+
+def complex_from_csv(path, shape: tuple) -> np.ndarray:
+    """Read a complex_to_csv file holding an array of the given shape."""
+    values = np.zeros(shape, dtype=np.complex128)
+    nd = values.ndim
+    count = 0
+    with open(path, "r", encoding="ascii") as fh:
+        header = fh.readline().strip()
+        if header != _CSV_HEADER[nd]:
+            raise ConfigurationError(f"bad CSV header for a {nd}-D array: {header!r}")
+        for count, line in enumerate(fh, 1):
+            fields = line.split(",")
+            index = tuple(int(v) for v in fields[:nd])
+            values[index] = complex(float(fields[nd]), float(fields[nd + 1]))
+    if count != values.size:
+        raise ConfigurationError(f"expected {values.size} rows, got {count}")
+    return values
 
 
 def sequence_to_csv(x: PeriodicSequence, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("n,re,im\n")
-        for n, v in enumerate(x.samples):
-            fh.write(f"{n},{_FMT % v.real},{_FMT % v.imag}\n")
+    complex_to_csv(x.samples, path)
 
 
 def sequence_from_csv(path, mod: Modulus) -> PeriodicSequence:
-    samples = np.zeros(mod.MN, dtype=np.complex128)
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != "n,re,im":
-            raise ConfigurationError(f"bad sequence CSV header: {header!r}")
-        count = 0
-        for line in fh:
-            n_s, re_s, im_s = line.strip().split(",")
-            samples[int(n_s)] = float(re_s) + 1j * float(im_s)
-            count += 1
-    if count != mod.MN:
-        raise ConfigurationError(f"expected {mod.MN} rows, got {count}")
-    return PeriodicSequence(mod, samples)
+    return PeriodicSequence(mod, complex_from_csv(path, (mod.MN,)))

@@ -116,7 +116,6 @@ def form_image(
     grid: str = "full",
     pulsone_indices: tuple[int, int] | None = None,
     transform: tuple = (),
-    workers: int = 1,
 ) -> RadarImage:
     """Radar image: surface[k, l] = A_{y,x}[k, l].
 
@@ -129,7 +128,7 @@ def form_image(
     meta = {"grid": grid}
     if pulsone_indices is None:
         # the return y is a raw channel output; unit-norm semantics apply to x only
-        surface = cross_ambiguity_naive(y, x, grid=grid, workers=workers, warn_nonunit=False)
+        surface = cross_ambiguity_naive(y, x, grid=grid, warn_nonunit=False)
         meta["engine"] = "naive"
         return RadarImage(surface, meta)
     meta["engine"] = "fast"
@@ -217,15 +216,18 @@ def scene_to_json(env: ScatteringEnvironment, path) -> None:
 
 
 def scene_from_json(path, allow_composite: bool = False) -> ScatteringEnvironment:
-    """Read a scene file; an unreadable file or a malformed scene is a ConfigurationError."""
+    """Read a scene file; an unreadable file or a malformed scene is a ConfigurationError.
+
+    M, N and every tap's k and l must be JSON integers: 1.7 or 3.0 is refused, not truncated.
+    """
     try:
         with open(path, "r", encoding="ascii") as fh:
             doc = json.load(fh)
-        mod = Modulus(int(doc["M"]), int(doc["N"]), allow_composite=allow_composite)
-        taps = [
-            (int(t["k"]), int(t["l"]), float(t["re"]) + 1j * float(t["im"]))
-            for t in doc["taps"]
-        ]
+        ints = [doc["M"], doc["N"]] + [t[i] for t in doc["taps"] for i in "kl"]
+        if any(type(v) is not int for v in ints):
+            raise ValueError("M, N, k and l must be JSON integers")
+        mod = Modulus(doc["M"], doc["N"], allow_composite=allow_composite)
+        taps = [(t["k"], t["l"], float(t["re"]) + 1j * float(t["im"])) for t in doc["taps"]]
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigurationError(f"unreadable or malformed scene file {path}: {exc}") from exc
     return ScatteringEnvironment(mod, tuple(taps))

@@ -48,6 +48,22 @@ def basis_vrs(r: int, s: int, mod: Modulus) -> PeriodicSequence:
     return PeriodicSequence(mod, samples)
 
 
+def ambiguity_sum(xa: np.ndarray, ya: np.ndarray) -> np.ndarray:
+    """Full L x L cross-ambiguity, one literal sum per point:
+
+    A[k, l] = sum_n x[n] * conj(y[(n-k) mod L]) * exp(-j*2*pi*l*(n-k)/L),
+    with the exponent's integer product l*(n-k) reduced mod L first.
+    """
+    L = len(xa)
+    n = np.arange(L)
+    out = np.zeros((L, L), dtype=np.complex128)
+    for k in range(L):
+        for l in range(L):
+            lag = (n - k) % L
+            out[k, l] = np.sum(xa * np.conj(ya[lag]) * np.exp(-2j * np.pi * (l * lag % L) / L))
+    return out
+
+
 def gdaft_kernel(g: SL2Element) -> np.ndarray:
     """Dense GDAFT matrix K[n, n1] with ring-exact half-integer exponents."""
     mod = g.mod

@@ -26,6 +26,7 @@ from ddradar.modmath import Modulus
 from ddradar.subgroups import LineSubgroup, chirp, pulsone, pulsone_chain
 from ddradar.symplectic import SL2Element, chain_apply, gdaft_apply, lfm_apply
 from conftest import rand_unit_seq
+from oracles import ambiguity_sum
 
 
 class TestNaive:
@@ -70,13 +71,6 @@ class TestNaive:
         fund = cross_ambiguity_naive(x, y, grid="fundamental").values
         np.testing.assert_allclose(fund, full[:3, :5], atol=1e-13)
 
-    def test_workers_do_not_change_result(self, mod15):
-        rng = np.random.default_rng(3)
-        x, y = rand_unit_seq(mod15, rng), rand_unit_seq(mod15, rng)
-        a = cross_ambiguity_naive(x, y, grid="full", workers=1).values
-        b = cross_ambiguity_naive(x, y, grid="full", workers=4).values
-        np.testing.assert_array_equal(a, b)
-
     def test_warns_on_non_unit_input(self, mod15):
         x = PeriodicSequence(mod15, 2.0 * np.ones(15, dtype=complex))
         with pytest.warns(RuntimeWarning):
@@ -91,6 +85,26 @@ class TestNaive:
                 cross_ambiguity_naive(x, y, grid="full").values,
                 atol=1e-12,
             )
+
+
+class TestLagProductKernel:
+    """Both reductions of the lag-product matrix against the literal per-point sum."""
+
+    def test_direct_and_fft_routes_across_blocks(self):
+        # 143 delay rows: two full 64-row blocks and a ragged one of 15
+        mod = Modulus(11, 13)
+        rng = np.random.default_rng(17)
+        x, y = rand_unit_seq(mod, rng), rand_unit_seq(mod, rng)
+        want = ambiguity_sum(x.samples, y.samples)
+        np.testing.assert_allclose(cross_ambiguity_naive(x, y, grid="full").values, want, atol=1e-10)
+        np.testing.assert_allclose(cross_ambiguity_naive(x, y, grid="fundamental").values,
+                                   want[:11, :13], atol=1e-10)
+        np.testing.assert_allclose(cross_ambiguity_fft(x, y).values, want, atol=1e-10)
+
+    def test_array_route_on_coded_waveform(self):
+        xa = coded_waveform(zc_sequence(1, 15), np.ones(4))  # L = 60, not a modulus
+        ya = coded_waveform(zc_sequence(2, 15), np.ones(4))
+        np.testing.assert_allclose(cross_ambiguity_array(xa, ya), ambiguity_sum(xa, ya), atol=1e-10)
 
 
 class TestFastPulsone:

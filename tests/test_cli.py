@@ -1,7 +1,9 @@
 import filecmp
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -290,8 +292,14 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize(
         "content",
-        [None, '{"M": 3, ', '{"M": 3, "N": 5, "taps": [{"k": 0, "l": 0, "re": "x", "im": 0}]}'],
-        ids=["missing", "malformed-json", "non-numeric-tap"],
+        [
+            None,
+            '{"M": 3, ',
+            '{"M": 3, "N": 5, "taps": [{"k": 0, "l": 0, "re": "x", "im": 0}]}',
+            '{"M": 3, "N": 5, "taps": [{"k": 1.7, "l": 2.9, "re": 1.0, "im": 0.0}]}',
+            '{"M": 3.9, "N": 5, "taps": [{"k": 1, "l": 2, "re": 1.0, "im": 0.0}]}',
+        ],
+        ids=["missing", "malformed-json", "non-numeric-tap", "non-integer-tap", "non-integer-M"],
     )
     def test_unreadable_scene_rejected_before_output(self, tmp_path, capsys, content):
         scene = tmp_path / "scene.json"
@@ -400,11 +408,15 @@ class TestDeterminism:
 
 class TestConsoleEntrypoint:
     def test_module_invocation(self, tmp_path):
+        # the child imports ddradar from this checkout's src, installed or not
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "ddradar", "waveform", "pulsone", "--M", "3", "--N", "5",
              "--out", str(tmp_path)],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("papr_db=")

@@ -101,6 +101,13 @@ class TestExtend:
                 )
                 assert X.extend(k, l + 5) == pytest.approx(X.extend(k, l), abs=1e-12)
 
+    def test_delay_shift_phase_reduced_in_the_ring(self, mod15):
+        # n = 5e12 + 1 delay periods is n = 1 mod N: the same phase exactly, not a float near it
+        rng = np.random.default_rng(6)
+        X = QuasiPeriodicArray(mod15, rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5)))
+        for l in range(5):
+            assert X.extend(3 * (5 * 10**12 + 1) + 1, l) == X.extend(4, l)
+
 
 class TestBasisVrs:
     def test_first_window(self, mod15):
