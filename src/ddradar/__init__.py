@@ -45,7 +45,6 @@ from .subgroups import (
     LineSubgroup,
     chirp,
     crystallization_check,
-    eigenbasis_for_line,
     eigenvector,
     pulsone,
 )

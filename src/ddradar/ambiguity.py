@@ -40,13 +40,21 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .ddcore import PeriodicSequence, complex_from_csv, complex_to_csv, dzt
-from .errors import BadRoot, ConfigurationError, EmptyChip, IndexOutOfRange, ModulusMismatch
+from .errors import (
+    BadRoot,
+    ConfigurationError,
+    EmptyChip,
+    IndexOutOfRange,
+    ModulusMismatch,
+    OverBudget,
+)
 from .modmath import Modulus, _roots_of_unity, phases_to_complex
 from .symplectic import SL2Element, gdaft_adjoint, lfm_apply, remap_for
 
 __all__ = [
     "AmbiguitySurface",
     "FastPulsonePrecomp",
+    "MEMORY_BUDGET_BYTES",
     "UNIMODULAR_THRESHOLD",
     "coded_waveform",
     "cross_ambiguity_array",
@@ -72,6 +80,13 @@ UNIMODULAR_THRESHOLD = 1.0 - 1e-6
 # Lag-product rows formed at once: bounds the direct and FFT routes' temporaries
 # to 64 rows whatever the grid, while each block is still one GEMM or FFT call.
 _BLOCK_ROWS = 64
+
+# Largest allocation a direct-sum surface may make, in bytes: an L x nl
+# phase table and its int64 index temporaries (32 bytes per entry) plus the
+# nk x nl complex output.  The full grid at (61, 67), L = 4087, needs about
+# 0.8 GB; a zc-coded pair with period L = 15000 would need about 11 GB and is
+# refused with OverBudget (exit 3) before anything is allocated.
+MEMORY_BUDGET_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -139,8 +154,15 @@ def _direct_rows(xa: np.ndarray, ya: np.ndarray, nk: int, nl: int) -> np.ndarray
     """Direct-sum surface rows k < nk, columns l < nl, of two period-L arrays.
 
     S @ E, with E[m, l] = exp(-j*2*pi*l*m/L) gathered from the 2L roots of unity.
+    Refused with OverBudget when the table and output exceed MEMORY_BUDGET_BYTES.
     """
     L = xa.shape[0]
+    need = 32 * L * nl + 16 * nk * nl
+    if need > MEMORY_BUDGET_BYTES:
+        raise OverBudget(
+            f"a {nk} x {nl} direct-sum surface of period {L} needs about {need / 2**30:.1f} GiB, "
+            f"over the {MEMORY_BUDGET_BYTES / 2**30:g} GiB budget"
+        )
     table = _roots_of_unity(L)[-2 * (np.outer(np.arange(L), np.arange(nl)) % L) % (2 * L)]
     return _lag_product_rows(xa, ya, nk, nl, lambda s: s @ table)
 

@@ -1,9 +1,11 @@
 """Command-line front end: waveforms, ambiguity surfaces, scene simulation, benchmarks.
 
 Exit codes: 0 success, 2 usage error, 3 refused precondition (aliasing
-readout, unsupported fast engine), 4 numeric validation failure (composite
-modulus, non-coprime parameters).  All file outputs land under --out with
-fixed names; every command is deterministic for a fixed --seed.
+readout, unsupported fast engine, over the memory budget), 4 numeric
+validation failure (composite modulus, non-coprime parameters).  All file
+outputs land under --out with fixed names; waveform, ambiguity and simulate
+create --out only once their computation has succeeded.  Every command is
+deterministic for a fixed --seed.
 """
 
 from __future__ import annotations
@@ -175,15 +177,14 @@ def cmd_waveform(args, parser) -> int:
     else:
         base = f"zc:{args.root}"
     seq = parse_waveform_spec(prefix + base, mod).seq
+    line = f"papr_db={papr_db(seq):.12g}"
+    surface = cross_ambiguity_fft(seq, seq) if args.self_ambiguity else None
 
     out = _out_dir(args)
     sequence_to_csv(seq, out / "waveform.csv")
-    papr = papr_db(seq)
-    line = f"papr_db={papr:.12g}"
     print(line)
     (out / "papr.txt").write_text(line + "\n", encoding="ascii")
-    if args.self_ambiguity:
-        surface = cross_ambiguity_fft(seq, seq)
+    if surface is not None:
         surface_to_pgm(surface.values, out / "selfambiguity.pgm", scale=args.scale, floor=args.floor)
     return 0
 
@@ -197,7 +198,6 @@ def cmd_ambiguity(args, parser) -> int:
     _check_scale(args.scale, args.floor)
     x = parse_waveform_spec(args.x, mod)
     y = parse_waveform_spec(args.y, mod)
-    out = _out_dir(args)
 
     if x.array is not None or y.array is not None:
         if x.array is None or y.array is None:
@@ -215,6 +215,7 @@ def cmd_ambiguity(args, parser) -> int:
     else:
         values = cross_ambiguity_naive(x.seq, y.seq, grid=args.grid).values
 
+    out = _out_dir(args)
     surface_to_csv(values, out / "ambiguity.csv")
     surface_to_pgm(values, out / "ambiguity.pgm", scale=args.scale, floor=args.floor)
     print(f"ambiguity surface {values.shape[0]}x{values.shape[1]} written to {out}")

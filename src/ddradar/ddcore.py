@@ -15,11 +15,11 @@ is the unitary map between them; its inverse reads
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from .errors import ConfigurationError, ModulusMismatch
+from .floatfmt import FIELD_BYTES, format_g17
 from .modmath import Modulus, to_complex
 
 __all__ = [
@@ -135,31 +135,61 @@ def idzt(X: QuasiPeriodicArray) -> PeriodicSequence:
 
 # ---------------------------------------------------------------------------
 # CSV serialisation of a complex vector (header n,re,im) or matrix (header
-# k,l,re,im,abs), one line per value.  Floats are printed with 17 significant
-# digits, enough to round-trip float64.
+# k,l,re,im,abs), one line per value.  Floats are printed as "{:.17g}" would,
+# enough to round-trip float64, by the vectorised formatter in floatfmt.
 
 _CSV_HEADER = {1: "n,re,im", 2: "k,l,re,im,abs"}
-_NUM = "{:.17g}"
+# Lines formatted at once: the block's buffers stay well under 1 MB.
+_CSV_BLOCK_ROWS = 1024
 
 
-def complex_to_csv(values: np.ndarray, path) -> None:
-    """Write a complex vector or matrix as CSV, a matrix one row at a time.
+def _index_words(count: int) -> np.ndarray:
+    """The text "i," for i in range(count), NUL padded to whole uint64 words."""
+    width = -(-(len(str(max(count - 1, 0))) + 1) // 8) * 8
+    text = np.array([f"{i}," for i in range(count)], dtype=f"S{width}")
+    return text.view(np.uint64).reshape(count, width // 8)
 
-    The abs column of a matrix is Python's abs() of each value (np.abs can
-    differ in the last digit).
+
+def complex_to_csv(values: np.ndarray, path) -> int:
+    """Write a complex vector or matrix as CSV, in blocks of _CSV_BLOCK_ROWS lines.
+
+    Each line is laid out as NUL-padded words (indices, then one
+    floatfmt.FIELD_BYTES field per float) and written without its NULs.  The
+    abs column of a matrix is np.hypot(re, im), the same libm hypot as Python's
+    abs(complex) (np.abs can differ in the last digit).  Returns how many floats
+    were formatted by Python rather than by the vectorised kernel.
     """
-    values = np.asarray(values, dtype=np.complex128)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(_CSV_HEADER[values.ndim] + "\n")
-        if values.ndim == 1:
-            line = f"{{}},{_NUM},{_NUM}\n"
-            fh.write("".join(map(line.format, range(values.size), values.real.tolist(),
-                                 values.imag.tolist())))
-            return
-        line = f"{{}},{{}},{_NUM},{_NUM},{_NUM}\n"
-        for k, row in enumerate(values):
-            fh.write("".join(map(line.format, repeat(k), range(row.size), row.real.tolist(),
-                                 row.imag.tolist(), map(abs, row.tolist()))))
+    values = np.ascontiguousarray(values, dtype=np.complex128)
+    flat = values.reshape(-1)
+    nfloat = 2 if values.ndim == 1 else 3
+    cols = values.shape[-1]
+    index = _index_words(max(values.shape, default=0))
+    iw = index.shape[1]
+    rows = max(1, min(_CSV_BLOCK_ROWS, flat.size))
+    line = np.zeros((rows, values.ndim * iw + nfloat * FIELD_BYTES // 8), np.uint64)
+    fields = line[:, values.ndim * iw :].reshape(rows, nfloat, FIELD_BYTES // 8)
+    separators = "," * (nfloat - 1) + "\n"
+    python = 0
+    with open(path, "wb") as fh:
+        fh.write(_CSV_HEADER[values.ndim].encode("ascii") + b"\n")
+        for start in range(0, flat.size, rows):
+            block = flat[start : start + rows]
+            n = block.size
+            at = np.arange(start, start + n)
+            if values.ndim == 1:
+                line[:n, :iw] = index.take(at, axis=0)
+                floats = block.view(np.float64).reshape(n, 2)
+            else:
+                k = at // cols
+                line[:n, :iw] = index.take(k, axis=0)
+                line[:n, iw : 2 * iw] = index.take(at - k * cols, axis=0)
+                floats = np.empty((n, 3))
+                floats[:, :2] = block.view(np.float64).reshape(n, 2)
+                with np.errstate(invalid="ignore", over="ignore"):  # non-finite values
+                    np.hypot(floats[:, 0], floats[:, 1], out=floats[:, 2])
+            python += format_g17(floats, fields[:n], separators)
+            fh.write(line[:n].tobytes().translate(None, b"\0"))
+    return python
 
 
 def complex_from_csv(path, shape: tuple) -> np.ndarray:

@@ -18,6 +18,10 @@ class PreconditionError(DDRadarError):
     """An operation precondition does not hold (CLI exit code 3)."""
 
 
+class OverBudget(PreconditionError):
+    """An allocation would exceed the documented memory budget."""
+
+
 class ConfigurationError(ValidationError):
     """Modulus or grid configuration is invalid (composite M, bad periods, ...)."""
 

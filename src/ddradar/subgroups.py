@@ -30,7 +30,6 @@ __all__ = [
     "LineSubgroup",
     "chirp",
     "crystallization_check",
-    "eigenbasis_for_line",
     "eigenvector",
     "pulsone",
     "pulsone_chain",
@@ -50,11 +49,6 @@ class LineSubgroup:
         object.__setattr__(self, "d", self.d % self.mod.MN)
         if gcd(self.c, self.d) != 1:
             raise NotPrimitive(f"generator ({self.c}, {self.d}) has gcd {gcd(self.c, self.d)}")
-
-    @classmethod
-    def from_slope(cls, mod: Modulus, slope: int) -> "LineSubgroup":
-        """Line {(k, slope*k)}; any integer slope is admissible."""
-        return cls(mod, 1, slope)
 
     @classmethod
     def rectangular(cls, mod: Modulus) -> "LineSubgroup":
@@ -171,11 +165,6 @@ def eigenvector(line: LineSubgroup, index: int) -> PeriodicSequence:
         return chirp(line.mod, line.coprime_slope(), index, 0)
     (k0, l0), labels = chain
     return chain_apply(labels, pulsone(line.mod, k0, l0))
-
-
-def eigenbasis_for_line(line: LineSubgroup) -> list[PeriodicSequence]:
-    """All MN eigenvectors of the line, in eigenvector's index order."""
-    return [eigenvector(line, i) for i in range(line.mod.MN)]
 
 
 def crystallization_check(line: LineSubgroup, region: DDRegion) -> bool:

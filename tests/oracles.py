@@ -1,5 +1,6 @@
 """Literal-definition oracles that the library's fast routes are tested against."""
 
+from itertools import repeat
 from math import gcd
 
 import numpy as np
@@ -7,6 +8,7 @@ import numpy as np
 from ddradar.ddcore import PeriodicSequence, QuasiPeriodicArray
 from ddradar.errors import BNotCoprime
 from ddradar.modmath import Modulus, mod_inv, phases_to_complex
+from ddradar.subgroups import LineSubgroup, eigenvector
 from ddradar.symplectic import SL2Element
 
 
@@ -88,3 +90,25 @@ def sl2_matrix(g: SL2Element) -> np.ndarray:
     x0 = next(v for v in range(1, mn) if gcd(v, mn) == 1 and gcd(g.b + v * g.d, mn) == 1)
     shear = SL2Element(mod, 1, x0, 0, 1)
     return gdaft_kernel(shear.inverse()) @ gdaft_kernel(shear.matmul(g))
+
+
+def eigenbasis_for_line(line: LineSubgroup) -> list:
+    """All MN eigenvectors of the line, in eigenvector's index order."""
+    return [eigenvector(line, i) for i in range(line.mod.MN)]
+
+
+def complex_to_csv_rows(values: np.ndarray, path) -> None:
+    """Byte oracle for the CSV writer: every float through "{:.17g}".format,
+    one Python format call per value, and abs through Python's abs(complex)."""
+    values = np.asarray(values, dtype=np.complex128)
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        if values.ndim == 1:
+            fh.write("n,re,im\n")
+            fh.write("".join(map("{},{:.17g},{:.17g}\n".format, range(values.size),
+                                 values.real.tolist(), values.imag.tolist())))
+            return
+        fh.write("k,l,re,im,abs\n")
+        line = "{},{},{:.17g},{:.17g},{:.17g}\n"
+        for k, row in enumerate(values):
+            fh.write("".join(map(line.format, repeat(k), range(row.size), row.real.tolist(),
+                                 row.imag.tolist(), map(abs, row.tolist()))))

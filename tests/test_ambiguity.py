@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ddradar import ambiguity
 from ddradar.ambiguity import (
     UNIMODULAR_THRESHOLD,
     AmbiguitySurface,
@@ -21,7 +22,7 @@ from ddradar.ambiguity import (
     zc_sequence,
 )
 from ddradar.ddcore import PeriodicSequence
-from ddradar.errors import BadRoot, ConfigurationError, EmptyChip
+from ddradar.errors import BadRoot, ConfigurationError, EmptyChip, OverBudget
 from ddradar.modmath import Modulus
 from ddradar.subgroups import LineSubgroup, chirp, pulsone, pulsone_chain
 from ddradar.symplectic import SL2Element, chain_apply, gdaft_apply, lfm_apply
@@ -105,6 +106,15 @@ class TestLagProductKernel:
         xa = coded_waveform(zc_sequence(1, 15), np.ones(4))  # L = 60, not a modulus
         ya = coded_waveform(zc_sequence(2, 15), np.ones(4))
         np.testing.assert_allclose(cross_ambiguity_array(xa, ya), ambiguity_sum(xa, ya), atol=1e-10)
+
+    def test_budget_refuses_before_allocating(self, monkeypatch):
+        xa = coded_waveform(zc_sequence(1, 15), np.ones(4))  # L = 60
+        # table 32 * 60 * 60 bytes plus output 16 * 60 * 60: one byte over is refused
+        monkeypatch.setattr(ambiguity, "MEMORY_BUDGET_BYTES", 48 * 60 * 60 - 1)
+        with pytest.raises(OverBudget):
+            cross_ambiguity_array(xa, xa)
+        monkeypatch.setattr(ambiguity, "MEMORY_BUDGET_BYTES", 48 * 60 * 60)
+        assert cross_ambiguity_array(xa, xa).shape == (60, 60)
 
 
 class TestFastPulsone:

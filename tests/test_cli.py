@@ -5,9 +5,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 import numpy as np
 import pytest
 
+from ddradar import ambiguity
 from ddradar.ambiguity import surface_from_csv, zc_sequence
 from ddradar.cli import main
 from ddradar.ddcore import PeriodicSequence, sequence_from_csv
@@ -137,6 +143,36 @@ class TestAmbiguityCommand:
                     "--y", "pulsone:0,0", "--out", tmp_path]) == 2
         assert run(["ambiguity", "--M", 3, "--N", 5, "--x", "nonsense:1",
                     "--y", "pulsone:0,0", "--out", tmp_path]) == 2
+
+    def test_over_budget_refused_before_output(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ambiguity, "MEMORY_BUDGET_BYTES", 1000)
+        out = tmp_path / "out"
+        assert run(["ambiguity", "--M", 3, "--N", 5, "--x", "zc-coded:1,4", "--y", "zc-coded:2,4",
+                    "--grid", "full", "--out", out]) == 3
+        assert not out.exists()
+
+    @pytest.mark.skipif(resource is None, reason="needs POSIX address-space limits")
+    def test_huge_zc_coded_pair_refused_under_a_memory_cap(self, tmp_path):
+        # period 15000: about 11 GB by the direct route, refused before any of it is allocated;
+        # the child runs under a 1.5 GiB address-space cap in case the refusal ever breaks
+        cap = 3 * 2**29
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "ddradar", "ambiguity", "--M", "3", "--N", "5",
+             "--x", "zc-coded:1,1000", "--y", "zc-coded:2,1000", "--out", str(out)],
+            capture_output=True, text=True, timeout=120, preexec_fn=limit,
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "budget" in proc.stderr
+        assert not out.exists()
 
     def test_fast_engine_rejects_non_pulsone(self, tmp_path):
         assert run(["ambiguity", "--M", 3, "--N", 5, "--x", "chirp:1", "--y", "chirp:1",

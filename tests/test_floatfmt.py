@@ -1,0 +1,161 @@
+"""The vectorised "{:.17g}" formatter and the CSV writer built on it, byte for byte
+against Python's own formatting."""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ddradar.ddcore import complex_to_csv
+from ddradar.floatfmt import FIELD_BYTES, format_g17
+from oracles import complex_to_csv_rows
+
+
+def kernel_texts(values) -> tuple[list, int]:
+    """Each value's text as the kernel lays it out, and the count Python formatted."""
+    flat = np.asarray(values, dtype=np.float64).reshape(-1, 1)
+    words = np.zeros((flat.shape[0], 1, FIELD_BYTES // 8), np.uint64)
+    python = format_g17(flat, words, "\n")
+    text = words.view(np.uint8).tobytes().translate(None, b"\0").decode("ascii")
+    return text.split("\n")[:-1], python
+
+
+def assert_formats_like_python(values) -> int:
+    values = np.asarray(values, dtype=np.float64)
+    got, python = kernel_texts(values)
+    want = ["{:.17g}".format(v) for v in values.tolist()]
+    assert got == want
+    return python
+
+
+def neighbours(x: np.ndarray, steps: int) -> np.ndarray:
+    out = [x]
+    up, down = x.copy(), x.copy()
+    for _ in range(steps):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, 0)
+        out += [up, down]
+    return np.concatenate(out)
+
+
+class TestFormatG17:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=80))
+    def test_float64_bit_patterns(self, bits):
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        assert_formats_like_python(np.concatenate((values, -values)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64), min_size=1, max_size=80))
+    def test_finite_floats(self, values):
+        assert_formats_like_python(values)
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = np.array([float(f"1e{e}") for e in range(-323, 309)])
+        assert_formats_like_python(neighbours(powers, 8))
+        assert kernel_texts([9.9999999999999997e-29])[0] == ["9.9999999999999997e-29"]
+
+    def test_powers_of_two_and_the_exact_tie(self):
+        powers = np.ldexp(1.0, np.arange(-1074, 1024))
+        assert_formats_like_python(np.concatenate((powers, 3 * powers[:-1])))
+        # 2**-25 = 2.98023223876953125e-08 is a tie at 17 digits: Python rounds it
+        assert kernel_texts([2.0**-25]) == (["2.9802322387695312e-08"], 1)
+
+    def test_values_that_round_up_a_decade(self):
+        values = [float(f"9.99999999999999{d}e{e}") for e in range(-300, 300) for d in (49, 95, 99)]
+        assert_formats_like_python(values)
+        # these doubles lie just below the power of ten, and round up to it
+        below = [1e-243, 1e-79, 1e-14, 1e98, 1e153]
+        assert kernel_texts(below) == (["1e-243", "1e-79", "1e-14", "1e+98", "1e+153"], 0)
+
+    def test_fixed_and_scientific_boundaries(self):
+        # fixed notation for decades -4..16, trailing zeros kept inside the integer part
+        values = [1e-5, 1e-4, 0.5, 1.0, 10.0, 120.0, 1e15, 1e16, 1e17, 123456789012345680.0,
+                  48012848914213000.0, 1.5e16, 1.25, 100.5, 2.5e-5, 0.1, 0.3]
+        assert_formats_like_python(np.concatenate((values, np.negative(values))))
+
+    def test_specials(self):
+        values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                  1e-280, 1e280, 1e308, -1e308, 1.7976931348623157e308, np.inf, -np.inf, np.nan]
+        python = assert_formats_like_python(values)
+        # Python formats the non-finite values and magnitudes outside [1e-280, 1e280)
+        assert python == 11
+
+    def test_ordinary_values_never_reach_python(self):
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal(20000) * np.exp(rng.uniform(-50, 5, 20000))
+        assert assert_formats_like_python(values) == 0
+
+    def test_no_runtime_warning(self):
+        values = np.array([[0.0, -0.0, np.nan], [np.inf, 1e308, 5e-324], [1.0, -1e-300, 0.3]])
+        words = np.zeros(values.shape + (FIELD_BYTES // 8,), np.uint64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            format_g17(values, words, ",,\n")
+
+
+class TestCsvBytes:
+    @pytest.mark.parametrize(
+        "shape",
+        [(1, 1), (37, 61), (1, 5000)],
+        ids=["1x1", "ragged-last-block", "one-long-row"],
+    )
+    def test_matrix_matches_oracle(self, tmp_path, shape):
+        rng = np.random.default_rng(sum(shape))
+        values = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.exp(
+            rng.uniform(-40, 3, shape)
+        )
+        values.flat[::7] = 0.0
+        values.real.flat[1::11] = -0.0
+        values.imag.flat[2::13] = -0.0
+        self._assert_same_bytes(tmp_path, values)
+
+    def test_vector_matches_oracle(self, tmp_path):
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal(3001) + 1j * rng.standard_normal(3001)
+        values[:4] = [0, -0.0, 2.0**-25, complex(1e300, -5e-324)]
+        self._assert_same_bytes(tmp_path, values)
+
+    def test_strided_input(self, tmp_path):
+        rng = np.random.default_rng(8)
+        values = rng.standard_normal((40, 30)) + 1j * rng.standard_normal((40, 30))
+        self._assert_same_bytes(tmp_path, values[::3, ::2])
+        self._assert_same_bytes(tmp_path, values.T)
+        self._assert_same_bytes(tmp_path, values[5, ::3])
+
+    def test_all_zeros(self, tmp_path):
+        self._assert_same_bytes(tmp_path, np.zeros((13, 17), dtype=np.complex128))
+        self._assert_same_bytes(tmp_path, np.zeros(15, dtype=np.complex128))
+
+    def test_empty(self, tmp_path):
+        self._assert_same_bytes(tmp_path, np.zeros(0, dtype=np.complex128))
+
+    def test_specials_in_every_column(self, tmp_path):
+        values = np.array([[complex(np.inf, np.nan), complex(np.nan, 1.0), complex(-np.inf, 0.0)],
+                           [complex(1e-300, 1e300), complex(-0.0, -0.0), complex(5e-324, 9e15)]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self._assert_same_bytes(tmp_path, values)
+
+    def test_returns_count_formatted_by_python(self, tmp_path):
+        values = np.array([2.0**-25, 1.0, complex(np.nan, 0.5)])
+        assert complex_to_csv(values, tmp_path / "new.csv") == 2
+
+    @staticmethod
+    def _assert_same_bytes(tmp_path, values):
+        complex_to_csv(values, tmp_path / "new.csv")
+        complex_to_csv_rows(values, tmp_path / "oracle.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+def test_hypot_is_python_abs_bit_for_bit():
+    """The abs column uses np.hypot because it is Python's abs(complex) exactly."""
+    rng = np.random.default_rng(9)
+    z = (rng.standard_normal(200000) + 1j * rng.standard_normal(200000)) * np.exp(
+        rng.uniform(-700, 700, 200000)
+    )
+    z = z[np.isfinite(z)]
+    z[:3] = [0, complex(-0.0, 3.0), complex(5e-324, -5e-324)]
+    want = np.array([abs(v) for v in z.tolist()])
+    got = np.hypot(z.real, z.imag)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))

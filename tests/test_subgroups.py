@@ -10,12 +10,12 @@ from ddradar.subgroups import (
     LineSubgroup,
     chirp,
     crystallization_check,
-    eigenbasis_for_line,
     pulsone,
     pulsone_chain,
 )
 from ddradar.symplectic import sl2_factors, sl2_mapping_direction
 from conftest import rand_unit_seq
+from oracles import eigenbasis_for_line
 
 
 def random_primitive_lines(mod, rng, count):

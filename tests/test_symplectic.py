@@ -8,7 +8,7 @@ from ddradar.ddcore import PeriodicSequence
 from ddradar.errors import BNotCoprime, DetNotOne, IndexOutOfRange, NotCoprime, ZeroSequence
 from ddradar.heisenberg import HeisenbergElement, apply_td
 from ddradar.modmath import Modulus, mod_inv
-from ddradar.subgroups import LineSubgroup, chirp, eigenbasis_for_line, eigenvector, pulsone
+from ddradar.subgroups import LineSubgroup, chirp, eigenvector, pulsone
 from ddradar.symplectic import (
     SL2Element,
     chain_apply,
@@ -22,7 +22,7 @@ from ddradar.symplectic import (
     sl2_mapping_direction,
 )
 from conftest import op_matrix, rand_unit_seq
-from oracles import gdaft_kernel, sl2_matrix
+from oracles import eigenbasis_for_line, gdaft_kernel, sl2_matrix
 
 
 def random_sl2(mod, rng):
