@@ -18,9 +18,14 @@ Two kinds of route live here:
     grid; memory is the output plus one block.
 * fast_pulsone_*: when the reference y is a pulsone, the whole surface
   collapses to a phased lookup into the M x N table of delay-decimated FFTs
-  of x.  Precompute costs O(MN log N); every point afterwards is O(1).
-  fast_cross_ambiguity extends this to y = chain_apply(labels, pulsone): a
-  pulsone followed by a chain of SL2 labels, undone on x label by label.
+  of x.  Precompute costs O(MN log N); every point afterwards is O(1).  A
+  tone exp(j*2*pi*beta*n/MN)/sqrt(MN) is the pulsone (0, beta) of the 1 x MN
+  factorisation, whose table is FFT(x)/sqrt(MN), and the same query reads it.
+  fast_cross_ambiguity extends this to y = chain_apply(labels, base): each
+  label is undone on x, and the chain folds into one index map and one
+  quadratic phase on the grid.  Every modulus-bound waveform is such a y:
+  chirp(alpha, beta, gamma) is the tone beta under lfm(alpha), up to a
+  constant phase, and zc(root) the tone A under lfm(A), A = -root/2 mod MN.
 
 The fast path exposes O(1) point queries plus the fundamental M x N
 materialisation; writing all (MN)^2 points would itself cost O(M^2 N^2) and
@@ -39,7 +44,7 @@ from math import gcd
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .ddcore import PeriodicSequence, complex_from_csv, complex_to_csv, dzt
+from .ddcore import PeriodicSequence, complex_from_csv, complex_to_csv
 from .errors import (
     BadRoot,
     ConfigurationError,
@@ -77,15 +82,17 @@ __all__ = [
 # numerically-zero sidelobes by far more than 150 dB in every tested case.
 UNIMODULAR_THRESHOLD = 1.0 - 1e-6
 
-# Lag-product rows formed at once: bounds the direct and FFT routes' temporaries
-# to 64 rows whatever the grid, while each block is still one GEMM or FFT call.
+# Grid rows formed at once: bounds the temporaries of the direct, FFT and fast
+# routes to 64 rows whatever the grid, while each block is still one GEMM or
+# FFT call, or one vectorised query.
 _BLOCK_ROWS = 64
 
-# Largest allocation a direct-sum surface may make, in bytes: an L x nl
-# phase table and its int64 index temporaries (32 bytes per entry) plus the
-# nk x nl complex output.  The full grid at (61, 67), L = 4087, needs about
-# 0.8 GB; a zc-coded pair with period L = 15000 would need about 11 GB and is
-# refused with OverBudget (exit 3) before anything is allocated.
+# Largest allocation a surface route may make, in bytes, checked by
+# _check_budget before anything is allocated.  A direct-sum surface needs an
+# L x nl phase table and its int64 index temporaries (32 bytes per entry) plus
+# the nk x nl complex output: about 0.8 GB for the full grid at (61, 67),
+# L = 4087, while a zc-coded pair with period L = 15000 would need about 11 GB
+# and is refused with OverBudget (exit 3).
 MEMORY_BUDGET_BYTES = 2**30
 
 
@@ -150,19 +157,23 @@ def _lag_product_rows(xa: np.ndarray, ya: np.ndarray, nk: int, nl: int, reduce) 
     return out
 
 
+def _check_budget(need: int, what: str) -> None:
+    """Refuse with OverBudget when `what` needs more than MEMORY_BUDGET_BYTES bytes."""
+    if need > MEMORY_BUDGET_BYTES:
+        raise OverBudget(
+            f"{what} needs about {need / 2**30:.1f} GiB, "
+            f"over the {MEMORY_BUDGET_BYTES / 2**30:g} GiB budget"
+        )
+
+
 def _direct_rows(xa: np.ndarray, ya: np.ndarray, nk: int, nl: int) -> np.ndarray:
     """Direct-sum surface rows k < nk, columns l < nl, of two period-L arrays.
 
     S @ E, with E[m, l] = exp(-j*2*pi*l*m/L) gathered from the 2L roots of unity.
-    Refused with OverBudget when the table and output exceed MEMORY_BUDGET_BYTES.
+    Refused with OverBudget when the table and output exceed the budget.
     """
     L = xa.shape[0]
-    need = 32 * L * nl + 16 * nk * nl
-    if need > MEMORY_BUDGET_BYTES:
-        raise OverBudget(
-            f"a {nk} x {nl} direct-sum surface of period {L} needs about {need / 2**30:.1f} GiB, "
-            f"over the {MEMORY_BUDGET_BYTES / 2**30:g} GiB budget"
-        )
+    _check_budget(32 * L * nl + 16 * nk * nl, f"a {nk} x {nl} direct-sum surface of period {L}")
     table = _roots_of_unity(L)[-2 * (np.outer(np.arange(L), np.arange(nl)) % L) % (2 * L)]
     return _lag_product_rows(xa, ya, nk, nl, lambda s: s @ table)
 
@@ -206,6 +217,7 @@ def cross_ambiguity_fft(x: PeriodicSequence, y: PeriodicSequence) -> AmbiguitySu
     if x.mod != y.mod:
         raise ModulusMismatch("ambiguity operands use different moduli")
     mn = x.mod.MN
+    _check_budget(16 * mn * (mn + _BLOCK_ROWS), f"a {mn} x {mn} FFT surface")
     rows = _lag_product_rows(x.samples, y.samples, mn, mn, lambda s: np.fft.fft(s, axis=1))
     return AmbiguitySurface(x.mod, "full", rows)
 
@@ -214,9 +226,10 @@ def cross_ambiguity_fft(x: PeriodicSequence, y: PeriodicSequence) -> AmbiguitySu
 class FastPulsonePrecomp:
     """Delay-decimated FFT table of x against the pulsone reference (k0, l0).
 
-    rowfft[r, m] = (1/sqrt(N)) * sum_p x[r + p*M] * exp(-j*2*pi*m*p/N), which
-    is exactly the Zak transform of x.  Any ambiguity point is one phased
-    table entry.
+    For the P x R factorisation of MN (P = M for the pulsone of the M x N
+    grid, P = 1 for a tone), rowfft[r, m] = (1/sqrt(R)) * sum_p x[r + p*P] *
+    exp(-j*2*pi*m*p/R), a P x R array: the Zak transform of x when P = M, and
+    FFT(x)/sqrt(MN) when P = 1.  Any ambiguity point is one phased table entry.
     """
 
     mod: Modulus
@@ -225,29 +238,54 @@ class FastPulsonePrecomp:
     rowfft: np.ndarray
 
 
-def fast_pulsone_precompute(x: PeriodicSequence, k0: int, l0: int) -> FastPulsonePrecomp:
-    """O(MN log N) precompute: M length-N FFTs of the delay-decimated slices of x."""
+def fast_pulsone_precompute(
+    x: PeriodicSequence, k0: int, l0: int, period: int | None = None
+) -> FastPulsonePrecomp:
+    """O(MN log MN) precompute: P length-R FFTs of the delay-decimated slices of x.
+
+    `period` is the delay period P of the reference, M (the default) or 1 for
+    the tone l0; it must divide MN, with 0 <= k0 < P and 0 <= l0 < MN/P.
+    """
     mod = x.mod
-    if not (0 <= k0 < mod.M and 0 <= l0 < mod.N):
-        raise IndexOutOfRange(f"pulsone indices ({k0}, {l0}) outside M x N")
-    return FastPulsonePrecomp(mod, k0, l0, dzt(x).values)
+    period = mod.M if period is None else period
+    if period < 1 or mod.MN % period:
+        raise ConfigurationError(f"pulsone period {period} does not divide MN = {mod.MN}")
+    length = mod.MN // period
+    if not (0 <= k0 < period and 0 <= l0 < length):
+        raise IndexOutOfRange(f"pulsone indices ({k0}, {l0}) outside {period} x {length}")
+    # x[r + p*P] lives at [r, p] of the transposed reshape
+    table = np.fft.fft(x.samples.reshape(length, period).T, axis=1) / np.sqrt(length)
+    return FastPulsonePrecomp(mod, k0, l0, table)
 
 
-def fast_pulsone_query(pre: FastPulsonePrecomp, k, l):
-    """Exact A_{x, pulsone(k0,l0)}[k, l] in O(1) per point.
+def fast_pulsone_query(pre: FastPulsonePrecomp, k, l, phase=0, out: np.ndarray | None = None):
+    """Exact A_{x, ref}[k, l] in O(1) per point, times exp(j*pi*phase/MN).
 
-    k and l may be equal-shape integer arrays; the result broadcasts.
+    k, l and the added phase index may be integer arrays that broadcast
+    together; the delay period P and Doppler length R come from the table's
+    shape.  With `out`, a complex array of the broadcast shape, the values are
+    written there.
     """
     mod = pre.mod
+    period, length = pre.rowfft.shape
+    # with k + k0 = quot*P + row: phase index 2*((l + l0)*(k - row) + k0*l0) + phase,
+    # table entry [row, (l + l0) mod R]; each array is freed once used, so a block
+    # of queries holds a few block-sized arrays at a time
     k = np.asarray(k, dtype=np.int64) % mod.MN
-    l = np.asarray(l, dtype=np.int64) % mod.MN
-    quot, row = np.divmod(k + pre.k0, mod.M)
-    # a named phase keeps numpy's operand order in the product below, so outputs stay bit-stable
-    phase = phases_to_complex(-2 * (l * (row - k) - quot * pre.l0 * mod.M), mod)
-    value = phase * pre.rowfft[row, (l + pre.l0) % mod.N]
-    if value.ndim == 0:
-        return complex(value)
-    return value
+    row = (k + pre.k0) % period
+    u = (np.asarray(l, dtype=np.int64) % mod.MN + pre.l0) % mod.MN
+    index = 2 * ((k - row) * u + pre.k0 * pre.l0) + phase
+    del k
+    flat = row * length + u % length
+    del row, u
+    if out is None:
+        out = np.empty(index.shape, dtype=np.complex128)
+    phases_to_complex(index, mod, out=out)
+    del index
+    # table entry first: the order numpy's temporary elision gave the whole-grid
+    # product phase * entry, so full-grid images stay byte-identical
+    np.multiply(pre.rowfft.take(flat), out, out=out)
+    return complex(out) if out.ndim == 0 else out
 
 
 def fast_pulsone_surface(pre: FastPulsonePrecomp, grid: str = "fundamental") -> AmbiguitySurface:
@@ -266,32 +304,60 @@ def fast_cross_ambiguity(
     x: PeriodicSequence,
     k0: int,
     l0: int,
+    period: int | None = None,
+    gamma: int = 0,
+    *,
     transform: tuple[SL2Element, ...] = (),
     grid: str = "fundamental",
 ) -> AmbiguitySurface:
-    """A_{x, ref} for ref = chain_apply(transform, pulsone(k0, l0)); () is the plain pulsone.
+    """A_{x, ref} for ref = exp(j*2*pi*gamma/MN) * chain_apply(transform, base).
 
-    Each label is undone on x by its exact adjoint, last label first, while
-    the grid is mapped through g^-1 and the remap phase indices add up; one
-    pulsone query then reads every point, matching the naive oracle to
-    rounding error at O(1) per point after O(MN log MN) per label.
+    The base is the pulsone (k0, l0) of period `period` (fast_pulsone_precompute):
+    the M x N pulsone by default, the tone l0 for period 1.  Each label is
+    undone on x by its exact adjoint, last label first, which maps the grid
+    point (K, L) through g^-1 and adds the label's remap form q_g
+    (AmbiguityRemap.form) at the mapped point.  The chain folds, at O(1) cost
+    per label, into one map G, the product of the g^-1, and one integer
+    quadratic form Q(K, L) mod MN, the sum of the q_g, with constant -2*gamma:
+
+        A[K, L] = exp(j*2*pi*inv2*Q(K, L)/MN) * A_{W^H x, base}[G(K, L)]
+
+    Rows are formed _BLOCK_ROWS at a time by one point query each, into a
+    preallocated output: O(1) per point after O(MN log MN) per label,
+    matching the naive oracle to rounding error.
     """
     mod = x.mod
+    mn = mod.MN
     nk, nl = _grid_shape(mod, grid)
-    ks, ls = np.meshgrid(np.arange(nk), np.arange(nl), indexing="ij", sparse=True)
-    phases = 0  # remap phase indices until the loop ends
+    _check_budget(16 * nl * (nk + _BLOCK_ROWS), f"a {nk} x {nl} fast surface")
+    G = SL2Element.identity(mod)
+    qkk = qll = qkl = 0  # Q's K^2, L^2 and K*L coefficients
     for g in reversed(transform):
-        remap = remap_for(g)
-        # A_{x, W p}[K, L] = conj(remap phase at g^-1(K, L)) * A_{W^H x, p}[g^-1(K, L)]
+        kk, ll, kl = remap_for(g).form
         x = lfm_apply(-g.c * mod.inv2, x) if g.b == 0 else gdaft_adjoint(g, x)
-        ks, ls = g.inverse().apply_vec(ks, ls)
-        phases = phases + remap.phase_index(ks, ls)
-    pre = fast_pulsone_precompute(x, k0, l0)
-    if not transform:
-        return AmbiguitySurface(mod, grid, fast_pulsone_query(pre, ks, ls))
-    # + 0.0 turns conj's -0.0 imaginary part at index 0 into the +0.0 of exp(-j*0)
-    phases = np.conj(phases_to_complex(phases, mod)) + 0.0
-    return AmbiguitySurface(mod, grid, phases * fast_pulsone_query(pre, ks, ls))
+        G = g.inverse().matmul(G)
+        a, b, c, d = G.a, G.b, G.c, G.d
+        # q_g(a*K + b*L, c*K + d*L), term by term
+        qkk += kk * a * a + ll * c * c + kl * a * c
+        qll += kk * b * b + ll * d * d + kl * b * d
+        qkl += 2 * (kk * a * b + ll * c * d) + kl * (a * d + b * c)
+    pre = fast_pulsone_precompute(x, k0, l0, period)
+    # the added phase index is 2*(inv2*Q mod MN)
+    ckk, cll, ckl, c0 = (mod.inv2 * q % mn for q in (qkk, qll, qkl, -2 * gamma))
+    out = np.empty((nk, nl), dtype=np.complex128)
+    L = np.arange(nl, dtype=np.int64)[None, :]
+    l_part = cll * (L * L % mn) % mn if cll else 0
+    for start in range(0, nk, _BLOCK_ROWS):
+        K = np.arange(start, min(start + _BLOCK_ROWS, nk), dtype=np.int64)[:, None]
+        # k stays a column when G's b entry is 0, l a row when its c entry is 0
+        k = G.a * K + G.b * L if G.b else G.a * K
+        l = G.c * K + G.d * L if G.c else G.d * L
+        phase = 0
+        if ckk or cll or ckl or c0:
+            cross = ckl * (K * L % mn) if ckl else 0  # only GDAFT labels make Q's phase 2-D
+            phase = 2 * ((ckk * (K * K % mn) + l_part + cross + c0) % mn)
+        fast_pulsone_query(pre, k, l, phase, out=out[start : start + _BLOCK_ROWS])
+    return AmbiguitySurface(mod, grid, out)
 
 
 def moyal_residual(x: PeriodicSequence, y: PeriodicSequence) -> float:
@@ -368,21 +434,28 @@ def surface_to_pgm(values: np.ndarray, path, scale: str = "linear", floor: float
     negative number.
     """
     _check_scale(scale, floor)
-    mags = np.abs(np.asarray(values))
+    # the one float buffer: each step below is computed in place in it
+    mags = np.abs(np.asarray(values)).astype(np.float64, copy=False)
     peak = mags.max()
     if peak == 0.0:
-        pixels = np.zeros(mags.shape, dtype=np.uint8)
-    elif scale == "linear":
-        pixels = np.round(255.0 * mags / peak).astype(np.uint8)
-    else:
+        mags.fill(0.0)
+    elif scale == "linear":  # round(255 * mags / peak)
+        mags *= 255.0
+        mags /= peak
+    else:  # round(255 * (clip(20 * log10(mags / peak), floor, 0) - floor) / -floor)
+        mags /= peak
         with np.errstate(divide="ignore"):
-            rel = 20.0 * np.log10(mags / peak)
-        rel = np.clip(rel, floor, 0.0)
-        pixels = np.round(255.0 * (rel - floor) / (-floor)).astype(np.uint8)
+            np.log10(mags, out=mags)
+        mags *= 20.0
+        np.clip(mags, floor, 0.0, out=mags)
+        mags -= floor
+        mags *= 255.0
+        mags /= -floor
+    pixels = np.round(mags, out=mags).astype(np.uint8)
     height, width = pixels.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-        fh.write(pixels.tobytes())
+        fh.write(np.ascontiguousarray(pixels))
 
 
 def _check_scale(scale: str, floor: float) -> None:

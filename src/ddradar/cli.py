@@ -1,7 +1,7 @@
-"""Command-line front end: waveforms, ambiguity surfaces, scene simulation, benchmarks.
+"""Command-line front end: waveforms, ambiguity surfaces, scene simulation.
 
 Exit codes: 0 success, 2 usage error, 3 refused precondition (aliasing
-readout, unsupported fast engine, over the memory budget), 4 numeric
+readout, fast engine on zc-coded waveforms, over the memory budget), 4 numeric
 validation failure (composite modulus, non-coprime parameters).  All file
 outputs land under --out with fixed names; waveform, ambiguity and simulate
 create --out only once their computation has succeeded.  Every command is
@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -50,13 +49,6 @@ def _parse_pair(text: str, what: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"{what} must be integers, got {text!r}") from exc
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def _parse_region(text: str) -> DDRegion:
     try:
         k_part, l_part = text.split(",")
@@ -85,9 +77,11 @@ class WaveformSpec:
     """Parsed waveform description.
 
     `seq` is a PeriodicSequence for modulus-bound waveforms, otherwise
-    `array` holds a modulus-free coded waveform.  `fast` is ((k0, l0), labels)
-    when the waveform is chain_apply(labels, pulsone(k0, l0)), enabling the
-    O(1)-per-point ambiguity engine.
+    `array` holds a modulus-free coded waveform.  Every modulus-bound waveform
+    has `fast` = (base, labels), its form for the O(1)-per-point ambiguity
+    engine (fast_cross_ambiguity(x, *base, transform=labels)): a pulsone
+    (k0, l0), or a tone (0, beta, 1[, gamma]) under an LFM label for chirp
+    and zc, followed by the prefix's label.
     """
 
     def __init__(self, label, seq=None, array=None, fast=None):
@@ -118,7 +112,6 @@ def parse_waveform_spec(text: str, mod: Modulus) -> WaveformSpec:
         spec = rest
 
     kind, _, args = spec.partition(":")
-    fast = None
     try:
         if kind == "pulsone":
             fast = (_parse_pair(args, "pulsone indices"), labels)
@@ -128,8 +121,13 @@ def parse_waveform_spec(text: str, mod: Modulus) -> WaveformSpec:
             if not 1 <= len(vals) <= 3:
                 raise argparse.ArgumentTypeError(f"chirp needs alpha[,beta[,gamma]]: {text!r}")
             base = chirp(mod, *vals)
+            alpha, beta, gamma = vals + [0] * (3 - len(vals))
+            fast = ((0, beta % mod.MN, 1, gamma), (SL2Element.lfm(mod, alpha),) + labels)
         elif kind == "zc":
-            base = PeriodicSequence(mod, zc_sequence(int(args), mod.MN))
+            root = int(args)
+            base = PeriodicSequence(mod, zc_sequence(root, mod.MN))
+            rate = -root * mod.inv2 % mod.MN  # zc(root) = chirp(rate, rate)
+            fast = ((0, rate, 1), (SL2Element.lfm(mod, rate),) + labels)
         elif kind == "zc-coded":
             root, chip_len = _parse_pair(args, "zc-coded parameters")
             if labels:
@@ -203,15 +201,11 @@ def cmd_ambiguity(args, parser) -> int:
         if x.array is None or y.array is None:
             parser.error("zc-coded waveforms can only be paired with zc-coded waveforms")
         if args.engine == "fast":
-            raise EngineUnsupported("fast engine requires a pulsone-family reference")
+            raise EngineUnsupported("fast engine does not apply to zc-coded waveforms")
         values = cross_ambiguity_array(x.array, y.array)
     elif args.engine == "fast":
-        if y.fast is None:
-            raise EngineUnsupported(
-                f"fast engine requires y to be a pulsone or a symplectic image of one, got {y.label!r}"
-            )
-        (k0, l0), labels = y.fast
-        values = fast_cross_ambiguity(x.seq, k0, l0, transform=labels, grid=args.grid).values
+        base, labels = y.fast
+        values = fast_cross_ambiguity(x.seq, *base, transform=labels, grid=args.grid).values
     else:
         values = cross_ambiguity_naive(x.seq, y.seq, grid=args.grid).values
 
@@ -245,8 +239,8 @@ def cmd_simulate(args, parser) -> int:
 
     y = apply_channel(env, spec.seq)
     y = add_noise(y, args.snr_db, args.seed)
-    pulsone_indices, labels = spec.fast or (None, ())
-    img = form_image(y, spec.seq, grid="full", pulsone_indices=pulsone_indices, transform=labels)
+    base, labels = spec.fast
+    img = form_image(y, spec.seq, grid="full", pulsone_indices=base, transform=labels)
 
     targets = readout_targets(img, line, region, threshold=args.threshold)
     out = _out_dir(args)
@@ -256,7 +250,7 @@ def cmd_simulate(args, parser) -> int:
         "M": mod.M,
         "N": mod.N,
         "waveform": spec.label,
-        "engine": img.meta.get("engine", "naive"),
+        "engine": img.meta["engine"],
         # +inf is noiseless, recorded like an omitted --snr-db
         "snr_db": None if args.snr_db == math.inf else args.snr_db,
         "seed": args.seed,
@@ -269,50 +263,6 @@ def cmd_simulate(args, parser) -> int:
         fh.write("\n")
     print(f"recovered {len(targets)} target(s); outputs in {out}")
     return 0
-
-
-# ---------------------------------------------------------------------------
-# bench
-
-
-def cmd_bench(args, parser) -> int:
-    out = _out_dir(args)
-    rng = np.random.default_rng(args.seed)
-    rows = []
-    for m, n in (_parse_pair(s, "--size") for s in args.size):
-        mod = Modulus(m, n)
-        samples = rng.standard_normal(mod.MN) + 1j * rng.standard_normal(mod.MN)
-        x = PeriodicSequence(mod, samples / np.linalg.norm(samples))
-        y = pulsone(mod, 0, 0)
-
-        def naive():
-            return cross_ambiguity_naive(x, y, grid="fundamental")
-
-        def fast():
-            return fast_cross_ambiguity(x, 0, 0)
-
-        err = float(np.max(np.abs(naive().values - fast().values)))
-        if err > 1e-10:
-            raise ValidationError(f"fast/naive disagreement {err:.3e} at (M, N) = ({m}, {n})")
-        t_naive = min(_timed(naive) for _ in range(args.repeats))
-        t_fast = min(_timed(fast) for _ in range(args.repeats))
-        ratio = t_naive / t_fast if t_fast > 0 else float("inf")
-        rows.append((m, n, mod.MN, t_naive, t_fast, ratio, err))
-        print(
-            f"M={m} N={n} MN={mod.MN}: naive {t_naive:.6f}s fast {t_fast:.6f}s "
-            f"ratio {ratio:.1f}x maxerr {err:.2e}"
-        )
-    with open(out / "bench.csv", "w", encoding="ascii") as fh:
-        fh.write("M,N,MN,naive_seconds,fast_seconds,ratio,max_abs_diff\n")
-        for m, n, mn, tn, tf, ratio, err in rows:
-            fh.write(f"{m},{n},{mn},{tn:.9f},{tf:.9f},{ratio:.3f},{err:.3e}\n")
-    return 0
-
-
-def _timed(fn) -> float:
-    start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start
 
 
 # ---------------------------------------------------------------------------
@@ -375,14 +325,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--threshold", type=float, default=None,
                      help="absolute readout threshold; default half the region peak")
     sim.set_defaults(func=cmd_simulate)
-
-    bench = sub.add_parser("bench", help="naive vs fast fundamental-grid timing")
-    add_common(bench, with_mod=False)
-    bench.add_argument("--size", action="append", required=True,
-                       help="M,N pair; repeatable")
-    bench.add_argument("--repeats", type=_positive_int, default=5,
-                       help="timing repetitions (best-of), at least 1")
-    bench.set_defaults(func=cmd_bench)
     return parser
 
 

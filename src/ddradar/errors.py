@@ -87,4 +87,4 @@ class NotCrystallized(PreconditionError):
 
 
 class EngineUnsupported(PreconditionError):
-    """Fast ambiguity engine requested for a non-pulsone reference waveform."""
+    """Fast ambiguity engine requested for a waveform not tied to the modulus (zc-coded)."""

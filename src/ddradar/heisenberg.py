@@ -15,7 +15,7 @@ import numpy as np
 
 from .ddcore import PeriodicSequence, QuasiPeriodicArray
 from .errors import ModulusMismatch
-from .modmath import Modulus, phase_from_whole, phase_mul, phases_to_complex, to_complex
+from .modmath import Modulus, phase_mul, phases_to_complex, to_complex
 
 __all__ = [
     "HeisenbergElement",
@@ -45,11 +45,6 @@ class HeisenbergElement:
     @classmethod
     def identity(cls, mod: Modulus) -> "HeisenbergElement":
         return cls(mod, 0, 0, 0)
-
-    @classmethod
-    def with_whole_phase(cls, mod: Modulus, k: int, l: int, m: int) -> "HeisenbergElement":
-        """Element exp(j*2*pi*m/MN) * D_(k,l) with a whole phase m in Z_MN."""
-        return cls(mod, k, l, phase_from_whole(m, mod))
 
 
 def _require_same_mod(h: HeisenbergElement, x) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ambiguity import AmbiguitySurface, cross_ambiguity_naive, fast_cross_ambiguity
+from .ambiguity import AmbiguitySurface, _check_budget, cross_ambiguity_naive, fast_cross_ambiguity
 from .ddcore import PeriodicSequence
 from .errors import (
     BadSNR,
@@ -114,14 +114,16 @@ def form_image(
     y: PeriodicSequence,
     x: PeriodicSequence,
     grid: str = "full",
-    pulsone_indices: tuple[int, int] | None = None,
+    pulsone_indices: tuple | None = None,
     transform: tuple = (),
 ) -> RadarImage:
     """Radar image: surface[k, l] = A_{y,x}[k, l].
 
-    When the reference x is built from the pulsone with indices (k0, l0) by
-    the label chain `transform` (empty for the plain pulsone), the surface is
-    produced by the O(1)-per-point fast engine; otherwise by the naive oracle.
+    When the reference x is built from a base by the label chain `transform`
+    (empty for the plain base), pulsone_indices is that base as the fast
+    engine takes it, (k0, l0[, period[, gamma]]) (see pulsone_chain), and the
+    O(1)-per-point fast engine forms the surface.  An arbitrary reference,
+    pulsone_indices None, goes through the naive direct sums.
     """
     if y.mod != x.mod:
         raise ModulusMismatch("return and reference use different moduli")
@@ -147,6 +149,7 @@ def predicted_image(env: ScatteringEnvironment, a_x: AmbiguitySurface) -> Ambigu
     if env.mod != a_x.mod:
         raise ModulusMismatch("environment and surface use different moduli")
     mn = env.mod.MN
+    _check_budget(32 * mn * mn, f"a {mn} x {mn} predicted image")  # output plus one gathered copy
     idx = np.arange(mn)
     out = np.zeros((mn, mn), dtype=np.complex128)
     for k_t, l_t, h in env.taps:

@@ -23,7 +23,7 @@ import numpy as np
 from .ddcore import PeriodicSequence
 from .errors import AlphaNotCoprime, ConfigurationError, IndexOutOfRange, NotPrimitive
 from .modmath import Modulus, mod_inv
-from .symplectic import chain_apply, sl2_factors, sl2_mapping_direction
+from .symplectic import SL2Element, chain_apply, sl2_factors, sl2_mapping_direction
 
 __all__ = [
     "DDRegion",
@@ -136,17 +136,22 @@ def chirp(mod: Modulus, alpha: int, beta: int = 0, gamma: int = 0) -> PeriodicSe
     return PeriodicSequence(mod, np.exp(1j * 2 * np.pi * expo / mod.MN) / np.sqrt(mod.MN))
 
 
-def pulsone_chain(line: LineSubgroup, index: int) -> tuple | None:
-    """eigenvector(line, index) as ((k0, l0), labels) for chain_apply, None for a chirp.
+def pulsone_chain(line: LineSubgroup, index: int) -> tuple:
+    """eigenvector(line, index) as (base, labels), the fast engine's reference form.
 
-    The rectangular line has no labels; any other line the sl2_factors of a
-    transform mapping (M, N) onto (c, d).
+    The base is the pulsone (k0, l0) of the M x N grid, or (0, beta, 1) for
+    the tone beta, the pulsone of the 1 x MN grid; chain_apply(labels, .)
+    turns it into the eigenvector.  A coprime-slope line gives the tone
+    index under lfm(alpha); the rectangular line the pulsone with no labels;
+    any other line the pulsone under the sl2_factors of a transform mapping
+    (M, N) onto (c, d).
     """
     mod = line.mod
     if not 0 <= index < mod.MN:
         raise IndexOutOfRange(f"eigenvector index must lie in 0..{mod.MN - 1}, got {index}")
-    if line.coprime_slope() is not None:
-        return None
+    alpha = line.coprime_slope()
+    if alpha is not None:
+        return (0, index, 1), (SL2Element.lfm(mod, alpha),)
     labels = ()
     if not line.is_rectangular():
         labels = sl2_factors(sl2_mapping_direction(mod, (mod.M, mod.N), (line.c, line.d)))
@@ -160,11 +165,11 @@ def eigenvector(line: LineSubgroup, index: int) -> PeriodicSequence:
     only contributes a global phase).  Every other line: the pulsone and
     labels of pulsone_chain(line, index).  Builds only the requested vector.
     """
-    chain = pulsone_chain(line, index)
-    if chain is None:
-        return chirp(line.mod, line.coprime_slope(), index, 0)
-    (k0, l0), labels = chain
-    return chain_apply(labels, pulsone(line.mod, k0, l0))
+    base, labels = pulsone_chain(line, index)
+    alpha = line.coprime_slope()
+    if alpha is not None:
+        return chirp(line.mod, alpha, index, 0)
+    return chain_apply(labels, pulsone(line.mod, *base))
 
 
 def crystallization_check(line: LineSubgroup, region: DDRegion) -> bool:

@@ -204,15 +204,23 @@ class AmbiguityRemap:
 
     g: SL2Element
 
-    def phase_index(self, k, l):
-        """Phase index at (k, l); accepts equal-shape integer arrays."""
+    @property
+    def form(self) -> tuple[int, int, int]:
+        """Coefficients (a*c, b*d, 2*b*c) mod MN of the quadratic form q in the phase index."""
         g = self.g
         mn = g.mod.MN
+        return g.a * g.c % mn, g.b * g.d % mn, 2 * g.b * g.c % mn
+
+    def phase_index(self, k, l):
+        """Phase index at (k, l); accepts equal-shape integer arrays."""
+        mod = self.g.mod
+        mn = mod.MN
+        kk, ll, kl = self.form
         k = np.asarray(k, dtype=np.int64) % mn
         l = np.asarray(l, dtype=np.int64) % mn
-        quad = (g.a * g.c % mn) * (k * k % mn) + (g.b * g.d % mn) * (l * l % mn)
-        quad = (quad + (2 * g.b * g.c % mn) * (l * k % mn)) % mn
-        idx = (-2 * (g.mod.inv2 * quad % mn)) % g.mod.twoMN
+        quad = kk * (k * k % mn) + ll * (l * l % mn)
+        quad = (quad + kl * (l * k % mn)) % mn
+        idx = (-2 * (mod.inv2 * quad % mn)) % mod.twoMN
         if idx.ndim == 0:
             return int(idx)
         return idx

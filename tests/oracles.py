@@ -112,3 +112,20 @@ def complex_to_csv_rows(values: np.ndarray, path) -> None:
         for k, row in enumerate(values):
             fh.write("".join(map(line.format, repeat(k), range(row.size), row.real.tolist(),
                                  row.imag.tolist(), map(abs, row.tolist()))))
+
+
+def pgm_bytes(values: np.ndarray, scale: str, floor: float) -> bytes:
+    """Byte oracle for the PGM writer: the whole file, each pixel stage a new array."""
+    mags = np.abs(np.asarray(values))
+    peak = mags.max()
+    if peak == 0.0:
+        pixels = np.zeros(mags.shape, dtype=np.uint8)
+    elif scale == "linear":
+        pixels = np.round(255.0 * mags / peak).astype(np.uint8)
+    else:
+        with np.errstate(divide="ignore"):
+            rel = 20.0 * np.log10(mags / peak)
+        rel = np.clip(rel, floor, 0.0)
+        pixels = np.round(255.0 * (rel - floor) / (-floor)).astype(np.uint8)
+    height, width = pixels.shape
+    return f"P5\n{width} {height}\n255\n".encode("ascii") + pixels.tobytes()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,10 +26,11 @@ from ddradar.ambiguity import (
 from ddradar.ddcore import PeriodicSequence
 from ddradar.errors import BadRoot, ConfigurationError, EmptyChip, OverBudget
 from ddradar.modmath import Modulus
+from ddradar.radarsim import ScatteringEnvironment, predicted_image
 from ddradar.subgroups import LineSubgroup, chirp, pulsone, pulsone_chain
 from ddradar.symplectic import SL2Element, chain_apply, gdaft_apply, lfm_apply
 from conftest import rand_unit_seq
-from oracles import ambiguity_sum
+from oracles import ambiguity_sum, pgm_bytes
 
 
 class TestNaive:
@@ -115,6 +118,31 @@ class TestLagProductKernel:
             cross_ambiguity_array(xa, xa)
         monkeypatch.setattr(ambiguity, "MEMORY_BUDGET_BYTES", 48 * 60 * 60)
         assert cross_ambiguity_array(xa, xa).shape == (60, 60)
+
+
+@pytest.mark.parametrize(
+    "route, need",
+    [
+        ("fft", 16 * 15 * (15 + 64)),  # output plus one block
+        ("fast", 16 * 15 * (15 + 64)),  # output plus one block
+        ("predicted", 32 * 15 * 15),  # output plus one gathered surface
+    ],
+)
+def test_every_full_grid_route_checks_the_budget(mod15, monkeypatch, route, need):
+    # the direct route's check is test_budget_refuses_before_allocating
+    x = pulsone(mod15, 0, 0)
+    calls = {
+        "fft": lambda: cross_ambiguity_fft(x, x),
+        "fast": lambda: fast_cross_ambiguity(x, 0, 0, grid="full"),
+        "predicted": lambda: predicted_image(
+            ScatteringEnvironment(mod15, ((0, 0, 1.0),)), AmbiguitySurface(mod15, "full", np.eye(15))
+        ),
+    }
+    monkeypatch.setattr(ambiguity, "MEMORY_BUDGET_BYTES", need - 1)
+    with pytest.raises(OverBudget):
+        calls[route]()
+    monkeypatch.setattr(ambiguity, "MEMORY_BUDGET_BYTES", need)
+    calls[route]()
 
 
 class TestFastPulsone:
@@ -218,17 +246,58 @@ def _chain(mod, kind):
     return labels
 
 
+def _reference(mod, kind):
+    """(base, labels) for the engine and the same reference built directly.
+
+    Pulsone chains use the pulsone (1, 2); the other kinds are chirps, the
+    tone base (0, beta, 1, gamma) under an LFM label and any prefix labels.
+    """
+    if kind not in ("chirp", "zc", "lfm-chirp", "gdaft-chirp"):
+        labels = _chain(mod, kind)
+        return (1, 2), labels, chain_apply(labels, pulsone(mod, 1, 2))
+    if kind == "zc":
+        rate = -2 * mod.inv2 % mod.MN  # zc(2) = chirp(rate, rate)
+        ref = PeriodicSequence(mod, zc_sequence(2, mod.MN))
+        return (0, rate, 1), (SL2Element.lfm(mod, rate),), ref
+    base, labels, ref = (0, 3, 1, 4), (SL2Element.lfm(mod, 2),), chirp(mod, 2, 3, 4)
+    if kind == "lfm-chirp":
+        return base, labels + (SL2Element.lfm(mod, 7),), lfm_apply(7, ref)
+    if kind == "gdaft-chirp":
+        g = SL2Element(mod, 1, 2, 7, 15)
+        return base, labels + (g,), gdaft_apply(g, ref)
+    return base, labels, ref
+
+
 @pytest.mark.parametrize("grid", ["fundamental", "full"])
-@pytest.mark.parametrize("kind", ["empty", "lfm", "lfm-odd-c", "gdaft", "shear"])
+@pytest.mark.parametrize(
+    "kind",
+    ["empty", "lfm", "lfm-odd-c", "gdaft", "shear", "chirp", "zc", "lfm-chirp", "gdaft-chirp"],
+)
 @pytest.mark.parametrize("M, N", [(3, 5), (11, 13), (13, 17)])
 def test_engine_matches_naive_for_every_chain(M, N, kind, grid):
     mod = Modulus(M, N)
-    labels = _chain(mod, kind)
+    base, labels, ref = _reference(mod, kind)
     x = rand_unit_seq(mod, np.random.default_rng(M * N))
-    ref = chain_apply(labels, pulsone(mod, 1, 2))
-    fast = fast_cross_ambiguity(x, 1, 2, transform=labels, grid=grid).values
+    fast = fast_cross_ambiguity(x, *base, transform=labels, grid=grid).values
     naive = cross_ambiguity_naive(x, ref, grid=grid).values
     np.testing.assert_allclose(fast, naive, atol=1e-10)
+
+
+@pytest.mark.parametrize("chain", ["empty", "two-label"])
+@pytest.mark.parametrize("M, N", [(23, 29), (31, 37)])
+def test_full_grid_engine_memory(M, N, chain):
+    # the output plus at most 4 MB: a few 64-row blocks of index and phase work
+    mod = Modulus(M, N)
+    labels = () if chain == "empty" else pulsone_chain(LineSubgroup(mod, M, 1), 0)[1]
+    assert len(labels) == (0 if chain == "empty" else 2)
+    x = rand_unit_seq(mod, np.random.default_rng(M))
+    tracemalloc.start()
+    try:
+        fast_cross_ambiguity(x, 1, 2, transform=labels, grid="full")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * mod.MN**2 + 4_000_000
 
 
 class TestMoyal:
@@ -365,6 +434,35 @@ class TestSurfaceIo:
         surface_to_pgm(values, path, scale="linear")
         pixels = np.frombuffer(path.read_bytes().split(b"255\n", 1)[1], dtype=np.uint8)
         assert list(pixels) == [0, 128, 255, 64]
+
+    @pytest.mark.parametrize(
+        "scale, floor", [("linear", -120.0), ("db", -120.0), ("db", -60.0), ("db", -3.5), ("db", -1e-3)]
+    )
+    def test_pgm_bytes_match_the_oracle(self, tmp_path, scale, floor):
+        rng = np.random.default_rng(18)
+        values = rng.standard_normal((37, 41)) + 1j * rng.standard_normal((37, 41))
+        values[rng.random(values.shape) < 0.2] = 0.0  # zero cells: log10 gives -inf
+        values[3, 4] = 1e-300  # far below every floor
+        # magnitudes whose scaled pixel is about k + 1/2: any change in the order of
+        # the operations moves some of them across a rounding tie
+        steps = (np.arange(255) + 0.5) / 255
+        ties = steps if scale == "linear" else 10 ** ((floor - floor * steps) / 20)
+        ties = np.append(3.0 * ties, 3.0).reshape(16, 16)
+        for surface in (values, values.T, ties, np.zeros((5, 7), dtype=complex)):
+            path = tmp_path / "s.pgm"
+            surface_to_pgm(surface, path, scale=scale, floor=floor)
+            assert path.read_bytes() == pgm_bytes(surface, scale, floor)
+
+    def test_pgm_memory_is_magnitudes_plus_pixels(self, tmp_path):
+        values = np.random.default_rng(19).standard_normal((400, 400)) + 0j
+        for scale in ("linear", "db"):
+            tracemalloc.start()
+            try:
+                surface_to_pgm(values, tmp_path / "s.pgm", scale=scale)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= values.size * (8 + 1) + 250_000
 
     def test_pgm_rejects_bad_floor(self, tmp_path):
         with pytest.raises(ConfigurationError):

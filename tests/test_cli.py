@@ -151,6 +151,14 @@ class TestAmbiguityCommand:
                     "--grid", "full", "--out", out]) == 3
         assert not out.exists()
 
+    def test_fast_full_grid_over_budget_refused_before_output(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(ambiguity, "MEMORY_BUDGET_BYTES", 1000)
+        out = tmp_path / "out"
+        assert run(["ambiguity", "--M", 3, "--N", 5, "--x", "zc:1", "--y", "chirp:2",
+                    "--engine", "fast", "--grid", "full", "--out", out]) == 3
+        assert not out.exists()
+        assert "budget" in capsys.readouterr().err
+
     @pytest.mark.skipif(resource is None, reason="needs POSIX address-space limits")
     def test_huge_zc_coded_pair_refused_under_a_memory_cap(self, tmp_path):
         # period 15000: about 11 GB by the direct route, refused before any of it is allocated;
@@ -175,8 +183,22 @@ class TestAmbiguityCommand:
         assert not out.exists()
 
     def test_fast_engine_rejects_non_pulsone(self, tmp_path):
-        assert run(["ambiguity", "--M", 3, "--N", 5, "--x", "chirp:1", "--y", "chirp:1",
-                    "--engine", "fast", "--out", tmp_path]) == 3
+        # zc-coded waveforms are the only ones not tied to the modulus
+        out = tmp_path / "out"
+        assert run(["ambiguity", "--M", 3, "--N", 5, "--x", "zc-coded:1,4", "--y", "zc-coded:2,4",
+                    "--engine", "fast", "--out", out]) == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec", ["chirp:1", "zc:1"])
+    @pytest.mark.parametrize("grid", ["fundamental", "full"])
+    def test_fast_engine_matches_naive_for_chirp_and_zc(self, tmp_path, spec, grid):
+        mod = Modulus(3, 5)
+        values = {}
+        for engine in ("naive", "fast"):
+            assert run(["ambiguity", "--M", 3, "--N", 5, "--x", "pulsone:1,2", "--y", spec,
+                        "--engine", engine, "--grid", grid, "--out", tmp_path / engine]) == 0
+            values[engine] = surface_from_csv(tmp_path / engine / "ambiguity.csv", mod, grid).values
+        np.testing.assert_allclose(values["fast"], values["naive"], atol=1e-10)
 
     def test_fast_engine_accepts_transformed_pulsone(self, tmp_path):
         assert run(["ambiguity", "--M", 3, "--N", 5, "--x", "zc:1",
@@ -230,6 +252,27 @@ class TestSimulateCommand:
         tap_coords = {(k, l) for k, l, _, _ in FOUR_TAPS}
         assert got - tap_coords, "expected ghost detections off the true taps"
 
+    def test_over_budget_refused_before_output(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(ambiguity, "MEMORY_BUDGET_BYTES", 1000)
+        scene = tmp_path / "scene.json"
+        write_scene(scene, FOUR_TAPS)
+        out = tmp_path / "run"
+        assert run(["simulate", "--scene", scene, "--line", "3,5", "--region", "0:2,0:4",
+                    "--out", out]) == 3
+        assert not out.exists()
+        assert "budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["3,5", "3,1", "5,1", "1,4"])
+    @pytest.mark.parametrize("waveform", ["eigen", "pulsone:1,2", "chirp:2,3,4", "zc:2"])
+    def test_every_line_and_spec_uses_fast_engine(self, tmp_path, line, waveform):
+        # rectangular, two-label, one-label and chirp lines; every modulus-bound spec
+        scene = tmp_path / "scene.json"
+        write_scene(scene, [(0, 0, 1.0, 0.0)])
+        out = tmp_path / "run"
+        assert run(["simulate", "--scene", scene, "--line", line, "--waveform", waveform,
+                    "--region", "0:0,0:0", "--out", out]) == 0
+        assert json.loads((out / "targets.json").read_text())["engine"] == "fast"
+
     def test_not_crystallized_exit_code(self, tmp_path):
         scene = tmp_path / "scene.json"
         write_scene(scene, [(0, 0, 1.0, 0.0)])
@@ -244,7 +287,7 @@ class TestSimulateCommand:
         assert run(["simulate", "--scene", scene, "--line", "1,4", "--region", "0:0,0:14",
                     "--threshold", 0.5, "--out", out]) == 0
         doc = json.loads((out / "targets.json").read_text())
-        assert doc["engine"] == "naive"
+        assert doc["engine"] == "fast"
         got = {(t["k"], t["l"]): t["re"] + 1j * t["im"] for t in doc["targets"]}
         assert got.keys() == {(0, 0), (0, 7)}
         assert got[(0, 0)] == pytest.approx(1.0, abs=1e-9)
@@ -382,28 +425,6 @@ class TestThresholdFlag:
         assert "threshold" in capsys.readouterr().err
 
 
-class TestBenchCommand:
-    @pytest.mark.parametrize("repeats", [0, -3])
-    def test_repeats_below_one_is_usage_error(self, tmp_path, repeats):
-        with pytest.raises(SystemExit) as err:
-            run(["bench", "--size", "3,5", "--repeats", repeats, "--out", tmp_path / "out"])
-        assert err.value.code == 2
-        assert not (tmp_path / "out").exists()
-
-    def test_small_sizes(self, tmp_path, capsys):
-        assert run(["bench", "--size", "3,5", "--size", "11,13", "--repeats", 2,
-                    "--out", tmp_path]) == 0
-        rows = (tmp_path / "bench.csv").read_text().strip().splitlines()
-        assert rows[0] == "M,N,MN,naive_seconds,fast_seconds,ratio,max_abs_diff"
-        assert len(rows) == 3
-        for row in rows[1:]:
-            fields = row.split(",")
-            assert float(fields[6]) < 1e-10
-
-    def test_rejects_composite_size(self, tmp_path):
-        assert run(["bench", "--size", "9,5", "--out", tmp_path]) == 4
-
-
 class TestDeterminism:
     def _compare_trees(self, a, b):
         names = sorted(p.name for p in a.iterdir())
@@ -430,16 +451,6 @@ class TestDeterminism:
             assert run(["simulate", "--scene", scene, "--snr-db", 20, "--seed", 11,
                         "--line", "3,5", "--region", "0:2,0:4", "--out", out]) == 0
         self._compare_trees(tmp_path / "r1", tmp_path / "r2")
-
-    def test_bench_csv_structure_deterministic(self, tmp_path):
-        # timing fields are machine-dependent; sizes and correctness gate are not
-        for out in (tmp_path / "r1", tmp_path / "r2"):
-            assert run(["bench", "--size", "3,5", "--repeats", 1, "--seed", 2, "--out", out]) == 0
-        rows = [
-            [line.split(",")[:3] for line in (d / "bench.csv").read_text().splitlines()]
-            for d in (tmp_path / "r1", tmp_path / "r2")
-        ]
-        assert rows[0] == rows[1]
 
 
 class TestConsoleEntrypoint:

@@ -13,7 +13,7 @@ from ddradar.subgroups import (
     pulsone,
     pulsone_chain,
 )
-from ddradar.symplectic import sl2_factors, sl2_mapping_direction
+from ddradar.symplectic import SL2Element, sl2_factors, sl2_mapping_direction
 from conftest import rand_unit_seq
 from oracles import eigenbasis_for_line
 
@@ -199,7 +199,7 @@ class TestEigenbasisForLine:
 class TestPulsoneChain:
     def test_families(self, mod15):
         assert pulsone_chain(LineSubgroup(mod15, 3, 5), 7) == ((1, 2), ())
-        assert pulsone_chain(LineSubgroup(mod15, 1, 4), 7) is None
+        assert pulsone_chain(LineSubgroup(mod15, 1, 4), 7) == ((0, 7, 1), (SL2Element.lfm(mod15, 2),))
         g = sl2_mapping_direction(mod15, (3, 5), (3, 1))
         assert pulsone_chain(LineSubgroup(mod15, 3, 1), 7) == ((1, 2), sl2_factors(g))
 
