@@ -27,11 +27,11 @@ Two kinds of route live here:
   chirp(alpha, beta, gamma) is the tone beta under lfm(alpha), up to a
   constant phase, and zc(root) the tone A under lfm(A), A = -root/2 mod MN.
 
-The fast path exposes O(1) point queries plus the fundamental M x N
-materialisation; writing all (MN)^2 points would itself cost O(M^2 N^2) and
-defeat the complexity advantage, so a full-grid request through
-fast_cross_ambiguity is an explicit caller decision (image readout over
-arbitrary regions), evaluated as vectorised point queries.
+The fast path is one FastEngine: O(1) point queries, and row blocks of
+either grid.  Writing all (MN)^2 points would itself cost O(M^2 N^2) and
+defeat the complexity advantage, so a full-grid surface is an explicit
+caller decision; write_surface streams the blocks into the CSV and PGM files
+without holding the complex surface, and fast_cross_ambiguity materialises it.
 """
 
 from __future__ import annotations
@@ -58,9 +58,11 @@ from .symplectic import SL2Element, gdaft_adjoint, lfm_apply, remap_for
 
 __all__ = [
     "AmbiguitySurface",
+    "FastEngine",
     "FastPulsonePrecomp",
     "MEMORY_BUDGET_BYTES",
     "UNIMODULAR_THRESHOLD",
+    "check_stream_budget",
     "coded_waveform",
     "cross_ambiguity_array",
     "cross_ambiguity_fft",
@@ -75,6 +77,7 @@ __all__ = [
     "surface_to_csv",
     "surface_to_pgm",
     "unimodular_count",
+    "write_surface",
     "zc_sequence",
 ]
 
@@ -82,10 +85,13 @@ __all__ = [
 # numerically-zero sidelobes by far more than 150 dB in every tested case.
 UNIMODULAR_THRESHOLD = 1.0 - 1e-6
 
-# Grid rows formed at once: bounds the temporaries of the direct, FFT and fast
-# routes to 64 rows whatever the grid, while each block is still one GEMM or
-# FFT call, or one vectorised query.
+# Grid rows formed at once by the direct and FFT routes: bounds their
+# temporaries to 64 rows whatever the grid, while each block is still one GEMM
+# or FFT call.
 _BLOCK_ROWS = 64
+# Grid points formed at once by the fast engine: each block's complex values
+# and int64 query temporaries stay near 64 KB whatever the grid's width.
+_BLOCK_POINTS = 8192
 
 # Largest allocation a surface route may make, in bytes, checked by
 # _check_budget before anything is allocated.  A direct-sum surface needs an
@@ -155,6 +161,11 @@ def _lag_product_rows(xa: np.ndarray, ya: np.ndarray, nk: int, nl: int, reduce) 
         rows = slice(start, start + _BLOCK_ROWS)
         out[rows] = reduce(shifted[rows] * yc)
     return out
+
+
+def _block_rows(nk: int, nl: int) -> int:
+    """Rows of an nk x nl grid in one fast-engine block: about _BLOCK_POINTS points, at least one row."""
+    return max(1, min(nk, _BLOCK_POINTS // nl))
 
 
 def _check_budget(need: int, what: str) -> None:
@@ -273,18 +284,19 @@ def fast_pulsone_query(pre: FastPulsonePrecomp, k, l, phase=0, out: np.ndarray |
     # of queries holds a few block-sized arrays at a time
     k = np.asarray(k, dtype=np.int64) % mod.MN
     row = (k + pre.k0) % period
-    u = (np.asarray(l, dtype=np.int64) % mod.MN + pre.l0) % mod.MN
-    index = 2 * ((k - row) * u + pre.k0 * pre.l0) + phase
+    u = (np.asarray(l, dtype=np.int64) + pre.l0) % mod.MN
+    # the constant and k's factor are summed in k's (often smaller) shape first
+    index = 2 * (k - row) * u + (2 * pre.k0 * pre.l0 + phase)
     del k
-    flat = row * length + u % length
+    flat = u if period == 1 else row * length + u % length  # a tone's R is MN
     del row, u
-    if out is None:
-        out = np.empty(index.shape, dtype=np.complex128)
-    phases_to_complex(index, mod, out=out)
+    phases = phases_to_complex(index, mod)
     del index
     # table entry first: the order numpy's temporary elision gave the whole-grid
-    # product phase * entry, so full-grid images stay byte-identical
-    np.multiply(pre.rowfft.take(flat), out, out=out)
+    # product phase * entry, so full-grid images stay byte-identical.  Never in
+    # place: numpy multiplies a lone element in place outside its vector loop,
+    # which rounds differently, and a one-point query must match its row block.
+    out = np.multiply(pre.rowfft.take(flat), phases, out=out)
     return complex(out) if out.ndim == 0 else out
 
 
@@ -300,17 +312,8 @@ def fast_pulsone_surface(pre: FastPulsonePrecomp, grid: str = "fundamental") -> 
     return AmbiguitySurface(mod, "fundamental", fast_pulsone_query(pre, kk, ll))
 
 
-def fast_cross_ambiguity(
-    x: PeriodicSequence,
-    k0: int,
-    l0: int,
-    period: int | None = None,
-    gamma: int = 0,
-    *,
-    transform: tuple[SL2Element, ...] = (),
-    grid: str = "fundamental",
-) -> AmbiguitySurface:
-    """A_{x, ref} for ref = exp(j*2*pi*gamma/MN) * chain_apply(transform, base).
+class FastEngine:
+    """A_{x, ref} point by point, for ref = exp(j*2*pi*gamma/MN) * chain_apply(transform, base).
 
     The base is the pulsone (k0, l0) of period `period` (fast_pulsone_precompute):
     the M x N pulsone by default, the tone l0 for period 1.  Each label is
@@ -322,42 +325,106 @@ def fast_cross_ambiguity(
 
         A[K, L] = exp(j*2*pi*inv2*Q(K, L)/MN) * A_{W^H x, base}[G(K, L)]
 
-    Rows are formed _BLOCK_ROWS at a time by one point query each, into a
-    preallocated output: O(1) per point after O(MN log MN) per label,
-    matching the naive oracle to rounding error.
+    After O(MN log MN) per label, points(K, L) costs O(1) per point, and
+    blocks() walks the `grid` in row blocks of about _BLOCK_POINTS points.
     """
-    mod = x.mod
-    mn = mod.MN
-    nk, nl = _grid_shape(mod, grid)
-    _check_budget(16 * nl * (nk + _BLOCK_ROWS), f"a {nk} x {nl} fast surface")
-    G = SL2Element.identity(mod)
-    qkk = qll = qkl = 0  # Q's K^2, L^2 and K*L coefficients
-    for g in reversed(transform):
-        kk, ll, kl = remap_for(g).form
-        x = lfm_apply(-g.c * mod.inv2, x) if g.b == 0 else gdaft_adjoint(g, x)
-        G = g.inverse().matmul(G)
-        a, b, c, d = G.a, G.b, G.c, G.d
-        # q_g(a*K + b*L, c*K + d*L), term by term
-        qkk += kk * a * a + ll * c * c + kl * a * c
-        qll += kk * b * b + ll * d * d + kl * b * d
-        qkl += 2 * (kk * a * b + ll * c * d) + kl * (a * d + b * c)
-    pre = fast_pulsone_precompute(x, k0, l0, period)
-    # the added phase index is 2*(inv2*Q mod MN)
-    ckk, cll, ckl, c0 = (mod.inv2 * q % mn for q in (qkk, qll, qkl, -2 * gamma))
-    out = np.empty((nk, nl), dtype=np.complex128)
-    L = np.arange(nl, dtype=np.int64)[None, :]
-    l_part = cll * (L * L % mn) % mn if cll else 0
-    for start in range(0, nk, _BLOCK_ROWS):
-        K = np.arange(start, min(start + _BLOCK_ROWS, nk), dtype=np.int64)[:, None]
+
+    def __init__(
+        self,
+        x: PeriodicSequence,
+        k0: int,
+        l0: int,
+        period: int | None = None,
+        gamma: int = 0,
+        *,
+        transform: tuple[SL2Element, ...] = (),
+        grid: str = "fundamental",
+    ) -> None:
+        mod = x.mod
+        mn = mod.MN
+        self.mod = mod
+        self.shape = _grid_shape(mod, grid)
+        G = SL2Element.identity(mod)
+        qkk = qll = qkl = 0  # Q's K^2, L^2 and K*L coefficients
+        for g in reversed(transform):
+            kk, ll, kl = remap_for(g).form
+            x = lfm_apply(-g.c * mod.inv2, x) if g.b == 0 else gdaft_adjoint(g, x)
+            G = g.inverse().matmul(G)
+            a, b, c, d = G.a, G.b, G.c, G.d
+            # q_g(a*K + b*L, c*K + d*L), term by term
+            qkk += kk * a * a + ll * c * c + kl * a * c
+            qll += kk * b * b + ll * d * d + kl * b * d
+            qkl += 2 * (kk * a * b + ll * c * d) + kl * (a * d + b * c)
+        self._pre = fast_pulsone_precompute(x, k0, l0, period)
+        self._G = G
+        # the added phase index is 2*(inv2*Q mod MN)
+        self._q = tuple(mod.inv2 * q % mn for q in (qkk, qll, qkl, -2 * gamma))
+
+    def points(self, K, L, out: np.ndarray | None = None) -> np.ndarray:
+        """A at the grid points (K, L), integer arrays that broadcast together.
+
+        Any integers are taken mod MN.  With `out`, a complex array of the
+        broadcast shape, the values are written there.
+        """
+        mn = self.mod.MN
+        G = self._G
+        ckk, cll, ckl, c0 = self._q
+        K = np.asarray(K, dtype=np.int64) % mn
+        L = np.asarray(L, dtype=np.int64) % mn
         # k stays a column when G's b entry is 0, l a row when its c entry is 0
         k = G.a * K + G.b * L if G.b else G.a * K
         l = G.c * K + G.d * L if G.c else G.d * L
         phase = 0
         if ckk or cll or ckl or c0:
+            l_part = cll * (L * L % mn) if cll else 0
             cross = ckl * (K * L % mn) if ckl else 0  # only GDAFT labels make Q's phase 2-D
             phase = 2 * ((ckk * (K * K % mn) + l_part + cross + c0) % mn)
-        fast_pulsone_query(pre, k, l, phase, out=out[start : start + _BLOCK_ROWS])
-    return AmbiguitySurface(mod, grid, out)
+        return fast_pulsone_query(self._pre, k, l, phase, out=out)
+
+    def rows(self, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Grid rows start <= K < stop, every column of the grid."""
+        K = np.arange(start, stop, dtype=np.int64)[:, None]
+        L = np.arange(self.shape[1], dtype=np.int64)[None, :]
+        return self.points(K, L, out)
+
+    def blocks(self):
+        """The grid's rows, top to bottom, in blocks of about _BLOCK_POINTS points.
+
+        Every block is written into one buffer, so each is overwritten by the next.
+        """
+        nk, nl = self.shape
+        step = _block_rows(nk, nl)
+        buf = np.empty((step, nl), dtype=np.complex128)
+        for start in range(0, nk, step):
+            stop = min(start + step, nk)
+            yield self.rows(start, stop, out=buf[: stop - start])
+
+
+def fast_cross_ambiguity(
+    x: PeriodicSequence,
+    k0: int,
+    l0: int,
+    period: int | None = None,
+    gamma: int = 0,
+    *,
+    transform: tuple[SL2Element, ...] = (),
+    grid: str = "fundamental",
+) -> AmbiguitySurface:
+    """A_{x, ref} for ref = exp(j*2*pi*gamma/MN) * chain_apply(transform, base), on a grid.
+
+    The FastEngine's rows, formed one block at a time into a preallocated
+    output: O(1) per point after O(MN log MN) per label, matching the naive
+    oracle to rounding error.
+    """
+    nk, nl = _grid_shape(x.mod, grid)
+    # the output plus 64 rows, which bound one engine block on grids 128 points wide and up
+    _check_budget(16 * nl * (nk + _BLOCK_ROWS), f"a {nk} x {nl} fast surface")
+    engine = FastEngine(x, k0, l0, period, gamma, transform=transform, grid=grid)
+    out = np.empty((nk, nl), dtype=np.complex128)
+    step = _block_rows(nk, nl)
+    for start in range(0, nk, step):
+        engine.rows(start, min(start + step, nk), out=out[start : start + step])
+    return AmbiguitySurface(x.mod, grid, out)
 
 
 def moyal_residual(x: PeriodicSequence, y: PeriodicSequence) -> float:
@@ -417,25 +484,33 @@ def coded_waveform(z: np.ndarray, chip: np.ndarray) -> np.ndarray:
 # heatmaps of |A| with linear or dB scaling.
 
 
-def surface_to_csv(surface, path) -> None:
-    """Write a surface (AmbiguitySurface or plain 2-D array) as k,l,re,im,abs CSV."""
-    complex_to_csv(surface.values if isinstance(surface, AmbiguitySurface) else surface, path)
+def surface_to_csv(surface, path, shape: tuple | None = None) -> None:
+    """Write a surface (AmbiguitySurface or plain 2-D array) as k,l,re,im,abs CSV.
+
+    With `shape`, `surface` is instead an iterable of the consecutive row blocks
+    of a surface of that shape, written as they arrive (ddcore.complex_to_csv).
+    """
+    values = surface.values if isinstance(surface, AmbiguitySurface) else surface
+    complex_to_csv(values, path, shape)
 
 
 def surface_from_csv(path, mod: Modulus, grid: str) -> AmbiguitySurface:
     return AmbiguitySurface(mod, grid, complex_from_csv(path, _grid_shape(mod, grid)))
 
 
-def surface_to_pgm(values: np.ndarray, path, scale: str = "linear", floor: float = -120.0) -> None:
+def surface_to_pgm(
+    values: np.ndarray, path, scale: str = "linear", floor: float = -120.0, *, in_place: bool = False
+) -> None:
     """8-bit binary PGM of |values|; rows are delay k, columns Doppler l.
 
     linear: 0..255 spans 0..max|A|.  db: 0..255 spans floor..0 dB relative
     to the surface peak, clamping below the floor; the floor must be a finite
-    negative number.
+    negative number.  With in_place=True, `values` is a float64 array of the
+    magnitudes, which serves as the work buffer and is overwritten.
     """
     _check_scale(scale, floor)
     # the one float buffer: each step below is computed in place in it
-    mags = np.abs(np.asarray(values)).astype(np.float64, copy=False)
+    mags = values if in_place else np.abs(np.asarray(values)).astype(np.float64, copy=False)
     peak = mags.max()
     if peak == 0.0:
         mags.fill(0.0)
@@ -456,6 +531,41 @@ def surface_to_pgm(values: np.ndarray, path, scale: str = "linear", floor: float
     with open(path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
         fh.write(np.ascontiguousarray(pixels))
+
+
+def check_stream_budget(shape: tuple[int, int]) -> None:
+    """Refuse with OverBudget when write_surface over `shape` would exceed the budget.
+
+    It holds 9 bytes per point, the float64 magnitudes and the uint8 pixels,
+    plus one block of _BLOCK_POINTS complex values.
+    """
+    nk, nl = shape
+    need = 9 * nk * nl + 16 * nl * _block_rows(nk, nl)
+    _check_budget(need, f"writing a {nk} x {nl} surface")
+
+
+def write_surface(blocks, shape: tuple[int, int], csv_path, pgm_path,
+                  scale: str = "linear", floor: float = -120.0) -> None:
+    """Write a surface given as consecutive row blocks to CSV and PGM in one pass.
+
+    Each block is formatted into the CSV as it arrives, and its magnitudes go
+    into one float64 buffer, in which the PGM pixels are computed after the
+    last block.  The files are byte for byte those of surface_to_csv and
+    surface_to_pgm on the whole surface, and no complex array is held beyond
+    the block being written.  Callers check check_stream_budget(shape) first.
+    """
+    _check_scale(scale, floor)
+    mags = np.empty(shape)
+
+    def measured():
+        start = 0
+        for block in blocks:
+            np.abs(block, out=mags[start : start + block.shape[0]])
+            start += block.shape[0]
+            yield block
+
+    surface_to_csv(measured(), csv_path, shape)
+    surface_to_pgm(mags, pgm_path, scale, floor, in_place=True)
 
 
 def _check_scale(scale: str, floor: float) -> None:

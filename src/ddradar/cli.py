@@ -4,13 +4,15 @@ Exit codes: 0 success, 2 usage error, 3 refused precondition (aliasing
 readout, fast engine on zc-coded waveforms, over the memory budget), 4 numeric
 validation failure (composite modulus, non-coprime parameters).  All file
 outputs land under --out with fixed names; waveform, ambiguity and simulate
-create --out only once their computation has succeeded.  Every command is
-deterministic for a fixed --seed.
+create --out only once every refusal check has passed (simulate and the fast
+engine then form their surface block by block as they write it).  Every
+command is deterministic for a fixed --seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -19,20 +21,21 @@ from pathlib import Path
 import numpy as np
 
 from .ambiguity import (
+    FastEngine,
     _check_scale,
+    check_stream_budget,
     coded_waveform,
     cross_ambiguity_array,
     cross_ambiguity_fft,
     cross_ambiguity_naive,
-    fast_cross_ambiguity,
-    surface_to_csv,
     surface_to_pgm,
+    write_surface,
     zc_sequence,
 )
 from .ddcore import PeriodicSequence, sequence_to_csv
-from .errors import BNotCoprime, EngineUnsupported, PreconditionError, ValidationError
+from .errors import BNotCoprime, EngineUnsupported, NotCoprime, PreconditionError, ValidationError
 from .modmath import Modulus
-from .radarsim import add_noise, apply_channel, form_image, readout_targets, scene_from_json
+from .radarsim import add_noise, apply_channel, readout_targets, scene_from_json
 from .subgroups import DDRegion, LineSubgroup, chirp, eigenvector, pulsone, pulsone_chain
 from .symplectic import SL2Element, chain_apply, papr_db
 
@@ -76,19 +79,24 @@ def _parse_sl2(text: str, mod: Modulus) -> SL2Element:
 class WaveformSpec:
     """Parsed waveform description.
 
-    `seq` is a PeriodicSequence for modulus-bound waveforms, otherwise
-    `array` holds a modulus-free coded waveform.  Every modulus-bound waveform
-    has `fast` = (base, labels), its form for the O(1)-per-point ambiguity
-    engine (fast_cross_ambiguity(x, *base, transform=labels)): a pulsone
-    (k0, l0), or a tone (0, beta, 1[, gamma]) under an LFM label for chirp
-    and zc, followed by the prefix's label.
+    `seq` is a PeriodicSequence for modulus-bound waveforms, built by `build`
+    on first use, otherwise `array` holds a modulus-free coded waveform.
+    Every modulus-bound waveform has `fast` = (base, labels), its form for
+    the O(1)-per-point ambiguity engine (FastEngine(x, *base,
+    transform=labels)), which never reads `seq`: a pulsone (k0, l0), or a
+    tone (0, beta, 1[, gamma]) under an LFM label for chirp and zc, followed
+    by the prefix's label.
     """
 
-    def __init__(self, label, seq=None, array=None, fast=None):
+    def __init__(self, label, build=None, array=None, fast=None):
         self.label = label
-        self.seq = seq
+        self._build = build
         self.array = array
         self.fast = fast
+
+    @functools.cached_property
+    def seq(self):
+        return None if self._build is None else self._build()
 
 
 def parse_waveform_spec(text: str, mod: Modulus) -> WaveformSpec:
@@ -97,6 +105,7 @@ def parse_waveform_spec(text: str, mod: Modulus) -> WaveformSpec:
     """
     spec = text.strip()
     labels = ()
+    lfm_rate = 1  # a prefix's LFM rate, checked below: the fast engine never builds `seq`
     if spec.startswith("lfm(") or spec.startswith("gdaft("):
         head, _, rest = spec.partition(":")
         if not rest or not head.endswith(")"):
@@ -104,7 +113,8 @@ def parse_waveform_spec(text: str, mod: Modulus) -> WaveformSpec:
         inner = head[head.index("(") + 1 : -1]
         try:
             if head.startswith("lfm"):
-                labels = (SL2Element.lfm(mod, int(inner)),)
+                lfm_rate = int(inner)
+                labels = (SL2Element.lfm(mod, lfm_rate),)
             else:
                 labels = (_parse_sl2(inner, mod),)
         except ValueError as exc:
@@ -138,7 +148,9 @@ def parse_waveform_spec(text: str, mod: Modulus) -> WaveformSpec:
             raise argparse.ArgumentTypeError(f"unknown waveform kind {kind!r}")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"malformed waveform parameters in {text!r}") from exc
-    return WaveformSpec(text, seq=chain_apply(labels, base), fast=fast)
+    if math.gcd(lfm_rate, mod.MN) != 1:
+        raise NotCoprime(f"LFM rate {lfm_rate} shares a factor with MN = {mod.MN}")
+    return WaveformSpec(text, build=lambda: chain_apply(labels, base), fast=fast)
 
 
 def _out_dir(args) -> Path:
@@ -203,16 +215,20 @@ def cmd_ambiguity(args, parser) -> int:
         if args.engine == "fast":
             raise EngineUnsupported("fast engine does not apply to zc-coded waveforms")
         values = cross_ambiguity_array(x.array, y.array)
+        blocks, shape = (values,), values.shape
     elif args.engine == "fast":
         base, labels = y.fast
-        values = fast_cross_ambiguity(x.seq, *base, transform=labels, grid=args.grid).values
+        engine = FastEngine(x.seq, *base, transform=labels, grid=args.grid)
+        check_stream_budget(engine.shape)
+        blocks, shape = engine.blocks(), engine.shape
     else:
         values = cross_ambiguity_naive(x.seq, y.seq, grid=args.grid).values
+        blocks, shape = (values,), values.shape
 
     out = _out_dir(args)
-    surface_to_csv(values, out / "ambiguity.csv")
-    surface_to_pgm(values, out / "ambiguity.pgm", scale=args.scale, floor=args.floor)
-    print(f"ambiguity surface {values.shape[0]}x{values.shape[1]} written to {out}")
+    write_surface(blocks, shape, out / "ambiguity.csv", out / "ambiguity.pgm",
+                  scale=args.scale, floor=args.floor)
+    print(f"ambiguity surface {shape[0]}x{shape[1]} written to {out}")
     return 0
 
 
@@ -230,7 +246,7 @@ def cmd_simulate(args, parser) -> int:
     if args.waveform == "eigen":
         if not 0 <= args.eigen_index < mod.MN:
             parser.error(f"--eigen-index out of range 0..{mod.MN - 1}")
-        spec = WaveformSpec("eigen", seq=eigenvector(line, args.eigen_index),
+        spec = WaveformSpec("eigen", build=lambda: eigenvector(line, args.eigen_index),
                             fast=pulsone_chain(line, args.eigen_index))
     else:
         spec = parse_waveform_spec(args.waveform, mod)
@@ -240,17 +256,19 @@ def cmd_simulate(args, parser) -> int:
     y = apply_channel(env, spec.seq)
     y = add_noise(y, args.snr_db, args.seed)
     base, labels = spec.fast
-    img = form_image(y, spec.seq, grid="full", pulsone_indices=base, transform=labels)
+    engine = FastEngine(y, *base, transform=labels, grid="full")
+    # every refusal comes before --out exists; the image is formed only as it is written
+    check_stream_budget(engine.shape)
+    targets = readout_targets(engine, line, region, threshold=args.threshold)
 
-    targets = readout_targets(img, line, region, threshold=args.threshold)
     out = _out_dir(args)
-    surface_to_csv(img.surface, out / "image.csv")
-    surface_to_pgm(img.surface.values, out / "image.pgm", scale=args.scale, floor=args.floor)
+    write_surface(engine.blocks(), engine.shape, out / "image.csv", out / "image.pgm",
+                  scale=args.scale, floor=args.floor)
     doc = {
         "M": mod.M,
         "N": mod.N,
         "waveform": spec.label,
-        "engine": img.meta["engine"],
+        "engine": "fast",
         # +inf is noiseless, recorded like an omitted --snr-db
         "snr_db": None if args.snr_db == math.inf else args.snr_db,
         "seed": args.seed,
@@ -268,6 +286,7 @@ def cmd_simulate(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)  # built once per process: parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ddradar",

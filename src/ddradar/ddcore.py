@@ -14,6 +14,7 @@ is the unitary map between them; its inverse reads
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,46 +151,78 @@ def _index_words(count: int) -> np.ndarray:
     return text.view(np.uint64).reshape(count, width // 8)
 
 
-def complex_to_csv(values: np.ndarray, path) -> int:
+def complex_to_csv(values, path, shape: tuple | None = None) -> int:
     """Write a complex vector or matrix as CSV, in blocks of _CSV_BLOCK_ROWS lines.
 
-    Each line is laid out as NUL-padded words (indices, then one
-    floatfmt.FIELD_BYTES field per float) and written without its NULs.  The
-    abs column of a matrix is np.hypot(re, im), the same libm hypot as Python's
-    abs(complex) (np.abs can differ in the last digit).  Returns how many floats
-    were formatted by Python rather than by the vectorised kernel.
+    `values` is the array, or, with `shape` given, an iterable of the
+    consecutive row blocks (for a vector, slices) of an array of that shape,
+    each formatted as it arrives; an array is its own single block.  Lines
+    are formatted _CSV_BLOCK_ROWS at a time however the rows arrive.  Each line
+    is laid out as NUL-padded words (indices, then one floatfmt.FIELD_BYTES
+    field per float) and written without its NULs.  The abs column of a matrix
+    is np.hypot(re, im), the same libm hypot as Python's abs(complex) (np.abs
+    can differ in the last digit).  Returns how many floats were formatted by
+    Python rather than by the vectorised kernel.
     """
-    values = np.ascontiguousarray(values, dtype=np.complex128)
-    flat = values.reshape(-1)
-    nfloat = 2 if values.ndim == 1 else 3
-    cols = values.shape[-1]
-    index = _index_words(max(values.shape, default=0))
+    if shape is None:
+        values = np.asarray(values)
+        shape, values = values.shape, (values,)
+    ndim = len(shape)
+    nfloat = 2 if ndim == 1 else 3
+    cols = shape[-1]
+    index = _index_words(max(shape, default=0))
     iw = index.shape[1]
-    rows = max(1, min(_CSV_BLOCK_ROWS, flat.size))
-    line = np.zeros((rows, values.ndim * iw + nfloat * FIELD_BYTES // 8), np.uint64)
-    fields = line[:, values.ndim * iw :].reshape(rows, nfloat, FIELD_BYTES // 8)
+    rows = max(1, min(_CSV_BLOCK_ROWS, math.prod(shape)))
+    line = np.zeros((rows, ndim * iw + nfloat * FIELD_BYTES // 8), np.uint64)
+    fields = line[:, ndim * iw :].reshape(rows, nfloat, FIELD_BYTES // 8)
     separators = "," * (nfloat - 1) + "\n"
     python = 0
+    start = 0  # flat index of the chunk's first value
     with open(path, "wb") as fh:
-        fh.write(_CSV_HEADER[values.ndim].encode("ascii") + b"\n")
-        for start in range(0, flat.size, rows):
-            block = flat[start : start + rows]
-            n = block.size
+        fh.write(_CSV_HEADER[ndim].encode("ascii") + b"\n")
+        for chunk in _chunks(values, rows):
+            n = chunk.size
             at = np.arange(start, start + n)
-            if values.ndim == 1:
+            start += n
+            if ndim == 1:
                 line[:n, :iw] = index.take(at, axis=0)
-                floats = block.view(np.float64).reshape(n, 2)
+                floats = chunk.view(np.float64).reshape(n, 2)
             else:
                 k = at // cols
                 line[:n, :iw] = index.take(k, axis=0)
                 line[:n, iw : 2 * iw] = index.take(at - k * cols, axis=0)
                 floats = np.empty((n, 3))
-                floats[:, :2] = block.view(np.float64).reshape(n, 2)
+                floats[:, :2] = chunk.view(np.float64).reshape(n, 2)
                 with np.errstate(invalid="ignore", over="ignore"):  # non-finite values
                     np.hypot(floats[:, 0], floats[:, 1], out=floats[:, 2])
             python += format_g17(floats, fields[:n], separators)
             fh.write(line[:n].tobytes().translate(None, b"\0"))
     return python
+
+
+def _chunks(blocks, size: int):
+    """The values of consecutive blocks, flattened, in slices of `size` (the last may be shorter).
+
+    A slice that spans two blocks is copied, so a caller may reuse a block's
+    buffer once the next block is asked for; whole slices are views.  Every
+    block boundary therefore costs no extra, short slice to format.
+    """
+    carry = np.empty(0, dtype=np.complex128)
+    for block in blocks:
+        flat = np.ascontiguousarray(block, dtype=np.complex128).reshape(-1)
+        if carry.size:
+            head = size - carry.size
+            carry = np.concatenate((carry, flat[:head]))
+            flat = flat[head:]
+            if carry.size < size:
+                continue
+            yield carry
+        whole = flat.size - flat.size % size
+        for start in range(0, whole, size):
+            yield flat[start : start + size]
+        carry = flat[whole:].copy()
+    if carry.size:
+        yield carry
 
 
 def complex_from_csv(path, shape: tuple) -> np.ndarray:

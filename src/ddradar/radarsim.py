@@ -161,13 +161,15 @@ def predicted_image(env: ScatteringEnvironment, a_x: AmbiguitySurface) -> Ambigu
 
 
 def readout_targets(
-    img: RadarImage,
+    img,
     line: LineSubgroup,
     region: DDRegion,
     threshold: float | None = None,
 ) -> list[tuple[int, int, complex]]:
     """Read taps off a crystallized region of the image.
 
+    `img` is a full-grid RadarImage, or a FastEngine whose point query reads
+    the region's points without forming the image; both give the same values.
     Refuses (NotCrystallized) when region translates by the line support
     overlap, since the image would alias.  `threshold` is an absolute
     magnitude cut and must be finite and positive (ValidationError
@@ -177,27 +179,29 @@ def readout_targets(
     """
     if threshold is not None and not (math.isfinite(threshold) and threshold > 0):
         raise ValidationError(f"readout threshold must be finite and positive, got {threshold}")
-    if img.surface.mod != line.mod:
+    image = img.surface if isinstance(img, RadarImage) else img
+    if image.mod != line.mod:
         raise ModulusMismatch("image and line subgroup use different moduli")
     if not crystallization_check(line, region):
         raise NotCrystallized(
             f"region {region} aliases under the ({line.c}, {line.d}) line support"
         )
-    mod = line.mod
-    if img.surface.grid != "full":
-        raise GridMismatch("readout needs a full-grid image")
-    mn = mod.MN
-    values = {}
-    for k, l in region.points():
-        values[(k % mn, l % mn)] = complex(img.surface.values[k % mn, l % mn])
-    peak = max(abs(v) for v in values.values())
+    if isinstance(image, AmbiguitySurface):
+        if image.grid != "full":
+            raise GridMismatch("readout needs a full-grid image")
+        query = lambda k, l: image.values[k, l]  # noqa: E731
+    else:
+        query = image.points
+    mn = line.mod.MN
+    keys = sorted({(k % mn, l % mn) for k, l in region.points()})
+    ks, ls = np.array(keys, dtype=np.int64).T
+    values = [complex(v) for v in query(ks, ls)]
+    peak = max(abs(v) for v in values)
     if peak == 0.0:
         return []
     if threshold is None:
         threshold = 0.5 * peak
-    hits = [(k, l, v) for (k, l), v in values.items() if abs(v) >= threshold]
-    hits.sort(key=lambda t: (t[0], t[1]))
-    return hits
+    return [(k, l, v) for (k, l), v in zip(keys, values) if abs(v) >= threshold]
 
 
 # ---------------------------------------------------------------------------
