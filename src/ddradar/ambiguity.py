@@ -168,6 +168,11 @@ def _block_rows(nk: int, nl: int) -> int:
     return max(1, min(nk, _BLOCK_POINTS // nl))
 
 
+def _engine_block_bytes(nk: int, nl: int) -> int:
+    """Bytes of one fast-engine block of an nk x nl grid: _block_rows(nk, nl) complex rows."""
+    return 16 * nl * _block_rows(nk, nl)
+
+
 def _check_budget(need: int, what: str) -> None:
     """Refuse with OverBudget when `what` needs more than MEMORY_BUDGET_BYTES bytes."""
     if need > MEMORY_BUDGET_BYTES:
@@ -348,7 +353,7 @@ class FastEngine:
         qkk = qll = qkl = 0  # Q's K^2, L^2 and K*L coefficients
         for g in reversed(transform):
             kk, ll, kl = remap_for(g).form
-            x = lfm_apply(-g.c * mod.inv2, x) if g.b == 0 else gdaft_adjoint(g, x)
+            x = lfm_apply(-g.c * mod.inv2 % mn, x) if g.b == 0 else gdaft_adjoint(g, x)
             G = g.inverse().matmul(G)
             a, b, c, d = G.a, G.b, G.c, G.d
             # q_g(a*K + b*L, c*K + d*L), term by term
@@ -417,8 +422,8 @@ def fast_cross_ambiguity(
     oracle to rounding error.
     """
     nk, nl = _grid_shape(x.mod, grid)
-    # the output plus 64 rows, which bound one engine block on grids 128 points wide and up
-    _check_budget(16 * nl * (nk + _BLOCK_ROWS), f"a {nk} x {nl} fast surface")
+    # the output plus one engine block
+    _check_budget(16 * nk * nl + _engine_block_bytes(nk, nl), f"a {nk} x {nl} fast surface")
     engine = FastEngine(x, k0, l0, period, gamma, transform=transform, grid=grid)
     out = np.empty((nk, nl), dtype=np.complex128)
     step = _block_rows(nk, nl)
@@ -540,7 +545,7 @@ def check_stream_budget(shape: tuple[int, int]) -> None:
     plus one block of _BLOCK_POINTS complex values.
     """
     nk, nl = shape
-    need = 9 * nk * nl + 16 * nl * _block_rows(nk, nl)
+    need = 9 * nk * nl + _engine_block_bytes(nk, nl)
     _check_budget(need, f"writing a {nk} x {nl} surface")
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ModulusMismatch
-from .floatfmt import FIELD_BYTES, format_g17
+from .floatfmt import FIELD_BYTES, Workspace, format_g17
 from .modmath import Modulus, to_complex
 
 __all__ = [
@@ -140,8 +140,11 @@ def idzt(X: QuasiPeriodicArray) -> PeriodicSequence:
 # enough to round-trip float64, by the vectorised formatter in floatfmt.
 
 _CSV_HEADER = {1: "n,re,im", 2: "k,l,re,im,abs"}
-# Lines formatted at once: the block's buffers stay well under 1 MB.
-_CSV_BLOCK_ROWS = 1024
+# Lines formatted at once, at most.  A block's buffers take about 334 bytes
+# per matrix line (112 of text, 24 of floats, 198 of kernel workspace), so
+# 0.7 MB at 2048 lines.  At (23,29), simulate with 4096-line blocks took
+# about 10% less time than with 2048, but its peak RSS rose 0.8 MB more.
+_CSV_BLOCK_ROWS = 2048
 
 
 def _index_words(count: int) -> np.ndarray:
@@ -152,17 +155,25 @@ def _index_words(count: int) -> np.ndarray:
 
 
 def complex_to_csv(values, path, shape: tuple | None = None) -> int:
-    """Write a complex vector or matrix as CSV, in blocks of _CSV_BLOCK_ROWS lines.
+    """Write a complex vector or matrix as CSV, in blocks of at most _CSV_BLOCK_ROWS lines.
 
     `values` is the array, or, with `shape` given, an iterable of the
     consecutive row blocks (for a vector, slices) of an array of that shape,
-    each formatted as it arrives; an array is its own single block.  Lines
-    are formatted _CSV_BLOCK_ROWS at a time however the rows arrive.  Each line
-    is laid out as NUL-padded words (indices, then one floatfmt.FIELD_BYTES
-    field per float) and written without its NULs.  The abs column of a matrix
-    is np.hypot(re, im), the same libm hypot as Python's abs(complex) (np.abs
-    can differ in the last digit).  Returns how many floats were formatted by
-    Python rather than by the vectorised kernel.
+    each formatted as it arrives; an array is its own single block.  The
+    lines are formatted in the fewest blocks of at most _CSV_BLOCK_ROWS, all
+    of one size but a shorter last one, however the rows arrive.  A block's
+    floats are copied column by column (re, im and, for a matrix, abs) into
+    one contiguous run, which one floatfmt.format_g17 call formats.  Each
+    line is laid out as NUL-padded words (indices, then one
+    floatfmt.FIELD_BYTES field per float) in a bytearray, and one
+    bytearray.translate drops the NULs.  The buffers are allocated once per
+    file and sized to one block.  The abs column of a matrix is
+    np.hypot(re, im), the same libm hypot as Python's abs(complex) (np.abs
+    can differ in the last digit).  Returns how many floats were formatted
+    by Python rather than by the vectorised kernel.
+
+    A (23,29) full-grid image, 444,889 lines in 2041-line blocks, takes
+    about 0.21 s: 0.47 us per line on one core of a 2-vCPU x86-64 machine.
     """
     if shape is None:
         values = np.asarray(values)
@@ -172,9 +183,14 @@ def complex_to_csv(values, path, shape: tuple | None = None) -> int:
     cols = shape[-1]
     index = _index_words(max(shape, default=0))
     iw = index.shape[1]
-    rows = max(1, min(_CSV_BLOCK_ROWS, math.prod(shape)))
-    line = np.zeros((rows, ndim * iw + nfloat * FIELD_BYTES // 8), np.uint64)
+    lines = max(1, math.prod(shape))
+    rows = -(-lines // -(-lines // _CSV_BLOCK_ROWS))  # the fewest blocks, the last may be shorter
+    width = ndim * iw + nfloat * FIELD_BYTES // 8
+    text = bytearray(8 * rows * width)
+    line = np.frombuffer(text, np.uint64).reshape(rows, width)
     fields = line[:, ndim * iw :].reshape(rows, nfloat, FIELD_BYTES // 8)
+    floats = np.empty(nfloat * rows)
+    workspace = Workspace(nfloat * rows)
     separators = "," * (nfloat - 1) + "\n"
     python = 0
     start = 0  # flat index of the chunk's first value
@@ -186,17 +202,20 @@ def complex_to_csv(values, path, shape: tuple | None = None) -> int:
             start += n
             if ndim == 1:
                 line[:n, :iw] = index.take(at, axis=0)
-                floats = chunk.view(np.float64).reshape(n, 2)
             else:
                 k = at // cols
                 line[:n, :iw] = index.take(k, axis=0)
                 line[:n, iw : 2 * iw] = index.take(at - k * cols, axis=0)
-                floats = np.empty((n, 3))
-                floats[:, :2] = chunk.view(np.float64).reshape(n, 2)
+            columns = floats[: nfloat * n].reshape(nfloat, n)
+            np.copyto(columns[0], chunk.real)
+            np.copyto(columns[1], chunk.imag)
+            if ndim == 2:
                 with np.errstate(invalid="ignore", over="ignore"):  # non-finite values
-                    np.hypot(floats[:, 0], floats[:, 1], out=floats[:, 2])
-            python += format_g17(floats, fields[:n], separators)
-            fh.write(line[:n].tobytes().translate(None, b"\0"))
+                    np.hypot(columns[0], columns[1], out=columns[2])
+            python += format_g17(columns.T, fields[:n], separators, workspace)
+            if n < rows:  # a short last block: the lines past it vanish with the NULs
+                line[n:] = 0
+            fh.write(text.translate(None, b"\0"))
     return python
 
 

@@ -187,7 +187,7 @@ def chain_apply(labels: tuple[SL2Element, ...], x: PeriodicSequence) -> Periodic
     """Apply labels to x, first label first: b = 0 as lfm_apply, else gdaft_apply."""
     for g in labels:
         remap_for(g)  # refuses labels neither [[1, 0], [2A, 1]] nor with b invertible
-        x = lfm_apply(g.c * g.mod.inv2, x) if g.b == 0 else gdaft_apply(g, x)
+        x = lfm_apply(g.c * g.mod.inv2 % g.mod.MN, x) if g.b == 0 else gdaft_apply(g, x)
     return x
 
 

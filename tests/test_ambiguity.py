@@ -124,7 +124,7 @@ class TestLagProductKernel:
     "route, need",
     [
         ("fft", 16 * 15 * (15 + 64)),  # output plus one block
-        ("fast", 16 * 15 * (15 + 64)),  # output plus one block
+        ("fast", 16 * 15 * (15 + 15)),  # output plus one engine block, all 15 rows
         ("predicted", 32 * 15 * 15),  # output plus one gathered surface
     ],
 )

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from ddradar import ddcore, floatfmt
 from ddradar.ddcore import (
     PeriodicSequence,
     QuasiPeriodicArray,
+    complex_to_csv,
     dzt,
     idzt,
     inner,
@@ -14,7 +18,7 @@ from ddradar.ddcore import (
 from ddradar.errors import ConfigurationError, ModulusMismatch
 from ddradar.modmath import Modulus
 from conftest import rand_unit_seq
-from oracles import basis_vrs, dzt_direct, idzt_direct
+from oracles import basis_vrs, complex_to_csv_rows, dzt_direct, idzt_direct
 
 
 class TestInner:
@@ -148,3 +152,57 @@ class TestCsv:
         path.write_text("wrong,header\n")
         with pytest.raises(ConfigurationError):
             sequence_from_csv(path, mod15)
+
+
+def _every_kernel_path(shape, seed: int) -> np.ndarray:
+    """Random values of many magnitudes, with specials spread through both float columns:
+    zeros of both signs, NaN, infinities, the smallest subnormal, 1e300, the tie 2**-25,
+    values >= 10 and values whose 17 digits end in 0000 (both the general mantissa)."""
+    rng = np.random.default_rng(seed)
+    values = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.exp(
+        rng.uniform(-30, 8, shape)
+    )
+    specials = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e300, 2.0**-25,
+                12.5, -1234.5678, 1e15, 0.5, 0.0625, -3.0, 1.5e-7]
+    flat = values.reshape(-1)
+    flat.real[::7] = np.resize(specials, flat[::7].size)
+    flat.imag[3::11] = np.resize(specials[::-1], flat[3::11].size)
+    return values
+
+
+class TestCsvBlocks:
+    # (61, 37) is 2257 lines and (2500,) 2500: more than one default block, and
+    # neither a multiple of 7 nor of the default, so block edges fall inside rows
+    @pytest.mark.parametrize("block_rows", [1, 7, ddcore._CSV_BLOCK_ROWS])
+    @pytest.mark.parametrize("shape, step", [((61, 37), 3), ((2500,), 333)], ids=["matrix", "vector"])
+    def test_bytes_do_not_depend_on_the_block_size(self, tmp_path, monkeypatch, shape, step, block_rows):
+        values = _every_kernel_path(shape, sum(shape))
+        complex_to_csv_rows(values, tmp_path / "oracle.csv")
+        monkeypatch.setattr(ddcore, "_CSV_BLOCK_ROWS", block_rows)
+        blocks = (values[start : start + step] for start in range(0, shape[0], step))
+        complex_to_csv(blocks, tmp_path / "blocks.csv", shape)
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    def test_memory_is_one_block_not_the_surface(self, tmp_path):
+        """A 667 x 667 surface streamed in 12-row blocks peaks no higher than a
+        12 x 667 one, give or take less than one block's kernel workspace."""
+        cols = 667
+
+        def peak(rows: int) -> int:
+            def blocks():
+                rng = np.random.default_rng(2)
+                for start in range(0, rows, 12):
+                    n = min(12, rows - start)
+                    yield rng.standard_normal((n, cols)) + 1j * rng.standard_normal((n, cols))
+
+            tracemalloc.start()
+            try:
+                complex_to_csv(blocks(), tmp_path / f"{rows}.csv", (rows, cols))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        workspace = floatfmt.Workspace(3 * ddcore._CSV_BLOCK_ROWS)  # three floats per line
+        one_block = workspace._words.nbytes + workspace._masks.nbytes
+        peak(12)  # builds the formatter's cached tables, which the runs below share
+        assert peak(cols) - peak(12) < one_block

@@ -197,6 +197,11 @@ class TestSl2Apply:
         with pytest.raises(NotCoprime):
             chain_apply((SL2Element(mod15, 2, 0, 1, 8),), pulsone(mod15, 0, 0))
 
+    def test_chain_names_the_lfm_rate_it_was_given(self, mod15):
+        # lfm(3) is [[1, 0], [6, 1]]; its rate is 6 * inv2 = 48 before reduction mod 15
+        with pytest.raises(NotCoprime, match=r"LFM rate 3 shares a factor with MN = 15"):
+            chain_apply((SL2Element.lfm(mod15, 3),), pulsone(mod15, 0, 0))
+
     def test_identity_up_to_phase(self, mod15):
         rng = np.random.default_rng(5)
         x = rand_unit_seq(mod15, rng)
