@@ -44,7 +44,7 @@ from math import gcd
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .ddcore import PeriodicSequence, complex_from_csv, complex_to_csv
+from .ddcore import PeriodicSequence, _block_rows, complex_from_csv, complex_to_csv
 from .errors import (
     BadRoot,
     ConfigurationError,
@@ -87,11 +87,8 @@ UNIMODULAR_THRESHOLD = 1.0 - 1e-6
 
 # Grid rows formed at once by the direct and FFT routes: bounds their
 # temporaries to 64 rows whatever the grid, while each block is still one GEMM
-# or FFT call.
+# or FFT call.  The fast engine's blocks are the CSV writer's, ddcore._block_rows.
 _BLOCK_ROWS = 64
-# Grid points formed at once by the fast engine: each block's complex values
-# and int64 query temporaries stay near 64 KB whatever the grid's width.
-_BLOCK_POINTS = 8192
 
 # Largest allocation a surface route may make, in bytes, checked by
 # _check_budget before anything is allocated.  A direct-sum surface needs an
@@ -161,11 +158,6 @@ def _lag_product_rows(xa: np.ndarray, ya: np.ndarray, nk: int, nl: int, reduce) 
         rows = slice(start, start + _BLOCK_ROWS)
         out[rows] = reduce(shifted[rows] * yc)
     return out
-
-
-def _block_rows(nk: int, nl: int) -> int:
-    """Rows of an nk x nl grid in one fast-engine block: about _BLOCK_POINTS points, at least one row."""
-    return max(1, min(nk, _BLOCK_POINTS // nl))
 
 
 def _engine_block_bytes(nk: int, nl: int) -> int:
@@ -331,7 +323,8 @@ class FastEngine:
         A[K, L] = exp(j*2*pi*inv2*Q(K, L)/MN) * A_{W^H x, base}[G(K, L)]
 
     After O(MN log MN) per label, points(K, L) costs O(1) per point, and
-    blocks() walks the `grid` in row blocks of about _BLOCK_POINTS points.
+    blocks() walks the `grid` in the row blocks that ddcore.complex_to_csv
+    formats in one pass each, ddcore._block_rows of them.
     """
 
     def __init__(
@@ -393,7 +386,7 @@ class FastEngine:
         return self.points(K, L, out)
 
     def blocks(self):
-        """The grid's rows, top to bottom, in blocks of about _BLOCK_POINTS points.
+        """The grid's rows, top to bottom, in blocks of ddcore._block_rows rows.
 
         Every block is written into one buffer, so each is overwritten by the next.
         """
@@ -542,7 +535,7 @@ def check_stream_budget(shape: tuple[int, int]) -> None:
     """Refuse with OverBudget when write_surface over `shape` would exceed the budget.
 
     It holds 9 bytes per point, the float64 magnitudes and the uint8 pixels,
-    plus one block of _BLOCK_POINTS complex values.
+    plus one engine block of complex values (_engine_block_bytes).
     """
     nk, nl = shape
     need = 9 * nk * nl + _engine_block_bytes(nk, nl)

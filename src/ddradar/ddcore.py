@@ -14,7 +14,6 @@ is the unitary map between them; its inverse reads
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,11 +139,17 @@ def idzt(X: QuasiPeriodicArray) -> PeriodicSequence:
 # enough to round-trip float64, by the vectorised formatter in floatfmt.
 
 _CSV_HEADER = {1: "n,re,im", 2: "k,l,re,im,abs"}
-# Lines formatted at once, at most.  A block's buffers take about 334 bytes
-# per matrix line (112 of text, 24 of floats, 198 of kernel workspace), so
-# 0.7 MB at 2048 lines.  At (23,29), simulate with 4096-line blocks took
-# about 10% less time than with 2048, but its peak RSS rose 0.8 MB more.
-_CSV_BLOCK_ROWS = 2048
+# Grid points (CSV lines) in one block, from the fast engine that forms them
+# to the writer that formats them: the one block size of a streamed surface.
+# A block costs the engine about 16 bytes per point plus its int64 query
+# temporaries, and the writer about 334 bytes per matrix line (112 of text,
+# 24 of floats, 198 of kernel workspace), so about 1.4 MB at 4096.
+_CSV_BLOCK_ROWS = 4096
+
+
+def _block_rows(nk: int, nl: int) -> int:
+    """Whole rows of an nk x nl grid in one block: about _CSV_BLOCK_ROWS points, at least 1, at most nk."""
+    return max(1, min(nk, _CSV_BLOCK_ROWS // max(nl, 1)))
 
 
 def _index_words(count: int) -> np.ndarray:
@@ -155,24 +160,25 @@ def _index_words(count: int) -> np.ndarray:
 
 
 def complex_to_csv(values, path, shape: tuple | None = None) -> int:
-    """Write a complex vector or matrix as CSV, in blocks of at most _CSV_BLOCK_ROWS lines.
+    """Write a complex vector or matrix as CSV, one block of whole rows at a time.
 
     `values` is the array, or, with `shape` given, an iterable of the
-    consecutive row blocks (for a vector, slices) of an array of that shape,
-    each formatted as it arrives; an array is its own single block.  The
-    lines are formatted in the fewest blocks of at most _CSV_BLOCK_ROWS, all
-    of one size but a shorter last one, however the rows arrive.  A block's
-    floats are copied column by column (re, im and, for a matrix, abs) into
-    one contiguous run, which one floatfmt.format_g17 call formats.  Each
-    line is laid out as NUL-padded words (indices, then one
-    floatfmt.FIELD_BYTES field per float) in a bytearray, and one
-    bytearray.translate drops the NULs.  The buffers are allocated once per
-    file and sized to one block.  The abs column of a matrix is
-    np.hypot(re, im), the same libm hypot as Python's abs(complex) (np.abs
-    can differ in the last digit).  Returns how many floats were formatted
-    by Python rather than by the vectorised kernel.
+    consecutive row blocks (for a vector, slices) of an array of that shape;
+    an array is its own single block.  The buffers hold _block_rows(shape)
+    rows (a vector's rows are its values), so a block from
+    ambiguity.FastEngine.blocks() is formatted as it arrives, in one pass;
+    a longer block, such as an array passed whole, is cut into views of
+    that many rows.  A pass copies the floats column by column (re, im and,
+    for a matrix, abs) into one contiguous run, which one
+    floatfmt.format_g17 call formats.  Each line is laid out as NUL-padded
+    words (indices, then one floatfmt.FIELD_BYTES field per float) in a
+    bytearray, and one bytearray.translate drops the NULs.  The buffers are
+    allocated once per file.  The abs column of a matrix is np.hypot(re,
+    im), the same libm hypot as Python's abs(complex) (np.abs can differ in
+    the last digit).  Returns how many floats were formatted by Python
+    rather than by the vectorised kernel.
 
-    A (23,29) full-grid image, 444,889 lines in 2041-line blocks, takes
+    A (23,29) full-grid image, 444,889 lines in 4002-line blocks, takes
     about 0.21 s: 0.47 us per line on one core of a 2-vCPU x86-64 machine.
     """
     if shape is None:
@@ -180,68 +186,42 @@ def complex_to_csv(values, path, shape: tuple | None = None) -> int:
         shape, values = values.shape, (values,)
     ndim = len(shape)
     nfloat = 2 if ndim == 1 else 3
-    cols = shape[-1]
+    cols = 1 if ndim == 1 else shape[1]
+    rows = _block_rows(shape[0], cols)
+    size = rows * cols  # lines in the buffers
     index = _index_words(max(shape, default=0))
     iw = index.shape[1]
-    lines = max(1, math.prod(shape))
-    rows = -(-lines // -(-lines // _CSV_BLOCK_ROWS))  # the fewest blocks, the last may be shorter
     width = ndim * iw + nfloat * FIELD_BYTES // 8
-    text = bytearray(8 * rows * width)
-    line = np.frombuffer(text, np.uint64).reshape(rows, width)
-    fields = line[:, ndim * iw :].reshape(rows, nfloat, FIELD_BYTES // 8)
-    floats = np.empty(nfloat * rows)
-    workspace = Workspace(nfloat * rows)
+    text = bytearray(8 * size * width)
+    line = np.frombuffer(text, np.uint64).reshape(size, width)
+    grid = line.reshape(rows, cols, width)
+    fields = line[:, ndim * iw :].reshape(size, nfloat, FIELD_BYTES // 8)
+    if ndim == 2:  # every pass starts a row, so the l column never changes
+        grid[:, :, iw : 2 * iw] = index[:cols]
+    floats = np.empty(nfloat * size)
+    workspace = Workspace(nfloat * size)
     separators = "," * (nfloat - 1) + "\n"
     python = 0
-    start = 0  # flat index of the chunk's first value
+    start = 0  # the row of the next pass
     with open(path, "wb") as fh:
         fh.write(_CSV_HEADER[ndim].encode("ascii") + b"\n")
-        for chunk in _chunks(values, rows):
-            n = chunk.size
-            at = np.arange(start, start + n)
-            start += n
-            if ndim == 1:
-                line[:n, :iw] = index.take(at, axis=0)
-            else:
-                k = at // cols
-                line[:n, :iw] = index.take(k, axis=0)
-                line[:n, iw : 2 * iw] = index.take(at - k * cols, axis=0)
-            columns = floats[: nfloat * n].reshape(nfloat, n)
-            np.copyto(columns[0], chunk.real)
-            np.copyto(columns[1], chunk.imag)
-            if ndim == 2:
-                with np.errstate(invalid="ignore", over="ignore"):  # non-finite values
-                    np.hypot(columns[0], columns[1], out=columns[2])
-            python += format_g17(columns.T, fields[:n], separators, workspace)
-            if n < rows:  # a short last block: the lines past it vanish with the NULs
-                line[n:] = 0
-            fh.write(text.translate(None, b"\0"))
+        for block in values:
+            block = np.asarray(block, dtype=np.complex128).reshape(len(block), cols)
+            for cut in range(0, block.shape[0], rows):
+                chunk = block[cut : cut + rows]
+                r = chunk.shape[0]
+                n = r * cols
+                grid[:r, :, :iw] = index[start : start + r, None]
+                start += r
+                columns = floats[: nfloat * n].reshape(nfloat, r, cols)
+                np.copyto(columns[0], chunk.real)
+                np.copyto(columns[1], chunk.imag)
+                if ndim == 2:
+                    with np.errstate(invalid="ignore", over="ignore"):  # non-finite values
+                        np.hypot(columns[0], columns[1], out=columns[2])
+                python += format_g17(columns.reshape(nfloat, n).T, fields[:n], separators, workspace)
+                fh.write((text if n == size else text[: 8 * n * width]).translate(None, b"\0"))
     return python
-
-
-def _chunks(blocks, size: int):
-    """The values of consecutive blocks, flattened, in slices of `size` (the last may be shorter).
-
-    A slice that spans two blocks is copied, so a caller may reuse a block's
-    buffer once the next block is asked for; whole slices are views.  Every
-    block boundary therefore costs no extra, short slice to format.
-    """
-    carry = np.empty(0, dtype=np.complex128)
-    for block in blocks:
-        flat = np.ascontiguousarray(block, dtype=np.complex128).reshape(-1)
-        if carry.size:
-            head = size - carry.size
-            carry = np.concatenate((carry, flat[:head]))
-            flat = flat[head:]
-            if carry.size < size:
-                continue
-            yield carry
-        whole = flat.size - flat.size % size
-        for start in range(0, whole, size):
-            yield flat[start : start + size]
-        carry = flat[whole:].copy()
-    if carry.size:
-        yield carry
 
 
 def complex_from_csv(path, shape: tuple) -> np.ndarray:

@@ -124,15 +124,13 @@ def to_complex(p: int, mod: Modulus) -> complex:
     return complex(_roots_of_unity(mod.MN)[p % mod.twoMN])
 
 
-def phases_to_complex(p: np.ndarray, mod: Modulus, out: np.ndarray | None = None) -> np.ndarray:
+def phases_to_complex(p: np.ndarray, mod: Modulus) -> np.ndarray:
     """Vectorised to_complex for integer index arrays (reduced mod 2MN).
 
     Both gather from the 2MN roots of unity exp(j*pi*p/MN), computed once per MN.
-    With `out`, a complex array of p's shape, the values are written there.
     """
     idx = np.asarray(p, dtype=np.int64) % mod.twoMN
-    # mode "clip" skips the bounds check (idx is already reduced), so out is not buffered
-    return np.take(_roots_of_unity(mod.MN), idx, out=out, mode="clip")
+    return np.take(_roots_of_unity(mod.MN), idx, mode="clip")  # idx is already reduced
 
 
 @lru_cache(maxsize=16)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .ddcore import PeriodicSequence
 from .errors import AlphaNotCoprime, ConfigurationError, IndexOutOfRange, NotPrimitive
-from .modmath import Modulus, mod_inv
+from .modmath import Modulus, mod_inv, phases_to_complex
 from .symplectic import SL2Element, chain_apply, sl2_factors, sl2_mapping_direction
 
 __all__ = [
@@ -49,11 +49,6 @@ class LineSubgroup:
         object.__setattr__(self, "d", self.d % self.mod.MN)
         if gcd(self.c, self.d) != 1:
             raise NotPrimitive(f"generator ({self.c}, {self.d}) has gcd {gcd(self.c, self.d)}")
-
-    @classmethod
-    def rectangular(cls, mod: Modulus) -> "LineSubgroup":
-        """The (M, N) direction, whose support is the M x N rectangular grid."""
-        return cls(mod, mod.M, mod.N)
 
     def support_set(self) -> set[tuple[int, int]]:
         """All MN distinct (k, l) points of the line."""
@@ -117,8 +112,9 @@ def pulsone(mod: Modulus, k0: int, l0: int) -> PeriodicSequence:
     if not (0 <= k0 < mod.M and 0 <= l0 < mod.N):
         raise IndexOutOfRange(f"need 0 <= k0 < M and 0 <= l0 < N, got ({k0}, {l0})")
     samples = np.zeros(mod.MN, dtype=np.complex128)
-    p = np.arange(mod.N)
-    samples[k0 + p * mod.M] = np.exp(1j * 2 * np.pi * p * l0 / mod.N) / np.sqrt(mod.N)
+    p = np.arange(mod.N, dtype=np.int64)
+    # exp(j*2*pi*p*l0/N) is the phase index 2*M*(p*l0 mod N), reduced before evaluation
+    samples[k0 + p * mod.M] = phases_to_complex(2 * mod.M * (p * l0 % mod.N), mod) / np.sqrt(mod.N)
     return PeriodicSequence(mod, samples)
 
 
@@ -175,19 +171,15 @@ def eigenvector(line: LineSubgroup, index: int) -> PeriodicSequence:
 def crystallization_check(line: LineSubgroup, region: DDRegion) -> bool:
     """True iff translates of the region by the line support are pairwise disjoint.
 
-    Equivalent formulation used here: no nonzero support point falls in the
-    difference set region - region on the torus, which for a rectangle only
-    depends on the two widths.
+    Equivalent formulation used here: no nonzero support point (x*c, x*d),
+    0 < x < MN, falls in the difference set region - region on the torus,
+    which for a rectangle only depends on the two widths: it holds (k, l)
+    iff min(k, MN - k) < width_k and min(l, MN - l) < width_l.
     """
     mod = line.mod
     region.validate(mod)
     mn = mod.MN
-    wk, wl = region.width_k, region.width_l
-    for k, l in line.support_set():
-        if (k, l) == (0, 0):
-            continue
-        hit_k = k <= wk - 1 or mn - k <= wk - 1
-        hit_l = l <= wl - 1 or mn - l <= wl - 1
-        if hit_k and hit_l:
-            return False
-    return True
+    x = np.arange(1, mn, dtype=np.int64)
+    k, l = x * line.c % mn, x * line.d % mn
+    hit = (np.minimum(k, mn - k) < region.width_k) & (np.minimum(l, mn - l) < region.width_l)
+    return not hit.any()

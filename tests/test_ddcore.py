@@ -171,9 +171,12 @@ def _every_kernel_path(shape, seed: int) -> np.ndarray:
 
 
 class TestCsvBlocks:
-    # (61, 37) is 2257 lines and (2500,) 2500: more than one default block, and
-    # neither a multiple of 7 nor of the default, so block edges fall inside rows
-    @pytest.mark.parametrize("block_rows", [1, 7, ddcore._CSV_BLOCK_ROWS])
+    # (61, 37) is 2257 lines and (2500,) 2500, written from blocks of 3 rows and
+    # 333 values.  Every constant below 37 makes one matrix row wider than a
+    # block, so the writer holds one row; 100 and 2048 cut the incoming blocks
+    # into views of 2 and 55 rows (100 and 2048 values); the default takes
+    # every incoming block in one pass
+    @pytest.mark.parametrize("block_rows", [1, 7, 36, 100, 2048, ddcore._CSV_BLOCK_ROWS])
     @pytest.mark.parametrize("shape, step", [((61, 37), 3), ((2500,), 333)], ids=["matrix", "vector"])
     def test_bytes_do_not_depend_on_the_block_size(self, tmp_path, monkeypatch, shape, step, block_rows):
         values = _every_kernel_path(shape, sum(shape))

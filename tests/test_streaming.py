@@ -166,6 +166,33 @@ def test_simulate_holds_no_complex_image(tmp_path):
     assert peak <= 9 * mod.MN**2 + 2_000_000
 
 
+def test_simulate_formats_each_engine_block_in_one_pass(tmp_path, monkeypatch):
+    # the engine's blocks are the writer's: one format_g17 call per block, none re-cut
+    mod = Modulus(23, 29)
+    scene = tmp_path / "scene.json"
+    _scene(scene, mod, DDRegion(0, 22, 0, 28), 5)
+    blocks = formats = 0
+    engine_blocks, format_g17 = ambiguity.FastEngine.blocks, ddcore.format_g17
+
+    def counted_blocks(self):
+        nonlocal blocks
+        for block in engine_blocks(self):
+            blocks += 1
+            yield block
+
+    def counted_format(*args):
+        nonlocal formats
+        formats += 1
+        return format_g17(*args)
+
+    monkeypatch.setattr(ambiguity.FastEngine, "blocks", counted_blocks)
+    monkeypatch.setattr(ddcore, "format_g17", counted_format)
+    argv = ["simulate", "--scene", scene, "--line", "23,29", "--region", "0:22,0:28"]
+    assert run(argv + ["--out", tmp_path / "run"]) == 0
+    assert formats == blocks
+    assert blocks == math.ceil(mod.MN / ddcore._block_rows(mod.MN, mod.MN))
+
+
 @pytest.mark.parametrize("refusal", ["not-crystallized", "over-budget"])
 def test_refused_simulate_leaves_no_output(tmp_path, monkeypatch, capsys, refusal):
     mod = Modulus(3, 5)

@@ -5,6 +5,7 @@ from ddradar.ambiguity import cross_ambiguity_naive
 from ddradar.ddcore import inner
 from ddradar.errors import AlphaNotCoprime, ConfigurationError, IndexOutOfRange, NotPrimitive
 from ddradar.heisenberg import HeisenbergElement, apply_td, commutes
+from ddradar.modmath import Modulus, phases_to_complex
 from ddradar.subgroups import (
     DDRegion,
     LineSubgroup,
@@ -30,15 +31,18 @@ def random_primitive_lines(mod, rng, count):
 
 
 def brute_force_crystallized(line, region):
-    """Oracle: materialise every translate of the region and test pairwise disjointness."""
+    """Oracle: lay every translate of the region on the torus, point by point, and
+    report whether any point is covered twice (translates are pairwise disjoint)."""
     mn = line.mod.MN
     cell = {(k % mn, l % mn) for k, l in region.points()}
-    translates = [
-        frozenset(((k + sk) % mn, (l + sl) % mn) for k, l in cell)
-        for sk, sl in line.support_set()
-    ]
-    union = set().union(*translates)
-    return len(union) == sum(len(t) for t in translates)
+    covered = set()
+    for sk, sl in line.support_set():
+        for k, l in cell:
+            point = ((k + sk) % mn, (l + sl) % mn)
+            if point in covered:
+                return False
+            covered.add(point)
+    return True
 
 
 class TestLineSubgroup:
@@ -122,6 +126,18 @@ class TestPulsone:
     def test_index_out_of_range(self, mod15):
         with pytest.raises(IndexOutOfRange):
             pulsone(mod15, 3, 0)
+
+    @pytest.mark.parametrize("M, N", [(19, 23), (61, 67)])
+    def test_phases_come_from_the_ring(self, M, N):
+        # exp(j*2*pi*p*l0/N) is reduced to the index 2*M*(p*l0 mod N) first, so entry
+        # p of pulsone l0 is bit for bit entry p*l0 mod N of pulsone 1
+        mod = Modulus(M, N)
+        p = np.arange(N)
+        ones = pulsone(mod, 2, 1).samples[2::M]
+        for l0 in range(N):
+            entries = pulsone(mod, 2, l0).samples[2::M]
+            np.testing.assert_array_equal(entries, ones[p * l0 % N])
+            np.testing.assert_array_equal(entries, phases_to_complex(2 * M * (p * l0 % N), mod) / np.sqrt(N))
 
 
 class TestChirp:
@@ -226,11 +242,19 @@ class TestCrystallization:
         assert crystallization_check(line, DDRegion(-1, 1, -2, 2))
         assert not crystallization_check(line, DDRegion(-2, 1, -2, 2))
 
-    @pytest.mark.parametrize("c, d", [(3, 5), (1, 4), (1, 0), (2, 1)])
-    def test_matches_brute_force_all_widths(self, mod15, c, d):
-        line = LineSubgroup(mod15, c, d)
-        for wk in range(1, 16):
-            for wl in range(1, 16):
+    @pytest.mark.parametrize("M, N, c, d", [
+        pytest.param(3, 5, 3, 5, id="3-5"),
+        pytest.param(3, 5, 1, 4, id="1-4"),
+        pytest.param(3, 5, 1, 0, id="1-0"),
+        pytest.param(3, 5, 2, 1, id="2-1"),
+        pytest.param(5, 7, 5, 7, id="5x7-5-7"),
+        pytest.param(5, 7, 5, 1, id="5x7-5-1"),
+        pytest.param(5, 7, 1, 6, id="5x7-1-6"),
+    ])
+    def test_matches_brute_force_all_widths(self, M, N, c, d):
+        line = LineSubgroup(Modulus(M, N), c, d)
+        for wk in range(1, M * N + 1):
+            for wl in range(1, M * N + 1):
                 region = DDRegion(0, wk - 1, 0, wl - 1)
                 assert crystallization_check(line, region) == brute_force_crystallized(line, region), (
                     wk,
