@@ -25,8 +25,6 @@ from .heisenberg import (
     HeisenbergElement,
     apply_dd,
     apply_td,
-    commutator_phase,
-    commutes,
     compose,
     inverse,
 )
@@ -54,7 +52,6 @@ from .symplectic import (
     lfm_apply,
     papr_db,
     remap_for,
-    sl2_apply,
 )
 
 __version__ = "0.1.0"

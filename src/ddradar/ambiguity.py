@@ -44,7 +44,7 @@ from math import gcd
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .ddcore import PeriodicSequence, _block_rows, complex_from_csv, complex_to_csv
+from .ddcore import PeriodicSequence, _block_bytes, _block_rows, complex_from_csv, complex_to_csv
 from .errors import (
     BadRoot,
     ConfigurationError,
@@ -158,11 +158,6 @@ def _lag_product_rows(xa: np.ndarray, ya: np.ndarray, nk: int, nl: int, reduce) 
         rows = slice(start, start + _BLOCK_ROWS)
         out[rows] = reduce(shifted[rows] * yc)
     return out
-
-
-def _engine_block_bytes(nk: int, nl: int) -> int:
-    """Bytes of one fast-engine block of an nk x nl grid: _block_rows(nk, nl) complex rows."""
-    return 16 * nl * _block_rows(nk, nl)
 
 
 def _check_budget(need: int, what: str) -> None:
@@ -415,8 +410,8 @@ def fast_cross_ambiguity(
     oracle to rounding error.
     """
     nk, nl = _grid_shape(x.mod, grid)
-    # the output plus one engine block
-    _check_budget(16 * nk * nl + _engine_block_bytes(nk, nl), f"a {nk} x {nl} fast surface")
+    # the output plus one engine block; no CSV is written
+    _check_budget(16 * nk * nl + _block_bytes((nk, nl), csv=False), f"a {nk} x {nl} fast surface")
     engine = FastEngine(x, k0, l0, period, gamma, transform=transform, grid=grid)
     out = np.empty((nk, nl), dtype=np.complex128)
     step = _block_rows(nk, nl)
@@ -447,7 +442,9 @@ def zc_sequence(root: int, L: int) -> np.ndarray:
     """Odd-length Zadoff-Chu sequence z[n] = exp(-j*pi*root*n*(n+1)/L)/sqrt(L).
 
     Constant amplitude with zero periodic autocorrelation at every nonzero
-    lag; requires odd L and gcd(root, L) = 1.
+    lag; requires odd L and gcd(root, L) = 1.  The exponent root*n*(n+1) is
+    reduced mod 2L and gathered, negated, from the 2L roots of unity
+    exp(j*pi*p/L), the table the direct sums read.
     """
     if L < 1 or L % 2 == 0:
         raise BadRoot(f"length must be odd and positive, got {L}")
@@ -455,7 +452,7 @@ def zc_sequence(root: int, L: int) -> np.ndarray:
         raise BadRoot(f"root {root} shares a factor with length {L}")
     n = np.arange(L, dtype=np.int64)
     expo = (root * (n * (n + 1) % (2 * L))) % (2 * L)
-    return np.exp(-1j * np.pi * expo / L) / np.sqrt(L)
+    return _roots_of_unity(L)[(-expo) % (2 * L)] / np.sqrt(L)
 
 
 def coded_waveform(z: np.ndarray, chip: np.ndarray) -> np.ndarray:
@@ -496,19 +493,19 @@ def surface_from_csv(path, mod: Modulus, grid: str) -> AmbiguitySurface:
     return AmbiguitySurface(mod, grid, complex_from_csv(path, _grid_shape(mod, grid)))
 
 
-def surface_to_pgm(
-    values: np.ndarray, path, scale: str = "linear", floor: float = -120.0, *, in_place: bool = False
-) -> None:
+def surface_to_pgm(values: np.ndarray, path, scale: str = "linear", floor: float = -120.0) -> None:
     """8-bit binary PGM of |values|; rows are delay k, columns Doppler l.
 
     linear: 0..255 spans 0..max|A|.  db: 0..255 spans floor..0 dB relative
     to the surface peak, clamping below the floor; the floor must be a finite
-    negative number.  With in_place=True, `values` is a float64 array of the
-    magnitudes, which serves as the work buffer and is overwritten.
+    negative number.
     """
     _check_scale(scale, floor)
-    # the one float buffer: each step below is computed in place in it
-    mags = values if in_place else np.abs(np.asarray(values)).astype(np.float64, copy=False)
+    _write_pgm(np.abs(np.asarray(values)).astype(np.float64, copy=False), path, scale, floor)
+
+
+def _write_pgm(mags: np.ndarray, path, scale: str, floor: float) -> None:
+    """The PGM of the float64 magnitudes `mags`, whose buffer each pixel step overwrites."""
     peak = mags.max()
     if peak == 0.0:
         mags.fill(0.0)
@@ -535,10 +532,11 @@ def check_stream_budget(shape: tuple[int, int]) -> None:
     """Refuse with OverBudget when write_surface over `shape` would exceed the budget.
 
     It holds 9 bytes per point, the float64 magnitudes and the uint8 pixels,
-    plus one engine block of complex values (_engine_block_bytes).
+    plus one streamed block (ddcore._block_bytes): the engine's values and
+    query arrays, and the CSV writer's text, float and workspace buffers.
     """
     nk, nl = shape
-    need = 9 * nk * nl + _engine_block_bytes(nk, nl)
+    need = 9 * nk * nl + _block_bytes(shape)
     _check_budget(need, f"writing a {nk} x {nl} surface")
 
 
@@ -563,7 +561,7 @@ def write_surface(blocks, shape: tuple[int, int], csv_path, pgm_path,
             yield block
 
     surface_to_csv(measured(), csv_path, shape)
-    surface_to_pgm(mags, pgm_path, scale, floor, in_place=True)
+    _write_pgm(mags, pgm_path, scale, floor)
 
 
 def _check_scale(scale: str, floor: float) -> None:

@@ -141,10 +141,11 @@ def idzt(X: QuasiPeriodicArray) -> PeriodicSequence:
 _CSV_HEADER = {1: "n,re,im", 2: "k,l,re,im,abs"}
 # Grid points (CSV lines) in one block, from the fast engine that forms them
 # to the writer that formats them: the one block size of a streamed surface.
-# A block costs the engine about 16 bytes per point plus its int64 query
-# temporaries, and the writer about 334 bytes per matrix line (112 of text,
-# 24 of floats, 198 of kernel workspace), so about 1.4 MB at 4096.
 _CSV_BLOCK_ROWS = 4096
+# Bytes per point of one fast-engine block: 16 for its complex values and 112
+# for the int64 index and phase arrays its query holds at once (the tracemalloc
+# peak of a row block is at most 105 per point, on a two-label chain).
+_ENGINE_POINT_BYTES = 128
 
 
 def _block_rows(nk: int, nl: int) -> int:
@@ -152,11 +153,31 @@ def _block_rows(nk: int, nl: int) -> int:
     return max(1, min(nk, _CSV_BLOCK_ROWS // max(nl, 1)))
 
 
-def _index_words(count: int) -> np.ndarray:
-    """The text "i," for i in range(count), NUL padded to whole uint64 words."""
-    width = -(-(len(str(max(count - 1, 0))) + 1) // 8) * 8
-    text = np.array([f"{i}," for i in range(count)], dtype=f"S{width}")
-    return text.view(np.uint64).reshape(count, width // 8)
+def _csv_layout(shape: tuple) -> tuple[int, int, int, int, int]:
+    """complex_to_csv's buffers for an array of `shape`: floats per line, columns,
+    rows per block, uint64 words per index, and words per line."""
+    nfloat, cols = (2, 1) if len(shape) == 1 else (3, shape[1])
+    iw = (len(str(max(max(shape, default=0) - 1, 0))) + 8) // 8  # "i," NUL padded
+    return nfloat, cols, _block_rows(shape[0], cols), iw, len(shape) * iw + nfloat * FIELD_BYTES // 8
+
+
+def _block_bytes(shape: tuple, csv: bool = True) -> int:
+    """Bytes one streamed block of a surface of `shape` holds: the engine's block and,
+    with `csv`, what complex_to_csv allocates for it: the index words, and per
+    line its text three times (laid out, cut for a short block, without NULs),
+    its floats and their floatfmt.Workspace: 558 bytes per line of a grid of
+    under 10^7 rows."""
+    nfloat, cols, rows, iw, width = _csv_layout(shape)
+    need = _ENGINE_POINT_BYTES * rows * cols
+    if csv:
+        need += 8 * iw * max(shape) + rows * cols * (24 * width + nfloat * (8 + Workspace.FLOAT_BYTES))
+    return need
+
+
+def _index_words(count: int, words: int) -> np.ndarray:
+    """The text "i," for i in range(count), NUL padded to `words` uint64 words."""
+    text = np.array([f"{i}," for i in range(count)], dtype=f"S{8 * words}")
+    return text.view(np.uint64).reshape(count, words)
 
 
 def complex_to_csv(values, path, shape: tuple | None = None) -> int:
@@ -185,13 +206,9 @@ def complex_to_csv(values, path, shape: tuple | None = None) -> int:
         values = np.asarray(values)
         shape, values = values.shape, (values,)
     ndim = len(shape)
-    nfloat = 2 if ndim == 1 else 3
-    cols = 1 if ndim == 1 else shape[1]
-    rows = _block_rows(shape[0], cols)
+    nfloat, cols, rows, iw, width = _csv_layout(shape)
     size = rows * cols  # lines in the buffers
-    index = _index_words(max(shape, default=0))
-    iw = index.shape[1]
-    width = ndim * iw + nfloat * FIELD_BYTES // 8
+    index = _index_words(max(shape, default=0), iw)
     text = bytearray(8 * size * width)
     line = np.frombuffer(text, np.uint64).reshape(size, width)
     grid = line.reshape(rows, cols, width)

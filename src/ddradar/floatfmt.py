@@ -164,6 +164,8 @@ class Workspace:
     8-byte word per float and two boolean masks, 66 bytes per float.
     """
 
+    FLOAT_BYTES = 8 * _ROWS + 2
+
     def __init__(self, size: int) -> None:
         self.size = size
         self._words = np.empty(_ROWS * size, np.uint64)

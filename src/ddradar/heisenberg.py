@@ -21,8 +21,6 @@ __all__ = [
     "HeisenbergElement",
     "apply_dd",
     "apply_td",
-    "commutator_phase",
-    "commutes",
     "compose",
     "inverse",
 ]
@@ -94,13 +92,3 @@ def compose(h1: HeisenbergElement, h2: HeisenbergElement) -> HeisenbergElement:
 def inverse(h: HeisenbergElement) -> HeisenbergElement:
     """Inverse element (-k, -l, 2*l*k - phase)."""
     return HeisenbergElement(h.mod, -h.k, -h.l, 2 * h.l * h.k - h.phase)
-
-
-def commutes(h1: HeisenbergElement, h2: HeisenbergElement) -> bool:
-    """True iff the symplectic form l1*k2 - l2*k1 vanishes mod MN."""
-    return (h1.l * h2.k - h2.l * h1.k) % h1.mod.MN == 0
-
-
-def commutator_phase(h1: HeisenbergElement, h2: HeisenbergElement) -> int:
-    """Phase index with compose(h1, h2) = that phase times compose(h2, h1)."""
-    return (2 * (h1.l * h2.k - h2.l * h1.k)) % h1.mod.twoMN

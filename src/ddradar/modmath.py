@@ -21,10 +21,8 @@ from .errors import ConfigurationError, NotInvertible
 __all__ = [
     "Modulus",
     "crt_join",
-    "gcd",
     "is_prime",
     "mod_inv",
-    "phase_from_whole",
     "phase_mul",
     "phases_to_complex",
     "to_complex",
@@ -112,11 +110,6 @@ def crt_join(a: int, b: int, mod: Modulus) -> int:
 def phase_mul(p1: int, p2: int, mod: Modulus) -> int:
     """Product of unit phases: index addition mod 2MN."""
     return (p1 + p2) % mod.twoMN
-
-
-def phase_from_whole(m: int, mod: Modulus) -> int:
-    """Embed a whole phase exp(j*2*pi*m/MN) as index 2m."""
-    return (2 * m) % mod.twoMN
 
 
 def to_complex(p: int, mod: Modulus) -> complex:

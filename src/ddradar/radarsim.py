@@ -175,7 +175,9 @@ def readout_targets(
     magnitude cut and must be finite and positive (ValidationError
     otherwise); None means half the strongest magnitude in the region.  A
     region whose strongest magnitude is 0 holds no targets.  Coordinates are
-    returned reduced mod MN, sorted by (k, l).
+    returned reduced mod MN, sorted by (k, l).  The region's points are read
+    in one query, and magnitudes are np.hypot(re, im), bit for bit Python's
+    abs(complex).
     """
     if threshold is not None and not (math.isfinite(threshold) and threshold > 0):
         raise ValidationError(f"readout threshold must be finite and positive, got {threshold}")
@@ -193,15 +195,20 @@ def readout_targets(
     else:
         query = image.points
     mn = line.mod.MN
-    keys = sorted({(k % mn, l % mn) for k, l in region.points()})
-    ks, ls = np.array(keys, dtype=np.int64).T
-    values = [complex(v) for v in query(ks, ls)]
-    peak = max(abs(v) for v in values)
+    # the region's residues per axis, distinct because validate() bounds each
+    # width by MN; their outer product, row-major, is the (k, l) sort
+    ks = np.sort(np.arange(region.k_min, region.k_max + 1, dtype=np.int64) % mn)
+    ls = np.sort(np.arange(region.l_min, region.l_max + 1, dtype=np.int64) % mn)
+    values = query(ks[:, None], ls[None, :]).ravel()
+    mags = np.hypot(values.real, values.imag)  # bit for bit abs(complex)
+    peak = mags.max()
     if peak == 0.0:
         return []
     if threshold is None:
         threshold = 0.5 * peak
-    return [(k, l, v) for (k, l), v in zip(keys, values) if abs(v) >= threshold]
+    hits = np.flatnonzero(mags >= threshold)
+    return [(int(k), int(l), complex(v)) for k, l, v in
+            zip(ks[hits // ls.size], ls[hits % ls.size], values[hits])]
 
 
 # ---------------------------------------------------------------------------

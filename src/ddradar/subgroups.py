@@ -50,14 +50,6 @@ class LineSubgroup:
         if gcd(self.c, self.d) != 1:
             raise NotPrimitive(f"generator ({self.c}, {self.d}) has gcd {gcd(self.c, self.d)}")
 
-    def support_set(self) -> set[tuple[int, int]]:
-        """All MN distinct (k, l) points of the line."""
-        mn = self.mod.MN
-        points = {((x * self.c) % mn, (x * self.d) % mn) for x in range(mn)}
-        if len(points) != mn:  # cannot happen for a primitive generator
-            raise NotPrimitive(f"generator ({self.c}, {self.d}) spans only {len(points)} points")
-        return points
-
     def contains(self, k: int, l: int) -> bool:
         """O(1) membership: (k, l) is on the line iff k*d = l*c mod MN."""
         return (k * self.d - l * self.c) % self.mod.MN == 0
@@ -98,11 +90,6 @@ class DDRegion:
         if self.width_k > mod.MN or self.width_l > mod.MN:
             raise ConfigurationError(f"region wider than MN = {mod.MN}: {self}")
 
-    def points(self):
-        for k in range(self.k_min, self.k_max + 1):
-            for l in range(self.l_min, self.l_max + 1):
-                yield k, l
-
 
 def pulsone(mod: Modulus, k0: int, l0: int) -> PeriodicSequence:
     """Impulse train v[k0 + p*M] = (1/sqrt(N)) * exp(j*2*pi*p*l0/N), zero elsewhere.
@@ -122,14 +109,15 @@ def chirp(mod: Modulus, alpha: int, beta: int = 0, gamma: int = 0) -> PeriodicSe
     """Constant-modulus quadratic-phase sequence exp(j*2*pi*(a*n^2+b*n+g)/MN)/sqrt(MN).
 
     The common eigenvector family of the slope-2*alpha line; needs
-    gcd(alpha, MN) = 1.
+    gcd(alpha, MN) = 1.  The exponent is reduced mod MN and its phase index
+    2*expo gathered from the 2MN roots of unity (modmath.phases_to_complex).
     """
     if gcd(alpha, mod.MN) != 1:
         raise AlphaNotCoprime(f"alpha = {alpha} shares a factor with MN = {mod.MN}")
     alpha, beta, gamma = alpha % mod.MN, beta % mod.MN, gamma % mod.MN
     n = np.arange(mod.MN, dtype=np.int64)
     expo = (alpha * (n * n % mod.MN) + beta * n + gamma) % mod.MN
-    return PeriodicSequence(mod, np.exp(1j * 2 * np.pi * expo / mod.MN) / np.sqrt(mod.MN))
+    return PeriodicSequence(mod, phases_to_complex(2 * expo, mod) / np.sqrt(mod.MN))
 
 
 def pulsone_chain(line: LineSubgroup, index: int) -> tuple:

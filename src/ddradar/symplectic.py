@@ -48,7 +48,6 @@ __all__ = [
     "lfm_apply",
     "papr_db",
     "remap_for",
-    "sl2_apply",
     "sl2_factors",
     "sl2_mapping_direction",
 ]
@@ -80,11 +79,6 @@ class SL2Element:
     def lfm(cls, mod: Modulus, A: int) -> "SL2Element":
         """Label of the rate-A quadratic phase multiplier: [[1, 0], [2A, 1]]."""
         return cls(mod, 1, 0, 2 * A, 1)
-
-    @classmethod
-    def dft(cls, mod: Modulus) -> "SL2Element":
-        """Label of the unitary DFT: [[0, 1], [-1, 0]]."""
-        return cls(mod, 0, 1, -1, 0)
 
     def matmul(self, other: "SL2Element") -> "SL2Element":
         if self.mod != other.mod:
@@ -176,11 +170,6 @@ def sl2_factors(g: SL2Element) -> tuple[SL2Element, ...]:
         raise DetNotOne(f"no admissible shear found for {g}")
     shear = SL2Element(mod, 1, x0, 0, 1)
     return shear.matmul(g), shear.inverse()
-
-
-def sl2_apply(g: SL2Element, x: PeriodicSequence) -> PeriodicSequence:
-    """Apply a unitary realising any determinant-1 label g: the GDAFTs of sl2_factors(g)."""
-    return chain_apply(sl2_factors(g), x)
 
 
 def chain_apply(labels: tuple[SL2Element, ...], x: PeriodicSequence) -> PeriodicSequence:

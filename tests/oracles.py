@@ -6,10 +6,45 @@ from math import gcd
 import numpy as np
 
 from ddradar.ddcore import PeriodicSequence, QuasiPeriodicArray
-from ddradar.errors import BNotCoprime
+from ddradar.errors import BNotCoprime, NotPrimitive
+from ddradar.heisenberg import HeisenbergElement
 from ddradar.modmath import Modulus, mod_inv, phases_to_complex
 from ddradar.subgroups import LineSubgroup, eigenvector
-from ddradar.symplectic import SL2Element
+from ddradar.symplectic import SL2Element, chain_apply, sl2_factors
+
+
+def phase_from_whole(m: int, mod: Modulus) -> int:
+    """Embed a whole phase exp(j*2*pi*m/MN) as index 2m."""
+    return (2 * m) % mod.twoMN
+
+
+def commutes(h1: HeisenbergElement, h2: HeisenbergElement) -> bool:
+    """True iff the symplectic form l1*k2 - l2*k1 vanishes mod MN."""
+    return (h1.l * h2.k - h2.l * h1.k) % h1.mod.MN == 0
+
+
+def commutator_phase(h1: HeisenbergElement, h2: HeisenbergElement) -> int:
+    """Phase index with compose(h1, h2) = that phase times compose(h2, h1)."""
+    return (2 * (h1.l * h2.k - h2.l * h1.k)) % h1.mod.twoMN
+
+
+def support_set(line: LineSubgroup) -> set[tuple[int, int]]:
+    """All MN distinct (k, l) points of the line."""
+    mn = line.mod.MN
+    points = {((x * line.c) % mn, (x * line.d) % mn) for x in range(mn)}
+    if len(points) != mn:  # cannot happen for a primitive generator
+        raise NotPrimitive(f"generator ({line.c}, {line.d}) spans only {len(points)} points")
+    return points
+
+
+def dft_label(mod: Modulus) -> SL2Element:
+    """Label of the unitary DFT: [[0, 1], [-1, 0]]."""
+    return SL2Element(mod, 0, 1, -1, 0)
+
+
+def sl2_apply(g: SL2Element, x: PeriodicSequence) -> PeriodicSequence:
+    """Apply a unitary realising any determinant-1 label g: the GDAFTs of sl2_factors(g)."""
+    return chain_apply(sl2_factors(g), x)
 
 
 def dzt_direct(x: PeriodicSequence) -> QuasiPeriodicArray:

@@ -7,6 +7,7 @@ from ddradar import ambiguity
 from ddradar.ambiguity import (
     UNIMODULAR_THRESHOLD,
     AmbiguitySurface,
+    FastEngine,
     coded_waveform,
     cross_ambiguity_array,
     cross_ambiguity_fft,
@@ -25,9 +26,9 @@ from ddradar.ambiguity import (
 )
 from ddradar.ddcore import PeriodicSequence
 from ddradar.errors import BadRoot, ConfigurationError, EmptyChip, OverBudget
-from ddradar.modmath import Modulus
+from ddradar.modmath import Modulus, _roots_of_unity
 from ddradar.radarsim import ScatteringEnvironment, predicted_image
-from ddradar.subgroups import LineSubgroup, chirp, pulsone, pulsone_chain
+from ddradar.subgroups import LineSubgroup, chirp, eigenvector, pulsone, pulsone_chain
 from ddradar.symplectic import SL2Element, chain_apply, gdaft_apply, lfm_apply
 from conftest import rand_unit_seq
 from oracles import ambiguity_sum, pgm_bytes
@@ -124,7 +125,7 @@ class TestLagProductKernel:
     "route, need",
     [
         ("fft", 16 * 15 * (15 + 64)),  # output plus one block
-        ("fast", 16 * 15 * (15 + 15)),  # output plus one engine block, all 15 rows
+        ("fast", 16 * 15 * 15 + 128 * 15 * 15),  # output plus one engine block, all 15 rows
         ("predicted", 32 * 15 * 15),  # output plus one gathered surface
     ],
 )
@@ -300,6 +301,32 @@ def test_full_grid_engine_memory(M, N, chain):
     assert peak <= 16 * mod.MN**2 + 4_000_000
 
 
+@pytest.mark.parametrize("M, N", [(127, 131), (251, 257)])
+def test_engine_is_exact_at_scale(M, N):
+    """Sampled FastEngine points of the rectangular, a coprime-slope and a transported
+    line's eigenvector, against direct sums in np.longdouble, for a random return."""
+    mod = Modulus(M, N)
+    mn = mod.MN
+    rng = np.random.default_rng(mn)
+    y = rand_unit_seq(mod, rng)
+    n = np.arange(mn)
+    angle = 8 * np.arctan(np.longdouble(1)) * np.arange(mn, dtype=np.longdouble) / mn
+    turns = np.cos(angle) - 1j * np.sin(angle)  # exp(-j*2*pi*r/MN) in extended precision
+    x = y.samples.astype(np.clongdouble)
+    for c, d in ((M, N), (1, 2), (M, 1)):
+        line = LineSubgroup(mod, c, d)
+        index = int(rng.integers(mn))
+        base, labels = pulsone_chain(line, index)
+        assert len(labels) == {(M, N): 0, (1, 2): 1, (M, 1): 2}[(c, d)]
+        engine = FastEngine(y, *base, transform=labels, grid="full")
+        ref = np.conj(eigenvector(line, index).samples).astype(np.clongdouble)
+        K, L = rng.integers(0, mn, (2, 24))
+        for k, l, got in zip(K, L, engine.points(K, L)):
+            lag = (n - k) % mn
+            want = np.sum(x * ref[lag] * turns[l * lag % mn])
+            assert abs(got - complex(want)) < 1e-10, (c, d, k, l)
+
+
 class TestMoyal:
     def test_self_residual_small(self, mod15):
         rng = np.random.default_rng(10)
@@ -332,6 +359,27 @@ class TestMoyal:
 
 
 class TestZadoffChu:
+    @pytest.mark.parametrize("L", [667, 4087])
+    def test_phases_come_from_the_ring(self, L):
+        # root*n*(n+1) is reduced mod 2L in exact integers, then gathered negated
+        for root in (1, 2, L - 3):
+            expo = [-(root * n * (n + 1)) % (2 * L) for n in range(L)]
+            want = _roots_of_unity(L)[np.array(expo)] / np.sqrt(L)
+            np.testing.assert_array_equal(zc_sequence(root, L), want)
+
+    @pytest.mark.parametrize("M, N", [(61, 67), (251, 257)])
+    def test_against_mpmath(self, M, N):
+        mpmath = pytest.importorskip("mpmath")
+        L = M * N
+        z = zc_sequence(7, L)
+        worst = 0.0
+        with mpmath.workdps(30):
+            scale = 1 / mpmath.sqrt(L)
+            for n in map(int, np.random.default_rng(L).choice(L, size=1500, replace=False)):
+                want = mpmath.expjpi(-mpmath.mpf(7 * n * (n + 1) % (2 * L)) / L) * scale
+                worst = max(worst, float(abs(mpmath.mpc(z[n]) - want)))
+        assert worst <= 1e-15
+
     def test_frozen_length_three(self):
         z = zc_sequence(1, 3)
         expected = np.array([1.0, np.exp(-2j * np.pi / 3), 1.0]) / np.sqrt(3)

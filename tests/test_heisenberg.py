@@ -7,13 +7,12 @@ from ddradar.heisenberg import (
     HeisenbergElement,
     apply_dd,
     apply_td,
-    commutator_phase,
-    commutes,
     compose,
     inverse,
 )
 from ddradar.modmath import Modulus, to_complex
 from conftest import op_matrix, rand_unit_seq
+from oracles import commutator_phase, commutes
 
 
 class TestApplyTd:

@@ -10,11 +10,11 @@ from ddradar.modmath import (
     crt_join,
     is_prime,
     mod_inv,
-    phase_from_whole,
     phase_mul,
     to_complex,
 )
 from conftest import roots_of_unity_sum
+from oracles import phase_from_whole
 
 
 class TestModulus:

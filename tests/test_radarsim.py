@@ -3,7 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from ddradar.ambiguity import cross_ambiguity_fft, cross_ambiguity_naive, fast_cross_ambiguity
+from ddradar.ambiguity import (
+    AmbiguitySurface,
+    FastEngine,
+    cross_ambiguity_fft,
+    cross_ambiguity_naive,
+    fast_cross_ambiguity,
+)
 from ddradar.ddcore import PeriodicSequence
 from ddradar.errors import (
     ConfigurationError,
@@ -12,7 +18,9 @@ from ddradar.errors import (
     ValidationError,
     ZeroSignal,
 )
+from ddradar.modmath import Modulus
 from ddradar.radarsim import (
+    RadarImage,
     ScatteringEnvironment,
     add_noise,
     apply_channel,
@@ -22,7 +30,7 @@ from ddradar.radarsim import (
     scene_from_json,
     scene_to_json,
 )
-from ddradar.subgroups import DDRegion, LineSubgroup, pulsone
+from ddradar.subgroups import DDRegion, LineSubgroup, crystallization_check, pulsone
 from ddradar.symplectic import SL2Element, gdaft_apply
 from conftest import rand_unit_seq
 
@@ -233,6 +241,39 @@ class TestReadout:
         img = form_image(apply_channel(env, x), x, grid="full")
         with pytest.raises(NotCrystallized):
             readout_targets(img, LineSubgroup(mod15, 3, 5), DDRegion(0, 3, 0, 4))
+
+    @pytest.mark.parametrize("source", ["surface", "engine"])
+    def test_matches_the_sorted_set_of_region_keys(self, source):
+        """On random crystallized regions, with negative bounds and bounds past MN,
+        the list is the one a sorted set of (k mod MN, l mod MN) keys gives."""
+        mod = Modulus(5, 7)
+        mn = mod.MN
+        rng = np.random.default_rng(12)
+        engine = FastEngine(rand_unit_seq(mod, rng), 1, 2, grid="full")
+        values = engine.rows(0, mn)
+        img = engine if source == "engine" else RadarImage(AmbiguitySurface(mod, "full", values))
+        lines = [LineSubgroup(mod, c, d) for c, d in ((5, 7), (1, 2), (5, 1), (1, 0), (0, 1))]
+        checked = wrapped = negative = 0
+        while checked < 80:
+            line = lines[int(rng.integers(len(lines)))]
+            wk, wl = (int(w) for w in rng.choice([1, 2, 3, 5, 7, mn - 1, mn], 2))
+            k_min, l_min = (int(v) for v in rng.integers(-2 * mn, 2 * mn, 2))
+            region = DDRegion(k_min, k_min + wk - 1, l_min, l_min + wl - 1)
+            if not crystallization_check(line, region):
+                continue
+            checked += 1
+            wrapped += (region.k_min // mn != region.k_max // mn) or (region.l_min // mn != region.l_max // mn)
+            negative += region.k_min < 0 or region.l_min < 0
+            keys = sorted({(k % mn, l % mn) for k in range(region.k_min, region.k_max + 1)
+                           for l in range(region.l_min, region.l_max + 1)})
+            found = [complex(values[k, l]) for k, l in keys]
+            for threshold in (None, 0.1):
+                cut = 0.5 * max(abs(v) for v in found) if threshold is None else threshold
+                want = [(k, l, v) for (k, l), v in zip(keys, found) if abs(v) >= cut]
+                got = readout_targets(img, line, region, threshold)
+                assert got == want
+                assert all(type(k) is int and type(l) is int and type(v) is complex for k, l, v in got)
+        assert wrapped >= 10 and negative >= 10
 
     def test_monte_carlo_detection(self, mod15):
         # 20 dB SNR, four unit-magnitude taps, absolute threshold 0.5

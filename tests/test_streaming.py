@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from ddradar import ambiguity, ddcore
-from ddradar.ambiguity import fast_cross_ambiguity, surface_to_csv, surface_to_pgm
+from ddradar.ambiguity import FastEngine, fast_cross_ambiguity, surface_to_csv, surface_to_pgm
 from ddradar.cli import _build_parser, main, parse_waveform_spec
+from ddradar.ddcore import PeriodicSequence
 from ddradar.modmath import Modulus
 from ddradar.radarsim import add_noise, apply_channel, form_image, readout_targets, scene_from_json
 from ddradar.subgroups import DDRegion, LineSubgroup, crystallization_check, eigenvector, pulsone_chain
@@ -193,13 +194,55 @@ def test_simulate_formats_each_engine_block_in_one_pass(tmp_path, monkeypatch):
     assert blocks == math.ceil(mod.MN / ddcore._block_rows(mod.MN, mod.MN))
 
 
+@pytest.mark.parametrize("shape", [(15, 15), (667, 667), (29, 667), (667, 29), (2500,)],
+                         ids=["15x15", "667x667", "29x667", "667x29", "2500"])
+def test_block_bytes_cover_the_csv_writer(tmp_path, shape):
+    """The budget's CSV share is at least the writer's tracemalloc peak, and less than twice it."""
+    rows = ddcore._block_rows(shape[0], shape[1] if len(shape) == 2 else 1)
+    rng = np.random.default_rng(9)
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def peak():
+        blocks = (values[start : start + rows] for start in range(0, shape[0], rows))
+        tracemalloc.start()
+        try:
+            ddcore.complex_to_csv(blocks, tmp_path / "s.csv", shape)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak()  # builds the formatter's cached tables
+    writer = ddcore._block_bytes(shape) - ddcore._block_bytes(shape, csv=False)
+    assert writer / 2 < peak() <= writer
+
+
+@pytest.mark.parametrize("M, N", [(11, 13), (61, 67)])
+def test_block_bytes_cover_an_engine_block(M, N):
+    """One FastEngine block, its buffer and its query's index arrays, fits the budget's engine share."""
+    mod = Modulus(M, N)
+    y = PeriodicSequence(mod, np.random.default_rng(M).standard_normal(mod.MN) + 0j)
+    for c, d in ((M, N), (1, 4), (M, 1), (1, 0)):  # 0, 1, 2 and 2 labels, the last with a 2-D phase
+        base, labels = pulsone_chain(LineSubgroup(mod, c, d), 5)
+        engine = FastEngine(y, *base, transform=labels, grid="full")
+        engine.points(0, 0)  # the roots table, built once per MN
+        tracemalloc.start()
+        try:
+            next(engine.blocks())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ddcore._block_bytes(engine.shape, csv=False), (c, d)
+
+
 @pytest.mark.parametrize("refusal", ["not-crystallized", "over-budget"])
 def test_refused_simulate_leaves_no_output(tmp_path, monkeypatch, capsys, refusal):
     mod = Modulus(3, 5)
     scene = tmp_path / "scene.json"
     _scene(scene, mod, DDRegion(0, 2, 0, 4), 3)
-    # the streamed image: 9 bytes per point plus one block of the 15 x 15 grid
-    need = 9 * 15 * 15 + 16 * 15 * 15
+    # the streamed image: 9 bytes per point plus one block of the 15 x 15 grid, whose
+    # 225 points cost the engine 128 bytes each and the CSV writer 15 index words
+    # and 558 bytes a line (three copies of 14 text words, 3 floats and workspace)
+    need = 9 * 15 * 15 + 128 * 15 * 15 + 8 * 15 + 15 * 15 * (3 * 8 * 14 + 3 * (8 + 66))
     argv = ["simulate", "--scene", scene, "--line", "3,5", "--region", "0:2,0:4"]
     if refusal == "not-crystallized":
         argv[-1] = "0:3,0:4"

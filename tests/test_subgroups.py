@@ -1,10 +1,12 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from ddradar.ambiguity import cross_ambiguity_naive
 from ddradar.ddcore import inner
 from ddradar.errors import AlphaNotCoprime, ConfigurationError, IndexOutOfRange, NotPrimitive
-from ddradar.heisenberg import HeisenbergElement, apply_td, commutes
+from ddradar.heisenberg import HeisenbergElement, apply_td
 from ddradar.modmath import Modulus, phases_to_complex
 from ddradar.subgroups import (
     DDRegion,
@@ -16,7 +18,7 @@ from ddradar.subgroups import (
 )
 from ddradar.symplectic import SL2Element, sl2_factors, sl2_mapping_direction
 from conftest import rand_unit_seq
-from oracles import eigenbasis_for_line
+from oracles import commutes, eigenbasis_for_line, support_set
 
 
 def random_primitive_lines(mod, rng, count):
@@ -34,9 +36,10 @@ def brute_force_crystallized(line, region):
     """Oracle: lay every translate of the region on the torus, point by point, and
     report whether any point is covered twice (translates are pairwise disjoint)."""
     mn = line.mod.MN
-    cell = {(k % mn, l % mn) for k, l in region.points()}
+    cell = {(k % mn, l % mn) for k, l in product(range(region.k_min, region.k_max + 1),
+                                                 range(region.l_min, region.l_max + 1))}
     covered = set()
-    for sk, sl in line.support_set():
+    for sk, sl in support_set(line):
         for k, l in cell:
             point = ((k + sk) % mn, (l + sl) % mn)
             if point in covered:
@@ -47,15 +50,15 @@ def brute_force_crystallized(line, region):
 
 class TestLineSubgroup:
     def test_delay_axis_support(self, mod15):
-        assert LineSubgroup(mod15, 1, 0).support_set() == {(x, 0) for x in range(15)}
+        assert support_set(LineSubgroup(mod15, 1, 0)) == {(x, 0) for x in range(15)}
 
     def test_rectangular_support(self, mod15):
-        support = LineSubgroup(mod15, 3, 5).support_set()
+        support = support_set(LineSubgroup(mod15, 3, 5))
         assert support == {(3 * a % 15, 5 * b % 15) for a in range(5) for b in range(3)}
         assert len(support) == 15
 
     def test_slope_line_support(self, mod15):
-        assert LineSubgroup(mod15, 1, 4).support_set() == {(k, 4 * k % 15) for k in range(15)}
+        assert support_set(LineSubgroup(mod15, 1, 4)) == {(k, 4 * k % 15) for k in range(15)}
 
     def test_not_primitive(self, mod15):
         with pytest.raises(NotPrimitive):
@@ -70,7 +73,7 @@ class TestLineSubgroup:
     def test_contains_matches_support_set(self, mod15):
         rng = np.random.default_rng(0)
         for line in random_primitive_lines(mod15, rng, 10):
-            support = line.support_set()
+            support = support_set(line)
             for k in range(15):
                 for l in range(15):
                     assert line.contains(k, l) == ((k, l) in support)
@@ -80,7 +83,7 @@ class TestCommutativityMaximality:
     def test_line_elements_commute(self, mod15):
         rng = np.random.default_rng(1)
         for line in random_primitive_lines(mod15, rng, 10):
-            pts = sorted(line.support_set())
+            pts = sorted(support_set(line))
             for k1, l1 in pts:
                 for k2, l2 in pts:
                     assert commutes(HeisenbergElement(mod15, k1, l1), HeisenbergElement(mod15, k2, l2))
@@ -88,7 +91,7 @@ class TestCommutativityMaximality:
     def test_maximality(self, mod15):
         rng = np.random.default_rng(2)
         for line in random_primitive_lines(mod15, rng, 5):
-            support = line.support_set()
+            support = support_set(line)
             for k in range(15):
                 for l in range(15):
                     if (k, l) in support:
@@ -141,6 +144,30 @@ class TestPulsone:
 
 
 class TestChirp:
+    @pytest.mark.parametrize("M, N", [(23, 29), (61, 67)])
+    def test_phases_come_from_the_ring(self, M, N):
+        # the exponent is reduced mod MN in exact integers, then gathered as index 2*expo
+        mod = Modulus(M, N)
+        mn = mod.MN
+        for alpha, beta, gamma in ((1, 0, 0), (2, 5, 7), (mn - 4, mn - 1, 3)):
+            expo = [(alpha * n * n + beta * n + gamma) % mn for n in range(mn)]
+            want = phases_to_complex(2 * np.array(expo), mod) / np.sqrt(mn)
+            np.testing.assert_array_equal(chirp(mod, alpha, beta, gamma).samples, want)
+
+    @pytest.mark.parametrize("M, N", [(61, 67), (251, 257)])
+    def test_against_mpmath(self, M, N):
+        mpmath = pytest.importorskip("mpmath")
+        mod = Modulus(M, N)
+        mn = mod.MN
+        v = chirp(mod, 3, 11, 5).samples
+        worst = 0.0
+        with mpmath.workdps(30):
+            scale = 1 / mpmath.sqrt(mn)
+            for n in map(int, np.random.default_rng(mn).choice(mn, size=1500, replace=False)):
+                want = mpmath.expjpi(mpmath.mpf(2 * ((3 * n * n + 11 * n + 5) % mn)) / mn) * scale
+                worst = max(worst, float(abs(mpmath.mpc(v[n]) - want)))
+        assert worst <= 1e-15
+
     def test_quadratic_phase_values(self, mod15):
         v = chirp(mod15, 1, 0, 0)
         n = np.arange(15)
@@ -200,7 +227,7 @@ class TestEigenbasisForLine:
     @pytest.mark.parametrize("c, d", [(3, 5), (1, 4), (3, 1)])
     def test_bed_of_nails(self, mod15, c, d):
         line = LineSubgroup(mod15, c, d)
-        support = line.support_set()
+        support = support_set(line)
         for idx in (0, 7):
             v = eigenbasis_for_line(line)[idx]
             surf = cross_ambiguity_naive(v, v, grid="full").values
