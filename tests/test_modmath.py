@@ -1,10 +1,20 @@
 import cmath
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ddradar.errors import ConfigurationError, NotInvertible
+from ddradar.ambiguity import (
+    AmbiguitySurface,
+    FastEngine,
+    cross_ambiguity_fft,
+    cross_ambiguity_naive,
+    cross_ambiguity_point,
+)
+from ddradar.ddcore import PeriodicSequence, QuasiPeriodicArray, inner, inner_dd
+from ddradar.errors import ConfigurationError, ModulusMismatch, NotInvertible
+from ddradar.heisenberg import HeisenbergElement, apply_dd, apply_td, compose
 from ddradar.modmath import (
     Modulus,
     crt_join,
@@ -13,6 +23,15 @@ from ddradar.modmath import (
     phase_mul,
     to_complex,
 )
+from ddradar.radarsim import (
+    ScatteringEnvironment,
+    apply_channel,
+    form_image,
+    predicted_image,
+    readout_targets,
+)
+from ddradar.subgroups import DDRegion, LineSubgroup, pulsone
+from ddradar.symplectic import SL2Element, gdaft_adjoint, gdaft_apply
 from conftest import roots_of_unity_sum
 from oracles import phase_from_whole
 
@@ -132,3 +151,34 @@ class TestRootsOfUnityIdentity:
                 assert abs(total - n) < 1e-9
             else:
                 assert abs(total) < 1e-9
+
+
+# every entry point that takes two operands over Z_MN, called over (3,5) and (3,7)
+_A, _B = Modulus(3, 5), Modulus(3, 7)
+_MIXED = {
+    "cross_ambiguity_point": lambda: cross_ambiguity_point(pulsone(_A, 0, 0), pulsone(_B, 0, 0), 0, 0),
+    "cross_ambiguity_naive": lambda: cross_ambiguity_naive(pulsone(_A, 0, 0), pulsone(_B, 0, 0)),
+    "cross_ambiguity_fft": lambda: cross_ambiguity_fft(pulsone(_A, 0, 0), pulsone(_B, 0, 0)),
+    "gdaft_apply": lambda: gdaft_apply(SL2Element(_A, 0, 1, -1, 0), pulsone(_B, 0, 0)),
+    "gdaft_adjoint": lambda: gdaft_adjoint(SL2Element(_A, 0, 1, -1, 0), pulsone(_B, 0, 0)),
+    "SL2Element.matmul": lambda: SL2Element.identity(_A).matmul(SL2Element.identity(_B)),
+    "apply_td": lambda: apply_td(HeisenbergElement.identity(_A), PeriodicSequence.zeros(_B)),
+    "apply_dd": lambda: apply_dd(HeisenbergElement.identity(_A), QuasiPeriodicArray.zeros(_B)),
+    "compose": lambda: compose(HeisenbergElement.identity(_A), HeisenbergElement.identity(_B)),
+    "inner": lambda: inner(PeriodicSequence.zeros(_A), PeriodicSequence.zeros(_B)),
+    "inner_dd": lambda: inner_dd(QuasiPeriodicArray.zeros(_A), QuasiPeriodicArray.zeros(_B)),
+    "apply_channel": lambda: apply_channel(ScatteringEnvironment(_A, ()), pulsone(_B, 0, 0)),
+    "form_image": lambda: form_image(pulsone(_A, 0, 0), pulsone(_B, 0, 0), pulsone_indices=(0, 0)),
+    "predicted_image": lambda: predicted_image(
+        ScatteringEnvironment(_A, ()), AmbiguitySurface(_B, "full", np.zeros((_B.MN, _B.MN)))
+    ),
+    "readout_targets": lambda: readout_targets(
+        FastEngine(pulsone(_A, 0, 0), 0, 0, grid="full"), LineSubgroup(_B, 3, 7), DDRegion(0, 0, 0, 0)
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", _MIXED)
+def test_every_guarded_entry_point_refuses_two_moduli(entry):
+    with pytest.raises(ModulusMismatch):
+        _MIXED[entry]()
