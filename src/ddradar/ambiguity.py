@@ -50,10 +50,9 @@ from .errors import (
     ConfigurationError,
     EmptyChip,
     IndexOutOfRange,
-    ModulusMismatch,
     OverBudget,
 )
-from .modmath import Modulus, _roots_of_unity, phases_to_complex
+from .modmath import Modulus, _roots_of_unity, phases_to_complex, same_modulus
 from .symplectic import SL2Element, gdaft_adjoint, lfm_apply, remap_for
 
 __all__ = [
@@ -135,8 +134,7 @@ def _warn_if_not_unit(x: PeriodicSequence, name: str) -> None:
 
 def cross_ambiguity_point(x: PeriodicSequence, y: PeriodicSequence, k: int, l: int) -> complex:
     """Single ambiguity value straight from the defining sum, O(MN)."""
-    if x.mod != y.mod:
-        raise ModulusMismatch("ambiguity operands use different moduli")
+    same_modulus(x, y)
     mn = x.mod.MN
     offsets = (np.arange(mn, dtype=np.int64) - k) % mn
     phases = phases_to_complex(-2 * ((l % mn) * offsets % mn), x.mod)
@@ -206,8 +204,7 @@ def cross_ambiguity_naive(
     warning for callers like image formation where the first argument is a
     raw channel return.
     """
-    if x.mod != y.mod:
-        raise ModulusMismatch("ambiguity operands use different moduli")
+    same_modulus(x, y)
     if warn_nonunit:
         _warn_if_not_unit(x, "x")
         _warn_if_not_unit(y, "y")
@@ -217,8 +214,7 @@ def cross_ambiguity_naive(
 
 def cross_ambiguity_fft(x: PeriodicSequence, y: PeriodicSequence) -> AmbiguitySurface:
     """Full-grid surface, one length-MN FFT per lag-product row: A[k, :] = FFT_m(S[k, m])."""
-    if x.mod != y.mod:
-        raise ModulusMismatch("ambiguity operands use different moduli")
+    same_modulus(x, y)
     mn = x.mod.MN
     _check_budget(16 * mn * (mn + _BLOCK_ROWS), f"a {mn} x {mn} FFT surface")
     rows = _lag_product_rows(x.samples, y.samples, mn, mn, lambda s: np.fft.fft(s, axis=1))
@@ -292,13 +288,11 @@ def fast_pulsone_query(pre: FastPulsonePrecomp, k, l, phase=0, out: np.ndarray |
     return complex(out) if out.ndim == 0 else out
 
 
-def fast_pulsone_surface(pre: FastPulsonePrecomp, grid: str = "fundamental") -> AmbiguitySurface:
-    """Materialise the fundamental M x N grid from the precomputed table, O(MN)."""
-    if grid != "fundamental":
-        raise ConfigurationError(
-            "fast path materialises only the fundamental grid; use fast_pulsone_query "
-            "for arbitrary points"
-        )
+def fast_pulsone_surface(pre: FastPulsonePrecomp) -> AmbiguitySurface:
+    """Materialise the fundamental M x N grid from the precomputed table, O(MN).
+
+    Any other point is one fast_pulsone_query, or a FastEngine block.
+    """
     mod = pre.mod
     kk, ll = np.meshgrid(np.arange(mod.M), np.arange(mod.N), indexing="ij")
     return AmbiguitySurface(mod, "fundamental", fast_pulsone_query(pre, kk, ll))
@@ -380,17 +374,21 @@ class FastEngine:
         L = np.arange(self.shape[1], dtype=np.int64)[None, :]
         return self.points(K, L, out)
 
-    def blocks(self):
+    def blocks(self, out: np.ndarray | None = None):
         """The grid's rows, top to bottom, in blocks of ddcore._block_rows rows.
 
-        Every block is written into one buffer, so each is overwritten by the next.
+        Without `out`, every block is written into one buffer, so each is
+        overwritten by the next.  With `out`, a complex array of the grid's
+        shape, each block is written into its own rows of `out`, which holds
+        the whole surface once the blocks are exhausted.
         """
         nk, nl = self.shape
         step = _block_rows(nk, nl)
-        buf = np.empty((step, nl), dtype=np.complex128)
+        buf = np.empty((step, nl), dtype=np.complex128) if out is None else None
         for start in range(0, nk, step):
             stop = min(start + step, nk)
-            yield self.rows(start, stop, out=buf[: stop - start])
+            rows = buf[: stop - start] if out is None else out[start:stop]
+            yield self.rows(start, stop, out=rows)
 
 
 def fast_cross_ambiguity(
@@ -405,7 +403,7 @@ def fast_cross_ambiguity(
 ) -> AmbiguitySurface:
     """A_{x, ref} for ref = exp(j*2*pi*gamma/MN) * chain_apply(transform, base), on a grid.
 
-    The FastEngine's rows, formed one block at a time into a preallocated
+    FastEngine.blocks, each written into its rows of one preallocated
     output: O(1) per point after O(MN log MN) per label, matching the naive
     oracle to rounding error.
     """
@@ -414,9 +412,8 @@ def fast_cross_ambiguity(
     _check_budget(16 * nk * nl + _block_bytes((nk, nl), csv=False), f"a {nk} x {nl} fast surface")
     engine = FastEngine(x, k0, l0, period, gamma, transform=transform, grid=grid)
     out = np.empty((nk, nl), dtype=np.complex128)
-    step = _block_rows(nk, nl)
-    for start in range(0, nk, step):
-        engine.rows(start, min(start + step, nk), out=out[start : start + step])
+    for _ in engine.blocks(out):
+        pass
     return AmbiguitySurface(x.mod, grid, out)
 
 

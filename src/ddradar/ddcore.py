@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ModulusMismatch
+from .errors import ConfigurationError
 from .floatfmt import FIELD_BYTES, Workspace, format_g17
-from .modmath import Modulus, to_complex
+from .modmath import Modulus, same_modulus, to_complex
 
 __all__ = [
     "PeriodicSequence",
@@ -99,20 +99,15 @@ class QuasiPeriodicArray:
         return complex(phase * self.values[k % M, l % N])
 
 
-def _require_same_mod(a, b) -> None:
-    if a.mod != b.mod:
-        raise ModulusMismatch(f"operands use different moduli: {a.mod} vs {b.mod}")
-
-
 def inner(x: PeriodicSequence, y: PeriodicSequence) -> complex:
     """<x, y> = sum_n x[n] * conj(y[n]) over one period."""
-    _require_same_mod(x, y)
+    same_modulus(x, y)
     return complex(np.vdot(y.samples, x.samples))
 
 
 def inner_dd(X: QuasiPeriodicArray, Y: QuasiPeriodicArray) -> complex:
     """Delay-Doppler inner product over the fundamental M x N domain."""
-    _require_same_mod(X, Y)
+    same_modulus(X, Y)
     return complex(np.vdot(Y.values, X.values))
 
 
@@ -146,6 +141,9 @@ _CSV_BLOCK_ROWS = 4096
 # for the int64 index and phase arrays its query holds at once (the tracemalloc
 # peak of a row block is at most 105 per point, on a two-label chain).
 _ENGINE_POINT_BYTES = 128
+# Bytes of complex_to_csv that do not grow with the block: the open file's
+# buffer and the array headers (7.3 to 8.1 KB under tracemalloc, CPython 3.11).
+_CSV_FIXED_BYTES = 16384
 
 
 def _block_rows(nk: int, nl: int) -> int:
@@ -164,13 +162,14 @@ def _csv_layout(shape: tuple) -> tuple[int, int, int, int, int]:
 def _block_bytes(shape: tuple, csv: bool = True) -> int:
     """Bytes one streamed block of a surface of `shape` holds: the engine's block and,
     with `csv`, what complex_to_csv allocates for it: the index words, and per
-    line its text three times (laid out, cut for a short block, without NULs),
-    its floats and their floatfmt.Workspace: 558 bytes per line of a grid of
-    under 10^7 rows."""
+    line its text twice (laid out, and without NULs), its floats and their
+    floatfmt.Workspace: 446 bytes per line of a grid of under 10^7 rows, plus
+    _CSV_FIXED_BYTES."""
     nfloat, cols, rows, iw, width = _csv_layout(shape)
     need = _ENGINE_POINT_BYTES * rows * cols
     if csv:
-        need += 8 * iw * max(shape) + rows * cols * (24 * width + nfloat * (8 + Workspace.FLOAT_BYTES))
+        need += _CSV_FIXED_BYTES + 8 * iw * max(shape)
+        need += rows * cols * (16 * width + nfloat * (8 + Workspace.FLOAT_BYTES))
     return need
 
 
@@ -193,11 +192,13 @@ def complex_to_csv(values, path, shape: tuple | None = None) -> int:
     for a matrix, abs) into one contiguous run, which one
     floatfmt.format_g17 call formats.  Each line is laid out as NUL-padded
     words (indices, then one floatfmt.FIELD_BYTES field per float) in a
-    bytearray, and one bytearray.translate drops the NULs.  The buffers are
-    allocated once per file.  The abs column of a matrix is np.hypot(re,
-    im), the same libm hypot as Python's abs(complex) (np.abs can differ in
-    the last digit).  Returns how many floats were formatted by Python
-    rather than by the vectorised kernel.
+    bytearray, and one bytearray.translate of the whole buffer drops the
+    NULs; a short pass first sets its unused lines to NUL, so that
+    translate is the only copy of the text.  The buffers are allocated once
+    per file.  The abs column of a matrix is np.hypot(re, im), the same libm
+    hypot as Python's abs(complex) (np.abs can differ in the last digit).
+    Returns how many floats were formatted by Python rather than by the
+    vectorised kernel.
 
     A (23,29) full-grid image, 444,889 lines in 4002-line blocks, takes
     about 0.21 s: 0.47 us per line on one core of a 2-vCPU x86-64 machine.
@@ -213,8 +214,6 @@ def complex_to_csv(values, path, shape: tuple | None = None) -> int:
     line = np.frombuffer(text, np.uint64).reshape(size, width)
     grid = line.reshape(rows, cols, width)
     fields = line[:, ndim * iw :].reshape(size, nfloat, FIELD_BYTES // 8)
-    if ndim == 2:  # every pass starts a row, so the l column never changes
-        grid[:, :, iw : 2 * iw] = index[:cols]
     floats = np.empty(nfloat * size)
     workspace = Workspace(nfloat * size)
     separators = "," * (nfloat - 1) + "\n"
@@ -228,7 +227,10 @@ def complex_to_csv(values, path, shape: tuple | None = None) -> int:
                 chunk = block[cut : cut + rows]
                 r = chunk.shape[0]
                 n = r * cols
+                line[n:] = 0  # unused lines of a short pass, dropped with the other NULs
                 grid[:r, :, :iw] = index[start : start + r, None]
+                if ndim == 2:  # every pass starts a row; a short one may have cleared the l column
+                    grid[:r, :, iw : 2 * iw] = index[:cols]
                 start += r
                 columns = floats[: nfloat * n].reshape(nfloat, r, cols)
                 np.copyto(columns[0], chunk.real)
@@ -237,23 +239,41 @@ def complex_to_csv(values, path, shape: tuple | None = None) -> int:
                     with np.errstate(invalid="ignore", over="ignore"):  # non-finite values
                         np.hypot(columns[0], columns[1], out=columns[2])
                 python += format_g17(columns.reshape(nfloat, n).T, fields[:n], separators, workspace)
-                fh.write((text if n == size else text[: 8 * n * width]).translate(None, b"\0"))
+                fh.write(text.translate(None, b"\0"))
     return python
 
 
 def complex_from_csv(path, shape: tuple) -> np.ndarray:
-    """Read a complex_to_csv file holding an array of the given shape."""
+    """Read a complex_to_csv file holding an array of the given shape.
+
+    Each line must have the header's field count, integer indices inside
+    `shape` and float values, and no index may repeat, so a file with one
+    line per index is read exactly; anything else is a ConfigurationError
+    naming the line.
+    """
     values = np.zeros(shape, dtype=np.complex128)
+    seen = np.zeros(shape, dtype=bool)
     nd = values.ndim
     count = 0
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
         if header != _CSV_HEADER[nd]:
             raise ConfigurationError(f"bad CSV header for a {nd}-D array: {header!r}")
+        nfield = header.count(",") + 1
         for count, line in enumerate(fh, 1):
             fields = line.split(",")
-            index = tuple(int(v) for v in fields[:nd])
-            values[index] = complex(float(fields[nd]), float(fields[nd + 1]))
+            try:
+                if len(fields) != nfield:
+                    raise ValueError(f"{len(fields)} fields, expected {nfield}")
+                index = tuple(int(v) for v in fields[:nd])
+                if not all(0 <= i < n for i, n in zip(index, shape)):
+                    raise ValueError(f"index {index} outside shape {shape}")
+                if seen[index]:
+                    raise ValueError(f"index {index} repeated")
+                values[index] = complex(float(fields[nd]), float(fields[nd + 1]))
+            except ValueError as exc:
+                raise ConfigurationError(f"{path}, data line {count}: {exc}") from exc
+            seen[index] = True
     if count != values.size:
         raise ConfigurationError(f"expected {values.size} rows, got {count}")
     return values

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ddcore import PeriodicSequence, QuasiPeriodicArray
-from .errors import ModulusMismatch
-from .modmath import Modulus, phase_mul, phases_to_complex, to_complex
+from .modmath import Modulus, phase_mul, phases_to_complex, same_modulus, to_complex
 
 __all__ = [
     "HeisenbergElement",
@@ -45,14 +44,9 @@ class HeisenbergElement:
         return cls(mod, 0, 0, 0)
 
 
-def _require_same_mod(h: HeisenbergElement, x) -> None:
-    if h.mod != x.mod:
-        raise ModulusMismatch(f"element modulus {h.mod} != operand modulus {x.mod}")
-
-
 def apply_td(h: HeisenbergElement, x: PeriodicSequence) -> PeriodicSequence:
     """Time-domain action: out[n] = phase * x[n-k] * exp(j*2*pi*l*(n-k)/MN)."""
-    _require_same_mod(h, x)
+    same_modulus(h, x)
     mod = h.mod
     shifted = np.roll(x.samples, h.k)
     offsets = (np.arange(mod.MN) - h.k) % mod.MN
@@ -67,7 +61,7 @@ def apply_dd(h: HeisenbergElement, X: QuasiPeriodicArray) -> QuasiPeriodicArray:
                   * exp(j*2*pi*(l'-l)*floor((k'-k)/M)/N)
                   * exp(j*2*pi*l*(k'-k)/MN) * phase.
     """
-    _require_same_mod(h, X)
+    same_modulus(h, X)
     mod = h.mod
     M, N = mod.M, mod.N
     dk = np.arange(M, dtype=np.int64)[:, None] - h.k   # (M, 1)
@@ -82,8 +76,7 @@ def apply_dd(h: HeisenbergElement, X: QuasiPeriodicArray) -> QuasiPeriodicArray:
 
 def compose(h1: HeisenbergElement, h2: HeisenbergElement) -> HeisenbergElement:
     """Group law: shifts add, phases add plus the cross term 2*l1*k2."""
-    if h1.mod != h2.mod:
-        raise ModulusMismatch(f"cannot compose over {h1.mod} and {h2.mod}")
+    same_modulus(h1, h2)
     mod = h1.mod
     phase = phase_mul(h1.phase, phase_mul(h2.phase, (2 * h1.l * h2.k) % mod.twoMN, mod), mod)
     return HeisenbergElement(mod, h1.k + h2.k, h1.l + h2.l, phase)

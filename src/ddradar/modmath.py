@@ -16,7 +16,7 @@ from math import gcd
 
 import numpy as np
 
-from .errors import ConfigurationError, NotInvertible
+from .errors import ConfigurationError, ModulusMismatch, NotInvertible
 
 __all__ = [
     "Modulus",
@@ -25,6 +25,7 @@ __all__ = [
     "mod_inv",
     "phase_mul",
     "phases_to_complex",
+    "same_modulus",
     "to_complex",
 ]
 
@@ -90,6 +91,12 @@ class Modulus:
     def inv2(self) -> int:
         """Inverse of 2 mod MN (exists since MN is odd)."""
         return mod_inv(2, self.MN)
+
+
+def same_modulus(a, b) -> None:
+    """Refuse with ModulusMismatch unless operands a and b live over the same modulus."""
+    if a.mod != b.mod:
+        raise ModulusMismatch(f"operands use different moduli: {a.mod} vs {b.mod}")
 
 
 def mod_inv(a: int, n: int) -> int:

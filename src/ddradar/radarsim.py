@@ -13,22 +13,21 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .ambiguity import AmbiguitySurface, _check_budget, cross_ambiguity_naive, fast_cross_ambiguity
+from .ambiguity import AmbiguitySurface, _check_budget, fast_cross_ambiguity
 from .ddcore import PeriodicSequence
 from .errors import (
     BadSNR,
     ConfigurationError,
     GridMismatch,
-    ModulusMismatch,
     NotCrystallized,
     ValidationError,
     ZeroSignal,
 )
-from .modmath import Modulus, phases_to_complex
+from .modmath import Modulus, phases_to_complex, same_modulus
 from .subgroups import DDRegion, LineSubgroup, crystallization_check
 
 __all__ = [
@@ -64,16 +63,28 @@ class ScatteringEnvironment:
 
 @dataclass(frozen=True)
 class RadarImage:
-    """Estimated tap map on an ambiguity grid plus run metadata."""
+    """Estimated tap map on an ambiguity grid.
+
+    Read like a FastEngine: `mod`, and points(K, L) for the values at grid
+    points, which only a full-grid image has (GridMismatch otherwise).
+    """
 
     surface: AmbiguitySurface
-    meta: dict = field(default_factory=dict)
+
+    @property
+    def mod(self) -> Modulus:
+        return self.surface.mod
+
+    def points(self, K, L) -> np.ndarray:
+        """The image at the grid points (K, L), integer arrays in 0..MN-1 that broadcast together."""
+        if self.surface.grid != "full":
+            raise GridMismatch("readout needs a full-grid image")
+        return self.surface.values[K, L]
 
 
 def apply_channel(env: ScatteringEnvironment, x: PeriodicSequence) -> PeriodicSequence:
     """y[n] = sum_taps h * x[(n-k) mod MN] * exp(j*2*pi*l*(n-k)/MN)."""
-    if env.mod != x.mod:
-        raise ModulusMismatch("environment and waveform use different moduli")
+    same_modulus(env, x)
     mn = env.mod.MN
     n = np.arange(mn, dtype=np.int64)
     out = np.zeros(mn, dtype=np.complex128)
@@ -114,28 +125,20 @@ def form_image(
     y: PeriodicSequence,
     x: PeriodicSequence,
     grid: str = "full",
-    pulsone_indices: tuple | None = None,
+    *,
+    pulsone_indices: tuple,
     transform: tuple = (),
 ) -> RadarImage:
-    """Radar image: surface[k, l] = A_{y,x}[k, l].
+    """Radar image: surface[k, l] = A_{y,x}[k, l], formed by the fast engine.
 
-    When the reference x is built from a base by the label chain `transform`
-    (empty for the plain base), pulsone_indices is that base as the fast
-    engine takes it, (k0, l0[, period[, gamma]]) (see pulsone_chain), and the
-    O(1)-per-point fast engine forms the surface.  An arbitrary reference,
-    pulsone_indices None, goes through the naive direct sums.
+    The reference x is built from a base by the label chain `transform`
+    (empty for the plain base); pulsone_indices is that base as the fast
+    engine takes it, (k0, l0[, period[, gamma]]) (see pulsone_chain).  Every
+    modulus-bound waveform has such a form; for an arbitrary reference, the
+    image is cross_ambiguity_naive(y, x, grid=grid, warn_nonunit=False).
     """
-    if y.mod != x.mod:
-        raise ModulusMismatch("return and reference use different moduli")
-    meta = {"grid": grid}
-    if pulsone_indices is None:
-        # the return y is a raw channel output; unit-norm semantics apply to x only
-        surface = cross_ambiguity_naive(y, x, grid=grid, warn_nonunit=False)
-        meta["engine"] = "naive"
-        return RadarImage(surface, meta)
-    meta["engine"] = "fast"
-    surface = fast_cross_ambiguity(y, *pulsone_indices, transform=transform, grid=grid)
-    return RadarImage(surface, meta)
+    same_modulus(y, x)
+    return RadarImage(fast_cross_ambiguity(y, *pulsone_indices, transform=transform, grid=grid))
 
 
 def predicted_image(env: ScatteringEnvironment, a_x: AmbiguitySurface) -> AmbiguitySurface:
@@ -146,8 +149,7 @@ def predicted_image(env: ScatteringEnvironment, a_x: AmbiguitySurface) -> Ambigu
     """
     if a_x.grid != "full":
         raise GridMismatch("predicted_image needs the full-grid self-ambiguity")
-    if env.mod != a_x.mod:
-        raise ModulusMismatch("environment and surface use different moduli")
+    same_modulus(env, a_x)
     mn = env.mod.MN
     _check_budget(32 * mn * mn, f"a {mn} x {mn} predicted image")  # output plus one gathered copy
     idx = np.arange(mn)
@@ -168,38 +170,30 @@ def readout_targets(
 ) -> list[tuple[int, int, complex]]:
     """Read taps off a crystallized region of the image.
 
-    `img` is a full-grid RadarImage, or a FastEngine whose point query reads
-    the region's points without forming the image; both give the same values.
-    Refuses (NotCrystallized) when region translates by the line support
-    overlap, since the image would alias.  `threshold` is an absolute
-    magnitude cut and must be finite and positive (ValidationError
-    otherwise); None means half the strongest magnitude in the region.  A
-    region whose strongest magnitude is 0 holds no targets.  Coordinates are
-    returned reduced mod MN, sorted by (k, l).  The region's points are read
-    in one query, and magnitudes are np.hypot(re, im), bit for bit Python's
-    abs(complex).
+    `img` is any image with `mod` and points(K, L): a full-grid RadarImage,
+    or a FastEngine, whose point query reads the region's points without
+    forming the image; both give the same values.  Refuses (NotCrystallized)
+    when region translates by the line support overlap, since the image
+    would alias.  `threshold` is an absolute magnitude cut and must be
+    finite and positive (ValidationError otherwise); None means half the
+    strongest magnitude in the region.  A region whose strongest magnitude
+    is 0 holds no targets.  Coordinates are returned reduced mod MN, sorted
+    by (k, l).  The region's points are read in one img.points query, and
+    magnitudes are np.hypot(re, im), bit for bit Python's abs(complex).
     """
     if threshold is not None and not (math.isfinite(threshold) and threshold > 0):
         raise ValidationError(f"readout threshold must be finite and positive, got {threshold}")
-    image = img.surface if isinstance(img, RadarImage) else img
-    if image.mod != line.mod:
-        raise ModulusMismatch("image and line subgroup use different moduli")
+    same_modulus(img, line)
     if not crystallization_check(line, region):
         raise NotCrystallized(
             f"region {region} aliases under the ({line.c}, {line.d}) line support"
         )
-    if isinstance(image, AmbiguitySurface):
-        if image.grid != "full":
-            raise GridMismatch("readout needs a full-grid image")
-        query = lambda k, l: image.values[k, l]  # noqa: E731
-    else:
-        query = image.points
     mn = line.mod.MN
     # the region's residues per axis, distinct because validate() bounds each
     # width by MN; their outer product, row-major, is the (k, l) sort
     ks = np.sort(np.arange(region.k_min, region.k_max + 1, dtype=np.int64) % mn)
     ls = np.sort(np.arange(region.l_min, region.l_max + 1, dtype=np.int64) % mn)
-    values = query(ks[:, None], ls[None, :]).ravel()
+    values = img.points(ks[:, None], ls[None, :]).ravel()
     mags = np.hypot(values.real, values.imag)  # bit for bit abs(complex)
     peak = mags.max()
     if peak == 0.0:

@@ -36,8 +36,8 @@ from math import gcd
 import numpy as np
 
 from .ddcore import PeriodicSequence
-from .errors import BNotCoprime, DetNotOne, ModulusMismatch, NotCoprime, ZeroSequence
-from .modmath import Modulus, crt_join, mod_inv, phases_to_complex
+from .errors import BNotCoprime, DetNotOne, NotCoprime, ZeroSequence
+from .modmath import Modulus, crt_join, mod_inv, phases_to_complex, same_modulus
 
 __all__ = [
     "AmbiguityRemap",
@@ -81,8 +81,7 @@ class SL2Element:
         return cls(mod, 1, 0, 2 * A, 1)
 
     def matmul(self, other: "SL2Element") -> "SL2Element":
-        if self.mod != other.mod:
-            raise ModulusMismatch("cannot multiply SL2 elements over different moduli")
+        same_modulus(self, other)
         return SL2Element(
             self.mod,
             self.a * other.a + self.b * other.c,
@@ -133,8 +132,7 @@ def gdaft_apply(g: SL2Element, x: PeriodicSequence) -> PeriodicSequence:
     exactly when gcd(a, N) = 1 (the quadratic Gauss sum over the train slots
     degenerates otherwise).  O(MN log MN): chirp, FFT, permuted chirp.
     """
-    if g.mod != x.mod:
-        raise ModulusMismatch("transform label and sequence use different moduli")
+    same_modulus(g, x)
     c_a, c_d, perm = _gdaft_factors(g)
     spectrum = np.fft.fft(c_a * x.samples)[perm]
     return PeriodicSequence(x.mod, c_d * spectrum / np.sqrt(x.mod.MN))
@@ -146,8 +144,7 @@ def gdaft_adjoint(g: SL2Element, x: PeriodicSequence) -> PeriodicSequence:
     gdaft_apply(g.inverse(), .) agrees only up to a global unimodular phase;
     the adjoint is phase-exact, which the fast ambiguity engine relies on.
     """
-    if g.mod != x.mod:
-        raise ModulusMismatch("transform label and sequence use different moduli")
+    same_modulus(g, x)
     c_a, c_d, perm = _gdaft_factors(g)
     spectrum = np.fft.ifft(np.conj(c_d) * x.samples)[perm]
     return PeriodicSequence(x.mod, np.conj(c_a) * spectrum * np.sqrt(x.mod.MN))

@@ -177,8 +177,6 @@ class TestFastPulsone:
         assert surf.grid == "fundamental"
         naive = cross_ambiguity_naive(x, pulsone(mod15, 0, 0), grid="fundamental").values
         np.testing.assert_allclose(surf.values, naive, atol=1e-10)
-        with pytest.raises(ConfigurationError):
-            fast_pulsone_surface(pre, grid="full")
 
     def test_spot_checks_at_large_modulus(self, mod1147):
         rng = np.random.default_rng(7)

@@ -153,6 +153,30 @@ class TestCsv:
         with pytest.raises(ConfigurationError):
             sequence_from_csv(path, mod15)
 
+    @pytest.mark.parametrize(
+        "line, edit",
+        [
+            (5, lambda f: "2,2" + f[3:]),  # index past the shape
+            (5, lambda f: "-1,2" + f[3:]),  # a negative index would wrap
+            (5, lambda f: "1.0,2" + f[3:]),  # non-integer index
+            (3, lambda f: f[:4] + "x" + f[4:]),  # non-numeric value
+            (6, lambda f: "0,0" + f[3:]),  # a repeat of line 1 in place of (1, 2): the count still holds
+            (2, lambda f: f.rsplit(",", 1)[0] + "\n"),  # one field short
+            (2, lambda f: f[:-1] + ",0\n"),  # one field over
+        ],
+        ids=["past-shape", "negative", "non-integer", "non-numeric", "repeated", "short", "long"],
+    )
+    def test_unreadable_line_rejected(self, tmp_path, line, edit):
+        path = tmp_path / "m.csv"
+        values = np.arange(6).reshape(2, 3) * (1 + 0.5j)
+        complex_to_csv(values, path)
+        np.testing.assert_array_equal(ddcore.complex_from_csv(path, (2, 3)), values)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[line] = edit(lines[line])
+        path.write_text("".join(lines))
+        with pytest.raises(ConfigurationError):
+            ddcore.complex_from_csv(path, (2, 3))
+
 
 def _every_kernel_path(shape, seed: int) -> np.ndarray:
     """Random values of many magnitudes, with specials spread through both float columns:

@@ -69,7 +69,7 @@ def _materialised_simulate(out, scene, spec_text, line, region, index, snr_db, s
     surface_to_csv(img.surface, out / "image.csv")
     surface_to_pgm(img.surface.values, out / "image.pgm", scale=scale)
     targets = readout_targets(img, line, region)
-    doc = {"M": mod.M, "N": mod.N, "waveform": spec_text, "engine": img.meta["engine"],
+    doc = {"M": mod.M, "N": mod.N, "waveform": spec_text, "engine": "fast",
            "snr_db": snr_db, "seed": seed,
            "targets": [{"k": k, "l": l, "re": v.real, "im": v.imag} for k, l, v in targets]}
     with open(out / "targets.json", "w", encoding="ascii") as fh:
@@ -240,9 +240,9 @@ def test_refused_simulate_leaves_no_output(tmp_path, monkeypatch, capsys, refusa
     scene = tmp_path / "scene.json"
     _scene(scene, mod, DDRegion(0, 2, 0, 4), 3)
     # the streamed image: 9 bytes per point plus one block of the 15 x 15 grid, whose
-    # 225 points cost the engine 128 bytes each and the CSV writer 15 index words
-    # and 558 bytes a line (three copies of 14 text words, 3 floats and workspace)
-    need = 9 * 15 * 15 + 128 * 15 * 15 + 8 * 15 + 15 * 15 * (3 * 8 * 14 + 3 * (8 + 66))
+    # 225 points cost the engine 128 bytes each and the CSV writer 16 KiB, 15 index
+    # words and 446 bytes a line (two copies of 14 text words, 3 floats and workspace)
+    need = 9 * 15 * 15 + 128 * 15 * 15 + 16384 + 8 * 15 + 15 * 15 * (2 * 8 * 14 + 3 * (8 + 66))
     argv = ["simulate", "--scene", scene, "--line", "3,5", "--region", "0:2,0:4"]
     if refusal == "not-crystallized":
         argv[-1] = "0:3,0:4"
