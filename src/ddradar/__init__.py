@@ -2,12 +2,12 @@
 
 from .ambiguity import (
     AmbiguitySurface,
+    FastEngine,
     FastPulsonePrecomp,
     coded_waveform,
     cross_ambiguity_fft,
     cross_ambiguity_naive,
     cross_ambiguity_point,
-    fast_cross_ambiguity,
     fast_pulsone_precompute,
     fast_pulsone_query,
     fast_pulsone_surface,
@@ -30,7 +30,6 @@ from .heisenberg import (
 )
 from .modmath import Modulus
 from .radarsim import (
-    RadarImage,
     ScatteringEnvironment,
     add_noise,
     apply_channel,

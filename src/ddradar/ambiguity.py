@@ -21,7 +21,7 @@ Two kinds of route live here:
   of x.  Precompute costs O(MN log N); every point afterwards is O(1).  A
   tone exp(j*2*pi*beta*n/MN)/sqrt(MN) is the pulsone (0, beta) of the 1 x MN
   factorisation, whose table is FFT(x)/sqrt(MN), and the same query reads it.
-  fast_cross_ambiguity extends this to y = chain_apply(labels, base): each
+  FastEngine extends this to y = chain_apply(labels, base): each
   label is undone on x, and the chain folds into one index map and one
   quadratic phase on the grid.  Every modulus-bound waveform is such a y:
   chirp(alpha, beta, gamma) is the tone beta under lfm(alpha), up to a
@@ -31,11 +31,12 @@ The fast path is one FastEngine: O(1) point queries, and row blocks of
 either grid.  Writing all (MN)^2 points would itself cost O(M^2 N^2) and
 defeat the complexity advantage, so a full-grid surface is an explicit
 caller decision; write_surface streams the blocks into the CSV and PGM files
-without holding the complex surface, and fast_cross_ambiguity materialises it.
+without holding the complex surface, and FastEngine.surface materialises it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -49,6 +50,7 @@ from .errors import (
     BadRoot,
     ConfigurationError,
     EmptyChip,
+    GridMismatch,
     IndexOutOfRange,
     OverBudget,
 )
@@ -67,7 +69,6 @@ __all__ = [
     "cross_ambiguity_fft",
     "cross_ambiguity_naive",
     "cross_ambiguity_point",
-    "fast_cross_ambiguity",
     "fast_pulsone_precompute",
     "fast_pulsone_query",
     "fast_pulsone_surface",
@@ -112,6 +113,16 @@ class AmbiguitySurface:
         if arr.shape != expected:
             raise ConfigurationError(f"{self.grid} grid needs shape {expected}, got {arr.shape}")
         object.__setattr__(self, "values", arr)
+
+    def points(self, K, L) -> np.ndarray:
+        """The values at the grid points (K, L), integer arrays in 0..MN-1 that broadcast together.
+
+        Read like FastEngine.points; only a full-grid surface holds every
+        point (GridMismatch otherwise).
+        """
+        if self.grid != "full":
+            raise GridMismatch("readout needs a full-grid image")
+        return self.values[K, L]
 
 
 def _grid_shape(mod: Modulus, grid: str) -> tuple[int, int]:
@@ -311,9 +322,11 @@ class FastEngine:
 
         A[K, L] = exp(j*2*pi*inv2*Q(K, L)/MN) * A_{W^H x, base}[G(K, L)]
 
-    After O(MN log MN) per label, points(K, L) costs O(1) per point, and
-    blocks() walks the `grid` in the row blocks that ddcore.complex_to_csv
-    formats in one pass each, ddcore._block_rows of them.
+    After O(MN log MN) per label, points(K, L) costs O(1) per point at any
+    (K, L), whatever the `grid`; blocks() walks the `grid` in the row blocks
+    that ddcore.complex_to_csv formats in one pass each, ddcore._block_rows
+    of them, and `surface` holds the whole grid.  With x a radar return,
+    the engine is its image (radarsim.form_image).
     """
 
     def __init__(
@@ -330,6 +343,7 @@ class FastEngine:
         mod = x.mod
         mn = mod.MN
         self.mod = mod
+        self.grid = grid
         self.shape = _grid_shape(mod, grid)
         G = SL2Element.identity(mod)
         qkk = qll = qkl = 0  # Q's K^2, L^2 and K*L coefficients
@@ -368,12 +382,6 @@ class FastEngine:
             phase = 2 * ((ckk * (K * K % mn) + l_part + cross + c0) % mn)
         return fast_pulsone_query(self._pre, k, l, phase, out=out)
 
-    def rows(self, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Grid rows start <= K < stop, every column of the grid."""
-        K = np.arange(start, stop, dtype=np.int64)[:, None]
-        L = np.arange(self.shape[1], dtype=np.int64)[None, :]
-        return self.points(K, L, out)
-
     def blocks(self, out: np.ndarray | None = None):
         """The grid's rows, top to bottom, in blocks of ddcore._block_rows rows.
 
@@ -384,37 +392,26 @@ class FastEngine:
         """
         nk, nl = self.shape
         step = _block_rows(nk, nl)
+        L = np.arange(nl, dtype=np.int64)[None, :]
         buf = np.empty((step, nl), dtype=np.complex128) if out is None else None
         for start in range(0, nk, step):
             stop = min(start + step, nk)
             rows = buf[: stop - start] if out is None else out[start:stop]
-            yield self.rows(start, stop, out=rows)
+            yield self.points(np.arange(start, stop, dtype=np.int64)[:, None], L, out=rows)
 
+    @functools.cached_property
+    def surface(self) -> AmbiguitySurface:
+        """The whole grid as one AmbiguitySurface, formed once by blocks(out).
 
-def fast_cross_ambiguity(
-    x: PeriodicSequence,
-    k0: int,
-    l0: int,
-    period: int | None = None,
-    gamma: int = 0,
-    *,
-    transform: tuple[SL2Element, ...] = (),
-    grid: str = "fundamental",
-) -> AmbiguitySurface:
-    """A_{x, ref} for ref = exp(j*2*pi*gamma/MN) * chain_apply(transform, base), on a grid.
-
-    FastEngine.blocks, each written into its rows of one preallocated
-    output: O(1) per point after O(MN log MN) per label, matching the naive
-    oracle to rounding error.
-    """
-    nk, nl = _grid_shape(x.mod, grid)
-    # the output plus one engine block; no CSV is written
-    _check_budget(16 * nk * nl + _block_bytes((nk, nl), csv=False), f"a {nk} x {nl} fast surface")
-    engine = FastEngine(x, k0, l0, period, gamma, transform=transform, grid=grid)
-    out = np.empty((nk, nl), dtype=np.complex128)
-    for _ in engine.blocks(out):
-        pass
-    return AmbiguitySurface(x.mod, grid, out)
+        Refused with OverBudget when the output plus one engine block would
+        exceed the budget; no CSV is written.
+        """
+        nk, nl = self.shape
+        _check_budget(16 * nk * nl + _block_bytes(self.shape, csv=False), f"a {nk} x {nl} fast surface")
+        out = np.empty(self.shape, dtype=np.complex128)
+        for _ in self.blocks(out):
+            pass
+        return AmbiguitySurface(self.mod, self.grid, out)
 
 
 def moyal_residual(x: PeriodicSequence, y: PeriodicSequence) -> float:

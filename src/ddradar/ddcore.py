@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .floatfmt import FIELD_BYTES, Workspace, format_g17
-from .modmath import Modulus, same_modulus, to_complex
+from .modmath import Modulus, same_modulus
 
 __all__ = [
     "PeriodicSequence",
@@ -53,24 +53,17 @@ class PeriodicSequence:
     def __post_init__(self) -> None:
         object.__setattr__(self, "samples", _as_complex_vector(self.samples, self.mod.MN))
 
-    @classmethod
-    def zeros(cls, mod: Modulus) -> "PeriodicSequence":
-        return cls(mod, np.zeros(mod.MN, dtype=np.complex128))
-
-    @classmethod
-    def basis(cls, mod: Modulus, n: int) -> "PeriodicSequence":
-        """Standard basis vector e_n (index reduced mod MN)."""
-        samples = np.zeros(mod.MN, dtype=np.complex128)
-        samples[n % mod.MN] = 1.0
-        return cls(mod, samples)
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.samples))
 
 
 @dataclass(frozen=True)
 class QuasiPeriodicArray:
-    """M x N delay-Doppler array; extension rule applied by extend(), never stored."""
+    """M x N delay-Doppler array: the fundamental domain only.
+
+    Beyond it the array is quasi-periodic, X[k + n*M, l + m*N] =
+    exp(j*2*pi*n*l/N) * X[k, l]; that extension is never stored.
+    """
 
     mod: Modulus
     values: np.ndarray
@@ -82,21 +75,6 @@ class QuasiPeriodicArray:
                 f"expected shape {(self.mod.M, self.mod.N)}, got {arr.shape}"
             )
         object.__setattr__(self, "values", arr)
-
-    @classmethod
-    def zeros(cls, mod: Modulus) -> "QuasiPeriodicArray":
-        return cls(mod, np.zeros((mod.M, mod.N), dtype=np.complex128))
-
-    def extend(self, k: int, l: int) -> complex:
-        """Quasi-periodic extension at any integer (k, l).
-
-        X[k + n*M, l + m*N] = exp(j*2*pi*n*l/N) * X[k, l].
-        """
-        M, N = self.mod.M, self.mod.N
-        n = k // M
-        # exp(j*2*pi*n*l/N) is the phase index 2*M*(n*l mod N), reduced before evaluation
-        phase = to_complex(2 * M * (n % N * (l % N) % N), self.mod)
-        return complex(phase * self.values[k % M, l % N])
 
 
 def inner(x: PeriodicSequence, y: PeriodicSequence) -> complex:
@@ -247,22 +225,23 @@ def complex_from_csv(path, shape: tuple) -> np.ndarray:
     """Read a complex_to_csv file holding an array of the given shape.
 
     Each line must have the header's field count, integer indices inside
-    `shape` and float values, and no index may repeat, so a file with one
-    line per index is read exactly; anything else is a ConfigurationError
-    naming the line.
+    `shape` and float values, all in ASCII, and no index may repeat, so a
+    file with one line per index is read exactly; anything else is a
+    ConfigurationError naming the line.
     """
     values = np.zeros(shape, dtype=np.complex128)
     seen = np.zeros(shape, dtype=bool)
     nd = values.ndim
     count = 0
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
+    with open(path, "rb") as fh:
+        # a non-ASCII header byte is kept as an escape, so the header differs
+        header = fh.readline().decode("ascii", "backslashreplace").strip()
         if header != _CSV_HEADER[nd]:
             raise ConfigurationError(f"bad CSV header for a {nd}-D array: {header!r}")
         nfield = header.count(",") + 1
         for count, line in enumerate(fh, 1):
-            fields = line.split(",")
             try:
+                fields = line.decode("ascii").split(",")  # UnicodeDecodeError is a ValueError
                 if len(fields) != nfield:
                     raise ValueError(f"{len(fields)} fields, expected {nfield}")
                 index = tuple(int(v) for v in fields[:nd])

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambiguity import AmbiguitySurface, _check_budget, fast_cross_ambiguity
+from .ambiguity import AmbiguitySurface, FastEngine, _check_budget
 from .ddcore import PeriodicSequence
 from .errors import (
     BadSNR,
@@ -31,7 +31,6 @@ from .modmath import Modulus, phases_to_complex, same_modulus
 from .subgroups import DDRegion, LineSubgroup, crystallization_check
 
 __all__ = [
-    "RadarImage",
     "ScatteringEnvironment",
     "add_noise",
     "apply_channel",
@@ -59,27 +58,6 @@ class ScatteringEnvironment:
         if not all(cmath.isfinite(h) for _, _, h in normed):
             raise ConfigurationError("tap gains must be finite")
         object.__setattr__(self, "taps", normed)
-
-
-@dataclass(frozen=True)
-class RadarImage:
-    """Estimated tap map on an ambiguity grid.
-
-    Read like a FastEngine: `mod`, and points(K, L) for the values at grid
-    points, which only a full-grid image has (GridMismatch otherwise).
-    """
-
-    surface: AmbiguitySurface
-
-    @property
-    def mod(self) -> Modulus:
-        return self.surface.mod
-
-    def points(self, K, L) -> np.ndarray:
-        """The image at the grid points (K, L), integer arrays in 0..MN-1 that broadcast together."""
-        if self.surface.grid != "full":
-            raise GridMismatch("readout needs a full-grid image")
-        return self.surface.values[K, L]
 
 
 def apply_channel(env: ScatteringEnvironment, x: PeriodicSequence) -> PeriodicSequence:
@@ -128,17 +106,26 @@ def form_image(
     *,
     pulsone_indices: tuple,
     transform: tuple = (),
-) -> RadarImage:
-    """Radar image: surface[k, l] = A_{y,x}[k, l], formed by the fast engine.
+) -> FastEngine:
+    """Radar image of the return y against the reference x: the FastEngine of A_{y,x}.
 
     The reference x is built from a base by the label chain `transform`
     (empty for the plain base); pulsone_indices is that base as the fast
-    engine takes it, (k0, l0[, period[, gamma]]) (see pulsone_chain).  Every
-    modulus-bound waveform has such a form; for an arbitrary reference, the
-    image is cross_ambiguity_naive(y, x, grid=grid, warn_nonunit=False).
+    engine takes it, (k0, l0[, period[, gamma]]) (see pulsone_chain).  A
+    reference that is not unit-norm, or that base and labels do not
+    describe (|<x, ref> - 1| over 1e-9), is refused with ConfigurationError.
+    The engine reads any point in O(1) on either grid: points(K, L) for a
+    readout, blocks() or `surface` for the `grid`.  Every modulus-bound
+    waveform has such a form; for an arbitrary reference, the image is
+    cross_ambiguity_naive(y, x, grid=grid, warn_nonunit=False).
     """
     same_modulus(y, x)
-    return RadarImage(fast_cross_ambiguity(y, *pulsone_indices, transform=transform, grid=grid))
+    overlap = FastEngine(x, *pulsone_indices, transform=transform).points(0, 0)  # <x, ref>
+    if abs(x.norm() - 1.0) > 1e-9 or abs(overlap - 1.0) > 1e-9:
+        raise ConfigurationError(
+            f"pulsone_indices and transform do not describe x: <x, ref> = {overlap:.6g}"
+        )
+    return FastEngine(y, *pulsone_indices, transform=transform, grid=grid)
 
 
 def predicted_image(env: ScatteringEnvironment, a_x: AmbiguitySurface) -> AmbiguitySurface:
@@ -170,9 +157,10 @@ def readout_targets(
 ) -> list[tuple[int, int, complex]]:
     """Read taps off a crystallized region of the image.
 
-    `img` is any image with `mod` and points(K, L): a full-grid RadarImage,
-    or a FastEngine, whose point query reads the region's points without
-    forming the image; both give the same values.  Refuses (NotCrystallized)
+    `img` is a FastEngine (form_image), whose point query reads the
+    region's points without forming the image, or a full-grid
+    AmbiguitySurface such as cross_ambiguity_naive's image of an arbitrary
+    reference; both give the same values.  Refuses (NotCrystallized)
     when region translates by the line support overlap, since the image
     would alias.  `threshold` is an absolute magnitude cut and must be
     finite and positive (ValidationError otherwise); None means half the

@@ -3,6 +3,7 @@ import pytest
 
 from ddradar import Modulus, PeriodicSequence
 from ddradar.heisenberg import HeisenbergElement, apply_td
+from oracles import basis_vector
 
 
 @pytest.fixture(scope="session")
@@ -23,7 +24,7 @@ def rand_unit_seq(mod: Modulus, rng: np.random.Generator) -> PeriodicSequence:
 def op_matrix(h: HeisenbergElement) -> np.ndarray:
     """Operator-level view of a group element: its matrix on the standard basis."""
     mn = h.mod.MN
-    cols = [apply_td(h, PeriodicSequence.basis(h.mod, j)).samples for j in range(mn)]
+    cols = [apply_td(h, basis_vector(h.mod, j)).samples for j in range(mn)]
     return np.stack(cols, axis=1)
 
 

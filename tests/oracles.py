@@ -8,9 +8,36 @@ import numpy as np
 from ddradar.ddcore import PeriodicSequence, QuasiPeriodicArray
 from ddradar.errors import BNotCoprime, NotPrimitive
 from ddradar.heisenberg import HeisenbergElement
-from ddradar.modmath import Modulus, mod_inv, phases_to_complex
+from ddradar.modmath import Modulus, mod_inv, phases_to_complex, to_complex
 from ddradar.subgroups import LineSubgroup, eigenvector
 from ddradar.symplectic import SL2Element, chain_apply, sl2_factors
+
+
+def zero_sequence(mod: Modulus) -> PeriodicSequence:
+    return PeriodicSequence(mod, np.zeros(mod.MN, dtype=np.complex128))
+
+
+def basis_vector(mod: Modulus, n: int) -> PeriodicSequence:
+    """Standard basis vector e_n (index reduced mod MN)."""
+    samples = np.zeros(mod.MN, dtype=np.complex128)
+    samples[n % mod.MN] = 1.0
+    return PeriodicSequence(mod, samples)
+
+
+def zero_array(mod: Modulus) -> QuasiPeriodicArray:
+    return QuasiPeriodicArray(mod, np.zeros((mod.M, mod.N), dtype=np.complex128))
+
+
+def extend(X: QuasiPeriodicArray, k: int, l: int) -> complex:
+    """Quasi-periodic extension at any integer (k, l).
+
+    X[k + n*M, l + m*N] = exp(j*2*pi*n*l/N) * X[k, l].
+    """
+    M, N = X.mod.M, X.mod.N
+    n = k // M
+    # exp(j*2*pi*n*l/N) is the phase index 2*M*(n*l mod N), reduced before evaluation
+    phase = to_complex(2 * M * (n % N * (l % N) % N), X.mod)
+    return complex(phase * X.values[k % M, l % N])
 
 
 def phase_from_whole(m: int, mod: Modulus) -> int:

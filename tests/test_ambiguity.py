@@ -13,7 +13,6 @@ from ddradar.ambiguity import (
     cross_ambiguity_fft,
     cross_ambiguity_naive,
     cross_ambiguity_point,
-    fast_cross_ambiguity,
     fast_pulsone_precompute,
     fast_pulsone_query,
     fast_pulsone_surface,
@@ -31,7 +30,7 @@ from ddradar.radarsim import ScatteringEnvironment, predicted_image
 from ddradar.subgroups import LineSubgroup, chirp, eigenvector, pulsone, pulsone_chain
 from ddradar.symplectic import SL2Element, chain_apply, gdaft_apply, lfm_apply
 from conftest import rand_unit_seq
-from oracles import ambiguity_sum, pgm_bytes
+from oracles import ambiguity_sum, basis_vector, pgm_bytes
 
 
 class TestNaive:
@@ -134,7 +133,7 @@ def test_every_full_grid_route_checks_the_budget(mod15, monkeypatch, route, need
     x = pulsone(mod15, 0, 0)
     calls = {
         "fft": lambda: cross_ambiguity_fft(x, x),
-        "fast": lambda: fast_cross_ambiguity(x, 0, 0, grid="full"),
+        "fast": lambda: FastEngine(x, 0, 0, grid="full").surface,
         "predicted": lambda: predicted_image(
             ScatteringEnvironment(mod15, ((0, 0, 1.0),)), AmbiguitySurface(mod15, "full", np.eye(15))
         ),
@@ -148,7 +147,7 @@ def test_every_full_grid_route_checks_the_budget(mod15, monkeypatch, route, need
 
 class TestFastPulsone:
     def test_impulse_precompute_table(self, mod15):
-        pre = fast_pulsone_precompute(PeriodicSequence.basis(mod15, 0), 0, 0)
+        pre = fast_pulsone_precompute(basis_vector(mod15, 0), 0, 0)
         expected = np.zeros((3, 5), dtype=complex)
         expected[0, :] = 1 / np.sqrt(5)
         np.testing.assert_allclose(pre.rowfft, expected, atol=1e-15)
@@ -197,7 +196,7 @@ class TestFastPulsone:
         pre = fast_pulsone_precompute(x, 2, 1)
         shape = (3, 5) if grid == "fundamental" else (15, 15)
         kk, ll = np.meshgrid(np.arange(shape[0]), np.arange(shape[1]), indexing="ij")
-        surf = fast_cross_ambiguity(x, 2, 1, grid=grid)
+        surf = FastEngine(x, 2, 1, grid=grid).surface
         assert surf.grid == grid
         np.testing.assert_array_equal(surf.values, fast_pulsone_query(pre, kk, ll))
         if grid == "fundamental":
@@ -206,7 +205,7 @@ class TestFastPulsone:
     def test_unknown_grid_rejected(self, mod15):
         x = pulsone(mod15, 0, 0)
         with pytest.raises(ConfigurationError):
-            fast_cross_ambiguity(x, 0, 0, grid="diagonal")
+            FastEngine(x, 0, 0, grid="diagonal")
         with pytest.raises(ConfigurationError):
             cross_ambiguity_naive(x, x, grid="diagonal")
         with pytest.raises(ConfigurationError):
@@ -217,7 +216,7 @@ class TestFastPulsone:
         x = rand_unit_seq(mod15, rng)
         g = SL2Element(mod15, 1, 2, 7, 0)
         ref = gdaft_apply(g, pulsone(mod15, 1, 2))
-        fast = fast_cross_ambiguity(x, 1, 2, transform=(g,), grid="full").values
+        fast = FastEngine(x, 1, 2, transform=(g,), grid="full").surface.values
         naive = cross_ambiguity_naive(x, ref, grid="full").values
         np.testing.assert_allclose(fast, naive, atol=1e-10)
 
@@ -225,7 +224,7 @@ class TestFastPulsone:
         rng = np.random.default_rng(9)
         x = rand_unit_seq(mod15, rng)
         ref = lfm_apply(2, pulsone(mod15, 0, 3))
-        fast = fast_cross_ambiguity(x, 0, 3, transform=(SL2Element.lfm(mod15, 2),), grid="full").values
+        fast = FastEngine(x, 0, 3, transform=(SL2Element.lfm(mod15, 2),), grid="full").surface.values
         naive = cross_ambiguity_naive(x, ref, grid="full").values
         np.testing.assert_allclose(fast, naive, atol=1e-10)
 
@@ -277,7 +276,7 @@ def test_engine_matches_naive_for_every_chain(M, N, kind, grid):
     mod = Modulus(M, N)
     base, labels, ref = _reference(mod, kind)
     x = rand_unit_seq(mod, np.random.default_rng(M * N))
-    fast = fast_cross_ambiguity(x, *base, transform=labels, grid=grid).values
+    fast = FastEngine(x, *base, transform=labels, grid=grid).surface.values
     naive = cross_ambiguity_naive(x, ref, grid=grid).values
     np.testing.assert_allclose(fast, naive, atol=1e-10)
 
@@ -292,7 +291,7 @@ def test_full_grid_engine_memory(M, N, chain):
     x = rand_unit_seq(mod, np.random.default_rng(M))
     tracemalloc.start()
     try:
-        fast_cross_ambiguity(x, 1, 2, transform=labels, grid="full")
+        FastEngine(x, 1, 2, transform=labels, grid="full").surface
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -18,7 +18,7 @@ from ddradar.ambiguity import cross_ambiguity_naive, surface_from_csv, zc_sequen
 from ddradar.cli import main
 from ddradar.ddcore import PeriodicSequence, sequence_from_csv
 from ddradar.modmath import Modulus
-from ddradar.radarsim import RadarImage, ScatteringEnvironment, add_noise, apply_channel, readout_targets
+from ddradar.radarsim import ScatteringEnvironment, add_noise, apply_channel, readout_targets
 from ddradar.subgroups import DDRegion, LineSubgroup, chirp, eigenvector, pulsone
 from ddradar.symplectic import SL2Element, gdaft_apply, lfm_apply
 
@@ -363,7 +363,7 @@ class TestSimulateCommand:
         x = eigenvector(lsub, 7)
         env = ScatteringEnvironment(mod, [(k, l, re + 1j * im) for k, l, re, im in taps])
         y = add_noise(apply_channel(env, x), 30.0, 4)
-        img = RadarImage(cross_ambiguity_naive(y, x, grid="full", warn_nonunit=False))
+        img = cross_ambiguity_naive(y, x, grid="full", warn_nonunit=False)
         want = readout_targets(img, lsub, DDRegion(0, 2, 0, 2))
         assert [(t["k"], t["l"]) for t in doc["targets"]] == [(k, l) for k, l, _ in want]
         for t, (_, _, v) in zip(doc["targets"], want):

@@ -5,7 +5,6 @@ import pytest
 
 from ddradar import ddcore, floatfmt
 from ddradar.ddcore import (
-    PeriodicSequence,
     QuasiPeriodicArray,
     complex_to_csv,
     dzt,
@@ -18,13 +17,22 @@ from ddradar.ddcore import (
 from ddradar.errors import ConfigurationError, ModulusMismatch
 from ddradar.modmath import Modulus
 from conftest import rand_unit_seq
-from oracles import basis_vrs, complex_to_csv_rows, dzt_direct, idzt_direct
+from oracles import (
+    basis_vector,
+    basis_vrs,
+    complex_to_csv_rows,
+    dzt_direct,
+    extend,
+    idzt_direct,
+    zero_array,
+    zero_sequence,
+)
 
 
 class TestInner:
     def test_unit_basis(self, mod15):
-        e0 = PeriodicSequence.basis(mod15, 0)
-        e1 = PeriodicSequence.basis(mod15, 1)
+        e0 = basis_vector(mod15, 0)
+        e1 = basis_vector(mod15, 1)
         assert inner(e0, e0) == 1
         assert inner(e0, e1) == 0
 
@@ -39,19 +47,19 @@ class TestInner:
     def test_modulus_mismatch(self, mod15):
         other = Modulus(3, 7)
         with pytest.raises(ModulusMismatch):
-            inner(PeriodicSequence.zeros(mod15), PeriodicSequence.zeros(other))
+            inner(zero_sequence(mod15), zero_sequence(other))
 
 
 class TestDzt:
     def test_impulse_at_zero(self, mod15):
-        X = dzt(PeriodicSequence.basis(mod15, 0))
+        X = dzt(basis_vector(mod15, 0))
         expected = np.zeros((3, 5), dtype=complex)
         expected[0, :] = 1 / np.sqrt(5)
         np.testing.assert_allclose(X.values, expected, atol=1e-15)
 
     def test_impulse_at_m(self, mod15):
         # e_3 sits at delay row 0, decimation slot p = 1
-        X = dzt(PeriodicSequence.basis(mod15, 3))
+        X = dzt(basis_vector(mod15, 3))
         l = np.arange(5)
         np.testing.assert_allclose(X.values[0], np.exp(-2j * np.pi * l / 5) / np.sqrt(5), atol=1e-15)
         np.testing.assert_allclose(X.values[1:], 0, atol=1e-15)
@@ -75,7 +83,7 @@ class TestDzt:
             np.testing.assert_allclose(dzt(idzt(X)).values, X.values, atol=1e-12)
 
     def test_zero_array(self, mod15):
-        np.testing.assert_array_equal(idzt(QuasiPeriodicArray.zeros(mod15)).samples, 0)
+        np.testing.assert_array_equal(idzt(zero_array(mod15)).samples, 0)
 
     def test_unitarity(self, mod15):
         rng = np.random.default_rng(3)
@@ -90,9 +98,9 @@ class TestExtend:
         X = QuasiPeriodicArray(mod15, rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5)))
         for k in range(3):
             for l in range(5):
-                assert X.extend(k, l) == X.values[k, l]
-                assert X.extend(k + 3, l) == pytest.approx(np.exp(2j * np.pi * l / 5) * X.values[k, l], abs=1e-12)
-                assert X.extend(k, l + 5) == pytest.approx(X.values[k, l], abs=1e-12)
+                assert extend(X, k, l) == X.values[k, l]
+                assert extend(X, k + 3, l) == pytest.approx(np.exp(2j * np.pi * l / 5) * X.values[k, l], abs=1e-12)
+                assert extend(X, k, l + 5) == pytest.approx(X.values[k, l], abs=1e-12)
 
     def test_quasi_periodicity_over_window(self, mod15):
         # exhaustive over a 3MN x 3MN window centred at the origin
@@ -100,17 +108,17 @@ class TestExtend:
         X = QuasiPeriodicArray(mod15, rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5)))
         for k in range(-22, 23):
             for l in range(-22, 23):
-                assert X.extend(k + 3, l) == pytest.approx(
-                    np.exp(2j * np.pi * (l % 5) / 5) * X.extend(k, l), abs=1e-12
+                assert extend(X, k + 3, l) == pytest.approx(
+                    np.exp(2j * np.pi * (l % 5) / 5) * extend(X, k, l), abs=1e-12
                 )
-                assert X.extend(k, l + 5) == pytest.approx(X.extend(k, l), abs=1e-12)
+                assert extend(X, k, l + 5) == pytest.approx(extend(X, k, l), abs=1e-12)
 
     def test_delay_shift_phase_reduced_in_the_ring(self, mod15):
         # n = 5e12 + 1 delay periods is n = 1 mod N: the same phase exactly, not a float near it
         rng = np.random.default_rng(6)
         X = QuasiPeriodicArray(mod15, rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5)))
         for l in range(5):
-            assert X.extend(3 * (5 * 10**12 + 1) + 1, l) == X.extend(4, l)
+            assert extend(X, 3 * (5 * 10**12 + 1) + 1, l) == extend(X, 4, l)
 
 
 class TestBasisVrs:
@@ -175,6 +183,16 @@ class TestCsv:
         lines[line] = edit(lines[line])
         path.write_text("".join(lines))
         with pytest.raises(ConfigurationError):
+            ddcore.complex_from_csv(path, (2, 3))
+
+    @pytest.mark.parametrize("line, match", [(0, "header"), (3, "data line 3")])
+    def test_non_ascii_byte_rejected(self, tmp_path, line, match):
+        path = tmp_path / "m.csv"
+        complex_to_csv(np.arange(6).reshape(2, 3) * (1 + 0.5j), path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[line] = "é".encode("utf-8") + lines[line]
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ConfigurationError, match=match):
             ddcore.complex_from_csv(path, (2, 3))
 
 

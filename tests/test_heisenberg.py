@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ddradar.ddcore import PeriodicSequence, QuasiPeriodicArray, dzt, idzt
+from ddradar.ddcore import QuasiPeriodicArray, dzt, idzt
 from ddradar.errors import ModulusMismatch
 from ddradar.heisenberg import (
     HeisenbergElement,
@@ -12,7 +12,7 @@ from ddradar.heisenberg import (
 )
 from ddradar.modmath import Modulus, to_complex
 from conftest import op_matrix, rand_unit_seq
-from oracles import commutator_phase, commutes
+from oracles import basis_vector, commutator_phase, commutes, extend, zero_sequence
 
 
 class TestApplyTd:
@@ -23,12 +23,12 @@ class TestApplyTd:
         np.testing.assert_array_equal(out.samples, x.samples)
 
     def test_pure_delay(self, mod15):
-        e0 = PeriodicSequence.basis(mod15, 0)
+        e0 = basis_vector(mod15, 0)
         out = apply_td(HeisenbergElement(mod15, 1, 0), e0)
-        np.testing.assert_allclose(out.samples, PeriodicSequence.basis(mod15, 1).samples, atol=1e-15)
+        np.testing.assert_allclose(out.samples, basis_vector(mod15, 1).samples, atol=1e-15)
 
     def test_doppler_ramp_fixes_impulse_at_origin(self, mod15):
-        e0 = PeriodicSequence.basis(mod15, 0)
+        e0 = basis_vector(mod15, 0)
         out = apply_td(HeisenbergElement(mod15, 0, 1), e0)
         np.testing.assert_allclose(out.samples, e0.samples, atol=1e-15)
 
@@ -41,7 +41,7 @@ class TestApplyTd:
 
     def test_modulus_mismatch(self, mod15):
         with pytest.raises(ModulusMismatch):
-            apply_td(HeisenbergElement.identity(Modulus(3, 7)), PeriodicSequence.zeros(mod15))
+            apply_td(HeisenbergElement.identity(Modulus(3, 7)), zero_sequence(mod15))
 
 
 class TestGroupLaw:
@@ -149,5 +149,5 @@ class TestApplyDd:
         rng = np.random.default_rng(8)
         X = QuasiPeriodicArray(mod15, rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5)))
         out = apply_dd(HeisenbergElement(mod15, 3, 0), X)
-        expected = np.array([[X.extend(k - 3, l) for l in range(5)] for k in range(3)])
+        expected = np.array([[extend(X, k - 3, l) for l in range(5)] for k in range(3)])
         np.testing.assert_allclose(out.values, expected, atol=1e-12)

@@ -12,7 +12,7 @@ from ddradar.ambiguity import (
     cross_ambiguity_naive,
     cross_ambiguity_point,
 )
-from ddradar.ddcore import PeriodicSequence, QuasiPeriodicArray, inner, inner_dd
+from ddradar.ddcore import inner, inner_dd
 from ddradar.errors import ConfigurationError, ModulusMismatch, NotInvertible
 from ddradar.heisenberg import HeisenbergElement, apply_dd, apply_td, compose
 from ddradar.modmath import (
@@ -33,7 +33,7 @@ from ddradar.radarsim import (
 from ddradar.subgroups import DDRegion, LineSubgroup, pulsone
 from ddradar.symplectic import SL2Element, gdaft_adjoint, gdaft_apply
 from conftest import roots_of_unity_sum
-from oracles import phase_from_whole
+from oracles import phase_from_whole, zero_array, zero_sequence
 
 
 class TestModulus:
@@ -162,11 +162,11 @@ _MIXED = {
     "gdaft_apply": lambda: gdaft_apply(SL2Element(_A, 0, 1, -1, 0), pulsone(_B, 0, 0)),
     "gdaft_adjoint": lambda: gdaft_adjoint(SL2Element(_A, 0, 1, -1, 0), pulsone(_B, 0, 0)),
     "SL2Element.matmul": lambda: SL2Element.identity(_A).matmul(SL2Element.identity(_B)),
-    "apply_td": lambda: apply_td(HeisenbergElement.identity(_A), PeriodicSequence.zeros(_B)),
-    "apply_dd": lambda: apply_dd(HeisenbergElement.identity(_A), QuasiPeriodicArray.zeros(_B)),
+    "apply_td": lambda: apply_td(HeisenbergElement.identity(_A), zero_sequence(_B)),
+    "apply_dd": lambda: apply_dd(HeisenbergElement.identity(_A), zero_array(_B)),
     "compose": lambda: compose(HeisenbergElement.identity(_A), HeisenbergElement.identity(_B)),
-    "inner": lambda: inner(PeriodicSequence.zeros(_A), PeriodicSequence.zeros(_B)),
-    "inner_dd": lambda: inner_dd(QuasiPeriodicArray.zeros(_A), QuasiPeriodicArray.zeros(_B)),
+    "inner": lambda: inner(zero_sequence(_A), zero_sequence(_B)),
+    "inner_dd": lambda: inner_dd(zero_array(_A), zero_array(_B)),
     "apply_channel": lambda: apply_channel(ScatteringEnvironment(_A, ()), pulsone(_B, 0, 0)),
     "form_image": lambda: form_image(pulsone(_A, 0, 0), pulsone(_B, 0, 0), pulsone_indices=(0, 0)),
     "predicted_image": lambda: predicted_image(

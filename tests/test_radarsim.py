@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from ddradar.ambiguity import (
-    AmbiguitySurface,
     FastEngine,
     cross_ambiguity_fft,
     cross_ambiguity_naive,
-    fast_cross_ambiguity,
 )
 from ddradar.ddcore import PeriodicSequence
 from ddradar.errors import (
@@ -20,7 +18,6 @@ from ddradar.errors import (
 )
 from ddradar.modmath import Modulus
 from ddradar.radarsim import (
-    RadarImage,
     ScatteringEnvironment,
     add_noise,
     apply_channel,
@@ -30,9 +27,10 @@ from ddradar.radarsim import (
     scene_from_json,
     scene_to_json,
 )
-from ddradar.subgroups import DDRegion, LineSubgroup, crystallization_check, pulsone
+from ddradar.subgroups import DDRegion, LineSubgroup, chirp, crystallization_check, pulsone
 from ddradar.symplectic import SL2Element, gdaft_apply
 from conftest import rand_unit_seq
+from oracles import basis_vector, zero_sequence
 
 FOUR_TAPS = ((0, 0, 1.0), (1, 2, 0.5 - 0.25j), (2, 1, -0.8j), (2, 4, 0.3 + 0.6j))
 
@@ -51,9 +49,9 @@ class TestApplyChannel:
 
     def test_single_shift_tap_on_impulse(self, mod15):
         out = apply_channel(
-            ScatteringEnvironment(mod15, ((2, 3, 1.0),)), PeriodicSequence.basis(mod15, 0)
+            ScatteringEnvironment(mod15, ((2, 3, 1.0),)), basis_vector(mod15, 0)
         )
-        np.testing.assert_allclose(out.samples, PeriodicSequence.basis(mod15, 2).samples, atol=1e-15)
+        np.testing.assert_allclose(out.samples, basis_vector(mod15, 2).samples, atol=1e-15)
 
     def test_linearity(self, mod15):
         rng = np.random.default_rng(2)
@@ -110,7 +108,7 @@ class TestAddNoise:
 
     def test_zero_signal_rejected(self, mod15):
         with pytest.raises(ZeroSignal):
-            add_noise(PeriodicSequence.zeros(mod15), 10.0, seed=0)
+            add_noise(zero_sequence(mod15), 10.0, seed=0)
 
     @pytest.mark.parametrize("snr_db", [float("nan"), float("-inf"), -4000.0, 4000.0])
     def test_unusable_snr_rejected(self, mod15, snr_db):
@@ -154,6 +152,21 @@ class TestFormImage:
         np.testing.assert_allclose(fast.surface.values, naive.values, atol=1e-10)
 
 
+    @pytest.mark.parametrize("case", ["chirp-as-pulsone", "wrong-transform", "not-unit"])
+    def test_reference_its_base_does_not_describe_refused(self, mod15, case):
+        g = SL2Element(mod15, 1, 2, 0, 1)
+        x = gdaft_apply(g, pulsone(mod15, 0, 1))
+        kwargs = {"pulsone_indices": (0, 1), "transform": (g,)}
+        if case == "chirp-as-pulsone":
+            x, kwargs = chirp(mod15, 2), {"pulsone_indices": (0, 0)}
+        elif case == "wrong-transform":
+            kwargs["transform"] = (SL2Element(mod15, 1, 4, 0, 1),)
+        else:  # <x, ref> is still 1: the added part is orthogonal to ref
+            x = PeriodicSequence(mod15, x.samples + 0.5 * gdaft_apply(g, pulsone(mod15, 2, 3)).samples)
+        with pytest.raises(ConfigurationError):
+            form_image(x, x, grid="full", **kwargs)
+
+
 class TestPredictedImage:
     def test_empty_environment(self, mod15):
         v = pulsone(mod15, 0, 0)
@@ -195,7 +208,7 @@ class TestPredictedImage:
         env = ScatteringEnvironment(mod1147, taps)
         x = pulsone(mod1147, k0, l0)
         img = form_image(apply_channel(env, x), x, grid="full", pulsone_indices=(k0, l0))
-        pred = predicted_image(env, fast_cross_ambiguity(x, k0, l0, grid="full"))
+        pred = predicted_image(env, FastEngine(x, k0, l0, grid="full").surface)
         assert np.max(np.abs(img.surface.values - pred.values)) <= 1e-14
 
     def test_requires_full_grid(self, mod15):
@@ -245,7 +258,21 @@ class TestReadout:
         v = pulsone(mod15, 1, 2)
         fundamental = form_image(v, v, grid="fundamental", pulsone_indices=(1, 2))
         with pytest.raises(GridMismatch):
-            readout_targets(fundamental, LineSubgroup(mod15, 3, 5), DDRegion(0, 2, 0, 4))
+            readout_targets(fundamental.surface, LineSubgroup(mod15, 3, 5), DDRegion(0, 2, 0, 4))
+
+    @pytest.mark.parametrize("threshold", [None, 0.2])
+    def test_fundamental_image_reads_the_full_grid_targets(self, mod15, threshold):
+        # the engine answers every grid point, whatever grid it walks
+        env = ScatteringEnvironment(mod15, FOUR_TAPS)
+        x = pulsone(mod15, 0, 0)
+        y = add_noise(apply_channel(env, x), 25.0, seed=1)
+        line, region = LineSubgroup(mod15, 3, 5), DDRegion(0, 2, 0, 4)
+        fundamental = form_image(y, x, grid="fundamental", pulsone_indices=(0, 0))
+        full = form_image(y, x, grid="full", pulsone_indices=(0, 0))
+        got = readout_targets(fundamental, line, region, threshold)
+        assert got == readout_targets(full, line, region, threshold)
+        assert got == readout_targets(full.surface, line, region, threshold)
+        assert [(k, l) for k, l, _ in got] == sorted((k, l) for k, l, _ in FOUR_TAPS)
 
     @pytest.mark.parametrize("source", ["surface", "engine"])
     def test_matches_the_sorted_set_of_region_keys(self, source):
@@ -255,8 +282,8 @@ class TestReadout:
         mn = mod.MN
         rng = np.random.default_rng(12)
         engine = FastEngine(rand_unit_seq(mod, rng), 1, 2, grid="full")
-        values = engine.rows(0, mn)
-        img = engine if source == "engine" else RadarImage(AmbiguitySurface(mod, "full", values))
+        values = engine.surface.values
+        img = engine if source == "engine" else engine.surface
         lines = [LineSubgroup(mod, c, d) for c, d in ((5, 7), (1, 2), (5, 1), (1, 0), (0, 1))]
         checked = wrapped = negative = 0
         while checked < 80:

@@ -2,8 +2,9 @@
 
 `simulate` and `ambiguity --engine fast` form their surface in row blocks and
 write each block as it is formed; the materialised route forms the whole
-surface first (form_image or fast_cross_ambiguity), then writes it with
-surface_to_csv and surface_to_pgm and reads the targets off the array.
+surface first (the `surface` of the engine, from form_image or built
+directly), then writes it with surface_to_csv and surface_to_pgm and reads
+the targets off the array.
 """
 
 import json
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from ddradar import ambiguity, ddcore
-from ddradar.ambiguity import FastEngine, fast_cross_ambiguity, surface_to_csv, surface_to_pgm
+from ddradar.ambiguity import FastEngine, surface_to_csv, surface_to_pgm
 from ddradar.cli import _build_parser, main, parse_waveform_spec
 from ddradar.ddcore import PeriodicSequence
 from ddradar.modmath import Modulus
@@ -68,7 +69,7 @@ def _materialised_simulate(out, scene, spec_text, line, region, index, snr_db, s
     out.mkdir()
     surface_to_csv(img.surface, out / "image.csv")
     surface_to_pgm(img.surface.values, out / "image.pgm", scale=scale)
-    targets = readout_targets(img, line, region)
+    targets = readout_targets(img.surface, line, region)
     doc = {"M": mod.M, "N": mod.N, "waveform": spec_text, "engine": "fast",
            "snr_db": snr_db, "seed": seed,
            "targets": [{"k": k, "l": l, "re": v.real, "im": v.imag} for k, l, v in targets]}
@@ -117,7 +118,7 @@ def test_streamed_fast_full_grid_writes_the_materialised_bytes(tmp_path, M, N, y
                 "--grid", "full", "--scale", scale, "--out", tmp_path / "streamed"]) == 0
     xs, ys = parse_waveform_spec(x, mod), parse_waveform_spec(y, mod)
     base, labels = ys.fast
-    values = fast_cross_ambiguity(xs.seq, *base, transform=labels, grid="full").values
+    values = FastEngine(xs.seq, *base, transform=labels, grid="full").surface.values
     whole = tmp_path / "whole"
     whole.mkdir()
     surface_to_csv(values, whole / "ambiguity.csv")
@@ -336,7 +337,7 @@ def test_point_queries_match_row_blocks():
     rng = np.random.default_rng(3)
     x = spec.seq
     engine = ambiguity.FastEngine(x, *spec.fast[0], transform=spec.fast[1], grid="full")
-    whole = fast_cross_ambiguity(x, *spec.fast[0], transform=spec.fast[1], grid="full").values
+    whole = engine.surface.values
     for k, l in rng.integers(-2 * mod.MN, 2 * mod.MN, size=(50, 2)):
         got = engine.points(np.array([k]), np.array([l]))[0]
         assert got == whole[k % mod.MN, l % mod.MN]

@@ -21,7 +21,16 @@ from ddradar.symplectic import (
     sl2_mapping_direction,
 )
 from conftest import op_matrix, rand_unit_seq
-from oracles import dft_label, eigenbasis_for_line, gdaft_kernel, sl2_apply, sl2_matrix, support_set
+from oracles import (
+    basis_vector,
+    dft_label,
+    eigenbasis_for_line,
+    gdaft_kernel,
+    sl2_apply,
+    sl2_matrix,
+    support_set,
+    zero_sequence,
+)
 
 
 def random_sl2(mod, rng):
@@ -78,7 +87,7 @@ class TestLfm:
 
     def test_rate_must_be_coprime(self, mod15):
         with pytest.raises(NotCoprime):
-            lfm_apply(5, PeriodicSequence.zeros(mod15))
+            lfm_apply(5, zero_sequence(mod15))
 
     def test_conjugation_law_on_operators(self, mod15):
         A = 2
@@ -103,7 +112,7 @@ class TestGdaft:
         for label in GDAFT_LABELS:
             g = SL2Element(mod15, *label)
             K = np.stack(
-                [gdaft_apply(g, PeriodicSequence.basis(mod15, j)).samples for j in range(15)],
+                [gdaft_apply(g, basis_vector(mod15, j)).samples for j in range(15)],
                 axis=1,
             )
             np.testing.assert_allclose(K.conj().T @ K, np.eye(15), atol=1e-12)
@@ -124,7 +133,7 @@ class TestGdaft:
 
     def test_b_not_coprime(self, mod15):
         with pytest.raises(BNotCoprime):
-            gdaft_apply(SL2Element(mod15, 1, 0, 2, 1), PeriodicSequence.zeros(mod15))
+            gdaft_apply(SL2Element(mod15, 1, 0, 2, 1), zero_sequence(mod15))
 
     def test_adjoint_is_exact_inverse(self, mod15):
         rng = np.random.default_rng(4)
@@ -242,7 +251,7 @@ class TestNormalizationLaw:
     def test_gdaft_conjugation_matches_remap_phase(self, mod15, label):
         g = SL2Element(mod15, *label)
         K = np.stack(
-            [gdaft_apply(g, PeriodicSequence.basis(mod15, j)).samples for j in range(15)],
+            [gdaft_apply(g, basis_vector(mod15, j)).samples for j in range(15)],
             axis=1,
         )
         remap = remap_for(g)
@@ -350,4 +359,4 @@ class TestPapr:
 
     def test_zero_sequence_rejected(self, mod15):
         with pytest.raises(ZeroSequence):
-            papr_db(PeriodicSequence.zeros(mod15))
+            papr_db(zero_sequence(mod15))
