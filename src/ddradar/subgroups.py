@@ -22,7 +22,7 @@ import numpy as np
 
 from .ddcore import PeriodicSequence
 from .errors import AlphaNotCoprime, ConfigurationError, IndexOutOfRange, NotPrimitive
-from .modmath import Modulus, mod_inv, phases_to_complex
+from .modmath import Modulus, mod_inv, phases_to_complex, quadratic_phase
 from .symplectic import SL2Element, chain_apply, sl2_factors, sl2_mapping_direction
 
 __all__ = [
@@ -109,15 +109,12 @@ def chirp(mod: Modulus, alpha: int, beta: int = 0, gamma: int = 0) -> PeriodicSe
     """Constant-modulus quadratic-phase sequence exp(j*2*pi*(a*n^2+b*n+g)/MN)/sqrt(MN).
 
     The common eigenvector family of the slope-2*alpha line; needs
-    gcd(alpha, MN) = 1.  The exponent is reduced mod MN and its phase index
-    2*expo gathered from the 2MN roots of unity (modmath.phases_to_complex).
+    gcd(alpha, MN) = 1.  The phase is modmath.quadratic_phase(mod, alpha,
+    beta, gamma), exact for any integer coefficients.
     """
     if gcd(alpha, mod.MN) != 1:
         raise AlphaNotCoprime(f"alpha = {alpha} shares a factor with MN = {mod.MN}")
-    alpha, beta, gamma = alpha % mod.MN, beta % mod.MN, gamma % mod.MN
-    n = np.arange(mod.MN, dtype=np.int64)
-    expo = (alpha * (n * n % mod.MN) + beta * n + gamma) % mod.MN
-    return PeriodicSequence(mod, phases_to_complex(2 * expo, mod) / np.sqrt(mod.MN))
+    return PeriodicSequence(mod, quadratic_phase(mod, alpha, beta, gamma) / np.sqrt(mod.MN))
 
 
 def pulsone_chain(line: LineSubgroup, index: int) -> tuple:

@@ -22,7 +22,9 @@ permuted bin binv*n mod MN, so the transform is chirp, FFT, chirp:
     W^H y = conj(c_a) * IFFT(conj(c_d) * y)[binv*n mod MN] * sqrt(MN)
 
 with integer-index chirps c_a[n] = exp(j*pi*2*(inv2*binv*a*n^2 mod MN)/MN)
-and c_d likewise with d.  Each costs O(MN log MN) time and O(MN) memory.
+and c_d likewise with d, both modmath.quadratic_phase, the one quadratic
+phase that LFM and the chirp waveforms also read.  Each transform costs
+O(MN log MN) time and O(MN) memory.
 A general determinant-1 matrix with non-invertible b is realised through a
 shear decomposition into two such transforms (sl2_factors), which fixes the
 operator only up to a global unimodular phase; chain_apply realises chains.
@@ -37,7 +39,7 @@ import numpy as np
 
 from .ddcore import PeriodicSequence
 from .errors import BNotCoprime, DetNotOne, NotCoprime, ZeroSequence
-from .modmath import Modulus, crt_join, mod_inv, phases_to_complex, same_modulus
+from .modmath import Modulus, crt_join, mod_inv, quadratic_phase, same_modulus
 
 __all__ = [
     "AmbiguityRemap",
@@ -100,28 +102,29 @@ class SL2Element:
 
 
 def lfm_apply(A: int, x: PeriodicSequence) -> PeriodicSequence:
-    """Multiply by the quadratic phase exp(j*2*pi*A*n^2/MN); requires gcd(A, MN) = 1."""
+    """Multiply by the quadratic phase exp(j*2*pi*A*n^2/MN); requires gcd(A, MN) = 1.
+
+    The phase is modmath.quadratic_phase(mod, A), exact for any integer A.
+    """
     mod = x.mod
     if gcd(A, mod.MN) != 1:
         raise NotCoprime(f"LFM rate {A} shares a factor with MN = {mod.MN}")
-    n = np.arange(mod.MN, dtype=np.int64)
-    idx = 2 * ((A % mod.MN) * (n * n % mod.twoMN) % mod.twoMN) % mod.twoMN
-    return PeriodicSequence(mod, x.samples * phases_to_complex(idx, mod))
+    return PeriodicSequence(mod, x.samples * quadratic_phase(mod, A))
 
 
 def _gdaft_factors(g: SL2Element) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Chirps c_a, c_d and the output permutation binv*n mod MN of the GDAFT for g."""
+    """Chirps c_a, c_d and the output permutation binv*n mod MN of the GDAFT for g.
+
+    c_a is modmath.quadratic_phase(mod, inv2*binv*a), exp(j*pi*binv*a*n^2/MN)
+    with the half read ring-exactly, and c_d likewise with d.
+    """
     mod = g.mod
-    mn = mod.MN
-    if gcd(g.b, mn) != 1:
-        raise BNotCoprime(f"GDAFT needs gcd(b, MN) = 1, got b = {g.b}, MN = {mn}")
-    binv = mod_inv(g.b, mn)
-    half_binv = mod.inv2 * binv % mn
-    n = np.arange(mn, dtype=np.int64)
-    n2 = n * n % mn
-    c_a = phases_to_complex(2 * ((half_binv * g.a % mn) * n2 % mn), mod)
-    c_d = phases_to_complex(2 * ((half_binv * g.d % mn) * n2 % mn), mod)
-    return c_a, c_d, binv * n % mn
+    if gcd(g.b, mod.MN) != 1:
+        raise BNotCoprime(f"GDAFT needs gcd(b, MN) = 1, got b = {g.b}, MN = {mod.MN}")
+    binv = mod_inv(g.b, mod.MN)
+    half_binv = mod.inv2 * binv
+    perm = binv * np.arange(mod.MN, dtype=np.int64) % mod.MN
+    return quadratic_phase(mod, half_binv * g.a), quadratic_phase(mod, half_binv * g.d), perm
 
 
 def gdaft_apply(g: SL2Element, x: PeriodicSequence) -> PeriodicSequence:

@@ -152,6 +152,16 @@ class TestFastPulsone:
         expected[0, :] = 1 / np.sqrt(5)
         np.testing.assert_allclose(pre.rowfft, expected, atol=1e-15)
 
+    @pytest.mark.parametrize("period", [None, 1])
+    def test_table_is_c_ordered(self, mod1147, period):
+        # a query's take() copies a table that is not C-contiguous, on every call
+        x = rand_unit_seq(mod1147, np.random.default_rng(3))
+        pre = fast_pulsone_precompute(x, 0, 0, period)
+        assert pre.rowfft.flags.c_contiguous
+        length = mod1147.MN // (period or mod1147.M)
+        want = np.fft.fft(x.samples.reshape(length, -1).T, axis=1) / np.sqrt(length)
+        np.testing.assert_array_equal(pre.rowfft, want)
+
     def test_self_query_at_origin(self, mod15):
         v = pulsone(mod15, 1, 2)
         pre = fast_pulsone_precompute(v, 1, 2)
@@ -398,6 +408,17 @@ class TestZadoffChu:
             zc_sequence(3, 15)
         with pytest.raises(BadRoot):
             zc_sequence(1, 8)
+
+    @pytest.mark.parametrize("L", [15, 667])
+    def test_any_integer_root_is_its_residue(self, L):
+        # n*(n+1) is even, so root mod L fixes every phase: no int64 overflow, the same bits
+        for root in (10**20 + 1, -(10**30) - 2, -1, L + 2):
+            if np.gcd(root % L, L) == 1:
+                np.testing.assert_array_equal(zc_sequence(root, L), zc_sequence(root % L, L))
+
+    def test_refusal_names_the_given_root(self):
+        with pytest.raises(BadRoot, match="root 100000000000000000005 shares a factor"):
+            zc_sequence(10**20 + 5, 15)
 
 
 class TestCodedWaveform:

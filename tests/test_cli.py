@@ -425,24 +425,26 @@ class TestThresholdFlag:
         assert "threshold" in capsys.readouterr().err
 
 
+def compare_trees(a, b):
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    match, mismatch, errors = filecmp.cmpfiles(a, b, names, shallow=False)
+    assert mismatch == [] and errors == []
+
+
 class TestDeterminism:
-    def _compare_trees(self, a, b):
-        names = sorted(p.name for p in a.iterdir())
-        assert names == sorted(p.name for p in b.iterdir())
-        match, mismatch, errors = filecmp.cmpfiles(a, b, names, shallow=False)
-        assert mismatch == [] and errors == []
 
     def test_waveform_byte_identical(self, tmp_path):
         for out in (tmp_path / "r1", tmp_path / "r2"):
             assert run(["waveform", "gdaft-of", "pulsone", "--sl2", "1,2,0,1", "--M", 3, "--N", 5,
                         "--self-ambiguity", "--seed", 5, "--out", out]) == 0
-        self._compare_trees(tmp_path / "r1", tmp_path / "r2")
+        compare_trees(tmp_path / "r1", tmp_path / "r2")
 
     def test_ambiguity_byte_identical(self, tmp_path):
         for out in (tmp_path / "r1", tmp_path / "r2"):
             assert run(["ambiguity", "--M", 3, "--N", 5, "--x", "chirp:1", "--y", "chirp:1",
                         "--grid", "full", "--scale", "db", "--out", out]) == 0
-        self._compare_trees(tmp_path / "r1", tmp_path / "r2")
+        compare_trees(tmp_path / "r1", tmp_path / "r2")
 
     def test_simulate_byte_identical_with_noise(self, tmp_path):
         scene = tmp_path / "scene.json"
@@ -450,7 +452,38 @@ class TestDeterminism:
         for out in (tmp_path / "r1", tmp_path / "r2"):
             assert run(["simulate", "--scene", scene, "--snr-db", 20, "--seed", 11,
                         "--line", "3,5", "--region", "0:2,0:4", "--out", out]) == 0
-        self._compare_trees(tmp_path / "r1", tmp_path / "r2")
+        compare_trees(tmp_path / "r1", tmp_path / "r2")
+
+
+class TestIntegersBeyondInt64:
+    """Outside integers are reduced before numpy sees them: the outputs of their residues."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["waveform", "zc", "--root", "{root}", "--self-ambiguity"],
+            ["ambiguity", "--x", "zc:{root}", "--y", "pulsone:0,0"],
+            ["ambiguity", "--x", "pulsone:1,2", "--y", "zc:{root}", "--engine", "fast", "--grid", "full"],
+            ["ambiguity", "--x", "zc-coded:{root},2", "--y", "zc-coded:1,2"],
+        ],
+        ids=["waveform", "naive", "fast", "zc-coded"],
+    )
+    def test_zc_root(self, tmp_path, argv):
+        for root in (10**20 + 1, 11):  # 10**20 + 1 is 11 mod 15
+            args = [a.format(root=root) for a in argv]
+            assert run([*args, "--M", 3, "--N", 5, "--out", tmp_path / str(root)]) == 0
+        compare_trees(tmp_path / str(10**20 + 1), tmp_path / "11")
+
+    def test_region_bounds(self, tmp_path):
+        scene = tmp_path / "scene.json"
+        write_scene(scene, [(10, 0, 1.0, 0.0), (11, 0, 0.0, 0.5)])
+        big = 10**21  # 10 mod 15
+        for name, region in (("big", f"{big}:{big + 1},0:0"), ("small", "10:11,0:0")):
+            assert run(["simulate", "--scene", scene, "--line", "1,4", "--region", region,
+                        "--out", tmp_path / name]) == 0
+        doc = json.loads((tmp_path / "big" / "targets.json").read_text())
+        assert [(t["k"], t["l"]) for t in doc["targets"]] == [(10, 0), (11, 0)]
+        compare_trees(tmp_path / "big", tmp_path / "small")
 
 
 class TestConsoleEntrypoint:

@@ -21,6 +21,7 @@ from ddradar.modmath import (
     is_prime,
     mod_inv,
     phase_mul,
+    quadratic_phase,
     to_complex,
 )
 from ddradar.radarsim import (
@@ -140,6 +141,34 @@ class TestPhases:
     @given(st.integers(0, 10_000))
     def test_to_complex_unimodular(self, p):
         assert abs(abs(to_complex(p, Modulus(3, 5))) - 1.0) < 1e-15
+
+
+class TestQuadraticPhase:
+    @pytest.mark.parametrize("M, N", [(3, 5), (11, 13), (61, 67)])
+    def test_matches_the_definition(self, M, N):
+        mod = Modulus(M, N)
+        mn = mod.MN
+        for alpha, beta, gamma in [(1, 0, 0), (2, 3, 5), (-7, mn + 4, -1)]:
+            # the exponent reduced mod MN in exact Python integers, then one float exponential
+            expo = np.array([(alpha * i * i + beta * i + gamma) % mn for i in range(mn)])
+            np.testing.assert_allclose(quadratic_phase(mod, alpha, beta, gamma),
+                                       np.exp(2j * np.pi * expo / mn), atol=1e-13)
+        assert quadratic_phase(mod, 0).tolist() == [1] * mn
+        np.testing.assert_array_equal(quadratic_phase(mod, 1, 0), quadratic_phase(mod, 1 + mn, -mn, mn))
+
+    @pytest.mark.parametrize("M, N", [(3, 5), (251, 257)])
+    def test_any_integer_coefficient_is_its_residue(self, M, N):
+        # Python-int reduction first: coefficients far beyond int64 neither overflow nor change a bit
+        mod = Modulus(M, N)
+        mn = mod.MN
+        for alpha, beta, gamma in [(10**19 + 7, 3 * 10**20 + 11, -5), (-(10**30) - 1, -1, 10**40)]:
+            np.testing.assert_array_equal(quadratic_phase(mod, alpha, beta, gamma),
+                                          quadratic_phase(mod, alpha % mn, beta % mn, gamma % mn))
+
+    def test_gathers_from_the_roots_table(self, mod15):
+        got = quadratic_phase(mod15, 2, 1, 3)
+        want = [to_complex(2 * ((2 * i * i + i + 3) % 15), mod15) for i in range(15)]
+        assert got.tolist() == want
 
 
 class TestRootsOfUnityIdentity:

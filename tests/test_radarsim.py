@@ -307,6 +307,16 @@ class TestReadout:
                 assert all(type(k) is int and type(l) is int and type(v) is complex for k, l, v in got)
         assert wrapped >= 10 and negative >= 10
 
+    def test_bounds_beyond_int64_read_their_residues(self, mod15):
+        engine = FastEngine(rand_unit_seq(mod15, np.random.default_rng(4)), 0, 0, grid="full")
+        line = LineSubgroup(mod15, 1, 4)
+        big = 10**21  # 10 mod 15, and -big is 5 mod 15
+        for region, residues in [(DDRegion(big, big + 1, 0, 0), DDRegion(10, 11, 0, 0)),
+                                 (DDRegion(-big, -big, -big - 14, -big), DDRegion(5, 5, -9, 5))]:
+            for threshold in (None, 1e-3):
+                want = readout_targets(engine, line, residues, threshold)
+                assert want and readout_targets(engine, line, region, threshold) == want
+
     def test_monte_carlo_detection(self, mod15):
         # 20 dB SNR, four unit-magnitude taps, absolute threshold 0.5
         taps = ((0, 0, 1.0), (1, 2, 1j), (2, 1, -1.0), (2, 4, -1j))

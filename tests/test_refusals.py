@@ -1,0 +1,138 @@
+"""Every refusal reaches its documented error: CLI exit codes 2, 3 and 4, and library raises.
+
+Each CLI case must leave no --out directory and print no traceback; each
+library case raises its error class before allocating or writing anything.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from ddradar import ambiguity
+from ddradar.ambiguity import (
+    AmbiguitySurface,
+    FastEngine,
+    coded_waveform,
+    fast_pulsone_precompute,
+    surface_to_pgm,
+)
+from ddradar.cli import main
+from ddradar.ddcore import PeriodicSequence, QuasiPeriodicArray, complex_from_csv, complex_to_csv
+from ddradar.errors import BNotCoprime, ConfigurationError, IndexOutOfRange
+from ddradar.floatfmt import FIELD_BYTES, Workspace, format_g17
+from ddradar.modmath import Modulus
+from ddradar.radarsim import ScatteringEnvironment, apply_channel
+from ddradar.subgroups import pulsone
+from ddradar.symplectic import SL2Element, remap_for
+
+MOD = ["--M", "3", "--N", "5"]
+SCENE = {"M": 3, "N": 5, "taps": [{"k": 0, "l": 0, "re": 1.0, "im": 0.0}]}
+# finite gains whose return or image overflows float64
+HUGE_SCENE = {"M": 3, "N": 5, "taps": [{"k": 0, "l": 0, "re": 1e308, "im": 1e308}]}
+LARGE_SCENE = {"M": 3, "N": 5, "taps": [{"k": 0, "l": 0, "re": 1e306, "im": 0.0}]}
+SUMMED_SCENE = {"M": 3, "N": 5, "taps": [{"k": k, "l": 0, "re": 1.7e308, "im": 0.0} for k in (0, 3, 6)]}
+
+
+def _sim(*flags, scene="scene.json"):
+    return ["simulate", "--scene", scene, *flags]
+
+
+@pytest.mark.parametrize(
+    "argv, code, budget",
+    [
+        # usage errors
+        (_sim("--line", "1,2,3", "--region", "0:0,0:0"), 2, None),
+        (_sim("--line", "3,5", "--region", "0:0"), 2, None),
+        (["ambiguity", *MOD, "--x", "gdaft(1,2,3):pulsone:0,0", "--y", "pulsone:0,0"], 2, None),
+        (["ambiguity", *MOD, "--x", "lfm(1:pulsone:0,0", "--y", "pulsone:0,0"], 2, None),
+        (["ambiguity", *MOD, "--x", "lfm(1)", "--y", "pulsone:0,0"], 2, None),
+        (["ambiguity", *MOD, "--x", "lfm(x):pulsone:0,0", "--y", "pulsone:0,0"], 2, None),
+        (["ambiguity", *MOD, "--x", "chirp:1,2,3,4", "--y", "pulsone:0,0"], 2, None),
+        (["ambiguity", *MOD, "--x", "zc:abc", "--y", "pulsone:0,0"], 2, None),
+        (["ambiguity", *MOD, "--x", "zc-coded:1,2", "--y", "pulsone:0,0"], 2, None),
+        (_sim("--line", "3,5", "--region", "0:0,0:0", "--waveform", "zc-coded:1,2"), 2, None),
+        # the self-ambiguity's FFT needs 18,960 bytes at (3, 5), and its PGM 2,025 more
+        (["waveform", "pulsone", *MOD, "--self-ambiguity"], 3, 20000),
+        # a zc-coded waveform of period 1.5e16, refused before it is built
+        (["ambiguity", *MOD, "--x", "zc-coded:1,1000000000000000", "--y", "zc-coded:1,1"], 3, None),
+        (["ambiguity", *MOD, "--x", "zc-coded:1,1", "--y", "zc-coded:1,1000000000000000",
+          "--engine", "fast"], 3, None),
+        # a return, or an image, that is not finite
+        (_sim("--line", "3,5", "--region", "0:0,0:0", scene="huge.json"), 4, None),
+        (_sim("--line", "1,0", "--region", "0:0,0:0", scene="huge.json"), 4, None),
+        (_sim("--line", "1,4", "--region", "0:0,0:0", scene="huge.json"), 4, None),
+        (_sim("--line", "3,5", "--region", "0:0,0:0", scene="large.json"), 4, None),
+        (_sim("--line", "3,5", "--region", "0:0,0:0", scene="summed.json"), 4, None),
+    ],
+)
+def test_cli_refusal(tmp_path, monkeypatch, capsys, argv, code, budget):
+    monkeypatch.chdir(tmp_path)
+    scenes = {"scene": SCENE, "huge": HUGE_SCENE, "large": LARGE_SCENE, "summed": SUMMED_SCENE}
+    for name, doc in scenes.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    if budget is not None:
+        monkeypatch.setattr(ambiguity, "MEMORY_BUDGET_BYTES", budget)
+    try:
+        got = main([*argv, "--out", "out"])
+    except SystemExit as exc:  # parser.error
+        got = exc.code
+    assert got == code
+    assert not (tmp_path / "out").exists()
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_self_ambiguity_within_budget_still_written(tmp_path, monkeypatch):
+    monkeypatch.setattr(ambiguity, "MEMORY_BUDGET_BYTES", 20985)
+    assert main(["waveform", "pulsone", *MOD, "--self-ambiguity", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "selfambiguity.pgm").exists()
+
+
+def _missing_row_csv():
+    complex_to_csv(np.ones(14, dtype=complex), "short.csv")  # in the test's tmp_path
+    return complex_from_csv("short.csv", (15,))
+
+
+def _format_more_than_the_workspace():
+    words = np.zeros((5, 1, FIELD_BYTES // 8), dtype=np.uint64)
+    format_g17(np.ones((5, 1)), words, "\n", Workspace(4))
+
+
+MOD15 = Modulus(3, 5)
+X15 = pulsone(MOD15, 0, 0)
+# three delays of the pulsone's period M: their finite returns add up past float64
+OVERFLOWING_ENV = ScatteringEnvironment(MOD15, ((0, 0, 1.7e308), (3, 0, 1.7e308), (6, 0, 1.7e308)))
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: Modulus(65537, 65539, allow_composite=True), ConfigurationError, "cap"),
+        (_missing_row_csv, ConfigurationError, "expected 15 rows, got 14"),
+        (lambda: fast_pulsone_precompute(X15, 0, 0, period=2), ConfigurationError, "does not divide"),
+        (lambda: fast_pulsone_precompute(X15, 3, 0), IndexOutOfRange, "outside 3 x 5"),
+        (lambda: coded_waveform(np.zeros(3), np.ones(2)), ConfigurationError, "identically zero"),
+        (lambda: surface_to_pgm(np.ones((3, 5)), "never.pgm", scale="log"), ConfigurationError,
+         "unknown scale"),
+        (_format_more_than_the_workspace, ValueError, "cannot format 5"),
+        (lambda: remap_for(SL2Element(MOD15, 1, 3, 0, 1)), BNotCoprime, "b = 3"),
+        (lambda: PeriodicSequence(MOD15, np.zeros(14)), ConfigurationError, r"expected shape \(15,\)"),
+        (lambda: QuasiPeriodicArray(MOD15, np.zeros((5, 3))), ConfigurationError,
+         r"expected shape \(3, 5\)"),
+        (lambda: AmbiguitySurface(MOD15, "full", np.zeros((3, 5))), ConfigurationError,
+         r"expected shape \(15, 15\)"),
+        (lambda: apply_channel(OVERFLOWING_ENV, X15), ConfigurationError, "not finite"),
+        (lambda: FastEngine(PeriodicSequence(MOD15, np.full(15, 1e306)), 0, 0), ConfigurationError,
+         "not finite"),
+        (lambda: FastEngine(PeriodicSequence(MOD15, np.full(15, np.nan)), 0, 0), ConfigurationError,
+         "not finite"),
+    ],
+    ids=["mn-cap", "csv-missing-rows", "period", "pulsone-indices", "zero-coded-waveform",
+         "pgm-scale", "workspace", "remap-b", "sequence-shape", "dd-array-shape", "surface-shape",
+         "return-not-finite", "image-too-large", "image-nan"],
+)
+def test_library_refusal(tmp_path, monkeypatch, call, error, match):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(error, match=match):
+        call()
+    assert not (tmp_path / "never.pgm").exists()
