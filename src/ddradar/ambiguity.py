@@ -54,7 +54,7 @@ from .errors import (
     IndexOutOfRange,
     OverBudget,
 )
-from .modmath import Modulus, _roots_of_unity, phases_to_complex, same_modulus
+from .modmath import Modulus, _roots_of_unity, phases_to_complex, reduce_mod, same_modulus
 from .symplectic import SL2Element, gdaft_adjoint, lfm_apply, remap_for
 
 __all__ = [
@@ -285,13 +285,13 @@ def fast_pulsone_query(pre: FastPulsonePrecomp, k, l, phase=0, out: np.ndarray |
     # with k + k0 = quot*P + row: phase index 2*((l + l0)*(k - row) + k0*l0) + phase,
     # table entry [row, (l + l0) mod R]; each array is freed once used, so a block
     # of queries holds a few block-sized arrays at a time
-    k = np.asarray(k, dtype=np.int64) % mod.MN
+    k = reduce_mod(np.asarray(k, dtype=np.int64), mod.MN)
     row = (k + pre.k0) % period
-    u = (np.asarray(l, dtype=np.int64) + pre.l0) % mod.MN
+    u = reduce_mod(np.asarray(l, dtype=np.int64) + pre.l0, mod.MN)
     # the constant and k's factor are summed in k's (often smaller) shape first
     index = 2 * (k - row) * u + (2 * pre.k0 * pre.l0 + phase)
     del k
-    flat = u if period == 1 else row * length + u % length  # a tone's R is MN
+    flat = u if period == 1 else row * length + reduce_mod(u, length)  # a tone's R is MN
     del row, u
     phases = phases_to_complex(index, mod)
     del index
@@ -378,19 +378,35 @@ class FastEngine:
         broadcast shape, the values are written there.
         """
         mn = self.mod.MN
+        return self._query(self._terms(np.asarray(K, dtype=np.int64) % mn, 0),
+                           self._terms(np.asarray(L, dtype=np.int64) % mn, 1), out)
+
+    def _terms(self, X, axis: int) -> tuple:
+        """The query's terms in one coordinate X (K for axis 0, L for axis 1), reduced
+        mod MN: X, and its shares of G's k, of G's l and of Q, each reduced mod MN
+        (0 when its coefficient is).  Every term stays below MN**2 < 2**62."""
+        mn = self.mod.MN
         G = self._G
-        ckk, cll, ckl, c0 = self._q
-        K = np.asarray(K, dtype=np.int64) % mn
-        L = np.asarray(L, dtype=np.int64) % mn
-        # k stays a column when G's b entry is 0, l a row when its c entry is 0
-        k = G.a * K + G.b * L if G.b else G.a * K
-        l = G.c * K + G.d * L if G.c else G.d * L
-        phase = 0
-        if ckk or cll or ckl or c0:
-            l_part = cll * (L * L % mn) if cll else 0
-            cross = ckl * (K * L % mn) if ckl else 0  # only GDAFT labels make Q's phase 2-D
-            phase = 2 * ((ckk * (K * K % mn) + l_part + cross + c0) % mn)
-        return fast_pulsone_query(self._pre, k, l, phase, out=out)
+        ck, cl, cq = (G.a, G.c, self._q[0]) if axis == 0 else (G.b, G.d, self._q[1])
+        return (X, ck * X % mn if ck else 0, cl * X % mn if cl else 0,
+                cq * (X * X % mn) % mn if cq else 0)
+
+    def _query(self, rows: tuple, cols: tuple, out: np.ndarray | None) -> np.ndarray:
+        """fast_pulsone_query at G(K, L) with the phase index 2*Q(K, L), from _terms of K and of L.
+
+        A term in one coordinate keeps that coordinate's shape (a block's rows
+        or a grid's columns), so only the sums below are full-size.  The query
+        reduces k and l, both below 2*MN; the phase index is reduced here, below
+        2*MN, which keeps the query's index below 2**63 up to _MN_CAP.
+        """
+        mn = self.mod.MN
+        K, k_rows, l_rows, q_rows = rows
+        L, k_cols, l_cols, q_cols = cols
+        ckl, c0 = self._q[2:]
+        q = q_rows + c0 + q_cols
+        if ckl:  # only GDAFT labels make Q's phase 2-D
+            q = q + ckl * reduce_mod(K * L, mn) % mn
+        return fast_pulsone_query(self._pre, k_rows + k_cols, l_rows + l_cols, 2 * reduce_mod(q, mn), out=out)
 
     def blocks(self, out: np.ndarray | None = None):
         """The grid's rows, top to bottom, in blocks of ddcore._block_rows rows.
@@ -398,16 +414,17 @@ class FastEngine:
         Without `out`, every block is written into one buffer, so each is
         overwritten by the next.  With `out`, a complex array of the grid's
         shape, each block is written into its own rows of `out`, which holds
-        the whole surface once the blocks are exhausted.
+        the whole surface once the blocks are exhausted.  The terms of the
+        columns are formed once, for every block.
         """
         nk, nl = self.shape
         step = _block_rows(nk, nl)
-        L = np.arange(nl, dtype=np.int64)[None, :]
+        cols = self._terms(np.arange(nl, dtype=np.int64)[None, :], 1)
         buf = np.empty((step, nl), dtype=np.complex128) if out is None else None
         for start in range(0, nk, step):
             stop = min(start + step, nk)
             rows = buf[: stop - start] if out is None else out[start:stop]
-            yield self.points(np.arange(start, stop, dtype=np.int64)[:, None], L, out=rows)
+            yield self._query(self._terms(np.arange(start, stop, dtype=np.int64)[:, None], 0), cols, rows)
 
     @functools.cached_property
     def surface(self) -> AmbiguitySurface:

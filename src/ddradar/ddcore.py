@@ -125,32 +125,29 @@ def _block_rows(nk: int, nl: int) -> int:
     return max(1, min(nk, _CSV_BLOCK_ROWS // max(nl, 1)))
 
 
-def _csv_layout(shape: tuple) -> tuple[int, int, int, int, int]:
+def _csv_layout(shape: tuple) -> tuple[int, int, int, tuple, int]:
     """complex_to_csv's buffers for an array of `shape`: floats per line, columns,
-    rows per block, uint64 words per index, and words per line."""
+    rows per block, the bytes of each index's slot, and bytes per line.  A line
+    is "k,l" or "n", one floatfmt field per float (each starts with its comma)
+    and a newline."""
     nfloat, cols = (2, 1) if len(shape) == 1 else (3, shape[1])
-    iw = (len(str(max(max(shape, default=0) - 1, 0))) + 8) // 8  # "i," NUL padded
-    return nfloat, cols, _block_rows(shape[0], cols), iw, len(shape) * iw + nfloat * FIELD_BYTES // 8
+    # the widest index, with a comma after each but the last
+    slots = tuple(len(str(max(size - 1, 0))) + (axis < len(shape) - 1) for axis, size in enumerate(shape))
+    return nfloat, cols, _block_rows(shape[0], cols), slots, sum(slots) + nfloat * FIELD_BYTES + 1
 
 
 def _block_bytes(shape: tuple, csv: bool = True) -> int:
     """Bytes one streamed block of a surface of `shape` holds: the engine's block and,
-    with `csv`, what complex_to_csv allocates for it: the index words, and per
+    with `csv`, what complex_to_csv allocates for it: the index texts, and per
     line its text twice (laid out, and without NULs), its floats and their
-    floatfmt.Workspace: 446 bytes per line of a grid of under 10^7 rows, plus
-    _CSV_FIXED_BYTES."""
-    nfloat, cols, rows, iw, width = _csv_layout(shape)
+    floatfmt.Workspace: 409 bytes per line of a (23,29) image (95-byte
+    lines), plus _CSV_FIXED_BYTES."""
+    nfloat, cols, rows, slots, width = _csv_layout(shape)
     need = _ENGINE_POINT_BYTES * rows * cols
     if csv:
-        need += _CSV_FIXED_BYTES + 8 * iw * max(shape)
-        need += rows * cols * (16 * width + nfloat * (8 + Workspace.FLOAT_BYTES))
+        need += _CSV_FIXED_BYTES + sum(w * size for w, size in zip(slots, shape))
+        need += rows * cols * (2 * width + nfloat * (8 + Workspace.FLOAT_BYTES))
     return need
-
-
-def _index_words(count: int, words: int) -> np.ndarray:
-    """The text "i," for i in range(count), NUL padded to `words` uint64 words."""
-    text = np.array([f"{i}," for i in range(count)], dtype=f"S{8 * words}")
-    return text.view(np.uint64).reshape(count, words)
 
 
 def complex_to_csv(values, path, shape: tuple | None = None) -> int:
@@ -165,34 +162,40 @@ def complex_to_csv(values, path, shape: tuple | None = None) -> int:
     that many rows.  A pass copies the floats column by column (re, im and,
     for a matrix, abs) into one contiguous run, which one
     floatfmt.format_g17 call formats.  Each line is laid out as NUL-padded
-    words (indices, then one floatfmt.FIELD_BYTES field per float) in a
-    bytearray, and one bytearray.translate of the whole buffer drops the
-    NULs; a short pass first sets its unused lines to NUL, so that
-    translate is the only copy of the text.  The buffers are allocated once
-    per file.  The abs column of a matrix is np.hypot(re, im), the same libm
-    hypot as Python's abs(complex) (np.abs can differ in the last digit).
-    Returns how many floats were formatted by Python rather than by the
-    vectorised kernel.
+    bytes in a bytearray: one slot per index, as wide as its widest text
+    ("k," and "l", or "n"), one floatfmt.FIELD_BYTES field per float, which
+    starts with its comma, and the newline; one bytearray.translate of the
+    whole buffer drops the NULs.  A short pass first sets its unused lines
+    to NUL, so that translate is the only copy of the text.  The buffers are
+    allocated once per file.  The abs column of a matrix is np.hypot(re,
+    im), the same libm hypot as Python's abs(complex) (np.abs can differ in
+    the last digit).  Returns how many floats were formatted by Python
+    rather than by the vectorised kernel.
 
-    A (23,29) full-grid image, 444,889 lines in 4002-line blocks, takes
-    about 0.21 s: 0.47 us per line on one core of a 2-vCPU x86-64 machine.
+    A (23,29) full-grid image, 444,889 lines of 95 bytes in 4002-line blocks,
+    takes about 0.18 s: 0.41 us per line on one core of a 2-vCPU x86-64
+    machine (best of 20 runs).
     """
     if shape is None:
         values = np.asarray(values)
         shape, values = values.shape, (values,)
     ndim = len(shape)
-    nfloat, cols, rows, iw, width = _csv_layout(shape)
+    nfloat, cols, rows, slots, width = _csv_layout(shape)
     size = rows * cols  # lines in the buffers
-    index = _index_words(max(shape, default=0), iw)
-    text = bytearray(8 * size * width)
-    line = np.frombuffer(text, np.uint64).reshape(size, width)
+    text = bytearray(size * width)
+    line = np.frombuffer(text, np.uint8).reshape(size, width)
     grid = line.reshape(rows, cols, width)
-    fields = line[:, ndim * iw :].reshape(size, nfloat, FIELD_BYTES // 8)
+    at = np.cumsum((0,) + slots).tolist()
+    # per index, its texts ("i," but for the last index "i") and its slot in every line
+    labels = [np.array([f"{i}," if axis < ndim - 1 else str(i) for i in range(count)], f"S{w}")
+              for axis, (count, w) in enumerate(zip(shape, slots))]
+    index = [grid[:, :, s : s + w].view(f"S{w}")[..., 0] for s, w in zip(at, slots)]
+    fields = line[:, at[-1] : -1].reshape(size, nfloat, FIELD_BYTES)
     floats = np.empty(nfloat * size)
     workspace = Workspace(nfloat * size)
-    separators = "," * (nfloat - 1) + "\n"
     python = 0
     start = 0  # the row of the next pass
+    kept = 0  # leading lines whose l slot and newline are written: once, again after a short pass
     with open(path, "wb") as fh:
         fh.write(_CSV_HEADER[ndim].encode("ascii") + b"\n")
         for block in values:
@@ -202,9 +205,13 @@ def complex_to_csv(values, path, shape: tuple | None = None) -> int:
                 r = chunk.shape[0]
                 n = r * cols
                 line[n:] = 0  # unused lines of a short pass, dropped with the other NULs
-                grid[:r, :, :iw] = index[start : start + r, None]
-                if ndim == 2:  # every pass starts a row; a short one may have cleared the l column
-                    grid[:r, :, iw : 2 * iw] = index[:cols]
+                index[0][:r] = labels[0][start : start + r, None]
+                kept = min(kept, n)
+                if kept < n:  # every pass starts a row, so these repeat from pass to pass
+                    line[:n, -1] = ord("\n")
+                    if ndim == 2:
+                        index[1][:r] = labels[1]
+                    kept = n
                 start += r
                 columns = floats[: nfloat * n].reshape(nfloat, r, cols)
                 np.copyto(columns[0], chunk.real)
@@ -212,7 +219,7 @@ def complex_to_csv(values, path, shape: tuple | None = None) -> int:
                 if ndim == 2:
                     with np.errstate(invalid="ignore", over="ignore"):  # non-finite values
                         np.hypot(columns[0], columns[1], out=columns[2])
-                python += format_g17(columns.reshape(nfloat, n).T, fields[:n], separators, workspace)
+                python += format_g17(columns.reshape(nfloat, n).T, fields[:n], workspace)
                 fh.write(text.translate(None, b"\0"))
     return python
 

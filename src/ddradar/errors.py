@@ -78,6 +78,14 @@ class BadSNR(ValidationError):
     """Requested SNR is NaN, -inf, or gives a noise variance that is not finite."""
 
 
+class BadSeed(ValidationError):
+    """Noise seed is negative."""
+
+
+class EnergyOverflow(ValidationError):
+    """Signal energy ||y||^2 is not a finite float64, so no SNR can be set against it."""
+
+
 class GridMismatch(ValidationError):
     """Surface grid does not match what the operation requires."""
 

@@ -4,32 +4,39 @@ Python's "{:.17g}".format(x) prints the 17-significant-digit decimal
 D * 10**(E - 16) nearest to x (ties to even): in fixed notation when
 -4 <= E <= 16, otherwise as d.ddd...e±XX, with trailing zeros and a bare
 point removed.  `format_g17` computes D and E for a whole array with numpy
-arithmetic and lays each value's text out as NUL-padded bytes, so a caller
-can write many values with one `bytes.translate(None, b"\\0")`.
+arithmetic and lays each value's text, after a comma, out as NUL-padded
+bytes, so a caller can write many values with one
+`bytes.translate(None, b"\\0")`.
 
-Exactness.  For |x| in [1e-280, 1e280), E0 = floor(log10 |x|) and
-y = |x| * 10**(16 - E0) is formed as p + t: p + e is Dekker's exact
-two-product of |x| with the high part of 10**(16 - E0), and t adds
-|x| times its low part; both parts are correctly rounded from Python
-integers.  D = p + round(t).  Where log10 put E0 one decade off (D outside
-[1e16, 1e17)), y is formed again at E0 - 1 or E0 + 1; D = 1e17 carries to
-1e16 at E + 1.  For y < 2**57 the computed t is within 2**-47 (about 7e-15) of the
-true y - p (see `_scaled`).  A value whose fraction t - round(t) lies within
-_TIE_MARGIN = 1e-6 of one half may be a tie, such as 2**-25, and is
-formatted by Python instead, as are non-finite values and
-magnitudes outside the table's range.  Every other value gets D exactly.
+Exactness.  For x whose decade E0 = floor(log10 |x|), as numpy computes
+it, lies in [-280, 279], y = |x| * 10**(16 - E0) is formed as p + t: p + e
+is Dekker's exact two-product of |x| with the high part of 10**(16 - E0),
+and t adds |x| times its low part; both parts are correctly rounded from
+Python integers.  D = p + round(t).  Where log10 put E0 one decade off (D
+outside [1e16, 1e17)), y is formed again at E0 - 1 or E0 + 1; D = 1e17
+carries to 1e16 at E + 1.  For y < 2**57 the computed t is within 2**-47
+(about 7e-15) of the true y - p (see `_scaled`).  A value whose fraction
+t - round(t) lies within _TIE_MARGIN = 1e-6 of one half may be a tie, such
+as 2**-25, and is formatted by Python instead, as are non-finite values and
+decades outside the table's range (1e-280 is inside, 1e280 outside).  Every
+other value gets D exactly.
 
 Layout.  The kernel takes a block's floats column by column, as one
 contiguous run (re, then im, then abs for a surface CSV), and makes about
-75 passes over it.  Each pass is a 1-D numpy operation between the rows of
-a `Workspace` that the writer allocates once per file.  Three table
-lookups build each field: word 0 (sign, prefix, first digit, point) is
-indexed by (E, sign, first digit); words 1-2 (digits 2 to 17) come from
-one lookup of four 4-digit groups; word 3 (exponent and separator) is
-indexed by (column, E).  One strided copy per word then moves the fields
-into the caller's line buffer.  Zeros, the general mantissas and the
-Python fallbacks are rare; they are found with `flatnonzero` and
-overwritten afterwards.
+65 passes over it in about 60 numpy calls.  Each pass is a 1-D numpy
+operation between the rows of a `Workspace` that the writer allocates once
+per file.  One table lookup on the decade sets aside the rare values the
+common path cannot take.  Three more lookups build each field: the head
+(comma, sign, prefix, first digit, point) is indexed by (E, first digit,
+sign); digits 2 to 17 come from one lookup of four 4-digit groups; the tail
+(the exponent) is indexed by E.  Trailing zeros are the kernel's too: each
+group takes its full text, or its text with trailing zeros as NUL when every
+later group is 0000, and when all four are, the head's point is dropped.  A
+zero takes the first decade row, whose head is "0" or "-0".  One strided
+copy per part and column then moves the fields into the caller's line
+buffer.  Only the mantissas of 1 <= E <= 16, whose point falls among the
+digits, and the Python fallbacks are patched afterwards; both are rare and
+found with `flatnonzero`.
 """
 
 from __future__ import annotations
@@ -43,40 +50,50 @@ __all__ = ["FIELD_BYTES", "Workspace", "format_g17"]
 
 _NUM = "{:.17g}"
 
-# Decades the power table covers.  |x| in [1e-280, 1e280) puts floor(log10|x|)
-# in [-281, 280], and a one-decade correction in [-282, 281].  The largest
+# Decades the power table covers.  The kernel takes E0 = floor(log10|x|) in
+# [-280, 279], and a one-decade correction in [-281, 280].  The largest
 # table entry, 10**(16 + 283), still splits without overflow (times 2**27 + 1).
 _E_LO, _E_HI = -283, 282
-_LOW, _HIGH = 1e-280, 1e280
+_E_MIN, _E_MAX = -280, 279
 _TIE_MARGIN = 1e-6
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split into two 26-bit halves
-# In-range stand-in for a value the kernel does not format (zero, non-finite,
-# out of range): its text is overwritten, so any ordinary 17-digit value works.
-_STAND_IN = 0.3
+# In-range stand-in for a value the kernel does not lay out itself (zero,
+# non-finite, out of range): 0.5, whose digits after the first are all 0, so
+# that a zero, given the zero row below, needs no digit of its own.
+_STAND_IN = 0.5
+_STAND_IN_T = -1 - _E_LO  # its decade row
+# The first decade row, below any the kernel reaches, holds the text of 0 and -0.
+_ZERO_T = 0
+# What the decade alone says of a value: the common path, a fixed-notation
+# mantissa with the point inside it (1 <= E <= 16), or outside the table.
+_COMMON, _GENERAL, _OUTSIDE = 0, 1, 2
 
-# Each value's text sits in four uint64 words (32 bytes), NUL where unused:
-#   0 sign, 1-5 prefix "0.000", 6 first digit, 7 point, 8-23 digits 2 to 17,
-#   24-28 exponent "e±XX[X]", 29 separator, 30-31 unused.
-FIELD_BYTES = 32
-_MANTISSA = slice(6, 24)  # 17 digits and one point, in the general layout
-_TEXT = 29  # bytes before the separator
+# Each value's text, after a comma, sits in FIELD_BYTES bytes, NUL where unused:
+#   0-7 head: comma, sign, prefix "0.000", first digit and point, ending at byte 7;
+#   8-23 digits 2 to 17;
+#   24-28 tail: exponent "e±XX[X]", from byte 24.
+FIELD_BYTES = 29
+_DIGITS = slice(8, 24)
+# A tail is written as the 8 bytes from _TAIL_AT, three NULs first; the digits,
+# written after it, overwrite those three.
+_TAIL_AT = 21
 
 
 class _Tables(NamedTuple):
-    hi: np.ndarray  # by row t = E - _E_LO: 10**(16 - E) rounded to float64
-    hi_hi: np.ndarray  # hi's two 26-bit halves
-    hi_lo: np.ndarray
+    hi: np.ndarray  # (3, T) by row t = E - _E_LO: 10**(16 - E) rounded to float64, and its two 26-bit halves
     lo: np.ndarray  # 10**(16 - E) - hi, correctly rounded
-    head: np.ndarray  # uint64 word 0 at (2 * t + sign) * 10 + first digit: sign, prefix, digit, point
-    tail: np.ndarray  # uint64 word 3 for E: the exponent
+    kind: np.ndarray  # uint8 by t: _COMMON, _GENERAL or _OUTSIDE
+    special: np.ndarray  # kind != _COMMON
+    head: np.ndarray  # uint64 bytes 0-7 at (10 * t + first digit) * 2 + sign
+    tail: np.ndarray  # uint64 bytes from _TAIL_AT by t: three NULs, then E's exponent, if any
     point_after: np.ndarray  # digits before the point; 17 means no point
     min_digits: np.ndarray  # digits kept however many trailing zeros
     groups: np.ndarray  # uint32 text of 0..9999; then the same, trailing zeros NUL
-    zero_head: np.ndarray  # word 0 of "0" and "-0"
 
 
 def _word(text: bytes) -> np.uint64:
-    return np.frombuffer(text.ljust(8, b"\0"), np.uint64)[0]
+    """Up to 8 bytes as one uint64, ending at its last byte (NULs first)."""
+    return np.frombuffer(text.rjust(8, b"\0"), np.uint64)[0]
 
 
 def _veltkamp(x):
@@ -104,17 +121,23 @@ def _tables() -> _Tables:
 
     fixed_neg = (e >= -4) & (e < 0)  # 0.0001 ... 0.9
     fixed_pos = (e >= 0) & (e <= 16)  # 1 ... 99999999999999999
+    general = (e >= 1) & (e <= 16)
     point_after = np.where(fixed_neg, 17, np.where(fixed_pos, e + 1, 1))
     min_digits = np.where(fixed_pos, e + 1, 1)
-    head = np.zeros((e.size, 2, 10, 8), np.uint8)  # [E, sign, first digit, byte]
-    head[:, 1, :, 0] = ord("-")
-    for i in np.flatnonzero(fixed_neg):
-        prefix = np.frombuffer(b"0.000"[: 1 - e[i]], np.uint8)
-        head[i, :, :, 1 : 1 + prefix.size] = prefix
-    head[..., 6] = ord("0") + np.arange(10, dtype=np.uint8)
-    head[point_after == 1, ..., 7] = ord(".")
-    scientific = ~(fixed_neg | fixed_pos)
-    tail = np.array([f"e{x:+03d}" if sci else "" for x, sci in zip(e.tolist(), scientific)], "S8")
+    kind = np.where((e < _E_MIN) | (e > _E_MAX), _OUTSIDE, np.where(general, _GENERAL, _COMMON))
+    # the head's text by pattern, ending at byte 7: E = -4..-1, then a point
+    # after the first digit (E = 0 and scientific), then none (1 <= E <= 16),
+    # then the zero row's 0
+    patterns = ["0.000{}", "0.00{}", "0.0{}", "0.{}", "{}.", "{}", "0"]
+    texts = [[_word(("," + sign + p.format(d)).encode("ascii")) for d in range(10) for sign in ("", "-")]
+             for p in patterns]
+    pattern = np.where(fixed_neg, e + 4, np.where(general, 5, 4))
+    pattern[_ZERO_T] = 6
+    head = np.array(texts, np.uint64)[pattern]
+    bare = fixed_neg | fixed_pos
+    bare[_ZERO_T] = True
+    tail = np.array([b"\0" * 3 + (b"" if no else f"e{x:+03d}".encode("ascii"))
+                     for x, no in zip(e.tolist(), bare)], "S8")
 
     # small dtypes keep every array here at 91 KB or less
     groups = np.empty((2, 10000, 4), np.uint8)
@@ -125,29 +148,19 @@ def _tables() -> _Tables:
     for j in range(4):
         stripped[:, j] *= stripped[:, j:].max(axis=1) > ord("0")
     tables = _Tables(
-        hi=hi,
-        hi_hi=hi_hi,
-        hi_lo=hi_lo,
+        hi=np.stack((hi, hi_hi, hi_lo)),
         lo=lo,
-        head=head.view(np.uint64).ravel(),
+        kind=kind.astype(np.uint8),
+        special=kind != _COMMON,
+        head=head.ravel(),
         tail=tail.view(np.uint64),
         point_after=point_after,
         min_digits=min_digits,
         groups=groups.view(np.uint32).ravel(),
-        zero_head=np.array([_word(b"\0" * 6 + b"0"), _word(b"-" + b"\0" * 5 + b"0")], np.uint64),
     )
     for value in tables:
         value.flags.writeable = False  # shared by every caller through the cache
     return tables
-
-
-@lru_cache(maxsize=8)
-def _column_tails(separators: str) -> np.ndarray:
-    """Word 3 by column j and row t: the exponent, then separators[j] in the field's byte 29."""
-    ends = np.array([_word(b"\0" * 5 + c.encode("ascii")) for c in separators], np.uint64)
-    tails = _tables().tail[None, :] + ends[:, None]
-    tails.flags.writeable = False
-    return tails
 
 
 # Rows of 8 bytes per float in a Workspace.  Each pass of the kernel reads
@@ -161,21 +174,21 @@ class Workspace:
 
     A writer allocates it once and passes it to every call, so the kernel's
     passes run over the same few contiguous buffers: _ROWS rows of one
-    8-byte word per float and two boolean masks, 66 bytes per float.
+    8-byte word per float and one boolean mask, 65 bytes per float.
     """
 
-    FLOAT_BYTES = 8 * _ROWS + 2
+    FLOAT_BYTES = 8 * _ROWS + 1
 
     def __init__(self, size: int) -> None:
         self.size = size
         self._words = np.empty(_ROWS * size, np.uint64)
-        self._masks = np.empty((2, size), bool)
+        self._mask = np.empty(size, bool)
 
     def _rows(self, m: int):
-        """(_ROWS, m) rows, each contiguous and the next one adjacent, and two (m,) masks."""
+        """(_ROWS, m) rows, each contiguous and the next one adjacent, and an (m,) mask."""
         if m > self.size:
             raise ValueError(f"a workspace for {self.size} floats cannot format {m}")
-        return self._words[: _ROWS * m].reshape(_ROWS, m), self._masks[0, :m], self._masks[1, :m]
+        return self._words[: _ROWS * m].reshape(_ROWS, m), self._mask[:m]
 
 
 def _scaled(tables: _Tables, a: np.ndarray, t: np.ndarray, rows: np.ndarray):
@@ -192,8 +205,7 @@ def _scaled(tables: _Tables, a: np.ndarray, t: np.ndarray, rows: np.ndarray):
     """
     f = rows.view(np.float64)
     a_lo, e, hi, hi_hi, hi_lo, a_hi = f[2:8]
-    for table, out in ((tables.hi, hi), (tables.hi_hi, hi_hi), (tables.hi_lo, hi_lo)):
-        table.take(t, out=out, mode="clip")
+    tables.hi.take(t, axis=1, out=f[4:7], mode="clip")  # hi, hi_hi, hi_lo
     np.multiply(a, _SPLIT, out=a_hi)  # Veltkamp: c = a * _SPLIT
     np.subtract(a_hi, a, out=a_lo)
     np.subtract(a_hi, a_lo, out=a_hi)  # c - (c - a)
@@ -236,38 +248,42 @@ def _fix_decade(tables, a, t, d, frac, off) -> None:
     d[off], frac[off], t[off] = di, fi, ti
 
 
-def format_g17(values: np.ndarray, words: np.ndarray, separators: str,
-               workspace: Workspace | None = None) -> int:
-    """Lay out "{:.17g}".format(v) for each float v of a 2-D array.
+def format_g17(values: np.ndarray, fields: np.ndarray, workspace: Workspace | None = None) -> int:
+    """Lay out "," + "{:.17g}".format(v) for each float v of a 2-D array.
 
-    `words`, uint64 of shape values.shape + (FIELD_BYTES // 8,), receives one
-    NUL-padded field per value, ending with the separator of its column
-    (separators[j] for column j).  Returns how many values were formatted by
-    Python: non-finite, outside [1e-280, 1e280) or within _TIE_MARGIN of a
-    rounding tie.
+    `fields`, uint8 of shape values.shape + (k,) with k >= FIELD_BYTES and
+    each field's bytes adjacent, receives one NUL-padded text per value in
+    its first FIELD_BYTES bytes; the caller's other bytes are left as they
+    are.  Returns how many values were formatted by Python: non-finite, of
+    a decade outside [-280, 279] or within _TIE_MARGIN of a rounding tie.
 
     The kernel reads the floats column by column as one contiguous run (no
     copy when `values` is the transpose of a C-ordered array).  Every pass
     is a 1-D operation over the rows of `workspace` (a new one when None);
-    the finished words are copied into `words` at the end.
+    the finished parts are copied into `fields` at the end.
     """
     n, ncol = values.shape
     m = values.size
-    rows, mask, mask2 = (workspace or Workspace(m))._rows(m)
+    rows, mask = (workspace or Workspace(m))._rows(m)
     f, i = rows.view(np.float64), rows.view(np.int64)
     tables = _tables()
     v = np.ascontiguousarray(values.T).reshape(m)
 
-    a, t, x = f[0], i[1], f[2]
+    # the decade row t = floor(log10 a) - _E_LO; what it says sets aside the rare values
+    a, t = f[0], i[1]
     np.abs(v, out=a)
-    np.greater_equal(a, _LOW, out=mask)
-    np.less(a, _HIGH, out=mask2)
-    np.logical_and(mask, mask2, out=mask)
-    odd = np.flatnonzero(np.logical_not(mask, out=mask))  # zero, non-finite or out of range
+    x = f[2]
+    with np.errstate(divide="ignore", invalid="ignore"):  # log10(0), and the casts of inf and nan
+        np.log10(a, out=x)
+        x -= _E_LO
+        np.copyto(t, x, casting="unsafe")  # truncation is floor where t >= 0
+    tables.special.take(t, out=mask, mode="clip")  # a t off the table is clipped to an _OUTSIDE end
+    special = np.flatnonzero(mask)
+    kind = tables.kind.take(t[special], mode="clip")
+    odd = special[kind == _OUTSIDE]  # zero, non-finite or out of range
+    general = special[kind == _GENERAL]
     a[odd] = _STAND_IN
-    np.log10(a, out=x)
-    x -= _E_LO
-    np.copyto(t, x, casting="unsafe")
+    t[odd] = _STAND_IN_T
     d, frac = _scaled(tables, a, t, rows)
     off = i[4]  # D outside [1e16, 1e17]: D - (1e16 + 1) >= 1e17 - 1e16 - 1 unsigned
     np.subtract(d, 10**16 + 1, out=off)
@@ -275,10 +291,13 @@ def format_g17(values: np.ndarray, words: np.ndarray, separators: str,
     off = np.flatnonzero(mask)
     if off.size:
         _fix_decade(tables, a, t, d, frac, off)
+        # a corrected decade may enter or leave 1..16
+        general = np.union1d(np.setdiff1d(general, off), off[tables.kind[t[off]] == _GENERAL])
     np.greater(np.abs(frac, out=f[4]), 0.5 - _TIE_MARGIN, out=mask)
     odd_zero = v[odd] == 0
     zero = odd[odd_zero]
     python = np.concatenate((np.flatnonzero(mask), odd[~odd_zero]))
+    t[zero] = _ZERO_T
 
     # D = lead * 1e16 + four groups of four digits, one group per row of g
     q, lead, low, g = i[0], i[2], i[3], i[4:8]
@@ -294,57 +313,63 @@ def format_g17(values: np.ndarray, words: np.ndarray, separators: str,
     np.floor_divide(low, 10**4, out=g[2])
     np.multiply(g[2], 10**4, out=g[3])
     np.subtract(low, g[3], out=g[3])
-    # The common case needs no digit-by-digit work: the last group drops its
-    # trailing zeros through the second half of the group table, and the
-    # point follows the first digit or is absent.  The rest is done below:
-    # a last group of 0000, or 1 <= E <= 16 (min_digits > 1).
-    np.equal(g[3], 0, out=mask)
-    g[3] += 10000
-    np.subtract(t, 1 - _E_LO, out=q)
-    np.less(q.view(np.uint64), 16, out=mask2)
-    mask |= mask2
-    general = np.flatnonzero(mask)  # never a zero: its stand-in has E = -1 and a last group 9999
     if general.size:
         mantissas = _general_mantissa(tables, lead[general], g[:, general].T, t[general])
+    # The last group drops its trailing zeros through the second half of the
+    # group table.  When it is 0000, so is its text, and the group before it
+    # drops its own; a group is full only when a later group is not 0000.
+    np.equal(g[3], 0, out=mask)
+    g[3] += 10000
+    short = np.flatnonzero(mask)
+    if short.size:
+        gz = g[:3, short]
+        later = np.logical_and.accumulate(gz[::-1] == 0, axis=0)[::-1]  # [j]: groups j..2 are 0000
+        gz[:2] += 10000 * later[1:]
+        gz[2] += 10000
+        g[:3, short] = gz
+        single = short[later[0]]  # D = lead * 1e16: no digit follows the first
 
-    # word 0 from (E, sign, first digit), word 3 from (column, E), words 1-2 from the groups
-    neg = np.signbit(v, out=mask2)
-    head, tail, groups = rows[3], rows[0], rows[1:3].reshape(-1).view(np.uint32).reshape(4, m)
-    index = q
-    np.multiply(t, 2, out=index)
-    np.add(index, neg, out=index)
-    index *= 10
+    # the head from (E, first digit, sign), the tail from E, the digits from the groups
+    head, tail = rows[2], rows[3]
+    index, sign = q, i[3]  # sign over low, which tail reuses
+    np.multiply(t, 10, out=index)
     index += lead
-    tables.head.take(index, out=head, mode="clip")
-    tails = _column_tails(separators)
-    for j in range(ncol):
-        column = slice(j * n, (j + 1) * n)
-        tails[j].take(t[column], out=tail[column], mode="clip")
-    tables.groups.take(g, out=groups, mode="clip")  # over t and lead
+    index *= 2
+    np.right_shift(v.view(np.int64), 63, out=sign)  # -1 where the sign bit is set
+    index -= sign
+    tables.head.take(index, out=head, mode="clip")  # over lead
+    if short.size and single.size:  # a bare point ends the head: drop it, one byte to the right
+        text = head[single].view(np.uint8).reshape(-1, 8)
+        point = text[:, 7] == ord(".")
+        text[point, 1:] = text[point, :-1]
+        text[point, 0] = 0
+        head[single] = text.view(np.uint64).ravel()
+    tables.tail.take(t, out=tail, mode="clip")  # over low
+    groups = rows[:2].reshape(-1).view(np.uint32).reshape(4, m)
+    tables.groups.take(g, out=groups, mode="clip")  # over index and t
 
-    words[..., 0] = head.reshape(ncol, n).T
-    words.view(np.uint32)[..., 2:6] = groups.reshape(4, ncol, n).transpose(2, 1, 0)
-    words[..., 3] = tail.reshape(ncol, n).T
-    text = words.view(np.uint8)
-    if general.size:
-        text[general % n, general // n, _MANTISSA] = mantissas
-    if zero.size:
-        at = (zero % n, zero // n)
-        words[at + (0,)] = tables.zero_head.take(neg[zero])
-        words[at + (slice(1, 3),)] = 0
+    tails_at = fields[..., _TAIL_AT : _TAIL_AT + 8].view(np.uint64)[..., 0]
+    digits_at = fields[..., _DIGITS].view(np.uint32)
+    heads_at = fields[..., :8].view(np.uint64)[..., 0]
+    for j in range(ncol):  # one column at a time: each copy reads a contiguous run
+        column = slice(j * n, (j + 1) * n)
+        tails_at[:, j] = tail[column]
+        digits_at[:, j] = groups[:, column].T
+        heads_at[:, j] = head[column]
+    if general.size:  # 17 digits with the point inside, from the first digit
+        fields[general % n, general // n, 7:25] = mantissas
     for k in python.tolist():
-        field = _NUM.format(float(v[k])).encode("ascii")
-        text[k % n, k // n, :_TEXT] = np.frombuffer(field.ljust(_TEXT, b"\0"), np.uint8)
+        field = ("," + _NUM.format(float(v[k]))).encode("ascii")
+        fields[k % n, k // n, :FIELD_BYTES] = np.frombuffer(field.ljust(FIELD_BYTES, b"\0"), np.uint8)
     return python.size
 
 
 def _general_mantissa(tables, lead, g, t) -> np.ndarray:
-    """Bytes 6-23 of each field: 17 digits, trailing zeros beyond the integer part
+    """18 bytes from the first digit: 17 digits, trailing zeros beyond the integer part
     removed, and the point after the integer part when digits follow it."""
     digits = np.empty((lead.size, 17), np.uint8)
     digits[:, 0] = lead + ord("0")
-    g = g - [0, 0, 0, 10000]
-    digits[:, 1:] = tables.groups.take(g).view(np.uint8)
+    digits[:, 1:] = tables.groups.take(g % 10000).view(np.uint8)
     significant = 17 - np.logical_and.accumulate(digits[:, ::-1] == ord("0"), axis=1).sum(axis=1)
     after = tables.point_after.take(t)[:, None]
     keep = np.maximum(significant, tables.min_digits.take(t))[:, None]

@@ -20,8 +20,10 @@ import numpy as np
 from .ambiguity import AmbiguitySurface, FastEngine, _check_budget
 from .ddcore import PeriodicSequence
 from .errors import (
+    BadSeed,
     BadSNR,
     ConfigurationError,
+    EnergyOverflow,
     GridMismatch,
     NotCrystallized,
     ValidationError,
@@ -86,13 +88,23 @@ def add_noise(y: PeriodicSequence, snr_db: float | None, seed: int) -> PeriodicS
 
     Per-sample variance solves 10*log10(||y||^2 / E||w||^2) = snr_db, so the
     quoted SNR is total signal energy over expected total noise energy.
-    Deterministic for a fixed seed; snr_db = None (or +inf) returns y as is.
-    NaN, -inf and SNRs whose noise variance is not a finite float are
-    refused with BadSNR.
+    Deterministic for a fixed seed, which must not be negative (BadSeed);
+    snr_db = None (or +inf) returns y as is.  A signal whose energy ||y||^2
+    overflows float64 is refused with EnergyOverflow, whatever the SNR; NaN,
+    -inf and SNRs whose noise variance is not a finite float are refused
+    with BadSNR.
     """
     if snr_db is None or snr_db == math.inf:
         return y
-    energy = y.norm() ** 2
+    if seed < 0:
+        raise BadSeed(f"the noise seed must not be negative, got {seed}")
+    try:
+        with np.errstate(over="ignore"):  # an overflowing norm is refused below
+            energy = y.norm() ** 2
+    except OverflowError:  # a finite norm whose square overflows
+        energy = math.inf
+    if not math.isfinite(energy):
+        raise EnergyOverflow("the signal energy ||y||^2 overflows float64: no SNR can be set against it")
     if energy == 0.0:
         raise ZeroSignal("cannot set an SNR against a zero-energy signal")
     mn = y.mod.MN

@@ -248,6 +248,6 @@ class TestCsvBlocks:
                 tracemalloc.stop()
 
         workspace = floatfmt.Workspace(3 * ddcore._CSV_BLOCK_ROWS)  # three floats per line
-        one_block = workspace._words.nbytes + workspace._masks.nbytes
+        one_block = workspace._words.nbytes + workspace._mask.nbytes
         peak(12)  # builds the formatter's cached tables, which the runs below share
         assert peak(cols) - peak(12) < one_block

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ddradar import floatfmt
 from ddradar.ddcore import complex_to_csv
 from ddradar.floatfmt import FIELD_BYTES, format_g17
 from oracles import complex_to_csv_rows
@@ -15,10 +16,10 @@ from oracles import complex_to_csv_rows
 def kernel_texts(values) -> tuple[list, int]:
     """Each value's text as the kernel lays it out, and the count Python formatted."""
     flat = np.asarray(values, dtype=np.float64).reshape(-1, 1)
-    words = np.zeros((flat.shape[0], 1, FIELD_BYTES // 8), np.uint64)
-    python = format_g17(flat, words, "\n")
-    text = words.view(np.uint8).tobytes().translate(None, b"\0").decode("ascii")
-    return text.split("\n")[:-1], python
+    fields = np.zeros((flat.shape[0], 1, FIELD_BYTES), np.uint8)
+    python = format_g17(flat, fields)
+    text = fields.tobytes().translate(None, b"\0").decode("ascii")
+    return text.split(",")[1:], python
 
 
 def assert_formats_like_python(values) -> int:
@@ -88,10 +89,70 @@ class TestFormatG17:
 
     def test_no_runtime_warning(self):
         values = np.array([[0.0, -0.0, np.nan], [np.inf, 1e308, 5e-324], [1.0, -1e-300, 0.3]])
-        words = np.zeros(values.shape + (FIELD_BYTES // 8,), np.uint64)
+        fields = np.zeros(values.shape + (FIELD_BYTES,), np.uint8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            format_g17(values, words, ",,\n")
+            format_g17(values, fields)
+
+
+def trailing_zero_values(zeros: int, decade: int, rng) -> list:
+    """Doubles x > 0 whose "{:.17g}" text has the decade E = decade and whose
+    digits 2 to 17 end in exactly `zeros` zeros, found by trying decimals of that form."""
+    found = []
+    for _ in range(2000):
+        head = int(rng.integers(1, 10)) * 10 ** (16 - zeros)
+        if zeros < 16:  # digits 2 .. 17 - zeros, the last of them not 0
+            head += int(rng.integers(0, 10 ** (15 - zeros))) * 10 + int(rng.integers(1, 10))
+        x = float(f"{head}e{decade + zeros - 16}")
+        mantissa, _, exponent = "{:.16e}".format(x).partition("e")
+        digits = mantissa[2:]  # digits 2 to 17
+        if int(exponent) == decade and len(digits) - len(digits.rstrip("0")) == zeros:
+            found.append(x)
+        if len(found) == 3:
+            return found
+    raise AssertionError(f"no double with {zeros} trailing zeros at decade {decade}")
+
+
+class TestTrailingZeros:
+    """Digits 2-17 ending in 0000 groups are formatted by the kernel itself."""
+
+    DECADES = [-4, -3, -2, -1, 0, -8, -22, -100, 17, 22, 150]
+
+    @pytest.fixture(scope="class")
+    def values(self) -> np.ndarray:
+        rng = np.random.default_rng(12)
+        found = [x for zeros in (4, 8, 12, 16) for decade in self.DECADES
+                 for x in trailing_zero_values(zeros, decade, rng)]
+        return np.array(found + [-x for x in found])
+
+    def test_texts_and_no_python(self, values):
+        texts = ["{:.17g}".format(x) for x in values.tolist()]
+        # the search found every kind: fixed and scientific, each number of zeros
+        assert any(t.startswith("0.000") for t in texts) and any("e-100" in t for t in texts)
+        assert any(t in ("1", "2", "3", "4", "5", "6", "7", "8", "9") for t in texts)
+        assert assert_formats_like_python(values) == 0
+
+    def test_every_column(self, tmp_path, values):
+        """In the re, im and abs columns of a surface CSV, byte for byte, none by Python."""
+        grid = np.concatenate((values + 0j, 1j * values)).reshape(-1, 4)
+        assert complex_to_csv(grid, tmp_path / "new.csv") == 0
+        complex_to_csv_rows(grid, tmp_path / "oracle.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    def test_general_mantissa_only_inside_the_integer_range(self, monkeypatch, values):
+        """_general_mantissa is reached only for 1 <= E <= 16, never for E <= 0."""
+        decades = []
+        general = floatfmt._general_mantissa
+
+        def recorded(tables, lead, g, t):
+            decades.extend((t + floatfmt._E_LO).tolist())
+            return general(tables, lead, g, t)
+
+        monkeypatch.setattr(floatfmt, "_general_mantissa", recorded)
+        kernel_texts(values)
+        assert decades == []
+        assert_formats_like_python([120.0, -48012848914213000.0, 100.5, 1e16])
+        assert decades and all(1 <= e <= 16 for e in decades)
 
 
 class TestCsvBytes:

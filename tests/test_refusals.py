@@ -5,6 +5,10 @@ library case raises its error class before allocating or writing anything.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,10 +23,10 @@ from ddradar.ambiguity import (
 )
 from ddradar.cli import main
 from ddradar.ddcore import PeriodicSequence, QuasiPeriodicArray, complex_from_csv, complex_to_csv
-from ddradar.errors import BNotCoprime, ConfigurationError, IndexOutOfRange
+from ddradar.errors import BadSeed, BNotCoprime, ConfigurationError, EnergyOverflow, IndexOutOfRange
 from ddradar.floatfmt import FIELD_BYTES, Workspace, format_g17
 from ddradar.modmath import Modulus
-from ddradar.radarsim import ScatteringEnvironment, apply_channel
+from ddradar.radarsim import ScatteringEnvironment, add_noise, apply_channel
 from ddradar.subgroups import pulsone
 from ddradar.symplectic import SL2Element, remap_for
 
@@ -32,6 +36,8 @@ SCENE = {"M": 3, "N": 5, "taps": [{"k": 0, "l": 0, "re": 1.0, "im": 0.0}]}
 HUGE_SCENE = {"M": 3, "N": 5, "taps": [{"k": 0, "l": 0, "re": 1e308, "im": 1e308}]}
 LARGE_SCENE = {"M": 3, "N": 5, "taps": [{"k": 0, "l": 0, "re": 1e306, "im": 0.0}]}
 SUMMED_SCENE = {"M": 3, "N": 5, "taps": [{"k": k, "l": 0, "re": 1.7e308, "im": 0.0} for k in (0, 3, 6)]}
+# a finite return whose energy ||y||^2 overflows float64
+ENERGETIC_SCENE = {"M": 3, "N": 5, "taps": [{"k": 0, "l": 0, "re": 1e308, "im": 0.0}]}
 
 
 def _sim(*flags, scene="scene.json"):
@@ -64,11 +70,15 @@ def _sim(*flags, scene="scene.json"):
         (_sim("--line", "1,4", "--region", "0:0,0:0", scene="huge.json"), 4, None),
         (_sim("--line", "3,5", "--region", "0:0,0:0", scene="large.json"), 4, None),
         (_sim("--line", "3,5", "--region", "0:0,0:0", scene="summed.json"), 4, None),
+        # noise from a negative seed, and against an energy that overflows
+        (_sim("--line", "3,5", "--region", "0:0,0:0", "--snr-db", "10", "--seed", "-1"), 4, None),
+        (_sim("--line", "3,5", "--region", "0:0,0:0", "--snr-db", "5", scene="energetic.json"), 4, None),
     ],
 )
 def test_cli_refusal(tmp_path, monkeypatch, capsys, argv, code, budget):
     monkeypatch.chdir(tmp_path)
-    scenes = {"scene": SCENE, "huge": HUGE_SCENE, "large": LARGE_SCENE, "summed": SUMMED_SCENE}
+    scenes = {"scene": SCENE, "huge": HUGE_SCENE, "large": LARGE_SCENE, "summed": SUMMED_SCENE,
+              "energetic": ENERGETIC_SCENE}
     for name, doc in scenes.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     if budget is not None:
@@ -80,6 +90,20 @@ def test_cli_refusal(tmp_path, monkeypatch, capsys, argv, code, budget):
     assert got == code
     assert not (tmp_path / "out").exists()
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_overflowing_energy_prints_no_warning(tmp_path):
+    """The refusal names the energy, and numpy's overflow warning stays off stderr."""
+    (tmp_path / "energetic.json").write_text(json.dumps(ENERGETIC_SCENE))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    argv = _sim("--line", "3,5", "--region", "0:0,0:0", "--snr-db", "5", scene="energetic.json")
+    done = subprocess.run([sys.executable, "-m", "ddradar", *argv, "--out", "out"], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 4
+    assert "energy" in done.stderr
+    assert "RuntimeWarning" not in done.stderr and "Traceback" not in done.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_self_ambiguity_within_budget_still_written(tmp_path, monkeypatch):
@@ -94,8 +118,8 @@ def _missing_row_csv():
 
 
 def _format_more_than_the_workspace():
-    words = np.zeros((5, 1, FIELD_BYTES // 8), dtype=np.uint64)
-    format_g17(np.ones((5, 1)), words, "\n", Workspace(4))
+    fields = np.zeros((5, 1, FIELD_BYTES), dtype=np.uint8)
+    format_g17(np.ones((5, 1)), fields, Workspace(4))
 
 
 MOD15 = Modulus(3, 5)
@@ -126,10 +150,13 @@ OVERFLOWING_ENV = ScatteringEnvironment(MOD15, ((0, 0, 1.7e308), (3, 0, 1.7e308)
          "not finite"),
         (lambda: FastEngine(PeriodicSequence(MOD15, np.full(15, np.nan)), 0, 0), ConfigurationError,
          "not finite"),
+        (lambda: add_noise(X15, 10.0, -1), BadSeed, "must not be negative"),
+        (lambda: add_noise(PeriodicSequence(MOD15, np.full(15, 1e160)), 5.0, 0), EnergyOverflow,
+         "energy"),
     ],
     ids=["mn-cap", "csv-missing-rows", "period", "pulsone-indices", "zero-coded-waveform",
          "pgm-scale", "workspace", "remap-b", "sequence-shape", "dd-array-shape", "surface-shape",
-         "return-not-finite", "image-too-large", "image-nan"],
+         "return-not-finite", "image-too-large", "image-nan", "negative-seed", "energy-overflow"],
 )
 def test_library_refusal(tmp_path, monkeypatch, call, error, match):
     monkeypatch.chdir(tmp_path)

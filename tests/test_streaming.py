@@ -241,9 +241,10 @@ def test_refused_simulate_leaves_no_output(tmp_path, monkeypatch, capsys, refusa
     scene = tmp_path / "scene.json"
     _scene(scene, mod, DDRegion(0, 2, 0, 4), 3)
     # the streamed image: 9 bytes per point plus one block of the 15 x 15 grid, whose
-    # 225 points cost the engine 128 bytes each and the CSV writer 16 KiB, 15 index
-    # words and 446 bytes a line (two copies of 14 text words, 3 floats and workspace)
-    need = 9 * 15 * 15 + 128 * 15 * 15 + 16384 + 8 * 15 + 15 * 15 * (2 * 8 * 14 + 3 * (8 + 66))
+    # 225 points cost the engine 128 bytes each and the CSV writer 16 KiB, 15-entry
+    # index texts of 3 and 2 bytes and 405 bytes a line (two copies of a 93-byte line:
+    # "14," and "14" slots, three 29-byte fields and a newline; 3 floats and their workspace)
+    need = 9 * 15 * 15 + 128 * 15 * 15 + 16384 + (3 + 2) * 15 + 15 * 15 * (2 * 93 + 3 * (8 + 65))
     argv = ["simulate", "--scene", scene, "--line", "3,5", "--region", "0:2,0:4"]
     if refusal == "not-crystallized":
         argv[-1] = "0:3,0:4"
