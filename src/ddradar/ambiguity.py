@@ -75,7 +75,6 @@ __all__ = [
     "moyal_residual",
     "surface_from_csv",
     "surface_to_csv",
-    "surface_to_pgm",
     "unimodular_count",
     "write_surface",
     "zc_sequence",
@@ -516,17 +515,6 @@ def surface_from_csv(path, mod: Modulus, grid: str) -> AmbiguitySurface:
     return AmbiguitySurface(mod, grid, complex_from_csv(path, _grid_shape(mod, grid)))
 
 
-def surface_to_pgm(values: np.ndarray, path, scale: str = "linear", floor: float = -120.0) -> None:
-    """8-bit binary PGM of |values|; rows are delay k, columns Doppler l.
-
-    linear: 0..255 spans 0..max|A|.  db: 0..255 spans floor..0 dB relative
-    to the surface peak, clamping below the floor; the floor must be a finite
-    negative number.
-    """
-    _check_scale(scale, floor)
-    _write_pgm(np.abs(np.asarray(values)).astype(np.float64, copy=False), path, scale, floor)
-
-
 def _write_pgm(mags: np.ndarray, path, scale: str, floor: float) -> None:
     """The PGM of the float64 magnitudes `mags`, whose buffer each pixel step overwrites."""
     peak = mags.max()
@@ -551,15 +539,16 @@ def _write_pgm(mags: np.ndarray, path, scale: str, floor: float) -> None:
         fh.write(np.ascontiguousarray(pixels))
 
 
-def check_stream_budget(shape: tuple[int, int]) -> None:
+def check_stream_budget(shape: tuple[int, int], csv: bool = True) -> None:
     """Refuse with OverBudget when write_surface over `shape` would exceed the budget.
 
     It holds 9 bytes per point, the float64 magnitudes and the uint8 pixels,
     plus one streamed block (ddcore._block_bytes): the engine's values and
-    query arrays, and the CSV writer's text, float and workspace buffers.
+    query arrays and, with `csv`, the CSV writer's text, float and workspace
+    buffers.
     """
     nk, nl = shape
-    need = 9 * nk * nl + _block_bytes(shape)
+    need = 9 * nk * nl + _block_bytes(shape, csv)
     _check_budget(need, f"writing a {nk} x {nl} surface")
 
 
@@ -567,11 +556,15 @@ def write_surface(blocks, shape: tuple[int, int], csv_path, pgm_path,
                   scale: str = "linear", floor: float = -120.0) -> None:
     """Write a surface given as consecutive row blocks to CSV and PGM in one pass.
 
-    Each block is formatted into the CSV as it arrives, and its magnitudes go
-    into one float64 buffer, in which the PGM pixels are computed after the
-    last block.  The files are byte for byte those of surface_to_csv and
-    surface_to_pgm on the whole surface, and no complex array is held beyond
-    the block being written.  Callers check check_stream_budget(shape) first.
+    Each block is formatted into the CSV as it arrives (no CSV when
+    `csv_path` is None), and its magnitudes go into one float64 buffer, in
+    which the PGM pixels are computed after the last block: rows are delay
+    k, columns Doppler l.  linear: 0..255 spans 0..max|A|.  db: 0..255 spans
+    floor..0 dB relative to the surface peak, clamping below the floor; the
+    floor must be a finite negative number.  The CSV is byte for byte
+    surface_to_csv of the whole surface, and no complex array is held beyond
+    the block being written; an array is written whole as its own single
+    block, `(values,)`.  Callers check check_stream_budget(shape) first.
     """
     _check_scale(scale, floor)
     mags = np.empty(shape)
@@ -583,7 +576,11 @@ def write_surface(blocks, shape: tuple[int, int], csv_path, pgm_path,
             start += block.shape[0]
             yield block
 
-    surface_to_csv(measured(), csv_path, shape)
+    if csv_path is None:
+        for _ in measured():
+            pass
+    else:
+        surface_to_csv(measured(), csv_path, shape)
     _write_pgm(mags, pgm_path, scale, floor)
 
 

@@ -4,8 +4,9 @@ Exit codes: 0 success, 2 usage error, 3 refused precondition (aliasing
 readout, fast engine on zc-coded waveforms, over the memory budget), 4 numeric
 validation failure (composite modulus, non-coprime parameters).  All file
 outputs land under --out with fixed names; waveform, ambiguity and simulate
-create --out only once every refusal check has passed (simulate and the fast
-engine then form their surface block by block as they write it).  Every
+create --out only once every refusal check has passed, and every command that
+writes a surface from the fast engine (waveform's self-ambiguity, simulate's
+image, ambiguity --engine fast) forms it block by block as it writes it.  Every
 command is deterministic for a fixed --seed.
 """
 
@@ -20,17 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from .ambiguity import (
-    _BLOCK_ROWS,
     FastEngine,
-    _check_budget,
     _check_direct_budget,
     _check_scale,
     check_stream_budget,
     coded_waveform,
     cross_ambiguity_array,
-    cross_ambiguity_fft,
     cross_ambiguity_naive,
-    surface_to_pgm,
     write_surface,
     zc_sequence,
 )
@@ -192,18 +189,20 @@ def cmd_waveform(args, parser) -> int:
         base = f"chirp:{args.alpha},{args.beta},{args.gamma}"
     else:
         base = f"zc:{args.root}"
-    seq = parse_waveform_spec(prefix + base, mod).seq
-    line = f"papr_db={papr_db(seq):.12g}"
-    if args.self_ambiguity:  # cross_ambiguity_fft's need, then 9 bytes per point for the PGM
-        _check_budget(16 * mod.MN * (mod.MN + _BLOCK_ROWS) + 9 * mod.MN**2, "the self-ambiguity and its PGM")
-    surface = cross_ambiguity_fft(seq, seq) if args.self_ambiguity else None
+    spec = parse_waveform_spec(prefix + base, mod)
+    line = f"papr_db={papr_db(spec.seq):.12g}"
+    engine = None
+    if args.self_ambiguity:  # streamed into its PGM, with no CSV
+        engine = FastEngine(spec.seq, *spec.fast[0], transform=spec.fast[1], grid="full")
+        check_stream_budget(engine.shape, csv=False)
 
     out = _out_dir(args)
-    sequence_to_csv(seq, out / "waveform.csv")
+    sequence_to_csv(spec.seq, out / "waveform.csv")
     print(line)
     (out / "papr.txt").write_text(line + "\n", encoding="ascii")
-    if surface is not None:
-        surface_to_pgm(surface.values, out / "selfambiguity.pgm", scale=args.scale, floor=args.floor)
+    if engine is not None:
+        write_surface(engine.blocks(), engine.shape, None, out / "selfambiguity.pgm",
+                      scale=args.scale, floor=args.floor)
     return 0
 
 

@@ -19,8 +19,8 @@ from ddradar.ambiguity import (
     moyal_residual,
     surface_from_csv,
     surface_to_csv,
-    surface_to_pgm,
     unimodular_count,
+    write_surface,
     zc_sequence,
 )
 from ddradar.ddcore import PeriodicSequence
@@ -474,6 +474,11 @@ class TestSidelobeContrast:
         assert zc_db - chirp_db >= 60
 
 
+def write_pgm(values, path, scale="linear", floor=-120.0):
+    """The PGM of an array, through the streamed writer with the array as its one block."""
+    write_surface((values,), values.shape, None, path, scale=scale, floor=floor)
+
+
 class TestSurfaceIo:
     def test_csv_round_trip(self, mod15, tmp_path):
         rng = np.random.default_rng(14)
@@ -487,7 +492,7 @@ class TestSurfaceIo:
     def test_pgm_format(self, mod15, tmp_path):
         surf = cross_ambiguity_naive(pulsone(mod15, 0, 0), pulsone(mod15, 0, 0), grid="full")
         path = tmp_path / "surf.pgm"
-        surface_to_pgm(surf.values, path, scale="db", floor=-120.0)
+        write_pgm(surf.values, path, scale="db", floor=-120.0)
         blob = path.read_bytes()
         assert blob.startswith(b"P5\n15 15\n255\n")
         pixels = np.frombuffer(blob.split(b"255\n", 1)[1], dtype=np.uint8).reshape(15, 15)
@@ -497,7 +502,7 @@ class TestSurfaceIo:
     def test_pgm_linear_scale(self, tmp_path):
         values = np.array([[0.0, 0.5], [1.0, 0.25]])
         path = tmp_path / "lin.pgm"
-        surface_to_pgm(values, path, scale="linear")
+        write_pgm(values, path, scale="linear")
         pixels = np.frombuffer(path.read_bytes().split(b"255\n", 1)[1], dtype=np.uint8)
         assert list(pixels) == [0, 128, 255, 64]
 
@@ -516,7 +521,7 @@ class TestSurfaceIo:
         ties = np.append(3.0 * ties, 3.0).reshape(16, 16)
         for surface in (values, values.T, ties, np.zeros((5, 7), dtype=complex)):
             path = tmp_path / "s.pgm"
-            surface_to_pgm(surface, path, scale=scale, floor=floor)
+            write_pgm(surface, path, scale=scale, floor=floor)
             assert path.read_bytes() == pgm_bytes(surface, scale, floor)
 
     def test_pgm_memory_is_magnitudes_plus_pixels(self, tmp_path):
@@ -524,7 +529,7 @@ class TestSurfaceIo:
         for scale in ("linear", "db"):
             tracemalloc.start()
             try:
-                surface_to_pgm(values, tmp_path / "s.pgm", scale=scale)
+                write_pgm(values, tmp_path / "s.pgm", scale=scale)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -532,13 +537,13 @@ class TestSurfaceIo:
 
     def test_pgm_rejects_bad_floor(self, tmp_path):
         with pytest.raises(ConfigurationError):
-            surface_to_pgm(np.ones((2, 2)), tmp_path / "x.pgm", scale="db", floor=10.0)
+            write_pgm(np.ones((2, 2)), tmp_path / "x.pgm", scale="db", floor=10.0)
 
     @pytest.mark.parametrize("floor", [float("nan"), float("-inf"), float("inf"), 0.0])
     def test_pgm_rejects_floor_that_is_not_finite_negative(self, tmp_path, floor):
         path = tmp_path / "x.pgm"
         with pytest.raises(ConfigurationError):
-            surface_to_pgm(np.ones((2, 2)), path, scale="db", floor=floor)
+            write_pgm(np.ones((2, 2)), path, scale="db", floor=floor)
         assert not path.exists()
 
 

@@ -19,7 +19,7 @@ from ddradar.ambiguity import (
     FastEngine,
     coded_waveform,
     fast_pulsone_precompute,
-    surface_to_pgm,
+    write_surface,
 )
 from ddradar.cli import main
 from ddradar.ddcore import PeriodicSequence, QuasiPeriodicArray, complex_from_csv, complex_to_csv
@@ -58,8 +58,9 @@ def _sim(*flags, scene="scene.json"):
         (["ambiguity", *MOD, "--x", "zc:abc", "--y", "pulsone:0,0"], 2, None),
         (["ambiguity", *MOD, "--x", "zc-coded:1,2", "--y", "pulsone:0,0"], 2, None),
         (_sim("--line", "3,5", "--region", "0:0,0:0", "--waveform", "zc-coded:1,2"), 2, None),
-        # the self-ambiguity's FFT needs 18,960 bytes at (3, 5), and its PGM 2,025 more
-        (["waveform", "pulsone", *MOD, "--self-ambiguity"], 3, 20000),
+        # the self-ambiguity's streamed PGM needs 30,825 bytes at (3, 5): 9 bytes per point
+        # and one engine block of all 15 rows at 128 bytes a point, with no CSV
+        (["waveform", "pulsone", *MOD, "--self-ambiguity"], 3, 9 * 15 * 15 + 128 * 15 * 15 - 1),
         # a zc-coded waveform of period 1.5e16, refused before it is built
         (["ambiguity", *MOD, "--x", "zc-coded:1,1000000000000000", "--y", "zc-coded:1,1"], 3, None),
         (["ambiguity", *MOD, "--x", "zc-coded:1,1", "--y", "zc-coded:1,1000000000000000",
@@ -107,7 +108,7 @@ def test_overflowing_energy_prints_no_warning(tmp_path):
 
 
 def test_self_ambiguity_within_budget_still_written(tmp_path, monkeypatch):
-    monkeypatch.setattr(ambiguity, "MEMORY_BUDGET_BYTES", 20985)
+    monkeypatch.setattr(ambiguity, "MEMORY_BUDGET_BYTES", 9 * 15 * 15 + 128 * 15 * 15)
     assert main(["waveform", "pulsone", *MOD, "--self-ambiguity", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "selfambiguity.pgm").exists()
 
@@ -136,7 +137,7 @@ OVERFLOWING_ENV = ScatteringEnvironment(MOD15, ((0, 0, 1.7e308), (3, 0, 1.7e308)
         (lambda: fast_pulsone_precompute(X15, 0, 0, period=2), ConfigurationError, "does not divide"),
         (lambda: fast_pulsone_precompute(X15, 3, 0), IndexOutOfRange, "outside 3 x 5"),
         (lambda: coded_waveform(np.zeros(3), np.ones(2)), ConfigurationError, "identically zero"),
-        (lambda: surface_to_pgm(np.ones((3, 5)), "never.pgm", scale="log"), ConfigurationError,
+        (lambda: write_surface((np.ones((3, 5)),), (3, 5), None, "never.pgm", scale="log"), ConfigurationError,
          "unknown scale"),
         (_format_more_than_the_workspace, ValueError, "cannot format 5"),
         (lambda: remap_for(SL2Element(MOD15, 1, 3, 0, 1)), BNotCoprime, "b = 3"),

@@ -3,8 +3,8 @@
 `simulate` and `ambiguity --engine fast` form their surface in row blocks and
 write each block as it is formed; the materialised route forms the whole
 surface first (the `surface` of the engine, from form_image or built
-directly), then writes it with surface_to_csv and surface_to_pgm and reads
-the targets off the array.
+directly), then writes it with surface_to_csv, and its PGM with write_surface
+given the whole array as one block, and reads the targets off the array.
 """
 
 import json
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from ddradar import ambiguity, ddcore
-from ddradar.ambiguity import FastEngine, surface_to_csv, surface_to_pgm
+from ddradar.ambiguity import FastEngine, cross_ambiguity_fft, surface_to_csv, write_surface
 from ddradar.cli import _build_parser, main, parse_waveform_spec
 from ddradar.ddcore import PeriodicSequence
 from ddradar.modmath import Modulus
@@ -68,7 +68,8 @@ def _materialised_simulate(out, scene, spec_text, line, region, index, snr_db, s
     img = form_image(y, seq, grid="full", pulsone_indices=base, transform=labels)
     out.mkdir()
     surface_to_csv(img.surface, out / "image.csv")
-    surface_to_pgm(img.surface.values, out / "image.pgm", scale=scale)
+    values = img.surface.values
+    write_surface((values,), values.shape, None, out / "image.pgm", scale=scale)
     targets = readout_targets(img.surface, line, region)
     doc = {"M": mod.M, "N": mod.N, "waveform": spec_text, "engine": "fast",
            "snr_db": snr_db, "seed": seed,
@@ -122,8 +123,39 @@ def test_streamed_fast_full_grid_writes_the_materialised_bytes(tmp_path, M, N, y
     whole = tmp_path / "whole"
     whole.mkdir()
     surface_to_csv(values, whole / "ambiguity.csv")
-    surface_to_pgm(values, whole / "ambiguity.pgm", scale=scale)
+    write_surface((values,), values.shape, None, whole / "ambiguity.pgm", scale=scale)
     _assert_same_files(tmp_path / "streamed", whole, ["ambiguity.csv", "ambiguity.pgm"])
+
+
+# waveform flags and the spec they build
+WAVEFORMS = {
+    "pulsone": (["pulsone", "--k0", 1, "--l0", 2], "pulsone:1,2"),
+    "chirp": (["chirp", "--alpha", 2, "--beta", 1, "--gamma", 3], "chirp:2,1,3"),
+    "zc": (["zc", "--root", 2], "zc:2"),
+    "gdaft-of": (["gdaft-of", "pulsone", "--sl2", "1,1,0,1"], "gdaft(1,1,0,1):pulsone:0,0"),
+    "lfm-of": (["lfm-of", "chirp", "--alpha", 2, "--lfm", 4], "lfm(4):chirp:2,0,0"),
+}
+
+
+@pytest.mark.parametrize("kind", WAVEFORMS)
+@pytest.mark.parametrize("M, N", SIZES)
+def test_streamed_self_ambiguity_writes_the_materialised_bytes(tmp_path, M, N, kind):
+    mod = Modulus(M, N)
+    flags, text = WAVEFORMS[kind]
+    scale = ("linear", "db")[(M + len(kind)) % 2]
+    assert run(["waveform", *flags, "--M", M, "--N", N, "--self-ambiguity", "--scale", scale,
+                "--out", tmp_path / "streamed"]) == 0
+    spec = parse_waveform_spec(text, mod)
+    values = FastEngine(spec.seq, *spec.fast[0], transform=spec.fast[1], grid="full").surface.values
+    whole = tmp_path / "whole.pgm"
+    write_surface((values,), values.shape, None, whole, scale=scale)
+    streamed = (tmp_path / "streamed" / "selfambiguity.pgm").read_bytes()
+    assert streamed == whole.read_bytes()
+    # the FFT route, the library's other full-grid surface, to within one grey level
+    write_surface((cross_ambiguity_fft(spec.seq, spec.seq).values,), values.shape, None, whole, scale=scale)
+    header = len(f"P5\n{mod.MN} {mod.MN}\n255\n")
+    got, want = (np.frombuffer(b[header:], dtype=np.uint8).astype(int) for b in (streamed, whole.read_bytes()))
+    assert np.abs(got - want).max() <= 1
 
 
 @pytest.mark.parametrize("shape", [(13, 11), (143,)])
