@@ -89,13 +89,21 @@ UNIMODULAR_THRESHOLD = 1.0 - 1e-6
 # or FFT call.  The fast engine's blocks are the CSV writer's, ddcore._block_rows.
 _BLOCK_ROWS = 64
 
-# Largest allocation a surface route may make, in bytes, checked by
+# Largest allocation a command or a surface route may make, in bytes, checked by
 # _check_budget before anything is allocated.  A direct-sum surface needs an
 # L x nl phase table and its int64 index temporaries (32 bytes per entry) plus
 # the nk x nl complex output: about 0.8 GB for the full grid at (61, 67),
 # L = 4087, while a zc-coded pair with period L = 15000 would need about 11 GB
 # and is refused with OverBudget (exit 3).
 MEMORY_BUDGET_BYTES = 2**30
+# Bytes per MN a command holds at once in O(MN) arrays, checked with its surface by
+# check_stream_budget before the first of them is allocated: the waveform's
+# samples and base, a return, the fast table, two labels' GDAFT temporaries,
+# waveform.csv's index texts, and the 2MN roots of unity (32 per MN), counted
+# whether or not modmath's cache already holds them; tables that the cache
+# keeps for other moduli are not counted.  The tracemalloc peak is at most 153
+# per MN from (127, 131) up, on two-label references.
+_MN_BYTES = 176
 
 
 @dataclass(frozen=True)
@@ -539,17 +547,21 @@ def _write_pgm(mags: np.ndarray, path, scale: str, floor: float) -> None:
         fh.write(np.ascontiguousarray(pixels))
 
 
-def check_stream_budget(shape: tuple[int, int], csv: bool = True) -> None:
-    """Refuse with OverBudget when write_surface over `shape` would exceed the budget.
+def check_stream_budget(mod: Modulus, grid: str | None = None, csv: bool = True) -> None:
+    """Refuse with OverBudget when a command over `mod` would exceed the budget.
 
-    It holds 9 bytes per point, the float64 magnitudes and the uint8 pixels,
-    plus one streamed block (ddcore._block_bytes): the engine's values and
-    query arrays and, with `csv`, the CSV writer's text, float and workspace
-    buffers.
+    It holds _MN_BYTES per MN in O(MN) arrays and, when it writes a surface on
+    `grid` through write_surface, 9 bytes per point, the float64 magnitudes
+    and the uint8 pixels, plus one streamed block (ddcore._block_bytes): the
+    engine's values and query arrays and, with `csv`, the CSV writer's text,
+    float and workspace buffers.
     """
-    nk, nl = shape
-    need = 9 * nk * nl + _block_bytes(shape, csv)
-    _check_budget(need, f"writing a {nk} x {nl} surface")
+    need, what = _MN_BYTES * mod.MN, f"a command over MN = {mod.MN}"
+    if grid is not None:
+        nk, nl = shape = _grid_shape(mod, grid)
+        need += 9 * nk * nl + _block_bytes(shape, csv)
+        what += f", writing a {nk} x {nl} surface,"
+    _check_budget(need, what)
 
 
 def write_surface(blocks, shape: tuple[int, int], csv_path, pgm_path,
@@ -564,7 +576,7 @@ def write_surface(blocks, shape: tuple[int, int], csv_path, pgm_path,
     floor must be a finite negative number.  The CSV is byte for byte
     surface_to_csv of the whole surface, and no complex array is held beyond
     the block being written; an array is written whole as its own single
-    block, `(values,)`.  Callers check check_stream_budget(shape) first.
+    block, `(values,)`.  Commands check check_stream_budget first.
     """
     _check_scale(scale, floor)
     mags = np.empty(shape)

@@ -189,12 +189,13 @@ def cmd_waveform(args, parser) -> int:
         base = f"chirp:{args.alpha},{args.beta},{args.gamma}"
     else:
         base = f"zc:{args.root}"
+    # the self-ambiguity is streamed into its PGM, with no CSV
+    check_stream_budget(mod, "full" if args.self_ambiguity else None, csv=False)
     spec = parse_waveform_spec(prefix + base, mod)
     line = f"papr_db={papr_db(spec.seq):.12g}"
     engine = None
-    if args.self_ambiguity:  # streamed into its PGM, with no CSV
+    if args.self_ambiguity:
         engine = FastEngine(spec.seq, *spec.fast[0], transform=spec.fast[1], grid="full")
-        check_stream_budget(engine.shape, csv=False)
 
     out = _out_dir(args)
     sequence_to_csv(spec.seq, out / "waveform.csv")
@@ -213,6 +214,7 @@ def cmd_waveform(args, parser) -> int:
 def cmd_ambiguity(args, parser) -> int:
     mod = Modulus(args.M, args.N, allow_composite=args.allow_composite)
     _check_scale(args.scale, args.floor)
+    check_stream_budget(mod, args.grid if args.engine == "fast" else None)
     x = parse_waveform_spec(args.x, mod)
     y = parse_waveform_spec(args.y, mod)
 
@@ -226,7 +228,6 @@ def cmd_ambiguity(args, parser) -> int:
     elif args.engine == "fast":
         base, labels = y.fast
         engine = FastEngine(x.seq, *base, transform=labels, grid=args.grid)
-        check_stream_budget(engine.shape)
         blocks, shape = engine.blocks(), engine.shape
     else:
         values = cross_ambiguity_naive(x.seq, y.seq, grid=args.grid).values
@@ -249,6 +250,8 @@ def cmd_simulate(args, parser) -> int:
     mod = env.mod
     line = LineSubgroup(mod, *_parse_pair(args.line, "--line"))
     region = _parse_region(args.region)
+    # every refusal comes before --out exists; the image is formed only as it is written
+    check_stream_budget(mod, "full")
 
     if args.waveform == "eigen":
         if not 0 <= args.eigen_index < mod.MN:
@@ -264,8 +267,6 @@ def cmd_simulate(args, parser) -> int:
     y = add_noise(y, args.snr_db, args.seed)
     base, labels = spec.fast
     engine = FastEngine(y, *base, transform=labels, grid="full")
-    # every refusal comes before --out exists; the image is formed only as it is written
-    check_stream_budget(engine.shape)
     targets = readout_targets(engine, line, region, threshold=args.threshold)
 
     out = _out_dir(args)

@@ -10,6 +10,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+try:
+    import resource
+except ImportError:  # not POSIX
+    resource = None
+
 import numpy as np
 import pytest
 
@@ -31,6 +36,10 @@ from ddradar.subgroups import pulsone
 from ddradar.symplectic import SL2Element, remap_for
 
 MOD = ["--M", "3", "--N", "5"]
+SELF_AMBIGUITY_NEED = 176 * 15 + 9 * 15 * 15 + 128 * 15 * 15
+# MN = 2,147,483,643, just under the cap: 32 GiB of samples, refused before the first O(MN) array
+BIG_MOD = ["--M", "3", "--N", "715827881", "--allow-composite"]
+BIG_SCENE = {"M": 3, "N": 715827881, "taps": [{"k": 0, "l": 0, "re": 1.0, "im": 0.0}]}
 SCENE = {"M": 3, "N": 5, "taps": [{"k": 0, "l": 0, "re": 1.0, "im": 0.0}]}
 # finite gains whose return or image overflows float64
 HUGE_SCENE = {"M": 3, "N": 5, "taps": [{"k": 0, "l": 0, "re": 1e308, "im": 1e308}]}
@@ -58,9 +67,9 @@ def _sim(*flags, scene="scene.json"):
         (["ambiguity", *MOD, "--x", "zc:abc", "--y", "pulsone:0,0"], 2, None),
         (["ambiguity", *MOD, "--x", "zc-coded:1,2", "--y", "pulsone:0,0"], 2, None),
         (_sim("--line", "3,5", "--region", "0:0,0:0", "--waveform", "zc-coded:1,2"), 2, None),
-        # the self-ambiguity's streamed PGM needs 30,825 bytes at (3, 5): 9 bytes per point
-        # and one engine block of all 15 rows at 128 bytes a point, with no CSV
-        (["waveform", "pulsone", *MOD, "--self-ambiguity"], 3, 9 * 15 * 15 + 128 * 15 * 15 - 1),
+        # the self-ambiguity needs 33,465 bytes at (3, 5): 176 bytes per MN, and its streamed
+        # PGM's 9 bytes per point and one engine block of all 15 rows at 128 bytes a point
+        (["waveform", "pulsone", *MOD, "--self-ambiguity"], 3, SELF_AMBIGUITY_NEED - 1),
         # a zc-coded waveform of period 1.5e16, refused before it is built
         (["ambiguity", *MOD, "--x", "zc-coded:1,1000000000000000", "--y", "zc-coded:1,1"], 3, None),
         (["ambiguity", *MOD, "--x", "zc-coded:1,1", "--y", "zc-coded:1,1000000000000000",
@@ -93,22 +102,52 @@ def test_cli_refusal(tmp_path, monkeypatch, capsys, argv, code, budget):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def _child(argv, cwd, preexec_fn=None):
+    """`python -m ddradar argv --out out` in a new process, on this checkout's src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+               OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-m", "ddradar", *argv, "--out", "out"], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120, preexec_fn=preexec_fn)
+
+
 def test_overflowing_energy_prints_no_warning(tmp_path):
     """The refusal names the energy, and numpy's overflow warning stays off stderr."""
     (tmp_path / "energetic.json").write_text(json.dumps(ENERGETIC_SCENE))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     argv = _sim("--line", "3,5", "--region", "0:0,0:0", "--snr-db", "5", scene="energetic.json")
-    done = subprocess.run([sys.executable, "-m", "ddradar", *argv, "--out", "out"], cwd=tmp_path,
-                          env=env, capture_output=True, text=True, timeout=120)
+    done = _child(argv, tmp_path)
     assert done.returncode == 4
     assert "energy" in done.stderr
     assert "RuntimeWarning" not in done.stderr and "Traceback" not in done.stderr
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.skipif(resource is None, reason="needs POSIX address-space limits")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["waveform", "pulsone", *BIG_MOD],
+        ["ambiguity", *BIG_MOD, "--x", "pulsone:0,0", "--y", "pulsone:0,0", "--engine", "fast"],
+        _sim("--allow-composite", "--line", "3,715827881", "--region", "0:0,0:0", scene="big.json"),
+    ],
+    ids=["waveform", "ambiguity-fast", "simulate"],
+)
+def test_o_mn_arrays_refused_under_a_memory_cap(tmp_path, argv):
+    """Each command checks its O(MN) arrays against the budget before it allocates the first.
+
+    The child runs under a 2 GiB address-space cap, so a missed check ends in
+    a MemoryError rather than in 32 GiB of samples.
+    """
+    (tmp_path / "big.json").write_text(json.dumps(BIG_SCENE))
+    cap = 2**31
+    done = _child(argv, tmp_path, lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert done.returncode == 3, done.stderr
+    assert "budget" in done.stderr and "Traceback" not in done.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_self_ambiguity_within_budget_still_written(tmp_path, monkeypatch):
-    monkeypatch.setattr(ambiguity, "MEMORY_BUDGET_BYTES", 9 * 15 * 15 + 128 * 15 * 15)
+    monkeypatch.setattr(ambiguity, "MEMORY_BUDGET_BYTES", SELF_AMBIGUITY_NEED)
     assert main(["waveform", "pulsone", *MOD, "--self-ambiguity", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "selfambiguity.pgm").exists()
 

@@ -18,7 +18,7 @@ from ddradar import ambiguity, ddcore
 from ddradar.ambiguity import FastEngine, cross_ambiguity_fft, surface_to_csv, write_surface
 from ddradar.cli import _build_parser, main, parse_waveform_spec
 from ddradar.ddcore import PeriodicSequence
-from ddradar.modmath import Modulus
+from ddradar.modmath import Modulus, _roots_of_unity
 from ddradar.radarsim import add_noise, apply_channel, form_image, readout_targets, scene_from_json
 from ddradar.subgroups import DDRegion, LineSubgroup, crystallization_check, eigenvector, pulsone_chain
 
@@ -267,16 +267,61 @@ def test_block_bytes_cover_an_engine_block(M, N):
         assert peak <= ddcore._block_bytes(engine.shape, csv=False), (c, d)
 
 
+def _peak_and_need(monkeypatch, tmp_path, argv):
+    """A command's tracemalloc peak, with the 2MN roots of unity built in it, and the need it checked."""
+    needs = []
+    check = ambiguity._check_budget
+    monkeypatch.setattr(ambiguity, "_check_budget", lambda need, what: needs.append(need) or check(need, what))
+    assert run(argv + ["--out", tmp_path / "warm"]) == 0  # builds the formatter's cached tables
+    _roots_of_unity.cache_clear()
+    tracemalloc.start()
+    try:
+        assert run(argv + ["--out", tmp_path / "run"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(needs) == 2 and needs[0] == needs[1]  # one check per command
+    return peak, needs[1]
+
+
+@pytest.mark.parametrize("M, N", [(127, 131), (251, 257)])
+def test_mn_bytes_cover_a_command(tmp_path, monkeypatch, M, N):
+    """The O(MN) term covers a waveform and a fundamental-grid fast ambiguity on two-label references.
+
+    The ambiguity, the heavier, also counts its streamed surface and needs less than twice its peak.
+    """
+    mod = ["--M", M, "--N", N]
+    for i, argv in enumerate([
+        ["waveform", "pulsone", *mod],
+        ["waveform", "gdaft-of", "chirp", "--alpha", 2, "--sl2", "1,1,0,1", *mod],
+        ["ambiguity", *mod, "--x", "gdaft(2,1,1,1):zc:1", "--y", "gdaft(1,1,0,1):chirp:2", "--engine", "fast"],
+    ]):
+        peak, need = _peak_and_need(monkeypatch, tmp_path / str(i), argv)
+        assert peak <= need, argv
+    assert need < 2 * peak
+
+
+@pytest.mark.parametrize("kind", [["pulsone", "--k0", 1], ["gdaft-of", "pulsone", "--sl2", "1,1,0,1"]],
+                         ids=["pulsone", "gdaft-of"])
+@pytest.mark.parametrize("M, N", [(23, 29), (31, 37)])
+def test_self_ambiguity_need_covers_its_peak(tmp_path, monkeypatch, M, N, kind):
+    """The self-ambiguity's need, its O(MN) arrays and its streamed PGM, is at least its peak and under twice it."""
+    peak, need = _peak_and_need(monkeypatch, tmp_path, ["waveform", *kind, "--M", M, "--N", N, "--self-ambiguity"])
+    assert peak <= need < 2 * peak
+
+
 @pytest.mark.parametrize("refusal", ["not-crystallized", "over-budget"])
 def test_refused_simulate_leaves_no_output(tmp_path, monkeypatch, capsys, refusal):
     mod = Modulus(3, 5)
     scene = tmp_path / "scene.json"
     _scene(scene, mod, DDRegion(0, 2, 0, 4), 3)
-    # the streamed image: 9 bytes per point plus one block of the 15 x 15 grid, whose
-    # 225 points cost the engine 128 bytes each and the CSV writer 16 KiB, 15-entry
-    # index texts of 3 and 2 bytes and 405 bytes a line (two copies of a 93-byte line:
-    # "14," and "14" slots, three 29-byte fields and a newline; 3 floats and their workspace)
-    need = 9 * 15 * 15 + 128 * 15 * 15 + 16384 + (3 + 2) * 15 + 15 * 15 * (2 * 93 + 3 * (8 + 65))
+    # 176 bytes per MN for the O(MN) arrays, and the streamed image: 9 bytes per point
+    # plus one block of the 15 x 15 grid, whose 225 points cost the engine 128 bytes each
+    # and the CSV writer 16 KiB, 15-entry index texts of 3 and 2 bytes and 405 bytes a line
+    # (two copies of a 93-byte line: "14," and "14" slots, three 29-byte fields and a
+    # newline; 3 floats and their workspace)
+    need = (176 * 15 + 9 * 15 * 15 + 128 * 15 * 15 + 16384 + (3 + 2) * 15
+            + 15 * 15 * (2 * 93 + 3 * (8 + 65)))
     argv = ["simulate", "--scene", scene, "--line", "3,5", "--region", "0:2,0:4"]
     if refusal == "not-crystallized":
         argv[-1] = "0:3,0:4"
