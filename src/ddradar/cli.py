@@ -250,7 +250,8 @@ def cmd_simulate(args, parser) -> int:
     mod = env.mod
     line = LineSubgroup(mod, *_parse_pair(args.line, "--line"))
     region = _parse_region(args.region)
-    # every refusal comes before --out exists; the image is formed only as it is written
+    # before the first O(MN) array; every refusal comes before --out exists, and the
+    # image is formed only as it is written
     check_stream_budget(mod, "full")
 
     if args.waveform == "eigen":
