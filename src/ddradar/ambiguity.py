@@ -31,7 +31,8 @@ The fast path is one FastEngine: O(1) point queries, and row blocks of
 either grid.  Writing all (MN)^2 points would itself cost O(M^2 N^2) and
 defeat the complexity advantage, so a full-grid surface is an explicit
 caller decision; write_surface streams the blocks into the CSV and PGM files
-without holding the complex surface, and FastEngine.surface materialises it.
+without holding the complex surface or its magnitudes, and FastEngine.surface
+materialises it.
 """
 
 from __future__ import annotations
@@ -101,8 +102,9 @@ MEMORY_BUDGET_BYTES = 2**30
 # samples and base, a return, the fast table, two labels' GDAFT temporaries,
 # waveform.csv's index texts, and the 2MN roots of unity (32 per MN), counted
 # whether or not modmath's cache already holds them; tables that the cache
-# keeps for other moduli are not counted.  The tracemalloc peak is at most 153
-# per MN from (127, 131) up, on two-label references.
+# keeps for other moduli are not counted.  The tracemalloc peak is at most 152
+# per MN from (127, 131) up (the CSV writer's block is most of it there), and
+# 121 per MN at (251, 257), where the index texts are 13 of it.
 _MN_BYTES = 176
 
 
@@ -181,11 +183,15 @@ def _check_budget(need: int, what: str) -> None:
         )
 
 
+def _direct_bytes(L: int, nk: int, nl: int) -> int:
+    """Bytes of a direct-sum surface of nk x nl points and period L: its L x nl phase
+    table with the int64 index temporaries (32 bytes per entry), and the complex output."""
+    return 32 * L * nl + 16 * nk * nl
+
+
 def _check_direct_budget(L: int, nk: int, nl: int) -> None:
-    """Refuse with OverBudget a direct-sum surface of nk x nl points and period L over the
-    budget: its L x nl phase table with the int64 index temporaries (32 bytes per
-    entry), plus the nk x nl complex output."""
-    _check_budget(32 * L * nl + 16 * nk * nl, f"a {nk} x {nl} direct-sum surface of period {L}")
+    """Refuse with OverBudget a direct-sum surface of nk x nl points and period L over the budget."""
+    _check_budget(_direct_bytes(L, nk, nl), f"a {nk} x {nl} direct-sum surface of period {L}")
 
 
 def _direct_rows(xa: np.ndarray, ya: np.ndarray, nk: int, nl: int) -> np.ndarray:
@@ -372,8 +378,10 @@ class FastEngine:
                 qkl += 2 * (kk * a * b + ll * c * d) + kl * (a * d + b * c)
             self._pre = fast_pulsone_precompute(x, k0, l0, period)
             # every value of A is a table entry times a unit phase
-            if not np.isfinite(255.0 * np.abs(self._pre.rowfft).max()):
+            largest = float(np.abs(self._pre.rowfft).max())
+            if not np.isfinite(255.0 * largest):
                 raise ConfigurationError("the surface is not finite, or too large for its 8-bit PGM scale")
+        self.bound = largest * (1.0 + 8 * 2.0**-52)
         self._G = G
         # the added phase index is 2*(inv2*Q mod MN)
         self._q = tuple(mod.inv2 * q % mn for q in (qkk, qll, qkl, -2 * gamma))
@@ -441,7 +449,8 @@ class FastEngine:
         exceed the budget; no CSV is written.
         """
         nk, nl = self.shape
-        _check_budget(16 * nk * nl + _block_bytes(self.shape, csv=False), f"a {nk} x {nl} fast surface")
+        need = 16 * nk * nl + _block_bytes(self.shape, csv=False, pgm=False)
+        _check_budget(need, f"a {nk} x {nl} fast surface")
         out = np.empty(self.shape, dtype=np.complex128)
         for _ in self.blocks(out):
             pass
@@ -466,6 +475,15 @@ def unimodular_count(surface: AmbiguitySurface, threshold: float = UNIMODULAR_TH
     return int(np.count_nonzero(np.abs(surface.values) > threshold))
 
 
+def _check_zc_root(root: int, L: int) -> None:
+    """Refuse with BadRoot a Zadoff-Chu length that is not odd and positive, or a root
+    that shares a factor with it."""
+    if L < 1 or L % 2 == 0:
+        raise BadRoot(f"length must be odd and positive, got {L}")
+    if gcd(root, L) != 1:
+        raise BadRoot(f"root {root} shares a factor with length {L}")
+
+
 def zc_sequence(root: int, L: int) -> np.ndarray:
     """Odd-length Zadoff-Chu sequence z[n] = exp(-j*pi*root*n*(n+1)/L)/sqrt(L).
 
@@ -476,10 +494,7 @@ def zc_sequence(root: int, L: int) -> np.ndarray:
     negated, from the 2L roots of unity exp(j*pi*p/L), the table the direct
     sums read.
     """
-    if L < 1 or L % 2 == 0:
-        raise BadRoot(f"length must be odd and positive, got {L}")
-    if gcd(root, L) != 1:
-        raise BadRoot(f"root {root} shares a factor with length {L}")
+    _check_zc_root(root, L)
     n = np.arange(L, dtype=np.int64)
     expo = (root % L * (n * (n + 1) % (2 * L))) % (2 * L)
     return _roots_of_unity(L)[(-expo) % (2 * L)] / np.sqrt(L)
@@ -523,9 +538,11 @@ def surface_from_csv(path, mod: Modulus, grid: str) -> AmbiguitySurface:
     return AmbiguitySurface(mod, grid, complex_from_csv(path, _grid_shape(mod, grid)))
 
 
-def _write_pgm(mags: np.ndarray, path, scale: str, floor: float) -> None:
-    """The PGM of the float64 magnitudes `mags`, whose buffer each pixel step overwrites."""
-    peak = mags.max()
+def _pixels(mags: np.ndarray, peak: float, rounded: np.ndarray, out: np.ndarray,
+            scale: str, floor: float) -> None:
+    """The PGM pixels of the magnitudes `mags` against `peak` (at least every one of
+    them), into the float64 array `rounded` and the uint8 array `out`; `mags` is
+    left holding their pre-round values."""
     if peak == 0.0:
         mags.fill(0.0)
     elif scale == "linear":  # round(255 * mags / peak)
@@ -536,56 +553,134 @@ def _write_pgm(mags: np.ndarray, path, scale: str, floor: float) -> None:
         with np.errstate(divide="ignore"):
             np.log10(mags, out=mags)
         mags *= 20.0
-        np.clip(mags, floor, 0.0, out=mags)
+        np.maximum(mags, floor, out=mags)  # np.clip(mags, floor, 0.0), without its Python-level checks
+        np.minimum(mags, 0.0, out=mags)
         mags -= floor
         mags *= 255.0
         mags /= -floor
-    pixels = np.round(mags, out=mags).astype(np.uint8)
-    height, width = pixels.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-        fh.write(np.ascontiguousarray(pixels))
+    np.rint(mags, out=rounded)  # np.round's half-to-even
+    np.copyto(out, rounded, casting="unsafe")
 
 
-def check_stream_budget(mod: Modulus, grid: str | None = None, csv: bool = True) -> None:
+def _margins(peak: float, bound: float, scale: str, floor: float) -> tuple[float, float] | None:
+    """How far a pre-round value w formed against `peak` can move for any peak in
+    [peak, bound]: (drop, rise), down and up; None when peak > bound.
+
+    As the peak p grows, w can only fall, or rise by rounding alone.  With u = 2**-53:
+    - linear: w = fl(fl(255 |A|) / p) is a correctly rounded, so monotone, function
+      of p, so rise = 0, and w at p is at least w (peak / bound) (1 - 2u): drop is
+      255 (1 - peak / bound (1 - 8u)), plus 2**-40 for the rounding of that sum.
+    - dB: the exact value falls by at most s 20 log10(bound / peak), s = 255 / -floor;
+      each computed value is within (1530 + 4.4 s) 2**-52 of its exact value (log10
+      within 4 ulps, the division into it, and five more roundings), so a margin of
+      (s + 255) 2**-46, over twice that, is added to drop and is the rise: the test
+      does not rest on log10 being monotone.
+    """
+    if peak > bound:
+        return None
+    if scale == "linear":
+        return 255.0 * (1.0 - peak / bound * (1.0 - 2.0**-50)) + 2.0**-40, 0.0
+    s = 255.0 / -floor
+    rise = (s + 255.0) * 2.0**-46
+    return 20.0 * s * math.log10(bound / peak) * (1.0 + 2.0**-40) + rise, rise
+
+
+def _settled(pre: np.ndarray, rounded: np.ndarray, margins: tuple[float, float] | None) -> bool:
+    """Whether the pixels `rounded` of a block, formed from the pre-round values `pre`,
+    hold for every peak _margins allows; `pre` is left holding each pre-round value
+    minus its pixel, g, exactly (|g| <= 1/2, Sterbenz).
+
+    A pixel holds unless g <= drop - 1/2 (and the pixel is not 0, the least any peak
+    gives) or g >= 1/2 - rise (and it is not 255, the most).  Ties count as moving;
+    the min and max of g decide first, so a block costs two or three passes.
+    """
+    if margins is None:
+        return False
+    drop, rise = margins
+    np.subtract(pre, rounded, out=pre)
+    if pre.min() <= drop - 0.5 and np.any((pre <= drop - 0.5) & (rounded != 0)):
+        return False
+    return not (rise and pre.max() >= 0.5 - rise and np.any((pre >= 0.5 - rise) & (rounded != 255)))
+
+
+def check_stream_budget(mod: Modulus, shape: tuple | None = None, csv: bool = True,
+                        period: int | None = None) -> None:
     """Refuse with OverBudget when a command over `mod` would exceed the budget.
 
-    It holds _MN_BYTES per MN in O(MN) arrays and, when it writes a surface on
-    `grid` through write_surface, 9 bytes per point, the float64 magnitudes
-    and the uint8 pixels, plus one streamed block (ddcore._block_bytes): the
-    engine's values and query arrays and, with `csv`, the CSV writer's text,
-    float and workspace buffers.
+    It holds _MN_BYTES per MN in O(MN) arrays and, when it writes a surface of
+    `shape` through write_surface, 1 byte per point for the PGM's pixels, plus one
+    streamed block (ddcore._block_bytes): the engine's values and query arrays,
+    the block's float64 magnitudes and their rounding and, with `csv`, the CSV
+    writer's text, float and workspace buffers.  A surface formed by direct sums of `period` adds their
+    phase table and complex output (_direct_bytes).  One check covers it all.
     """
     need, what = _MN_BYTES * mod.MN, f"a command over MN = {mod.MN}"
-    if grid is not None:
-        nk, nl = shape = _grid_shape(mod, grid)
-        need += 9 * nk * nl + _block_bytes(shape, csv)
-        what += f", writing a {nk} x {nl} surface,"
+    if shape is not None:
+        nk, nl = shape
+        need += nk * nl + _block_bytes(shape, csv)
+        what += f", writing a {nk} x {nl} surface"
+        if period is not None:
+            need += _direct_bytes(period, nk, nl)
+            what += f" by direct sums of period {period}"
+        what += ","
     _check_budget(need, what)
 
 
-def write_surface(blocks, shape: tuple[int, int], csv_path, pgm_path,
-                  scale: str = "linear", floor: float = -120.0) -> None:
-    """Write a surface given as consecutive row blocks to CSV and PGM in one pass.
+def write_surface(surface, csv_path, pgm_path, scale: str = "linear", floor: float = -120.0) -> None:
+    """Write a surface, a FastEngine or a 2-D array, to CSV and PGM in one pass of row blocks.
 
-    Each block is formatted into the CSV as it arrives (no CSV when
-    `csv_path` is None), and its magnitudes go into one float64 buffer, in
-    which the PGM pixels are computed after the last block: rows are delay
-    k, columns Doppler l.  linear: 0..255 spans 0..max|A|.  db: 0..255 spans
-    floor..0 dB relative to the surface peak, clamping below the floor; the
-    floor must be a finite negative number.  The CSV is byte for byte
-    surface_to_csv of the whole surface, and no complex array is held beyond
-    the block being written; an array is written whole as its own single
-    block, `(values,)`.  Commands check check_stream_budget first.
+    Each block (FastEngine.blocks, or views of the array of as many rows) is
+    formatted into the CSV as it arrives (no CSV when `csv_path` is None), and
+    its PGM pixels are formed at once, into one uint8 array of the surface:
+    rows are delay k, columns Doppler l.  linear: 0..255 spans 0..max|A|.  db:
+    0..255 spans floor..0 dB relative to the surface peak, clamping below the
+    floor; the floor must be a finite negative number.  The peak is known only
+    after the last block, so a block's pixels are formed against the running
+    peak R, the largest |A| so far, and are final once no peak in [R, U] could
+    move one of them (_margins, _settled), U an upper bound on every |A|: the
+    engine's `bound`, or an array's exact peak, measured in a first pass of
+    row blocks.  After the last block the peak P is known; each block with
+    R < P that was not final, or every one of them if P > U, is formed again
+    (FastEngine.points gives its rows bit for bit; an array is sliced) and its
+    pixels formed against P.  The files are byte for byte surface_to_csv and
+    the PGM of the whole surface; beyond the pixels no array of the surface's
+    size is held, and no complex one beyond the block being written.  Commands
+    check check_stream_budget first.
     """
     _check_scale(scale, floor)
-    mags = np.empty(shape)
+    nk, nl = shape = surface.shape
+    step = _block_rows(nk, nl)
+    starts = range(0, nk, step)
+    mags, rounded = np.empty((step, nl)), np.empty((step, nl))
+    pixels = np.empty(shape, dtype=np.uint8)
+    if isinstance(surface, FastEngine):
+        bound, blocks = surface.bound, surface.blocks()
+        cols = np.arange(nl)[None, :]
+
+        def rows(start, stop):
+            return surface.points(np.arange(start, stop)[:, None], cols)
+    else:
+        def rows(start, stop):
+            return surface[start:stop]
+
+        bound = 0.0
+        for start in starts:
+            block = rows(start, start + step)
+            bound = max(bound, float(np.abs(block, out=mags[: block.shape[0]]).max()))
+        blocks = (rows(s, s + step) for s in starts)
+    peak, margins = 0.0, (0.0, 0.0)  # while every |A| so far is 0, so is every pixel, at any peak
+    formed = []  # (start, stop, running peak, final) of each block
 
     def measured():
-        start = 0
-        for block in blocks:
-            np.abs(block, out=mags[start : start + block.shape[0]])
-            start += block.shape[0]
+        nonlocal peak, margins
+        for start, block in zip(starts, blocks):
+            n = block.shape[0]
+            block_mags = np.abs(block, out=mags[:n])
+            top = float(block_mags.max())
+            if top > peak:
+                peak, margins = top, _margins(top, bound, scale, floor)
+            _pixels(block_mags, peak, rounded[:n], pixels[start : start + n], scale, floor)
+            formed.append((start, start + n, peak, _settled(block_mags, rounded[:n], margins)))
             yield block
 
     if csv_path is None:
@@ -593,7 +688,14 @@ def write_surface(blocks, shape: tuple[int, int], csv_path, pgm_path,
             pass
     else:
         surface_to_csv(measured(), csv_path, shape)
-    _write_pgm(mags, pgm_path, scale, floor)
+    for start, stop, running, final in formed:
+        if running < peak and not (final and peak <= bound):
+            n = stop - start
+            block_mags = np.abs(rows(start, stop), out=mags[:n])
+            _pixels(block_mags, peak, rounded[:n], pixels[start:stop], scale, floor)
+    with open(pgm_path, "wb") as fh:
+        fh.write(f"P5\n{nl} {nk}\n255\n".encode("ascii"))
+        fh.write(pixels)
 
 
 def _check_scale(scale: str, floor: float) -> None:

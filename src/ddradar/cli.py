@@ -24,6 +24,8 @@ from .ambiguity import (
     FastEngine,
     _check_direct_budget,
     _check_scale,
+    _check_zc_root,
+    _grid_shape,
     check_stream_budget,
     coded_waveform,
     cross_ambiguity_array,
@@ -36,6 +38,7 @@ from .errors import BNotCoprime, EngineUnsupported, NotCoprime, PreconditionErro
 from .modmath import Modulus
 from .radarsim import _write_json, add_noise, apply_channel, readout_targets, scene_from_json
 from .subgroups import DDRegion, LineSubgroup, chirp, eigenvector, pulsone, pulsone_chain
+from .subgroups import _check_alpha, _check_pulsone
 from .symplectic import SL2Element, chain_apply, papr_db
 
 __all__ = ["main"]
@@ -79,7 +82,8 @@ class WaveformSpec:
     """Parsed waveform description.
 
     `seq` is a PeriodicSequence for modulus-bound waveforms, built by `build`
-    on first use, otherwise `array` holds a modulus-free coded waveform.
+    on first use, base and labels alike (parsing refuses bad parameters but
+    builds nothing), otherwise `array` holds a modulus-free coded waveform.
     Every modulus-bound waveform has `fast` = (base, labels), its form for
     the O(1)-per-point ambiguity engine (FastEngine(x, *base,
     transform=labels)), which never reads `seq`: a pulsone (k0, l0), or a
@@ -124,17 +128,20 @@ def parse_waveform_spec(text: str, mod: Modulus) -> WaveformSpec:
     try:
         if kind == "pulsone":
             fast = (_parse_pair(args, "pulsone indices"), labels)
-            base = pulsone(mod, *fast[0])
+            _check_pulsone(mod, *fast[0])
+            base = lambda: pulsone(mod, *fast[0])
         elif kind == "chirp":
             vals = [int(v) for v in args.split(",")] if args else []
             if not 1 <= len(vals) <= 3:
                 raise argparse.ArgumentTypeError(f"chirp needs alpha[,beta[,gamma]]: {text!r}")
-            base = chirp(mod, *vals)
+            _check_alpha(mod, vals[0])
+            base = lambda: chirp(mod, *vals)
             alpha, beta, gamma = vals + [0] * (3 - len(vals))
             fast = ((0, beta % mod.MN, 1, gamma), (SL2Element.lfm(mod, alpha),) + labels)
         elif kind == "zc":
             root = int(args)
-            base = PeriodicSequence(mod, zc_sequence(root, mod.MN))
+            _check_zc_root(root, mod.MN)
+            base = lambda: PeriodicSequence(mod, zc_sequence(root, mod.MN))
             rate = -root * mod.inv2 % mod.MN  # zc(root) = chirp(rate, rate)
             fast = ((0, rate, 1), (SL2Element.lfm(mod, rate),) + labels)
         elif kind == "zc-coded":
@@ -153,7 +160,7 @@ def parse_waveform_spec(text: str, mod: Modulus) -> WaveformSpec:
         raise argparse.ArgumentTypeError(f"malformed waveform parameters in {text!r}") from exc
     if math.gcd(lfm_rate, mod.MN) != 1:
         raise NotCoprime(f"LFM rate {lfm_rate} shares a factor with MN = {mod.MN}")
-    return WaveformSpec(text, build=lambda: chain_apply(labels, base), fast=fast)
+    return WaveformSpec(text, build=lambda: chain_apply(labels, base()), fast=fast)
 
 
 def _out_dir(args) -> Path:
@@ -190,7 +197,7 @@ def cmd_waveform(args, parser) -> int:
     else:
         base = f"zc:{args.root}"
     # the self-ambiguity is streamed into its PGM, with no CSV
-    check_stream_budget(mod, "full" if args.self_ambiguity else None, csv=False)
+    check_stream_budget(mod, _grid_shape(mod, "full") if args.self_ambiguity else None, csv=False)
     spec = parse_waveform_spec(prefix + base, mod)
     line = f"papr_db={papr_db(spec.seq):.12g}"
     engine = None
@@ -202,8 +209,7 @@ def cmd_waveform(args, parser) -> int:
     print(line)
     (out / "papr.txt").write_text(line + "\n", encoding="ascii")
     if engine is not None:
-        write_surface(engine.blocks(), engine.shape, None, out / "selfambiguity.pgm",
-                      scale=args.scale, floor=args.floor)
+        write_surface(engine, None, out / "selfambiguity.pgm", scale=args.scale, floor=args.floor)
     return 0
 
 
@@ -214,28 +220,31 @@ def cmd_waveform(args, parser) -> int:
 def cmd_ambiguity(args, parser) -> int:
     mod = Modulus(args.M, args.N, allow_composite=args.allow_composite)
     _check_scale(args.scale, args.floor)
-    check_stream_budget(mod, args.grid if args.engine == "fast" else None)
+    # parsing builds no O(MN) array (a zc-coded spec checks its own L x L surface first)
     x = parse_waveform_spec(args.x, mod)
     y = parse_waveform_spec(args.y, mod)
-
-    if x.array is not None or y.array is not None:
+    coded = x.array is not None or y.array is not None
+    if coded:
         if x.array is None or y.array is None:
             parser.error("zc-coded waveforms can only be paired with zc-coded waveforms")
         if args.engine == "fast":
             raise EngineUnsupported("fast engine does not apply to zc-coded waveforms")
-        values = cross_ambiguity_array(x.array, y.array)
-        blocks, shape = (values,), values.shape
-    elif args.engine == "fast":
-        base, labels = y.fast
-        engine = FastEngine(x.seq, *base, transform=labels, grid=args.grid)
-        blocks, shape = engine.blocks(), engine.shape
+        period = len(x.array)
+        shape = (period, period)
     else:
-        values = cross_ambiguity_naive(x.seq, y.seq, grid=args.grid).values
-        blocks, shape = (values,), values.shape
+        shape = _grid_shape(mod, args.grid)
+        period = None if args.engine == "fast" else mod.MN
+    # one check of the whole command: its O(MN) arrays, any direct sums, and the writer
+    check_stream_budget(mod, shape, period=period)
+    if coded:
+        surface = cross_ambiguity_array(x.array, y.array)
+    elif args.engine == "fast":
+        surface = FastEngine(x.seq, *y.fast[0], transform=y.fast[1], grid=args.grid)
+    else:
+        surface = cross_ambiguity_naive(x.seq, y.seq, grid=args.grid).values
 
     out = _out_dir(args)
-    write_surface(blocks, shape, out / "ambiguity.csv", out / "ambiguity.pgm",
-                  scale=args.scale, floor=args.floor)
+    write_surface(surface, out / "ambiguity.csv", out / "ambiguity.pgm", scale=args.scale, floor=args.floor)
     print(f"ambiguity surface {shape[0]}x{shape[1]} written to {out}")
     return 0
 
@@ -252,7 +261,7 @@ def cmd_simulate(args, parser) -> int:
     region = _parse_region(args.region)
     # before the first O(MN) array; every refusal comes before --out exists, and the
     # image is formed only as it is written
-    check_stream_budget(mod, "full")
+    check_stream_budget(mod, _grid_shape(mod, "full"))
 
     if args.waveform == "eigen":
         if not 0 <= args.eigen_index < mod.MN:
@@ -271,8 +280,7 @@ def cmd_simulate(args, parser) -> int:
     targets = readout_targets(engine, line, region, threshold=args.threshold)
 
     out = _out_dir(args)
-    write_surface(engine.blocks(), engine.shape, out / "image.csv", out / "image.pgm",
-                  scale=args.scale, floor=args.floor)
+    write_surface(engine, out / "image.csv", out / "image.pgm", scale=args.scale, floor=args.floor)
     doc = {
         "M": mod.M,
         "N": mod.N,

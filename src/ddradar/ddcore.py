@@ -115,6 +115,9 @@ _CSV_BLOCK_ROWS = 4096
 # for the int64 index and phase arrays its query holds at once (the tracemalloc
 # peak of a row block is at most 105 per point, on a two-label chain).
 _ENGINE_POINT_BYTES = 128
+# Bytes per point of a block that ambiguity.write_surface adds: the float64
+# magnitudes from which it forms the block's PGM pixels, and their rounding.
+_PGM_POINT_BYTES = 16
 # Bytes of complex_to_csv that do not grow with the block: the open file's
 # buffer and the array headers (7.3 to 8.1 KB under tracemalloc, CPython 3.11).
 _CSV_FIXED_BYTES = 16384
@@ -136,18 +139,31 @@ def _csv_layout(shape: tuple) -> tuple[int, int, int, tuple, int]:
     return nfloat, cols, _block_rows(shape[0], cols), slots, sum(slots) + nfloat * FIELD_BYTES + 1
 
 
-def _block_bytes(shape: tuple, csv: bool = True) -> int:
+def _block_bytes(shape: tuple, csv: bool = True, pgm: bool = True) -> int:
     """Bytes one streamed block of a surface of `shape` holds: the engine's block and,
-    with `csv`, what complex_to_csv allocates for it: the index texts, and per
-    line its text twice (laid out, and without NULs), its floats and their
-    floatfmt.Workspace: 409 bytes per line of a (23,29) image (95-byte
+    with `pgm`, the two float64 arrays ambiguity.write_surface forms its pixels
+    in and, with `csv`, what complex_to_csv allocates for it: the index texts,
+    and per line its text twice (laid out, and without NULs), its floats and
+    their floatfmt.Workspace: 409 bytes per line of a (23,29) image (95-byte
     lines), plus _CSV_FIXED_BYTES."""
     nfloat, cols, rows, slots, width = _csv_layout(shape)
-    need = _ENGINE_POINT_BYTES * rows * cols
+    need = (_ENGINE_POINT_BYTES + pgm * _PGM_POINT_BYTES) * rows * cols
     if csv:
         need += _CSV_FIXED_BYTES + sum(w * size for w, size in zip(slots, shape))
         need += rows * cols * (2 * width + nfloat * (8 + Workspace.FLOAT_BYTES))
     return need
+
+
+def _index_texts(count: int, width: int, comma: bool) -> np.ndarray:
+    """The texts of the indices 0..count-1 as NUL-padded bytes of `width`, each
+    followed by a comma when `comma`: the comma of the d-digit indices goes in
+    their byte d, one slice per digit count."""
+    texts = np.arange(count).astype(f"S{width}")
+    if comma:
+        grid = texts.view(np.uint8).reshape(count, width)
+        for digits in range(1, width):
+            grid[10 ** (digits - 1) if digits > 1 else 0 : 10**digits, digits] = ord(",")
+    return texts
 
 
 def complex_to_csv(values, path, shape: tuple | None = None) -> int:
@@ -187,8 +203,7 @@ def complex_to_csv(values, path, shape: tuple | None = None) -> int:
     grid = line.reshape(rows, cols, width)
     at = np.cumsum((0,) + slots).tolist()
     # per index, its texts ("i," but for the last index "i") and its slot in every line
-    labels = [np.array([f"{i}," if axis < ndim - 1 else str(i) for i in range(count)], f"S{w}")
-              for axis, (count, w) in enumerate(zip(shape, slots))]
+    labels = [_index_texts(count, w, axis < ndim - 1) for axis, (count, w) in enumerate(zip(shape, slots))]
     index = [grid[:, :, s : s + w].view(f"S{w}")[..., 0] for s, w in zip(at, slots)]
     fields = line[:, at[-1] : -1].reshape(size, nfloat, FIELD_BYTES)
     floats = np.empty(nfloat * size)

@@ -91,18 +91,29 @@ class DDRegion:
             raise ConfigurationError(f"region wider than MN = {mod.MN}: {self}")
 
 
+def _check_pulsone(mod: Modulus, k0: int, l0: int) -> None:
+    """Refuse with IndexOutOfRange pulsone indices outside the M x N grid."""
+    if not (0 <= k0 < mod.M and 0 <= l0 < mod.N):
+        raise IndexOutOfRange(f"need 0 <= k0 < M and 0 <= l0 < N, got ({k0}, {l0})")
+
+
 def pulsone(mod: Modulus, k0: int, l0: int) -> PeriodicSequence:
     """Impulse train v[k0 + p*M] = (1/sqrt(N)) * exp(j*2*pi*p*l0/N), zero elsewhere.
 
     The (k0, l0)-indexed common eigenvector of the rectangular grid line.
     """
-    if not (0 <= k0 < mod.M and 0 <= l0 < mod.N):
-        raise IndexOutOfRange(f"need 0 <= k0 < M and 0 <= l0 < N, got ({k0}, {l0})")
+    _check_pulsone(mod, k0, l0)
     samples = np.zeros(mod.MN, dtype=np.complex128)
     p = np.arange(mod.N, dtype=np.int64)
     # exp(j*2*pi*p*l0/N) is the phase index 2*M*(p*l0 mod N), reduced before evaluation
     samples[k0 + p * mod.M] = phases_to_complex(2 * mod.M * (p * l0 % mod.N), mod) / np.sqrt(mod.N)
     return PeriodicSequence(mod, samples)
+
+
+def _check_alpha(mod: Modulus, alpha: int) -> None:
+    """Refuse with AlphaNotCoprime a chirp rate that shares a factor with MN."""
+    if gcd(alpha, mod.MN) != 1:
+        raise AlphaNotCoprime(f"alpha = {alpha} shares a factor with MN = {mod.MN}")
 
 
 def chirp(mod: Modulus, alpha: int, beta: int = 0, gamma: int = 0) -> PeriodicSequence:
@@ -112,8 +123,7 @@ def chirp(mod: Modulus, alpha: int, beta: int = 0, gamma: int = 0) -> PeriodicSe
     gcd(alpha, MN) = 1.  The phase is modmath.quadratic_phase(mod, alpha,
     beta, gamma), exact for any integer coefficients.
     """
-    if gcd(alpha, mod.MN) != 1:
-        raise AlphaNotCoprime(f"alpha = {alpha} shares a factor with MN = {mod.MN}")
+    _check_alpha(mod, alpha)
     return PeriodicSequence(mod, quadratic_phase(mod, alpha, beta, gamma) / np.sqrt(mod.MN))
 
 

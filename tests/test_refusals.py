@@ -36,7 +36,7 @@ from ddradar.subgroups import pulsone
 from ddradar.symplectic import SL2Element, remap_for
 
 MOD = ["--M", "3", "--N", "5"]
-SELF_AMBIGUITY_NEED = 176 * 15 + 9 * 15 * 15 + 128 * 15 * 15
+SELF_AMBIGUITY_NEED = 176 * 15 + 1 * 15 * 15 + (128 + 16) * 15 * 15
 # MN = 2,147,483,643, just under the cap: 32 GiB of samples, refused before the first O(MN) array
 BIG_MOD = ["--M", "3", "--N", "715827881", "--allow-composite"]
 BIG_SCENE = {"M": 3, "N": 715827881, "taps": [{"k": 0, "l": 0, "re": 1.0, "im": 0.0}]}
@@ -67,8 +67,9 @@ def _sim(*flags, scene="scene.json"):
         (["ambiguity", *MOD, "--x", "zc:abc", "--y", "pulsone:0,0"], 2, None),
         (["ambiguity", *MOD, "--x", "zc-coded:1,2", "--y", "pulsone:0,0"], 2, None),
         (_sim("--line", "3,5", "--region", "0:0,0:0", "--waveform", "zc-coded:1,2"), 2, None),
-        # the self-ambiguity needs 33,465 bytes at (3, 5): 176 bytes per MN, and its streamed
-        # PGM's 9 bytes per point and one engine block of all 15 rows at 128 bytes a point
+        # the self-ambiguity needs 35,265 bytes at (3, 5): 176 bytes per MN, and its streamed
+        # PGM's 1 byte per pixel and one block of all 15 rows at 128 bytes a point for the
+        # engine and 16 for the magnitudes and their rounding
         (["waveform", "pulsone", *MOD, "--self-ambiguity"], 3, SELF_AMBIGUITY_NEED - 1),
         # a zc-coded waveform of period 1.5e16, refused before it is built
         (["ambiguity", *MOD, "--x", "zc-coded:1,1000000000000000", "--y", "zc-coded:1,1"], 3, None),
@@ -176,7 +177,7 @@ OVERFLOWING_ENV = ScatteringEnvironment(MOD15, ((0, 0, 1.7e308), (3, 0, 1.7e308)
         (lambda: fast_pulsone_precompute(X15, 0, 0, period=2), ConfigurationError, "does not divide"),
         (lambda: fast_pulsone_precompute(X15, 3, 0), IndexOutOfRange, "outside 3 x 5"),
         (lambda: coded_waveform(np.zeros(3), np.ones(2)), ConfigurationError, "identically zero"),
-        (lambda: write_surface((np.ones((3, 5)),), (3, 5), None, "never.pgm", scale="log"), ConfigurationError,
+        (lambda: write_surface(np.ones((3, 5)), None, "never.pgm", scale="log"), ConfigurationError,
          "unknown scale"),
         (_format_more_than_the_workspace, ValueError, "cannot format 5"),
         (lambda: remap_for(SL2Element(MOD15, 1, 3, 0, 1)), BNotCoprime, "b = 3"),

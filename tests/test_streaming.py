@@ -3,8 +3,8 @@
 `simulate` and `ambiguity --engine fast` form their surface in row blocks and
 write each block as it is formed; the materialised route forms the whole
 surface first (the `surface` of the engine, from form_image or built
-directly), then writes it with surface_to_csv, and its PGM with write_surface
-given the whole array as one block, and reads the targets off the array.
+directly), then writes it with surface_to_csv, and its PGM with the byte
+oracle oracles.pgm_bytes, and reads the targets off the array.
 """
 
 import json
@@ -13,14 +13,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ddradar import ambiguity, ddcore
-from ddradar.ambiguity import FastEngine, cross_ambiguity_fft, surface_to_csv, write_surface
+from ddradar import ambiguity, cli, ddcore
+from ddradar.ambiguity import FastEngine, cross_ambiguity_fft, surface_to_csv
 from ddradar.cli import _build_parser, main, parse_waveform_spec
-from ddradar.ddcore import PeriodicSequence
+from ddradar.ddcore import PeriodicSequence, QuasiPeriodicArray, idzt
 from ddradar.modmath import Modulus, _roots_of_unity
 from ddradar.radarsim import add_noise, apply_channel, form_image, readout_targets, scene_from_json
 from ddradar.subgroups import DDRegion, LineSubgroup, crystallization_check, eigenvector, pulsone_chain
+from oracles import pgm_bytes
 
 SIZES = [(3, 5), (11, 13), (13, 17)]  # row counts 15, 143, 221: none a multiple of a block
 SPECS = ["eigen", "pulsone:1,2", "chirp:2,3,4", "zc:2", "lfm(2):pulsone:0,1",
@@ -69,7 +72,7 @@ def _materialised_simulate(out, scene, spec_text, line, region, index, snr_db, s
     out.mkdir()
     surface_to_csv(img.surface, out / "image.csv")
     values = img.surface.values
-    write_surface((values,), values.shape, None, out / "image.pgm", scale=scale)
+    (out / "image.pgm").write_bytes(pgm_bytes(values, scale, -120.0))
     targets = readout_targets(img.surface, line, region)
     doc = {"M": mod.M, "N": mod.N, "waveform": spec_text, "engine": "fast",
            "snr_db": snr_db, "seed": seed,
@@ -123,7 +126,7 @@ def test_streamed_fast_full_grid_writes_the_materialised_bytes(tmp_path, M, N, y
     whole = tmp_path / "whole"
     whole.mkdir()
     surface_to_csv(values, whole / "ambiguity.csv")
-    write_surface((values,), values.shape, None, whole / "ambiguity.pgm", scale=scale)
+    (whole / "ambiguity.pgm").write_bytes(pgm_bytes(values, scale, -120.0))
     _assert_same_files(tmp_path / "streamed", whole, ["ambiguity.csv", "ambiguity.pgm"])
 
 
@@ -147,14 +150,12 @@ def test_streamed_self_ambiguity_writes_the_materialised_bytes(tmp_path, M, N, k
                 "--out", tmp_path / "streamed"]) == 0
     spec = parse_waveform_spec(text, mod)
     values = FastEngine(spec.seq, *spec.fast[0], transform=spec.fast[1], grid="full").surface.values
-    whole = tmp_path / "whole.pgm"
-    write_surface((values,), values.shape, None, whole, scale=scale)
     streamed = (tmp_path / "streamed" / "selfambiguity.pgm").read_bytes()
-    assert streamed == whole.read_bytes()
+    assert streamed == pgm_bytes(values, scale, -120.0)
     # the FFT route, the library's other full-grid surface, to within one grey level
-    write_surface((cross_ambiguity_fft(spec.seq, spec.seq).values,), values.shape, None, whole, scale=scale)
+    fft = pgm_bytes(cross_ambiguity_fft(spec.seq, spec.seq).values, scale, -120.0)
     header = len(f"P5\n{mod.MN} {mod.MN}\n255\n")
-    got, want = (np.frombuffer(b[header:], dtype=np.uint8).astype(int) for b in (streamed, whole.read_bytes()))
+    got, want = (np.frombuffer(b[header:], dtype=np.uint8).astype(int) for b in (streamed, fft))
     assert np.abs(got - want).max() <= 1
 
 
@@ -180,8 +181,9 @@ def test_csv_from_row_blocks_matches_the_array(tmp_path, monkeypatch, shape):
 
 
 def test_simulate_holds_no_complex_image(tmp_path):
-    # at (23, 29) the complex image alone would be 16 * 667^2 = 7.1 MB; the
-    # streamed command holds 9 bytes per point (magnitudes and pixels) and blocks
+    # at (23, 29) the complex image alone would be 16 * 667^2 = 7.1 MB, and its float64
+    # magnitudes 3.6 MB; the streamed command holds 1 byte per point (the pixels), one
+    # block and its O(MN) arrays
     mod = Modulus(23, 29)
     line = LineSubgroup(mod, 23, 29)
     region = DDRegion(0, 22, 0, 28)
@@ -197,7 +199,7 @@ def test_simulate_holds_no_complex_image(tmp_path):
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert peak <= 9 * mod.MN**2 + 2_000_000
+    assert peak <= mod.MN**2 + ddcore._block_bytes((mod.MN, mod.MN)) + ambiguity._MN_BYTES * mod.MN
 
 
 def test_simulate_formats_each_engine_block_in_one_pass(tmp_path, monkeypatch):
@@ -315,12 +317,12 @@ def test_refused_simulate_leaves_no_output(tmp_path, monkeypatch, capsys, refusa
     mod = Modulus(3, 5)
     scene = tmp_path / "scene.json"
     _scene(scene, mod, DDRegion(0, 2, 0, 4), 3)
-    # 176 bytes per MN for the O(MN) arrays, and the streamed image: 9 bytes per point
-    # plus one block of the 15 x 15 grid, whose 225 points cost the engine 128 bytes each
-    # and the CSV writer 16 KiB, 15-entry index texts of 3 and 2 bytes and 405 bytes a line
-    # (two copies of a 93-byte line: "14," and "14" slots, three 29-byte fields and a
-    # newline; 3 floats and their workspace)
-    need = (176 * 15 + 9 * 15 * 15 + 128 * 15 * 15 + 16384 + (3 + 2) * 15
+    # 176 bytes per MN for the O(MN) arrays, and the streamed image: 1 byte per pixel
+    # plus one block of the 15 x 15 grid, whose 225 points cost the engine 128 bytes each,
+    # their magnitudes and rounding 16, and the CSV writer 16 KiB, 15-entry index texts of 3 and 2 bytes
+    # and 405 bytes a line (two copies of a 93-byte line: "14," and "14" slots, three
+    # 29-byte fields and a newline; 3 floats and their workspace)
+    need = (176 * 15 + 1 * 15 * 15 + (128 + 16) * 15 * 15 + 16384 + (3 + 2) * 15
             + 15 * 15 * (2 * 93 + 3 * (8 + 65)))
     argv = ["simulate", "--scene", scene, "--line", "3,5", "--region", "0:2,0:4"]
     if refusal == "not-crystallized":
@@ -334,6 +336,104 @@ def test_refused_simulate_leaves_no_output(tmp_path, monkeypatch, capsys, refusa
     if refusal == "over-budget":
         monkeypatch.setattr(ambiguity, "MEMORY_BUDGET_BYTES", need)
         assert run(argv + ["--out", out]) == 0
+
+
+@pytest.mark.parametrize("x, y, period", [("zc:1", "chirp:2", 15), ("zc-coded:1,4", "zc-coded:2,4", 60)],
+                         ids=["naive", "zc-coded"])
+def test_direct_sum_ambiguity_checks_one_summed_need(tmp_path, monkeypatch, capsys, x, y, period):
+    # 176 bytes per MN for the O(MN) arrays, the direct sums' phase table and complex
+    # output (48 bytes per point of the period x period grid), and the writer's 1 byte
+    # per pixel and one streamed block, all checked at once
+    shape = (period, period)
+    need = 176 * 15 + 48 * period * period + period * period + ddcore._block_bytes(shape)
+    argv = ["ambiguity", "--M", 3, "--N", 5, "--x", x, "--y", y, "--grid", "full"]
+    out = tmp_path / "out"
+    monkeypatch.setattr(ambiguity, "MEMORY_BUDGET_BYTES", need - 1)
+    assert run(argv + ["--out", out]) == 3
+    assert not out.exists()
+    assert "budget" in capsys.readouterr().err
+    monkeypatch.setattr(ambiguity, "MEMORY_BUDGET_BYTES", need)
+    assert run(argv + ["--out", out]) == 0
+
+
+def test_sequence_csv_index_texts_are_not_python_strings(tmp_path):
+    """waveform.csv at (251,257) holds the writer's buffers, its index texts (counted in
+    them) and the int64 indices they are made from: about 25 bytes per MN, not 72."""
+    mod = Modulus(251, 257)
+    x = PeriodicSequence(mod, np.random.default_rng(4).standard_normal(mod.MN) + 0.5j)
+    ddcore.sequence_to_csv(x, tmp_path / "warm.csv")  # builds the formatter's cached tables
+    tracemalloc.start()
+    try:
+        ddcore.sequence_to_csv(x, tmp_path / "w.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    writer = ddcore._block_bytes((mod.MN,), pgm=False) - ddcore._block_bytes((mod.MN,), csv=False, pgm=False)
+    assert peak <= writer + 8 * mod.MN
+    assert (tmp_path / "w.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
+
+
+def _spiked_engine(M, N, seed):
+    """A fundamental-grid engine whose |A| is the Zak table of x: small everywhere but one
+    point of its last row, so each row's running peak is below the surface's."""
+    mod = Modulus(M, N)
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N))
+    X[M - 1, seed % N] = 50.0
+    return FastEngine(idzt(QuasiPeriodicArray(mod, X)), 0, 0)
+
+
+@pytest.mark.parametrize("scale, floor", [("linear", -120.0), ("db", -120.0), ("db", -300.0)])
+def test_pgm_blocks_before_the_peak_are_formed_again(tmp_path, monkeypatch, scale, floor):
+    monkeypatch.setattr(ddcore, "_CSV_BLOCK_ROWS", 1)  # one row per block
+    engine = _spiked_engine(7, 11, 3)
+    again = []
+    points = FastEngine.points
+    monkeypatch.setattr(FastEngine, "points",
+                        lambda self, K, L, out=None: again.append(K) or points(self, K, L, out))
+    ambiguity.write_surface(engine, None, tmp_path / "s.pgm", scale=scale, floor=floor)
+    assert again  # a block formed against a running peak below the last row's
+    assert all(np.asarray(K).max() < 6 for K in again)  # never the row of the peak
+    assert (tmp_path / "s.pgm").read_bytes() == pgm_bytes(engine.surface.values, scale, floor)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    size=st.sampled_from([(3, 5), (5, 11), (11, 13)]),
+    source=st.sampled_from(["engine", "spiked", "ties", "zeros"]),
+    spec=st.sampled_from(SPECS[1:]),
+    grid=st.sampled_from(["fundamental", "full"]),
+    scale_floor=st.sampled_from([("linear", -120.0), ("db", -120.0), ("db", -300.0)]),
+    block_rows=st.sampled_from([1, 5, 4096]),
+    seed=st.integers(0, 2**16),
+)
+def test_streamed_pgm_matches_the_oracle(tmp_path_factory, size, source, spec, grid, scale_floor,
+                                        block_rows, seed):
+    """The PGM of an engine's or an array's row blocks is pgm_bytes of the whole surface."""
+    M, N = size
+    mod = Modulus(M, N)
+    scale, floor = scale_floor
+    rng = np.random.default_rng(seed)
+    if source == "engine":  # a noisy return against every kind of reference
+        ref = parse_waveform_spec(spec, mod)
+        x = PeriodicSequence(mod, rng.standard_normal(mod.MN) + 1j * rng.standard_normal(mod.MN))
+        surface = FastEngine(x, *ref.fast[0], transform=ref.fast[1], grid=grid)
+        values = surface.surface.values
+    elif source == "spiked":
+        surface = _spiked_engine(M, N, seed)
+        values = surface.surface.values
+    elif source == "ties":  # magnitudes whose pre-round value is about k + 1/2, the peak at a random point
+        steps = (np.arange(255) + 0.5) / 255
+        mags = 3.0 * rng.choice(steps if scale == "linear" else 10 ** ((floor - floor * steps) / 20), M * N)
+        mags[rng.integers(M * N)] = 3.0
+        surface = values = mags.reshape(M, N) + 0j
+    else:
+        surface = values = np.zeros((M, N), dtype=complex)
+    path = tmp_path_factory.mktemp("pgm") / "s.pgm"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ddcore, "_CSV_BLOCK_ROWS", block_rows * values.shape[1])
+        ambiguity.write_surface(surface, None, path, scale=scale, floor=floor)
+    assert path.read_bytes() == pgm_bytes(values, scale, floor)
 
 
 class TestParserReuse:
@@ -374,14 +474,20 @@ class TestParserReuse:
 
 class TestLazyReference:
     def test_fast_engine_builds_no_reference_samples(self, tmp_path, monkeypatch):
-        built = []
+        built, bases = [], []
         monkeypatch.setattr("ddradar.cli.chain_apply", lambda labels, base: built.append(labels) or base)
+        for name in ("pulsone", "chirp", "zc_sequence"):  # every base, built only when its samples are
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name,
+                                lambda *a, _real=real, _name=name: bases.append(_name) or _real(*a))
         assert run(["ambiguity", "--M", 3, "--N", 5, "--x", "zc:1", "--y", "gdaft(1,1,0,1):pulsone:1,2",
                     "--engine", "fast", "--out", tmp_path / "fast"]) == 0
         assert built == [()]  # x only, with no labels
+        assert bases == ["zc_sequence"]  # x's base, not y's
         assert run(["ambiguity", "--M", 3, "--N", 5, "--x", "zc:1", "--y", "gdaft(1,1,0,1):pulsone:1,2",
                     "--out", tmp_path / "naive"]) == 0
         assert len(built) == 3 and len(built[2]) == 1  # the naive route reads y's samples
+        assert bases == ["zc_sequence", "zc_sequence", "pulsone"]
 
     def test_seq_is_built_once_on_first_use(self):
         spec = parse_waveform_spec("lfm(2):chirp:1", Modulus(3, 5))
