@@ -46,7 +46,7 @@ from math import gcd
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .ddcore import PeriodicSequence, _block_bytes, _block_rows, _complex_array, complex_from_csv, complex_to_csv
+from .ddcore import PeriodicSequence, _block_rows, _complex_array, _csv_layout, complex_from_csv, complex_to_csv
 from .errors import (
     BadRoot,
     ConfigurationError,
@@ -55,6 +55,7 @@ from .errors import (
     IndexOutOfRange,
     OverBudget,
 )
+from .floatfmt import Workspace
 from .modmath import Modulus, _roots_of_unity, phases_to_complex, reduce_mod, same_modulus
 from .symplectic import SL2Element, gdaft_adjoint, lfm_apply, remap_for
 
@@ -64,7 +65,7 @@ __all__ = [
     "FastPulsonePrecomp",
     "MEMORY_BUDGET_BYTES",
     "UNIMODULAR_THRESHOLD",
-    "check_stream_budget",
+    "check_budget",
     "coded_waveform",
     "cross_ambiguity_array",
     "cross_ambiguity_fft",
@@ -90,22 +91,91 @@ UNIMODULAR_THRESHOLD = 1.0 - 1e-6
 # or FFT call.  The fast engine's blocks are the CSV writer's, ddcore._block_rows.
 _BLOCK_ROWS = 64
 
-# Largest allocation a command or a surface route may make, in bytes, checked by
-# _check_budget before anything is allocated.  A direct-sum surface needs an
-# L x nl phase table and its int64 index temporaries (32 bytes per entry) plus
-# the nk x nl complex output: about 0.8 GB for the full grid at (61, 67),
-# L = 4087, while a zc-coded pair with period L = 15000 would need about 11 GB
-# and is refused with OverBudget (exit 3).
+# ---------------------------------------------------------------------------
+# The memory model: one function per kind of array a route holds, each giving
+# its bytes and a name for the refusal.  A command or a library route adds the
+# terms of what it holds and passes them to check_budget once, before its first
+# allocation; a library route that a command calls checks its own term again.
+# Each term is pinned by a tracemalloc test at two sizes (peak <= need < 2 x peak).
+
+# Largest allocation a command or a surface route may make, in bytes.
 MEMORY_BUDGET_BYTES = 2**30
-# Bytes per MN a command holds at once in O(MN) arrays, checked with its surface by
-# check_stream_budget before the first of them is allocated: the waveform's
-# samples and base, a return, the fast table, two labels' GDAFT temporaries,
-# waveform.csv's index texts, and the 2MN roots of unity (32 per MN), counted
-# whether or not modmath's cache already holds them; tables that the cache
-# keeps for other moduli are not counted.  The tracemalloc peak is at most 152
-# per MN from (127, 131) up (the CSV writer's block is most of it there), and
-# 121 per MN at (251, 257), where the index texts are 13 of it.
-_MN_BYTES = 176
+# Bytes per MN a command holds in O(MN) arrays: its waveforms, a return, the fast
+# table and its labels' temporaries, a readout region of up to MN points, and the
+# 2MN roots of unity, counted whether or not modmath's cache holds them.  The rule:
+# the largest tracemalloc peak per MN of a command run with its writers stubbed,
+# from a cold roots cache, at (127, 131) and (251, 257), rounded up to a multiple
+# of 16.  That peak is 200.4, simulate reading a strip of MN points.
+_MN_BYTES = 208
+# Bytes per point of one fast-engine block: 16 for its complex values and 112 for
+# the int64 index and phase arrays its query holds at once (the tracemalloc peak
+# of a row block is at most 105 per point, on a two-label chain).
+_ENGINE_POINT_BYTES = 128
+
+
+def _check_budget(need: int, what: str) -> None:
+    """Refuse with OverBudget when `what` needs more than MEMORY_BUDGET_BYTES bytes."""
+    if need > MEMORY_BUDGET_BYTES:
+        raise OverBudget(f"{what} would take {need:,} bytes, over the {MEMORY_BUDGET_BYTES:,}-byte budget")
+
+
+def check_budget(*terms: tuple[int, str]) -> None:
+    """Refuse with OverBudget when the terms a route holds at once, (bytes, what)
+    pairs from the functions below, add up to more than the budget."""
+    _check_budget(sum(need for need, _ in terms), ", ".join(what for _, what in terms))
+
+
+def _mn_arrays(mod: Modulus) -> tuple[int, str]:
+    """A command's O(MN) arrays."""
+    return _MN_BYTES * mod.MN, f"O(MN) arrays over MN = {mod.MN}"
+
+
+def _streamed_pgm(nk: int, nl: int) -> tuple[int, str]:
+    """write_surface's PGM of an nk x nl surface: 1 byte a point, and one engine
+    block with the float64 magnitudes its pixels are formed from and their
+    rounding, 16 bytes a point."""
+    block = (_ENGINE_POINT_BYTES + 16) * _block_rows(nk, nl) * nl
+    return nk * nl + block, f"a streamed {nk} x {nl} PGM"
+
+
+def _csv_block(shape: tuple) -> tuple[int, str]:
+    """ddcore.complex_to_csv's buffers for an array of `shape`, a grid or a vector:
+    each index's texts and the int64 indices they are made from, and per line of a
+    block its text twice (laid out, and without NULs), its floats and their
+    floatfmt.Workspace, plus 16 KiB that does not grow with the block: the open
+    file's buffer and the array headers (7.3 to 8.1 KB under tracemalloc, CPython 3.11)."""
+    nfloat, cols, rows, slots, width = _csv_layout(shape)
+    need = 16384 + sum((w + 8) * size for w, size in zip(slots, shape))
+    need += rows * cols * (2 * width + nfloat * (8 + Workspace.FLOAT_BYTES))
+    return need, f"a CSV of {' x '.join(map(str, shape))} values"
+
+
+def _lag_rows(L: int, nk: int, nl: int) -> int:
+    """_lag_product_rows: the complex nk x nl output, one block of lag products and
+    its reduction, and 8 rows of period-L temporaries (x twice, conj(y))."""
+    return 16 * (nk * nl + min(nk, _BLOCK_ROWS) * (L + nl) + 8 * L)
+
+
+def _direct_sums(L: int, nk: int, nl: int) -> tuple[int, str]:
+    """A direct-sum surface of nk x nl points and period L: its L x nl phase table
+    with the int64 index temporaries (32 bytes an entry), and the lag-product rows."""
+    return 32 * L * nl + _lag_rows(L, nk, nl), f"{nk} x {nl} direct sums of period {L}"
+
+
+def _fft_rows(mn: int) -> tuple[int, str]:
+    """cross_ambiguity_fft: the lag-product rows of the full grid, one FFT per row."""
+    return _lag_rows(mn, mn, mn), f"a {mn} x {mn} FFT surface"
+
+
+def _surface(nk: int, nl: int) -> tuple[int, str]:
+    """FastEngine.surface: the complex nk x nl surface and one engine block."""
+    return 16 * nk * nl + _ENGINE_POINT_BYTES * _block_rows(nk, nl) * nl, f"a {nk} x {nl} fast surface"
+
+
+def _prediction(mn: int) -> tuple[int, str]:
+    """radarsim.predicted_image: the complex output, a gathered copy of the
+    self-ambiguity and their product, and 8 rows of index and phase temporaries."""
+    return 48 * mn * (mn + 8), f"a {mn} x {mn} predicted image"
 
 
 @dataclass(frozen=True)
@@ -174,34 +244,14 @@ def _lag_product_rows(xa: np.ndarray, ya: np.ndarray, nk: int, nl: int, reduce) 
     return out
 
 
-def _check_budget(need: int, what: str) -> None:
-    """Refuse with OverBudget when `what` needs more than MEMORY_BUDGET_BYTES bytes."""
-    if need > MEMORY_BUDGET_BYTES:
-        raise OverBudget(
-            f"{what} needs about {need / 2**30:.1f} GiB, "
-            f"over the {MEMORY_BUDGET_BYTES / 2**30:g} GiB budget"
-        )
-
-
-def _direct_bytes(L: int, nk: int, nl: int) -> int:
-    """Bytes of a direct-sum surface of nk x nl points and period L: its L x nl phase
-    table with the int64 index temporaries (32 bytes per entry), and the complex output."""
-    return 32 * L * nl + 16 * nk * nl
-
-
-def _check_direct_budget(L: int, nk: int, nl: int) -> None:
-    """Refuse with OverBudget a direct-sum surface of nk x nl points and period L over the budget."""
-    _check_budget(_direct_bytes(L, nk, nl), f"a {nk} x {nl} direct-sum surface of period {L}")
-
-
 def _direct_rows(xa: np.ndarray, ya: np.ndarray, nk: int, nl: int) -> np.ndarray:
     """Direct-sum surface rows k < nk, columns l < nl, of two period-L arrays.
 
     S @ E, with E[m, l] = exp(-j*2*pi*l*m/L) gathered from the 2L roots of unity.
-    Refused with OverBudget when the table and output exceed the budget.
+    Refused with OverBudget when its memory (_direct_sums) is over the budget.
     """
     L = xa.shape[0]
-    _check_direct_budget(L, nk, nl)
+    check_budget(_direct_sums(L, nk, nl))
     table = _roots_of_unity(L)[-2 * (np.outer(np.arange(L), np.arange(nl)) % L) % (2 * L)]
     return _lag_product_rows(xa, ya, nk, nl, lambda s: s @ table)
 
@@ -243,7 +293,7 @@ def cross_ambiguity_fft(x: PeriodicSequence, y: PeriodicSequence) -> AmbiguitySu
     """Full-grid surface, one length-MN FFT per lag-product row: A[k, :] = FFT_m(S[k, m])."""
     same_modulus(x, y)
     mn = x.mod.MN
-    _check_budget(16 * mn * (mn + _BLOCK_ROWS), f"a {mn} x {mn} FFT surface")
+    check_budget(_fft_rows(mn))
     rows = _lag_product_rows(x.samples, y.samples, mn, mn, lambda s: np.fft.fft(s, axis=1))
     return AmbiguitySurface(x.mod, "full", rows)
 
@@ -445,12 +495,10 @@ class FastEngine:
     def surface(self) -> AmbiguitySurface:
         """The whole grid as one AmbiguitySurface, formed once by blocks(out).
 
-        Refused with OverBudget when the output plus one engine block would
-        exceed the budget; no CSV is written.
+        Refused with OverBudget when the output plus one engine block
+        (_surface) would exceed the budget; no CSV is written.
         """
-        nk, nl = self.shape
-        need = 16 * nk * nl + _block_bytes(self.shape, csv=False, pgm=False)
-        _check_budget(need, f"a {nk} x {nl} fast surface")
+        check_budget(_surface(*self.shape))
         out = np.empty(self.shape, dtype=np.complex128)
         for _ in self.blocks(out):
             pass
@@ -603,29 +651,6 @@ def _settled(pre: np.ndarray, rounded: np.ndarray, margins: tuple[float, float] 
     return not (rise and pre.max() >= 0.5 - rise and np.any((pre >= 0.5 - rise) & (rounded != 255)))
 
 
-def check_stream_budget(mod: Modulus, shape: tuple | None = None, csv: bool = True,
-                        period: int | None = None) -> None:
-    """Refuse with OverBudget when a command over `mod` would exceed the budget.
-
-    It holds _MN_BYTES per MN in O(MN) arrays and, when it writes a surface of
-    `shape` through write_surface, 1 byte per point for the PGM's pixels, plus one
-    streamed block (ddcore._block_bytes): the engine's values and query arrays,
-    the block's float64 magnitudes and their rounding and, with `csv`, the CSV
-    writer's text, float and workspace buffers.  A surface formed by direct sums of `period` adds their
-    phase table and complex output (_direct_bytes).  One check covers it all.
-    """
-    need, what = _MN_BYTES * mod.MN, f"a command over MN = {mod.MN}"
-    if shape is not None:
-        nk, nl = shape
-        need += nk * nl + _block_bytes(shape, csv)
-        what += f", writing a {nk} x {nl} surface"
-        if period is not None:
-            need += _direct_bytes(period, nk, nl)
-            what += f" by direct sums of period {period}"
-        what += ","
-    _check_budget(need, what)
-
-
 def write_surface(surface, csv_path, pgm_path, scale: str = "linear", floor: float = -120.0) -> None:
     """Write a surface, a FastEngine or a 2-D array, to CSV and PGM in one pass of row blocks.
 
@@ -645,7 +670,7 @@ def write_surface(surface, csv_path, pgm_path, scale: str = "linear", floor: flo
     pixels formed against P.  The files are byte for byte surface_to_csv and
     the PGM of the whole surface; beyond the pixels no array of the surface's
     size is held, and no complex one beyond the block being written.  Commands
-    check check_stream_budget first.
+    check the model's terms with check_budget first.
     """
     _check_scale(scale, floor)
     nk, nl = shape = surface.shape

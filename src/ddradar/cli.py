@@ -22,11 +22,14 @@ import numpy as np
 
 from .ambiguity import (
     FastEngine,
-    _check_direct_budget,
     _check_scale,
     _check_zc_root,
+    _csv_block,
+    _direct_sums,
     _grid_shape,
-    check_stream_budget,
+    _mn_arrays,
+    _streamed_pgm,
+    check_budget,
     coded_waveform,
     cross_ambiguity_array,
     cross_ambiguity_naive,
@@ -81,25 +84,26 @@ def _parse_sl2(text: str, mod: Modulus) -> SL2Element:
 class WaveformSpec:
     """Parsed waveform description.
 
-    `seq` is a PeriodicSequence for modulus-bound waveforms, built by `build`
-    on first use, base and labels alike (parsing refuses bad parameters but
-    builds nothing), otherwise `array` holds a modulus-free coded waveform.
-    Every modulus-bound waveform has `fast` = (base, labels), its form for
+    `seq` is built by `build` on first use (parsing refuses bad parameters but
+    builds nothing): a PeriodicSequence for modulus-bound waveforms, base and
+    labels alike, or for a zc-coded one, which is not bound to the modulus, a
+    plain array of `period` samples (`period` is None otherwise).  Every
+    modulus-bound waveform has `fast` = (base, labels), its form for
     the O(1)-per-point ambiguity engine (FastEngine(x, *base,
     transform=labels)), which never reads `seq`: a pulsone (k0, l0), or a
     tone (0, beta, 1[, gamma]) under an LFM label for chirp and zc, followed
     by the prefix's label.
     """
 
-    def __init__(self, label, build=None, array=None, fast=None):
+    def __init__(self, label, build, fast=None, period=None):
         self.label = label
         self._build = build
-        self.array = array
         self.fast = fast
+        self.period = period
 
     @functools.cached_property
     def seq(self):
-        return None if self._build is None else self._build()
+        return self._build()
 
 
 def parse_waveform_spec(text: str, mod: Modulus) -> WaveformSpec:
@@ -148,19 +152,19 @@ def parse_waveform_spec(text: str, mod: Modulus) -> WaveformSpec:
             root, chip_len = _parse_pair(args, "zc-coded parameters")
             if labels:
                 raise argparse.ArgumentTypeError("transforms do not apply to zc-coded waveforms")
-            # its one use is a direct-sum surface of period L = MN * chip_len on the L x L
-            # grid, refused here before the waveform is built (coded_waveform refuses chip_len 0)
-            period = mod.MN * max(chip_len, 1)
-            _check_direct_budget(period, period, period)
-            arr = coded_waveform(zc_sequence(root, mod.MN), np.ones(chip_len))
-            return WaveformSpec(text, array=arr)
+            _check_zc_root(root, mod.MN)
+            if chip_len < 0:
+                raise ValueError(f"negative chip length {chip_len}")
+            # built after the command's budget check (coded_waveform refuses chip_len 0)
+            return WaveformSpec(text, lambda: coded_waveform(zc_sequence(root, mod.MN), np.ones(chip_len)),
+                                period=mod.MN * chip_len)
         else:
             raise argparse.ArgumentTypeError(f"unknown waveform kind {kind!r}")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"malformed waveform parameters in {text!r}") from exc
     if math.gcd(lfm_rate, mod.MN) != 1:
         raise NotCoprime(f"LFM rate {lfm_rate} shares a factor with MN = {mod.MN}")
-    return WaveformSpec(text, build=lambda: chain_apply(labels, base()), fast=fast)
+    return WaveformSpec(text, lambda: chain_apply(labels, base()), fast)
 
 
 def _out_dir(args) -> Path:
@@ -196,8 +200,9 @@ def cmd_waveform(args, parser) -> int:
         base = f"chirp:{args.alpha},{args.beta},{args.gamma}"
     else:
         base = f"zc:{args.root}"
-    # the self-ambiguity is streamed into its PGM, with no CSV
-    check_stream_budget(mod, _grid_shape(mod, "full") if args.self_ambiguity else None, csv=False)
+    # waveform.csv, then the self-ambiguity streamed into its PGM
+    pgm = [_streamed_pgm(mod.MN, mod.MN)] if args.self_ambiguity else []
+    check_budget(_mn_arrays(mod), _csv_block((mod.MN,)), *pgm)
     spec = parse_waveform_spec(prefix + base, mod)
     line = f"papr_db={papr_db(spec.seq):.12g}"
     engine = None
@@ -220,24 +225,24 @@ def cmd_waveform(args, parser) -> int:
 def cmd_ambiguity(args, parser) -> int:
     mod = Modulus(args.M, args.N, allow_composite=args.allow_composite)
     _check_scale(args.scale, args.floor)
-    # parsing builds no O(MN) array (a zc-coded spec checks its own L x L surface first)
+    # parsing builds no waveform
     x = parse_waveform_spec(args.x, mod)
     y = parse_waveform_spec(args.y, mod)
-    coded = x.array is not None or y.array is not None
+    coded = x.period is not None or y.period is not None
     if coded:
-        if x.array is None or y.array is None:
+        if x.period is None or y.period is None:
             parser.error("zc-coded waveforms can only be paired with zc-coded waveforms")
         if args.engine == "fast":
             raise EngineUnsupported("fast engine does not apply to zc-coded waveforms")
-        period = len(x.array)
+        period = max(x.period, y.period)  # unequal periods are refused by cross_ambiguity_array
         shape = (period, period)
     else:
-        shape = _grid_shape(mod, args.grid)
-        period = None if args.engine == "fast" else mod.MN
+        period, shape = mod.MN, _grid_shape(mod, args.grid)
+    sums = [] if args.engine == "fast" else [_direct_sums(period, *shape)]
     # one check of the whole command: its O(MN) arrays, any direct sums, and the writer
-    check_stream_budget(mod, shape, period=period)
+    check_budget(_mn_arrays(mod), *sums, _streamed_pgm(*shape), _csv_block(shape))
     if coded:
-        surface = cross_ambiguity_array(x.array, y.array)
+        surface = cross_ambiguity_array(x.seq, y.seq)
     elif args.engine == "fast":
         surface = FastEngine(x.seq, *y.fast[0], transform=y.fast[1], grid=args.grid)
     else:
@@ -261,16 +266,16 @@ def cmd_simulate(args, parser) -> int:
     region = _parse_region(args.region)
     # before the first O(MN) array; every refusal comes before --out exists, and the
     # image is formed only as it is written
-    check_stream_budget(mod, _grid_shape(mod, "full"))
+    check_budget(_mn_arrays(mod), _streamed_pgm(mod.MN, mod.MN), _csv_block((mod.MN, mod.MN)))
 
     if args.waveform == "eigen":
         if not 0 <= args.eigen_index < mod.MN:
             parser.error(f"--eigen-index out of range 0..{mod.MN - 1}")
-        spec = WaveformSpec("eigen", build=lambda: eigenvector(line, args.eigen_index),
-                            fast=pulsone_chain(line, args.eigen_index))
+        spec = WaveformSpec("eigen", lambda: eigenvector(line, args.eigen_index),
+                            pulsone_chain(line, args.eigen_index))
     else:
         spec = parse_waveform_spec(args.waveform, mod)
-        if spec.array is not None:
+        if spec.period is not None:
             parser.error("simulate needs a modulus-bound waveform, not zc-coded")
 
     y = apply_channel(env, spec.seq)

@@ -111,16 +111,6 @@ _CSV_HEADER = {1: "n,re,im", 2: "k,l,re,im,abs"}
 # Grid points (CSV lines) in one block, from the fast engine that forms them
 # to the writer that formats them: the one block size of a streamed surface.
 _CSV_BLOCK_ROWS = 4096
-# Bytes per point of one fast-engine block: 16 for its complex values and 112
-# for the int64 index and phase arrays its query holds at once (the tracemalloc
-# peak of a row block is at most 105 per point, on a two-label chain).
-_ENGINE_POINT_BYTES = 128
-# Bytes per point of a block that ambiguity.write_surface adds: the float64
-# magnitudes from which it forms the block's PGM pixels, and their rounding.
-_PGM_POINT_BYTES = 16
-# Bytes of complex_to_csv that do not grow with the block: the open file's
-# buffer and the array headers (7.3 to 8.1 KB under tracemalloc, CPython 3.11).
-_CSV_FIXED_BYTES = 16384
 
 
 def _block_rows(nk: int, nl: int) -> int:
@@ -137,21 +127,6 @@ def _csv_layout(shape: tuple) -> tuple[int, int, int, tuple, int]:
     # the widest index, with a comma after each but the last
     slots = tuple(len(str(max(size - 1, 0))) + (axis < len(shape) - 1) for axis, size in enumerate(shape))
     return nfloat, cols, _block_rows(shape[0], cols), slots, sum(slots) + nfloat * FIELD_BYTES + 1
-
-
-def _block_bytes(shape: tuple, csv: bool = True, pgm: bool = True) -> int:
-    """Bytes one streamed block of a surface of `shape` holds: the engine's block and,
-    with `pgm`, the two float64 arrays ambiguity.write_surface forms its pixels
-    in and, with `csv`, what complex_to_csv allocates for it: the index texts,
-    and per line its text twice (laid out, and without NULs), its floats and
-    their floatfmt.Workspace: 409 bytes per line of a (23,29) image (95-byte
-    lines), plus _CSV_FIXED_BYTES."""
-    nfloat, cols, rows, slots, width = _csv_layout(shape)
-    need = (_ENGINE_POINT_BYTES + pgm * _PGM_POINT_BYTES) * rows * cols
-    if csv:
-        need += _CSV_FIXED_BYTES + sum(w * size for w, size in zip(slots, shape))
-        need += rows * cols * (2 * width + nfloat * (8 + Workspace.FLOAT_BYTES))
-    return need
 
 
 def _index_texts(count: int, width: int, comma: bool) -> np.ndarray:

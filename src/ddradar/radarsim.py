@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambiguity import AmbiguitySurface, FastEngine, _check_budget
+from .ambiguity import AmbiguitySurface, FastEngine, _prediction, check_budget
 from .ddcore import PeriodicSequence
 from .errors import (
     BadSeed,
@@ -159,7 +159,7 @@ def predicted_image(env: ScatteringEnvironment, a_x: AmbiguitySurface) -> Ambigu
         raise GridMismatch("predicted_image needs the full-grid self-ambiguity")
     same_modulus(env, a_x)
     mn = env.mod.MN
-    _check_budget(32 * mn * mn, f"a {mn} x {mn} predicted image")  # output plus one gathered copy
+    check_budget(_prediction(mn))
     idx = np.arange(mn)
     out = np.zeros((mn, mn), dtype=np.complex128)
     for k_t, l_t, h in env.taps:

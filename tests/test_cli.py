@@ -145,9 +145,8 @@ class TestAmbiguityCommand:
                     "--y", "pulsone:0,0", "--out", tmp_path]) == 2
 
     def test_over_budget_refused_before_output(self, tmp_path, monkeypatch):
-        # one byte short of the direct sums of period 60 (a 32-byte table entry and a
-        # 16-byte output point each), far over the 176 bytes per MN of the modulus
-        monkeypatch.setattr(ambiguity, "MEMORY_BUDGET_BYTES", 48 * 60 * 60 - 1)
+        # one byte short of the direct sums of period 60 alone, far over the O(MN) arrays of the modulus
+        monkeypatch.setattr(ambiguity, "MEMORY_BUDGET_BYTES", ambiguity._direct_sums(60, 60, 60)[0] - 1)
         out = tmp_path / "out"
         assert run(["ambiguity", "--M", 3, "--N", 5, "--x", "zc-coded:1,4", "--y", "zc-coded:2,4",
                     "--grid", "full", "--out", out]) == 3

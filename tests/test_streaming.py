@@ -17,12 +17,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddradar import ambiguity, cli, ddcore
-from ddradar.ambiguity import FastEngine, cross_ambiguity_fft, surface_to_csv
+from ddradar.ambiguity import (
+    AmbiguitySurface,
+    FastEngine,
+    coded_waveform,
+    cross_ambiguity_array,
+    cross_ambiguity_fft,
+    cross_ambiguity_naive,
+    surface_to_csv,
+    write_surface,
+    zc_sequence,
+)
 from ddradar.cli import _build_parser, main, parse_waveform_spec
 from ddradar.ddcore import PeriodicSequence, QuasiPeriodicArray, idzt
 from ddradar.modmath import Modulus, _roots_of_unity
-from ddradar.radarsim import add_noise, apply_channel, form_image, readout_targets, scene_from_json
-from ddradar.subgroups import DDRegion, LineSubgroup, crystallization_check, eigenvector, pulsone_chain
+from ddradar.radarsim import (
+    ScatteringEnvironment,
+    add_noise,
+    apply_channel,
+    form_image,
+    predicted_image,
+    readout_targets,
+    scene_from_json,
+)
+from ddradar.subgroups import DDRegion, LineSubgroup, crystallization_check, eigenvector, pulsone, pulsone_chain
 from oracles import pgm_bytes
 
 SIZES = [(3, 5), (11, 13), (13, 17)]  # row counts 15, 143, 221: none a multiple of a block
@@ -32,6 +50,22 @@ SPECS = ["eigen", "pulsone:1,2", "chirp:2,3,4", "zc:2", "lfm(2):pulsone:0,1",
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def _need(*terms):
+    """The bytes of the memory model's terms, as ambiguity.check_budget adds them."""
+    return sum(need for need, _ in terms)
+
+
+def _traced_peak(call):
+    """The tracemalloc peak of call(), run once first to fill the process-wide caches."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _lines(M, N):
@@ -199,7 +233,8 @@ def test_simulate_holds_no_complex_image(tmp_path):
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert peak <= mod.MN**2 + ddcore._block_bytes((mod.MN, mod.MN)) + ambiguity._MN_BYTES * mod.MN
+    full = (mod.MN, mod.MN)
+    assert peak <= _need(ambiguity._mn_arrays(mod), ambiguity._streamed_pgm(*full), ambiguity._csv_block(full))
 
 
 def test_simulate_formats_each_engine_block_in_one_pass(tmp_path, monkeypatch):
@@ -232,7 +267,7 @@ def test_simulate_formats_each_engine_block_in_one_pass(tmp_path, monkeypatch):
 @pytest.mark.parametrize("shape", [(15, 15), (667, 667), (29, 667), (667, 29), (2500,)],
                          ids=["15x15", "667x667", "29x667", "667x29", "2500"])
 def test_block_bytes_cover_the_csv_writer(tmp_path, shape):
-    """The budget's CSV share is at least the writer's tracemalloc peak, and less than twice it."""
+    """The CSV term is at least the writer's tracemalloc peak, and less than twice it."""
     rows = ddcore._block_rows(shape[0], shape[1] if len(shape) == 2 else 1)
     rng = np.random.default_rng(9)
     values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -247,13 +282,13 @@ def test_block_bytes_cover_the_csv_writer(tmp_path, shape):
             tracemalloc.stop()
 
     peak()  # builds the formatter's cached tables
-    writer = ddcore._block_bytes(shape) - ddcore._block_bytes(shape, csv=False)
+    writer = ambiguity._csv_block(shape)[0]
     assert writer / 2 < peak() <= writer
 
 
 @pytest.mark.parametrize("M, N", [(11, 13), (61, 67)])
 def test_block_bytes_cover_an_engine_block(M, N):
-    """One FastEngine block, its buffer and its query's index arrays, fits the budget's engine share."""
+    """One FastEngine block, its buffer and its query's index arrays, fits the engine's share of a PGM or surface term."""
     mod = Modulus(M, N)
     y = PeriodicSequence(mod, np.random.default_rng(M).standard_normal(mod.MN) + 0j)
     for c, d in ((M, N), (1, 4), (M, 1), (1, 0)):  # 0, 1, 2 and 2 labels, the last with a 2-D phase
@@ -266,7 +301,7 @@ def test_block_bytes_cover_an_engine_block(M, N):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= ddcore._block_bytes(engine.shape, csv=False), (c, d)
+        assert peak <= ambiguity._ENGINE_POINT_BYTES * ddcore._block_rows(*engine.shape) * engine.shape[1], (c, d)
 
 
 def _peak_and_need(monkeypatch, tmp_path, argv):
@@ -288,19 +323,62 @@ def _peak_and_need(monkeypatch, tmp_path, argv):
 
 @pytest.mark.parametrize("M, N", [(127, 131), (251, 257)])
 def test_mn_bytes_cover_a_command(tmp_path, monkeypatch, M, N):
-    """The O(MN) term covers a waveform and a fundamental-grid fast ambiguity on two-label references.
-
-    The ambiguity, the heavier, also counts its streamed surface and needs less than twice its peak.
-    """
+    """Every command's need covers its peak, waveform.csv's block included; with the
+    writers stubbed, the peak is the command's O(MN) arrays, at most _MN_BYTES per MN
+    and, for the heaviest, a strip readout on a labelled line, over half of it."""
     mod = ["--M", M, "--N", N]
-    for i, argv in enumerate([
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({"M": M, "N": N, "taps": [{"k": 3, "l": 5, "re": 0.5, "im": 0.2}]}))
+    commands = [
         ["waveform", "pulsone", *mod],
         ["waveform", "gdaft-of", "chirp", "--alpha", 2, "--sl2", "1,1,0,1", *mod],
         ["ambiguity", *mod, "--x", "gdaft(2,1,1,1):zc:1", "--y", "gdaft(1,1,0,1):chirp:2", "--engine", "fast"],
-    ]):
+    ]
+    for i, argv in enumerate(commands):
         peak, need = _peak_and_need(monkeypatch, tmp_path / str(i), argv)
         assert peak <= need, argv
-    assert need < 2 * peak
+    strip = ["simulate", "--scene", scene, "--line", f"{M},1", "--region", f"0:{M * N - 1},0:0",
+             "--waveform", "gdaft(2,3,1,2):chirp:2,1,3", "--snr-db", 20]
+    monkeypatch.setattr(ambiguity, "MEMORY_BUDGET_BYTES", 2**40)  # its full-grid image is never written
+    monkeypatch.setattr(cli, "sequence_to_csv", lambda *args: None)
+    monkeypatch.setattr(cli, "write_surface", lambda *args, **kwargs: None)
+    peaks = [_peak_and_need(monkeypatch, tmp_path / f"stub{i}", argv)[0]
+             for i, argv in enumerate(commands + [strip])]
+    assert max(peaks) <= ambiguity._MN_BYTES * M * N < 2 * max(peaks)
+
+
+@pytest.mark.parametrize(
+    "route, M, N",
+    [(route, *size) for route in ("direct", "fft", "surface", "prediction") for size in ((23, 29), (31, 37))]
+    + [("direct-array", 11, 13), ("direct-array", 23, 29)]
+    + [(route, *size) for route in ("pgm-full", "pgm-fundamental") for size in ((23, 29), (31, 37))],
+)
+def test_each_term_covers_its_route(tmp_path, route, M, N):
+    """Each library route's tracemalloc peak is at most its term of the memory model, and over half of it."""
+    mod = Modulus(M, N)
+    mn = mod.MN
+    rng = np.random.default_rng(M)
+    x = PeriodicSequence(mod, rng.standard_normal(mn) + 1j * rng.standard_normal(mn))
+    y = pulsone(mod, 0, 1)
+    coded = coded_waveform(zc_sequence(1, M), np.ones(N))  # period MN, on no modulus
+    engine = FastEngine(x, 0, 1, grid="fundamental" if route == "pgm-fundamental" else "full")
+    fresh = [FastEngine(x, 0, 1, grid="full") for _ in range(2)]  # one per call: a surface is cached
+    surface = AmbiguitySurface(mod, "full", rng.standard_normal((mn, mn)) + 0j)
+    env = ScatteringEnvironment(mod, ((0, 0, 1.0), (3, 2, 0.5j)))
+    pgm = (lambda: write_surface(engine, None, tmp_path / "s.pgm"), ambiguity._streamed_pgm(*engine.shape))
+    routes = {
+        "direct": (lambda: cross_ambiguity_naive(x, y, grid="fundamental", warn_nonunit=False),
+                   ambiguity._direct_sums(mn, M, N)),
+        "direct-array": (lambda: cross_ambiguity_array(coded, coded), ambiguity._direct_sums(mn, mn, mn)),
+        "fft": (lambda: cross_ambiguity_fft(x, y), ambiguity._fft_rows(mn)),
+        "surface": (lambda: fresh.pop().surface, ambiguity._surface(mn, mn)),
+        "prediction": (lambda: predicted_image(env, surface), ambiguity._prediction(mn)),
+        "pgm-full": pgm,
+        "pgm-fundamental": pgm,
+    }
+    call, (need, _) = routes[route]
+    peak = _traced_peak(call)
+    assert peak <= need < 2 * peak
 
 
 @pytest.mark.parametrize("kind", [["pulsone", "--k0", 1], ["gdaft-of", "pulsone", "--sl2", "1,1,0,1"]],
@@ -317,12 +395,13 @@ def test_refused_simulate_leaves_no_output(tmp_path, monkeypatch, capsys, refusa
     mod = Modulus(3, 5)
     scene = tmp_path / "scene.json"
     _scene(scene, mod, DDRegion(0, 2, 0, 4), 3)
-    # 176 bytes per MN for the O(MN) arrays, and the streamed image: 1 byte per pixel
+    # 208 bytes per MN for the O(MN) arrays, and the streamed image: 1 byte per pixel
     # plus one block of the 15 x 15 grid, whose 225 points cost the engine 128 bytes
     # each, their magnitudes and rounding 16, and the CSV writer 16 KiB, 15-entry index
-    # texts of 3 and 2 bytes and 405 bytes a line (two copies of a 93-byte line: "14,"
-    # and "14" slots, three 29-byte fields and a newline; 3 floats and their workspace)
-    need = (176 * 15 + 1 * 15 * 15 + (128 + 16) * 15 * 15 + 16384 + (3 + 2) * 15
+    # texts of 3 and 2 bytes with their int64 indices, and 405 bytes a line (two copies
+    # of a 93-byte line: "14," and "14" slots, three 29-byte fields and a newline; 3
+    # floats and their workspace)
+    need = (208 * 15 + 1 * 15 * 15 + (128 + 16) * 15 * 15 + 16384 + (3 + 8 + 2 + 8) * 15
             + 15 * 15 * (2 * 93 + 3 * (8 + 65)))
     argv = ["simulate", "--scene", scene, "--line", "3,5", "--region", "0:2,0:4"]
     if refusal == "not-crystallized":
@@ -341,11 +420,10 @@ def test_refused_simulate_leaves_no_output(tmp_path, monkeypatch, capsys, refusa
 @pytest.mark.parametrize("x, y, period", [("zc:1", "chirp:2", 15), ("zc-coded:1,4", "zc-coded:2,4", 60)],
                          ids=["naive", "zc-coded"])
 def test_direct_sum_ambiguity_checks_one_summed_need(tmp_path, monkeypatch, capsys, x, y, period):
-    # 176 bytes per MN for the O(MN) arrays, the direct sums' phase table and complex
-    # output (48 bytes per point of the period x period grid), and the writer's 1 byte
-    # per pixel and one streamed block, all checked at once
+    # the O(MN) arrays, the direct sums, and the writer's PGM and CSV, all checked at once
     shape = (period, period)
-    need = 176 * 15 + 48 * period * period + period * period + ddcore._block_bytes(shape)
+    need = _need(ambiguity._mn_arrays(Modulus(3, 5)), ambiguity._direct_sums(period, *shape),
+                 ambiguity._streamed_pgm(*shape), ambiguity._csv_block(shape))
     argv = ["ambiguity", "--M", 3, "--N", 5, "--x", x, "--y", y, "--grid", "full"]
     out = tmp_path / "out"
     monkeypatch.setattr(ambiguity, "MEMORY_BUDGET_BYTES", need - 1)
@@ -357,8 +435,8 @@ def test_direct_sum_ambiguity_checks_one_summed_need(tmp_path, monkeypatch, caps
 
 
 def test_sequence_csv_index_texts_are_not_python_strings(tmp_path):
-    """waveform.csv at (251,257) holds the writer's buffers, its index texts (counted in
-    them) and the int64 indices they are made from: about 25 bytes per MN, not 72."""
+    """waveform.csv at (251,257) holds the writer's buffers, its index texts and the int64
+    indices they are made from, all counted in the CSV term: about 25 bytes per MN, not 72."""
     mod = Modulus(251, 257)
     x = PeriodicSequence(mod, np.random.default_rng(4).standard_normal(mod.MN) + 0.5j)
     ddcore.sequence_to_csv(x, tmp_path / "warm.csv")  # builds the formatter's cached tables
@@ -368,8 +446,7 @@ def test_sequence_csv_index_texts_are_not_python_strings(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    writer = ddcore._block_bytes((mod.MN,), pgm=False) - ddcore._block_bytes((mod.MN,), csv=False, pgm=False)
-    assert peak <= writer + 8 * mod.MN
+    assert peak <= ambiguity._csv_block((mod.MN,))[0]
     assert (tmp_path / "w.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
 
 
