@@ -349,7 +349,7 @@ def fast_pulsone_query(pre: FastPulsonePrecomp, k, l, phase=0, out: np.ndarray |
     # table entry [row, (l + l0) mod R]; each array is freed once used, so a block
     # of queries holds a few block-sized arrays at a time
     k = reduce_mod(np.asarray(k, dtype=np.int64), mod.MN)
-    row = (k + pre.k0) % period
+    row = 0 if period == 1 else reduce_mod(k + pre.k0, period)  # a tone's table has one row
     u = reduce_mod(np.asarray(l, dtype=np.int64) + pre.l0, mod.MN)
     # the constant and k's factor are summed in k's (often smaller) shape first
     index = 2 * (k - row) * u + (2 * pre.k0 * pre.l0 + phase)
@@ -462,7 +462,9 @@ class FastEngine:
         A term in one coordinate keeps that coordinate's shape (a block's rows
         or a grid's columns), so only the sums below are full-size.  The query
         reduces k and l, both below 2*MN; the phase index is reduced here, below
-        2*MN, which keeps the query's index below 2**63 up to _MN_CAP.
+        2*MN, which keeps the query's index below 2**63 up to _MN_CAP.  Before that
+        one reduction q is at most 3*(MN - 1) + (MN - 1)**2 < 2**63 for MN up to
+        _MN_CAP = 2**31 - 1: three terms below MN, and ckl*(K*L mod MN) below MN**2.
         """
         mn = self.mod.MN
         K, k_rows, l_rows, q_rows = rows
@@ -470,7 +472,7 @@ class FastEngine:
         ckl, c0 = self._q[2:]
         q = q_rows + c0 + q_cols
         if ckl:  # only GDAFT labels make Q's phase 2-D
-            q = q + ckl * reduce_mod(K * L, mn) % mn
+            q = q + ckl * reduce_mod(K * L, mn)
         return fast_pulsone_query(self._pre, k_rows + k_cols, l_rows + l_cols, 2 * reduce_mod(q, mn), out=out)
 
     def blocks(self, out: np.ndarray | None = None):
@@ -544,8 +546,8 @@ def zc_sequence(root: int, L: int) -> np.ndarray:
     """
     _check_zc_root(root, L)
     n = np.arange(L, dtype=np.int64)
-    expo = (root % L * (n * (n + 1) % (2 * L))) % (2 * L)
-    return _roots_of_unity(L)[(-expo) % (2 * L)] / np.sqrt(L)
+    expo = reduce_mod(root % L * reduce_mod(n * (n + 1), 2 * L), 2 * L)
+    return _roots_of_unity(L)[reduce_mod(-expo, 2 * L)] / np.sqrt(L)
 
 
 def coded_waveform(z: np.ndarray, chip: np.ndarray) -> np.ndarray:

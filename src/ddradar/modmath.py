@@ -153,7 +153,8 @@ def quadratic_phase(mod: Modulus, alpha: int, beta: int = 0, gamma: int = 0) -> 
     """
     mn = mod.MN
     n = np.arange(mn, dtype=np.int64)
-    return phases_to_complex(2 * ((alpha % mn * (n * n % mn) + beta % mn * n + gamma % mn) % mn), mod)
+    index = alpha % mn * reduce_mod(n * n, mn) + beta % mn * n + gamma % mn
+    return phases_to_complex(2 * reduce_mod(index, mn), mod)
 
 
 @lru_cache(maxsize=16)

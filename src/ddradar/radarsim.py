@@ -242,6 +242,7 @@ def scene_from_json(path, allow_composite: bool = False) -> ScatteringEnvironmen
     """Read a scene file; an unreadable file or a malformed scene is a ConfigurationError.
 
     M, N and every tap's k and l must be JSON integers: 1.7 or 3.0 is refused, not truncated.
+    Every re and im must be a JSON number: "1.5", true and null are refused, not converted.
     """
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -249,8 +250,10 @@ def scene_from_json(path, allow_composite: bool = False) -> ScatteringEnvironmen
         ints = [doc["M"], doc["N"]] + [t[i] for t in doc["taps"] for i in "kl"]
         if any(type(v) is not int for v in ints):
             raise ValueError("M, N, k and l must be JSON integers")
+        if any(type(t[i]) not in (int, float) for t in doc["taps"] for i in ("re", "im")):
+            raise ValueError("re and im must be JSON numbers")
         mod = Modulus(doc["M"], doc["N"], allow_composite=allow_composite)
         taps = [(t["k"], t["l"], float(t["re"]) + 1j * float(t["im"])) for t in doc["taps"]]
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         raise ConfigurationError(f"unreadable or malformed scene file {path}: {exc}") from exc
     return ScatteringEnvironment(mod, tuple(taps))

@@ -39,7 +39,7 @@ import numpy as np
 
 from .ddcore import PeriodicSequence
 from .errors import BNotCoprime, DetNotOne, NotCoprime, ZeroSequence
-from .modmath import Modulus, crt_join, mod_inv, quadratic_phase, same_modulus
+from .modmath import Modulus, crt_join, mod_inv, quadratic_phase, reduce_mod, same_modulus
 
 __all__ = [
     "AmbiguityRemap",
@@ -123,7 +123,7 @@ def _gdaft_factors(g: SL2Element) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise BNotCoprime(f"GDAFT needs gcd(b, MN) = 1, got b = {g.b}, MN = {mod.MN}")
     binv = mod_inv(g.b, mod.MN)
     half_binv = mod.inv2 * binv
-    perm = binv * np.arange(mod.MN, dtype=np.int64) % mod.MN
+    perm = reduce_mod(binv * np.arange(mod.MN, dtype=np.int64), mod.MN)
     return quadratic_phase(mod, half_binv * g.a), quadratic_phase(mod, half_binv * g.d), perm
 
 

@@ -105,6 +105,17 @@ def test_cli_refusal(tmp_path, monkeypatch, capsys, argv, code, budget):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gain", ['"1.5"', '" 2 "', '"1_0"', "true", "1" + "0" * 400],
+                         ids=["text", "padded-text", "underscored-text", "bool", "int-beyond-float"])
+def test_scene_gain_that_is_no_json_number_refused(tmp_path, monkeypatch, capsys, gain):
+    """A tap gain must be a JSON number that a float holds; anything else exits 4 before --out exists."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scene.json").write_text('{"M": 3, "N": 5, "taps": [{"k": 0, "l": 0, "re": %s, "im": 0.0}]}' % gain)
+    assert main([*_sim("--line", "3,5", "--region", "0:0,0:0"), "--out", "out"]) == 4
+    assert not (tmp_path / "out").exists()
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def _child(argv, cwd, preexec_fn=None):
     """`python -m ddradar argv --out out` in a new process, on this checkout's src."""
     src = str(Path(__file__).resolve().parents[1] / "src")
