@@ -122,7 +122,7 @@ def _csv_layout(shape: tuple) -> tuple[int, int, int, tuple, int]:
     """complex_to_csv's buffers for an array of `shape`: floats per line, columns,
     rows per block, the bytes of each index's slot, and bytes per line.  A line
     is "k,l" or "n", one floatfmt field per float (each starts with its comma)
-    and a newline."""
+    and a newline.  ambiguity._csv_block counts these buffers in the memory budget."""
     nfloat, cols = (2, 1) if len(shape) == 1 else (3, shape[1])
     # the widest index, with a comma after each but the last
     slots = tuple(len(str(max(size - 1, 0))) + (axis < len(shape) - 1) for axis, size in enumerate(shape))
