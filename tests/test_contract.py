@@ -65,9 +65,9 @@ def _spec(draw):
     return prefix.format(_rare(draw, SL2, ODD_SL2)) + base.format(*fields)
 
 
-def _common(draw, mod=True):
+def _common(draw, with_mod=True):
     argv = []
-    if mod:
+    if with_mod:
         argv += ["--M", "{M}", "--N", "{N}"]
     if _rare(draw, st.just(False), st.booleans()):
         argv.append("--allow-composite")
@@ -108,7 +108,7 @@ def _simulate(draw):
     taps = [{"k": _rare(draw, INDICES, k_l), "l": _rare(draw, INDICES, k_l),
              "re": _rare(draw, st.floats(-2.0, 2.0), gains), "im": _rare(draw, st.floats(-2.0, 2.0), gains)}
             for _ in range(draw(st.integers(0, 3)))]
-    argv = ["simulate", "--scene", "scene.json", *_common(draw, mod=False)]
+    argv = ["simulate", "--scene", "scene.json", *_common(draw, with_mod=False)]
     lines = st.sampled_from(["{M},{N}", "{M},1", "{N},1", "1,4", "1,2", "1,0", "0,1"])
     argv += ["--line=" + _rare(draw, lines, st.sampled_from(["0,0", "1,2,3", "10,15", "-3,5"]))]
     regions = st.sampled_from(["0:0,0:0", "0:{M1},0:{N1}", "1:2,3:4", "0:0,0:{MN1}", "0:{MN1},0:0"])
