@@ -101,12 +101,13 @@ _BLOCK_ROWS = 64
 # Largest allocation a command or a surface route may make, in bytes.
 MEMORY_BUDGET_BYTES = 2**30
 # Bytes per MN a command holds in O(MN) arrays: its waveforms, a return, the fast
-# table and its labels' temporaries, a readout region of up to MN points, and the
-# 2MN roots of unity, counted whether or not modmath's cache holds them.  The rule:
-# the largest tracemalloc peak per MN of a command run with its writers stubbed,
-# from a cold roots cache, at (127, 131) and (251, 257), rounded up to a multiple
-# of 16.  That peak is 200.4, simulate reading a strip of MN points.
-_MN_BYTES = 208
+# table and its labels' temporaries, and the 2MN roots of unity, counted whether or
+# not modmath's cache holds them.  The rule: the largest tracemalloc peak per MN of
+# a command run with its writers stubbed and a one-point readout region, from a
+# cold roots cache, at (127, 131) and (251, 257), rounded up to a multiple of 16.
+# That peak is 136.5, simulate, whose readout's crystallization check holds about
+# 42; waveforms and fast ambiguities hold 80 to 120.  A larger region is _readout's.
+_MN_BYTES = 144
 # Bytes per point of one fast-engine block: 16 for its complex values and 112 for
 # the int64 index and phase arrays its query holds at once (the tracemalloc peak
 # of a row block is at most 105 per point, on a two-label chain).
@@ -130,12 +131,18 @@ def _mn_arrays(mod: Modulus) -> tuple[int, str]:
     return _MN_BYTES * mod.MN, f"O(MN) arrays over MN = {mod.MN}"
 
 
+def _readout(points: int, mn: int) -> tuple[int, str]:
+    """radarsim.readout_targets on a region of `points` points: one engine query of
+    them and their magnitudes, 8 bytes a point more than an engine block's.  At most
+    MN points are read: a larger region aliases and is refused first."""
+    return (_ENGINE_POINT_BYTES + 8) * min(points, mn), f"a readout of {points} region points"
+
+
 def _streamed_pgm(nk: int, nl: int) -> tuple[int, str]:
     """write_surface's PGM of an nk x nl surface: 1 byte a point, and one engine
     block with the float64 magnitudes its pixels are formed from and their
     rounding, 16 bytes a point."""
-    block = (_ENGINE_POINT_BYTES + 16) * _block_rows(nk, nl) * nl
-    return nk * nl + block, f"a streamed {nk} x {nl} PGM"
+    return nk * nl + (_ENGINE_POINT_BYTES + 16) * _block_rows(nk, nl) * nl, f"a streamed {nk} x {nl} PGM"
 
 
 def _csv_block(shape: tuple) -> tuple[int, str]:
@@ -150,21 +157,18 @@ def _csv_block(shape: tuple) -> tuple[int, str]:
     return need, f"a CSV of {' x '.join(map(str, shape))} values"
 
 
-def _lag_rows(L: int, nk: int, nl: int) -> int:
-    """_lag_product_rows: the complex nk x nl output, one block of lag products and
-    its reduction, and 8 rows of period-L temporaries (x twice, conj(y))."""
-    return 16 * (nk * nl + min(nk, _BLOCK_ROWS) * (L + nl) + 8 * L)
+def _lag_rows(L: int, nk: int, nl: int) -> tuple[int, str]:
+    """_lag_product_rows, all cross_ambiguity_fft holds (one FFT per row): the complex
+    nk x nl output, one block of lag products and its reduction, and 16 rows of
+    period-L temporaries: tracemalloc shows 8 (x twice, conj(y)), and the other 8
+    leave room for a numpy that holds more."""
+    return 16 * (nk * nl + min(nk, _BLOCK_ROWS) * (L + nl) + 16 * L), f"{nk} x {nl} lag products of period {L}"
 
 
 def _direct_sums(L: int, nk: int, nl: int) -> tuple[int, str]:
     """A direct-sum surface of nk x nl points and period L: its L x nl phase table
     with the int64 index temporaries (32 bytes an entry), and the lag-product rows."""
-    return 32 * L * nl + _lag_rows(L, nk, nl), f"{nk} x {nl} direct sums of period {L}"
-
-
-def _fft_rows(mn: int) -> tuple[int, str]:
-    """cross_ambiguity_fft: the lag-product rows of the full grid, one FFT per row."""
-    return _lag_rows(mn, mn, mn), f"a {mn} x {mn} FFT surface"
+    return 32 * L * nl + _lag_rows(L, nk, nl)[0], f"{nk} x {nl} direct sums of period {L}"
 
 
 def _surface(nk: int, nl: int) -> tuple[int, str]:
@@ -174,8 +178,9 @@ def _surface(nk: int, nl: int) -> tuple[int, str]:
 
 def _prediction(mn: int) -> tuple[int, str]:
     """radarsim.predicted_image: the complex output, a gathered copy of the
-    self-ambiguity and their product, and 8 rows of index and phase temporaries."""
-    return 48 * mn * (mn + 8), f"a {mn} x {mn} predicted image"
+    self-ambiguity and their product, and 16 rows of index and phase temporaries:
+    tracemalloc shows 8, and the other 8 leave room for a numpy that holds more."""
+    return 48 * mn * (mn + 16), f"a {mn} x {mn} predicted image"
 
 
 @dataclass(frozen=True)
@@ -293,7 +298,7 @@ def cross_ambiguity_fft(x: PeriodicSequence, y: PeriodicSequence) -> AmbiguitySu
     """Full-grid surface, one length-MN FFT per lag-product row: A[k, :] = FFT_m(S[k, m])."""
     same_modulus(x, y)
     mn = x.mod.MN
-    check_budget(_fft_rows(mn))
+    check_budget(_lag_rows(mn, mn, mn))
     rows = _lag_product_rows(x.samples, y.samples, mn, mn, lambda s: np.fft.fft(s, axis=1))
     return AmbiguitySurface(x.mod, "full", rows)
 

@@ -28,6 +28,7 @@ from .ambiguity import (
     _direct_sums,
     _grid_shape,
     _mn_arrays,
+    _readout,
     _streamed_pgm,
     check_budget,
     coded_waveform,
@@ -234,7 +235,9 @@ def cmd_ambiguity(args, parser) -> int:
             parser.error("zc-coded waveforms can only be paired with zc-coded waveforms")
         if args.engine == "fast":
             raise EngineUnsupported("fast engine does not apply to zc-coded waveforms")
-        period = max(x.period, y.period)  # unequal periods are refused by cross_ambiguity_array
+        # the larger period is checked, as each spec's own check at parse did before;
+        # unequal periods within the budget are refused by cross_ambiguity_array
+        period = max(x.period, y.period)
         shape = (period, period)
     else:
         period, shape = mod.MN, _grid_shape(mod, args.grid)
@@ -266,7 +269,8 @@ def cmd_simulate(args, parser) -> int:
     region = _parse_region(args.region)
     # before the first O(MN) array; every refusal comes before --out exists, and the
     # image is formed only as it is written
-    check_budget(_mn_arrays(mod), _streamed_pgm(mod.MN, mod.MN), _csv_block((mod.MN, mod.MN)))
+    check_budget(_mn_arrays(mod), _readout(region.width_k * region.width_l, mod.MN),
+                 _streamed_pgm(mod.MN, mod.MN), _csv_block((mod.MN, mod.MN)))
 
     if args.waveform == "eigen":
         if not 0 <= args.eigen_index < mod.MN:

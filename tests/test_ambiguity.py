@@ -113,8 +113,8 @@ class TestLagProductKernel:
     def test_budget_refuses_before_allocating(self, monkeypatch):
         xa = coded_waveform(zc_sequence(1, 15), np.ones(4))  # L = 60
         # table 32 * 60 * 60 bytes, output 16 * 60 * 60, a 60-row block of lag products and
-        # its reduction 16 * 60 * 120, and 8 rows of period-60 temporaries: one byte over is refused
-        need = 32 * 60 * 60 + 16 * (60 * 60 + 60 * 120 + 8 * 60)
+        # its reduction 16 * 60 * 120, and 16 rows of period-60 temporaries: one byte over is refused
+        need = 32 * 60 * 60 + 16 * (60 * 60 + 60 * 120 + 16 * 60)
         monkeypatch.setattr(ambiguity, "MEMORY_BUDGET_BYTES", need - 1)
         with pytest.raises(OverBudget):
             cross_ambiguity_array(xa, xa)
@@ -125,9 +125,9 @@ class TestLagProductKernel:
 @pytest.mark.parametrize(
     "route, need",
     [
-        ("fft", 16 * 15 * (15 + 2 * 15 + 8)),  # output, one block of all 15 rows and its FFT, 8 rows of temporaries
+        ("fft", 16 * 15 * (15 + 2 * 15 + 16)),  # output, one block of all 15 rows and its FFT, 16 rows of temporaries
         ("fast", 16 * 15 * 15 + 128 * 15 * 15),  # output plus one engine block, all 15 rows
-        ("predicted", 48 * 15 * (15 + 8)),  # output, one gathered surface, their product, 8 rows of temporaries
+        ("predicted", 48 * 15 * (15 + 16)),  # output, one gathered surface, their product, 16 rows of temporaries
     ],
 )
 def test_every_full_grid_route_checks_the_budget(mod15, monkeypatch, route, need):

@@ -36,7 +36,7 @@ from ddradar.subgroups import pulsone
 from ddradar.symplectic import SL2Element, remap_for
 
 MOD = ["--M", "3", "--N", "5"]
-SELF_AMBIGUITY_NEED = 208 * 15 + (16384 + (2 + 8) * 15 + 15 * (2 * 61 + 2 * (8 + 65))) + 1 * 15 * 15 + (128 + 16) * 15 * 15
+SELF_AMBIGUITY_NEED = 144 * 15 + (16384 + (2 + 8) * 15 + 15 * (2 * 61 + 2 * (8 + 65))) + 1 * 15 * 15 + (128 + 16) * 15 * 15
 # MN = 2,147,483,643, just under the cap: 32 GiB of samples, refused before the first O(MN) array
 BIG_MOD = ["--M", "3", "--N", "715827881", "--allow-composite"]
 BIG_SCENE = {"M": 3, "N": 715827881, "taps": [{"k": 0, "l": 0, "re": 1.0, "im": 0.0}]}
@@ -67,7 +67,7 @@ def _sim(*flags, scene="scene.json"):
         (["ambiguity", *MOD, "--x", "zc:abc", "--y", "pulsone:0,0"], 2, None),
         (["ambiguity", *MOD, "--x", "zc-coded:1,2", "--y", "pulsone:0,0"], 2, None),
         (_sim("--line", "3,5", "--region", "0:0,0:0", "--waveform", "zc-coded:1,2"), 2, None),
-        # the self-ambiguity needs 56,299 bytes at (3, 5): 208 bytes per MN; waveform.csv's
+        # the self-ambiguity needs 55,339 bytes at (3, 5): 144 bytes per MN; waveform.csv's
         # 16 KiB, 15 index texts of 2 bytes and their int64 indices, and 15 lines of 61
         # bytes, twice, with 2 floats and their workspace each; and its streamed PGM's
         # 1 byte per pixel and one block of all 15 rows at 128 bytes a point for the

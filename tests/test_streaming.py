@@ -323,9 +323,11 @@ def _peak_and_need(monkeypatch, tmp_path, argv):
 
 @pytest.mark.parametrize("M, N", [(127, 131), (251, 257)])
 def test_mn_bytes_cover_a_command(tmp_path, monkeypatch, M, N):
-    """Every command's need covers its peak, waveform.csv's block included; with the
-    writers stubbed, the peak is the command's O(MN) arrays, at most _MN_BYTES per MN
-    and, for the heaviest, a strip readout on a labelled line, over half of it."""
+    """Every command's need covers its peak, waveform.csv's block included, and the
+    fundamental-grid fast ambiguity, the heavier, needs less than twice its peak.
+    With the writers stubbed and a one-point readout region, the peak is the
+    command's O(MN) arrays, at most _MN_BYTES per MN and, for the heaviest, over
+    half of it; a strip of MN points adds at most its readout term."""
     mod = ["--M", M, "--N", N]
     scene = tmp_path / "scene.json"
     scene.write_text(json.dumps({"M": M, "N": N, "taps": [{"k": 3, "l": 5, "re": 0.5, "im": 0.2}]}))
@@ -337,14 +339,20 @@ def test_mn_bytes_cover_a_command(tmp_path, monkeypatch, M, N):
     for i, argv in enumerate(commands):
         peak, need = _peak_and_need(monkeypatch, tmp_path / str(i), argv)
         assert peak <= need, argv
-    strip = ["simulate", "--scene", scene, "--line", f"{M},1", "--region", f"0:{M * N - 1},0:0",
-             "--waveform", "gdaft(2,3,1,2):chirp:2,1,3", "--snr-db", 20]
+    assert need < 2 * peak
+
+    def simulate(region):
+        return ["simulate", "--scene", scene, "--line", f"{M},1", "--region", region,
+                "--waveform", "gdaft(2,3,1,2):chirp:2,1,3", "--snr-db", 20]
+
     monkeypatch.setattr(ambiguity, "MEMORY_BUDGET_BYTES", 2**40)  # its full-grid image is never written
     monkeypatch.setattr(cli, "sequence_to_csv", lambda *args: None)
     monkeypatch.setattr(cli, "write_surface", lambda *args, **kwargs: None)
     peaks = [_peak_and_need(monkeypatch, tmp_path / f"stub{i}", argv)[0]
-             for i, argv in enumerate(commands + [strip])]
+             for i, argv in enumerate(commands + [simulate("0:0,0:0")])]
     assert max(peaks) <= ambiguity._MN_BYTES * M * N < 2 * max(peaks)
+    strip = _peak_and_need(monkeypatch, tmp_path / "strip", simulate(f"0:{M * N - 1},0:0"))[0]
+    assert strip <= _need(ambiguity._mn_arrays(Modulus(M, N)), ambiguity._readout(M * N, M * N)) < 2 * strip
 
 
 @pytest.mark.parametrize(
@@ -370,7 +378,7 @@ def test_each_term_covers_its_route(tmp_path, route, M, N):
         "direct": (lambda: cross_ambiguity_naive(x, y, grid="fundamental", warn_nonunit=False),
                    ambiguity._direct_sums(mn, M, N)),
         "direct-array": (lambda: cross_ambiguity_array(coded, coded), ambiguity._direct_sums(mn, mn, mn)),
-        "fft": (lambda: cross_ambiguity_fft(x, y), ambiguity._fft_rows(mn)),
+        "fft": (lambda: cross_ambiguity_fft(x, y), ambiguity._lag_rows(mn, mn, mn)),
         "surface": (lambda: fresh.pop().surface, ambiguity._surface(mn, mn)),
         "prediction": (lambda: predicted_image(env, surface), ambiguity._prediction(mn)),
         "pgm-full": pgm,
@@ -379,6 +387,27 @@ def test_each_term_covers_its_route(tmp_path, route, M, N):
     call, (need, _) = routes[route]
     peak = _traced_peak(call)
     assert peak <= need < 2 * peak
+
+
+@pytest.mark.parametrize("M, N", [(23, 29), (31, 37)])
+def test_readout_term_covers_its_region(M, N):
+    """readout_targets' peak on a region of MN points is at most the readout term, and
+    over half of it on a two-label line, the heaviest query; lines with fewer labels
+    hold less.  (Its crystallization check, about 42 bytes per MN, is counted among
+    the O(MN) arrays, whatever the region.)"""
+    mod = Modulus(M, N)
+    mn = mod.MN
+    y = PeriodicSequence(mod, np.random.default_rng(M).standard_normal(mn) + 0j)
+    for (c, d), region, heaviest in [((M, 1), DDRegion(0, mn - 1, 0, 0), True),
+                                     ((1, 0), DDRegion(0, 0, 0, mn - 1), False),
+                                     ((M, N), DDRegion(0, M - 1, 0, N - 1), False)]:
+        line = LineSubgroup(mod, c, d)
+        base, labels = pulsone_chain(line, 5)
+        engine = FastEngine(y, *base, transform=labels, grid="full")
+        peak = _traced_peak(lambda: readout_targets(engine, line, region))
+        need = ambiguity._readout(region.width_k * region.width_l, mn)[0]
+        assert peak <= need, (c, d)
+        assert need < 2 * peak or not heaviest
 
 
 @pytest.mark.parametrize("kind", [["pulsone", "--k0", 1], ["gdaft-of", "pulsone", "--sl2", "1,1,0,1"]],
@@ -395,13 +424,14 @@ def test_refused_simulate_leaves_no_output(tmp_path, monkeypatch, capsys, refusa
     mod = Modulus(3, 5)
     scene = tmp_path / "scene.json"
     _scene(scene, mod, DDRegion(0, 2, 0, 4), 3)
-    # 208 bytes per MN for the O(MN) arrays, and the streamed image: 1 byte per pixel
-    # plus one block of the 15 x 15 grid, whose 225 points cost the engine 128 bytes
-    # each, their magnitudes and rounding 16, and the CSV writer 16 KiB, 15-entry index
-    # texts of 3 and 2 bytes with their int64 indices, and 405 bytes a line (two copies
-    # of a 93-byte line: "14," and "14" slots, three 29-byte fields and a newline; 3
-    # floats and their workspace)
-    need = (208 * 15 + 1 * 15 * 15 + (128 + 16) * 15 * 15 + 16384 + (3 + 8 + 2 + 8) * 15
+    # 144 bytes per MN for the O(MN) arrays, 136 per point of the 15-point readout
+    # region, and the streamed image: 1 byte per pixel plus one block of the 15 x 15
+    # grid, whose 225 points cost the engine 128 bytes each, their magnitudes and
+    # rounding 16, and the CSV writer 16 KiB, 15-entry index texts of 3 and 2 bytes
+    # with their int64 indices, and 405 bytes a line (two copies of a 93-byte line:
+    # "14," and "14" slots, three 29-byte fields and a newline; 3 floats and their
+    # workspace)
+    need = (144 * 15 + 136 * 15 + 1 * 15 * 15 + (128 + 16) * 15 * 15 + 16384 + (3 + 8 + 2 + 8) * 15
             + 15 * 15 * (2 * 93 + 3 * (8 + 65)))
     argv = ["simulate", "--scene", scene, "--line", "3,5", "--region", "0:2,0:4"]
     if refusal == "not-crystallized":
