@@ -10,9 +10,11 @@ size (M,N) (by default (3,5), (11,13) and (23,29)):
 
 * every waveform kind, with --self-ambiguity in linear and dB scale;
 * ambiguity with the naive and the fast engine on both grids, for every
-  base and transform prefix (the naive full grid only below (23,29));
+  base and transform prefix (the naive full grid only below (23,29)), and
+  the fast engine in dB scale on both grids;
 * simulate on the rectangular, a transported, a coprime-slope and the
-  (1,4) line, noiseless and noisy;
+  (1,4) line, noiseless and noisy, and in dB scale at floors -120 and -300
+  on the noisy rectangular and the transported line;
 * the known refusals: usage errors, aliasing regions, bad scenes, seeds,
   SNRs and thresholds, and gains whose return or energy overflows.
 
@@ -85,6 +87,8 @@ def commands(M: int, N: int) -> list:
     out.append(["ambiguity", *mod, "--x", "zc-coded:1,2", "--y", "zc-coded:2,2"])
     out.append(["ambiguity", *mod, "--x", "pulsone:0,0", "--y", "zc:1", "--engine", "fast",
                 "--grid", "full", "--scale", "db"])
+    out.append(["ambiguity", *mod, "--x", "zc:1", "--y", "gdaft(2,3,1,2):chirp:2,1,3", "--engine", "fast",
+                "--grid", "fundamental", "--scale", "db"])
     lines = {
         "rectangular": (f"{M},{N}", f"0:{M - 1},0:{N - 1}"),
         "transported": (f"{M},1", "0:0,0:0"),
@@ -96,6 +100,12 @@ def commands(M: int, N: int) -> list:
         out.append(sim)
         out.append(sim + ["--snr-db", "20", "--seed", "7"])
         out.append(sim + ["--waveform", "chirp:2,1", "--threshold", "0.25"])
+    for floor in ("-120", "-300"):  # the dB image of a noisy rectangular and of a transported line
+        rectangular, transported = lines["rectangular"], lines["transported"]
+        out.append(["simulate", "--scene", "scene.json", "--line", rectangular[0], "--region", rectangular[1],
+                    "--snr-db", "20", "--seed", "7", "--scale", "db", "--floor", floor])
+        out.append(["simulate", "--scene", "scene.json", "--line", transported[0], "--region", transported[1],
+                    "--scale", "db", "--floor", floor])
     sim = ["simulate", "--scene", "scene.json", "--line", f"{M},{N}"]
     refusals = [
         sim + ["--region", "0:0"],  # usage

@@ -39,9 +39,11 @@ from __future__ import annotations
 
 import functools
 import math
+import shutil
 import warnings
 from dataclasses import dataclass
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -66,6 +68,7 @@ __all__ = [
     "MEMORY_BUDGET_BYTES",
     "UNIMODULAR_THRESHOLD",
     "check_budget",
+    "check_disk",
     "coded_waveform",
     "cross_ambiguity_array",
     "cross_ambiguity_fft",
@@ -126,6 +129,30 @@ def check_budget(*terms: tuple[int, str]) -> None:
     _check_budget(sum(need for need, _ in terms), ", ".join(what for _, what in terms))
 
 
+def check_disk(out, csv: tuple, pgm: tuple | None) -> None:
+    """Refuse with OverBudget when a command's files, their _written term, need more
+    bytes than are free on the disk of `out`, read at its nearest existing ancestor.
+    Commands call it once, after check_budget and before --out exists."""
+    need, what = _written(csv, pgm)
+    path = Path(out).absolute()
+    while not path.exists():
+        path = path.parent
+    free = shutil.disk_usage(path).free
+    if need > free:
+        raise OverBudget(f"{what} would take {need:,} bytes on disk, with {free:,} bytes free")
+
+
+def _written(csv: tuple, pgm: tuple | None) -> tuple[int, str]:
+    """The bytes a command writes, at most: its one CSV, of an array of shape `csv`,
+    every line at ddcore._csv_layout's width (a written line drops the layout's
+    NULs), the PGM of a `pgm` grid if it writes one, 1 byte a point, and 64 bytes
+    for each file's header.  papr.txt and targets.json are not counted."""
+    need, what = 64 + math.prod(csv) * _csv_layout(csv)[-1], f"a CSV of {' x '.join(map(str, csv))} values"
+    if pgm is not None:
+        need, what = need + 64 + math.prod(pgm), f"{what} and a {pgm[0]} x {pgm[1]} PGM"
+    return need, what
+
+
 def _mn_arrays(mod: Modulus) -> tuple[int, str]:
     """A command's O(MN) arrays."""
     return _MN_BYTES * mod.MN, f"O(MN) arrays over MN = {mod.MN}"
@@ -139,10 +166,9 @@ def _readout(points: int, mn: int) -> tuple[int, str]:
 
 
 def _streamed_pgm(nk: int, nl: int) -> tuple[int, str]:
-    """write_surface's PGM of an nk x nl surface: 1 byte a point, and one engine
-    block with the float64 magnitudes its pixels are formed from and their
-    rounding, 16 bytes a point."""
-    return nk * nl + (_ENGINE_POINT_BYTES + 16) * _block_rows(nk, nl) * nl, f"a streamed {nk} x {nl} PGM"
+    """write_surface's PGM of an nk x nl surface, one block of it: the engine block,
+    and its float64 magnitudes and uint8 pixels, 9 bytes a point, within 16."""
+    return (_ENGINE_POINT_BYTES + 16) * _block_rows(nk, nl) * nl, f"a streamed {nk} x {nl} PGM"
 
 
 def _csv_block(shape: tuple) -> tuple[int, str]:
@@ -178,9 +204,10 @@ def _surface(nk: int, nl: int) -> tuple[int, str]:
 
 def _prediction(mn: int) -> tuple[int, str]:
     """radarsim.predicted_image: the complex output, a gathered copy of the
-    self-ambiguity and their product, and 16 rows of index and phase temporaries:
-    tracemalloc shows 8, and the other 8 leave room for a numpy that holds more."""
-    return 48 * mn * (mn + 16), f"a {mn} x {mn} predicted image"
+    self-ambiguity that each tap's product overwrites, and 16 rows of index and
+    phase temporaries: tracemalloc shows 8, and the other 8 leave room for a numpy
+    that holds more."""
+    return 32 * mn * (mn + 16), f"a {mn} x {mn} predicted image"
 
 
 @dataclass(frozen=True)
@@ -398,9 +425,20 @@ class FastEngine:
     (K, L), whatever the `grid`; blocks() walks the `grid` in the row blocks
     that ddcore.complex_to_csv formats in one pass each, ddcore._block_rows
     of them, and `surface` holds the whole grid.  With x a radar return,
-    the engine is its image (radarsim.form_image).  An x near the float64
-    limit, whose surface is not finite or overflows the PGM's linear scale
-    255*|A|, is refused with ConfigurationError.
+    the engine is its image (radarsim.form_image).
+
+    Every value is thus fl(t * p), for its table entry t and a roots-table
+    phase p, and peak() finds the largest |A| before the first block from the
+    entries within rounding of the largest.  With u = 2**-53, |p| is within 2u
+    of 1 (cos and sin within an ulp each), the complex product within
+    sqrt(5) u of t * p (Brent, Percival & Zimmermann 2007) and np.abs within
+    2u, so a computed |A| is |t| (1 + d) with |d| < 7u, and a computed |t| is
+    within 2u of |t|.  An entry whose computed |t| has |t| (1 + 16u) <
+    max|t| (1 - 16u) therefore gives only values below every value of the
+    largest entry; 2**-1060 more covers the absolute error of products that
+    underflow.  An x near the float64 limit, whose surface is not finite or
+    overflows the PGM's linear scale 255*|A|, is refused with
+    ConfigurationError.
     """
 
     def __init__(
@@ -433,10 +471,8 @@ class FastEngine:
                 qkl += 2 * (kk * a * b + ll * c * d) + kl * (a * d + b * c)
             self._pre = fast_pulsone_precompute(x, k0, l0, period)
             # every value of A is a table entry times a unit phase
-            largest = float(np.abs(self._pre.rowfft).max())
-            if not np.isfinite(255.0 * largest):
+            if not np.isfinite(255.0 * np.abs(self._pre.rowfft).max()):
                 raise ConfigurationError("the surface is not finite, or too large for its 8-bit PGM scale")
-        self.bound = largest * (1.0 + 8 * 2.0**-52)
         self._G = G
         # the added phase index is 2*(inv2*Q mod MN)
         self._q = tuple(mod.inv2 * q % mn for q in (qkk, qll, qkl, -2 * gamma))
@@ -497,6 +533,34 @@ class FastEngine:
             stop = min(start + step, nk)
             rows = buf[: stop - start] if out is None else out[start:stop]
             yield self._query(self._terms(np.arange(start, stop, dtype=np.int64)[:, None], 0), cols, rows)
+
+    def peak(self) -> float:
+        """The largest np.abs(A) on the grid, equal bit for bit to the largest over blocks().
+
+        Only the table entries the class docstring cannot rule out are read:
+        the entry [row, col] holds the values at G^-1(k, l) for k = row - k0
+        (mod P) and l = col - l0 (mod R), its MN preimages, all on the full
+        grid.  There the candidates' preimages are queried, a block's rows of
+        candidates at a time.  When they are at least as many points as the
+        grid has, as always on the fundamental grid (whose points may miss every
+        preimage of the largest entry) and on a flat table, one pass of
+        blocks() is made instead.
+        """
+        pre = self._pre
+        period, length = pre.rowfft.shape
+        nk, nl = self.shape
+        mags = np.abs(pre.rowfft)  # u = 2**-53, so 16u = 2**-49
+        rows, cols = np.nonzero(mags * (1.0 + 2.0**-49) + 2.0**-1060 >= mags.max() * (1.0 - 2.0**-49))
+        if rows.size * self.mod.MN >= nk * nl:
+            return max(float(np.abs(block).max()) for block in self.blocks())
+        H = self._G.inverse()
+        step = _block_rows(nk, nl)
+        top = 0.0
+        for i in range(0, rows.size, step):  # (candidate, k, l): R values of k and P of l each
+            k = ((rows[i : i + step] - pre.k0) % period)[:, None, None] + period * np.arange(length)[:, None]
+            l = ((cols[i : i + step] - pre.l0) % length)[:, None, None] + length * np.arange(period)
+            top = max(top, float(np.abs(self.points(H.a * k + H.b * l, H.c * k + H.d * l)).max()))
+        return top
 
     @functools.cached_property
     def surface(self) -> AmbiguitySurface:
@@ -593,11 +657,9 @@ def surface_from_csv(path, mod: Modulus, grid: str) -> AmbiguitySurface:
     return AmbiguitySurface(mod, grid, complex_from_csv(path, _grid_shape(mod, grid)))
 
 
-def _pixels(mags: np.ndarray, peak: float, rounded: np.ndarray, out: np.ndarray,
-            scale: str, floor: float) -> None:
-    """The PGM pixels of the magnitudes `mags` against `peak` (at least every one of
-    them), into the float64 array `rounded` and the uint8 array `out`; `mags` is
-    left holding their pre-round values."""
+def _pixels(mags: np.ndarray, peak: float, out: np.ndarray, scale: str, floor: float) -> None:
+    """The PGM pixels of the magnitudes `mags` against the surface's `peak`, into the
+    uint8 array `out`; `mags` is overwritten."""
     if peak == 0.0:
         mags.fill(0.0)
     elif scale == "linear":  # round(255 * mags / peak)
@@ -613,121 +675,51 @@ def _pixels(mags: np.ndarray, peak: float, rounded: np.ndarray, out: np.ndarray,
         mags -= floor
         mags *= 255.0
         mags /= -floor
-    np.rint(mags, out=rounded)  # np.round's half-to-even
-    np.copyto(out, rounded, casting="unsafe")
-
-
-def _margins(peak: float, bound: float, scale: str, floor: float) -> tuple[float, float] | None:
-    """How far a pre-round value w formed against `peak` can move for any peak in
-    [peak, bound]: (drop, rise), down and up; None when peak > bound.
-
-    As the peak p grows, w can only fall, or rise by rounding alone.  With u = 2**-53:
-    - linear: w = fl(fl(255 |A|) / p) is a correctly rounded, so monotone, function
-      of p, so rise = 0, and w at p is at least w (peak / bound) (1 - 2u): drop is
-      255 (1 - peak / bound (1 - 8u)), plus 2**-40 for the rounding of that sum.
-    - dB: the exact value falls by at most s 20 log10(bound / peak), s = 255 / -floor;
-      each computed value is within (1530 + 4.4 s) 2**-52 of its exact value (log10
-      within 4 ulps, the division into it, and five more roundings), so a margin of
-      (s + 255) 2**-46, over twice that, is added to drop and is the rise: the test
-      does not rest on log10 being monotone.
-    """
-    if peak > bound:
-        return None
-    if scale == "linear":
-        return 255.0 * (1.0 - peak / bound * (1.0 - 2.0**-50)) + 2.0**-40, 0.0
-    s = 255.0 / -floor
-    rise = (s + 255.0) * 2.0**-46
-    return 20.0 * s * math.log10(bound / peak) * (1.0 + 2.0**-40) + rise, rise
-
-
-def _settled(pre: np.ndarray, rounded: np.ndarray, margins: tuple[float, float] | None) -> bool:
-    """Whether the pixels `rounded` of a block, formed from the pre-round values `pre`,
-    hold for every peak _margins allows; `pre` is left holding each pre-round value
-    minus its pixel, g, exactly (|g| <= 1/2, Sterbenz).
-
-    A pixel holds unless g <= drop - 1/2 (and the pixel is not 0, the least any peak
-    gives) or g >= 1/2 - rise (and it is not 255, the most).  Ties count as moving;
-    the min and max of g decide first, so a block costs two or three passes.
-    """
-    if margins is None:
-        return False
-    drop, rise = margins
-    np.subtract(pre, rounded, out=pre)
-    if pre.min() <= drop - 0.5 and np.any((pre <= drop - 0.5) & (rounded != 0)):
-        return False
-    return not (rise and pre.max() >= 0.5 - rise and np.any((pre >= 0.5 - rise) & (rounded != 255)))
+    np.rint(mags, out=mags)  # np.round's half-to-even
+    np.copyto(out, mags, casting="unsafe")
 
 
 def write_surface(surface, csv_path, pgm_path, scale: str = "linear", floor: float = -120.0) -> None:
     """Write a surface, a FastEngine or a 2-D array, to CSV and PGM in one pass of row blocks.
 
-    Each block (FastEngine.blocks, or views of the array of as many rows) is
-    formatted into the CSV as it arrives (no CSV when `csv_path` is None), and
-    its PGM pixels are formed at once, into one uint8 array of the surface:
-    rows are delay k, columns Doppler l.  linear: 0..255 spans 0..max|A|.  db:
-    0..255 spans floor..0 dB relative to the surface peak, clamping below the
-    floor; the floor must be a finite negative number.  The peak is known only
-    after the last block, so a block's pixels are formed against the running
-    peak R, the largest |A| so far, and are final once no peak in [R, U] could
-    move one of them (_margins, _settled), U an upper bound on every |A|: the
-    engine's `bound`, or an array's exact peak, measured in a first pass of
-    row blocks.  After the last block the peak P is known; each block with
-    R < P that was not final, or every one of them if P > U, is formed again
-    (FastEngine.points gives its rows bit for bit; an array is sliced) and its
-    pixels formed against P.  The files are byte for byte surface_to_csv and
-    the PGM of the whole surface; beyond the pixels no array of the surface's
-    size is held, and no complex one beyond the block being written.  Commands
-    check the model's terms with check_budget first.
+    The peak comes first: FastEngine.peak(), or an array's largest |A| from a
+    first pass of its row blocks (an engine's grid of one block is formed
+    once, and measured like an array's).  The PGM header follows, and then
+    each block (FastEngine.blocks, or views of the array of as many rows) is
+    formatted into the CSV as it arrives (no CSV when `csv_path` is None)
+    while its pixels, final against the known peak, go to the PGM: rows are
+    delay k, columns Doppler l.  linear: 0..255 spans 0..max|A|.  db: 0..255
+    spans floor..0 dB relative to the surface peak, clamping below the floor;
+    the floor must be a finite negative number.  The files are byte for byte
+    surface_to_csv and the PGM of the whole surface; no array of the surface's
+    size is held, and no complex one beyond the block being written
+    (_streamed_pgm).  Commands check the model's terms with check_budget first.
     """
     _check_scale(scale, floor)
     nk, nl = shape = surface.shape
     step = _block_rows(nk, nl)
-    starts = range(0, nk, step)
-    mags, rounded = np.empty((step, nl)), np.empty((step, nl))
-    pixels = np.empty(shape, dtype=np.uint8)
-    if isinstance(surface, FastEngine):
-        bound, blocks = surface.bound, surface.blocks()
-        cols = np.arange(nl)[None, :]
+    mags, pixels = np.empty((step, nl)), np.empty((step, nl), dtype=np.uint8)
+    engine = isinstance(surface, FastEngine)
+    if engine and step < nk:
+        peak, blocks = surface.peak(), surface.blocks()
+    else:  # an array's row blocks, or the one block of an engine's grid, formed once
+        blocks = [next(surface.blocks())] if engine else [surface[s : s + step] for s in range(0, nk, step)]
+        peak = max(float(np.abs(block, out=mags[: len(block)]).max()) for block in blocks)
+    with open(pgm_path, "wb") as pgm:
+        pgm.write(f"P5\n{nl} {nk}\n255\n".encode("ascii"))
 
-        def rows(start, stop):
-            return surface.points(np.arange(start, stop)[:, None], cols)
-    else:
-        def rows(start, stop):
-            return surface[start:stop]
+        def written():
+            for block in blocks:
+                n = block.shape[0]
+                _pixels(np.abs(block, out=mags[:n]), peak, pixels[:n], scale, floor)
+                pgm.write(pixels[:n])
+                yield block
 
-        bound = 0.0
-        for start in starts:
-            block = rows(start, start + step)
-            bound = max(bound, float(np.abs(block, out=mags[: block.shape[0]]).max()))
-        blocks = (rows(s, s + step) for s in starts)
-    peak, margins = 0.0, (0.0, 0.0)  # while every |A| so far is 0, so is every pixel, at any peak
-    formed = []  # (start, stop, running peak, final) of each block
-
-    def measured():
-        nonlocal peak, margins
-        for start, block in zip(starts, blocks):
-            n = block.shape[0]
-            block_mags = np.abs(block, out=mags[:n])
-            top = float(block_mags.max())
-            if top > peak:
-                peak, margins = top, _margins(top, bound, scale, floor)
-            _pixels(block_mags, peak, rounded[:n], pixels[start : start + n], scale, floor)
-            formed.append((start, start + n, peak, _settled(block_mags, rounded[:n], margins)))
-            yield block
-
-    if csv_path is None:
-        for _ in measured():
-            pass
-    else:
-        surface_to_csv(measured(), csv_path, shape)
-    for start, stop, running, final in formed:
-        if running < peak and not (final and peak <= bound):
-            n = stop - start
-            block_mags = np.abs(rows(start, stop), out=mags[:n])
-            _pixels(block_mags, peak, rounded[:n], pixels[start:stop], scale, floor)
-    with open(pgm_path, "wb") as fh:
-        fh.write(f"P5\n{nl} {nk}\n255\n".encode("ascii"))
-        fh.write(pixels)
+        if csv_path is None:
+            for _ in written():
+                pass
+        else:
+            surface_to_csv(written(), csv_path, shape)
 
 
 def _check_scale(scale: str, floor: float) -> None:

@@ -1,13 +1,14 @@
 """Command-line front end: waveforms, ambiguity surfaces, scene simulation.
 
 Exit codes: 0 success, 2 usage error, 3 refused precondition (aliasing
-readout, fast engine on zc-coded waveforms, over the memory budget), 4 numeric
-validation failure (composite modulus, non-coprime parameters).  All file
-outputs land under --out with fixed names; waveform, ambiguity and simulate
-create --out only once every refusal check has passed, and every command that
-writes a surface from the fast engine (waveform's self-ambiguity, simulate's
-image, ambiguity --engine fast) forms it block by block as it writes it.  Every
-command is deterministic for a fixed --seed.
+readout, fast engine on zc-coded waveforms, over the memory budget or the free
+disk), 4 numeric validation failure (composite modulus, non-coprime
+parameters, zc-coded periods that differ).  All file outputs land under
+--out with fixed names; waveform, ambiguity and simulate create --out only
+once every refusal check has passed, and every command that writes a surface
+from the fast engine (waveform's self-ambiguity, simulate's image, ambiguity
+--engine fast) forms it block by block as it writes it.  Every command is
+deterministic for a fixed --seed.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .ambiguity import (
     _readout,
     _streamed_pgm,
     check_budget,
+    check_disk,
     coded_waveform,
     cross_ambiguity_array,
     cross_ambiguity_naive,
@@ -38,7 +40,7 @@ from .ambiguity import (
     zc_sequence,
 )
 from .ddcore import PeriodicSequence, sequence_to_csv
-from .errors import BNotCoprime, EngineUnsupported, NotCoprime, PreconditionError, ValidationError
+from .errors import BNotCoprime, ConfigurationError, EngineUnsupported, NotCoprime, PreconditionError, ValidationError
 from .modmath import Modulus
 from .radarsim import _write_json, add_noise, apply_channel, readout_targets, scene_from_json
 from .subgroups import DDRegion, LineSubgroup, chirp, eigenvector, pulsone, pulsone_chain
@@ -168,7 +170,9 @@ def parse_waveform_spec(text: str, mod: Modulus) -> WaveformSpec:
     return WaveformSpec(text, lambda: chain_apply(labels, base()), fast)
 
 
-def _out_dir(args) -> Path:
+def _out_dir(args, csv: tuple, pgm: tuple | None) -> Path:
+    """--out, made once the command's CSV of shape `csv` and its `pgm` PGM fit on its disk."""
+    check_disk(args.out, csv, pgm)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -201,16 +205,18 @@ def cmd_waveform(args, parser) -> int:
         base = f"chirp:{args.alpha},{args.beta},{args.gamma}"
     else:
         base = f"zc:{args.root}"
-    # waveform.csv, then the self-ambiguity streamed into its PGM
-    pgm = [_streamed_pgm(mod.MN, mod.MN)] if args.self_ambiguity else []
-    check_budget(_mn_arrays(mod), _csv_block((mod.MN,)), *pgm)
+    # waveform.csv, then the self-ambiguity streamed into its PGM: the first is closed
+    # before the second starts, so only the larger counts
+    full = (mod.MN, mod.MN) if args.self_ambiguity else None
+    writer = max(_csv_block((mod.MN,)), _streamed_pgm(*full)) if full else _csv_block((mod.MN,))
+    check_budget(_mn_arrays(mod), writer)
     spec = parse_waveform_spec(prefix + base, mod)
     line = f"papr_db={papr_db(spec.seq):.12g}"
     engine = None
     if args.self_ambiguity:
         engine = FastEngine(spec.seq, *spec.fast[0], transform=spec.fast[1], grid="full")
 
-    out = _out_dir(args)
+    out = _out_dir(args, (mod.MN,), full)
     sequence_to_csv(spec.seq, out / "waveform.csv")
     print(line)
     (out / "papr.txt").write_text(line + "\n", encoding="ascii")
@@ -235,10 +241,9 @@ def cmd_ambiguity(args, parser) -> int:
             parser.error("zc-coded waveforms can only be paired with zc-coded waveforms")
         if args.engine == "fast":
             raise EngineUnsupported("fast engine does not apply to zc-coded waveforms")
-        # the larger period is checked, as each spec's own check at parse did before;
-        # unequal periods within the budget are refused by cross_ambiguity_array
-        period = max(x.period, y.period)
-        shape = (period, period)
+        if x.period != y.period:
+            raise ConfigurationError(f"zc-coded periods differ: {x.period} and {y.period}")
+        period, shape = x.period, (x.period, x.period)
     else:
         period, shape = mod.MN, _grid_shape(mod, args.grid)
     sums = [] if args.engine == "fast" else [_direct_sums(period, *shape)]
@@ -251,7 +256,7 @@ def cmd_ambiguity(args, parser) -> int:
     else:
         surface = cross_ambiguity_naive(x.seq, y.seq, grid=args.grid).values
 
-    out = _out_dir(args)
+    out = _out_dir(args, shape, shape)
     write_surface(surface, out / "ambiguity.csv", out / "ambiguity.pgm", scale=args.scale, floor=args.floor)
     print(f"ambiguity surface {shape[0]}x{shape[1]} written to {out}")
     return 0
@@ -288,7 +293,7 @@ def cmd_simulate(args, parser) -> int:
     engine = FastEngine(y, *base, transform=labels, grid="full")
     targets = readout_targets(engine, line, region, threshold=args.threshold)
 
-    out = _out_dir(args)
+    out = _out_dir(args, (mod.MN, mod.MN), (mod.MN, mod.MN))
     write_surface(engine, out / "image.csv", out / "image.pgm", scale=args.scale, floor=args.floor)
     doc = {
         "M": mod.M,

@@ -166,7 +166,11 @@ def predicted_image(env: ScatteringEnvironment, a_x: AmbiguitySurface) -> Ambigu
         rows = (idx - k_t) % mn
         cols = (idx - l_t) % mn
         phases = phases_to_complex(2 * (l_t * rows % mn), env.mod)
-        out += h * phases[:, None] * a_x.values[np.ix_(rows, cols)]
+        # each tap's product overwrites its gathered copy, h * phases first as in
+        # h * phases * copy: under FMA a complex product is not bitwise commutative
+        gathered = a_x.values[np.ix_(rows, cols)]
+        out += np.multiply((h * phases)[:, None], gathered, out=gathered)
+        del gathered  # before the next tap's gather: two MN x MN arrays at a time
     return AmbiguitySurface(env.mod, "full", out)
 
 

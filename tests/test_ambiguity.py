@@ -127,7 +127,7 @@ class TestLagProductKernel:
     [
         ("fft", 16 * 15 * (15 + 2 * 15 + 16)),  # output, one block of all 15 rows and its FFT, 16 rows of temporaries
         ("fast", 16 * 15 * 15 + 128 * 15 * 15),  # output plus one engine block, all 15 rows
-        ("predicted", 48 * 15 * (15 + 16)),  # output, one gathered surface, their product, 16 rows of temporaries
+        ("predicted", 32 * 15 * (15 + 16)),  # output, one gathered surface and its product, 16 rows of temporaries
     ],
 )
 def test_every_full_grid_route_checks_the_budget(mod15, monkeypatch, route, need):

@@ -6,6 +6,7 @@ library case raises its error class before allocating or writing anything.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -36,7 +37,7 @@ from ddradar.subgroups import pulsone
 from ddradar.symplectic import SL2Element, remap_for
 
 MOD = ["--M", "3", "--N", "5"]
-SELF_AMBIGUITY_NEED = 144 * 15 + (16384 + (2 + 8) * 15 + 15 * (2 * 61 + 2 * (8 + 65))) + 1 * 15 * 15 + (128 + 16) * 15 * 15
+SELF_AMBIGUITY_NEED = 144 * 15 + max(16384 + (2 + 8) * 15 + 15 * (2 * 61 + 2 * (8 + 65)), (128 + 16) * 15 * 15)
 # MN = 2,147,483,643, just under the cap: 32 GiB of samples, refused before the first O(MN) array
 BIG_MOD = ["--M", "3", "--N", "715827881", "--allow-composite"]
 BIG_SCENE = {"M": 3, "N": 715827881, "taps": [{"k": 0, "l": 0, "re": 1.0, "im": 0.0}]}
@@ -67,14 +68,15 @@ def _sim(*flags, scene="scene.json"):
         (["ambiguity", *MOD, "--x", "zc:abc", "--y", "pulsone:0,0"], 2, None),
         (["ambiguity", *MOD, "--x", "zc-coded:1,2", "--y", "pulsone:0,0"], 2, None),
         (_sim("--line", "3,5", "--region", "0:0,0:0", "--waveform", "zc-coded:1,2"), 2, None),
-        # the self-ambiguity needs 55,339 bytes at (3, 5): 144 bytes per MN; waveform.csv's
-        # 16 KiB, 15 index texts of 2 bytes and their int64 indices, and 15 lines of 61
-        # bytes, twice, with 2 floats and their workspace each; and its streamed PGM's
-        # 1 byte per pixel and one block of all 15 rows at 128 bytes a point for the
-        # engine and 16 for the magnitudes and their rounding
+        # the self-ambiguity needs 34,560 bytes at (3, 5): 144 bytes per MN, and the larger
+        # of its two writers, held one after the other: waveform.csv's 20,554 (16 KiB, 15
+        # index texts of 2 bytes and their int64 indices, and 15 lines of 61 bytes, twice,
+        # with 2 floats and their workspace each) or its streamed PGM's 32,400, one block
+        # of all 15 rows at 128 bytes a point for the engine and 16 for the PGM
         (["waveform", "pulsone", *MOD, "--self-ambiguity"], 3, SELF_AMBIGUITY_NEED - 1),
-        # a zc-coded waveform of period 1.5e16, refused before it is built
-        (["ambiguity", *MOD, "--x", "zc-coded:1,1000000000000000", "--y", "zc-coded:1,1"], 3, None),
+        # a pair of zc-coded waveforms of period 1.5e16, refused before they are built
+        (["ambiguity", *MOD, "--x", "zc-coded:1,1000000000000000", "--y", "zc-coded:1,1000000000000000"],
+         3, None),
         (["ambiguity", *MOD, "--x", "zc-coded:1,1", "--y", "zc-coded:1,1000000000000000",
           "--engine", "fast"], 3, None),
         # a return, or an image, that is not finite
@@ -86,6 +88,9 @@ def _sim(*flags, scene="scene.json"):
         # noise from a negative seed, and against an energy that overflows
         (_sim("--line", "3,5", "--region", "0:0,0:0", "--snr-db", "10", "--seed", "-1"), 4, None),
         (_sim("--line", "3,5", "--region", "0:0,0:0", "--snr-db", "5", scene="energetic.json"), 4, None),
+        # zc-coded periods that differ, refused before the budget is checked, at any budget
+        (["ambiguity", *MOD, "--x", "zc-coded:1,1000000000000000", "--y", "zc-coded:1,1"], 4, 1),
+        (["ambiguity", *MOD, "--x", "zc-coded:1,1000000000000000", "--y", "zc-coded:1,1"], 4, None),
     ],
 )
 def test_cli_refusal(tmp_path, monkeypatch, capsys, argv, code, budget):
@@ -158,6 +163,37 @@ def test_o_mn_arrays_refused_under_a_memory_cap(tmp_path, argv):
     assert done.returncode == 3, done.stderr
     assert "budget" in done.stderr and "Traceback" not in done.stderr
     assert not (tmp_path / "out").exists()
+
+
+DISK_COMMANDS = {
+    "waveform": (["waveform", "pulsone", *MOD], (15,), None),
+    "self-ambiguity": (["waveform", "pulsone", *MOD, "--self-ambiguity"], (15,), (15, 15)),
+    "ambiguity": (["ambiguity", *MOD, "--x", "zc:1", "--y", "chirp:2", "--grid", "full"], (15, 15), (15, 15)),
+    "ambiguity-fast": (["ambiguity", *MOD, "--x", "zc:1", "--y", "chirp:2", "--engine", "fast"], (3, 5), (3, 5)),
+    "zc-coded": (["ambiguity", *MOD, "--x", "zc-coded:1,2", "--y", "zc-coded:2,2"], (30, 30), (30, 30)),
+    "simulate": (_sim("--line", "3,5", "--region", "0:2,0:4"), (15, 15), (15, 15)),
+}
+
+
+@pytest.mark.parametrize("command", DISK_COMMANDS)
+def test_files_over_the_free_disk_refused(tmp_path, monkeypatch, capsys, command):
+    """A command whose files need one byte more than the disk has free exits 3 before
+    --out exists, naming both; with exactly the need free it writes them, within it."""
+    argv, csv, pgm = DISK_COMMANDS[command]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scene.json").write_text(json.dumps(SCENE))
+    need = ambiguity._written(csv, pgm)[0]
+    usage = shutil.disk_usage(tmp_path)
+    monkeypatch.setattr(shutil, "disk_usage", lambda path: usage._replace(free=need - 1))
+    assert main([*argv, "--out", "out/run"]) == 3
+    assert not (tmp_path / "out").exists()
+    err = capsys.readouterr().err
+    assert f"{need:,} bytes" in err and f"{need - 1:,} bytes free" in err and "Traceback" not in err
+    monkeypatch.setattr(shutil, "disk_usage", lambda path: usage._replace(free=need))
+    assert main([*argv, "--out", "out/run"]) == 0
+    written = [p for p in (tmp_path / "out" / "run").iterdir() if p.suffix in (".csv", ".pgm")]
+    assert len(written) == 1 + (pgm is not None)
+    assert sum(p.stat().st_size for p in written) <= need
 
 
 def test_self_ambiguity_within_budget_still_written(tmp_path, monkeypatch):

@@ -215,9 +215,9 @@ def test_csv_from_row_blocks_matches_the_array(tmp_path, monkeypatch, shape):
 
 
 def test_simulate_holds_no_complex_image(tmp_path):
-    # at (23, 29) the complex image alone would be 16 * 667^2 = 7.1 MB, and its float64
-    # magnitudes 3.6 MB; the streamed command holds 1 byte per point (the pixels), one
-    # block and its O(MN) arrays
+    # at (23, 29) the complex image alone would be 16 * 667^2 = 7.1 MB, its float64
+    # magnitudes 3.6 MB and its pixels 0.4 MB; the streamed command holds one block
+    # and its O(MN) arrays
     mod = Modulus(23, 29)
     line = LineSubgroup(mod, 23, 29)
     region = DDRegion(0, 22, 0, 28)
@@ -345,7 +345,9 @@ def test_mn_bytes_cover_a_command(tmp_path, monkeypatch, M, N):
         return ["simulate", "--scene", scene, "--line", f"{M},1", "--region", region,
                 "--waveform", "gdaft(2,3,1,2):chirp:2,1,3", "--snr-db", 20]
 
-    monkeypatch.setattr(ambiguity, "MEMORY_BUDGET_BYTES", 2**40)  # its full-grid image is never written
+    # its full-grid image is never written, so neither its memory nor its disk is short
+    monkeypatch.setattr(ambiguity, "MEMORY_BUDGET_BYTES", 2**40)
+    monkeypatch.setattr(cli, "check_disk", lambda *args: None)
     monkeypatch.setattr(cli, "sequence_to_csv", lambda *args: None)
     monkeypatch.setattr(cli, "write_surface", lambda *args, **kwargs: None)
     peaks = [_peak_and_need(monkeypatch, tmp_path / f"stub{i}", argv)[0]
@@ -369,11 +371,21 @@ def test_each_term_covers_its_route(tmp_path, route, M, N):
     x = PeriodicSequence(mod, rng.standard_normal(mn) + 1j * rng.standard_normal(mn))
     y = pulsone(mod, 0, 1)
     coded = coded_waveform(zc_sequence(1, M), np.ones(N))  # period MN, on no modulus
-    engine = FastEngine(x, 0, 1, grid="fundamental" if route == "pgm-fundamental" else "full")
     fresh = [FastEngine(x, 0, 1, grid="full") for _ in range(2)]  # one per call: a surface is cached
     surface = AmbiguitySurface(mod, "full", rng.standard_normal((mn, mn)) + 0j)
     env = ScatteringEnvironment(mod, ((0, 0, 1.0), (3, 2, 0.5j)))
-    pgm = (lambda: write_surface(engine, None, tmp_path / "s.pgm"), ambiguity._streamed_pgm(*engine.shape))
+    if route.startswith("pgm"):
+        # the PGM holds one engine block: every chain's within the term, and the
+        # heaviest query's, two labels with a 2-D phase (the last), over half of it
+        grid = route[4:]
+        for c, d in ((M, N), (1, 4), (M, 1), (1, 0)):
+            base, labels = pulsone_chain(LineSubgroup(mod, c, d), 5)
+            engine = FastEngine(x, *base, transform=labels, grid=grid)
+            need = ambiguity._streamed_pgm(*engine.shape)[0]
+            peak = _traced_peak(lambda: write_surface(engine, None, tmp_path / "s.pgm"))
+            assert peak <= need, (c, d)
+        assert need < 2 * peak
+        return
     routes = {
         "direct": (lambda: cross_ambiguity_naive(x, y, grid="fundamental", warn_nonunit=False),
                    ambiguity._direct_sums(mn, M, N)),
@@ -381,8 +393,6 @@ def test_each_term_covers_its_route(tmp_path, route, M, N):
         "fft": (lambda: cross_ambiguity_fft(x, y), ambiguity._lag_rows(mn, mn, mn)),
         "surface": (lambda: fresh.pop().surface, ambiguity._surface(mn, mn)),
         "prediction": (lambda: predicted_image(env, surface), ambiguity._prediction(mn)),
-        "pgm-full": pgm,
-        "pgm-fundamental": pgm,
     }
     call, (need, _) = routes[route]
     peak = _traced_peak(call)
@@ -425,13 +435,12 @@ def test_refused_simulate_leaves_no_output(tmp_path, monkeypatch, capsys, refusa
     scene = tmp_path / "scene.json"
     _scene(scene, mod, DDRegion(0, 2, 0, 4), 3)
     # 144 bytes per MN for the O(MN) arrays, 136 per point of the 15-point readout
-    # region, and the streamed image: 1 byte per pixel plus one block of the 15 x 15
-    # grid, whose 225 points cost the engine 128 bytes each, their magnitudes and
-    # rounding 16, and the CSV writer 16 KiB, 15-entry index texts of 3 and 2 bytes
-    # with their int64 indices, and 405 bytes a line (two copies of a 93-byte line:
-    # "14," and "14" slots, three 29-byte fields and a newline; 3 floats and their
-    # workspace)
-    need = (144 * 15 + 136 * 15 + 1 * 15 * 15 + (128 + 16) * 15 * 15 + 16384 + (3 + 8 + 2 + 8) * 15
+    # region, and the streamed image: one block of the 15 x 15 grid, whose 225
+    # points cost the engine 128 bytes each, the PGM's magnitudes and pixels 16, and
+    # the CSV writer 16 KiB, 15-entry index texts of 3 and 2 bytes with their int64
+    # indices, and 405 bytes a line (two copies of a 93-byte line: "14," and "14"
+    # slots, three 29-byte fields and a newline; 3 floats and their workspace)
+    need = (144 * 15 + 136 * 15 + (128 + 16) * 15 * 15 + 16384 + (3 + 8 + 2 + 8) * 15
             + 15 * 15 * (2 * 93 + 3 * (8 + 65)))
     argv = ["simulate", "--scene", scene, "--line", "3,5", "--region", "0:2,0:4"]
     if refusal == "not-crystallized":
@@ -482,7 +491,7 @@ def test_sequence_csv_index_texts_are_not_python_strings(tmp_path):
 
 def _spiked_engine(M, N, seed):
     """A fundamental-grid engine whose |A| is the Zak table of x: small everywhere but one
-    point of its last row, so each row's running peak is below the surface's."""
+    point of its last row, so every block but the last is below the surface's peak."""
     mod = Modulus(M, N)
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N))
@@ -490,24 +499,54 @@ def _spiked_engine(M, N, seed):
     return FastEngine(idzt(QuasiPeriodicArray(mod, X)), 0, 0)
 
 
-@pytest.mark.parametrize("scale, floor", [("linear", -120.0), ("db", -120.0), ("db", -300.0)])
-def test_pgm_blocks_before_the_peak_are_formed_again(tmp_path, monkeypatch, scale, floor):
-    monkeypatch.setattr(ddcore, "_CSV_BLOCK_ROWS", 1)  # one row per block
-    engine = _spiked_engine(7, 11, 3)
-    again = []
-    points = FastEngine.points
-    monkeypatch.setattr(FastEngine, "points",
-                        lambda self, K, L, out=None: again.append(K) or points(self, K, L, out))
-    ambiguity.write_surface(engine, None, tmp_path / "s.pgm", scale=scale, floor=floor)
-    assert again  # a block formed against a running peak below the last row's
-    assert all(np.asarray(K).max() < 6 for K in again)  # never the row of the peak
-    assert (tmp_path / "s.pgm").read_bytes() == pgm_bytes(engine.surface.values, scale, floor)
+def _missed_engine(M, N, seed):
+    """A fundamental-grid tone engine whose largest table entry, FFT(x)/sqrt(MN) at a
+    column of N or more, has no preimage on the grid, whose points have L below N."""
+    mn = M * N
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal(mn) + 1j * rng.standard_normal(mn)
+    X[N + seed % (mn - N)] = 50.0
+    return FastEngine(PeriodicSequence(Modulus(M, N), np.fft.ifft(X) * np.sqrt(mn)), 0, 0, 1)
+
+
+def _flat_engine(M, N, seed, grid):
+    """An engine whose every table entry is 1/sqrt(MN): x is 1/sqrt(M) on 0..M-1, one
+    sample in each row of the Zak table, so each row's FFT is flat."""
+    mod = Modulus(M, N)
+    x = np.zeros(mod.MN, dtype=complex)
+    x[:M] = 1 / np.sqrt(M)
+    return FastEngine(PeriodicSequence(mod, x), seed % M, seed % N, grid=grid)
+
+
+@pytest.mark.parametrize("M, N", [(5, 11), (11, 13)])
+def test_peak_is_the_largest_block_magnitude(monkeypatch, M, N):
+    """FastEngine.peak() is == the largest np.abs over blocks() on every line family, on
+    both grids, for a line's eigenvector and a noisy return of it.  The full grid is
+    read only at its candidates' preimages; the fundamental grid in one pass."""
+    mod = Modulus(M, N)
+    rng = np.random.default_rng(M)
+    noise = 0.3 * (rng.standard_normal(mod.MN) + 1j * rng.standard_normal(mod.MN))
+    passes = []
+    blocks = FastEngine.blocks
+    monkeypatch.setattr(FastEngine, "blocks", lambda self, out=None: passes.append(self.grid) or blocks(self, out))
+    for c, d in _lines(M, N).values():
+        line = LineSubgroup(mod, c, d)
+        index = int(rng.integers(mod.MN))
+        base, labels = pulsone_chain(line, index)
+        x = eigenvector(line, index)
+        for y in (x, PeriodicSequence(mod, x.samples + noise)):
+            for grid in ("full", "fundamental"):
+                engine = FastEngine(y, *base, transform=labels, grid=grid)
+                passes.clear()
+                peak = engine.peak()
+                assert passes == ([] if grid == "full" else ["fundamental"]), (c, d)
+                assert peak == max(np.abs(block).max() for block in engine.blocks()), (c, d, grid)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     size=st.sampled_from([(3, 5), (5, 11), (11, 13)]),
-    source=st.sampled_from(["engine", "spiked", "ties", "zeros"]),
+    source=st.sampled_from(["engine", "spiked", "flat", "missed", "ties", "zeros"]),
     spec=st.sampled_from(SPECS[1:]),
     grid=st.sampled_from(["fundamental", "full"]),
     scale_floor=st.sampled_from([("linear", -120.0), ("db", -120.0), ("db", -300.0)]),
@@ -528,6 +567,12 @@ def test_streamed_pgm_matches_the_oracle(tmp_path_factory, size, source, spec, g
         values = surface.surface.values
     elif source == "spiked":
         surface = _spiked_engine(M, N, seed)
+        values = surface.surface.values
+    elif source == "missed":
+        surface = _missed_engine(M, N, seed)
+        values = surface.surface.values
+    elif source == "flat":  # every table entry a candidate of the peak
+        surface = _flat_engine(M, N, seed, grid)
         values = surface.surface.values
     elif source == "ties":  # magnitudes whose pre-round value is about k + 1/2, the peak at a random point
         steps = (np.arange(255) + 0.5) / 255

@@ -1,9 +1,10 @@
+import math
 from itertools import product
 
 import numpy as np
 import pytest
 
-from ddradar.ambiguity import cross_ambiguity_naive
+from ddradar.ambiguity import cross_ambiguity_fft, cross_ambiguity_naive
 from ddradar.ddcore import inner
 from ddradar.errors import AlphaNotCoprime, ConfigurationError, IndexOutOfRange, NotPrimitive
 from ddradar.heisenberg import HeisenbergElement, apply_td
@@ -13,10 +14,11 @@ from ddradar.subgroups import (
     LineSubgroup,
     chirp,
     crystallization_check,
+    eigenvector,
     pulsone,
     pulsone_chain,
 )
-from ddradar.symplectic import SL2Element, sl2_factors, sl2_mapping_direction
+from ddradar.symplectic import SL2Element, papr_db, sl2_factors, sl2_mapping_direction
 from conftest import rand_unit_seq
 from oracles import commutes, eigenbasis_for_line, support_set
 
@@ -287,3 +289,42 @@ class TestCrystallization:
                     wk,
                     wl,
                 )
+
+
+def every_line(mod):
+    """Every line of Z_MN x Z_MN once, as (point set, LineSubgroup): the generators
+    LineSubgroup accepts, deduplicated by point set."""
+    mn = mod.MN
+    x = np.arange(mn)
+    lines = {}
+    for c, d in product(range(mn), repeat=2):
+        if math.gcd(c, d) == 1:
+            lines.setdefault(frozenset(zip((x * c % mn).tolist(), (x * d % mn).tolist())), LineSubgroup(mod, c, d))
+    assert len(lines) == (mod.M + 1) * (mod.N + 1)  # the lines mod M times the lines mod N
+    return list(lines.items())
+
+
+@pytest.mark.parametrize("M, N", [(3, 5), (5, 7)])
+class TestWaveformLibrary:
+    """The eigenbases of the lines as a waveform library, checked at every line."""
+
+    def test_papr_is_the_lines_count_at_zero_delay(self, M, N):
+        """Every eigenvector of a line L has PAPR 10 log10 |L ∩ ({0} x Z_MN)|."""
+        mod = Modulus(M, N)
+        for points, line in every_line(mod):
+            want = 10 * math.log10(sum(1 for k, _ in points if k == 0))
+            for index in range(mod.MN):
+                assert abs(papr_db(eigenvector(line, index)) - want) < 1e-10, (line, index)
+
+    def test_cross_ambiguity_takes_two_levels(self, M, N):
+        """For x an eigenvector of L1 and y one of L2, sqrt(MN) |A_{x,y}| is 0 or
+        sqrt(|L1 ∩ L2|) at every point of the full grid: every line pair, two indices each."""
+        mod = Modulus(M, N)
+        rng = np.random.default_rng(M * N)
+        library = [(points, [eigenvector(line, i) for i in (0, int(rng.integers(1, mod.MN)))])
+                   for points, line in every_line(mod)]
+        for (p1, xs), (p2, ys) in product(library, repeat=2):
+            level = math.sqrt(len(p1 & p2))
+            for x, y in product(xs, ys):
+                scaled = math.sqrt(mod.MN) * np.abs(cross_ambiguity_fft(x, y).values)
+                assert np.minimum(scaled, np.abs(scaled - level)).max() < 1e-10
