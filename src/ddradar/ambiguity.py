@@ -48,7 +48,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .ddcore import PeriodicSequence, _block_rows, _complex_array, _csv_layout, complex_from_csv, complex_to_csv
+from .ddcore import PeriodicSequence, _block_rows, _complex_array, _csv_layout, complex_from_csv, complex_to_csv, zak
 from .errors import (
     BadRoot,
     ConfigurationError,
@@ -57,7 +57,7 @@ from .errors import (
     IndexOutOfRange,
     OverBudget,
 )
-from .floatfmt import Workspace
+from .floatfmt import FIELD_TEXT_BYTES, Workspace
 from .modmath import Modulus, _roots_of_unity, phases_to_complex, reduce_mod, same_modulus
 from .symplectic import SL2Element, gdaft_adjoint, lfm_apply, remap_for
 
@@ -131,12 +131,16 @@ def check_budget(*terms: tuple[int, str]) -> None:
 
 def check_disk(out, csv: tuple, pgm: tuple | None) -> None:
     """Refuse with OverBudget when a command's files, their _written term, need more
-    bytes than are free on the disk of `out`, read at its nearest existing ancestor.
-    Commands call it once, after check_budget and before --out exists."""
+    bytes than are free on the disk of `out`, read at its nearest existing ancestor,
+    and with NotADirectoryError when that ancestor is not a directory: `out` is, or
+    lies under, a file or a dangling symlink.  Commands call it once, after
+    check_budget and before --out exists."""
     need, what = _written(csv, pgm)
     path = Path(out).absolute()
-    while not path.exists():
+    while not (path.exists() or path.is_symlink()):
         path = path.parent
+    if not path.is_dir():
+        raise NotADirectoryError(f"--out {out}: {path} is not a directory")
     free = shutil.disk_usage(path).free
     if need > free:
         raise OverBudget(f"{what} would take {need:,} bytes on disk, with {free:,} bytes free")
@@ -144,10 +148,13 @@ def check_disk(out, csv: tuple, pgm: tuple | None) -> None:
 
 def _written(csv: tuple, pgm: tuple | None) -> tuple[int, str]:
     """The bytes a command writes, at most: its one CSV, of an array of shape `csv`,
-    every line at ddcore._csv_layout's width (a written line drops the layout's
-    NULs), the PGM of a `pgm` grid if it writes one, 1 byte a point, and 64 bytes
-    for each file's header.  papr.txt and targets.json are not counted."""
-    need, what = 64 + math.prod(csv) * _csv_layout(csv)[-1], f"a CSV of {' x '.join(map(str, csv))} values"
+    every line as wide as the widest written line (the widest index texts, a
+    floatfmt.FIELD_TEXT_BYTES field per float and the newline), the PGM of a `pgm`
+    grid if it writes one, 1 byte a point, and 64 bytes for each file's header.
+    papr.txt and targets.json are not counted."""
+    nfloat, _, _, slots, _ = _csv_layout(csv)
+    line = sum(slots) + nfloat * FIELD_TEXT_BYTES + 1
+    need, what = 64 + math.prod(csv) * line, f"a CSV of {' x '.join(map(str, csv))} values"
     if pgm is not None:
         need, what = need + 64 + math.prod(pgm), f"{what} and a {pgm[0]} x {pgm[1]} PGM"
     return need, what
@@ -159,10 +166,13 @@ def _mn_arrays(mod: Modulus) -> tuple[int, str]:
 
 
 def _readout(points: int, mn: int) -> tuple[int, str]:
-    """radarsim.readout_targets on a region of `points` points: one engine query of
-    them and their magnitudes, 8 bytes a point more than an engine block's.  At most
-    MN points are read: a larger region aliases and is refused first."""
-    return (_ENGINE_POINT_BYTES + 8) * min(points, mn), f"a readout of {points} region points"
+    """radarsim.readout_targets on a region of `points` points, and the targets.json of
+    its hits: 416 bytes a point, for when every point is a hit.  The query of the
+    region and its magnitudes take 136 (8 more than an engine block's); the hits,
+    held while the image is written, and then their JSON document take at most 393
+    under tracemalloc.  At most MN points are read: a larger region aliases and is
+    refused first."""
+    return 416 * min(points, mn), f"a readout of {points} region points"
 
 
 def _streamed_pgm(nk: int, nl: int) -> tuple[int, str]:
@@ -175,8 +185,10 @@ def _csv_block(shape: tuple) -> tuple[int, str]:
     """ddcore.complex_to_csv's buffers for an array of `shape`, a grid or a vector:
     each index's texts and the int64 indices they are made from, and per line of a
     block its text twice (laid out, and without NULs), its floats and their
-    floatfmt.Workspace, plus 16 KiB that does not grow with the block: the open
-    file's buffer and the array headers (7.3 to 8.1 KB under tracemalloc, CPython 3.11)."""
+    format_g17 bytes (floatfmt.Workspace.FLOAT_BYTES: the workspace, and the index
+    arrays over special values such as zeros), plus 16 KiB that does not grow with
+    the block: the open file's buffer and the array headers (7.3 to 8.1 KB under
+    tracemalloc, CPython 3.11)."""
     nfloat, cols, rows, slots, width = _csv_layout(shape)
     need = 16384 + sum((w + 8) * size for w, size in zip(slots, shape))
     need += rows * cols * (2 * width + nfloat * (8 + Workspace.FLOAT_BYTES))
@@ -332,12 +344,11 @@ def cross_ambiguity_fft(x: PeriodicSequence, y: PeriodicSequence) -> AmbiguitySu
 
 @dataclass(frozen=True)
 class FastPulsonePrecomp:
-    """Delay-decimated FFT table of x against the pulsone reference (k0, l0).
+    """The table of x against the pulsone reference (k0, l0): rowfft = ddcore.zak(x, P).
 
-    For the P x R factorisation of MN (P = M for the pulsone of the M x N
-    grid, P = 1 for a tone), rowfft[r, m] = (1/sqrt(R)) * sum_p x[r + p*P] *
-    exp(-j*2*pi*m*p/R), a P x R array: the Zak transform of x when P = M, and
-    FFT(x)/sqrt(MN) when P = 1.  Any ambiguity point is one phased table entry.
+    P is the reference's delay period, M for the pulsone of the M x N grid
+    and 1 for a tone, and rowfft is P x R with R = MN/P.  Any ambiguity point
+    is one phased table entry.
     """
 
     mod: Modulus
@@ -349,22 +360,16 @@ class FastPulsonePrecomp:
 def fast_pulsone_precompute(
     x: PeriodicSequence, k0: int, l0: int, period: int | None = None
 ) -> FastPulsonePrecomp:
-    """O(MN log MN) precompute: P length-R FFTs of the delay-decimated slices of x.
+    """O(MN log MN) precompute: the Zak transform of x of period P, ddcore.zak.
 
     `period` is the delay period P of the reference, M (the default) or 1 for
     the tone l0; it must divide MN, with 0 <= k0 < P and 0 <= l0 < MN/P.
     """
-    mod = x.mod
-    period = mod.M if period is None else period
-    if period < 1 or mod.MN % period:
-        raise ConfigurationError(f"pulsone period {period} does not divide MN = {mod.MN}")
-    length = mod.MN // period
+    table = zak(x, x.mod.M if period is None else period)
+    period, length = table.shape
     if not (0 <= k0 < period and 0 <= l0 < length):
         raise IndexOutOfRange(f"pulsone indices ({k0}, {l0}) outside {period} x {length}")
-    # x[r + p*P] lives at [r, p] of the transposed reshape; the FFT of that view
-    # is F-ordered for P > 1, and take() on it would copy the table every query
-    table = np.fft.fft(x.samples.reshape(length, period).T, axis=1) / np.sqrt(length)
-    return FastPulsonePrecomp(mod, k0, l0, np.ascontiguousarray(table))
+    return FastPulsonePrecomp(x.mod, k0, l0, table)
 
 
 def fast_pulsone_query(pre: FastPulsonePrecomp, k, l, phase=0, out: np.ndarray | None = None):

@@ -1,6 +1,7 @@
 """Command-line front end: waveforms, ambiguity surfaces, scene simulation.
 
-Exit codes: 0 success, 2 usage error, 3 refused precondition (aliasing
+Exit codes: 0 success, 2 usage error (among them an --out that is, or lies
+under, a file or a dangling symlink), 3 refused precondition (aliasing
 readout, fast engine on zc-coded waveforms, over the memory budget or the free
 disk), 4 numeric validation failure (composite modulus, non-coprime
 parameters, zc-coded periods that differ).  All file outputs land under
@@ -381,7 +382,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except argparse.ArgumentTypeError as exc:
+    except (argparse.ArgumentTypeError, NotADirectoryError) as exc:  # NotADirectoryError: check_disk's --out
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (PreconditionError, ValidationError) as exc:  # two disjoint classes of DDRadarError

@@ -10,6 +10,14 @@ exp(j*2*pi*n*l/N) under delay-period shifts.  The discrete Zak transform
 is the unitary map between them; its inverse reads
 
     x[n] = (1/sqrt(N)) * sum_q X[n mod M, q] * exp(j*2*pi*q*floor(n/M)/N).
+
+Both are one case of the Zak transform of period P, for any P that divides
+MN, which `zak` computes: with R = MN/P,
+
+    Z[r, m] = (1/sqrt(R)) * sum_p x[r + p*P] * exp(-j*2*pi*m*p/R).
+
+P = M gives X (`dzt`), and the fast ambiguity engine's table of a pulsone
+reference; P = 1 gives FFT(x)/sqrt(MN), its table of a tone.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ __all__ = [
     "inner_dd",
     "sequence_from_csv",
     "sequence_to_csv",
+    "zak",
 ]
 
 
@@ -85,13 +94,23 @@ def inner_dd(X: QuasiPeriodicArray, Y: QuasiPeriodicArray) -> complex:
     return complex(np.vdot(Y.values, X.values))
 
 
+def zak(x: PeriodicSequence, period: int) -> np.ndarray:
+    """The Zak transform of x of period P, for any P that divides MN: with R = MN/P,
+    the C-contiguous P x R table Z[r, m] = R**-0.5 * sum_p x[r + p*P] * exp(-j*2*pi*m*p/R),
+    one length-R FFT per row.  P = M is dzt's delay-Doppler table; P = 1 is the
+    tone table FFT(x)/sqrt(MN).  A P that does not divide MN is a ConfigurationError."""
+    mn = x.mod.MN
+    if period < 1 or mn % period:
+        raise ConfigurationError(f"Zak period {period} does not divide MN = {mn}")
+    length = mn // period
+    # x[r + p*P] lives at [r, p] of the transposed reshape; the FFT of that view is
+    # F-ordered for P > 1, and a table lookup (take) on it would copy it every time
+    return np.ascontiguousarray(np.fft.fft(x.samples.reshape(length, period).T, axis=1) / np.sqrt(length))
+
+
 def dzt(x: PeriodicSequence) -> QuasiPeriodicArray:
-    """Discrete Zak transform, one length-N FFT per delay row."""
-    mod = x.mod
-    # x[k + p*M] lives at reshaped[p, k]
-    reshaped = x.samples.reshape(mod.N, mod.M)
-    values = np.fft.fft(reshaped, axis=0).T / np.sqrt(mod.N)
-    return QuasiPeriodicArray(mod, values)
+    """Discrete Zak transform: zak(x, M)."""
+    return QuasiPeriodicArray(x.mod, zak(x, x.mod.M))
 
 
 def idzt(X: QuasiPeriodicArray) -> PeriodicSequence:

@@ -12,14 +12,14 @@ Exactness.  For x whose decade E0 = floor(log10 |x|), as numpy computes
 it, lies in [-280, 279], y = |x| * 10**(16 - E0) is formed as p + t: p + e
 is Dekker's exact two-product of |x| with the high part of 10**(16 - E0),
 and t adds |x| times its low part; both parts are correctly rounded from
-Python integers.  D = p + round(t).  Where log10 put E0 one decade off (D
-outside [1e16, 1e17)), y is formed again at E0 - 1 or E0 + 1; D = 1e17
-carries to 1e16 at E + 1.  For y < 2**57 the computed t is within 2**-47
-(about 7e-15) of the true y - p (see `_scaled`).  A value whose fraction
-t - round(t) lies within _TIE_MARGIN = 1e-6 of one half may be a tie, such
-as 2**-25, and is formatted by Python instead, as are non-finite values and
-decades outside the table's range (1e-280 is inside, 1e280 outside).  Every
-other value gets D exactly.
+Python integers.  D = p + round(t).  For y < 2**57 the computed t is within
+2**-47 (about 7e-15) of the true y - p (see `_scaled`).  Python formats
+instead every value whose D left [1e16, 1e17), because log10 put E0 one
+decade off or D carried to 1e17, but for D = 1e16 with a fraction
+t - round(t) >= 0, such as 1.0; a value whose fraction lies within
+_TIE_MARGIN = 1e-6 of one half, which may be a tie such as 2**-25;
+non-finite values; and decades outside the table's range (1e-280 is
+inside, 1e280 outside).  Every other value gets D exactly.
 
 Layout.  The kernel takes a block's floats column by column, as one
 contiguous run (re, then im, then abs for a surface CSV), and makes about
@@ -46,14 +46,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["FIELD_BYTES", "Workspace", "format_g17"]
+__all__ = ["FIELD_BYTES", "FIELD_TEXT_BYTES", "Workspace", "format_g17"]
 
 _NUM = "{:.17g}"
 
-# Decades the power table covers.  The kernel takes E0 = floor(log10|x|) in
-# [-280, 279], and a one-decade correction in [-281, 280].  The largest
-# table entry, 10**(16 + 283), still splits without overflow (times 2**27 + 1).
-_E_LO, _E_HI = -283, 282
+# Decades the power table covers: the kernel's E0 = floor(log10|x|) in
+# [-280, 279], and one _OUTSIDE row beyond each end, where a clipped lookup
+# sends every other decade.  The largest table entry, 10**(16 + 281), still
+# splits without overflow (times 2**27 + 1).
+_E_LO, _E_HI = -281, 280
 _E_MIN, _E_MAX = -280, 279
 _TIE_MARGIN = 1e-6
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split into two 26-bit halves
@@ -73,6 +74,8 @@ _COMMON, _GENERAL, _OUTSIDE = 0, 1, 2
 #   8-23 digits 2 to 17;
 #   24-28 tail: exponent "e±XX[X]", from byte 24.
 FIELD_BYTES = 29
+# The widest text a field holds, its comma included: ",-1.2345678901234567e-308".
+FIELD_TEXT_BYTES = 25
 _DIGITS = slice(8, 24)
 # A tail is written as the 8 bytes from _TAIL_AT, three NULs first; the digits,
 # written after it, overwrite those three.
@@ -177,7 +180,12 @@ class Workspace:
     8-byte word per float and one boolean mask, 65 bytes per float.
     """
 
-    FLOAT_BYTES = 8 * _ROWS + 1
+    # A format_g17 call's bytes per float: the workspace's, and 80 for the index
+    # arrays it builds over zeros, non-finite values and decades outside the
+    # table, when every float of the call is one (the CSV writer's tracemalloc
+    # peak needs up to 72).  Values of 10 or more, whose point falls among the
+    # digits (_general_mantissa), cost more.
+    FLOAT_BYTES = 8 * _ROWS + 1 + 80
 
     def __init__(self, size: int) -> None:
         self.size = size
@@ -232,22 +240,6 @@ def _scaled(tables: _Tables, a: np.ndarray, t: np.ndarray, rows: np.ndarray):
     return d, e
 
 
-def _fix_decade(tables, a, t, d, frac, off) -> None:
-    """Correct, in place at the indices `off`, the rare values whose D left
-    [1e16, 1e17) because log10 misplaced the decade, and carry D = 1e17 to
-    1e16 at the next decade."""
-    di, fi, ti = d[off], frac[off], t[off]
-    low = (di < 10**16) | ((di == 10**16) & (fi < 0))
-    ti = ti + (di > 10**17) - low
-    di, fi = _scaled(tables, a[off], ti, np.empty((_ROWS, off.size), np.uint64))
-    unproven = (di < 10**16) | ((di == 10**16) & (fi < 0)) | (di > 10**17)
-    fi[unproven] = 0.5  # sent to Python with the near-ties
-    carry = di == 10**17
-    di[carry] = 10**16
-    ti += carry
-    d[off], frac[off], t[off] = di, fi, ti
-
-
 def format_g17(values: np.ndarray, fields: np.ndarray, workspace: Workspace | None = None) -> int:
     """Lay out "," + "{:.17g}".format(v) for each float v of a 2-D array.
 
@@ -255,7 +247,8 @@ def format_g17(values: np.ndarray, fields: np.ndarray, workspace: Workspace | No
     each field's bytes adjacent, receives one NUL-padded text per value in
     its first FIELD_BYTES bytes; the caller's other bytes are left as they
     are.  Returns how many values were formatted by Python: non-finite, of
-    a decade outside [-280, 279] or within _TIE_MARGIN of a rounding tie.
+    a decade outside [-280, 279], within _TIE_MARGIN of a rounding tie, or
+    whose D left [1e16, 1e17).
 
     The kernel reads the floats column by column as one contiguous run (no
     copy when `values` is the transpose of a C-ordered array).  Every pass
@@ -289,10 +282,8 @@ def format_g17(values: np.ndarray, fields: np.ndarray, workspace: Workspace | No
     np.subtract(d, 10**16 + 1, out=off)
     np.greater_equal(off.view(np.uint64), 10**17 - 10**16 - 1, out=mask)
     off = np.flatnonzero(mask)
-    if off.size:
-        _fix_decade(tables, a, t, d, frac, off)
-        # a corrected decade may enter or leave 1..16
-        general = np.union1d(np.setdiff1d(general, off), off[tables.kind[t[off]] == _GENERAL])
+    if off.size:  # but D = 1e16 with a non-negative fraction is exact: Python takes the rest
+        frac[off[(d[off] != 10**16) | (frac[off] < 0)]] = 0.5
     np.greater(np.abs(frac, out=f[4]), 0.5 - _TIE_MARGIN, out=mask)
     odd_zero = v[odd] == 0
     zero = odd[odd_zero]
@@ -358,7 +349,7 @@ def format_g17(values: np.ndarray, fields: np.ndarray, workspace: Workspace | No
         heads_at[:, j] = head[column]
     if general.size:  # 17 digits with the point inside, from the first digit
         fields[general % n, general // n, 7:25] = mantissas
-    for k in python.tolist():
+    for k in python:  # one index at a time, not a list of them all
         field = ("," + _NUM.format(float(v[k]))).encode("ascii")
         fields[k % n, k // n, :FIELD_BYTES] = np.frombuffer(field.ljust(FIELD_BYTES, b"\0"), np.uint8)
     return python.size

@@ -226,9 +226,12 @@ def readout_targets(
 
 def _write_json(doc: dict, path) -> None:
     """Write doc as strict JSON (a NaN or infinity is a ValueError): keys sorted, indent 2,
-    ASCII, and a final newline.  Every JSON file the toolkit writes goes through here."""
+    ASCII, and a final newline.  Every JSON file the toolkit writes goes through here.
+    The text goes to the file as it is formed: json.dumps would hold all of it, and
+    all its chunks, at once."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
 
 
 def scene_to_json(env: ScatteringEnvironment, path) -> None:

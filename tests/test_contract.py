@@ -2,8 +2,8 @@
 
 Every command, run in-process on drawn argv and scene files at small primes,
 exits 0, 2, 3 or 4; raises nothing else and issues no RuntimeWarning; leaves
-no --out after a nonzero exit; and on exit 0 writes strict JSON and no `nan`
-or `inf` CSV field.  The memory budget is drawn too, so the memory model's
+no --out directory after a nonzero exit; and on exit 0 writes strict JSON and
+no `nan` or `inf` CSV field.  The memory budget is drawn too, so the memory model's
 refusals are drawn with the rest.  Huge moduli appear only where the O(MN)
 check refuses them before anything is allocated.  Each known reproducer of a
 mended CLI fault is an explicit example.
@@ -176,8 +176,12 @@ BIG = ["--M", "3", "--N", "715827881", "--allow-composite"]
 @example(command=(["waveform", "pulsone", *BIG], None), budget=2**30)
 @example(command=(["ambiguity", *BIG, "--x", "pulsone:0,0", "--y", "pulsone:0,0", "--engine", "fast"], None),
          budget=2**30)
+# an --out that is, or lies under, a file (here the scene file)
+@example(command=(["waveform", "pulsone", "--M", "3", "--N", "5", "--out", "scene.json"], ONE_TAP), budget=2**30)
+@example(command=(SIM + ["--out", "scene.json/run"], ONE_TAP), budget=2**30)
 def test_cli_contract(tmp_path_factory, command, budget):
     argv, scene = command
+    argv = argv if "--out" in argv else [*argv, "--out", "out"]
     work = tmp_path_factory.mktemp("contract")
     if scene is not None:
         (work / "scene.json").write_text(scene)
@@ -188,14 +192,14 @@ def test_cli_contract(tmp_path_factory, command, budget):
         mp.setattr(ambiguity, "MEMORY_BUDGET_BYTES", budget)
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             try:
-                code = main([*argv, "--out", "out"])
+                code = main(argv)
             except SystemExit as exc:  # argparse's usage errors
                 code = exc.code
     assert code in (0, 2, 3, 4), err.getvalue()
     assert "Traceback" not in err.getvalue()
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], [str(w.message) for w in caught]
-    out = work / "out"
-    assert out.exists() == (code == 0)
+    out = work / argv[argv.index("--out") + 1]
+    assert out.is_dir() == (code == 0)
     for path in out.glob("*.json"):
         json.loads(path.read_text(), parse_constant=lambda c: pytest.fail(f"{path.name} holds {c}"))
     for path in out.glob("*.csv"):

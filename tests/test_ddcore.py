@@ -5,6 +5,7 @@ import pytest
 
 from ddradar import ddcore, floatfmt
 from ddradar.ddcore import (
+    PeriodicSequence,
     QuasiPeriodicArray,
     complex_to_csv,
     dzt,
@@ -13,7 +14,9 @@ from ddradar.ddcore import (
     inner_dd,
     sequence_from_csv,
     sequence_to_csv,
+    zak,
 )
+from ddradar.ambiguity import fast_pulsone_precompute
 from ddradar.errors import ConfigurationError, ModulusMismatch
 from ddradar.modmath import Modulus
 from conftest import rand_unit_seq
@@ -27,6 +30,16 @@ from oracles import (
     zero_array,
     zero_sequence,
 )
+
+
+@pytest.mark.parametrize("M, N", [(3, 5), (11, 13), (23, 29), (61, 67), (251, 257)])
+def test_engine_table_is_the_zak_transform(M, N):
+    """The fast engine's table of a pulsone is dzt's, bit for bit: one Zak transform."""
+    mod = Modulus(M, N)
+    rng = np.random.default_rng(M)
+    for _ in range(3):
+        x = PeriodicSequence(mod, rng.standard_normal(mod.MN) + 1j * rng.standard_normal(mod.MN))
+        assert np.array_equal(dzt(x).values, fast_pulsone_precompute(x, 0, 0).rowfft)
 
 
 class TestInner:
@@ -71,6 +84,18 @@ class TestDzt:
             np.testing.assert_allclose(dzt(x).values, dzt_direct(x).values, atol=1e-12)
             X = dzt(x)
             np.testing.assert_allclose(idzt(X).samples, idzt_direct(X).samples, atol=1e-12)
+
+    @pytest.mark.parametrize("period", [1, 3, 5, 15])
+    def test_zak_of_every_period_matches_its_sum(self, mod15, period):
+        """zak(x, P), for each P dividing MN, is R**-0.5 * sum_p x[r + p*P] exp(-2 pi i m p / R)."""
+        x = rand_unit_seq(mod15, np.random.default_rng(period))
+        R = 15 // period
+        p = np.arange(R)
+        want = [[x.samples[r + p * period] @ np.exp(-2j * np.pi * m * p / R) / np.sqrt(R) for m in range(R)]
+                for r in range(period)]
+        table = zak(x, period)
+        assert table.flags.c_contiguous
+        np.testing.assert_allclose(table, want, atol=1e-12)
 
     def test_round_trips(self, mod15):
         rng = np.random.default_rng(2)

@@ -65,9 +65,10 @@ class TestFormatG17:
     def test_values_that_round_up_a_decade(self):
         values = [float(f"9.99999999999999{d}e{e}") for e in range(-300, 300) for d in (49, 95, 99)]
         assert_formats_like_python(values)
-        # these doubles lie just below the power of ten, and round up to it
+        # these doubles lie just below the power of ten and round up to it, so their D
+        # carries to 1e17 or log10 puts them a decade up: Python formats them
         below = [1e-243, 1e-79, 1e-14, 1e98, 1e153]
-        assert kernel_texts(below) == (["1e-243", "1e-79", "1e-14", "1e+98", "1e+153"], 0)
+        assert kernel_texts(below) == (["1e-243", "1e-79", "1e-14", "1e+98", "1e+153"], 5)
 
     def test_fixed_and_scientific_boundaries(self):
         # fixed notation for decades -4..16, trailing zeros kept inside the integer part
@@ -79,8 +80,9 @@ class TestFormatG17:
         values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
                   1e-280, 1e280, 1e308, -1e308, 1.7976931348623157e308, np.inf, -np.inf, np.nan]
         python = assert_formats_like_python(values)
-        # Python formats the non-finite values and magnitudes outside [1e-280, 1e280)
-        assert python == 11
+        # Python formats the non-finite values, magnitudes outside [1e-280, 1e280) and
+        # 1e-280, whose D leaves [1e16, 1e17)
+        assert python == 12
 
     def test_ordinary_values_never_reach_python(self):
         rng = np.random.default_rng(3)

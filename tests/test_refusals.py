@@ -5,6 +5,7 @@ library case raises its error class before allocating or writing anything.
 """
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -37,7 +38,7 @@ from ddradar.subgroups import pulsone
 from ddradar.symplectic import SL2Element, remap_for
 
 MOD = ["--M", "3", "--N", "5"]
-SELF_AMBIGUITY_NEED = 144 * 15 + max(16384 + (2 + 8) * 15 + 15 * (2 * 61 + 2 * (8 + 65)), (128 + 16) * 15 * 15)
+SELF_AMBIGUITY_NEED = 144 * 15 + max(16384 + (2 + 8) * 15 + 15 * (2 * 61 + 2 * (8 + 145)), (128 + 16) * 15 * 15)
 # MN = 2,147,483,643, just under the cap: 32 GiB of samples, refused before the first O(MN) array
 BIG_MOD = ["--M", "3", "--N", "715827881", "--allow-composite"]
 BIG_SCENE = {"M": 3, "N": 715827881, "taps": [{"k": 0, "l": 0, "re": 1.0, "im": 0.0}]}
@@ -69,9 +70,9 @@ def _sim(*flags, scene="scene.json"):
         (["ambiguity", *MOD, "--x", "zc-coded:1,2", "--y", "pulsone:0,0"], 2, None),
         (_sim("--line", "3,5", "--region", "0:0,0:0", "--waveform", "zc-coded:1,2"), 2, None),
         # the self-ambiguity needs 34,560 bytes at (3, 5): 144 bytes per MN, and the larger
-        # of its two writers, held one after the other: waveform.csv's 20,554 (16 KiB, 15
+        # of its two writers, held one after the other: waveform.csv's 22,954 (16 KiB, 15
         # index texts of 2 bytes and their int64 indices, and 15 lines of 61 bytes, twice,
-        # with 2 floats and their workspace each) or its streamed PGM's 32,400, one block
+        # with 2 floats and their format_g17 bytes each) or its streamed PGM's 32,400, one block
         # of all 15 rows at 128 bytes a point for the engine and 16 for the PGM
         (["waveform", "pulsone", *MOD, "--self-ambiguity"], 3, SELF_AMBIGUITY_NEED - 1),
         # a pair of zc-coded waveforms of period 1.5e16, refused before they are built
@@ -194,6 +195,35 @@ def test_files_over_the_free_disk_refused(tmp_path, monkeypatch, capsys, command
     written = [p for p in (tmp_path / "out" / "run").iterdir() if p.suffix in (".csv", ".pgm")]
     assert len(written) == 1 + (pgm is not None)
     assert sum(p.stat().st_size for p in written) <= need
+
+
+@pytest.mark.parametrize("shape", [(2500,), (15, 15)], ids=["vector", "grid"])
+def test_widest_csv_fits_the_disk_term(tmp_path, shape):
+    """A CSV whose re and im fields all take the widest text, 25 bytes with the comma,
+    never exceeds the disk term, which counts every line as wide as its last."""
+    value = -1.2345678901234567e-308
+    complex_to_csv(np.full(shape, complex(value, value)), tmp_path / "w.csv")
+    need = ambiguity._written(shape, None)[0]
+    lines = (tmp_path / "w.csv").read_bytes().splitlines(keepends=True)
+    assert {len(line.split(b",")[len(shape)]) for line in lines[1:]} == {24}
+    assert len(lines[-1]) == (need - 64) // math.prod(shape) - (len(shape) == 2)  # abs takes no sign
+    assert (tmp_path / "w.csv").stat().st_size <= need
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/run", "alink"], ids=["file", "under-a-file", "dangling-link"])
+@pytest.mark.parametrize("command", DISK_COMMANDS)
+def test_out_on_a_file_refused(tmp_path, monkeypatch, capsys, command, out):
+    """An --out that is, or lies under, a file, or is a dangling symlink, is a usage
+    error: exit 2 naming it, with nothing written."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scene.json").write_text(json.dumps(SCENE))
+    (tmp_path / "afile").write_text("kept")
+    (tmp_path / "alink").symlink_to("nowhere")
+    assert main([*DISK_COMMANDS[command][0], "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"--out {out}: " in err and "not a directory" in err and "Traceback" not in err
+    assert (tmp_path / "afile").read_text() == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "alink", "scene.json"]
 
 
 def test_self_ambiguity_within_budget_still_written(tmp_path, monkeypatch):

@@ -33,6 +33,7 @@ from ddradar.ddcore import PeriodicSequence, QuasiPeriodicArray, idzt
 from ddradar.modmath import Modulus, _roots_of_unity
 from ddradar.radarsim import (
     ScatteringEnvironment,
+    _write_json,
     add_noise,
     apply_channel,
     form_image,
@@ -264,13 +265,30 @@ def test_simulate_formats_each_engine_block_in_one_pass(tmp_path, monkeypatch):
     assert blocks == math.ceil(mod.MN / ddcore._block_rows(mod.MN, mod.MN))
 
 
-@pytest.mark.parametrize("shape", [(15, 15), (667, 667), (29, 667), (667, 29), (2500,)],
-                         ids=["15x15", "667x667", "29x667", "667x29", "2500"])
-def test_block_bytes_cover_the_csv_writer(tmp_path, shape):
-    """The CSV term is at least the writer's tracemalloc peak, and less than twice it."""
-    rows = ddcore._block_rows(shape[0], shape[1] if len(shape) == 2 else 1)
+@pytest.mark.parametrize("shape, kind",
+                         [(shape, "random") for shape in ((15, 15), (667, 667), (29, 667), (667, 29), (2500,))]
+                         + [(shape, kind) for shape in ((31, 37), (127, 131)) for kind in ("pulsone", "real")]
+                         + [((15, 15), "sparse"), ((29, 667), "sparse"), ((2500,), "tiny")],
+                         ids=["15x15", "667x667", "29x667", "667x29", "2500", "pulsone-31x37", "real-31x37",
+                              "pulsone-127x131", "real-127x131", "sparse-15x15", "sparse-29x667", "tiny-2500"])
+def test_block_bytes_cover_the_csv_writer(tmp_path, shape, kind):
+    """The CSV term is at least the writer's tracemalloc peak, and less than twice it,
+    for random values and for values the formatter sets aside as special: mostly
+    exact zeros (a pulsone's waveform.csv, a real vector's imaginary parts, a grid
+    that is zero but at one point), or values below its table, which Python formats."""
     rng = np.random.default_rng(9)
-    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if kind in ("pulsone", "real"):  # a vector of MN values
+        mod = Modulus(*shape)
+        shape = (mod.MN,)
+        values = pulsone(mod, 1, 0).samples if kind == "pulsone" else rng.standard_normal(shape) + 0j
+    elif kind == "sparse":
+        values = np.zeros(shape, dtype=complex)
+        values[1, 2] = 1.0
+    elif kind == "tiny":
+        values = 1e-300 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    else:
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    rows = ddcore._block_rows(shape[0], shape[1] if len(shape) == 2 else 1)
 
     def peak():
         blocks = (values[start : start + rows] for start in range(0, shape[0], rows))
@@ -327,7 +345,7 @@ def test_mn_bytes_cover_a_command(tmp_path, monkeypatch, M, N):
     fundamental-grid fast ambiguity, the heavier, needs less than twice its peak.
     With the writers stubbed and a one-point readout region, the peak is the
     command's O(MN) arrays, at most _MN_BYTES per MN and, for the heaviest, over
-    half of it; a strip of MN points adds at most its readout term."""
+    half of it; a strip of MN points, every one a hit, adds at most its readout term."""
     mod = ["--M", M, "--N", N]
     scene = tmp_path / "scene.json"
     scene.write_text(json.dumps({"M": M, "N": N, "taps": [{"k": 3, "l": 5, "re": 0.5, "im": 0.2}]}))
@@ -341,9 +359,9 @@ def test_mn_bytes_cover_a_command(tmp_path, monkeypatch, M, N):
         assert peak <= need, argv
     assert need < 2 * peak
 
-    def simulate(region):
+    def simulate(region, *threshold):
         return ["simulate", "--scene", scene, "--line", f"{M},1", "--region", region,
-                "--waveform", "gdaft(2,3,1,2):chirp:2,1,3", "--snr-db", 20]
+                "--waveform", "gdaft(2,3,1,2):chirp:2,1,3", "--snr-db", 20, *threshold]
 
     # its full-grid image is never written, so neither its memory nor its disk is short
     monkeypatch.setattr(ambiguity, "MEMORY_BUDGET_BYTES", 2**40)
@@ -353,7 +371,9 @@ def test_mn_bytes_cover_a_command(tmp_path, monkeypatch, M, N):
     peaks = [_peak_and_need(monkeypatch, tmp_path / f"stub{i}", argv)[0]
              for i, argv in enumerate(commands + [simulate("0:0,0:0")])]
     assert max(peaks) <= ambiguity._MN_BYTES * M * N < 2 * max(peaks)
-    strip = _peak_and_need(monkeypatch, tmp_path / "strip", simulate(f"0:{M * N - 1},0:0"))[0]
+    # every point of the strip a hit, in targets.json
+    argv = simulate(f"0:{M * N - 1},0:0", "--threshold", 1e-300)
+    strip = _peak_and_need(monkeypatch, tmp_path / "strip", argv)[0]
     assert strip <= _need(ambiguity._mn_arrays(Modulus(M, N)), ambiguity._readout(M * N, M * N)) < 2 * strip
 
 
@@ -400,24 +420,36 @@ def test_each_term_covers_its_route(tmp_path, route, M, N):
 
 
 @pytest.mark.parametrize("M, N", [(23, 29), (31, 37)])
-def test_readout_term_covers_its_region(M, N):
-    """readout_targets' peak on a region of MN points is at most the readout term, and
-    over half of it on a two-label line, the heaviest query; lines with fewer labels
-    hold less.  (Its crystallization check, about 42 bytes per MN, is counted among
-    the O(MN) arrays, whatever the region.)"""
+def test_readout_term_covers_its_region(tmp_path, M, N):
+    """readout_targets' peak on a region of MN points, with the targets.json of its hits,
+    is at most the readout term, and over half of it when a threshold below every
+    magnitude makes every point a hit, on a two-label line, the heaviest query; lines
+    with fewer labels, and fewer hits, hold less.  (Its crystallization check, about
+    42 bytes per MN, is counted among the O(MN) arrays, whatever the region.)"""
     mod = Modulus(M, N)
     mn = mod.MN
     y = PeriodicSequence(mod, np.random.default_rng(M).standard_normal(mn) + 0j)
-    for (c, d), region, heaviest in [((M, 1), DDRegion(0, mn - 1, 0, 0), True),
-                                     ((1, 0), DDRegion(0, 0, 0, mn - 1), False),
-                                     ((M, N), DDRegion(0, M - 1, 0, N - 1), False)]:
+    strip = DDRegion(0, mn - 1, 0, 0)
+    for (c, d), region, threshold in [((M, 1), strip, 1e-300), ((M, 1), strip, None),
+                                      ((1, 0), DDRegion(0, 0, 0, mn - 1), None),
+                                      ((M, N), DDRegion(0, M - 1, 0, N - 1), None)]:
         line = LineSubgroup(mod, c, d)
         base, labels = pulsone_chain(line, 5)
         engine = FastEngine(y, *base, transform=labels, grid="full")
-        peak = _traced_peak(lambda: readout_targets(engine, line, region))
+        hits = []
+
+        def readout():  # the targets and their JSON document, as simulate writes them
+            hits.clear()  # the last call's
+            hits.extend(readout_targets(engine, line, region, threshold))
+            _write_json({"targets": [{"k": k, "l": l, "re": v.real, "im": v.imag} for k, l, v in hits]},
+                        tmp_path / "targets.json")
+
+        peak = _traced_peak(readout)
         need = ambiguity._readout(region.width_k * region.width_l, mn)[0]
-        assert peak <= need, (c, d)
-        assert need < 2 * peak or not heaviest
+        assert peak <= need, (c, d, threshold)
+        if threshold is not None:
+            assert len(hits) == mn
+            assert need < 2 * peak
 
 
 @pytest.mark.parametrize("kind", [["pulsone", "--k0", 1], ["gdaft-of", "pulsone", "--sl2", "1,1,0,1"]],
@@ -434,14 +466,14 @@ def test_refused_simulate_leaves_no_output(tmp_path, monkeypatch, capsys, refusa
     mod = Modulus(3, 5)
     scene = tmp_path / "scene.json"
     _scene(scene, mod, DDRegion(0, 2, 0, 4), 3)
-    # 144 bytes per MN for the O(MN) arrays, 136 per point of the 15-point readout
+    # 144 bytes per MN for the O(MN) arrays, 416 per point of the 15-point readout
     # region, and the streamed image: one block of the 15 x 15 grid, whose 225
     # points cost the engine 128 bytes each, the PGM's magnitudes and pixels 16, and
     # the CSV writer 16 KiB, 15-entry index texts of 3 and 2 bytes with their int64
-    # indices, and 405 bytes a line (two copies of a 93-byte line: "14," and "14"
-    # slots, three 29-byte fields and a newline; 3 floats and their workspace)
-    need = (144 * 15 + 136 * 15 + (128 + 16) * 15 * 15 + 16384 + (3 + 8 + 2 + 8) * 15
-            + 15 * 15 * (2 * 93 + 3 * (8 + 65)))
+    # indices, and 645 bytes a line (two copies of a 93-byte line: "14," and "14"
+    # slots, three 29-byte fields and a newline; 3 floats and their format_g17 bytes)
+    need = (144 * 15 + 416 * 15 + (128 + 16) * 15 * 15 + 16384 + (3 + 8 + 2 + 8) * 15
+            + 15 * 15 * (2 * 93 + 3 * (8 + 145)))
     argv = ["simulate", "--scene", scene, "--line", "3,5", "--region", "0:2,0:4"]
     if refusal == "not-crystallized":
         argv[-1] = "0:3,0:4"

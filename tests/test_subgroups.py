@@ -4,7 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from ddradar.ambiguity import cross_ambiguity_fft, cross_ambiguity_naive
+from ddradar.ambiguity import FastEngine, cross_ambiguity_fft, cross_ambiguity_naive
 from ddradar.ddcore import inner
 from ddradar.errors import AlphaNotCoprime, ConfigurationError, IndexOutOfRange, NotPrimitive
 from ddradar.heisenberg import HeisenbergElement, apply_td
@@ -328,3 +328,57 @@ class TestWaveformLibrary:
             for x, y in product(xs, ys):
                 scaled = math.sqrt(mod.MN) * np.abs(cross_ambiguity_fft(x, y).values)
                 assert np.minimum(scaled, np.abs(scaled - level)).max() < 1e-10
+
+
+def _line_points(line) -> np.ndarray:
+    """The line's MN points as flat indices k * MN + l."""
+    mn = line.mod.MN
+    x = np.arange(mn, dtype=np.int64)
+    return x * line.c % mn * mn + x * line.d % mn
+
+
+def _line_sharing(line, shared: tuple, rng) -> LineSubgroup:
+    """A random line equal to `line` mod the primes in `shared`, a subset of (M, N), and
+    not mod the others: its generator is congruent to line's mod their product."""
+    mod = line.mod
+    step = math.prod(shared)
+    while True:
+        c, d = ((v + step * int(rng.integers(mod.MN))) % mod.MN for v in (line.c, line.d))
+        if math.gcd(c, d) == 1 and math.gcd(line.c * d - line.d * c, mod.MN) == step:
+            return LineSubgroup(mod, c, d)
+
+
+@pytest.mark.parametrize("M, N, pairs", [(23, 29, 2), (251, 257, 1)])
+def test_waveform_library_sampled_at_scale(M, N, pairs):
+    """Both laws of TestWaveformLibrary on sampled line pairs, through FastEngine.points at
+    random grid points, points of the first line and the origin: no (MN)^2 surface is formed.
+    Each pair meets at 0 only, or shares its line mod M, mod N or both; the first line is
+    a random one, or one on the Doppler axis mod M, mod N or both (the rectangular line)."""
+    mod = Modulus(M, N)
+    mn = mod.MN
+    rng = np.random.default_rng(M)
+    axes = [(1, 1), (M, 1), (1, N), (M, N)]
+    for n, shared in enumerate([(), (M,), (N,), (M, N)] * pairs):
+        fc, fd = axes[(n + n // 4) % 4]
+        while True:
+            c, d = (int(v) for v in rng.integers(mn, size=2))
+            if math.gcd(c * fc % mn, d * fd % mn) == 1:
+                break
+        first = LineSubgroup(mod, c * fc, d * fd)
+        second = _line_sharing(first, shared, rng)
+        i, j = (int(v) for v in rng.integers(mn, size=2))
+        j = i if len(shared) == 2 else j  # one line: |A| = 1 on it, 0 elsewhere
+        x = eigenvector(first, i)
+        for line, index, vector in ((first, i, x), (second, j, eigenvector(second, j))):
+            zero_delay = np.count_nonzero(np.arange(mn) * line.c % mn == 0)
+            assert abs(papr_db(vector) - 10 * math.log10(zero_delay)) < 1e-10, (line, index)
+        meet = np.intersect1d(_line_points(first), _line_points(second)).size
+        assert meet == math.prod(shared)
+        level = math.sqrt(meet)
+        base, labels = pulsone_chain(second, j)
+        engine = FastEngine(x, *base, transform=labels, grid="full")
+        t = rng.integers(mn, size=200)
+        K = np.concatenate(([0], rng.integers(mn, size=2000), t * first.c % mn))
+        L = np.concatenate(([0], rng.integers(mn, size=2000), t * first.d % mn))
+        scaled = math.sqrt(mn) * np.abs(engine.points(K, L))
+        assert np.minimum(scaled, np.abs(scaled - level)).max() < 1e-10, (first, second, i, j)
