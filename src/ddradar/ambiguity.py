@@ -17,10 +17,11 @@ Two kinds of route live here:
   - cross_ambiguity_fft: one FFT per row of S, O(L^2 log L) for the full
     grid; memory is the output plus one block.
 * fast_pulsone_*: when the reference y is a pulsone, the whole surface
-  collapses to a phased lookup into the M x N table of delay-decimated FFTs
-  of x.  Precompute costs O(MN log N); every point afterwards is O(1).  A
-  tone exp(j*2*pi*beta*n/MN)/sqrt(MN) is the pulsone (0, beta) of the 1 x MN
-  factorisation, whose table is FFT(x)/sqrt(MN), and the same query reads it.
+  collapses to a phased lookup into the M x N Zak transform of x
+  (ddcore.zak, period M).  Precompute costs O(MN log N); every point
+  afterwards is O(1).  A tone exp(j*2*pi*beta*n/MN)/sqrt(MN) is the pulsone
+  (0, beta) of the 1 x MN factorisation, whose table is the Zak transform of
+  period 1, FFT(x)/sqrt(MN), and the same query reads it.
   FastEngine extends this to y = chain_apply(labels, base): each
   label is undone on x, and the chain folds into one index map and one
   quadratic phase on the grid.  Every modulus-bound waveform is such a y:
