@@ -58,7 +58,7 @@ from .errors import (
     IndexOutOfRange,
     OverBudget,
 )
-from .floatfmt import FIELD_TEXT_BYTES, Workspace
+from .floatfmt import FIELD_TEXT_BYTES, INDEX_BYTES, Workspace
 from .modmath import Modulus, _roots_of_unity, phases_to_complex, reduce_mod, same_modulus
 from .symplectic import SL2Element, gdaft_adjoint, lfm_apply, remap_for
 
@@ -186,13 +186,13 @@ def _csv_block(shape: tuple) -> tuple[int, str]:
     """ddcore.complex_to_csv's buffers for an array of `shape`, a grid or a vector:
     each index's texts and the int64 indices they are made from, and per line of a
     block its text twice (laid out, and without NULs), its floats and their
-    format_g17 bytes (floatfmt.Workspace.FLOAT_BYTES: the workspace, and the index
+    format_g17 bytes (its floatfmt.Workspace, and floatfmt.INDEX_BYTES for the index
     arrays over special values such as zeros), plus 16 KiB that does not grow with
     the block: the open file's buffer and the array headers (7.3 to 8.1 KB under
     tracemalloc, CPython 3.11)."""
     nfloat, cols, rows, slots, width = _csv_layout(shape)
     need = 16384 + sum((w + 8) * size for w, size in zip(slots, shape))
-    need += rows * cols * (2 * width + nfloat * (8 + Workspace.FLOAT_BYTES))
+    need += rows * cols * (2 * width + nfloat * (8 + Workspace.FLOAT_BYTES + INDEX_BYTES))
     return need, f"a CSV of {' x '.join(map(str, shape))} values"
 
 

@@ -172,6 +172,14 @@ def _tables() -> _Tables:
 _ROWS = 8
 
 
+# A format_g17 call's bytes per float beyond its Workspace: the index arrays it
+# builds over zeros, non-finite values and decades outside the table, when every
+# float of the call is one (the CSV writer's tracemalloc peak needs up to 72).
+# Values of 10 or more, whose point falls among the digits (_general_mantissa),
+# cost more.
+INDEX_BYTES = 80
+
+
 class Workspace:
     """Scratch space for format_g17 calls over at most `size` floats.
 
@@ -180,12 +188,7 @@ class Workspace:
     8-byte word per float and one boolean mask, 65 bytes per float.
     """
 
-    # A format_g17 call's bytes per float: the workspace's, and 80 for the index
-    # arrays it builds over zeros, non-finite values and decades outside the
-    # table, when every float of the call is one (the CSV writer's tracemalloc
-    # peak needs up to 72).  Values of 10 or more, whose point falls among the
-    # digits (_general_mantissa), cost more.
-    FLOAT_BYTES = 8 * _ROWS + 1 + 80
+    FLOAT_BYTES = 8 * _ROWS + 1
 
     def __init__(self, size: int) -> None:
         self.size = size

@@ -144,6 +144,11 @@ ONE_TAP = _scene([(0, 0, 1.0, 0.0)])
 BIG = ["--M", "3", "--N", "715827881", "--allow-composite"]
 
 
+def _tree(root):
+    """Every path under root, with its bytes when it is a file."""
+    return {path: path.is_file() and path.read_bytes() for path in root.rglob("*")}
+
+
 @settings(max_examples=120, derandomize=True, deadline=None, database=None)
 @given(command=_command(), budget=st.builds(lambda odd, low: low if odd else 2**30, ODD,
                                             st.sampled_from([200_000, 40_000, 2**30])))
@@ -181,10 +186,12 @@ BIG = ["--M", "3", "--N", "715827881", "--allow-composite"]
 @example(command=(SIM + ["--out", "scene.json/run"], ONE_TAP), budget=2**30)
 def test_cli_contract(tmp_path_factory, command, budget):
     argv, scene = command
-    argv = argv if "--out" in argv else [*argv, "--out", "out"]
+    own_out = "--out" in argv
+    argv = argv if own_out else [*argv, "--out", "out"]
     work = tmp_path_factory.mktemp("contract")
     if scene is not None:
         (work / "scene.json").write_text(scene)
+    before = _tree(work)
     err = io.StringIO()
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -199,7 +206,12 @@ def test_cli_contract(tmp_path_factory, command, budget):
     assert "Traceback" not in err.getvalue()
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], [str(w.message) for w in caught]
     out = work / argv[argv.index("--out") + 1]
-    assert out.is_dir() == (code == 0)
+    if not own_out:
+        assert out.exists() == (code == 0)
+    elif code:  # an --out of the command's own, perhaps an existing file: nothing is written
+        assert _tree(work) == before
+    else:
+        assert out.is_dir()
     for path in out.glob("*.json"):
         json.loads(path.read_text(), parse_constant=lambda c: pytest.fail(f"{path.name} holds {c}"))
     for path in out.glob("*.csv"):
