@@ -15,6 +15,9 @@ size (M,N) (by default (3,5), (11,13) and (23,29)):
 * simulate on the rectangular, a transported, a coprime-slope and the
   (1,4) line, noiseless and noisy, and in dB scale at floors -120 and -300
   on the noisy rectangular and the transported line;
+* simulate with tap gains from 10 to 1e4, on the rectangular line in linear
+  scale and on the transported line in dB scale, so the image holds values
+  of 10 or more;
 * the known refusals: usage errors, aliasing regions, bad scenes, seeds,
   SNRs and thresholds, and gains whose return or energy overflows.
 
@@ -58,9 +61,10 @@ def _scene(M: int, N: int, taps) -> dict:
 
 
 def scenes(M: int, N: int) -> dict:
-    """Scene files by name: ordinary taps, and gains near the float64 limit."""
+    """Scene files by name: ordinary taps, gains of 10 or more, and gains near the float64 limit."""
     return {
         "scene": _scene(M, N, [(0, 0, 1.0, 0.0), (1, 2, 0.5, -0.25), (M - 1, N - 1, 0.0, 0.75)]),
+        "large": _scene(M, N, [(0, 0, 30.0, 0.0), (1, 2, -250.5, 12.25), (M - 1, N - 1, 1e4, 0.5)]),
         "huge": _scene(M, N, [(0, 0, 1e308, 1e308)]),
         "energetic": _scene(M, N, [(0, 0, 1e308, 0.0)]),
         "fraction": {"M": M, "N": N, "taps": [{"k": 1.7, "l": 0, "re": 1.0, "im": 0.0}]},
@@ -106,6 +110,10 @@ def commands(M: int, N: int) -> list:
                     "--snr-db", "20", "--seed", "7", "--scale", "db", "--floor", floor])
         out.append(["simulate", "--scene", "scene.json", "--line", transported[0], "--region", transported[1],
                     "--scale", "db", "--floor", floor])
+    out.append(["simulate", "--scene", "large.json", "--line", lines["rectangular"][0],
+                "--region", lines["rectangular"][1]])
+    out.append(["simulate", "--scene", "large.json", "--line", lines["transported"][0],
+                "--region", lines["transported"][1], "--scale", "db"])
     sim = ["simulate", "--scene", "scene.json", "--line", f"{M},{N}"]
     refusals = [
         sim + ["--region", "0:0"],  # usage

@@ -187,7 +187,9 @@ def _csv_block(shape: tuple) -> tuple[int, str]:
     each index's texts and the int64 indices they are made from, and per line of a
     block its text twice (laid out, and without NULs), its floats and their
     format_g17 bytes (its floatfmt.Workspace, and floatfmt.INDEX_BYTES for the index
-    arrays over special values such as zeros), plus 16 KiB that does not grow with
+    arrays over the values its common path sets aside: zeros, non-finite values,
+    decades outside its table, and values of 10 or more, whose digits it edits in
+    place), plus 16 KiB that does not grow with
     the block: the open file's buffer and the array headers (7.3 to 8.1 KB under
     tracemalloc, CPython 3.11)."""
     nfloat, cols, rows, slots, width = _csv_layout(shape)
@@ -483,15 +485,14 @@ class FastEngine:
         # the added phase index is 2*(inv2*Q mod MN)
         self._q = tuple(mod.inv2 * q % mn for q in (qkk, qll, qkl, -2 * gamma))
 
-    def points(self, K, L, out: np.ndarray | None = None) -> np.ndarray:
+    def points(self, K, L) -> np.ndarray:
         """A at the grid points (K, L), integer arrays that broadcast together.
 
-        Any integers are taken mod MN.  With `out`, a complex array of the
-        broadcast shape, the values are written there.
+        Any integers are taken mod MN.
         """
         mn = self.mod.MN
         return self._query(self._terms(np.asarray(K, dtype=np.int64) % mn, 0),
-                           self._terms(np.asarray(L, dtype=np.int64) % mn, 1), out)
+                           self._terms(np.asarray(L, dtype=np.int64) % mn, 1), None)
 
     def _terms(self, X, axis: int) -> tuple:
         """The query's terms in one coordinate X (K for axis 0, L for axis 1), reduced

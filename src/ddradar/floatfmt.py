@@ -34,9 +34,12 @@ group takes its full text, or its text with trailing zeros as NUL when every
 later group is 0000, and when all four are, the head's point is dropped.  A
 zero takes the first decade row, whose head is "0" or "-0".  One strided
 copy per part and column then moves the fields into the caller's line
-buffer.  Only the mantissas of 1 <= E <= 16, whose point falls among the
-digits, and the Python fallbacks are patched afterwards; both are rare and
-found with `flatnonzero`.
+buffer.  Two rare kinds, found with `flatnonzero`, are edited there
+afterwards.  For 1 <= E <= 16 the point falls among the digits: decade by
+decade, the NULs of the integer part (the zeros the trailing-zero rule
+dropped) become "0", the fraction moves one byte to the right, and a point
+goes after the integer part when a digit follows it.  The Python fallbacks
+overwrite their whole field.
 """
 
 from __future__ import annotations
@@ -89,8 +92,6 @@ class _Tables(NamedTuple):
     special: np.ndarray  # kind != _COMMON
     head: np.ndarray  # uint64 bytes 0-7 at (10 * t + first digit) * 2 + sign
     tail: np.ndarray  # uint64 bytes from _TAIL_AT by t: three NULs, then E's exponent, if any
-    point_after: np.ndarray  # digits before the point; 17 means no point
-    min_digits: np.ndarray  # digits kept however many trailing zeros
     groups: np.ndarray  # uint32 text of 0..9999; then the same, trailing zeros NUL
 
 
@@ -125,8 +126,6 @@ def _tables() -> _Tables:
     fixed_neg = (e >= -4) & (e < 0)  # 0.0001 ... 0.9
     fixed_pos = (e >= 0) & (e <= 16)  # 1 ... 99999999999999999
     general = (e >= 1) & (e <= 16)
-    point_after = np.where(fixed_neg, 17, np.where(fixed_pos, e + 1, 1))
-    min_digits = np.where(fixed_pos, e + 1, 1)
     kind = np.where((e < _E_MIN) | (e > _E_MAX), _OUTSIDE, np.where(general, _GENERAL, _COMMON))
     # the head's text by pattern, ending at byte 7: E = -4..-1, then a point
     # after the first digit (E = 0 and scientific), then none (1 <= E <= 16),
@@ -157,8 +156,6 @@ def _tables() -> _Tables:
         special=kind != _COMMON,
         head=head.ravel(),
         tail=tail.view(np.uint64),
-        point_after=point_after,
-        min_digits=min_digits,
         groups=groups.view(np.uint32).ravel(),
     )
     for value in tables:
@@ -173,10 +170,10 @@ _ROWS = 8
 
 
 # A format_g17 call's bytes per float beyond its Workspace: the index arrays it
-# builds over zeros, non-finite values and decades outside the table, when every
-# float of the call is one (the CSV writer's tracemalloc peak needs up to 72).
-# Values of 10 or more, whose point falls among the digits (_general_mantissa),
-# cost more.
+# builds over the values the common path sets aside, when every float of the
+# call is one.  Zeros, non-finite values and decades outside the table need up
+# to 72 under tracemalloc in the CSV writer; values of 10 or more, with their
+# decades and the bytes of one decade's fields at a time, 73.
 INDEX_BYTES = 80
 
 
@@ -278,6 +275,7 @@ def format_g17(values: np.ndarray, fields: np.ndarray, workspace: Workspace | No
     kind = tables.kind.take(t[special], mode="clip")
     odd = special[kind == _OUTSIDE]  # zero, non-finite or out of range
     general = special[kind == _GENERAL]
+    decade = (t[general] + _E_LO).astype(np.int8)  # their E, held to the end in one byte each
     a[odd] = _STAND_IN
     t[odd] = _STAND_IN_T
     d, frac = _scaled(tables, a, t, rows)
@@ -307,8 +305,6 @@ def format_g17(values: np.ndarray, fields: np.ndarray, workspace: Workspace | No
     np.floor_divide(low, 10**4, out=g[2])
     np.multiply(g[2], 10**4, out=g[3])
     np.subtract(low, g[3], out=g[3])
-    if general.size:
-        mantissas = _general_mantissa(tables, lead[general], g[:, general].T, t[general])
     # The last group drops its trailing zeros through the second half of the
     # group table.  When it is 0000, so is its text, and the group before it
     # drops its own; a group is full only when a later group is not 0000.
@@ -332,11 +328,9 @@ def format_g17(values: np.ndarray, fields: np.ndarray, workspace: Workspace | No
     np.right_shift(v.view(np.int64), 63, out=sign)  # -1 where the sign bit is set
     index -= sign
     tables.head.take(index, out=head, mode="clip")  # over lead
-    if short.size and single.size:  # a bare point ends the head: drop it, one byte to the right
+    if short.size and single.size:  # a bare point ends the head: drop it
         text = head[single].view(np.uint8).reshape(-1, 8)
-        point = text[:, 7] == ord(".")
-        text[point, 1:] = text[point, :-1]
-        text[point, 0] = 0
+        text[text[:, 7] == ord("."), 7] = 0
         head[single] = text.view(np.uint64).ravel()
     tables.tail.take(t, out=tail, mode="clip")  # over low
     groups = rows[:2].reshape(-1).view(np.uint32).reshape(4, m)
@@ -350,27 +344,18 @@ def format_g17(values: np.ndarray, fields: np.ndarray, workspace: Workspace | No
         tails_at[:, j] = tail[column]
         digits_at[:, j] = groups[:, column].T
         heads_at[:, j] = head[column]
-    if general.size:  # 17 digits with the point inside, from the first digit
-        fields[general % n, general // n, 7:25] = mantissas
+    if general.size:  # 1 <= E <= 16: the integer part is the first E + 1 digits
+        for e in np.unique(decade).tolist():
+            at = general[decade == e]
+            row, col = at % n, at // n
+            text = fields[row, col, 8:25]  # digits 2 to 17, and the NUL after them
+            whole = text[:, :e]
+            whole[whole == 0] = ord("0")  # zeros the trailing-zero rule dropped
+            text[:, e + 1 :] = text[:, e:-1]  # the fraction, one byte to the right
+            text[:, e] = np.where(text[:, e + 1 :].any(axis=1), ord("."), 0)
+            fields[row, col, 8:25] = text
     for k in python:  # one index at a time, not a list of them all
         field = ("," + _NUM.format(float(v[k]))).encode("ascii")
         fields[k % n, k // n, :FIELD_BYTES] = np.frombuffer(field.ljust(FIELD_BYTES, b"\0"), np.uint8)
     return python.size
 
-
-def _general_mantissa(tables, lead, g, t) -> np.ndarray:
-    """18 bytes from the first digit: 17 digits, trailing zeros beyond the integer part
-    removed, and the point after the integer part when digits follow it."""
-    digits = np.empty((lead.size, 17), np.uint8)
-    digits[:, 0] = lead + ord("0")
-    digits[:, 1:] = tables.groups.take(g % 10000).view(np.uint8)
-    significant = 17 - np.logical_and.accumulate(digits[:, ::-1] == ord("0"), axis=1).sum(axis=1)
-    after = tables.point_after.take(t)[:, None]
-    keep = np.maximum(significant, tables.min_digits.take(t))[:, None]
-    point = significant[:, None] > after
-    j = np.arange(18)
-    shifted = point & (j > after)
-    out = np.take_along_axis(digits, np.minimum(j - shifted, 16), axis=1)
-    out[j >= keep + point] = 0
-    out[point & (j == after)] = ord(".")
-    return out

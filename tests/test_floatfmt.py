@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ddradar import floatfmt
 from ddradar.ddcore import complex_to_csv
 from ddradar.floatfmt import FIELD_BYTES, format_g17
 from oracles import complex_to_csv_rows
@@ -141,20 +140,34 @@ class TestTrailingZeros:
         complex_to_csv_rows(grid, tmp_path / "oracle.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
-    def test_general_mantissa_only_inside_the_integer_range(self, monkeypatch, values):
-        """_general_mantissa is reached only for 1 <= E <= 16, never for E <= 0."""
-        decades = []
-        general = floatfmt._general_mantissa
 
-        def recorded(tables, lead, g, t):
-            decades.extend((t + floatfmt._E_LO).tolist())
-            return general(tables, lead, g, t)
+class TestIntegerPart:
+    """Decades 1 to 16, whose point falls among the 17 digits, laid out by the kernel."""
 
-        monkeypatch.setattr(floatfmt, "_general_mantissa", recorded)
-        kernel_texts(values)
-        assert decades == []
-        assert_formats_like_python([120.0, -48012848914213000.0, 100.5, 1e16])
-        assert decades and all(1 <= e <= 16 for e in decades)
+    @pytest.fixture(scope="class")
+    def values(self) -> np.ndarray:
+        rng = np.random.default_rng(23)
+        found = []
+        for e in range(1, 17):
+            power = 10.0**e
+            found += [power, 1.2 * power, rng.uniform(power, 10 * power)]  # 10, 120, ...; 1e16
+            found += trailing_zero_values(4, e, rng)[:1] + trailing_zero_values(16 - e, e, rng)[:1]
+        found += [100.5, 1000.25, 12.5, 123456.78125, 4503599627370495.5]  # exact fractions
+        return np.array(found + [-x for x in found])
+
+    def test_every_decade_by_the_kernel(self, values):
+        texts = ["{:.17g}".format(x) for x in values.tolist()]
+        assert {len(t.lstrip("-").partition(".")[0]) for t in texts} == set(range(2, 18))  # E = 1..16
+        assert all("e" not in t for t in texts)
+        assert {"10", "-120", "10000000000000000", "100.5", "-1000.25"} <= set(texts)
+        assert assert_formats_like_python(values) == 0
+
+    def test_every_column(self, tmp_path, values):
+        """In the re, im and abs columns of a surface CSV, byte for byte, none by Python."""
+        grid = np.concatenate((values + 0j, 1j * values)).reshape(-1, 4)
+        assert complex_to_csv(grid, tmp_path / "new.csv") == 0
+        complex_to_csv_rows(grid, tmp_path / "oracle.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
 class TestCsvBytes:

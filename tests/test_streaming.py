@@ -268,14 +268,17 @@ def test_simulate_formats_each_engine_block_in_one_pass(tmp_path, monkeypatch):
 @pytest.mark.parametrize("shape, kind",
                          [(shape, "random") for shape in ((15, 15), (667, 667), (29, 667), (667, 29), (2500,))]
                          + [(shape, kind) for shape in ((31, 37), (127, 131)) for kind in ("pulsone", "real")]
-                         + [((15, 15), "sparse"), ((29, 667), "sparse"), ((2500,), "tiny")],
+                         + [((15, 15), "sparse"), ((29, 667), "sparse"), ((2500,), "tiny")]
+                         + [(shape, "large") for shape in ((15, 15), (29, 667), (2500,))],
                          ids=["15x15", "667x667", "29x667", "667x29", "2500", "pulsone-31x37", "real-31x37",
-                              "pulsone-127x131", "real-127x131", "sparse-15x15", "sparse-29x667", "tiny-2500"])
+                              "pulsone-127x131", "real-127x131", "sparse-15x15", "sparse-29x667", "tiny-2500",
+                              "large-15x15", "large-29x667", "large-2500"])
 def test_block_bytes_cover_the_csv_writer(tmp_path, shape, kind):
     """The CSV term is at least the writer's tracemalloc peak, and less than twice it,
     for random values and for values the formatter sets aside as special: mostly
     exact zeros (a pulsone's waveform.csv, a real vector's imaginary parts, a grid
-    that is zero but at one point), or values below its table, which Python formats."""
+    that is zero but at one point), values below its table, which Python formats,
+    or magnitudes of 10 or more, whose point falls among the digits."""
     rng = np.random.default_rng(9)
     if kind in ("pulsone", "real"):  # a vector of MN values
         mod = Modulus(*shape)
@@ -286,6 +289,8 @@ def test_block_bytes_cover_the_csv_writer(tmp_path, shape, kind):
         values[1, 2] = 1.0
     elif kind == "tiny":
         values = 1e-300 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    elif kind == "large":  # an image of tap gains of 10 or more
+        values = rng.uniform(10, 1e6, shape) * np.exp(2j * np.pi * rng.uniform(size=shape))
     else:
         values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     rows = ddcore._block_rows(shape[0], shape[1] if len(shape) == 2 else 1)
