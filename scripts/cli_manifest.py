@@ -5,7 +5,9 @@
     python scripts/cli_manifest.py --tree ../other-checkout --out other.json
 
 For every command the manifest holds its argv, exit code, stdout, stderr and
-the SHA-256 of each file it wrote under --out.  The list covers, at each
+the SHA-256 of each file it wrote under --out, and, for each surface CSV (its
+header k,l,re,im,abs), the SHA-256 of its k,l,re,im columns alone, so that two
+manifests tell a change of the abs column from a change of the values.  The list covers, at each
 size (M,N) (by default (3,5), (11,13) and (23,29)):
 
 * every waveform kind, with --self-ambiguity in linear and dB scale;
@@ -36,6 +38,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import sysconfig
@@ -54,6 +57,8 @@ WAVEFORMS = (
 )
 BASES = ("pulsone:1,2", "chirp:2,1,3", "zc:1")
 PREFIXES = ("", "lfm(2):", "gdaft(1,1,0,1):", "gdaft(2,3,1,2):")
+SURFACE_HEADER = b"k,l,re,im,abs\n"
+LAST_FIELD = re.compile(rb",[^,\n]*$", re.MULTILINE)  # a line's last comma and what follows it
 
 
 def _scene(M: int, N: int, taps) -> dict:
@@ -164,10 +169,13 @@ def run(tree: Path, cwd: Path, argv: list, work: Path) -> dict:
     out = cwd / "out"
     done = subprocess.run([sys.executable, "-m", "ddradar", *argv, "--out", "out"], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=1200)
-    files = {}
+    files, values = {}, {}
     if out.exists():
         for path in sorted(p for p in out.rglob("*") if p.is_file()):
-            files[path.relative_to(out).as_posix()] = hashlib.sha256(path.read_bytes()).hexdigest()
+            name, data = path.relative_to(out).as_posix(), path.read_bytes()
+            files[name] = hashlib.sha256(data).hexdigest()
+            if data.startswith(SURFACE_HEADER):
+                values[name] = hashlib.sha256(LAST_FIELD.sub(b"", data)).hexdigest()
             path.unlink()
         for path in sorted(out.rglob("*"), reverse=True):
             path.rmdir()
@@ -177,7 +185,8 @@ def run(tree: Path, cwd: Path, argv: list, work: Path) -> dict:
         return text.replace(str(work), "<work>").replace(str(tree), "<tree>").replace(SITE, "<site>")
 
     return {"argv": [clean(str(a)) for a in argv], "exit": done.returncode,
-            "stdout": clean(done.stdout), "stderr": clean(done.stderr), "files": files}
+            "stdout": clean(done.stdout), "stderr": clean(done.stderr), "files": files,
+            "k,l,re,im": values}
 
 
 def main(argv=None) -> int:

@@ -32,8 +32,8 @@ The fast path is one FastEngine: O(1) point queries, and row blocks of
 either grid.  Writing all (MN)^2 points would itself cost O(M^2 N^2) and
 defeat the complexity advantage, so a full-grid surface is an explicit
 caller decision; write_surface streams the blocks into the CSV and PGM files
-without holding the complex surface or its magnitudes, and FastEngine.surface
-materialises it.
+without holding the complex surface or a magnitude per point (it gathers
+them from the table's), and FastEngine.surface materialises it.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from .errors import (
     IndexOutOfRange,
     OverBudget,
 )
-from .floatfmt import FIELD_TEXT_BYTES, INDEX_BYTES, Workspace
+from .floatfmt import FIELD_BYTES, FIELD_TEXT_BYTES, INDEX_BYTES, Workspace
 from .modmath import Modulus, _roots_of_unity, phases_to_complex, reduce_mod, same_modulus
 from .symplectic import SL2Element, gdaft_adjoint, lfm_apply, remap_for
 
@@ -105,10 +105,11 @@ _BLOCK_ROWS = 64
 # Largest allocation a command or a surface route may make, in bytes.
 MEMORY_BUDGET_BYTES = 2**30
 # Bytes per MN a command holds in O(MN) arrays: its waveforms, a return, the fast
-# table and its labels' temporaries, and the 2MN roots of unity, counted whether or
-# not modmath's cache holds them.  The rule: the largest tracemalloc peak per MN of
-# a command run with its writers stubbed and a one-point readout region, from a
-# cold roots cache, at (127, 131) and (251, 257), rounded up to a multiple of 16.
+# table, its magnitudes and its labels' temporaries, and the 2MN roots of unity,
+# counted whether or not modmath's cache holds them.  The rule: the largest
+# tracemalloc peak per MN of a command run with its writers stubbed and a
+# one-point readout region, from a cold roots cache, at (127, 131) and
+# (251, 257), rounded up to a multiple of 16.
 # That peak is 136.5, simulate, whose readout's crystallization check holds about
 # 42; waveforms and fast ambiguities hold 80 to 120.  A larger region is _readout's.
 _MN_BYTES = 144
@@ -153,7 +154,7 @@ def _written(csv: tuple, pgm: tuple | None) -> tuple[int, str]:
     floatfmt.FIELD_TEXT_BYTES field per float and the newline), the PGM of a `pgm`
     grid if it writes one, 1 byte a point, and 64 bytes for each file's header.
     papr.txt and targets.json are not counted."""
-    nfloat, _, _, slots, _ = _csv_layout(csv)
+    nfloat, _, _, _, slots, _ = _csv_layout(csv)
     line = sum(slots) + nfloat * FIELD_TEXT_BYTES + 1
     need, what = 64 + math.prod(csv) * line, f"a CSV of {' x '.join(map(str, csv))} values"
     if pgm is not None:
@@ -176,25 +177,32 @@ def _readout(points: int, mn: int) -> tuple[int, str]:
     return 416 * min(points, mn), f"a readout of {points} region points"
 
 
-def _streamed_pgm(nk: int, nl: int) -> tuple[int, str]:
+def _streamed_pgm(nk: int, nl: int, entries: int = 0) -> tuple[int, str]:
     """write_surface's PGM of an nk x nl surface, one block of it: the engine block,
-    and its float64 magnitudes and uint8 pixels, 9 bytes a point, within 16."""
-    return (_ENGINE_POINT_BYTES + 16) * _block_rows(nk, nl) * nl, f"a streamed {nk} x {nl} PGM"
+    and an array's float64 magnitudes or an engine's int64 table entries, and the
+    uint8 pixels, 9 bytes a point, within 16.  A fast engine's table of `entries`
+    entries adds 9 bytes an entry: a copy of its magnitudes, which _pixels
+    overwrites, and each entry's pixel.  (The magnitudes themselves, 8 bytes an
+    entry, are held by the engine from its construction, among the O(MN) arrays.)"""
+    return (_ENGINE_POINT_BYTES + 16) * _block_rows(nk, nl) * nl + 9 * entries, f"a streamed {nk} x {nl} PGM"
 
 
-def _csv_block(shape: tuple) -> tuple[int, str]:
+def _csv_block(shape: tuple, entries: int = 0) -> tuple[int, str]:
     """ddcore.complex_to_csv's buffers for an array of `shape`, a grid or a vector:
     each index's texts and the int64 indices they are made from, and per line of a
     block its text twice (laid out, and without NULs), its floats and their
     format_g17 bytes (its floatfmt.Workspace, and floatfmt.INDEX_BYTES for the index
     arrays over the values its common path sets aside: zeros, non-finite values,
     decades outside its table, and values of 10 or more, whose digits it edits in
-    place), plus 16 KiB that does not grow with
-    the block: the open file's buffer and the array headers (7.3 to 8.1 KB under
-    tracemalloc, CPython 3.11)."""
-    nfloat, cols, rows, slots, width = _csv_layout(shape)
-    need = 16384 + sum((w + 8) * size for w, size in zip(slots, shape))
-    need += rows * cols * (2 * width + nfloat * (8 + Workspace.FLOAT_BYTES + INDEX_BYTES))
+    place), plus 16 KiB that does not grow with the block: the open file's buffer
+    and the array headers (7.3 to 8.1 KB under tracemalloc, CPython 3.11).  A fast
+    engine's grid with more points than its table has `entries` formats two floats
+    a line, re and im, and gathers the abs fields from one per entry, FIELD_BYTES
+    each, through a temporary of FIELD_BYTES a line (ddcore._csv_layout)."""
+    nfloat, formatted, cols, rows, slots, width = _csv_layout(shape, entries)
+    line = 2 * width + FIELD_BYTES * (nfloat - formatted)  # the text twice, and a gathered abs field
+    need = 16384 + sum((w + 8) * size for w, size in zip(slots, shape)) + FIELD_BYTES * entries * (nfloat - formatted)
+    need += rows * cols * (line + formatted * (8 + Workspace.FLOAT_BYTES + INDEX_BYTES))
     return need, f"a CSV of {' x '.join(map(str, shape))} values"
 
 
@@ -375,13 +383,14 @@ def fast_pulsone_precompute(
     return FastPulsonePrecomp(x.mod, k0, l0, table)
 
 
-def fast_pulsone_query(pre: FastPulsonePrecomp, k, l, phase=0, out: np.ndarray | None = None):
+def fast_pulsone_query(pre: FastPulsonePrecomp, k, l, phase=0, out: np.ndarray | None = None, entries=None):
     """Exact A_{x, ref}[k, l] in O(1) per point, times exp(j*pi*phase/MN).
 
     k, l and the added phase index may be integer arrays that broadcast
     together; the delay period P and Doppler length R come from the table's
     shape.  With `out`, a complex array of the broadcast shape, the values are
-    written there.
+    written there; with `entries`, an int64 array of that shape, each point's
+    table entry, its index into the raveled table.
     """
     mod = pre.mod
     period, length = pre.rowfft.shape
@@ -396,6 +405,8 @@ def fast_pulsone_query(pre: FastPulsonePrecomp, k, l, phase=0, out: np.ndarray |
     del k
     flat = u if period == 1 else row * length + reduce_mod(u, length)  # a tone's R is MN
     del row, u
+    if entries is not None:  # a tone's flat has l's shape: broadcast to the points'
+        np.copyto(entries, flat)
     phases = phases_to_complex(index, mod)
     del index
     # table entry first: the order numpy's temporary elision gave the whole-grid
@@ -412,8 +423,7 @@ def fast_pulsone_surface(pre: FastPulsonePrecomp) -> AmbiguitySurface:
     Any other point is one fast_pulsone_query, or a FastEngine block.
     """
     mod = pre.mod
-    kk, ll = np.meshgrid(np.arange(mod.M), np.arange(mod.N), indexing="ij")
-    return AmbiguitySurface(mod, "fundamental", fast_pulsone_query(pre, kk, ll))
+    return AmbiguitySurface(mod, "fundamental", fast_pulsone_query(pre, np.arange(mod.M)[:, None], np.arange(mod.N)))
 
 
 class FastEngine:
@@ -436,17 +446,19 @@ class FastEngine:
     the engine is its image (radarsim.form_image).
 
     Every value is thus fl(t * p), for its table entry t and a roots-table
-    phase p, and peak() finds the largest |A| before the first block from the
-    entries within rounding of the largest.  With u = 2**-53, |p| is within 2u
-    of 1 (cos and sin within an ulp each), the complex product within
-    sqrt(5) u of t * p (Brent, Percival & Zimmermann 2007) and np.abs within
-    2u, so a computed |A| is |t| (1 + d) with |d| < 7u, and a computed |t| is
-    within 2u of |t|.  An entry whose computed |t| has |t| (1 + 16u) <
-    max|t| (1 - 16u) therefore gives only values below every value of the
-    largest entry; 2**-1060 more covers the absolute error of products that
-    underflow.  An x near the float64 limit, whose surface is not finite or
-    overflows the PGM's linear scale 255*|A|, is refused with
-    ConfigurationError.
+    phase p, so |A| is |t| in exact arithmetic: `magnitudes` holds one
+    np.hypot of the table, bit for bit abs(t), and write_surface takes every
+    magnitude it writes from it, one abs field and one pixel per entry.  The
+    product path would round: with u = 2**-53, |p| is within 2u of 1 (cos and
+    sin within an ulp each), the complex product within sqrt(5) u of t * p
+    (Brent, Percival & Zimmermann 2007) and hypot within 2u, so the magnitude
+    of a computed value is |t| (1 + d) with |d| < 7u.  The entry [row, col]
+    holds the values at G^-1(k, l) for k = row - k0 (mod P) and l = col - l0
+    (mod R), its MN preimages, all on the full grid: there the largest |A| is
+    the largest entry's, while the fundamental grid's points may miss any
+    entry, the largest among them.  An x near the float64 limit, whose table
+    is not finite or overflows the PGM's linear scale 255*|A|, is refused
+    with ConfigurationError.
     """
 
     def __init__(
@@ -478,8 +490,9 @@ class FastEngine:
                 qll += kk * b * b + ll * d * d + kl * b * d
                 qkl += 2 * (kk * a * b + ll * c * d) + kl * (a * d + b * c)
             self._pre = fast_pulsone_precompute(x, k0, l0, period)
-            # every value of A is a table entry times a unit phase
-            if not np.isfinite(255.0 * np.abs(self._pre.rowfft).max()):
+            # |t| of each entry, raveled as blocks(entries=) indexes it
+            self.magnitudes = np.hypot(self._pre.rowfft.real, self._pre.rowfft.imag).ravel()
+            if not np.isfinite(255.0 * self.magnitudes.max()):
                 raise ConfigurationError("the surface is not finite, or too large for its 8-bit PGM scale")
         self._G = G
         # the added phase index is 2*(inv2*Q mod MN)
@@ -504,7 +517,7 @@ class FastEngine:
         return (X, ck * X % mn if ck else 0, cl * X % mn if cl else 0,
                 cq * (X * X % mn) % mn if cq else 0)
 
-    def _query(self, rows: tuple, cols: tuple, out: np.ndarray | None) -> np.ndarray:
+    def _query(self, rows: tuple, cols: tuple, out: np.ndarray | None, entries=None) -> np.ndarray:
         """fast_pulsone_query at G(K, L) with the phase index 2*Q(K, L), from _terms of K and of L.
 
         A term in one coordinate keeps that coordinate's shape (a block's rows
@@ -521,15 +534,17 @@ class FastEngine:
         q = q_rows + c0 + q_cols
         if ckl:  # only GDAFT labels make Q's phase 2-D
             q = q + ckl * reduce_mod(K * L, mn)
-        return fast_pulsone_query(self._pre, k_rows + k_cols, l_rows + l_cols, 2 * reduce_mod(q, mn), out=out)
+        return fast_pulsone_query(self._pre, k_rows + k_cols, l_rows + l_cols, 2 * reduce_mod(q, mn), out, entries)
 
-    def blocks(self, out: np.ndarray | None = None):
+    def blocks(self, out: np.ndarray | None = None, entries: np.ndarray | None = None):
         """The grid's rows, top to bottom, in blocks of ddcore._block_rows rows.
 
         Without `out`, every block is written into one buffer, so each is
         overwritten by the next.  With `out`, a complex array of the grid's
         shape, each block is written into its own rows of `out`, which holds
-        the whole surface once the blocks are exhausted.  The terms of the
+        the whole surface once the blocks are exhausted.  With `entries`, an
+        int64 array of one block's shape, the leading rows of `entries` receive
+        each block's table entries, indices into `magnitudes`.  The terms of the
         columns are formed once, for every block.
         """
         nk, nl = self.shape
@@ -537,37 +552,9 @@ class FastEngine:
         cols = self._terms(np.arange(nl, dtype=np.int64)[None, :], 1)
         buf = np.empty((step, nl), dtype=np.complex128) if out is None else None
         for start in range(0, nk, step):
-            stop = min(start + step, nk)
-            rows = buf[: stop - start] if out is None else out[start:stop]
-            yield self._query(self._terms(np.arange(start, stop, dtype=np.int64)[:, None], 0), cols, rows)
-
-    def peak(self) -> float:
-        """The largest np.abs(A) on the grid, equal bit for bit to the largest over blocks().
-
-        Only the table entries the class docstring cannot rule out are read:
-        the entry [row, col] holds the values at G^-1(k, l) for k = row - k0
-        (mod P) and l = col - l0 (mod R), its MN preimages, all on the full
-        grid.  There the candidates' preimages are queried, a block's rows of
-        candidates at a time.  When they are at least as many points as the
-        grid has, as always on the fundamental grid (whose points may miss every
-        preimage of the largest entry) and on a flat table, one pass of
-        blocks() is made instead.
-        """
-        pre = self._pre
-        period, length = pre.rowfft.shape
-        nk, nl = self.shape
-        mags = np.abs(pre.rowfft)  # u = 2**-53, so 16u = 2**-49
-        rows, cols = np.nonzero(mags * (1.0 + 2.0**-49) + 2.0**-1060 >= mags.max() * (1.0 - 2.0**-49))
-        if rows.size * self.mod.MN >= nk * nl:
-            return max(float(np.abs(block).max()) for block in self.blocks())
-        H = self._G.inverse()
-        step = _block_rows(nk, nl)
-        top = 0.0
-        for i in range(0, rows.size, step):  # (candidate, k, l): R values of k and P of l each
-            k = ((rows[i : i + step] - pre.k0) % period)[:, None, None] + period * np.arange(length)[:, None]
-            l = ((cols[i : i + step] - pre.l0) % length)[:, None, None] + length * np.arange(period)
-            top = max(top, float(np.abs(self.points(H.a * k + H.b * l, H.c * k + H.d * l)).max()))
-        return top
+            ks = np.arange(start, min(start + step, nk), dtype=np.int64)[:, None]
+            rows = buf[: len(ks)] if out is None else out[start : start + step]
+            yield self._query(self._terms(ks, 0), cols, rows, None if entries is None else entries[: len(ks)])
 
     @functools.cached_property
     def surface(self) -> AmbiguitySurface:
@@ -650,23 +637,26 @@ def coded_waveform(z: np.ndarray, chip: np.ndarray) -> np.ndarray:
 # heatmaps of |A| with linear or dB scaling.
 
 
-def surface_to_csv(surface, path, shape: tuple | None = None) -> None:
+def surface_to_csv(surface, path, shape: tuple | None = None, mags=None, entries=None) -> None:
     """Write a surface (AmbiguitySurface or plain 2-D array) as k,l,re,im,abs CSV.
 
     With `shape`, `surface` is instead an iterable of the consecutive row blocks
     of a surface of that shape, written as they arrive (ddcore.complex_to_csv).
+    With `mags` and `entries` too, FastEngine.magnitudes and the buffer that
+    FastEngine.blocks(entries=) fills, each abs field is that of the point's
+    table entry.
     """
     values = surface.values if isinstance(surface, AmbiguitySurface) else surface
-    complex_to_csv(values, path, shape)
+    complex_to_csv(values, path, shape, mags, entries)
 
 
 def surface_from_csv(path, mod: Modulus, grid: str) -> AmbiguitySurface:
     return AmbiguitySurface(mod, grid, complex_from_csv(path, _grid_shape(mod, grid)))
 
 
-def _pixels(mags: np.ndarray, peak: float, out: np.ndarray, scale: str, floor: float) -> None:
-    """The PGM pixels of the magnitudes `mags` against the surface's `peak`, into the
-    uint8 array `out`; `mags` is overwritten."""
+def _pixels(mags: np.ndarray, peak: float, scale: str, floor: float) -> np.ndarray:
+    """The PGM pixels, uint8, of the magnitudes `mags` against the surface's `peak`;
+    `mags` is overwritten."""
     if peak == 0.0:
         mags.fill(0.0)
     elif scale == "linear":  # round(255 * mags / peak)
@@ -682,51 +672,63 @@ def _pixels(mags: np.ndarray, peak: float, out: np.ndarray, scale: str, floor: f
         mags -= floor
         mags *= 255.0
         mags /= -floor
-    np.rint(mags, out=mags)  # np.round's half-to-even
-    np.copyto(out, mags, casting="unsafe")
+    return np.rint(mags, out=mags).astype(np.uint8)  # np.round's half-to-even
 
 
 def write_surface(surface, csv_path, pgm_path, scale: str = "linear", floor: float = -120.0) -> None:
     """Write a surface, a FastEngine or a 2-D array, to CSV and PGM in one pass of row blocks.
 
-    The peak comes first: FastEngine.peak(), or an array's largest |A| from a
-    first pass of its row blocks (an engine's grid of one block is formed
-    once, and measured like an array's).  The PGM header follows, and then
-    each block (FastEngine.blocks, or views of the array of as many rows) is
-    formatted into the CSV as it arrives (no CSV when `csv_path` is None)
-    while its pixels, final against the known peak, go to the PGM: rows are
-    delay k, columns Doppler l.  linear: 0..255 spans 0..max|A|.  db: 0..255
-    spans floor..0 dB relative to the surface peak, clamping below the floor;
-    the floor must be a finite negative number.  The files are byte for byte
-    surface_to_csv and the PGM of the whole surface; no array of the surface's
-    size is held, and no complex one beyond the block being written
-    (_streamed_pgm).  Commands check the model's terms with check_budget first.
+    The peak comes first.  An engine's is the largest of its magnitudes over
+    the entries its grid reads (see FastEngine): all of them on the full grid,
+    with no value formed, and on the fundamental grid those of a first pass of
+    its blocks.  An array's is its largest |A| from a first pass of its row
+    blocks.  An engine's grid of one block is formed once.  The PGM header follows,
+    and then each block (FastEngine.blocks, or views of the array of as many
+    rows) is formatted into the CSV as it arrives (no CSV when `csv_path` is
+    None) while its pixels, final against the known peak, go to the PGM:
+    rows are delay k, columns Doppler l.  linear: 0..255 spans 0..max|A|.
+    db: 0..255 spans floor..0 dB relative to the surface peak, clamping below
+    the floor; the floor must be a finite negative number.  An engine's
+    every magnitude is that of its table entry, FastEngine.magnitudes: the
+    pixels of the entries are formed once and gathered per block, as the
+    CSV gathers the abs fields, and no magnitude of a point is computed.  An
+    array's are np.abs of its values for the PGM and np.hypot for the CSV.
+    No array of the surface's size is held but an engine's per-entry arrays,
+    of its table's MN entries, and no complex one beyond the block being
+    written (_streamed_pgm, _csv_block).  Commands check the model's terms
+    with check_budget first.
     """
     _check_scale(scale, floor)
     nk, nl = shape = surface.shape
     step = _block_rows(nk, nl)
-    mags, pixels = np.empty((step, nl)), np.empty((step, nl), dtype=np.uint8)
-    engine = isinstance(surface, FastEngine)
-    if engine and step < nk:
-        peak, blocks = surface.peak(), surface.blocks()
-    else:  # an array's row blocks, or the one block of an engine's grid, formed once
-        blocks = [next(surface.blocks())] if engine else [surface[s : s + step] for s in range(0, nk, step)]
+    if isinstance(surface, FastEngine):  # each entry's pixel, gathered by the block's entries
+        table, entries = surface.magnitudes, np.empty((step, nl), dtype=np.int64)
+        blocks = surface.blocks(entries=entries)
+        if step >= nk:  # the grid's one block, formed once
+            blocks = [next(blocks)]
+        # the largest magnitude over the entries the grid reads: on the full grid every
+        # entry; the fundamental grid's points may miss any, so a pass reads theirs
+        scan = blocks if step >= nk else surface.blocks(entries=entries)
+        peak = table.max() if surface.grid == "full" else max(table.take(entries[: len(b)]).max() for b in scan)
+        shades = _pixels(table.copy(), peak, scale, floor)
+        shade = lambda block: shades.take(entries[: len(block)])
+    else:
+        table, entries, mags = None, None, np.empty((step, nl))
+        blocks = [surface[s : s + step] for s in range(0, nk, step)]
         peak = max(float(np.abs(block, out=mags[: len(block)]).max()) for block in blocks)
+        shade = lambda block: _pixels(np.abs(block, out=mags[: len(block)]), peak, scale, floor)
     with open(pgm_path, "wb") as pgm:
         pgm.write(f"P5\n{nl} {nk}\n255\n".encode("ascii"))
 
         def written():
             for block in blocks:
-                n = block.shape[0]
-                _pixels(np.abs(block, out=mags[:n]), peak, pixels[:n], scale, floor)
-                pgm.write(pixels[:n])
+                pgm.write(shade(block))
                 yield block
 
-        if csv_path is None:
-            for _ in written():
-                pass
-        else:
-            surface_to_csv(written(), csv_path, shape)
+        if csv_path is not None:
+            return surface_to_csv(written(), csv_path, shape, table, entries)
+        for _ in written():
+            pass
 
 
 def _check_scale(scale: str, floor: float) -> None:

@@ -209,7 +209,7 @@ def cmd_waveform(args, parser) -> int:
     # waveform.csv, then the self-ambiguity streamed into its PGM: the first is closed
     # before the second starts, so only the larger counts
     full = (mod.MN, mod.MN) if args.self_ambiguity else None
-    writer = max(_csv_block((mod.MN,)), _streamed_pgm(*full)) if full else _csv_block((mod.MN,))
+    writer = max(_csv_block((mod.MN,)), _streamed_pgm(*full, mod.MN)) if full else _csv_block((mod.MN,))
     check_budget(_mn_arrays(mod), writer)
     spec = parse_waveform_spec(prefix + base, mod)
     line = f"papr_db={papr_db(spec.seq):.12g}"
@@ -247,9 +247,10 @@ def cmd_ambiguity(args, parser) -> int:
         period, shape = x.period, (x.period, x.period)
     else:
         period, shape = mod.MN, _grid_shape(mod, args.grid)
-    sums = [] if args.engine == "fast" else [_direct_sums(period, *shape)]
-    # one check of the whole command: its O(MN) arrays, any direct sums, and the writer
-    check_budget(_mn_arrays(mod), *sums, _streamed_pgm(*shape), _csv_block(shape))
+    # one check of the whole command: its O(MN) arrays, any direct sums, and the writer,
+    # which gathers a fast engine's magnitudes from its table of MN entries
+    sums, entries = ([], mod.MN) if args.engine == "fast" else ([_direct_sums(period, *shape)], 0)
+    check_budget(_mn_arrays(mod), *sums, _streamed_pgm(*shape, entries), _csv_block(shape, entries))
     if coded:
         surface = cross_ambiguity_array(x.seq, y.seq)
     elif args.engine == "fast":
@@ -276,7 +277,7 @@ def cmd_simulate(args, parser) -> int:
     # before the first O(MN) array; every refusal comes before --out exists, and the
     # image is formed only as it is written
     check_budget(_mn_arrays(mod), _readout(region.width_k * region.width_l, mod.MN),
-                 _streamed_pgm(mod.MN, mod.MN), _csv_block((mod.MN, mod.MN)))
+                 _streamed_pgm(mod.MN, mod.MN, mod.MN), _csv_block((mod.MN, mod.MN), mod.MN))
 
     if args.waveform == "eigen":
         if not 0 <= args.eigen_index < mod.MN:

@@ -137,15 +137,19 @@ def _block_rows(nk: int, nl: int) -> int:
     return max(1, min(nk, _CSV_BLOCK_ROWS // max(nl, 1)))
 
 
-def _csv_layout(shape: tuple) -> tuple[int, int, int, tuple, int]:
-    """complex_to_csv's buffers for an array of `shape`: floats per line, columns,
-    rows per block, the bytes of each index's slot, and bytes per line.  A line
-    is "k,l" or "n", one floatfmt field per float (each starts with its comma)
-    and a newline.  ambiguity._csv_block counts these buffers in the memory budget."""
+def _csv_layout(shape: tuple, entries: int = 0) -> tuple[int, int, int, int, tuple, int]:
+    """complex_to_csv's buffers for an array of `shape`: floats per line, floats
+    formatted per line, columns, rows per block, the bytes of each index's slot,
+    and bytes per line.  A line is "k,l" or "n", one floatfmt field per float
+    (each starts with its comma) and a newline.  A matrix whose magnitudes come
+    from a table of `entries`, fewer than its points, formats one float fewer:
+    its abs fields are formatted once per entry and gathered.
+    ambiguity._csv_block counts these buffers in the memory budget."""
     nfloat, cols = (2, 1) if len(shape) == 1 else (3, shape[1])
     # the widest index, with a comma after each but the last
     slots = tuple(len(str(max(size - 1, 0))) + (axis < len(shape) - 1) for axis, size in enumerate(shape))
-    return nfloat, cols, _block_rows(shape[0], cols), slots, sum(slots) + nfloat * FIELD_BYTES + 1
+    formatted = nfloat - (0 < entries < shape[0] * cols)
+    return nfloat, formatted, cols, _block_rows(shape[0], cols), slots, sum(slots) + nfloat * FIELD_BYTES + 1
 
 
 def _index_texts(count: int, width: int, comma: bool) -> np.ndarray:
@@ -160,7 +164,7 @@ def _index_texts(count: int, width: int, comma: bool) -> np.ndarray:
     return texts
 
 
-def complex_to_csv(values, path, shape: tuple | None = None) -> int:
+def complex_to_csv(values, path, shape: tuple | None = None, mags=None, entries=None) -> int:
     """Write a complex vector or matrix as CSV, one block of whole rows at a time.
 
     `values` is the array, or, with `shape` given, an iterable of the
@@ -177,10 +181,18 @@ def complex_to_csv(values, path, shape: tuple | None = None) -> int:
     starts with its comma, and the newline; one bytearray.translate of the
     whole buffer drops the NULs.  A short pass first sets its unused lines
     to NUL, so that translate is the only copy of the text.  The buffers are
-    allocated once per file.  The abs column of a matrix is np.hypot(re,
+    allocated once per file.  The abs column of an array is np.hypot(re,
     im), the same libm hypot as Python's abs(complex) (np.abs can differ in
-    the last digit).  Returns how many floats were formatted by Python
-    rather than by the vectorised kernel.
+    the last digit).  With `mags`, the 1-D magnitudes of a table, and
+    `entries`, an int64 array whose leading rows hold, as each block of a
+    matrix arrives, its points' indices into `mags` (as FastEngine.blocks
+    fills it), a point's abs field is that of its entry.  When the table has
+    fewer entries than the matrix has points, each entry's field is
+    formatted once, before the first block, through the same workspace, and
+    a pass gathers its lines' fields and formats only re and im; otherwise a
+    pass gathers its points' magnitudes and formats them with re and im.
+    Returns how many floats were formatted by Python rather than by the
+    vectorised kernel.
 
     A (23,29) full-grid image, 444,889 lines of 95 bytes in 4002-line blocks,
     takes about 0.18 s: 0.41 us per line on one core of a 2-vCPU x86-64
@@ -190,7 +202,7 @@ def complex_to_csv(values, path, shape: tuple | None = None) -> int:
         values = np.asarray(values)
         shape, values = values.shape, (values,)
     ndim = len(shape)
-    nfloat, cols, rows, slots, width = _csv_layout(shape)
+    nfloat, formatted, cols, rows, slots, width = _csv_layout(shape, 0 if mags is None else mags.size)
     size = rows * cols  # lines in the buffers
     text = bytearray(size * width)
     line = np.frombuffer(text, np.uint8).reshape(size, width)
@@ -200,9 +212,13 @@ def complex_to_csv(values, path, shape: tuple | None = None) -> int:
     labels = [_index_texts(count, w, axis < ndim - 1) for axis, (count, w) in enumerate(zip(shape, slots))]
     index = [grid[:, :, s : s + w].view(f"S{w}")[..., 0] for s, w in zip(at, slots)]
     fields = line[:, at[-1] : -1].reshape(size, nfloat, FIELD_BYTES)
-    floats = np.empty(nfloat * size)
-    workspace = Workspace(nfloat * size)
-    python = 0
+    floats = np.empty(formatted * size)
+    workspace = Workspace(formatted * size)
+    # the abs field of each table entry, in chunks of the workspace, and of each line, as one item each
+    table = np.empty((mags.size if formatted < nfloat else 0, 1, FIELD_BYTES), np.uint8)
+    python = sum(format_g17(mags[i : i + workspace.size, None], table[i : i + workspace.size], workspace)
+                 for i in range(0, len(table), workspace.size))
+    table, absfield = (a.view(f"V{FIELD_BYTES}")[:, 0] for a in (table[:, 0], fields[:, -1]))
     start = 0  # the row of the next pass
     kept = 0  # leading lines whose l slot and newline are written: once, again after a short pass
     with open(path, "wb") as fh:
@@ -222,13 +238,17 @@ def complex_to_csv(values, path, shape: tuple | None = None) -> int:
                         index[1][:r] = labels[1]
                     kept = n
                 start += r
-                columns = floats[: nfloat * n].reshape(nfloat, r, cols)
+                columns = floats[: formatted * n].reshape(formatted, r, cols)
                 np.copyto(columns[0], chunk.real)
                 np.copyto(columns[1], chunk.imag)
-                if ndim == 2:
+                if formatted < nfloat:
+                    absfield[:n] = table[entries[cut : cut + r].ravel()]
+                elif mags is not None:
+                    mags.take(entries[cut : cut + r], out=columns[2], mode="clip")
+                elif ndim == 2:
                     with np.errstate(invalid="ignore", over="ignore"):  # non-finite values
                         np.hypot(columns[0], columns[1], out=columns[2])
-                python += format_g17(columns.reshape(nfloat, n).T, fields[:n], workspace)
+                python += format_g17(columns.reshape(formatted, n).T, fields[:n, :formatted], workspace)
                 fh.write(text.translate(None, b"\0"))
     return python
 

@@ -4,7 +4,10 @@
 write each block as it is formed; the materialised route forms the whole
 surface first (the `surface` of the engine, from form_image or built
 directly), then writes it with surface_to_csv, and its PGM with the byte
-oracle oracles.pgm_bytes, and reads the targets off the array.
+oracle oracles.pgm_bytes, and reads the targets off the array.  An engine's
+magnitudes are those of its table entries (oracles.table_magnitudes), so its
+abs column and PGM are compared with those; its k,l,re,im columns with the
+array's file.
 """
 
 import json
@@ -42,7 +45,7 @@ from ddradar.radarsim import (
     scene_from_json,
 )
 from ddradar.subgroups import DDRegion, LineSubgroup, crystallization_check, eigenvector, pulsone, pulsone_chain
-from oracles import pgm_bytes
+from oracles import pgm_bytes, table_abs_fields, table_magnitudes
 
 SIZES = [(3, 5), (11, 13), (13, 17)]  # row counts 15, 143, 221: none a multiple of a block
 SPECS = ["eigen", "pulsone:1,2", "chirp:2,3,4", "zc:2", "lfm(2):pulsone:0,1",
@@ -106,8 +109,8 @@ def _materialised_simulate(out, scene, spec_text, line, region, index, snr_db, s
     img = form_image(y, seq, grid="full", pulsone_indices=base, transform=labels)
     out.mkdir()
     surface_to_csv(img.surface, out / "image.csv")
-    values = img.surface.values
-    (out / "image.pgm").write_bytes(pgm_bytes(values, scale, -120.0))
+    _engine_csv(out / "image.csv", img)
+    (out / "image.pgm").write_bytes(pgm_bytes(table_magnitudes(img), scale, -120.0))
     targets = readout_targets(img.surface, line, region)
     doc = {"M": mod.M, "N": mod.N, "waveform": spec_text, "engine": "fast",
            "snr_db": snr_db, "seed": seed,
@@ -120,6 +123,14 @@ def _materialised_simulate(out, scene, spec_text, line, region, index, snr_db, s
 def _assert_same_files(a, b, names):
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def _engine_csv(path, engine):
+    """Rewrite the array route's CSV at `path` as the engine's: the same k,l,re,im
+    columns, and the abs field of each line's table entry."""
+    header, *lines = path.read_bytes().splitlines()
+    rows = [line.rsplit(b",", 1)[0] + b"," + field.encode() for line, field in zip(lines, table_abs_fields(engine))]
+    path.write_bytes(b"\n".join([header, *rows, b""]))
 
 
 @pytest.mark.parametrize("spec", SPECS)
@@ -157,11 +168,12 @@ def test_streamed_fast_full_grid_writes_the_materialised_bytes(tmp_path, M, N, y
                 "--grid", "full", "--scale", scale, "--out", tmp_path / "streamed"]) == 0
     xs, ys = parse_waveform_spec(x, mod), parse_waveform_spec(y, mod)
     base, labels = ys.fast
-    values = FastEngine(xs.seq, *base, transform=labels, grid="full").surface.values
+    engine = FastEngine(xs.seq, *base, transform=labels, grid="full")
     whole = tmp_path / "whole"
     whole.mkdir()
-    surface_to_csv(values, whole / "ambiguity.csv")
-    (whole / "ambiguity.pgm").write_bytes(pgm_bytes(values, scale, -120.0))
+    surface_to_csv(engine.surface.values, whole / "ambiguity.csv")
+    _engine_csv(whole / "ambiguity.csv", engine)
+    (whole / "ambiguity.pgm").write_bytes(pgm_bytes(table_magnitudes(engine), scale, -120.0))
     _assert_same_files(tmp_path / "streamed", whole, ["ambiguity.csv", "ambiguity.pgm"])
 
 
@@ -184,9 +196,9 @@ def test_streamed_self_ambiguity_writes_the_materialised_bytes(tmp_path, M, N, k
     assert run(["waveform", *flags, "--M", M, "--N", N, "--self-ambiguity", "--scale", scale,
                 "--out", tmp_path / "streamed"]) == 0
     spec = parse_waveform_spec(text, mod)
-    values = FastEngine(spec.seq, *spec.fast[0], transform=spec.fast[1], grid="full").surface.values
+    engine = FastEngine(spec.seq, *spec.fast[0], transform=spec.fast[1], grid="full")
     streamed = (tmp_path / "streamed" / "selfambiguity.pgm").read_bytes()
-    assert streamed == pgm_bytes(values, scale, -120.0)
+    assert streamed == pgm_bytes(table_magnitudes(engine), scale, -120.0)
     # the FFT route, the library's other full-grid surface, to within one grey level
     fft = pgm_bytes(cross_ambiguity_fft(spec.seq, spec.seq).values, scale, -120.0)
     header = len(f"P5\n{mod.MN} {mod.MN}\n255\n")
@@ -235,20 +247,22 @@ def test_simulate_holds_no_complex_image(tmp_path):
         tracemalloc.stop()
     assert code == 0
     full = (mod.MN, mod.MN)
-    assert peak <= _need(ambiguity._mn_arrays(mod), ambiguity._streamed_pgm(*full), ambiguity._csv_block(full))
+    assert peak <= _need(ambiguity._mn_arrays(mod), ambiguity._streamed_pgm(*full, mod.MN),
+                         ambiguity._csv_block(full, mod.MN))
 
 
 def test_simulate_formats_each_engine_block_in_one_pass(tmp_path, monkeypatch):
-    # the engine's blocks are the writer's: one format_g17 call per block, none re-cut
+    # the engine's blocks are the writer's: one format_g17 call per block, none re-cut,
+    # and one for the abs fields of the table's 667 entries
     mod = Modulus(23, 29)
     scene = tmp_path / "scene.json"
     _scene(scene, mod, DDRegion(0, 22, 0, 28), 5)
     blocks = formats = 0
     engine_blocks, format_g17 = ambiguity.FastEngine.blocks, ddcore.format_g17
 
-    def counted_blocks(self):
+    def counted_blocks(self, out=None, entries=None):
         nonlocal blocks
-        for block in engine_blocks(self):
+        for block in engine_blocks(self, out, entries):
             blocks += 1
             yield block
 
@@ -261,7 +275,7 @@ def test_simulate_formats_each_engine_block_in_one_pass(tmp_path, monkeypatch):
     monkeypatch.setattr(ddcore, "format_g17", counted_format)
     argv = ["simulate", "--scene", scene, "--line", "23,29", "--region", "0:22,0:28"]
     assert run(argv + ["--out", tmp_path / "run"]) == 0
-    assert formats == blocks
+    assert formats == blocks + 1
     assert blocks == math.ceil(mod.MN / ddcore._block_rows(mod.MN, mod.MN))
 
 
@@ -269,17 +283,25 @@ def test_simulate_formats_each_engine_block_in_one_pass(tmp_path, monkeypatch):
                          [(shape, "random") for shape in ((15, 15), (667, 667), (29, 667), (667, 29), (2500,))]
                          + [(shape, kind) for shape in ((31, 37), (127, 131)) for kind in ("pulsone", "real")]
                          + [((15, 15), "sparse"), ((29, 667), "sparse"), ((2500,), "tiny")]
-                         + [(shape, "large") for shape in ((15, 15), (29, 667), (2500,))],
+                         + [(shape, "large") for shape in ((15, 15), (29, 667), (2500,))]
+                         + [(shape, "engine") for shape in ((143, 143), (667, 667), (127, 131))]
+                         + [((667, 667), "zero-engine")],
                          ids=["15x15", "667x667", "29x667", "667x29", "2500", "pulsone-31x37", "real-31x37",
                               "pulsone-127x131", "real-127x131", "sparse-15x15", "sparse-29x667", "tiny-2500",
-                              "large-15x15", "large-29x667", "large-2500"])
+                              "large-15x15", "large-29x667", "large-2500", "engine-143x143", "engine-667x667",
+                              "engine-127x131", "zero-engine-667x667"])
 def test_block_bytes_cover_the_csv_writer(tmp_path, shape, kind):
     """The CSV term is at least the writer's tracemalloc peak, and less than twice it,
     for random values and for values the formatter sets aside as special: mostly
     exact zeros (a pulsone's waveform.csv, a real vector's imaginary parts, a grid
     that is zero but at one point), values below its table, which Python formats,
-    or magnitudes of 10 or more, whose point falls among the digits."""
+    or magnitudes of 10 or more, whose point falls among the digits.  A fast
+    engine's term, with its table's MN entries, covers the writer of its full grid,
+    which formats an abs field per entry, at (11,13) and (23,29), and of a zero full
+    grid, whose re, im and abs fields are all set aside; and of its fundamental grid,
+    with as many points as entries, which formats each point's magnitude with its line."""
     rng = np.random.default_rng(9)
+    mags = entries = None
     if kind in ("pulsone", "real"):  # a vector of MN values
         mod = Modulus(*shape)
         shape = (mod.MN,)
@@ -291,21 +313,34 @@ def test_block_bytes_cover_the_csv_writer(tmp_path, shape, kind):
         values = 1e-300 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     elif kind == "large":  # an image of tap gains of 10 or more
         values = rng.uniform(10, 1e6, shape) * np.exp(2j * np.pi * rng.uniform(size=shape))
+    elif kind.endswith("engine"):  # the values, and the table entries, of each of its blocks
+        mod = {(143, 143): Modulus(11, 13), (667, 667): Modulus(23, 29)}.get(shape) or Modulus(*shape)
+        x = np.zeros(mod.MN) + 0j if kind == "zero-engine" else rng.standard_normal(mod.MN) + 1j
+        grid = "full" if shape[0] == mod.MN else "fundamental"
+        engine = FastEngine(PeriodicSequence(mod, x), 0, 1, grid=grid)
+        entries = np.empty((ddcore._block_rows(*shape), shape[1]), dtype=np.int64)
+        values, mags = engine.surface.values, engine.magnitudes
+        table = np.concatenate([entries[: len(block)].copy() for block in engine.blocks(entries=entries)])
     else:
         values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     rows = ddcore._block_rows(shape[0], shape[1] if len(shape) == 2 else 1)
 
+    def blocks():
+        for start in range(0, shape[0], rows):
+            if entries is not None:  # as FastEngine.blocks(entries=) fills them
+                entries[: len(values[start : start + rows])] = table[start : start + rows]
+            yield values[start : start + rows]
+
     def peak():
-        blocks = (values[start : start + rows] for start in range(0, shape[0], rows))
         tracemalloc.start()
         try:
-            ddcore.complex_to_csv(blocks, tmp_path / "s.csv", shape)
+            ddcore.complex_to_csv(blocks(), tmp_path / "s.csv", shape, mags, entries)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     peak()  # builds the formatter's cached tables
-    writer = ambiguity._csv_block(shape)[0]
+    writer = ambiguity._csv_block(shape, 0 if mags is None else mags.size)[0]
     assert writer / 2 < peak() <= writer
 
 
@@ -406,7 +441,7 @@ def test_each_term_covers_its_route(tmp_path, route, M, N):
         for c, d in ((M, N), (1, 4), (M, 1), (1, 0)):
             base, labels = pulsone_chain(LineSubgroup(mod, c, d), 5)
             engine = FastEngine(x, *base, transform=labels, grid=grid)
-            need = ambiguity._streamed_pgm(*engine.shape)[0]
+            need = ambiguity._streamed_pgm(*engine.shape, mn)[0]
             peak = _traced_peak(lambda: write_surface(engine, None, tmp_path / "s.pgm"))
             assert peak <= need, (c, d)
         assert need < 2 * peak
@@ -473,12 +508,14 @@ def test_refused_simulate_leaves_no_output(tmp_path, monkeypatch, capsys, refusa
     _scene(scene, mod, DDRegion(0, 2, 0, 4), 3)
     # 144 bytes per MN for the O(MN) arrays, 416 per point of the 15-point readout
     # region, and the streamed image: one block of the 15 x 15 grid, whose 225
-    # points cost the engine 128 bytes each, the PGM's magnitudes and pixels 16, and
-    # the CSV writer 16 KiB, 15-entry index texts of 3 and 2 bytes with their int64
-    # indices, and 645 bytes a line (two copies of a 93-byte line: "14," and "14"
-    # slots, three 29-byte fields and a newline; 3 floats and their format_g17 bytes)
-    need = (144 * 15 + 416 * 15 + (128 + 16) * 15 * 15 + 16384 + (3 + 8 + 2 + 8) * 15
-            + 15 * 15 * (2 * 93 + 3 * (8 + 145)))
+    # points cost the engine 128 bytes each, the PGM's entries and pixels 16, and
+    # its 15 table entries a magnitude and a pixel, 9; and the CSV writer 16 KiB,
+    # 15-entry index texts of 3 and 2 bytes with their int64 indices, a 29-byte abs
+    # field per table entry, and 521 bytes a line (two copies of a 93-byte line: "14,"
+    # and "14" slots, three 29-byte fields and a newline; its gathered abs field; re
+    # and im and their format_g17 bytes)
+    need = (144 * 15 + 416 * 15 + (128 + 16) * 15 * 15 + 9 * 15 + 16384 + (3 + 8 + 2 + 8) * 15 + 29 * 15
+            + 15 * 15 * (2 * 93 + 29 + 2 * (8 + 145)))
     argv = ["simulate", "--scene", scene, "--line", "3,5", "--region", "0:2,0:4"]
     if refusal == "not-crystallized":
         argv[-1] = "0:3,0:4"
@@ -556,16 +593,24 @@ def _flat_engine(M, N, seed, grid):
 
 
 @pytest.mark.parametrize("M, N", [(5, 11), (11, 13)])
-def test_peak_is_the_largest_block_magnitude(monkeypatch, M, N):
-    """FastEngine.peak() is == the largest np.abs over blocks() on every line family, on
-    both grids, for a line's eigenvector and a noisy return of it.  The full grid is
-    read only at its candidates' preimages; the fundamental grid in one pass."""
+def test_peak_is_the_largest_block_magnitude(tmp_path, monkeypatch, M, N):
+    """The PGM's peak is the largest table magnitude over the entries the grid reads
+    (oracles.table_magnitudes), on every line family, on both grids, in one block and
+    in blocks of two rows, for a line's eigenvector and a noisy return of it.  The
+    full grid, and a grid of one block, form each point once, for the PGM itself; a
+    fundamental grid of several blocks forms each twice, once to read its entries."""
     mod = Modulus(M, N)
     rng = np.random.default_rng(M)
     noise = 0.3 * (rng.standard_normal(mod.MN) + 1j * rng.standard_normal(mod.MN))
-    passes = []
+    formed = []
     blocks = FastEngine.blocks
-    monkeypatch.setattr(FastEngine, "blocks", lambda self, out=None: passes.append(self.grid) or blocks(self, out))
+
+    def counted(self, out=None, entries=None):
+        for block in blocks(self, out, entries):
+            formed.append(block.size)
+            yield block
+
+    monkeypatch.setattr(FastEngine, "blocks", counted)
     for c, d in _lines(M, N).values():
         line = LineSubgroup(mod, c, d)
         index = int(rng.integers(mod.MN))
@@ -573,11 +618,54 @@ def test_peak_is_the_largest_block_magnitude(monkeypatch, M, N):
         x = eigenvector(line, index)
         for y in (x, PeriodicSequence(mod, x.samples + noise)):
             for grid in ("full", "fundamental"):
-                engine = FastEngine(y, *base, transform=labels, grid=grid)
-                passes.clear()
-                peak = engine.peak()
-                assert passes == ([] if grid == "full" else ["fundamental"]), (c, d)
-                assert peak == max(np.abs(block).max() for block in engine.blocks()), (c, d, grid)
+                for rows in (None, 2):
+                    engine = FastEngine(y, *base, transform=labels, grid=grid)
+                    nk, nl = engine.shape
+                    formed.clear()
+                    with pytest.MonkeyPatch.context() as mp:
+                        if rows is not None:
+                            mp.setattr(ddcore, "_CSV_BLOCK_ROWS", rows * nl)
+                        write_surface(engine, None, tmp_path / "s.pgm")
+                    twice = grid == "fundamental" and rows is not None
+                    assert sum(formed) == (2 if twice else 1) * nk * nl, (c, d, grid, rows)
+                    want = pgm_bytes(table_magnitudes(engine), "linear", -120.0)
+                    assert (tmp_path / "s.pgm").read_bytes() == want, (c, d, grid, rows)
+
+
+@pytest.mark.parametrize("M, N", [(3, 5), (11, 13)])
+def test_engine_abs_fields_are_their_table_entries(tmp_path, M, N):
+    """Every abs field of an engine-fed CSV is "{:.17g}" of abs(t) for its table entry t
+    (oracles.table_abs_fields), for a noisy return on every line family and both grids,
+    a flat table and a fundamental grid that misses the table's largest entry.  Each is
+    within 2**-50 relative of hypot(re, im) of its own line, the 7u of the FastEngine
+    docstring, and within 1e-10 of the direct sums.  The PGM's peak is the largest
+    magnitude over the grid's entries, not the table's."""
+    mod = Modulus(M, N)
+    rng = np.random.default_rng(M * N)
+    noise = 0.3 * (rng.standard_normal(mod.MN) + 1j * rng.standard_normal(mod.MN))
+    cases = []  # (engine, return, reference)
+    for c, d in _lines(M, N).values():
+        line = LineSubgroup(mod, c, d)
+        index = int(rng.integers(mod.MN))
+        base, labels = pulsone_chain(line, index)
+        x = eigenvector(line, index)
+        y = PeriodicSequence(mod, x.samples + noise)
+        cases += [(FastEngine(y, *base, transform=labels, grid=grid), y, x) for grid in ("full", "fundamental")]
+    cases += [(_flat_engine(M, N, 7, grid), None, None) for grid in ("full", "fundamental")]
+    cases.append((_missed_engine(M, N, 7), None, None))
+    for i, (engine, y, x) in enumerate(cases):
+        write_surface(engine, tmp_path / "s.csv", tmp_path / "s.pgm")
+        fields = [line.split(",") for line in (tmp_path / "s.csv").read_text().splitlines()[1:]]
+        assert [f[4] for f in fields] == table_abs_fields(engine), i
+        re, im, mags = (np.array([float(f[j]) for f in fields]) for j in (2, 3, 4))
+        assert np.all(np.abs(mags - np.hypot(re, im)) <= 2.0**-50 * mags), i
+        if x is not None:
+            naive = cross_ambiguity_naive(y, x, grid=engine.grid, warn_nonunit=False).values.ravel()
+            assert np.abs(mags - np.abs(naive)).max() < 1e-10, i
+        pixels = np.frombuffer((tmp_path / "s.pgm").read_bytes()[-len(fields):], dtype=np.uint8)
+        assert pixels[np.argmax(mags)] == 255, i
+    missed = cases[-1][0]
+    assert table_magnitudes(missed).max() < missed.magnitudes.max()
 
 
 @settings(max_examples=40, deadline=None)
@@ -592,7 +680,8 @@ def test_peak_is_the_largest_block_magnitude(monkeypatch, M, N):
 )
 def test_streamed_pgm_matches_the_oracle(tmp_path_factory, size, source, spec, grid, scale_floor,
                                         block_rows, seed):
-    """The PGM of an engine's or an array's row blocks is pgm_bytes of the whole surface."""
+    """The PGM of an engine's or an array's row blocks is pgm_bytes of the whole surface's
+    magnitudes: an engine's are those of its table entries (oracles.table_magnitudes)."""
     M, N = size
     mod = Modulus(M, N)
     scale, floor = scale_floor
@@ -601,16 +690,12 @@ def test_streamed_pgm_matches_the_oracle(tmp_path_factory, size, source, spec, g
         ref = parse_waveform_spec(spec, mod)
         x = PeriodicSequence(mod, rng.standard_normal(mod.MN) + 1j * rng.standard_normal(mod.MN))
         surface = FastEngine(x, *ref.fast[0], transform=ref.fast[1], grid=grid)
-        values = surface.surface.values
     elif source == "spiked":
         surface = _spiked_engine(M, N, seed)
-        values = surface.surface.values
     elif source == "missed":
         surface = _missed_engine(M, N, seed)
-        values = surface.surface.values
-    elif source == "flat":  # every table entry a candidate of the peak
+    elif source == "flat":  # every table entry the peak
         surface = _flat_engine(M, N, seed, grid)
-        values = surface.surface.values
     elif source == "ties":  # magnitudes whose pre-round value is about k + 1/2, the peak at a random point
         steps = (np.arange(255) + 0.5) / 255
         mags = 3.0 * rng.choice(steps if scale == "linear" else 10 ** ((floor - floor * steps) / 20), M * N)
@@ -618,6 +703,8 @@ def test_streamed_pgm_matches_the_oracle(tmp_path_factory, size, source, spec, g
         surface = values = mags.reshape(M, N) + 0j
     else:
         surface = values = np.zeros((M, N), dtype=complex)
+    if isinstance(surface, FastEngine):
+        values = table_magnitudes(surface)
     path = tmp_path_factory.mktemp("pgm") / "s.pgm"
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ddcore, "_CSV_BLOCK_ROWS", block_rows * values.shape[1])
