@@ -31,9 +31,12 @@ Two kinds of route live here:
 The fast path is one FastEngine: O(1) point queries, and row blocks of
 either grid.  Writing all (MN)^2 points would itself cost O(M^2 N^2) and
 defeat the complexity advantage, so a full-grid surface is an explicit
-caller decision; write_surface streams the blocks into the CSV and PGM files
-without holding the complex surface or a magnitude per point (it gathers
-them from the table's), and FastEngine.surface materialises it.
+caller decision.  A block is one protocol from the engine to the writers:
+the pair (values, entries), a block's complex values and the table entry
+each point reads, or None for an array's rows.  write_surface streams the
+blocks into the CSV and PGM files without holding the complex surface or a
+magnitude per point (it gathers them by the entries from the table's), and
+FastEngine.surface stacks the values into one array.
 """
 
 from __future__ import annotations
@@ -113,9 +116,10 @@ MEMORY_BUDGET_BYTES = 2**30
 # That peak is 136.5, simulate, whose readout's crystallization check holds about
 # 42; waveforms and fast ambiguities hold 80 to 120.  A larger region is _readout's.
 _MN_BYTES = 144
-# Bytes per point of one fast-engine block: 16 for its complex values and 112 for
-# the int64 index and phase arrays its query holds at once (the tracemalloc peak
-# of a row block is at most 105 per point, on a two-label chain).
+# Bytes per point of one fast-engine block: 16 for its complex values, 8 for its
+# int64 table entries and 104 for the int64 index and phase arrays its query holds
+# at once (the tracemalloc peak of a row block is at most 121 per point, on a
+# two-label chain with a 2-D phase at (61, 67)).
 _ENGINE_POINT_BYTES = 128
 
 
@@ -178,12 +182,13 @@ def _readout(points: int, mn: int) -> tuple[int, str]:
 
 
 def _streamed_pgm(nk: int, nl: int, entries: int = 0) -> tuple[int, str]:
-    """write_surface's PGM of an nk x nl surface, one block of it: the engine block,
-    and an array's float64 magnitudes or an engine's int64 table entries, and the
-    uint8 pixels, 9 bytes a point, within 16.  A fast engine's table of `entries`
-    entries adds 9 bytes an entry: a copy of its magnitudes, which _pixels
-    overwrites, and each entry's pixel.  (The magnitudes themselves, 8 bytes an
-    entry, are held by the engine from its construction, among the O(MN) arrays.)"""
+    """write_surface's PGM of an nk x nl surface, one block of it: the engine block
+    (a FastEngine.blocks pair, its values and their int64 table entries), and an
+    array's float64 magnitudes and the uint8 pixels, 9 bytes a point, within 16.  A
+    fast engine's table of `entries` entries adds 9 bytes an entry: a copy of its
+    magnitudes, which _pixels overwrites, and each entry's pixel.  (The magnitudes
+    themselves, 8 bytes an entry, are held by the engine from its construction,
+    among the O(MN) arrays.)"""
     return (_ENGINE_POINT_BYTES + 16) * _block_rows(nk, nl) * nl + 9 * entries, f"a streamed {nk} x {nl} PGM"
 
 
@@ -197,8 +202,10 @@ def _csv_block(shape: tuple, entries: int = 0) -> tuple[int, str]:
     place), plus 16 KiB that does not grow with the block: the open file's buffer
     and the array headers (7.3 to 8.1 KB under tracemalloc, CPython 3.11).  A fast
     engine's grid with more points than its table has `entries` formats two floats
-    a line, re and im, and gathers the abs fields from one per entry, FIELD_BYTES
-    each, through a temporary of FIELD_BYTES a line (ddcore._csv_layout)."""
+    a line, re and im, and gathers the abs fields by each block's entries from one
+    per table entry, FIELD_BYTES each, through a temporary of FIELD_BYTES a line
+    (ddcore._csv_layout).  The entries themselves are the engine block's
+    (_streamed_pgm)."""
     nfloat, formatted, cols, rows, slots, width = _csv_layout(shape, entries)
     line = 2 * width + FIELD_BYTES * (nfloat - formatted)  # the text twice, and a gathered abs field
     need = 16384 + sum((w + 8) * size for w, size in zip(slots, shape)) + FIELD_BYTES * entries * (nfloat - formatted)
@@ -398,6 +405,8 @@ def fast_pulsone_query(pre: FastPulsonePrecomp, k, l, phase=0, out: np.ndarray |
     # table entry [row, (l + l0) mod R]; each array is freed once used, so a block
     # of queries holds a few block-sized arrays at a time
     k = reduce_mod(np.asarray(k, dtype=np.int64), mod.MN)
+    # the tone's period == 1 shortcuts are measured: without them a (23,29) chirp's
+    # full-grid block walk took 15-17 ms, not 8-14 (one core of a 2-vCPU x86-64 machine)
     row = 0 if period == 1 else reduce_mod(k + pre.k0, period)  # a tone's table has one row
     u = reduce_mod(np.asarray(l, dtype=np.int64) + pre.l0, mod.MN)
     # the constant and k's factor are summed in k's (often smaller) shape first
@@ -440,10 +449,11 @@ class FastEngine:
         A[K, L] = exp(j*2*pi*inv2*Q(K, L)/MN) * A_{W^H x, base}[G(K, L)]
 
     After O(MN log MN) per label, points(K, L) costs O(1) per point at any
-    (K, L), whatever the `grid`; blocks() walks the `grid` in the row blocks
-    that ddcore.complex_to_csv formats in one pass each, ddcore._block_rows
-    of them, and `surface` holds the whole grid.  With x a radar return,
-    the engine is its image (radarsim.form_image).
+    (K, L), whatever the `grid`; blocks() walks the `grid` in row blocks of
+    ddcore._block_rows rows, each a pair (values, entries) that
+    ddcore.complex_to_csv formats in one pass, and `surface` stacks their
+    values into the whole grid.  With x a radar return, the engine is its
+    image (radarsim.form_image).
 
     Every value is thus fl(t * p), for its table entry t and a roots-table
     phase p, so |A| is |t| in exact arithmetic: `magnitudes` holds one
@@ -490,7 +500,7 @@ class FastEngine:
                 qll += kk * b * b + ll * d * d + kl * b * d
                 qkl += 2 * (kk * a * b + ll * c * d) + kl * (a * d + b * c)
             self._pre = fast_pulsone_precompute(x, k0, l0, period)
-            # |t| of each entry, raveled as blocks(entries=) indexes it
+            # |t| of each entry, raveled as each block's entries index it
             self.magnitudes = np.hypot(self._pre.rowfft.real, self._pre.rowfft.imag).ravel()
             if not np.isfinite(255.0 * self.magnitudes.max()):
                 raise ConfigurationError("the surface is not finite, or too large for its 8-bit PGM scale")
@@ -536,38 +546,35 @@ class FastEngine:
             q = q + ckl * reduce_mod(K * L, mn)
         return fast_pulsone_query(self._pre, k_rows + k_cols, l_rows + l_cols, 2 * reduce_mod(q, mn), out, entries)
 
-    def blocks(self, out: np.ndarray | None = None, entries: np.ndarray | None = None):
+    def blocks(self):
         """The grid's rows, top to bottom, in blocks of ddcore._block_rows rows.
 
-        Without `out`, every block is written into one buffer, so each is
-        overwritten by the next.  With `out`, a complex array of the grid's
-        shape, each block is written into its own rows of `out`, which holds
-        the whole surface once the blocks are exhausted.  With `entries`, an
-        int64 array of one block's shape, the leading rows of `entries` receive
-        each block's table entries, indices into `magnitudes`.  The terms of the
-        columns are formed once, for every block.
+        Each block is a pair (values, entries) of arrays of the block's shape:
+        its complex values, and each point's table entry, its index into
+        `magnitudes` (and into the raveled table).  Both are views into two
+        buffers the generator owns, so each block is overwritten by the next.
+        The terms of the columns are formed once, for every block.
         """
         nk, nl = self.shape
         step = _block_rows(nk, nl)
         cols = self._terms(np.arange(nl, dtype=np.int64)[None, :], 1)
-        buf = np.empty((step, nl), dtype=np.complex128) if out is None else None
+        values = np.empty((step, nl), dtype=np.complex128)
+        entries = np.empty((step, nl), dtype=np.int64)
         for start in range(0, nk, step):
             ks = np.arange(start, min(start + step, nk), dtype=np.int64)[:, None]
-            rows = buf[: len(ks)] if out is None else out[start : start + step]
-            yield self._query(self._terms(ks, 0), cols, rows, None if entries is None else entries[: len(ks)])
+            yield self._query(self._terms(ks, 0), cols, values[: len(ks)], entries[: len(ks)]), entries[: len(ks)]
 
     @functools.cached_property
     def surface(self) -> AmbiguitySurface:
-        """The whole grid as one AmbiguitySurface, formed once by blocks(out).
+        """The whole grid as one AmbiguitySurface, the values of blocks() stacked.
 
         Refused with OverBudget when the output plus one engine block
         (_surface) would exceed the budget; no CSV is written.
         """
-        check_budget(_surface(*self.shape))
-        out = np.empty(self.shape, dtype=np.complex128)
-        for _ in self.blocks(out):
-            pass
-        return AmbiguitySurface(self.mod, self.grid, out)
+        nk, nl = self.shape
+        check_budget(_surface(nk, nl))
+        rows = (row for values, _ in self.blocks() for row in values)
+        return AmbiguitySurface(self.mod, self.grid, np.fromiter(rows, dtype=(np.complex128, nl), count=nk))
 
 
 def moyal_residual(x: PeriodicSequence, y: PeriodicSequence) -> float:
@@ -637,17 +644,17 @@ def coded_waveform(z: np.ndarray, chip: np.ndarray) -> np.ndarray:
 # heatmaps of |A| with linear or dB scaling.
 
 
-def surface_to_csv(surface, path, shape: tuple | None = None, mags=None, entries=None) -> None:
+def surface_to_csv(surface, path, shape: tuple | None = None, mags=None) -> None:
     """Write a surface (AmbiguitySurface or plain 2-D array) as k,l,re,im,abs CSV.
 
     With `shape`, `surface` is instead an iterable of the consecutive row blocks
-    of a surface of that shape, written as they arrive (ddcore.complex_to_csv).
-    With `mags` and `entries` too, FastEngine.magnitudes and the buffer that
-    FastEngine.blocks(entries=) fills, each abs field is that of the point's
-    table entry.
+    of a surface of that shape, each a pair (values, entries), written as they
+    arrive (ddcore.complex_to_csv): FastEngine.blocks(), or an array's rows with
+    entries None.  With `mags` too, FastEngine.magnitudes, each abs field is
+    that of the point's table entry.
     """
     values = surface.values if isinstance(surface, AmbiguitySurface) else surface
-    complex_to_csv(values, path, shape, mags, entries)
+    complex_to_csv(values, path, shape, mags)
 
 
 def surface_from_csv(path, mod: Modulus, grid: str) -> AmbiguitySurface:
@@ -682,51 +689,53 @@ def write_surface(surface, csv_path, pgm_path, scale: str = "linear", floor: flo
     the entries its grid reads (see FastEngine): all of them on the full grid,
     with no value formed, and on the fundamental grid those of a first pass of
     its blocks.  An array's is its largest |A| from a first pass of its row
-    blocks.  An engine's grid of one block is formed once.  The PGM header follows,
-    and then each block (FastEngine.blocks, or views of the array of as many
-    rows) is formatted into the CSV as it arrives (no CSV when `csv_path` is
-    None) while its pixels, final against the known peak, go to the PGM:
-    rows are delay k, columns Doppler l.  linear: 0..255 spans 0..max|A|.
-    db: 0..255 spans floor..0 dB relative to the surface peak, clamping below
-    the floor; the floor must be a finite negative number.  An engine's
-    every magnitude is that of its table entry, FastEngine.magnitudes: the
-    pixels of the entries are formed once and gathered per block, as the
-    CSV gathers the abs fields, and no magnitude of a point is computed.  An
-    array's are np.abs of its values for the PGM and np.hypot for the CSV.
-    No array of the surface's size is held but an engine's per-entry arrays,
-    of its table's MN entries, and no complex one beyond the block being
-    written (_streamed_pgm, _csv_block).  Commands check the model's terms
-    with check_budget first.
+    blocks.  The PGM header follows, and then each block, a pair (values,
+    entries) from FastEngine.blocks, or views of the array of as many rows
+    with entries None, is formatted into the CSV as it arrives (no CSV when
+    `csv_path` is None) while its pixels, final against the known peak, go
+    to the PGM: rows are delay k, columns Doppler l.  linear: 0..255 spans
+    0..max|A|.  db: 0..255 spans floor..0 dB relative to the surface peak,
+    clamping below the floor; the floor must be a finite negative number.
+    An engine's every magnitude is that of its table entry,
+    FastEngine.magnitudes: the pixels of the entries are formed once and
+    gathered by each block's entries, as the CSV gathers the abs fields, and
+    no magnitude of a point is computed.  An array's are np.hypot of its
+    values, for the PGM as for the CSV.  No array of the surface's size is
+    held but an engine's per-entry arrays, of its table's MN entries, and no
+    complex one beyond the block being written (_streamed_pgm, _csv_block).
+    Commands check the model's terms with check_budget first.
     """
     _check_scale(scale, floor)
     nk, nl = shape = surface.shape
     step = _block_rows(nk, nl)
     if isinstance(surface, FastEngine):  # each entry's pixel, gathered by the block's entries
-        table, entries = surface.magnitudes, np.empty((step, nl), dtype=np.int64)
-        blocks = surface.blocks(entries=entries)
-        if step >= nk:  # the grid's one block, formed once
-            blocks = [next(blocks)]
+        table = surface.magnitudes
+        # a grid of one block, such as a fundamental grid up to about 4096 points, is
+        # formed once: a second pass would run the whole query again for the peak alone
+        blocks = [next(surface.blocks())] if step >= nk else surface.blocks()
         # the largest magnitude over the entries the grid reads: on the full grid every
         # entry; the fundamental grid's points may miss any, so a pass reads theirs
-        scan = blocks if step >= nk else surface.blocks(entries=entries)
-        peak = table.max() if surface.grid == "full" else max(table.take(entries[: len(b)]).max() for b in scan)
+        scan = blocks if step >= nk else surface.blocks()
+        peak = table.max() if surface.grid == "full" else max(table.take(entries).max() for _, entries in scan)
         shades = _pixels(table.copy(), peak, scale, floor)
-        shade = lambda block: shades.take(entries[: len(block)])
+        shade = lambda values, entries: shades.take(entries)
     else:
-        table, entries, mags = None, None, np.empty((step, nl))
-        blocks = [surface[s : s + step] for s in range(0, nk, step)]
-        peak = max(float(np.abs(block, out=mags[: len(block)]).max()) for block in blocks)
-        shade = lambda block: _pixels(np.abs(block, out=mags[: len(block)]), peak, scale, floor)
+        table, mags = None, np.empty((step, nl))
+        blocks = [(surface[s : s + step], None) for s in range(0, nk, step)]
+        # one magnitude, the CSV's abs column's np.hypot, for the peak and the pixels
+        hypot = lambda values: np.hypot(values.real, values.imag, out=mags[: len(values)])
+        peak = max(float(hypot(values).max()) for values, _ in blocks)
+        shade = lambda values, _: _pixels(hypot(values), peak, scale, floor)
     with open(pgm_path, "wb") as pgm:
         pgm.write(f"P5\n{nl} {nk}\n255\n".encode("ascii"))
 
         def written():
             for block in blocks:
-                pgm.write(shade(block))
+                pgm.write(shade(*block))
                 yield block
 
         if csv_path is not None:
-            return surface_to_csv(written(), csv_path, shape, table, entries)
+            return surface_to_csv(written(), csv_path, shape, table)
         for _ in written():
             pass
 

@@ -164,33 +164,34 @@ def _index_texts(count: int, width: int, comma: bool) -> np.ndarray:
     return texts
 
 
-def complex_to_csv(values, path, shape: tuple | None = None, mags=None, entries=None) -> int:
+def complex_to_csv(values, path, shape: tuple | None = None, mags=None) -> int:
     """Write a complex vector or matrix as CSV, one block of whole rows at a time.
 
     `values` is the array, or, with `shape` given, an iterable of the
-    consecutive row blocks (for a vector, slices) of an array of that shape;
-    an array is its own single block.  The buffers hold _block_rows(shape)
+    consecutive row blocks (for a vector, slices) of an array of that shape,
+    each a pair (values, entries): the block's values, and None or, as
+    ambiguity.FastEngine.blocks() yields them, an int64 array of the block's
+    shape holding each point's index into `mags`.  An array is its own
+    single block, with entries None.  The buffers hold _block_rows(shape)
     rows (a vector's rows are its values), so a block from
-    ambiguity.FastEngine.blocks() is formatted as it arrives, in one pass;
-    a longer block, such as an array passed whole, is cut into views of
-    that many rows.  A pass copies the floats column by column (re, im and,
-    for a matrix, abs) into one contiguous run, which one
-    floatfmt.format_g17 call formats.  Each line is laid out as NUL-padded
-    bytes in a bytearray: one slot per index, as wide as its widest text
-    ("k," and "l", or "n"), one floatfmt.FIELD_BYTES field per float, which
-    starts with its comma, and the newline; one bytearray.translate of the
-    whole buffer drops the NULs.  A short pass first sets its unused lines
-    to NUL, so that translate is the only copy of the text.  The buffers are
-    allocated once per file.  The abs column of an array is np.hypot(re,
-    im), the same libm hypot as Python's abs(complex) (np.abs can differ in
-    the last digit).  With `mags`, the 1-D magnitudes of a table, and
-    `entries`, an int64 array whose leading rows hold, as each block of a
-    matrix arrives, its points' indices into `mags` (as FastEngine.blocks
-    fills it), a point's abs field is that of its entry.  When the table has
-    fewer entries than the matrix has points, each entry's field is
-    formatted once, before the first block, through the same workspace, and
-    a pass gathers its lines' fields and formats only re and im; otherwise a
-    pass gathers its points' magnitudes and formats them with re and im.
+    FastEngine.blocks() is formatted as it arrives, in one pass; a longer
+    block, such as an array passed whole, is cut into views of that many
+    rows.  A pass copies the floats column by column (re, im and, for a
+    matrix, abs) into one contiguous run, which one floatfmt.format_g17 call
+    formats.  Each line is laid out as NUL-padded bytes in a bytearray: one
+    slot per index, as wide as its widest text ("k," and "l", or "n"), one
+    floatfmt.FIELD_BYTES field per float, which starts with its comma, and
+    the newline; one bytearray.translate of the whole buffer drops the NULs.
+    A short pass first sets its unused lines to NUL, so that translate is
+    the only copy of the text.  The buffers are allocated once per file.
+    The abs column of an array is np.hypot(re, im), the same libm hypot as
+    Python's abs(complex) (np.abs can differ in the last digit).  With
+    `mags`, the 1-D magnitudes of a table that every block's entries index,
+    a point's abs field is that of its entry.  When the table has fewer
+    entries than the matrix has points, each entry's field is formatted
+    once, before the first block, through the same workspace, and a pass
+    gathers its lines' fields and formats only re and im; otherwise a pass
+    gathers its points' magnitudes and formats them with re and im.
     Returns how many floats were formatted by Python rather than by the
     vectorised kernel.
 
@@ -200,7 +201,7 @@ def complex_to_csv(values, path, shape: tuple | None = None, mags=None, entries=
     """
     if shape is None:
         values = np.asarray(values)
-        shape, values = values.shape, (values,)
+        shape, values = values.shape, ((values, None),)
     ndim = len(shape)
     nfloat, formatted, cols, rows, slots, width = _csv_layout(shape, 0 if mags is None else mags.size)
     size = rows * cols  # lines in the buffers
@@ -223,7 +224,7 @@ def complex_to_csv(values, path, shape: tuple | None = None, mags=None, entries=
     kept = 0  # leading lines whose l slot and newline are written: once, again after a short pass
     with open(path, "wb") as fh:
         fh.write(_CSV_HEADER[ndim].encode("ascii") + b"\n")
-        for block in values:
+        for block, entries in values:
             block = np.asarray(block, dtype=np.complex128).reshape(len(block), cols)
             for cut in range(0, block.shape[0], rows):
                 chunk = block[cut : cut + rows]
@@ -243,7 +244,8 @@ def complex_to_csv(values, path, shape: tuple | None = None, mags=None, entries=
                 np.copyto(columns[1], chunk.imag)
                 if formatted < nfloat:
                     absfield[:n] = table[entries[cut : cut + r].ravel()]
-                elif mags is not None:
+                elif mags is not None:  # no fewer entries than points, as on a fundamental
+                    # grid: formatting the table's fields first took 13-16% longer a command
                     mags.take(entries[cut : cut + r], out=columns[2], mode="clip")
                 elif ndim == 2:
                     with np.errstate(invalid="ignore", over="ignore"):  # non-finite values

@@ -193,17 +193,23 @@ def pgm_bytes(values: np.ndarray, scale: str, floor: float) -> bytes:
     return f"P5\n{width} {height}\n255\n".encode("ascii") + pixels.tobytes()
 
 
-def table_magnitudes(engine) -> np.ndarray:
-    """|A| at every point of a fast engine's grid as the engine's identity gives it:
-    Python's abs(t) of the point's table entry t.  The point (K, L) reads the entry
-    [(k + k0) mod P, (l + l0) mod R] of the P x R table at (k, l) = G(K, L) =
-    (a*K + b*L, c*K + d*L) mod MN, the index map of the FastEngine docstring."""
+def table_entries(engine) -> np.ndarray:
+    """The table entry every point of a fast engine's grid reads, as its index into the
+    raveled table.  The point (K, L) reads the entry [(k + k0) mod P, (l + l0) mod R]
+    of the P x R table at (k, l) = G(K, L) = (a*K + b*L, c*K + d*L) mod MN, the index
+    map of the FastEngine docstring."""
     pre, G = engine._pre, engine._G
     mn = engine.mod.MN
     period, length = pre.rowfft.shape
     K, L = np.indices(engine.shape, dtype=np.int64)
     k, l = (G.a * K + G.b * L) % mn, (G.c * K + G.d * L) % mn
-    entries = pre.rowfft[(k + pre.k0) % period, (l + pre.l0) % length]
+    return (k + pre.k0) % period * length + (l + pre.l0) % length
+
+
+def table_magnitudes(engine) -> np.ndarray:
+    """|A| at every point of a fast engine's grid as the engine's identity gives it:
+    Python's abs(t) of the point's table entry t (table_entries)."""
+    entries = engine._pre.rowfft.ravel()[table_entries(engine)]
     return np.array([abs(t) for t in entries.ravel().tolist()]).reshape(engine.shape)
 
 

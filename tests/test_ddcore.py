@@ -249,7 +249,7 @@ class TestCsvBlocks:
         values = _every_kernel_path(shape, sum(shape))
         complex_to_csv_rows(values, tmp_path / "oracle.csv")
         monkeypatch.setattr(ddcore, "_CSV_BLOCK_ROWS", block_rows)
-        blocks = (values[start : start + step] for start in range(0, shape[0], step))
+        blocks = ((values[start : start + step], None) for start in range(0, shape[0], step))
         complex_to_csv(blocks, tmp_path / "blocks.csv", shape)
         assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
@@ -263,7 +263,7 @@ class TestCsvBlocks:
                 rng = np.random.default_rng(2)
                 for start in range(0, rows, 12):
                     n = min(12, rows - start)
-                    yield rng.standard_normal((n, cols)) + 1j * rng.standard_normal((n, cols))
+                    yield rng.standard_normal((n, cols)) + 1j * rng.standard_normal((n, cols)), None
 
             tracemalloc.start()
             try:

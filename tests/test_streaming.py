@@ -45,7 +45,7 @@ from ddradar.radarsim import (
     scene_from_json,
 )
 from ddradar.subgroups import DDRegion, LineSubgroup, crystallization_check, eigenvector, pulsone, pulsone_chain
-from oracles import pgm_bytes, table_abs_fields, table_magnitudes
+from oracles import pgm_bytes, table_abs_fields, table_entries, table_magnitudes
 
 SIZES = [(3, 5), (11, 13), (13, 17)]  # row counts 15, 143, 221: none a multiple of a block
 SPECS = ["eigen", "pulsone:1,2", "chirp:2,3,4", "zc:2", "lfm(2):pulsone:0,1",
@@ -219,7 +219,7 @@ def test_csv_from_row_blocks_matches_the_array(tmp_path, monkeypatch, shape):
         start = 0
         for stop in stops:
             buf[: stop - start] = values[start:stop]
-            yield buf[: stop - start]
+            yield buf[: stop - start], None
             start = stop
 
     n = shape[0]
@@ -260,9 +260,9 @@ def test_simulate_formats_each_engine_block_in_one_pass(tmp_path, monkeypatch):
     blocks = formats = 0
     engine_blocks, format_g17 = ambiguity.FastEngine.blocks, ddcore.format_g17
 
-    def counted_blocks(self, out=None, entries=None):
+    def counted_blocks(self):
         nonlocal blocks
-        for block in engine_blocks(self, out, entries):
+        for block in engine_blocks(self):
             blocks += 1
             yield block
 
@@ -301,7 +301,7 @@ def test_block_bytes_cover_the_csv_writer(tmp_path, shape, kind):
     grid, whose re, im and abs fields are all set aside; and of its fundamental grid,
     with as many points as entries, which formats each point's magnitude with its line."""
     rng = np.random.default_rng(9)
-    mags = entries = None
+    mags = table = None
     if kind in ("pulsone", "real"):  # a vector of MN values
         mod = Modulus(*shape)
         shape = (mod.MN,)
@@ -318,23 +318,20 @@ def test_block_bytes_cover_the_csv_writer(tmp_path, shape, kind):
         x = np.zeros(mod.MN) + 0j if kind == "zero-engine" else rng.standard_normal(mod.MN) + 1j
         grid = "full" if shape[0] == mod.MN else "fundamental"
         engine = FastEngine(PeriodicSequence(mod, x), 0, 1, grid=grid)
-        entries = np.empty((ddcore._block_rows(*shape), shape[1]), dtype=np.int64)
         values, mags = engine.surface.values, engine.magnitudes
-        table = np.concatenate([entries[: len(block)].copy() for block in engine.blocks(entries=entries)])
+        table = np.concatenate([entries.copy() for _, entries in engine.blocks()])
     else:
         values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     rows = ddcore._block_rows(shape[0], shape[1] if len(shape) == 2 else 1)
 
     def blocks():
-        for start in range(0, shape[0], rows):
-            if entries is not None:  # as FastEngine.blocks(entries=) fills them
-                entries[: len(values[start : start + rows])] = table[start : start + rows]
-            yield values[start : start + rows]
+        for start in range(0, shape[0], rows):  # pairs, as FastEngine.blocks() yields them
+            yield values[start : start + rows], None if table is None else table[start : start + rows]
 
     def peak():
         tracemalloc.start()
         try:
-            ddcore.complex_to_csv(blocks(), tmp_path / "s.csv", shape, mags, entries)
+            ddcore.complex_to_csv(blocks(), tmp_path / "s.csv", shape, mags)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -508,12 +505,12 @@ def test_refused_simulate_leaves_no_output(tmp_path, monkeypatch, capsys, refusa
     _scene(scene, mod, DDRegion(0, 2, 0, 4), 3)
     # 144 bytes per MN for the O(MN) arrays, 416 per point of the 15-point readout
     # region, and the streamed image: one block of the 15 x 15 grid, whose 225
-    # points cost the engine 128 bytes each, the PGM's entries and pixels 16, and
-    # its 15 table entries a magnitude and a pixel, 9; and the CSV writer 16 KiB,
-    # 15-entry index texts of 3 and 2 bytes with their int64 indices, a 29-byte abs
-    # field per table entry, and 521 bytes a line (two copies of a 93-byte line: "14,"
-    # and "14" slots, three 29-byte fields and a newline; its gathered abs field; re
-    # and im and their format_g17 bytes)
+    # points cost the engine block, with their table entries, 128 bytes each, the
+    # PGM's pixels 16, and its 15 table entries a magnitude and a pixel, 9; and the
+    # CSV writer 16 KiB, 15-entry index texts of 3 and 2 bytes with their int64
+    # indices, a 29-byte abs field per table entry, and 521 bytes a line (two copies
+    # of a 93-byte line: "14," and "14" slots, three 29-byte fields and a newline;
+    # its gathered abs field; re and im and their format_g17 bytes)
     need = (144 * 15 + 416 * 15 + (128 + 16) * 15 * 15 + 9 * 15 + 16384 + (3 + 8 + 2 + 8) * 15 + 29 * 15
             + 15 * 15 * (2 * 93 + 29 + 2 * (8 + 145)))
     argv = ["simulate", "--scene", scene, "--line", "3,5", "--region", "0:2,0:4"]
@@ -605,9 +602,9 @@ def test_peak_is_the_largest_block_magnitude(tmp_path, monkeypatch, M, N):
     formed = []
     blocks = FastEngine.blocks
 
-    def counted(self, out=None, entries=None):
-        for block in blocks(self, out, entries):
-            formed.append(block.size)
+    def counted(self):
+        for block in blocks(self):
+            formed.append(block[0].size)
             yield block
 
     monkeypatch.setattr(FastEngine, "blocks", counted)
@@ -790,15 +787,45 @@ class TestLazyReference:
             assert not out.exists()
 
 
-def test_point_queries_match_row_blocks():
-    # a lone point is the value its row block holds, bit for bit
+# the reference of each engine the block protocol is checked on: a base and its labels
+CHAINS = {
+    "no-label": lambda mod: pulsone_chain(LineSubgroup(mod, mod.M, mod.N), 5),
+    "one-label": lambda mod: pulsone_chain(LineSubgroup(mod, 1, 4), 5),
+    "two-labels": lambda mod: pulsone_chain(LineSubgroup(mod, mod.M, 1), 5),
+    "gdaft-2d-phase": lambda mod: pulsone_chain(LineSubgroup(mod, 1, 0), 5),  # two labels, a 2-D phase
+    "tone": lambda mod: ((0, 3, 1), ()),  # period 1, no label: the entries are l's alone
+    "chirp": lambda mod: parse_waveform_spec("chirp:2,3,4", mod).fast,  # a tone under an LFM label
+}
+
+
+def test_point_queries_match_row_blocks(monkeypatch):
+    """Each block of FastEngine.blocks() is a pair (values, entries) of the block's
+    shape, on every kind of chain and both grids: its entries are the raveled table
+    indices of the docstring's index map (oracles.table_entries), and its values are
+    points() on the same rows, bit for bit.  `surface` is the blocks' values stacked,
+    and a lone point, at any integers, is the value its row block holds."""
     mod = Modulus(11, 13)
-    spec = parse_waveform_spec("chirp:2,3,4", mod)
     rng = np.random.default_rng(3)
-    x = spec.seq
-    engine = ambiguity.FastEngine(x, *spec.fast[0], transform=spec.fast[1], grid="full")
-    whole = engine.surface.values
-    for k, l in rng.integers(-2 * mod.MN, 2 * mod.MN, size=(50, 2)):
-        got = engine.points(np.array([k]), np.array([l]))[0]
-        assert got == whole[k % mod.MN, l % mod.MN]
-    assert math.isclose(abs(engine.points(0, 0)), abs(whole[0, 0]))
+    x = PeriodicSequence(mod, rng.standard_normal(mod.MN) + 1j * rng.standard_normal(mod.MN))
+    for chain, grid in [(chain, grid) for chain in CHAINS for grid in ("fundamental", "full")]:
+        base, labels = CHAINS[chain](mod)
+        engine = ambiguity.FastEngine(x, *base, transform=labels, grid=grid)
+        nk, nl = engine.shape
+        want = table_entries(engine)
+        stacked = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ddcore, "_CSV_BLOCK_ROWS", 4 * nl)  # blocks of 4 rows, the last short
+            for values, entries in engine.blocks():
+                rows = np.arange(len(stacked) * 4, len(stacked) * 4 + len(values))
+                assert values.shape == entries.shape == (min(4, nk - rows[0]), nl), (chain, grid)
+                assert entries.dtype == np.int64
+                np.testing.assert_array_equal(entries, want[rows], err_msg=f"{chain} {grid}")
+                np.testing.assert_array_equal(values, engine.points(rows[:, None], np.arange(nl)),
+                                              err_msg=f"{chain} {grid}")
+                stacked.append(values.copy())
+            whole = engine.surface.values
+        assert len(stacked) == math.ceil(nk / 4)
+        np.testing.assert_array_equal(whole, np.concatenate(stacked), err_msg=f"{chain} {grid}")
+        assert math.isclose(abs(engine.points(0, 0)), abs(whole[0, 0]))
+    for k, l in rng.integers(-2 * mod.MN, 2 * mod.MN, size=(50, 2)):  # the last engine's: the chirp's full grid
+        assert engine.points(np.array([k]), np.array([l]))[0] == whole[k % mod.MN, l % mod.MN]
