@@ -23,13 +23,15 @@ size (M,N) (by default (3,5), (11,13) and (23,29)):
 * the known refusals: usage errors, aliasing regions, bad scenes, seeds,
   SNRs and thresholds, and gains whose return or energy overflows.
 
-Unless --sizes is given, it also runs one command of each benchmark workload
-(bench/workloads.py) at its own size.  Each command runs in a new Python
-process on the tree's src/, with BLAS threads pinned to 1, in a scratch
-directory whose path is replaced by <work> in what is recorded.  Two
-manifests of the same list compare with `diff`; they are not goldens, since
-FFT and BLAS bytes differ across numpy versions and CPUs.  Exit code 0 means
-every command ran, whatever its own exit code.
+Unless --sizes is given, it also runs the fast engine on the fundamental grid
+at (67,71), whose 67 rows are written in two blocks (57 and 10 rows), for a
+pulsone, a tone and a two-label reference, in linear and dB scale, and one
+command of each benchmark workload (bench/workloads.py) at its own size.
+Each command runs in a new Python process on the tree's src/, with BLAS
+threads pinned to 1, in a scratch directory whose path is replaced by <work>
+in what is recorded.  Two manifests of the same list compare with `diff`;
+they are not goldens, since FFT and BLAS bytes differ across numpy versions
+and CPUs.  Exit code 0 means every command ran, whatever its own exit code.
 """
 
 from __future__ import annotations
@@ -57,6 +59,9 @@ WAVEFORMS = (
 )
 BASES = ("pulsone:1,2", "chirp:2,1,3", "zc:1")
 PREFIXES = ("", "lfm(2):", "gdaft(1,1,0,1):", "gdaft(2,3,1,2):")
+# a fundamental grid of more than one block (ddcore._block_rows), which no default size reaches
+BLOCKS_SIZE = (67, 71)
+BLOCKS_REFERENCES = ("pulsone:1,2", "zc:1", "gdaft(2,3,1,2):chirp:2,1,3")
 SURFACE_HEADER = b"k,l,re,im,abs\n"
 LAST_FIELD = re.compile(rb",[^,\n]*$", re.MULTILINE)  # a line's last comma and what follows it
 
@@ -147,6 +152,13 @@ def commands(M: int, N: int) -> list:
     return out + refusals
 
 
+def block_commands(M: int, N: int) -> list:
+    """The fast engine's fundamental grid against each of BLOCKS_REFERENCES, in linear and dB scale."""
+    mod = ["--M", str(M), "--N", str(N)]
+    return [["ambiguity", *mod, "--x", "zc:1", "--y", y, "--engine", "fast", "--grid", "fundamental", *scale]
+            for y in BLOCKS_REFERENCES for scale in ([], ["--scale", "db"])]
+
+
 def bench_commands(work: Path) -> list:
     """One command of each benchmark workload at its own size, inputs written to `work`."""
     sys.path.insert(0, str(HERE.parent / "bench"))
@@ -194,7 +206,7 @@ def main(argv=None) -> int:
     parser.add_argument("--tree", default=str(HERE.parent), help="source checkout whose src/ runs")
     parser.add_argument("--out", required=True, help="manifest JSON to write")
     parser.add_argument("--sizes", nargs="+", default=None,
-                        help="M,N pairs (default 3,5 11,13 23,29, plus the benchmark workloads)")
+                        help="M,N pairs (default 3,5 11,13 23,29, plus (67,71) and the benchmark workloads)")
     args = parser.parse_args(argv)
     tree = Path(args.tree).resolve()
     sizes = DEFAULT_SIZES if args.sizes is None else [tuple(int(v) for v in s.split(",")) for s in args.sizes]
@@ -209,6 +221,10 @@ def main(argv=None) -> int:
             for command in commands(M, N):
                 manifest.append(run(tree, folder, command, work))
         if args.sizes is None:
+            folder = work / "x".join(map(str, BLOCKS_SIZE))
+            folder.mkdir()
+            for command in block_commands(*BLOCKS_SIZE):
+                manifest.append(run(tree, folder, command, work))
             for folder, command in bench_commands(work):
                 manifest.append(run(tree, folder, command, work))
     Path(args.out).write_text(json.dumps({"commands": manifest}, indent=1, sort_keys=True) + "\n",

@@ -33,10 +33,12 @@ either grid.  Writing all (MN)^2 points would itself cost O(M^2 N^2) and
 defeat the complexity advantage, so a full-grid surface is an explicit
 caller decision.  A block is one protocol from the engine to the writers:
 the pair (values, entries), a block's complex values and the table entry
-each point reads, or None for an array's rows.  write_surface streams the
-blocks into the CSV and PGM files without holding the complex surface or a
-magnitude per point (it gathers them by the entries from the table's), and
-FastEngine.surface stacks the values into one array.
+each point reads, or None for an array's rows.  The entries come from one
+integer map (_pulsone_map), which FastEngine.entry_blocks also walks alone,
+with no value formed.  write_surface streams the blocks into the CSV and PGM
+files without holding the complex surface or a magnitude per point (it
+gathers them by the entries from the table's), forms values only for a CSV,
+and FastEngine.surface stacks the values into one array.
 """
 
 from __future__ import annotations
@@ -121,6 +123,12 @@ _MN_BYTES = 144
 # at once (the tracemalloc peak of a row block is at most 121 per point, on a
 # two-label chain with a 2-D phase at (61, 67)).
 _ENGINE_POINT_BYTES = 128
+# Bytes per point of one index-only block (FastEngine.entry_blocks) and its gathered
+# pixels: the int64 terms and index arrays of its map (the tracemalloc peak of a PGM
+# alone is at most 73 per block point, two labels on a full grid of one-row blocks,
+# whose column terms are as large as a block, at (61, 67) and (127, 131)).  A value
+# block follows the index pass, so it is charged the rest of _ENGINE_POINT_BYTES.
+_INDEX_POINT_BYTES = 80
 
 
 def _check_budget(need: int, what: str) -> None:
@@ -182,14 +190,22 @@ def _readout(points: int, mn: int) -> tuple[int, str]:
 
 
 def _streamed_pgm(nk: int, nl: int, entries: int = 0) -> tuple[int, str]:
-    """write_surface's PGM of an nk x nl surface, one block of it: the engine block
-    (a FastEngine.blocks pair, its values and their int64 table entries), and an
-    array's float64 magnitudes and the uint8 pixels, 9 bytes a point, within 16.  A
-    fast engine's table of `entries` entries adds 9 bytes an entry: a copy of its
-    magnitudes, which _pixels overwrites, and each entry's pixel.  (The magnitudes
-    themselves, 8 bytes an entry, are held by the engine from its construction,
-    among the O(MN) arrays.)"""
-    return (_ENGINE_POINT_BYTES + 16) * _block_rows(nk, nl) * nl + 9 * entries, f"a streamed {nk} x {nl} PGM"
+    """write_surface's PGM of an nk x nl surface: the open file's 8 KiB buffer and one
+    block, an array's float64 magnitudes and uint8 pixels, 9 bytes a point, within 16,
+    or a fast engine's index-only block (_INDEX_POINT_BYTES).  A fast engine's table of
+    `entries` entries adds 9 bytes an entry: a copy of its magnitudes, which _pixels
+    overwrites, and each entry's pixel.  (The magnitudes themselves, 8 bytes an entry,
+    are held by the engine from its construction, among the O(MN) arrays.)  An
+    engine's value blocks, formed only for a CSV, are _value_block."""
+    point = _INDEX_POINT_BYTES if entries else 16
+    return 8192 + point * _block_rows(nk, nl) * nl + 9 * entries, f"a streamed {nk} x {nl} PGM"
+
+
+def _value_block(nk: int, nl: int) -> tuple[int, str]:
+    """One FastEngine.blocks pair of an nk x nl grid and its query's temporaries, which
+    a fast engine forms for a CSV after the index-only pass of its PGM (_streamed_pgm):
+    _ENGINE_POINT_BYTES a block point, of which that pass is charged _INDEX_POINT_BYTES."""
+    return (_ENGINE_POINT_BYTES - _INDEX_POINT_BYTES) * _block_rows(nk, nl) * nl, f"{nk} x {nl} value blocks"
 
 
 def _csv_block(shape: tuple, entries: int = 0) -> tuple[int, str]:
@@ -205,7 +221,7 @@ def _csv_block(shape: tuple, entries: int = 0) -> tuple[int, str]:
     a line, re and im, and gathers the abs fields by each block's entries from one
     per table entry, FIELD_BYTES each, through a temporary of FIELD_BYTES a line
     (ddcore._csv_layout).  The entries themselves are the engine block's
-    (_streamed_pgm)."""
+    (_value_block)."""
     nfloat, formatted, cols, rows, slots, width = _csv_layout(shape, entries)
     line = 2 * width + FIELD_BYTES * (nfloat - formatted)  # the text twice, and a gathered abs field
     need = 16384 + sum((w + 8) * size for w, size in zip(slots, shape)) + FIELD_BYTES * entries * (nfloat - formatted)
@@ -390,33 +406,46 @@ def fast_pulsone_precompute(
     return FastPulsonePrecomp(x.mod, k0, l0, table)
 
 
+def _pulsone_map(pre: FastPulsonePrecomp, k, l, phase=None):
+    """The integer half of fast_pulsone_query: (entries, phase index), each point's table
+    entry, its index into the raveled table, and, unless `phase` is None, its phase index.
+
+    With k + k0 = quot*P + row, the point (k, l) reads the entry [row, (l + l0) mod R]
+    at the phase index 2*((l + l0)*(k - row) + k0*l0) + phase.  A tone's entries have
+    l's shape: its table has one row.
+    """
+    mn = pre.mod.MN
+    period, length = pre.rowfft.shape
+    # each array is freed once used, so a block of queries holds a few block-sized
+    # arrays at a time
+    k = reduce_mod(np.asarray(k, dtype=np.int64), mn)
+    # the tone's period == 1 shortcuts are measured: without them a (23,29) chirp's
+    # full-grid block walk took 15-17 ms, not 8-14 (one core of a 2-vCPU x86-64 machine)
+    row = 0 if period == 1 else reduce_mod(k + pre.k0, period)
+    u = reduce_mod(np.asarray(l, dtype=np.int64) + pre.l0, mn)
+    # the constant and k's factor are summed in k's (often smaller) shape first
+    index = None if phase is None else 2 * (k - row) * u + (2 * pre.k0 * pre.l0 + phase)
+    del k
+    return (u if period == 1 else row * length + reduce_mod(u, length)), index
+
+
 def fast_pulsone_query(pre: FastPulsonePrecomp, k, l, phase=0, out: np.ndarray | None = None, entries=None):
     """Exact A_{x, ref}[k, l] in O(1) per point, times exp(j*pi*phase/MN).
 
     k, l and the added phase index may be integer arrays that broadcast
     together; the delay period P and Doppler length R come from the table's
-    shape.  With `out`, a complex array of the broadcast shape, the values are
-    written there; with `entries`, an int64 array of that shape, each point's
-    table entry, its index into the raveled table.
+    shape.  The point reads its table entry at its phase index (_pulsone_map).
+    With `out`, a complex array of the broadcast shape, the values are written
+    there; with `entries`, an int64 array of that shape, each point's table
+    entry.  Both stay, and the engine's value blocks come through this query:
+    the bench's traced layer counts its calls on every workload, and the value
+    block's memory term (_value_block) counts buffers its caller owns.
     """
-    mod = pre.mod
-    period, length = pre.rowfft.shape
-    # with k + k0 = quot*P + row: phase index 2*((l + l0)*(k - row) + k0*l0) + phase,
-    # table entry [row, (l + l0) mod R]; each array is freed once used, so a block
-    # of queries holds a few block-sized arrays at a time
-    k = reduce_mod(np.asarray(k, dtype=np.int64), mod.MN)
-    # the tone's period == 1 shortcuts are measured: without them a (23,29) chirp's
-    # full-grid block walk took 15-17 ms, not 8-14 (one core of a 2-vCPU x86-64 machine)
-    row = 0 if period == 1 else reduce_mod(k + pre.k0, period)  # a tone's table has one row
-    u = reduce_mod(np.asarray(l, dtype=np.int64) + pre.l0, mod.MN)
-    # the constant and k's factor are summed in k's (often smaller) shape first
-    index = 2 * (k - row) * u + (2 * pre.k0 * pre.l0 + phase)
-    del k
-    flat = u if period == 1 else row * length + reduce_mod(u, length)  # a tone's R is MN
-    del row, u
+    flat, index = _pulsone_map(pre, k, l, phase)
+    del k, l, phase
     if entries is not None:  # a tone's flat has l's shape: broadcast to the points'
         np.copyto(entries, flat)
-    phases = phases_to_complex(index, mod)
+    phases = phases_to_complex(index, pre.mod)
     del index
     # table entry first: the order numpy's temporary elision gave the whole-grid
     # product phase * entry, so full-grid images stay byte-identical.  Never in
@@ -451,9 +480,10 @@ class FastEngine:
     After O(MN log MN) per label, points(K, L) costs O(1) per point at any
     (K, L), whatever the `grid`; blocks() walks the `grid` in row blocks of
     ddcore._block_rows rows, each a pair (values, entries) that
-    ddcore.complex_to_csv formats in one pass, and `surface` stacks their
-    values into the whole grid.  With x a radar return, the engine is its
-    image (radarsim.form_image).
+    ddcore.complex_to_csv formats in one pass, entry_blocks() walks the same
+    rows for the entries alone, the integer map G with no phase or product,
+    and `surface` stacks the values into the whole grid.  With x a radar
+    return, the engine is its image (radarsim.form_image).
 
     Every value is thus fl(t * p), for its table entry t and a roots-table
     phase p, so |A| is |t| in exact arithmetic: `magnitudes` holds one
@@ -544,25 +574,40 @@ class FastEngine:
         q = q_rows + c0 + q_cols
         if ckl:  # only GDAFT labels make Q's phase 2-D
             q = q + ckl * reduce_mod(K * L, mn)
-        return fast_pulsone_query(self._pre, k_rows + k_cols, l_rows + l_cols, 2 * reduce_mod(q, mn), out, entries)
+        q = reduce_mod(q, mn)  # one q array held, doubled in place
+        q *= 2
+        return fast_pulsone_query(self._pre, k_rows + k_cols, l_rows + l_cols, q, out, entries)
 
-    def blocks(self):
-        """The grid's rows, top to bottom, in blocks of ddcore._block_rows rows.
-
-        Each block is a pair (values, entries) of arrays of the block's shape:
-        its complex values, and each point's table entry, its index into
-        `magnitudes` (and into the raveled table).  Both are views into two
-        buffers the generator owns, so each block is overwritten by the next.
-        The terms of the columns are formed once, for every block.
-        """
+    def _walk(self):
+        """The grid's rows, top to bottom, in blocks of ddcore._block_rows rows: for each
+        block, the _terms of its rows and of the grid's columns, formed once for every block."""
         nk, nl = self.shape
         step = _block_rows(nk, nl)
         cols = self._terms(np.arange(nl, dtype=np.int64)[None, :], 1)
+        for start in range(0, nk, step):
+            yield self._terms(np.arange(start, min(start + step, nk), dtype=np.int64)[:, None], 0), cols
+
+    def blocks(self):
+        """The grid's row blocks (_walk), each a pair (values, entries) of arrays of the block's shape.
+
+        Its complex values, and each point's table entry, its index into
+        `magnitudes` (and into the raveled table).  Both are views into two
+        buffers the generator owns, so each block is overwritten by the next.
+        """
+        step, nl = _block_rows(*self.shape), self.shape[1]
         values = np.empty((step, nl), dtype=np.complex128)
         entries = np.empty((step, nl), dtype=np.int64)
-        for start in range(0, nk, step):
-            ks = np.arange(start, min(start + step, nk), dtype=np.int64)[:, None]
-            yield self._query(self._terms(ks, 0), cols, values[: len(ks)], entries[: len(ks)]), entries[: len(ks)]
+        for rows, cols in self._walk():
+            n = len(rows[0])
+            yield self._query(rows, cols, values[:n], entries[:n]), entries[:n]
+
+    def entry_blocks(self):
+        """The entries of blocks() alone, equal block for block, with no phase or value
+        formed: the integer map (_pulsone_map) of each row block (_walk), broadcast to
+        the block's shape (a read-only view for a tone, whose entries have l's shape)."""
+        nl = self.shape[1]
+        for (K, k_rows, l_rows, _), (_, k_cols, l_cols, _) in self._walk():
+            yield np.broadcast_to(_pulsone_map(self._pre, k_rows + k_cols, l_rows + l_cols)[0], (len(K), nl))
 
     @functools.cached_property
     def surface(self) -> AmbiguitySurface:
@@ -687,22 +732,25 @@ def write_surface(surface, csv_path, pgm_path, scale: str = "linear", floor: flo
 
     The peak comes first.  An engine's is the largest of its magnitudes over
     the entries its grid reads (see FastEngine): all of them on the full grid,
-    with no value formed, and on the fundamental grid those of a first pass of
-    its blocks.  An array's is its largest |A| from a first pass of its row
-    blocks.  The PGM header follows, and then each block, a pair (values,
-    entries) from FastEngine.blocks, or views of the array of as many rows
-    with entries None, is formatted into the CSV as it arrives (no CSV when
-    `csv_path` is None) while its pixels, final against the known peak, go
-    to the PGM: rows are delay k, columns Doppler l.  linear: 0..255 spans
-    0..max|A|.  db: 0..255 spans floor..0 dB relative to the surface peak,
-    clamping below the floor; the floor must be a finite negative number.
+    and on the fundamental grid those of an index-only pass of its blocks
+    (FastEngine.entry_blocks); neither forms a value.  An array's is its
+    largest |A| from a first pass of its row blocks.  The PGM header follows,
+    and then each block, a pair (values, entries) from FastEngine.blocks, or
+    views of the array of as many rows with entries None, is formatted into
+    the CSV as it arrives while its pixels, final against the known peak, go
+    to the PGM: rows are delay k, columns Doppler l.  With no CSV (`csv_path`
+    None) an engine's blocks are its index-only ones, so each engine value is
+    formed once, and only for a CSV.  linear: 0..255 spans 0..max|A|.  db:
+    0..255 spans floor..0 dB relative to the surface peak, clamping below the
+    floor; the floor must be a finite negative number.
     An engine's every magnitude is that of its table entry,
     FastEngine.magnitudes: the pixels of the entries are formed once and
     gathered by each block's entries, as the CSV gathers the abs fields, and
     no magnitude of a point is computed.  An array's are np.hypot of its
     values, for the PGM as for the CSV.  No array of the surface's size is
     held but an engine's per-entry arrays, of its table's MN entries, and no
-    complex one beyond the block being written (_streamed_pgm, _csv_block).
+    complex one beyond the block being written (_streamed_pgm, _value_block,
+    _csv_block).
     Commands check the model's terms with check_budget first.
     """
     _check_scale(scale, floor)
@@ -710,14 +758,12 @@ def write_surface(surface, csv_path, pgm_path, scale: str = "linear", floor: flo
     step = _block_rows(nk, nl)
     if isinstance(surface, FastEngine):  # each entry's pixel, gathered by the block's entries
         table = surface.magnitudes
-        # a grid of one block, such as a fundamental grid up to about 4096 points, is
-        # formed once: a second pass would run the whole query again for the peak alone
-        blocks = [next(surface.blocks())] if step >= nk else surface.blocks()
         # the largest magnitude over the entries the grid reads: on the full grid every
-        # entry; the fundamental grid's points may miss any, so a pass reads theirs
-        scan = blocks if step >= nk else surface.blocks()
-        peak = table.max() if surface.grid == "full" else max(table.take(entries).max() for _, entries in scan)
+        # entry; the fundamental grid's points may miss any, so an index-only pass reads theirs
+        peak = table.max() if surface.grid == "full" else max(table.take(e).max() for e in surface.entry_blocks())
         shades = _pixels(table.copy(), peak, scale, floor)
+        # values are formed only for a CSV: a PGM alone reads each block's entries
+        blocks = surface.blocks() if csv_path is not None else ((None, e) for e in surface.entry_blocks())
         shade = lambda values, entries: shades.take(entries)
     else:
         table, mags = None, np.empty((step, nl))

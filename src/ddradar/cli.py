@@ -32,6 +32,7 @@ from .ambiguity import (
     _mn_arrays,
     _readout,
     _streamed_pgm,
+    _value_block,
     check_budget,
     check_disk,
     coded_waveform,
@@ -247,10 +248,11 @@ def cmd_ambiguity(args, parser) -> int:
         period, shape = x.period, (x.period, x.period)
     else:
         period, shape = mod.MN, _grid_shape(mod, args.grid)
-    # one check of the whole command: its O(MN) arrays, any direct sums, and the writer,
-    # which gathers a fast engine's magnitudes from its table of MN entries
-    sums, entries = ([], mod.MN) if args.engine == "fast" else ([_direct_sums(period, *shape)], 0)
-    check_budget(_mn_arrays(mod), *sums, _streamed_pgm(*shape, entries), _csv_block(shape, entries))
+    # one check of the whole command: its O(MN) arrays, the fast engine's value blocks
+    # or the direct sums, and the writers, which gather a fast engine's magnitudes from
+    # its table of MN entries
+    route, entries = (_value_block(*shape), mod.MN) if args.engine == "fast" else (_direct_sums(period, *shape), 0)
+    check_budget(_mn_arrays(mod), route, _streamed_pgm(*shape, entries), _csv_block(shape, entries))
     if coded:
         surface = cross_ambiguity_array(x.seq, y.seq)
     elif args.engine == "fast":
@@ -276,7 +278,7 @@ def cmd_simulate(args, parser) -> int:
     region = _parse_region(args.region)
     # before the first O(MN) array; every refusal comes before --out exists, and the
     # image is formed only as it is written
-    check_budget(_mn_arrays(mod), _readout(region.width_k * region.width_l, mod.MN),
+    check_budget(_mn_arrays(mod), _readout(region.width_k * region.width_l, mod.MN), _value_block(mod.MN, mod.MN),
                  _streamed_pgm(mod.MN, mod.MN, mod.MN), _csv_block((mod.MN, mod.MN), mod.MN))
 
     if args.waveform == "eigen":

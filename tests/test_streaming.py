@@ -247,8 +247,8 @@ def test_simulate_holds_no_complex_image(tmp_path):
         tracemalloc.stop()
     assert code == 0
     full = (mod.MN, mod.MN)
-    assert peak <= _need(ambiguity._mn_arrays(mod), ambiguity._streamed_pgm(*full, mod.MN),
-                         ambiguity._csv_block(full, mod.MN))
+    assert peak <= _need(ambiguity._mn_arrays(mod), ambiguity._value_block(*full),
+                         ambiguity._streamed_pgm(*full, mod.MN), ambiguity._csv_block(full, mod.MN))
 
 
 def test_simulate_formats_each_engine_block_in_one_pass(tmp_path, monkeypatch):
@@ -343,20 +343,25 @@ def test_block_bytes_cover_the_csv_writer(tmp_path, shape, kind):
 
 @pytest.mark.parametrize("M, N", [(11, 13), (61, 67)])
 def test_block_bytes_cover_an_engine_block(M, N):
-    """One FastEngine block, its buffer and its query's index arrays, fits the engine's share of a PGM or surface term."""
+    """One FastEngine block, its buffer and its query's index arrays, fits the engine's share of a PGM
+    or surface term, and one index-only block fits the PGM's: at (61, 67) a full-grid block is one row,
+    as large as the column terms every block shares."""
     mod = Modulus(M, N)
     y = PeriodicSequence(mod, np.random.default_rng(M).standard_normal(mod.MN) + 0j)
     for c, d in ((M, N), (1, 4), (M, 1), (1, 0)):  # 0, 1, 2 and 2 labels, the last with a 2-D phase
         base, labels = pulsone_chain(LineSubgroup(mod, c, d), 5)
         engine = FastEngine(y, *base, transform=labels, grid="full")
         engine.points(0, 0)  # the roots table, built once per MN
-        tracemalloc.start()
-        try:
-            next(engine.blocks())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= ambiguity._ENGINE_POINT_BYTES * ddcore._block_rows(*engine.shape) * engine.shape[1], (c, d)
+        points = ddcore._block_rows(*engine.shape) * engine.shape[1]
+        for walk, bytes_per_point in ((engine.blocks, ambiguity._ENGINE_POINT_BYTES),
+                                      (engine.entry_blocks, ambiguity._INDEX_POINT_BYTES)):
+            tracemalloc.start()
+            try:
+                next(walk())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bytes_per_point * points, (c, d, walk.__name__)
 
 
 def _peak_and_need(monkeypatch, tmp_path, argv):
@@ -505,13 +510,14 @@ def test_refused_simulate_leaves_no_output(tmp_path, monkeypatch, capsys, refusa
     _scene(scene, mod, DDRegion(0, 2, 0, 4), 3)
     # 144 bytes per MN for the O(MN) arrays, 416 per point of the 15-point readout
     # region, and the streamed image: one block of the 15 x 15 grid, whose 225
-    # points cost the engine block, with their table entries, 128 bytes each, the
-    # PGM's pixels 16, and its 15 table entries a magnitude and a pixel, 9; and the
+    # points cost the engine block, with their table entries, 128 bytes each (48 for
+    # the values, and 80 for the PGM's index-only block and pixels), the PGM's file
+    # buffer 8 KiB, and its 15 table entries a magnitude and a pixel, 9; and the
     # CSV writer 16 KiB, 15-entry index texts of 3 and 2 bytes with their int64
     # indices, a 29-byte abs field per table entry, and 521 bytes a line (two copies
     # of a 93-byte line: "14," and "14" slots, three 29-byte fields and a newline;
     # its gathered abs field; re and im and their format_g17 bytes)
-    need = (144 * 15 + 416 * 15 + (128 + 16) * 15 * 15 + 9 * 15 + 16384 + (3 + 8 + 2 + 8) * 15 + 29 * 15
+    need = (144 * 15 + 416 * 15 + (48 + 80) * 15 * 15 + 8192 + 9 * 15 + 16384 + (3 + 8 + 2 + 8) * 15 + 29 * 15
             + 15 * 15 * (2 * 93 + 29 + 2 * (8 + 145)))
     argv = ["simulate", "--scene", scene, "--line", "3,5", "--region", "0:2,0:4"]
     if refusal == "not-crystallized":
@@ -593,21 +599,23 @@ def _flat_engine(M, N, seed, grid):
 def test_peak_is_the_largest_block_magnitude(tmp_path, monkeypatch, M, N):
     """The PGM's peak is the largest table magnitude over the entries the grid reads
     (oracles.table_magnitudes), on every line family, on both grids, in one block and
-    in blocks of two rows, for a line's eigenvector and a noisy return of it.  The
-    full grid, and a grid of one block, form each point once, for the PGM itself; a
-    fundamental grid of several blocks forms each twice, once to read its entries."""
+    in blocks of two rows, for a line's eigenvector and a noisy return of it.  A PGM
+    alone forms no value: it calls no fast_pulsone_query, and reads each block's
+    entries alone (FastEngine.entry_blocks).  With a CSV, every grid forms each of its
+    nk x nl values once, a fundamental grid of several blocks included, and the PGM
+    is the same."""
     mod = Modulus(M, N)
     rng = np.random.default_rng(M)
     noise = 0.3 * (rng.standard_normal(mod.MN) + 1j * rng.standard_normal(mod.MN))
     formed = []
-    blocks = FastEngine.blocks
+    query = ambiguity.fast_pulsone_query
 
-    def counted(self):
-        for block in blocks(self):
-            formed.append(block[0].size)
-            yield block
+    def counted(*args):
+        values = query(*args)
+        formed.append(np.size(values))
+        return values
 
-    monkeypatch.setattr(FastEngine, "blocks", counted)
+    monkeypatch.setattr(ambiguity, "fast_pulsone_query", counted)
     for c, d in _lines(M, N).values():
         line = LineSubgroup(mod, c, d)
         index = int(rng.integers(mod.MN))
@@ -615,18 +623,17 @@ def test_peak_is_the_largest_block_magnitude(tmp_path, monkeypatch, M, N):
         x = eigenvector(line, index)
         for y in (x, PeriodicSequence(mod, x.samples + noise)):
             for grid in ("full", "fundamental"):
-                for rows in (None, 2):
+                for rows, csv in [(rows, csv) for rows in (None, 2) for csv in (None, tmp_path / "s.csv")]:
                     engine = FastEngine(y, *base, transform=labels, grid=grid)
                     nk, nl = engine.shape
                     formed.clear()
                     with pytest.MonkeyPatch.context() as mp:
                         if rows is not None:
                             mp.setattr(ddcore, "_CSV_BLOCK_ROWS", rows * nl)
-                        write_surface(engine, None, tmp_path / "s.pgm")
-                    twice = grid == "fundamental" and rows is not None
-                    assert sum(formed) == (2 if twice else 1) * nk * nl, (c, d, grid, rows)
+                        write_surface(engine, csv, tmp_path / "s.pgm")
+                    assert sum(formed) == (0 if csv is None else nk * nl), (c, d, grid, rows, csv)
                     want = pgm_bytes(table_magnitudes(engine), "linear", -120.0)
-                    assert (tmp_path / "s.pgm").read_bytes() == want, (c, d, grid, rows)
+                    assert (tmp_path / "s.pgm").read_bytes() == want, (c, d, grid, rows, csv)
 
 
 @pytest.mark.parametrize("M, N", [(3, 5), (11, 13)])
@@ -802,8 +809,10 @@ def test_point_queries_match_row_blocks(monkeypatch):
     """Each block of FastEngine.blocks() is a pair (values, entries) of the block's
     shape, on every kind of chain and both grids: its entries are the raveled table
     indices of the docstring's index map (oracles.table_entries), and its values are
-    points() on the same rows, bit for bit.  `surface` is the blocks' values stacked,
-    and a lone point, at any integers, is the value its row block holds."""
+    points() on the same rows, bit for bit.  Each index-only block of entry_blocks(),
+    the tone's included, is an int64 array of the same shape equal to both.  `surface`
+    is the blocks' values stacked, and a lone point, at any integers, is the value its
+    row block holds."""
     mod = Modulus(11, 13)
     rng = np.random.default_rng(3)
     x = PeriodicSequence(mod, rng.standard_normal(mod.MN) + 1j * rng.standard_normal(mod.MN))
@@ -815,11 +824,12 @@ def test_point_queries_match_row_blocks(monkeypatch):
         stacked = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ddcore, "_CSV_BLOCK_ROWS", 4 * nl)  # blocks of 4 rows, the last short
-            for values, entries in engine.blocks():
+            for (values, entries), alone in zip(engine.blocks(), engine.entry_blocks(), strict=True):
                 rows = np.arange(len(stacked) * 4, len(stacked) * 4 + len(values))
-                assert values.shape == entries.shape == (min(4, nk - rows[0]), nl), (chain, grid)
-                assert entries.dtype == np.int64
+                assert values.shape == entries.shape == alone.shape == (min(4, nk - rows[0]), nl), (chain, grid)
+                assert entries.dtype == alone.dtype == np.int64
                 np.testing.assert_array_equal(entries, want[rows], err_msg=f"{chain} {grid}")
+                np.testing.assert_array_equal(alone, want[rows], err_msg=f"{chain} {grid}")
                 np.testing.assert_array_equal(values, engine.points(rows[:, None], np.arange(nl)),
                                               err_msg=f"{chain} {grid}")
                 stacked.append(values.copy())
