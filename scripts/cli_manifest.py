@@ -17,6 +17,9 @@ size (M,N) (by default (3,5), (11,13) and (23,29)):
 * simulate on the rectangular, a transported, a coprime-slope and the
   (1,4) line, noiseless and noisy, and in dB scale at floors -120 and -300
   on the noisy rectangular and the transported line;
+* simulate of a tie, taps of gains 1 and 0.5 on the (1,4) line's strip of MN
+  points, at eigen-indices 2 and 12 and at --threshold 0.5, where the weaker
+  tap's magnitude is the cut to within rounding;
 * simulate with tap gains from 10 to 1e4, on the rectangular line in linear
   scale and on the transported line in dB scale, so the image holds values
   of 10 or more;
@@ -78,6 +81,8 @@ def scenes(M: int, N: int) -> dict:
         "huge": _scene(M, N, [(0, 0, 1e308, 1e308)]),
         "energetic": _scene(M, N, [(0, 0, 1e308, 0.0)]),
         "fraction": {"M": M, "N": N, "taps": [{"k": 1.7, "l": 0, "re": 1.0, "im": 0.0}]},
+        # a weaker tap of half the stronger's gain: the default readout cut falls on its magnitude
+        "ties": _scene(M, N, [(M * N - 4, 0, 1.0, 0.0), (4, 0, 0.5, 0.0)]),
     }
 
 
@@ -120,6 +125,10 @@ def commands(M: int, N: int) -> list:
                     "--snr-db", "20", "--seed", "7", "--scale", "db", "--floor", floor])
         out.append(["simulate", "--scene", "scene.json", "--line", transported[0], "--region", transported[1],
                     "--scale", "db", "--floor", floor])
+    # the (1,4) line crystallizes the strip 0:MN-1,0:0 at every odd MN
+    ties = ["simulate", "--scene", "ties.json", "--line", "1,4", "--region", f"0:{mn - 1},0:0"]
+    out += [ties + ["--eigen-index", "2"], ties + ["--eigen-index", "12"],
+            ties + ["--eigen-index", "2", "--threshold", "0.5"]]
     out.append(["simulate", "--scene", "large.json", "--line", lines["rectangular"][0],
                 "--region", lines["rectangular"][1]])
     out.append(["simulate", "--scene", "large.json", "--line", lines["transported"][0],

@@ -34,8 +34,8 @@ defeat the complexity advantage, so a full-grid surface is an explicit
 caller decision.  A block is one protocol from the engine to the writers:
 the pair (values, entries), a block's complex values and the table entry
 each point reads, or None for an array's rows.  The entries come from one
-integer map (_pulsone_map), which FastEngine.entry_blocks also walks alone,
-with no value formed.  write_surface streams the blocks into the CSV and PGM
+integer map (_pulsone_map), which FastEngine.entries and entry_blocks also
+read alone, with no value formed.  write_surface streams the blocks into the CSV and PGM
 files without holding the complex surface or a magnitude per point (it
 gathers them by the entries from the table's), forms values only for a CSV,
 and FastEngine.surface stacks the values into one array.
@@ -124,11 +124,12 @@ _MN_BYTES = 144
 # two-label chain with a 2-D phase at (61, 67)).
 _ENGINE_POINT_BYTES = 128
 # Bytes per point of one index-only block (FastEngine.entry_blocks) and its gathered
-# pixels: the int64 terms and index arrays of its map (the tracemalloc peak of a PGM
-# alone is at most 73 per block point, two labels on a full grid of one-row blocks,
-# whose column terms are as large as a block, at (61, 67) and (127, 131)).  A value
-# block follows the index pass, so it is charged the rest of _ENGINE_POINT_BYTES.
-_INDEX_POINT_BYTES = 80
+# pixels: the int64 terms and index arrays of its map (the tracemalloc peak of one
+# such block is at most 65 per block point, two labels with a 2-D phase on a full grid
+# of one-row blocks, whose columns' k and l shares are each as large as a block, at
+# (61, 67) and (127, 131)).  A value block follows the index pass, so it is charged
+# the rest of _ENGINE_POINT_BYTES.
+_INDEX_POINT_BYTES = 72
 
 
 def _check_budget(need: int, what: str) -> None:
@@ -181,11 +182,13 @@ def _mn_arrays(mod: Modulus) -> tuple[int, str]:
 
 def _readout(points: int, mn: int) -> tuple[int, str]:
     """radarsim.readout_targets on a region of `points` points, and the targets.json of
-    its hits: 416 bytes a point, for when every point is a hit.  The query of the
-    region and its magnitudes take 136 (8 more than an engine block's); the hits,
-    held while the image is written, and then their JSON document take at most 393
-    under tracemalloc.  At most MN points are read: a larger region aliases and is
-    refused first."""
+    its hits: 416 bytes a point, for when every point is a hit.  The region's table
+    entries (FastEngine.entries) and their magnitudes take at most 83 under
+    tracemalloc, its crystallization check included; the hits' values, formed for
+    them alone, held while the image is written, and then their JSON document take
+    at most 393.  The region is read in one query, not in blocks: the hits, not the
+    query, set the term.  At most MN points are read: a larger region aliases and
+    is refused first."""
     return 416 * min(points, mn), f"a readout of {points} region points"
 
 
@@ -411,22 +414,25 @@ def _pulsone_map(pre: FastPulsonePrecomp, k, l, phase=None):
     entry, its index into the raveled table, and, unless `phase` is None, its phase index.
 
     With k + k0 = quot*P + row, the point (k, l) reads the entry [row, (l + l0) mod R]
-    at the phase index 2*((l + l0)*(k - row) + k0*l0) + phase.  A tone's entries have
-    l's shape: its table has one row.
+    at the phase index 2*((l + l0)*(k - row) + k0*l0) + phase, k and l + l0 taken mod
+    MN.  P and R divide MN, so the entry alone needs no reduction mod MN.  A tone's
+    entries have l's shape: its table has one row.
     """
     mn = pre.mod.MN
     period, length = pre.rowfft.shape
     # each array is freed once used, so a block of queries holds a few block-sized
     # arrays at a time
-    k = reduce_mod(np.asarray(k, dtype=np.int64), mn)
+    k = np.asarray(k, dtype=np.int64)
+    k = k if phase is None else reduce_mod(k, mn)
+    u = reduce_mod(np.asarray(l, dtype=np.int64) + pre.l0, length if phase is None else mn)
     # the tone's period == 1 shortcuts are measured: without them a (23,29) chirp's
     # full-grid block walk took 15-17 ms, not 8-14 (one core of a 2-vCPU x86-64 machine)
     row = 0 if period == 1 else reduce_mod(k + pre.k0, period)
-    u = reduce_mod(np.asarray(l, dtype=np.int64) + pre.l0, mn)
     # the constant and k's factor are summed in k's (often smaller) shape first
     index = None if phase is None else 2 * (k - row) * u + (2 * pre.k0 * pre.l0 + phase)
     del k
-    return (u if period == 1 else row * length + reduce_mod(u, length)), index
+    # u is (l + l0) mod R already on a tone (R = MN) and without a phase
+    return (u if period == 1 else row * length + (u if phase is None else reduce_mod(u, length))), index
 
 
 def fast_pulsone_query(pre: FastPulsonePrecomp, k, l, phase=0, out: np.ndarray | None = None, entries=None):
@@ -478,12 +484,14 @@ class FastEngine:
         A[K, L] = exp(j*2*pi*inv2*Q(K, L)/MN) * A_{W^H x, base}[G(K, L)]
 
     After O(MN log MN) per label, points(K, L) costs O(1) per point at any
-    (K, L), whatever the `grid`; blocks() walks the `grid` in row blocks of
-    ddcore._block_rows rows, each a pair (values, entries) that
-    ddcore.complex_to_csv formats in one pass, entry_blocks() walks the same
-    rows for the entries alone, the integer map G with no phase or product,
-    and `surface` stacks the values into the whole grid.  With x a radar
-    return, the engine is its image (radarsim.form_image).
+    (K, L), whatever the `grid`, and entries(K, L) gives the table entry each
+    of those points reads, the integer map G alone with no phase or product;
+    blocks() walks the `grid` in row blocks of ddcore._block_rows rows, each a
+    pair (values, entries) that ddcore.complex_to_csv formats in one pass,
+    entry_blocks() walks the same rows for the entries alone, and `surface`
+    stacks the values into the whole grid.  With x a radar return, the engine
+    is its image (radarsim.form_image), and readout_targets thresholds its
+    points' entries' magnitudes, forming values for the hits alone.
 
     Every value is thus fl(t * p), for its table entry t and a roots-table
     phase p, so |A| is |t| in exact arithmetic: `magnitudes` holds one
@@ -543,15 +551,27 @@ class FastEngine:
 
         Any integers are taken mod MN.
         """
-        mn = self.mod.MN
-        return self._query(self._terms(np.asarray(K, dtype=np.int64) % mn, 0),
-                           self._terms(np.asarray(L, dtype=np.int64) % mn, 1), None)
+        return self._query(self._terms(K, 0), self._terms(L, 1), None)
+
+    def entries(self, K, L) -> np.ndarray:
+        """The table entry each grid point (K, L) reads, its index into `magnitudes`, for
+        integer arrays that broadcast together: the entries of points(K, L), with no
+        phase or value formed.  Any integers are taken mod MN."""
+        (K, k_rows, l_rows, _), (L, k_cols, l_cols, _) = self._terms(K, 0), self._terms(L, 1)
+        return self._entries(k_rows + k_cols, l_rows + l_cols, np.broadcast_shapes(K.shape, L.shape))
+
+    def _entries(self, k, l, shape: tuple) -> np.ndarray:
+        """The integer map (_pulsone_map) at (k, l) = G(K, L), summed from the _terms of K
+        and of L, broadcast to `shape` (a read-only view for a tone, whose entries have
+        l's shape)."""
+        return np.broadcast_to(_pulsone_map(self._pre, k, l)[0], shape)
 
     def _terms(self, X, axis: int) -> tuple:
-        """The query's terms in one coordinate X (K for axis 0, L for axis 1), reduced
-        mod MN: X, and its shares of G's k, of G's l and of Q, each reduced mod MN
-        (0 when its coefficient is).  Every term stays below MN**2 < 2**62."""
+        """The query's terms in one coordinate X (K for axis 0, L for axis 1), any
+        integers: X mod MN, and its shares of G's k, of G's l and of Q, each reduced
+        mod MN (0 when its coefficient is).  Every term stays below MN**2 < 2**62."""
         mn = self.mod.MN
+        X = np.asarray(X, dtype=np.int64) % mn
         G = self._G
         ck, cl, cq = (G.a, G.c, self._q[0]) if axis == 0 else (G.b, G.d, self._q[1])
         return (X, ck * X % mn if ck else 0, cl * X % mn if cl else 0,
@@ -579,13 +599,12 @@ class FastEngine:
         return fast_pulsone_query(self._pre, k_rows + k_cols, l_rows + l_cols, q, out, entries)
 
     def _walk(self):
-        """The grid's rows, top to bottom, in blocks of ddcore._block_rows rows: for each
-        block, the _terms of its rows and of the grid's columns, formed once for every block."""
+        """The _terms of the grid's rows, top to bottom, in blocks of ddcore._block_rows rows.
+        Each caller forms the grid's columns' terms once, and keeps those it reads."""
         nk, nl = self.shape
         step = _block_rows(nk, nl)
-        cols = self._terms(np.arange(nl, dtype=np.int64)[None, :], 1)
         for start in range(0, nk, step):
-            yield self._terms(np.arange(start, min(start + step, nk), dtype=np.int64)[:, None], 0), cols
+            yield self._terms(np.arange(start, min(start + step, nk), dtype=np.int64)[:, None], 0)
 
     def blocks(self):
         """The grid's row blocks (_walk), each a pair (values, entries) of arrays of the block's shape.
@@ -597,17 +616,19 @@ class FastEngine:
         step, nl = _block_rows(*self.shape), self.shape[1]
         values = np.empty((step, nl), dtype=np.complex128)
         entries = np.empty((step, nl), dtype=np.int64)
-        for rows, cols in self._walk():
+        cols = self._terms(np.arange(nl, dtype=np.int64)[None, :], 1)
+        for rows in self._walk():
             n = len(rows[0])
             yield self._query(rows, cols, values[:n], entries[:n]), entries[:n]
 
     def entry_blocks(self):
         """The entries of blocks() alone, equal block for block, with no phase or value
-        formed: the integer map (_pulsone_map) of each row block (_walk), broadcast to
-        the block's shape (a read-only view for a tone, whose entries have l's shape)."""
+        formed: _entries of each row block (_walk)."""
         nl = self.shape[1]
-        for (K, k_rows, l_rows, _), (_, k_cols, l_cols, _) in self._walk():
-            yield np.broadcast_to(_pulsone_map(self._pre, k_rows + k_cols, l_rows + l_cols)[0], (len(K), nl))
+        # the columns' k and l shares alone: a block of one row is as large as each of them
+        k_cols, l_cols = self._terms(np.arange(nl, dtype=np.int64)[None, :], 1)[1:3]
+        for K, k_rows, l_rows, _ in self._walk():
+            yield self._entries(k_rows + k_cols, l_rows + l_cols, (len(K), nl))
 
     @functools.cached_property
     def surface(self) -> AmbiguitySurface:

@@ -191,8 +191,12 @@ def readout_targets(
     finite and positive (ValidationError otherwise); None means half the
     strongest magnitude in the region.  A region whose strongest magnitude
     is 0 holds no targets.  Coordinates are returned reduced mod MN, sorted
-    by (k, l).  The region's points are read in one img.points query, and
-    magnitudes are np.hypot(re, im), bit for bit Python's abs(complex).
+    by (k, l).  Each magnitude is the one the image's CSV writes as its abs
+    field (write_surface): an engine's is that of the point's table entry,
+    read by one img.entries query of the region from img.magnitudes, with
+    no value formed; an array's is np.hypot(re, im) of its value, bit for
+    bit Python's abs(complex).  Values are read, by img.points, for the
+    hits alone.
     """
     if threshold is not None and not (math.isfinite(threshold) and threshold > 0):
         raise ValidationError(f"readout threshold must be finite and positive, got {threshold}")
@@ -207,16 +211,19 @@ def readout_targets(
     # bounds are reduced first, so any integers fit int64
     ks = np.sort((region.k_min % mn + np.arange(region.width_k, dtype=np.int64)) % mn)
     ls = np.sort((region.l_min % mn + np.arange(region.width_l, dtype=np.int64)) % mn)
-    values = img.points(ks[:, None], ls[None, :]).ravel()
-    mags = np.hypot(values.real, values.imag)  # bit for bit abs(complex)
+    if isinstance(img, FastEngine):
+        mags = img.magnitudes.take(img.entries(ks[:, None], ls[None, :])).ravel()
+    else:
+        values = img.points(ks[:, None], ls[None, :]).ravel()
+        mags = np.hypot(values.real, values.imag)  # bit for bit abs(complex)
     peak = mags.max()
     if peak == 0.0:
         return []
     if threshold is None:
         threshold = 0.5 * peak
     hits = np.flatnonzero(mags >= threshold)
-    return [(int(k), int(l), complex(v)) for k, l, v in
-            zip(ks[hits // ls.size], ls[hits % ls.size], values[hits])]
+    hit_k, hit_l = ks[hits // ls.size], ls[hits % ls.size]
+    return [(int(k), int(l), complex(v)) for k, l, v in zip(hit_k, hit_l, img.points(hit_k, hit_l))]
 
 
 # ---------------------------------------------------------------------------

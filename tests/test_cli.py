@@ -370,6 +370,25 @@ class TestSimulateCommand:
         for t, (_, _, v) in zip(doc["targets"], want):
             assert abs(complex(t["re"], t["im"]) - v) < 1e-10
 
+    @pytest.mark.parametrize("flags", [["--eigen-index", i] for i in range(15)]
+                             + [["--eigen-index", 2, "--threshold", 0.5], ["--snr-db", 40, "--seed", 3]])
+    def test_targets_are_the_image_points_that_clear_the_cut(self, tmp_path, flags):
+        """One magnitude per image: targets.json lists exactly the region points whose
+        image.csv abs field clears the cut, half the region's largest field or
+        --threshold, each with its image.csv value.  The weaker tap's gain is half
+        the stronger's, so the default cut falls on its magnitude, to within rounding."""
+        scene = tmp_path / "ties.json"
+        write_scene(scene, [(11, 0, 1.0, 0.0), (4, 0, 0.5, 0.0)])
+        out = tmp_path / "run"
+        assert run(["simulate", "--scene", scene, "--line", "1,4", "--region", "0:14,0:0", *flags,
+                    "--out", out]) == 0
+        rows = [line.split(",") for line in (out / "image.csv").read_text().split()[1:]]
+        region = {(int(k), 0): (float(re), float(im), float(a)) for k, l, re, im, a in rows if l == "0"}
+        cut = 0.5 * max(a for _, _, a in region.values()) if "--threshold" not in flags else float(flags[-1])
+        targets = json.loads((out / "targets.json").read_text())["targets"]
+        assert [(t["k"], t["l"]) for t in targets] == sorted(p for p, (_, _, a) in region.items() if a >= cut)
+        assert all((t["re"], t["im"]) == region[t["k"], t["l"]][:2] for t in targets)
+
     @pytest.mark.parametrize(
         "content",
         [

@@ -30,7 +30,7 @@ from ddradar.radarsim import (
 from ddradar.subgroups import DDRegion, LineSubgroup, chirp, crystallization_check, pulsone
 from ddradar.symplectic import SL2Element, gdaft_apply
 from conftest import rand_unit_seq
-from oracles import basis_vector, zero_sequence
+from oracles import basis_vector, table_magnitudes, zero_sequence
 
 FOUR_TAPS = ((0, 0, 1.0), (1, 2, 0.5 - 0.25j), (2, 1, -0.8j), (2, 4, 0.3 + 0.6j))
 
@@ -277,13 +277,16 @@ class TestReadout:
     @pytest.mark.parametrize("source", ["surface", "engine"])
     def test_matches_the_sorted_set_of_region_keys(self, source):
         """On random crystallized regions, with negative bounds and bounds past MN,
-        the list is the one a sorted set of (k mod MN, l mod MN) keys gives."""
+        the list is the one a sorted set of (k mod MN, l mod MN) keys gives, with the
+        magnitudes the image's CSV writes: an engine's of its table entries
+        (oracles.table_magnitudes), an array's of its values."""
         mod = Modulus(5, 7)
         mn = mod.MN
         rng = np.random.default_rng(12)
         engine = FastEngine(rand_unit_seq(mod, rng), 1, 2, grid="full")
         values = engine.surface.values
         img = engine if source == "engine" else engine.surface
+        mags = table_magnitudes(engine) if source == "engine" else [[abs(v) for v in row] for row in values.tolist()]
         lines = [LineSubgroup(mod, c, d) for c, d in ((5, 7), (1, 2), (5, 1), (1, 0), (0, 1))]
         checked = wrapped = negative = 0
         while checked < 80:
@@ -298,10 +301,10 @@ class TestReadout:
             negative += region.k_min < 0 or region.l_min < 0
             keys = sorted({(k % mn, l % mn) for k in range(region.k_min, region.k_max + 1)
                            for l in range(region.l_min, region.l_max + 1)})
-            found = [complex(values[k, l]) for k, l in keys]
+            found = [(k, l, complex(values[k, l]), float(mags[k][l])) for k, l in keys]
             for threshold in (None, 0.1):
-                cut = 0.5 * max(abs(v) for v in found) if threshold is None else threshold
-                want = [(k, l, v) for (k, l), v in zip(keys, found) if abs(v) >= cut]
+                cut = 0.5 * max(a for *_, a in found) if threshold is None else threshold
+                want = [(k, l, v) for k, l, v, a in found if a >= cut]
                 got = readout_targets(img, line, region, threshold)
                 assert got == want
                 assert all(type(k) is int and type(l) is int and type(v) is complex for k, l, v in got)

@@ -510,14 +510,14 @@ def test_refused_simulate_leaves_no_output(tmp_path, monkeypatch, capsys, refusa
     _scene(scene, mod, DDRegion(0, 2, 0, 4), 3)
     # 144 bytes per MN for the O(MN) arrays, 416 per point of the 15-point readout
     # region, and the streamed image: one block of the 15 x 15 grid, whose 225
-    # points cost the engine block, with their table entries, 128 bytes each (48 for
-    # the values, and 80 for the PGM's index-only block and pixels), the PGM's file
+    # points cost the engine block, with their table entries, 128 bytes each (56 for
+    # the values, and 72 for the PGM's index-only block and pixels), the PGM's file
     # buffer 8 KiB, and its 15 table entries a magnitude and a pixel, 9; and the
     # CSV writer 16 KiB, 15-entry index texts of 3 and 2 bytes with their int64
     # indices, a 29-byte abs field per table entry, and 521 bytes a line (two copies
     # of a 93-byte line: "14," and "14" slots, three 29-byte fields and a newline;
     # its gathered abs field; re and im and their format_g17 bytes)
-    need = (144 * 15 + 416 * 15 + (48 + 80) * 15 * 15 + 8192 + 9 * 15 + 16384 + (3 + 8 + 2 + 8) * 15 + 29 * 15
+    need = (144 * 15 + 416 * 15 + (56 + 72) * 15 * 15 + 8192 + 9 * 15 + 16384 + (3 + 8 + 2 + 8) * 15 + 29 * 15
             + 15 * 15 * (2 * 93 + 29 + 2 * (8 + 145)))
     argv = ["simulate", "--scene", scene, "--line", "3,5", "--region", "0:2,0:4"]
     if refusal == "not-crystallized":
@@ -634,6 +634,42 @@ def test_peak_is_the_largest_block_magnitude(tmp_path, monkeypatch, M, N):
                     assert sum(formed) == (0 if csv is None else nk * nl), (c, d, grid, rows, csv)
                     want = pgm_bytes(table_magnitudes(engine), "linear", -120.0)
                     assert (tmp_path / "s.pgm").read_bytes() == want, (c, d, grid, rows, csv)
+
+
+@pytest.mark.parametrize("M, N", [(5, 11), (11, 13)])
+def test_readout_forms_values_for_its_hits_alone(M, N):
+    """On an engine, readout_targets forms values, through fast_pulsone_query, for its
+    hits alone: as many as it returns, each the value its grid point holds in the
+    engine's surface, bit for bit.  On every line family, on a crystallized region,
+    for a line's eigenvector and a noisy return of it, at the default threshold and
+    an absolute one."""
+    mod = Modulus(M, N)
+    rng = np.random.default_rng(N)
+    noise = 0.3 * (rng.standard_normal(mod.MN) + 1j * rng.standard_normal(mod.MN))
+    formed = []
+    query = ambiguity.fast_pulsone_query
+
+    def counted(*args):
+        values = query(*args)
+        formed.append(np.size(values))
+        return values
+
+    for c, d in _lines(M, N).values():
+        line = LineSubgroup(mod, c, d)
+        region = _region(mod, line)
+        index = int(rng.integers(mod.MN))
+        base, labels = pulsone_chain(line, index)
+        x = eigenvector(line, index)
+        for y in (x, PeriodicSequence(mod, x.samples + noise)):
+            engine = FastEngine(y, *base, transform=labels, grid="full")
+            values = engine.surface.values
+            for threshold in (None, 0.3):
+                formed.clear()
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(ambiguity, "fast_pulsone_query", counted)
+                    hits = readout_targets(engine, line, region, threshold)
+                assert sum(formed) == len(hits) > 0, (c, d, threshold)
+                assert all(v == values[k, l] for k, l, v in hits), (c, d, threshold)
 
 
 @pytest.mark.parametrize("M, N", [(3, 5), (11, 13)])
@@ -810,9 +846,9 @@ def test_point_queries_match_row_blocks(monkeypatch):
     shape, on every kind of chain and both grids: its entries are the raveled table
     indices of the docstring's index map (oracles.table_entries), and its values are
     points() on the same rows, bit for bit.  Each index-only block of entry_blocks(),
-    the tone's included, is an int64 array of the same shape equal to both.  `surface`
-    is the blocks' values stacked, and a lone point, at any integers, is the value its
-    row block holds."""
+    the tone's included, is an int64 array of the same shape equal to both, as are
+    entries() on the same rows.  `surface` is the blocks' values stacked, and a lone
+    point, at any integers, is the value and the entry its row block holds."""
     mod = Modulus(11, 13)
     rng = np.random.default_rng(3)
     x = PeriodicSequence(mod, rng.standard_normal(mod.MN) + 1j * rng.standard_normal(mod.MN))
@@ -830,6 +866,8 @@ def test_point_queries_match_row_blocks(monkeypatch):
                 assert entries.dtype == alone.dtype == np.int64
                 np.testing.assert_array_equal(entries, want[rows], err_msg=f"{chain} {grid}")
                 np.testing.assert_array_equal(alone, want[rows], err_msg=f"{chain} {grid}")
+                np.testing.assert_array_equal(engine.entries(rows[:, None], np.arange(nl)), want[rows],
+                                              err_msg=f"{chain} {grid}")
                 np.testing.assert_array_equal(values, engine.points(rows[:, None], np.arange(nl)),
                                               err_msg=f"{chain} {grid}")
                 stacked.append(values.copy())
@@ -839,3 +877,4 @@ def test_point_queries_match_row_blocks(monkeypatch):
         assert math.isclose(abs(engine.points(0, 0)), abs(whole[0, 0]))
     for k, l in rng.integers(-2 * mod.MN, 2 * mod.MN, size=(50, 2)):  # the last engine's: the chirp's full grid
         assert engine.points(np.array([k]), np.array([l]))[0] == whole[k % mod.MN, l % mod.MN]
+        assert engine.entries(k, l) == want[k % mod.MN, l % mod.MN]
