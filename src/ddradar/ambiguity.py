@@ -64,7 +64,7 @@ from .errors import (
     OverBudget,
 )
 from .floatfmt import FIELD_BYTES, FIELD_TEXT_BYTES, INDEX_BYTES, Workspace
-from .modmath import Modulus, _roots_of_unity, phases_to_complex, reduce_mod, same_modulus
+from .modmath import Modulus, phases_to_complex, quadratic_phase, reduce_mod, same_modulus
 from .symplectic import SL2Element, gdaft_adjoint, lfm_apply, remap_for
 
 __all__ = [
@@ -303,8 +303,8 @@ def cross_ambiguity_point(x: PeriodicSequence, y: PeriodicSequence, k: int, l: i
     """Single ambiguity value straight from the defining sum, O(MN)."""
     same_modulus(x, y)
     mn = x.mod.MN
-    offsets = (np.arange(mn, dtype=np.int64) - k) % mn
-    phases = phases_to_complex(-2 * ((l % mn) * offsets % mn), x.mod)
+    offsets = (np.arange(mn, dtype=np.int64) - k % mn) % mn  # k, l any integers: reduced first
+    phases = phases_to_complex(-2 * (l % mn) * offsets, mn)  # l % mn, offsets < MN: below 2*MN**2 < 2**63
     return complex(np.sum(x.samples * np.conj(y.samples[offsets]) * phases))
 
 
@@ -328,12 +328,14 @@ def _lag_product_rows(xa: np.ndarray, ya: np.ndarray, nk: int, nl: int, reduce) 
 def _direct_rows(xa: np.ndarray, ya: np.ndarray, nk: int, nl: int) -> np.ndarray:
     """Direct-sum surface rows k < nk, columns l < nl, of two period-L arrays.
 
-    S @ E, with E[m, l] = exp(-j*2*pi*l*m/L) gathered from the 2L roots of unity.
+    S @ E, with E[m, l] = exp(-j*2*pi*l*m/L), the phase index -2*l*m of period L
+    gathered by modmath.phases_to_complex.
     Refused with OverBudget when its memory (_direct_sums) is over the budget.
     """
     L = xa.shape[0]
     check_budget(_direct_sums(L, nk, nl))
-    table = _roots_of_unity(L)[-2 * (np.outer(np.arange(L), np.arange(nl)) % L) % (2 * L)]
+    # |-2*m*l| < 2*L*nl, which the _direct_sums term holds far below 2**63 (32 bytes an entry)
+    table = phases_to_complex(-2 * np.outer(np.arange(L), np.arange(nl)), L)
     return _lag_product_rows(xa, ya, nk, nl, lambda s: s @ table)
 
 
@@ -451,7 +453,7 @@ def fast_pulsone_query(pre: FastPulsonePrecomp, k, l, phase=0, out: np.ndarray |
     del k, l, phase
     if entries is not None:  # a tone's flat has l's shape: broadcast to the points'
         np.copyto(entries, flat)
-    phases = phases_to_complex(index, pre.mod)
+    phases = phases_to_complex(index, pre.mod.MN)
     del index
     # table entry first: the order numpy's temporary elision gave the whole-grid
     # product phase * entry, so full-grid images stay byte-identical.  Never in
@@ -549,14 +551,14 @@ class FastEngine:
     def points(self, K, L) -> np.ndarray:
         """A at the grid points (K, L), integer arrays that broadcast together.
 
-        Any integers are taken mod MN.
+        Any int64 integers are taken mod MN.
         """
         return self._query(self._terms(K, 0), self._terms(L, 1), None)
 
     def entries(self, K, L) -> np.ndarray:
         """The table entry each grid point (K, L) reads, its index into `magnitudes`, for
         integer arrays that broadcast together: the entries of points(K, L), with no
-        phase or value formed.  Any integers are taken mod MN."""
+        phase or value formed.  Any int64 integers are taken mod MN."""
         (K, k_rows, l_rows, _), (L, k_cols, l_cols, _) = self._terms(K, 0), self._terms(L, 1)
         return self._entries(k_rows + k_cols, l_rows + l_cols, np.broadcast_shapes(K.shape, L.shape))
 
@@ -567,7 +569,7 @@ class FastEngine:
         return np.broadcast_to(_pulsone_map(self._pre, k, l)[0], shape)
 
     def _terms(self, X, axis: int) -> tuple:
-        """The query's terms in one coordinate X (K for axis 0, L for axis 1), any
+        """The query's terms in one coordinate X (K for axis 0, L for axis 1), any int64
         integers: X mod MN, and its shares of G's k, of G's l and of Q, each reduced
         mod MN (0 when its coefficient is).  Every term stays below MN**2 < 2**62."""
         mn = self.mod.MN
@@ -674,16 +676,16 @@ def zc_sequence(root: int, L: int) -> np.ndarray:
     """Odd-length Zadoff-Chu sequence z[n] = exp(-j*pi*root*n*(n+1)/L)/sqrt(L).
 
     Constant amplitude with zero periodic autocorrelation at every nonzero
-    lag; requires odd L and gcd(root, L) = 1.  Since n*(n+1) is even, root
-    mod L fixes every phase, so any integer root gives the samples of
-    root % L.  The exponent root*n*(n+1) is reduced mod 2L and gathered,
-    negated, from the 2L roots of unity exp(j*pi*p/L), the table the direct
-    sums read.
+    lag; requires odd L and gcd(root, L) = 1.  It is the period-L quadratic
+    phase modmath.quadratic_phase(L, r, r) with r = -root*(L+1)/2 mod L:
+    since n*(n+1) is even, 2*r*n*(n+1) = -root*n*(n+1) mod 2L, so each sample
+    gathers the root of unity exp(j*pi*p/L) its own exponent names, from the
+    2L roots the direct sums read, and any integer root gives the samples of
+    root % L.
     """
     _check_zc_root(root, L)
-    n = np.arange(L, dtype=np.int64)
-    expo = reduce_mod(root % L * reduce_mod(n * (n + 1), 2 * L), 2 * L)
-    return _roots_of_unity(L)[reduce_mod(-expo, 2 * L)] / np.sqrt(L)
+    r = -root * ((L + 1) // 2) % L
+    return quadratic_phase(L, r, r) / np.sqrt(L)
 
 
 def coded_waveform(z: np.ndarray, chip: np.ndarray) -> np.ndarray:

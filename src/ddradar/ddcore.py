@@ -221,7 +221,6 @@ def complex_to_csv(values, path, shape: tuple | None = None, mags=None) -> int:
                  for i in range(0, len(table), workspace.size))
     table, absfield = (a.view(f"V{FIELD_BYTES}")[:, 0] for a in (table[:, 0], fields[:, -1]))
     start = 0  # the row of the next pass
-    kept = 0  # leading lines whose l slot and newline are written: once, again after a short pass
     with open(path, "wb") as fh:
         fh.write(_CSV_HEADER[ndim].encode("ascii") + b"\n")
         for block, entries in values:
@@ -232,12 +231,9 @@ def complex_to_csv(values, path, shape: tuple | None = None, mags=None) -> int:
                 n = r * cols
                 line[n:] = 0  # unused lines of a short pass, dropped with the other NULs
                 index[0][:r] = labels[0][start : start + r, None]
-                kept = min(kept, n)
-                if kept < n:  # every pass starts a row, so these repeat from pass to pass
-                    line[:n, -1] = ord("\n")
-                    if ndim == 2:
-                        index[1][:r] = labels[1]
-                    kept = n
+                if ndim == 2:
+                    index[1][:r] = labels[1]
+                line[:n, -1] = ord("\n")
                 start += r
                 columns = floats[: formatted * n].reshape(formatted, r, cols)
                 np.copyto(columns[0], chunk.real)

@@ -50,7 +50,7 @@ def apply_td(h: HeisenbergElement, x: PeriodicSequence) -> PeriodicSequence:
     mod = h.mod
     shifted = np.roll(x.samples, h.k)
     offsets = (np.arange(mod.MN) - h.k) % mod.MN
-    ramp = phases_to_complex(2 * h.l * offsets, mod)
+    ramp = phases_to_complex(2 * h.l * offsets, mod.MN)
     return PeriodicSequence(mod, to_complex(h.phase, mod) * shifted * ramp)
 
 
@@ -69,9 +69,10 @@ def apply_dd(h: HeisenbergElement, X: QuasiPeriodicArray) -> QuasiPeriodicArray:
     rows = dk % M
     cols = dl % N
     floors = dk // M
-    idx = (2 * M * dl * floors + 2 * h.l * dk + h.phase) % mod.twoMN
+    # k, l < MN: the first term is 0, or < 2*MN*(MN-1) with the second <= 0: |idx| < 2*MN**2 < 2**63
+    idx = 2 * M * dl * floors + 2 * h.l * dk + h.phase
     looked_up = X.values[np.broadcast_to(rows, (M, N)), np.broadcast_to(cols, (M, N))]
-    return QuasiPeriodicArray(mod, looked_up * phases_to_complex(idx, mod))
+    return QuasiPeriodicArray(mod, looked_up * phases_to_complex(idx, mod.MN))
 
 
 def compose(h1: HeisenbergElement, h2: HeisenbergElement) -> HeisenbergElement:

@@ -3,7 +3,8 @@
 All phases are carried as integer indices p modulo 2*M*N representing the
 unit complex number exp(j*pi*p/(M*N)).  Whole phases exp(j*2*pi*m/(M*N))
 embed as even indices p = 2*m; the affine Fourier machinery introduces odd
-(half-integer) indices, which is why the ring is 2*M*N and not M*N.
+(half-integer) indices, which is why the ring is 2*M*N and not M*N.  A coded
+waveform of period L = MN*chip carries its phases likewise, mod 2L.
 Keeping indices exact until the final complex evaluation makes group-law
 tests bit-exact instead of tolerance-based.
 """
@@ -122,8 +123,8 @@ def phase_mul(p1: int, p2: int, mod: Modulus) -> int:
 
 
 def to_complex(p: int, mod: Modulus) -> complex:
-    """Evaluate phase index p as exp(j*pi*p/MN)."""
-    return complex(_roots_of_unity(mod.MN)[p % mod.twoMN])
+    """Evaluate phase index p as exp(j*pi*p/MN): any integer, reduced mod 2MN first."""
+    return complex(phases_to_complex(p % mod.twoMN, mod.MN))
 
 
 def reduce_mod(x, m: int):
@@ -134,27 +135,32 @@ def reduce_mod(x, m: int):
     return x - q
 
 
-def phases_to_complex(p: np.ndarray, mod: Modulus) -> np.ndarray:
-    """Vectorised to_complex for integer index arrays (reduced mod 2MN).
+def phases_to_complex(p: np.ndarray, n: int) -> np.ndarray:
+    """exp(j*pi*p/n) for an int64 index array p of period n: the one evaluation of
+    a phase index.
 
-    Both gather from the 2MN roots of unity exp(j*pi*p/MN), computed once per MN.
+    p is reduced mod 2n and gathered from the 2n roots of unity, computed once
+    per n; n is MN for a phase over Z_MN and the period L = MN*chip of a coded
+    waveform.  Each value is within 16*u of exp(j*pi*p/n), u = 2**-53, in
+    absolute error (tests/test_modmath.py checks it against a long-double
+    oracle).
     """
-    idx = reduce_mod(np.asarray(p, dtype=np.int64), mod.twoMN)
-    return np.take(_roots_of_unity(mod.MN), idx, mode="clip")  # idx is already reduced
+    idx = reduce_mod(np.asarray(p, dtype=np.int64), 2 * n)
+    return np.take(_roots_of_unity(n), idx, mode="clip")  # idx is already reduced
 
 
-def quadratic_phase(mod: Modulus, alpha: int, beta: int = 0, gamma: int = 0) -> np.ndarray:
-    """exp(j*2*pi*(alpha*n^2 + beta*n + gamma)/MN) for n = 0..MN-1: every chirp's phase.
+def quadratic_phase(n: int, alpha: int, beta: int = 0, gamma: int = 0) -> np.ndarray:
+    """exp(j*2*pi*(alpha*i^2 + beta*i + gamma)/n) for i = 0..n-1: every chirp's phase,
+    of period n (MN for a chirp over Z_MN, L for a Zadoff-Chu code).
 
-    Each coefficient is reduced mod MN as a Python int, so any integer is
-    exact, and the phase index 2*((alpha*(n*n mod MN) + beta*n + gamma) mod MN)
-    is gathered from the 2MN roots of unity; up to the _MN_CAP every term
-    stays below 2**62, so the int64 sum cannot overflow.
+    Each coefficient is reduced mod n as a Python int, so any integer is
+    exact, and the phase index 2*((alpha*(i*i mod n) + beta*i + gamma) mod n)
+    is gathered through phases_to_complex, within its 16*u; up to the
+    _MN_CAP every term stays below 2**62, so the int64 sum cannot overflow.
     """
-    mn = mod.MN
-    n = np.arange(mn, dtype=np.int64)
-    index = alpha % mn * reduce_mod(n * n, mn) + beta % mn * n + gamma % mn
-    return phases_to_complex(2 * reduce_mod(index, mn), mod)
+    i = np.arange(n, dtype=np.int64)
+    index = alpha % n * reduce_mod(i * i, n) + beta % n * i + gamma % n
+    return phases_to_complex(2 * reduce_mod(index, n), n)
 
 
 @lru_cache(maxsize=16)

@@ -75,7 +75,8 @@ def apply_channel(env: ScatteringEnvironment, x: PeriodicSequence) -> PeriodicSe
     with np.errstate(over="ignore", invalid="ignore"):  # gains near the float64 limit: refused below
         for k, l, h in env.taps:
             offsets = (n - k) % mn
-            out += h * x.samples[offsets] * phases_to_complex(2 * (l * offsets % mn), env.mod)
+            # l and the offsets are below MN, so 2*l*offsets < 2*MN**2 < 2**63
+            out += h * x.samples[offsets] * phases_to_complex(2 * l * offsets, mn)
     # on the float64 view: isfinite over the complex128 array itself raised the
     # peak RSS of a (23,29) simulate run by about 0.2 MB, over the view it did not
     if not np.isfinite(out.view(np.float64)).all():
@@ -165,7 +166,7 @@ def predicted_image(env: ScatteringEnvironment, a_x: AmbiguitySurface) -> Ambigu
     for k_t, l_t, h in env.taps:
         rows = (idx - k_t) % mn
         cols = (idx - l_t) % mn
-        phases = phases_to_complex(2 * (l_t * rows % mn), env.mod)
+        phases = phases_to_complex(2 * l_t * rows, mn)  # l_t, rows < MN: below 2*MN**2 < 2**63
         # each tap's product overwrites its gathered copy, h * phases first as in
         # h * phases * copy: under FMA a complex product is not bitwise commutative
         gathered = a_x.values[np.ix_(rows, cols)]

@@ -105,8 +105,8 @@ def pulsone(mod: Modulus, k0: int, l0: int) -> PeriodicSequence:
     _check_pulsone(mod, k0, l0)
     samples = np.zeros(mod.MN, dtype=np.complex128)
     p = np.arange(mod.N, dtype=np.int64)
-    # exp(j*2*pi*p*l0/N) is the phase index 2*M*(p*l0 mod N), reduced before evaluation
-    samples[k0 + p * mod.M] = phases_to_complex(2 * mod.M * (p * l0 % mod.N), mod) / np.sqrt(mod.N)
+    # exp(j*2*pi*p*l0/N) is the phase index 2*M*p*l0 over Z_MN: p, l0 < N, so below 2*MN*N < 2**63
+    samples[k0 + p * mod.M] = phases_to_complex(2 * mod.M * p * l0, mod.MN) / np.sqrt(mod.N)
     return PeriodicSequence(mod, samples)
 
 
@@ -120,11 +120,11 @@ def chirp(mod: Modulus, alpha: int, beta: int = 0, gamma: int = 0) -> PeriodicSe
     """Constant-modulus quadratic-phase sequence exp(j*2*pi*(a*n^2+b*n+g)/MN)/sqrt(MN).
 
     The common eigenvector family of the slope-2*alpha line; needs
-    gcd(alpha, MN) = 1.  The phase is modmath.quadratic_phase(mod, alpha,
+    gcd(alpha, MN) = 1.  The phase is modmath.quadratic_phase(MN, alpha,
     beta, gamma), exact for any integer coefficients.
     """
     _check_alpha(mod, alpha)
-    return PeriodicSequence(mod, quadratic_phase(mod, alpha, beta, gamma) / np.sqrt(mod.MN))
+    return PeriodicSequence(mod, quadratic_phase(mod.MN, alpha, beta, gamma) / np.sqrt(mod.MN))
 
 
 def pulsone_chain(line: LineSubgroup, index: int) -> tuple:

@@ -104,18 +104,18 @@ class SL2Element:
 def lfm_apply(A: int, x: PeriodicSequence) -> PeriodicSequence:
     """Multiply by the quadratic phase exp(j*2*pi*A*n^2/MN); requires gcd(A, MN) = 1.
 
-    The phase is modmath.quadratic_phase(mod, A), exact for any integer A.
+    The phase is modmath.quadratic_phase(MN, A), exact for any integer A.
     """
     mod = x.mod
     if gcd(A, mod.MN) != 1:
         raise NotCoprime(f"LFM rate {A} shares a factor with MN = {mod.MN}")
-    return PeriodicSequence(mod, x.samples * quadratic_phase(mod, A))
+    return PeriodicSequence(mod, x.samples * quadratic_phase(mod.MN, A))
 
 
 def _gdaft_factors(g: SL2Element) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Chirps c_a, c_d and the output permutation binv*n mod MN of the GDAFT for g.
 
-    c_a is modmath.quadratic_phase(mod, inv2*binv*a), exp(j*pi*binv*a*n^2/MN)
+    c_a is modmath.quadratic_phase(MN, inv2*binv*a), exp(j*pi*binv*a*n^2/MN)
     with the half read ring-exactly, and c_d likewise with d.
     """
     mod = g.mod
@@ -124,7 +124,7 @@ def _gdaft_factors(g: SL2Element) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     binv = mod_inv(g.b, mod.MN)
     half_binv = mod.inv2 * binv
     perm = reduce_mod(binv * np.arange(mod.MN, dtype=np.int64), mod.MN)
-    return quadratic_phase(mod, half_binv * g.a), quadratic_phase(mod, half_binv * g.d), perm
+    return quadratic_phase(mod.MN, half_binv * g.a), quadratic_phase(mod.MN, half_binv * g.d), perm
 
 
 def gdaft_apply(g: SL2Element, x: PeriodicSequence) -> PeriodicSequence:

@@ -45,6 +45,17 @@ def phase_from_whole(m: int, mod: Modulus) -> int:
     return (2 * m) % mod.twoMN
 
 
+def phases_ld(p, n: int) -> np.ndarray:
+    """exp(j*pi*p/n) in np.clongdouble for integer indices p: p reduced mod 2n as an
+    integer, and pi as 4*arctan(1) in long double (np.pi, a double, would cap the
+    oracle at float64)."""
+    pi = 4 * np.arctan(np.longdouble(1))
+    angle = pi * (np.asarray(p, dtype=np.int64) % (2 * n)).astype(np.longdouble) / n
+    out = np.empty(angle.shape, dtype=np.clongdouble)
+    out.real, out.imag = np.cos(angle), np.sin(angle)
+    return out
+
+
 def commutes(h1: HeisenbergElement, h2: HeisenbergElement) -> bool:
     """True iff the symplectic form l1*k2 - l2*k1 vanishes mod MN."""
     return (h1.l * h2.k - h2.l * h1.k) % h1.mod.MN == 0
@@ -140,7 +151,7 @@ def gdaft_kernel(g: SL2Element) -> np.ndarray:
     an2 = g.a * (n * n % mn) % mn             # a*n1^2 along columns
     cross = (-2 * np.outer(n, n)) % mn        # -2*n*n1
     idx = 2 * (half_binv * ((dn2[:, None] + an2[None, :] + cross) % mn) % mn)
-    return phases_to_complex(idx, mod) / np.sqrt(mod.MN)
+    return phases_to_complex(idx, mn) / np.sqrt(mod.MN)
 
 
 def sl2_matrix(g: SL2Element) -> np.ndarray:

@@ -68,6 +68,14 @@ class TestNaive:
         for k, l in [(0, 0), (3, 7), (14, 1), (8, 8)]:
             assert cross_ambiguity_point(x, y, k, l) == pytest.approx(surf[k, l], abs=1e-12)
 
+    def test_point_takes_any_integer_shift(self, mod15):
+        # k and l are reduced as Python ints first, so k + t*MN, l + t*MN give the same bits
+        rng = np.random.default_rng(1)
+        x, y = rand_unit_seq(mod15, rng), rand_unit_seq(mod15, rng)
+        for k, l in [(0, 0), (3, 7), (14, 1)]:
+            for t in (-3, 1, 10**28):
+                assert cross_ambiguity_point(x, y, k + 15 * t, l + 15 * t) == cross_ambiguity_point(x, y, k, l)
+
     def test_fundamental_grid_is_restriction(self, mod15):
         rng = np.random.default_rng(2)
         x, y = rand_unit_seq(mod15, rng), rand_unit_seq(mod15, rng)

@@ -21,6 +21,7 @@ from ddradar.modmath import (
     is_prime,
     mod_inv,
     phase_mul,
+    phases_to_complex,
     quadratic_phase,
     to_complex,
 )
@@ -34,7 +35,7 @@ from ddradar.radarsim import (
 from ddradar.subgroups import DDRegion, LineSubgroup, pulsone
 from ddradar.symplectic import SL2Element, gdaft_adjoint, gdaft_apply
 from conftest import roots_of_unity_sum
-from oracles import phase_from_whole, zero_array, zero_sequence
+from oracles import phase_from_whole, phases_ld, zero_array, zero_sequence
 
 
 class TestModulus:
@@ -151,10 +152,10 @@ class TestQuadraticPhase:
         for alpha, beta, gamma in [(1, 0, 0), (2, 3, 5), (-7, mn + 4, -1)]:
             # the exponent reduced mod MN in exact Python integers, then one float exponential
             expo = np.array([(alpha * i * i + beta * i + gamma) % mn for i in range(mn)])
-            np.testing.assert_allclose(quadratic_phase(mod, alpha, beta, gamma),
+            np.testing.assert_allclose(quadratic_phase(mn, alpha, beta, gamma),
                                        np.exp(2j * np.pi * expo / mn), atol=1e-13)
-        assert quadratic_phase(mod, 0).tolist() == [1] * mn
-        np.testing.assert_array_equal(quadratic_phase(mod, 1, 0), quadratic_phase(mod, 1 + mn, -mn, mn))
+        assert quadratic_phase(mn, 0).tolist() == [1] * mn
+        np.testing.assert_array_equal(quadratic_phase(mn, 1, 0), quadratic_phase(mn, 1 + mn, -mn, mn))
 
     @pytest.mark.parametrize("M, N", [(3, 5), (251, 257)])
     def test_any_integer_coefficient_is_its_residue(self, M, N):
@@ -162,13 +163,53 @@ class TestQuadraticPhase:
         mod = Modulus(M, N)
         mn = mod.MN
         for alpha, beta, gamma in [(10**19 + 7, 3 * 10**20 + 11, -5), (-(10**30) - 1, -1, 10**40)]:
-            np.testing.assert_array_equal(quadratic_phase(mod, alpha, beta, gamma),
-                                          quadratic_phase(mod, alpha % mn, beta % mn, gamma % mn))
+            np.testing.assert_array_equal(quadratic_phase(mn, alpha, beta, gamma),
+                                          quadratic_phase(mn, alpha % mn, beta % mn, gamma % mn))
 
     def test_gathers_from_the_roots_table(self, mod15):
-        got = quadratic_phase(mod15, 2, 1, 3)
+        got = quadratic_phase(15, 2, 1, 3)
         want = [to_complex(2 * ((2 * i * i + i + 3) % 15), mod15) for i in range(15)]
         assert got.tolist() == want
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                    reason="long double is not wider than float64 here (eps >= 1e-18), "
+                           "so the long-double oracle cannot resolve float64 rounding")
+class TestLongDoubleBound:
+    """Each phase is within 16*u of exp(j*pi*p/n) in absolute error, u = 2**-53.
+
+    Measured on x86-64 (80-bit long double): 5.8 to 8.0 u for n from 15 to
+    1,022,117.  A roots table built by a running product of one root errs by
+    17,487 u at n = 64,507.
+    """
+
+    U = 2.0**-53
+
+    @pytest.mark.parametrize("n", [15, 30, 667, 4087, 64507])  # 30: a coded period MN*chip
+    def test_phases_to_complex(self, n):
+        p = np.arange(2 * n)
+        got = phases_to_complex(p, n).astype(np.clongdouble)
+        assert np.abs(got - phases_ld(p, n)).max() <= 16 * self.U
+
+    @pytest.mark.parametrize("n, alpha, beta, gamma", [
+        (667, 1, 0, 0),
+        (4087, -7, 4087 + 4, -1),
+        (64507, 3, 11, 5),
+        (64507, 10**19 + 7, -1, 10**40),
+    ])
+    def test_quadratic_phase(self, n, alpha, beta, gamma):
+        # the exponent in exact Python integers, as the phase index 2*(... mod n)
+        p = np.array([2 * ((alpha * i * i + beta * i + gamma) % n) for i in range(n)])
+        got = quadratic_phase(n, alpha, beta, gamma).astype(np.clongdouble)
+        assert np.abs(got - phases_ld(p, n)).max() <= 16 * self.U
+
+    def test_zadoff_chu_rate_is_the_definition(self):
+        # exp(-j*pi*root*i*(i+1)/L) at root 5, L = 4087: the ZC rate gathers each sample's own root
+        L, root = 4087, 5
+        r = -root * ((L + 1) // 2) % L
+        i = np.arange(L)
+        got = quadratic_phase(L, r, r).astype(np.clongdouble)
+        assert np.abs(got - phases_ld(-root * i * (i + 1), L)).max() <= 16 * self.U
 
 
 class TestRootsOfUnityIdentity:

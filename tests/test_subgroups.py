@@ -142,7 +142,7 @@ class TestPulsone:
         for l0 in range(N):
             entries = pulsone(mod, 2, l0).samples[2::M]
             np.testing.assert_array_equal(entries, ones[p * l0 % N])
-            np.testing.assert_array_equal(entries, phases_to_complex(2 * M * (p * l0 % N), mod) / np.sqrt(N))
+            np.testing.assert_array_equal(entries, phases_to_complex(2 * M * (p * l0 % N), mod.MN) / np.sqrt(N))
 
 
 class TestChirp:
@@ -153,7 +153,7 @@ class TestChirp:
         mn = mod.MN
         for alpha, beta, gamma in ((1, 0, 0), (2, 5, 7), (mn - 4, mn - 1, 3)):
             expo = [(alpha * n * n + beta * n + gamma) % mn for n in range(mn)]
-            want = phases_to_complex(2 * np.array(expo), mod) / np.sqrt(mn)
+            want = phases_to_complex(2 * np.array(expo), mn) / np.sqrt(mn)
             np.testing.assert_array_equal(chirp(mod, alpha, beta, gamma).samples, want)
 
     @pytest.mark.parametrize("M, N", [(61, 67), (251, 257)])
