@@ -33,9 +33,11 @@ either grid.  Writing all (MN)^2 points would itself cost O(M^2 N^2) and
 defeat the complexity advantage, so a full-grid surface is an explicit
 caller decision.  A block is one protocol from the engine to the writers:
 the pair (values, entries), a block's complex values and the table entry
-each point reads, or None for an array's rows.  The entries come from one
-integer map (_pulsone_map), which FastEngine.entries and entry_blocks also
-read alone, with no value formed.  write_surface streams the blocks into the CSV and PGM
+each point reads, or None for an array's rows.  An engine's block is two
+arrays of its own, which no later block overwrites: the values of the point
+query fast_pulsone_query, and the entries of one integer map (_pulsone_map),
+which FastEngine.entries and entry_blocks also read alone, with no value
+formed.  write_surface streams the blocks into the CSV and PGM
 files without holding the complex surface or a magnitude per point (it
 gathers them by the entries from the table's), forms values only for a CSV,
 and FastEngine.surface stacks the values into one array.
@@ -118,10 +120,11 @@ MEMORY_BUDGET_BYTES = 2**30
 # That peak is 136.5, simulate, whose readout's crystallization check holds about
 # 42; waveforms and fast ambiguities hold 80 to 120.  A larger region is _readout's.
 _MN_BYTES = 144
-# Bytes per point of one fast-engine block: 16 for its complex values, 8 for its
-# int64 table entries and 104 for the int64 index and phase arrays its query holds
-# at once (the tracemalloc peak of a row block is at most 121 per point, on a
-# two-label chain with a 2-D phase at (61, 67)).
+# Bytes per point of one fast-engine block: 24 for the block its consumer still
+# holds while the next forms, its complex values and int64 table entries, and 104
+# for the next block's query, which owns its output, and the int64 index and phase
+# arrays it holds at once (the tracemalloc peak of the second row block, the first
+# held, is at most 121 per point, on a two-label chain with a 2-D phase at (61, 67)).
 _ENGINE_POINT_BYTES = 128
 # Bytes per point of one index-only block (FastEngine.entry_blocks) and its gathered
 # pixels: the int64 terms and index arrays of its map (the tracemalloc peak of one
@@ -144,18 +147,18 @@ def check_budget(*terms: tuple[int, str]) -> None:
     _check_budget(sum(need for need, _ in terms), ", ".join(what for _, what in terms))
 
 
-def check_disk(out, csv: tuple, pgm: tuple | None) -> None:
+def check_disk(out_dir, csv: tuple, pgm: tuple | None) -> None:
     """Refuse with OverBudget when a command's files, their _written term, need more
-    bytes than are free on the disk of `out`, read at its nearest existing ancestor,
-    and with NotADirectoryError when that ancestor is not a directory: `out` is, or
+    bytes than are free on the disk of `out_dir`, read at its nearest existing ancestor,
+    and with NotADirectoryError when that ancestor is not a directory: `out_dir` is, or
     lies under, a file or a dangling symlink.  Commands call it once, after
     check_budget and before --out exists."""
     need, what = _written(csv, pgm)
-    path = Path(out).absolute()
+    path = Path(out_dir).absolute()
     while not (path.exists() or path.is_symlink()):
         path = path.parent
     if not path.is_dir():
-        raise NotADirectoryError(f"--out {out}: {path} is not a directory")
+        raise NotADirectoryError(f"--out {out_dir}: {path} is not a directory")
     free = shutil.disk_usage(path).free
     if need > free:
         raise OverBudget(f"{what} would take {need:,} bytes on disk, with {free:,} bytes free")
@@ -192,26 +195,27 @@ def _readout(points: int, mn: int) -> tuple[int, str]:
     return 416 * min(points, mn), f"a readout of {points} region points"
 
 
-def _streamed_pgm(nk: int, nl: int, entries: int = 0) -> tuple[int, str]:
+def _streamed_pgm(nk: int, nl: int, table_size: int = 0) -> tuple[int, str]:
     """write_surface's PGM of an nk x nl surface: the open file's 8 KiB buffer and one
     block, an array's float64 magnitudes and uint8 pixels, 9 bytes a point, within 16,
     or a fast engine's index-only block (_INDEX_POINT_BYTES).  A fast engine's table of
-    `entries` entries adds 9 bytes an entry: a copy of its magnitudes, which _pixels
+    `table_size` entries adds 9 bytes an entry: a copy of its magnitudes, which _pixels
     overwrites, and each entry's pixel.  (The magnitudes themselves, 8 bytes an entry,
     are held by the engine from its construction, among the O(MN) arrays.)  An
     engine's value blocks, formed only for a CSV, are _value_block."""
-    point = _INDEX_POINT_BYTES if entries else 16
-    return 8192 + point * _block_rows(nk, nl) * nl + 9 * entries, f"a streamed {nk} x {nl} PGM"
+    point = _INDEX_POINT_BYTES if table_size else 16
+    return 8192 + point * _block_rows(nk, nl) * nl + 9 * table_size, f"a streamed {nk} x {nl} PGM"
 
 
 def _value_block(nk: int, nl: int) -> tuple[int, str]:
-    """One FastEngine.blocks pair of an nk x nl grid and its query's temporaries, which
-    a fast engine forms for a CSV after the index-only pass of its PGM (_streamed_pgm):
-    _ENGINE_POINT_BYTES a block point, of which that pass is charged _INDEX_POINT_BYTES."""
+    """The FastEngine.blocks pairs of an nk x nl grid, which a fast engine forms for a
+    CSV after the index-only pass of its PGM (_streamed_pgm): the pair the writer holds
+    and the next one's query, its new output and temporaries, _ENGINE_POINT_BYTES a
+    block point, of which that pass is charged _INDEX_POINT_BYTES."""
     return (_ENGINE_POINT_BYTES - _INDEX_POINT_BYTES) * _block_rows(nk, nl) * nl, f"{nk} x {nl} value blocks"
 
 
-def _csv_block(shape: tuple, entries: int = 0) -> tuple[int, str]:
+def _csv_block(shape: tuple, table_size: int = 0) -> tuple[int, str]:
     """ddcore.complex_to_csv's buffers for an array of `shape`, a grid or a vector:
     each index's texts and the int64 indices they are made from, and per line of a
     block its text twice (laid out, and without NULs), its floats and their
@@ -220,14 +224,14 @@ def _csv_block(shape: tuple, entries: int = 0) -> tuple[int, str]:
     decades outside its table, and values of 10 or more, whose digits it edits in
     place), plus 16 KiB that does not grow with the block: the open file's buffer
     and the array headers (7.3 to 8.1 KB under tracemalloc, CPython 3.11).  A fast
-    engine's grid with more points than its table has `entries` formats two floats
-    a line, re and im, and gathers the abs fields by each block's entries from one
-    per table entry, FIELD_BYTES each, through a temporary of FIELD_BYTES a line
+    engine's grid with more points than its table's `table_size` entries formats two
+    floats a line, re and im, and gathers the abs fields by each block's entries from
+    one per table entry, FIELD_BYTES each, through a temporary of FIELD_BYTES a line
     (ddcore._csv_layout).  The entries themselves are the engine block's
     (_value_block)."""
-    nfloat, formatted, cols, rows, slots, width = _csv_layout(shape, entries)
+    nfloat, formatted, cols, rows, slots, width = _csv_layout(shape, table_size)
     line = 2 * width + FIELD_BYTES * (nfloat - formatted)  # the text twice, and a gathered abs field
-    need = 16384 + sum((w + 8) * size for w, size in zip(slots, shape)) + FIELD_BYTES * entries * (nfloat - formatted)
+    need = 16384 + sum((w + 8) * size for w, size in zip(slots, shape)) + FIELD_BYTES * table_size * (nfloat - formatted)
     need += rows * cols * (line + formatted * (8 + Workspace.FLOAT_BYTES + INDEX_BYTES))
     return need, f"a CSV of {' x '.join(map(str, shape))} values"
 
@@ -437,29 +441,24 @@ def _pulsone_map(pre: FastPulsonePrecomp, k, l, phase=None):
     return (u if period == 1 else row * length + (u if phase is None else reduce_mod(u, length))), index
 
 
-def fast_pulsone_query(pre: FastPulsonePrecomp, k, l, phase=0, out: np.ndarray | None = None, entries=None):
+def fast_pulsone_query(pre: FastPulsonePrecomp, k, l, phase=0):
     """Exact A_{x, ref}[k, l] in O(1) per point, times exp(j*pi*phase/MN).
 
     k, l and the added phase index may be integer arrays that broadcast
     together; the delay period P and Doppler length R come from the table's
     shape.  The point reads its table entry at its phase index (_pulsone_map).
-    With `out`, a complex array of the broadcast shape, the values are written
-    there; with `entries`, an int64 array of that shape, each point's table
-    entry.  Both stay, and the engine's value blocks come through this query:
-    the bench's traced layer counts its calls on every workload, and the value
-    block's memory term (_value_block) counts buffers its caller owns.
+    Returns a new complex array of the broadcast shape, or a complex for one
+    point.
     """
     flat, index = _pulsone_map(pre, k, l, phase)
     del k, l, phase
-    if entries is not None:  # a tone's flat has l's shape: broadcast to the points'
-        np.copyto(entries, flat)
     phases = phases_to_complex(index, pre.mod.MN)
     del index
     # table entry first: the order numpy's temporary elision gave the whole-grid
     # product phase * entry, so full-grid images stay byte-identical.  Never in
     # place: numpy multiplies a lone element in place outside its vector loop,
     # which rounds differently, and a one-point query must match its row block.
-    out = np.multiply(pre.rowfft.take(flat), phases, out=out)
+    out = np.multiply(pre.rowfft.take(flat), phases)
     return complex(out) if out.ndim == 0 else out
 
 
@@ -553,7 +552,7 @@ class FastEngine:
 
         Any int64 integers are taken mod MN.
         """
-        return self._query(self._terms(K, 0), self._terms(L, 1), None)
+        return self._query(self._terms(K, 0), self._terms(L, 1))
 
     def entries(self, K, L) -> np.ndarray:
         """The table entry each grid point (K, L) reads, its index into `magnitudes`, for
@@ -579,7 +578,7 @@ class FastEngine:
         return (X, ck * X % mn if ck else 0, cl * X % mn if cl else 0,
                 cq * (X * X % mn) % mn if cq else 0)
 
-    def _query(self, rows: tuple, cols: tuple, out: np.ndarray | None, entries=None) -> np.ndarray:
+    def _query(self, rows: tuple, cols: tuple) -> np.ndarray:
         """fast_pulsone_query at G(K, L) with the phase index 2*Q(K, L), from _terms of K and of L.
 
         A term in one coordinate keeps that coordinate's shape (a block's rows
@@ -598,7 +597,7 @@ class FastEngine:
             q = q + ckl * reduce_mod(K * L, mn)
         q = reduce_mod(q, mn)  # one q array held, doubled in place
         q *= 2
-        return fast_pulsone_query(self._pre, k_rows + k_cols, l_rows + l_cols, q, out, entries)
+        return fast_pulsone_query(self._pre, k_rows + k_cols, l_rows + l_cols, q)
 
     def _walk(self):
         """The _terms of the grid's rows, top to bottom, in blocks of ddcore._block_rows rows.
@@ -612,16 +611,15 @@ class FastEngine:
         """The grid's row blocks (_walk), each a pair (values, entries) of arrays of the block's shape.
 
         Its complex values, and each point's table entry, its index into
-        `magnitudes` (and into the raveled table).  Both are views into two
-        buffers the generator owns, so each block is overwritten by the next.
+        `magnitudes` (and into the raveled table), the entries of entry_blocks().
+        Each block is its own pair of new arrays (a tone's entries are a
+        read-only view): no buffer is shared between blocks, so a block may be
+        kept after the next is formed.
         """
-        step, nl = _block_rows(*self.shape), self.shape[1]
-        values = np.empty((step, nl), dtype=np.complex128)
-        entries = np.empty((step, nl), dtype=np.int64)
+        nl = self.shape[1]
         cols = self._terms(np.arange(nl, dtype=np.int64)[None, :], 1)
         for rows in self._walk():
-            n = len(rows[0])
-            yield self._query(rows, cols, values[:n], entries[:n]), entries[:n]
+            yield self._query(rows, cols), self._entries(rows[1] + cols[1], rows[2] + cols[2], (len(rows[0]), nl))
 
     def entry_blocks(self):
         """The entries of blocks() alone, equal block for block, with no phase or value

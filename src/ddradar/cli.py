@@ -251,8 +251,8 @@ def cmd_ambiguity(args, parser) -> int:
     # one check of the whole command: its O(MN) arrays, the fast engine's value blocks
     # or the direct sums, and the writers, which gather a fast engine's magnitudes from
     # its table of MN entries
-    route, entries = (_value_block(*shape), mod.MN) if args.engine == "fast" else (_direct_sums(period, *shape), 0)
-    check_budget(_mn_arrays(mod), route, _streamed_pgm(*shape, entries), _csv_block(shape, entries))
+    route, table_size = (_value_block(*shape), mod.MN) if args.engine == "fast" else (_direct_sums(period, *shape), 0)
+    check_budget(_mn_arrays(mod), route, _streamed_pgm(*shape, table_size), _csv_block(shape, table_size))
     if coded:
         surface = cross_ambiguity_array(x.seq, y.seq)
     elif args.engine == "fast":

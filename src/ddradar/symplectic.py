@@ -133,7 +133,9 @@ def gdaft_apply(g: SL2Element, x: PeriodicSequence) -> PeriodicSequence:
     For g = [[0, 1], [-1, 0]] this reduces to the unitary DFT.  Unitary for
     every admissible g; maps impulse trains to constant-modulus waveforms
     exactly when gcd(a, N) = 1 (the quadratic Gauss sum over the train slots
-    degenerates otherwise).  O(MN log MN): chirp, FFT, permuted chirp.
+    degenerates otherwise).  O(MN log MN): chirp, FFT, permuted chirp.  Like
+    gdaft_adjoint, within 6*u*log2(MN) of the exact sum, relative in the
+    2-norm, u = 2**-53 (a tier-1 test against a long-double oracle).
     """
     same_modulus(g, x)
     c_a, c_d, perm = _gdaft_factors(g)

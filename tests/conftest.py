@@ -6,6 +6,13 @@ from ddradar.heisenberg import HeisenbergElement, apply_td
 from oracles import basis_vector
 
 
+# a long-double oracle resolves float64 rounding only where long double is wider
+long_double_oracle = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= 1e-18,
+    reason="long double is not wider than float64 here (eps >= 1e-18), "
+           "so the long-double oracle cannot resolve float64 rounding")
+
+
 @pytest.fixture(scope="session")
 def mod15() -> Modulus:
     return Modulus(3, 5)

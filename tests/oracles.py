@@ -139,8 +139,10 @@ def ambiguity_sum(xa: np.ndarray, ya: np.ndarray) -> np.ndarray:
     return out
 
 
-def gdaft_kernel(g: SL2Element) -> np.ndarray:
-    """Dense GDAFT matrix K[n, n1] with ring-exact half-integer exponents."""
+def _gdaft_indices(g: SL2Element) -> np.ndarray:
+    """The GDAFT kernel's phase indices [n, n1]: the half-integer exponent
+    binv*(d*n^2 - 2*n*n1 + a*n1^2) read through inv2 as the integer
+    2*(inv2*binv*(d*n^2 - 2*n*n1 + a*n1^2) mod MN)."""
     mod = g.mod
     if gcd(g.b, mod.MN) != 1:
         raise BNotCoprime(f"GDAFT needs gcd(b, MN) = 1, got b = {g.b}, MN = {mod.MN}")
@@ -150,8 +152,42 @@ def gdaft_kernel(g: SL2Element) -> np.ndarray:
     dn2 = g.d * (n * n % mn) % mn             # d*n^2 along rows
     an2 = g.a * (n * n % mn) % mn             # a*n1^2 along columns
     cross = (-2 * np.outer(n, n)) % mn        # -2*n*n1
-    idx = 2 * (half_binv * ((dn2[:, None] + an2[None, :] + cross) % mn) % mn)
-    return phases_to_complex(idx, mn) / np.sqrt(mod.MN)
+    return 2 * (half_binv * ((dn2[:, None] + an2[None, :] + cross) % mn) % mn)
+
+
+def gdaft_kernel(g: SL2Element) -> np.ndarray:
+    """Dense GDAFT matrix K[n, n1] with ring-exact half-integer exponents."""
+    return phases_to_complex(_gdaft_indices(g), g.mod.MN) / np.sqrt(g.mod.MN)
+
+
+def gdaft_ld(g: SL2Element, x: PeriodicSequence, adjoint: bool = False) -> np.ndarray:
+    """The literal GDAFT sum of the symplectic module docstring in np.clongdouble,
+    (W x)[n] = MN**-0.5 * sum_n1 exp(j*pi*binv*(d*n^2 - 2*n*n1 + a*n1^2)/MN) * x[n1],
+    each exponential phases_ld of its integer index (_gdaft_indices); with `adjoint`,
+    the sum of W^H, the conjugate transpose."""
+    mn = g.mod.MN
+    kernel = phases_ld(_gdaft_indices(g), mn)
+    if adjoint:
+        kernel = np.conj(kernel).T
+    return (kernel * x.samples.astype(np.clongdouble)).sum(axis=1) / np.sqrt(np.longdouble(mn))
+
+
+def zak_ld(x: PeriodicSequence, period: int) -> np.ndarray:
+    """The literal Zak sum of period P in np.clongdouble, the P x R table, R = MN/P,
+    Z[r, m] = R**-0.5 * sum_p x[r + p*P] * exp(-j*2*pi*m*p/R), each exponential
+    phases_ld of the integer index -2*m*p, reduced mod 2R."""
+    length = x.mod.MN // period
+    rows = x.samples.astype(np.clongdouble).reshape(length, period).T  # [r, p] -> x[r + p*P]
+    m = np.arange(length, dtype=np.int64)
+    kernel = phases_ld(-2 * np.outer(m, m), length)  # [m, p]
+    return (rows[:, None, :] * kernel).sum(axis=2) / np.sqrt(np.longdouble(length))
+
+
+def relative_error_ld(got: np.ndarray, want: np.ndarray) -> float:
+    """The largest relative 2-norm error of a row of `got` (a vector is one row)
+    against a long-double oracle `want`, in long double."""
+    err = np.abs(got.astype(np.clongdouble) - want) ** 2
+    return float(np.sqrt(err.sum(axis=-1) / (np.abs(want) ** 2).sum(axis=-1)).max())
 
 
 def sl2_matrix(g: SL2Element) -> np.ndarray:

@@ -506,6 +506,31 @@ class TestIntegersBeyondInt64:
         compare_trees(tmp_path / "big", tmp_path / "small")
 
 
+class TestNegativeBounds:
+    """A negative --line or --region bound parses only in the `=` form, and is its
+    residue mod MN; with a space, argparse reads the value as an option (exit 2)."""
+
+    @pytest.mark.parametrize(
+        "flag, negative, residue, other",
+        [("--region", "-1:1,0:4", "14:16,0:4", ["--line", "3,5"]),
+         ("--line", "-3,5", "12,5", ["--region", "0:2,0:4"])],
+        ids=["region", "line"],
+    )
+    def test_equals_form_writes_the_residues_bytes(self, tmp_path, capsys, flag, negative, residue, other):
+        scene = tmp_path / "scene.json"
+        write_scene(scene, FOUR_TAPS)
+        argv = ["simulate", "--scene", scene, *other, "--out"]
+        assert run([*argv, tmp_path / "equals", f"{flag}={negative}"]) == 0
+        assert run([*argv, tmp_path / "residue", flag, residue]) == 0
+        compare_trees(tmp_path / "equals", tmp_path / "residue")
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            run([*argv, tmp_path / "space", flag, negative])
+        assert err.value.code == 2
+        assert f"argument {flag}: expected one argument" in capsys.readouterr().err
+        assert not (tmp_path / "space").exists()
+
+
 class TestConsoleEntrypoint:
     def test_module_invocation(self, tmp_path):
         # the child imports ddradar from this checkout's src, installed or not

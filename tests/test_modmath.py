@@ -34,7 +34,7 @@ from ddradar.radarsim import (
 )
 from ddradar.subgroups import DDRegion, LineSubgroup, pulsone
 from ddradar.symplectic import SL2Element, gdaft_adjoint, gdaft_apply
-from conftest import roots_of_unity_sum
+from conftest import long_double_oracle, roots_of_unity_sum
 from oracles import phase_from_whole, phases_ld, zero_array, zero_sequence
 
 
@@ -172,9 +172,7 @@ class TestQuadraticPhase:
         assert got.tolist() == want
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
-                    reason="long double is not wider than float64 here (eps >= 1e-18), "
-                           "so the long-double oracle cannot resolve float64 rounding")
+@long_double_oracle
 class TestLongDoubleBound:
     """Each phase is within 16*u of exp(j*pi*p/n) in absolute error, u = 2**-53.
 

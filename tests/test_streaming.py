@@ -343,7 +343,7 @@ def test_block_bytes_cover_the_csv_writer(tmp_path, shape, kind):
 
 @pytest.mark.parametrize("M, N", [(11, 13), (61, 67)])
 def test_block_bytes_cover_an_engine_block(M, N):
-    """One FastEngine block, its buffer and its query's index arrays, fits the engine's share of a PGM
+    """One FastEngine block, its arrays and its query's index arrays, fits the engine's share of a PGM
     or surface term, and one index-only block fits the PGM's: at (61, 67) a full-grid block is one row,
     as large as the column terms every block shares."""
     mod = Modulus(M, N)
@@ -847,8 +847,10 @@ def test_point_queries_match_row_blocks(monkeypatch):
     indices of the docstring's index map (oracles.table_entries), and its values are
     points() on the same rows, bit for bit.  Each index-only block of entry_blocks(),
     the tone's included, is an int64 array of the same shape equal to both, as are
-    entries() on the same rows.  `surface` is the blocks' values stacked, and a lone
-    point, at any integers, is the value and the entry its row block holds."""
+    entries() on the same rows.  Blocks are independent: every block of a listed
+    walk, all kept at once, equals the streamed walk's, block for block.  `surface`
+    is the blocks' values stacked, and a lone point, at any integers, is the value and
+    the entry its row block holds."""
     mod = Modulus(11, 13)
     rng = np.random.default_rng(3)
     x = PeriodicSequence(mod, rng.standard_normal(mod.MN) + 1j * rng.standard_normal(mod.MN))
@@ -860,7 +862,11 @@ def test_point_queries_match_row_blocks(monkeypatch):
         stacked = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ddcore, "_CSV_BLOCK_ROWS", 4 * nl)  # blocks of 4 rows, the last short
-            for (values, entries), alone in zip(engine.blocks(), engine.entry_blocks(), strict=True):
+            kept = list(engine.blocks())  # no block may alias a later one
+            for (values, entries), alone, (kept_values, kept_entries) in zip(
+                    engine.blocks(), engine.entry_blocks(), kept, strict=True):
+                np.testing.assert_array_equal(kept_values, values, err_msg=f"{chain} {grid}")
+                np.testing.assert_array_equal(kept_entries, entries, err_msg=f"{chain} {grid}")
                 rows = np.arange(len(stacked) * 4, len(stacked) * 4 + len(values))
                 assert values.shape == entries.shape == alone.shape == (min(4, nk - rows[0]), nl), (chain, grid)
                 assert entries.dtype == alone.dtype == np.int64
