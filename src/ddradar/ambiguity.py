@@ -127,12 +127,13 @@ _MN_BYTES = 144
 # held, is at most 121 per point, on a two-label chain with a 2-D phase at (61, 67)).
 _ENGINE_POINT_BYTES = 128
 # Bytes per point of one index-only block (FastEngine.entry_blocks) and its gathered
-# pixels: the int64 terms and index arrays of its map (the tracemalloc peak of one
-# such block is at most 65 per block point, two labels with a 2-D phase on a full grid
-# of one-row blocks, whose columns' k and l shares are each as large as a block, at
-# (61, 67) and (127, 131)).  A value block follows the index pass, so it is charged
-# the rest of _ENGINE_POINT_BYTES.
-_INDEX_POINT_BYTES = 72
+# pixels: the int64 terms and index arrays of its map, and the block its consumer
+# still holds while the next forms (the tracemalloc peak of the second such block, the
+# first held, is at most 72.5 per block point, two labels with a 2-D phase on a full
+# grid of one-row blocks, whose columns' k and l shares are each as large as a block,
+# at (61, 67) and (127, 131); rounded up to a multiple of 16).  A value block follows
+# the index pass, so it is charged the rest of _ENGINE_POINT_BYTES.
+_INDEX_POINT_BYTES = 80
 
 
 def _check_budget(need: int, what: str) -> None:
@@ -785,7 +786,7 @@ def write_surface(surface, csv_path, pgm_path, scale: str = "linear", floor: flo
         shades = _pixels(table.copy(), peak, scale, floor)
         # values are formed only for a CSV: a PGM alone reads each block's entries
         blocks = surface.blocks() if csv_path is not None else ((None, e) for e in surface.entry_blocks())
-        shade = lambda values, entries: shades.take(entries)
+        shade = lambda _, flat: shades.take(flat)  # a block's own entries, its raveled table indices
     else:
         table, mags = None, np.empty((step, nl))
         blocks = [(surface[s : s + step], None) for s in range(0, nk, step)]

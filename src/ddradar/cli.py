@@ -41,13 +41,12 @@ from .ambiguity import (
     write_surface,
     zc_sequence,
 )
-from .ddcore import PeriodicSequence, sequence_to_csv
+from .ddcore import sequence_to_csv
 from .errors import BNotCoprime, ConfigurationError, EngineUnsupported, NotCoprime, PreconditionError, ValidationError
 from .modmath import Modulus
 from .radarsim import _write_json, add_noise, apply_channel, readout_targets, scene_from_json
-from .subgroups import DDRegion, LineSubgroup, chirp, eigenvector, pulsone, pulsone_chain
-from .subgroups import _check_alpha, _check_pulsone
-from .symplectic import SL2Element, chain_apply, papr_db
+from .subgroups import DDRegion, LineSubgroup, _check_alpha, _check_pulsone, chain_waveform, eigenvector, pulsone_chain
+from .symplectic import SL2Element, papr_db
 
 __all__ = ["main"]
 
@@ -90,14 +89,14 @@ class WaveformSpec:
     """Parsed waveform description.
 
     `seq` is built by `build` on first use (parsing refuses bad parameters but
-    builds nothing): a PeriodicSequence for modulus-bound waveforms, base and
-    labels alike, or for a zc-coded one, which is not bound to the modulus, a
-    plain array of `period` samples (`period` is None otherwise).  Every
-    modulus-bound waveform has `fast` = (base, labels), its form for
-    the O(1)-per-point ambiguity engine (FastEngine(x, *base,
-    transform=labels)), which never reads `seq`: a pulsone (k0, l0), or a
-    tone (0, beta, 1[, gamma]) under an LFM label for chirp and zc, followed
-    by the prefix's label.
+    builds nothing): for a zc-coded waveform, which is not bound to the
+    modulus, a plain array of `period` samples (`period` is None otherwise).
+    Every modulus-bound waveform is described once, by `fast` = (base,
+    labels), its form for the O(1)-per-point ambiguity engine (FastEngine(x,
+    *base, transform=labels)), which never reads `seq`: a pulsone (k0, l0), or
+    a tone (0, beta, 1[, gamma]) under an LFM label for chirp and zc, followed
+    by the prefix's label; its `seq` is the PeriodicSequence
+    subgroups.chain_waveform(mod, *fast).
     """
 
     def __init__(self, label, build, fast=None, period=None):
@@ -114,6 +113,11 @@ class WaveformSpec:
 def parse_waveform_spec(text: str, mod: Modulus) -> WaveformSpec:
     """Grammar: [lfm(A):|gdaft(a,b,c,d):] base, with base one of
     pulsone:k0,l0 | chirp:alpha[,beta[,gamma]] | zc:root | zc-coded:root,chip.
+
+    Each modulus-bound kind only checks its parameters and forms its engine
+    form `fast`; its samples are chain_waveform(mod, *fast).  zc:root is the
+    chirp (rate, rate) with rate = -root*inv2 mod MN, bit for bit its
+    Zadoff-Chu sequence.
     """
     spec = text.strip()
     labels = ()
@@ -138,21 +142,17 @@ def parse_waveform_spec(text: str, mod: Modulus) -> WaveformSpec:
         if kind == "pulsone":
             fast = (_parse_pair(args, "pulsone indices"), labels)
             _check_pulsone(mod, *fast[0])
-            base = lambda: pulsone(mod, *fast[0])
-        elif kind == "chirp":
+        elif kind in ("chirp", "zc"):
             vals = [int(v) for v in args.split(",")] if args else []
-            if not 1 <= len(vals) <= 3:
+            if kind == "zc":  # zc(root) = chirp(rate, rate)
+                root = int(args)
+                _check_zc_root(root, mod.MN)
+                vals = [-root * mod.inv2 % mod.MN] * 2
+            elif not 1 <= len(vals) <= 3:
                 raise argparse.ArgumentTypeError(f"chirp needs alpha[,beta[,gamma]]: {text!r}")
             _check_alpha(mod, vals[0])
-            base = lambda: chirp(mod, *vals)
             alpha, beta, gamma = vals + [0] * (3 - len(vals))
             fast = ((0, beta % mod.MN, 1, gamma), (SL2Element.lfm(mod, alpha),) + labels)
-        elif kind == "zc":
-            root = int(args)
-            _check_zc_root(root, mod.MN)
-            base = lambda: PeriodicSequence(mod, zc_sequence(root, mod.MN))
-            rate = -root * mod.inv2 % mod.MN  # zc(root) = chirp(rate, rate)
-            fast = ((0, rate, 1), (SL2Element.lfm(mod, rate),) + labels)
         elif kind == "zc-coded":
             root, chip_len = _parse_pair(args, "zc-coded parameters")
             if labels:
@@ -169,7 +169,7 @@ def parse_waveform_spec(text: str, mod: Modulus) -> WaveformSpec:
         raise argparse.ArgumentTypeError(f"malformed waveform parameters in {text!r}") from exc
     if math.gcd(lfm_rate, mod.MN) != 1:
         raise NotCoprime(f"LFM rate {lfm_rate} shares a factor with MN = {mod.MN}")
-    return WaveformSpec(text, lambda: chain_apply(labels, base()), fast)
+    return WaveformSpec(text, lambda: chain_waveform(mod, *fast), fast)
 
 
 def _out_dir(args, csv: tuple, pgm: tuple | None) -> Path:

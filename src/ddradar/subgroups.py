@@ -28,6 +28,7 @@ from .symplectic import SL2Element, chain_apply, sl2_factors, sl2_mapping_direct
 __all__ = [
     "DDRegion",
     "LineSubgroup",
+    "chain_waveform",
     "chirp",
     "crystallization_check",
     "eigenvector",
@@ -131,11 +132,11 @@ def pulsone_chain(line: LineSubgroup, index: int) -> tuple:
     """eigenvector(line, index) as (base, labels), the fast engine's reference form.
 
     The base is the pulsone (k0, l0) of the M x N grid, or (0, beta, 1) for
-    the tone beta, the pulsone of the 1 x MN grid; chain_apply(labels, .)
-    turns it into the eigenvector.  A coprime-slope line gives the tone
-    index under lfm(alpha); the rectangular line the pulsone with no labels;
-    any other line the pulsone under the sl2_factors of a transform mapping
-    (M, N) onto (c, d).
+    the tone beta, the pulsone of the 1 x MN grid; chain_waveform(mod, base,
+    labels) gives its samples, which are the eigenvector.  A coprime-slope
+    line gives the tone index under lfm(alpha), the chirp (alpha, index); the
+    rectangular line the pulsone with no labels; any other line the pulsone
+    under the sl2_factors of a transform mapping (M, N) onto (c, d).
     """
     mod = line.mod
     if not 0 <= index < mod.MN:
@@ -149,18 +150,34 @@ def pulsone_chain(line: LineSubgroup, index: int) -> tuple:
     return (index % mod.M, index // mod.M), labels
 
 
+def chain_waveform(mod: Modulus, base: tuple, labels: tuple) -> PeriodicSequence:
+    """The samples of an engine form (base, labels): chain_apply(labels, base), first label first.
+
+    A pulsone base (k0, l0) is pulsone(mod, k0, l0).  A tone base (0, beta, 1[,
+    gamma]), of period 1, is read only under a first label lfm(A): the tone under
+    it, times exp(j*2*pi*gamma/MN), is chirp(mod, A, beta, gamma) with A =
+    c*inv2 mod MN, its closed form, one phase gather a sample, and the rest of
+    the labels apply to that chirp.  Any other tone chain is refused with
+    ConfigurationError.  Every modulus-bound waveform a command sends is built
+    here from the form its fast engine reads.
+    """
+    if len(base) == 2:
+        return chain_apply(labels, pulsone(mod, *base))
+    k0, beta, period, *gamma = base
+    if k0 != 0 or period != 1 or not labels or labels[0].b != 0 or labels[0].a != 1:
+        raise ConfigurationError(f"a tone base {base} is built only under a first LFM label")
+    return chain_apply(labels[1:], chirp(mod, labels[0].c * mod.inv2 % mod.MN, beta, *gamma))
+
+
 def eigenvector(line: LineSubgroup, index: int) -> PeriodicSequence:
     """The index-th of MN orthonormal common eigenvectors of every element of the line.
 
-    Coprime-slope line: the chirp at fixed alpha with beta = index (gamma
-    only contributes a global phase).  Every other line: the pulsone and
-    labels of pulsone_chain(line, index).  Builds only the requested vector.
+    chain_waveform of pulsone_chain(line, index): on a coprime-slope line the
+    chirp at fixed alpha with beta = index (gamma only contributes a global
+    phase); on every other line the pulsone under its labels.  Builds only the
+    requested vector.
     """
-    base, labels = pulsone_chain(line, index)
-    alpha = line.coprime_slope()
-    if alpha is not None:
-        return chirp(line.mod, alpha, index, 0)
-    return chain_apply(labels, pulsone(line.mod, *base))
+    return chain_waveform(line.mod, *pulsone_chain(line, index))
 
 
 def crystallization_check(line: LineSubgroup, region: DDRegion) -> bool:

@@ -160,16 +160,55 @@ def gdaft_kernel(g: SL2Element) -> np.ndarray:
     return phases_to_complex(_gdaft_indices(g), g.mod.MN) / np.sqrt(g.mod.MN)
 
 
-def gdaft_ld(g: SL2Element, x: PeriodicSequence, adjoint: bool = False) -> np.ndarray:
+def gdaft_ld(g: SL2Element, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
     """The literal GDAFT sum of the symplectic module docstring in np.clongdouble,
     (W x)[n] = MN**-0.5 * sum_n1 exp(j*pi*binv*(d*n^2 - 2*n*n1 + a*n1^2)/MN) * x[n1],
-    each exponential phases_ld of its integer index (_gdaft_indices); with `adjoint`,
-    the sum of W^H, the conjugate transpose."""
+    for the MN samples x (a long-double array keeps its precision), each exponential
+    phases_ld of its integer index (_gdaft_indices); with `adjoint`, the sum of W^H,
+    the conjugate transpose."""
     mn = g.mod.MN
     kernel = phases_ld(_gdaft_indices(g), mn)
     if adjoint:
         kernel = np.conj(kernel).T
-    return (kernel * x.samples.astype(np.clongdouble)).sum(axis=1) / np.sqrt(np.longdouble(mn))
+    return (kernel * np.asarray(x, dtype=np.clongdouble)).sum(axis=1) / np.sqrt(np.longdouble(mn))
+
+
+def chain_ld(mod: Modulus, base: tuple, labels: tuple) -> np.ndarray:
+    """The reference of a fast engine's form (base, labels) in np.clongdouble, built from
+    the form, each phase phases_ld of its integer index: the pulsone (k0, l0), or the tone
+    (0, beta, 1[, gamma]) times exp(j*2*pi*gamma/MN), then each label, first first, an
+    LFM label [[1, 0], [2A, 1]] as the quadratic phase exp(j*2*pi*A*n^2/MN) and any other
+    as its literal GDAFT sum (gdaft_ld)."""
+    mn = mod.MN
+    n = np.arange(mn, dtype=np.int64)
+    k0, l0, *tone = base
+    if tone:
+        gamma = tone[1] % mn if len(tone) > 1 else 0
+        ref = phases_ld(2 * ((l0 * n + gamma) % mn), mn) / np.sqrt(np.longdouble(mn))
+    else:
+        ref = np.zeros(mn, dtype=np.clongdouble)
+        p = np.arange(mod.N, dtype=np.int64)
+        ref[k0 + p * mod.M] = phases_ld(2 * mod.M * p * l0, mn) / np.sqrt(np.longdouble(mod.N))
+    for g in labels:
+        if g.b == 0:
+            ref = ref * phases_ld(2 * (g.c * mod.inv2 % mn * (n * n % mn) % mn), mn)
+        else:
+            ref = gdaft_ld(g, ref)
+    return ref
+
+
+def ambiguity_ld(x: np.ndarray, ref: np.ndarray, K, L) -> np.ndarray:
+    """The literal cross-ambiguity sum in np.clongdouble at the points (K, L), 1-D arrays,
+    A[k, l] = sum_n x[n] * conj(ref[(n - k) mod MN]) * exp(-j*2*pi*l*(n - k)/MN), each
+    exponential phases_ld of the integer index -2*(l*((n - k) mod MN) mod MN)."""
+    mn = len(ref)
+    n = np.arange(mn, dtype=np.int64)
+    x, ref = np.asarray(x, dtype=np.clongdouble), np.conj(np.asarray(ref, dtype=np.clongdouble))
+    out = np.empty(len(K), dtype=np.clongdouble)
+    for i, (k, l) in enumerate(zip(K, L)):
+        lag = (n - int(k)) % mn
+        out[i] = np.sum(x * ref[lag] * phases_ld(-2 * (int(l) % mn * lag % mn), mn))
+    return out
 
 
 def zak_ld(x: PeriodicSequence, period: int) -> np.ndarray:

@@ -23,14 +23,15 @@ from ddradar.ambiguity import (
     write_surface,
     zc_sequence,
 )
+from ddradar.cli import parse_waveform_spec
 from ddradar.ddcore import PeriodicSequence
 from ddradar.errors import BadRoot, ConfigurationError, EmptyChip, OverBudget
 from ddradar.modmath import Modulus, _roots_of_unity
 from ddradar.radarsim import ScatteringEnvironment, predicted_image
-from ddradar.subgroups import LineSubgroup, chirp, eigenvector, pulsone, pulsone_chain
+from ddradar.subgroups import LineSubgroup, chain_waveform, chirp, eigenvector, pulsone, pulsone_chain
 from ddradar.symplectic import SL2Element, chain_apply, gdaft_apply, lfm_apply
-from conftest import rand_unit_seq
-from oracles import ambiguity_sum, basis_vector, pgm_bytes
+from conftest import long_double_oracle, rand_unit_seq
+from oracles import ambiguity_ld, ambiguity_sum, basis_vector, chain_ld, pgm_bytes
 
 
 class TestNaive:
@@ -342,6 +343,40 @@ def test_engine_is_exact_at_scale(M, N):
             lag = (n - k) % mn
             want = np.sum(x * ref[lag] * turns[l * lag % mn])
             assert abs(got - complex(want)) < 1e-10, (c, d, k, l)
+
+
+@long_double_oracle
+@pytest.mark.parametrize("M, N", [(3, 5), (11, 13), (23, 29), (251, 257)])
+def test_engine_within_its_long_double_bound(M, N):
+    """FastEngine.points holds the literal sum (oracles.ambiguity_ld) to 8u*log2(MN) in
+    absolute error, u = 2**-53, for unit-norm inputs: a return x = (noise + ref)/norm, whose
+    |A| at (0, 0) is about 0.7, against a pulsone, a chirp (a tone under an LFM label, with a
+    constant phase) and a transported (two GDAFT labels) reference, each built in long double
+    from its form (oracles.chain_ld).  Whole fundamental grids at (3,5) and (11,13), 36 sampled
+    full-grid points and (0, 0) above; the transported reference is left out at (251,257),
+    where its literal GDAFT sums take (MN)**2 = 4.2e9 long-double terms a label."""
+    mod = Modulus(M, N)
+    bound = 8 * 2.0**-53 * np.log2(mod.MN)
+    forms = {"pulsone": pulsone_chain(LineSubgroup(mod, M, N), 7),
+             "chirp": parse_waveform_spec("chirp:2,3,4", mod).fast,
+             "transported": pulsone_chain(LineSubgroup(mod, M, 1), 5)}
+    assert [g.b != 0 for g in forms["transported"][1]] == [True, True]
+    if mod.MN > 10**4:
+        del forms["transported"]
+    grid = "fundamental" if mod.MN < 200 else "full"
+    rng = np.random.default_rng(mod.MN)
+    for name, (base, labels) in forms.items():
+        ref = chain_ld(mod, base, labels)
+        for _ in range(3 if grid == "fundamental" else 1):
+            x = rand_unit_seq(mod, rng).samples + chain_waveform(mod, base, labels).samples
+            x = PeriodicSequence(mod, x / np.linalg.norm(x))
+            engine = FastEngine(x, *base, transform=labels, grid=grid)
+            if grid == "fundamental":
+                K, L = (a.ravel() for a in np.indices(engine.shape))
+            else:
+                K, L = np.append(rng.integers(0, mod.MN, (2, 36)), [[0], [0]], axis=1)
+            err = np.abs(engine.points(K, L).astype(np.clongdouble) - ambiguity_ld(x.samples, ref, K, L))
+            assert float(err.max()) <= bound, (name, float(err.max()) / bound * 8)
 
 
 class TestMoyal:

@@ -39,7 +39,7 @@ from ddradar.symplectic import SL2Element, remap_for
 
 MOD = ["--M", "3", "--N", "5"]
 SELF_AMBIGUITY_NEED = 144 * 15 + max(16384 + (2 + 8) * 15 + 15 * (2 * 61 + 2 * (8 + 145)),
-                                     8192 + 72 * 15 * 15 + 9 * 15)
+                                     8192 + 80 * 15 * 15 + 9 * 15)
 # MN = 2,147,483,643, just under the cap: 32 GiB of samples, refused before the first O(MN) array
 BIG_MOD = ["--M", "3", "--N", "715827881", "--allow-composite"]
 BIG_SCENE = {"M": 3, "N": 715827881, "taps": [{"k": 0, "l": 0, "re": 1.0, "im": 0.0}]}
@@ -70,11 +70,11 @@ def _sim(*flags, scene="scene.json"):
         (["ambiguity", *MOD, "--x", "zc:abc", "--y", "pulsone:0,0"], 2, None),
         (["ambiguity", *MOD, "--x", "zc-coded:1,2", "--y", "pulsone:0,0"], 2, None),
         (_sim("--line", "3,5", "--region", "0:0,0:0", "--waveform", "zc-coded:1,2"), 2, None),
-        # the self-ambiguity needs 26,687 bytes at (3, 5): 144 bytes per MN, and the larger
+        # the self-ambiguity needs 28,487 bytes at (3, 5): 144 bytes per MN, and the larger
         # of its two writers, held one after the other: waveform.csv's 22,954 (16 KiB, 15
         # index texts of 2 bytes and their int64 indices, and 15 lines of 61 bytes, twice,
-        # with 2 floats and their format_g17 bytes each) or its streamed PGM's 24,527: the
-        # file's 8 KiB buffer, one index-only block of all 15 rows at 72 bytes a point (no
+        # with 2 floats and their format_g17 bytes each) or its streamed PGM's 26,327: the
+        # file's 8 KiB buffer, one index-only block of all 15 rows at 80 bytes a point (no
         # value is formed for a PGM alone), and 9 bytes for each of the 15 table entries
         (["waveform", "pulsone", *MOD, "--self-ambiguity"], 3, SELF_AMBIGUITY_NEED - 1),
         # a pair of zc-coded waveforms of period 1.5e16, refused before they are built

@@ -4,21 +4,23 @@ from itertools import product
 import numpy as np
 import pytest
 
-from ddradar.ambiguity import FastEngine, cross_ambiguity_fft, cross_ambiguity_naive
-from ddradar.ddcore import inner
+from ddradar.ambiguity import FastEngine, cross_ambiguity_fft, cross_ambiguity_naive, zc_sequence
+from ddradar.cli import parse_waveform_spec
+from ddradar.ddcore import PeriodicSequence, inner
 from ddradar.errors import AlphaNotCoprime, ConfigurationError, IndexOutOfRange, NotPrimitive
 from ddradar.heisenberg import HeisenbergElement, apply_td
 from ddradar.modmath import Modulus, phases_to_complex
 from ddradar.subgroups import (
     DDRegion,
     LineSubgroup,
+    chain_waveform,
     chirp,
     crystallization_check,
     eigenvector,
     pulsone,
     pulsone_chain,
 )
-from ddradar.symplectic import SL2Element, papr_db, sl2_factors, sl2_mapping_direction
+from ddradar.symplectic import SL2Element, chain_apply, papr_db, sl2_factors, sl2_mapping_direction
 from conftest import rand_unit_seq
 from oracles import commutes, eigenbasis_for_line, support_set
 
@@ -251,6 +253,53 @@ class TestPulsoneChain:
     def test_index_out_of_range(self, mod15):
         with pytest.raises(IndexOutOfRange):
             pulsone_chain(LineSubgroup(mod15, 3, 5), 15)
+
+
+def _same_bytes(got, want, what):
+    assert got.samples.tobytes() == want.samples.tobytes(), what
+
+
+class TestChainWaveform:
+    """chain_waveform builds every modulus-bound waveform from its engine form: bit for bit
+    the closed forms and constructions each form stands for."""
+
+    PREFIXES = ("", "lfm(4):", "gdaft(2,1,1,1):")
+
+    @pytest.mark.parametrize("M, N", [(3, 5), (11, 13), (23, 29)])
+    def test_equals_the_closed_forms(self, M, N):
+        mod = Modulus(M, N)
+        mn = mod.MN
+        for root in (1, 2, 7, -5, -(2**64) - 1, 2**63 + 1, 10**20 + 1):  # any integer root
+            if math.gcd(root, mn) == 1:
+                form = parse_waveform_spec(f"zc:{root}", mod).fast
+                _same_bytes(chain_waveform(mod, *form), PeriodicSequence(mod, zc_sequence(root, mn)), root)
+        for prefix, vals in product(self.PREFIXES, ((2,), (2, 3), (-7, 100, -3), (mn + 4, -1, 2**70))):
+            form = parse_waveform_spec(prefix + "chirp:" + ",".join(map(str, vals)), mod).fast
+            labels = parse_waveform_spec(prefix + "pulsone:0,0", mod).fast[1]  # the prefix's label alone
+            _same_bytes(chain_waveform(mod, *form), chain_apply(labels, chirp(mod, *vals)), (prefix, vals))
+        for prefix, k0, l0 in product(self.PREFIXES, range(0, M, 2), (0, 1, N - 1)):
+            form = parse_waveform_spec(f"{prefix}pulsone:{k0},{l0}", mod).fast
+            _same_bytes(chain_waveform(mod, *form), chain_apply(form[1], pulsone(mod, k0, l0)), (prefix, k0, l0))
+
+    @pytest.mark.parametrize("M, N", [(3, 5), (11, 13), (23, 29)])
+    def test_eigenvectors_keep_their_construction(self, M, N):
+        """Every line family's eigenvector, as it was built before chain_waveform: the chirp
+        (alpha, index, 0) on a coprime-slope line, else the pulsone under its labels."""
+        mod = Modulus(M, N)
+        for (c, d), index in product(((M, N), (1, 2), (1, 4), (M, 1), (1, 0)), (0, 1, mod.MN - 1)):
+            line = LineSubgroup(mod, c, d)
+            base, labels = pulsone_chain(line, index)
+            alpha = line.coprime_slope()
+            want = chirp(mod, alpha, index, 0) if alpha is not None else chain_apply(labels, pulsone(mod, *base))
+            _same_bytes(eigenvector(line, index), want, (c, d, index))
+            _same_bytes(chain_waveform(mod, base, labels), want, (c, d, index))
+
+    def test_refuses_a_tone_without_a_first_lfm_label(self, mod15):
+        gdaft = SL2Element(mod15, 2, 1, 1, 1)
+        for base, labels in (((0, 3, 1), ()), ((0, 3, 1), (gdaft,)), ((0, 3, 1, 2), (gdaft, SL2Element.lfm(mod15, 2))),
+                             ((1, 3, 1), (SL2Element.lfm(mod15, 2),)), ((1, 2, 3), (SL2Element.lfm(mod15, 2),))):
+            with pytest.raises(ConfigurationError):
+                chain_waveform(mod15, base, labels)
 
 
 class TestCrystallization:
