@@ -65,7 +65,7 @@ from .errors import (
     IndexOutOfRange,
     OverBudget,
 )
-from .floatfmt import FIELD_BYTES, FIELD_TEXT_BYTES, INDEX_BYTES, Workspace
+from .floatfmt import FIELD_BYTES, INDEX_BYTES, Workspace
 from .modmath import Modulus, phases_to_complex, quadratic_phase, reduce_mod, same_modulus
 from .symplectic import SL2Element, gdaft_adjoint, lfm_apply, remap_for
 
@@ -167,12 +167,12 @@ def check_disk(out_dir, csv: tuple, pgm: tuple | None) -> None:
 
 def _written(csv: tuple, pgm: tuple | None) -> tuple[int, str]:
     """The bytes a command writes, at most: its one CSV, of an array of shape `csv`,
-    every line as wide as the widest written line (the widest index texts, a
-    floatfmt.FIELD_TEXT_BYTES field per float and the newline), the PGM of a `pgm`
-    grid if it writes one, 1 byte a point, and 64 bytes for each file's header.
-    papr.txt and targets.json are not counted."""
-    nfloat, _, _, _, slots, _ = _csv_layout(csv)
-    line = sum(slots) + nfloat * FIELD_TEXT_BYTES + 1
+    every line as wide as the writer lays it out (ddcore._csv_layout: the widest
+    index texts, a floatfmt.FIELD_BYTES field per float, as wide as the widest
+    float text, and the newline), the PGM of a `pgm` grid if it writes one, 1 byte
+    a point, and 64 bytes for each file's header.  papr.txt and targets.json are
+    not counted."""
+    line = _csv_layout(csv)[-1]
     need, what = 64 + math.prod(csv) * line, f"a CSV of {' x '.join(map(str, csv))} values"
     if pgm is not None:
         need, what = need + 64 + math.prod(pgm), f"{what} and a {pgm[0]} x {pgm[1]} PGM"
@@ -222,14 +222,15 @@ def _csv_block(shape: tuple, table_size: int = 0) -> tuple[int, str]:
     block its text twice (laid out, and without NULs), its floats and their
     format_g17 bytes (its floatfmt.Workspace, and floatfmt.INDEX_BYTES for the index
     arrays over the values its common path sets aside: zeros, non-finite values,
-    decades outside its table, and values of 10 or more, whose digits it edits in
-    place), plus 16 KiB that does not grow with the block: the open file's buffer
-    and the array headers (7.3 to 8.1 KB under tracemalloc, CPython 3.11).  A fast
-    engine's grid with more points than its table's `table_size` entries formats two
-    floats a line, re and im, and gathers the abs fields by each block's entries from
-    one per table entry, FIELD_BYTES each, through a temporary of FIELD_BYTES a line
-    (ddcore._csv_layout).  The entries themselves are the engine block's
-    (_value_block)."""
+    decades outside its table, and values of 10 or more or with three-digit
+    exponents, whose fields it edits in place), plus 16 KiB that does not grow with
+    the block: the open file's buffer and the array headers (7.3 to 8.1 KB under
+    tracemalloc, CPython 3.11).  A fast engine's grid with more points than its
+    table's `table_size` entries formats two floats a line, re and im, and gathers
+    the abs fields by each block's entries from one per table entry, FIELD_BYTES
+    each, through a temporary of FIELD_BYTES a line (ddcore._csv_layout: 83-byte
+    lines and 25-byte fields at (19,23)).  The entries themselves are the engine
+    block's (_value_block)."""
     nfloat, formatted, cols, rows, slots, width = _csv_layout(shape, table_size)
     line = 2 * width + FIELD_BYTES * (nfloat - formatted)  # the text twice, and a gathered abs field
     need = 16384 + sum((w + 8) * size for w, size in zip(slots, shape)) + FIELD_BYTES * table_size * (nfloat - formatted)

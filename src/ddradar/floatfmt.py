@@ -4,9 +4,9 @@ Python's "{:.17g}".format(x) prints the 17-significant-digit decimal
 D * 10**(E - 16) nearest to x (ties to even): in fixed notation when
 -4 <= E <= 16, otherwise as d.ddd...e±XX, with trailing zeros and a bare
 point removed.  `format_g17` computes D and E for a whole array with numpy
-arithmetic and lays each value's text, after a comma, out as NUL-padded
-bytes, so a caller can write many values with one
-`bytes.translate(None, b"\\0")`.
+arithmetic and lays each value's text out as NUL-padded bytes in a CSV field
+after the comma the caller lays there, so a caller can write many values with
+one `bytes.translate(None, b"\\0")`.
 
 Exactness.  For x whose decade E0 = floor(log10 |x|), as numpy computes
 it, lies in [-280, 279], y = |x| * 10**(16 - E0) is formed as p + t: p + e
@@ -23,23 +23,28 @@ inside, 1e280 outside).  Every other value gets D exactly.
 
 Layout.  The kernel takes a block's floats column by column, as one
 contiguous run (re, then im, then abs for a surface CSV), and makes about
-65 passes over it in about 60 numpy calls.  Each pass is a 1-D numpy
+85 passes over it in about 60 numpy calls.  Each pass is a 1-D numpy
 operation between the rows of a `Workspace` that the writer allocates once
 per file.  One table lookup on the decade sets aside the rare values the
-common path cannot take.  Three more lookups build each field: the head
-(comma, sign, prefix, first digit, point) is indexed by (E, first digit,
-sign); digits 2 to 17 come from one lookup of four 4-digit groups; the tail
-(the exponent) is indexed by E.  Trailing zeros are the kernel's too: each
-group takes its full text, or its text with trailing zeros as NUL when every
-later group is 0000, and when all four are, the head's point is dropped.  A
-zero takes the first decade row, whose head is "0" or "-0".  One strided
-copy per part and column then moves the fields into the caller's line
-buffer.  Two rare kinds, found with `flatnonzero`, are edited there
-afterwards.  For 1 <= E <= 16 the point falls among the digits: decade by
-decade, the NULs of the integer part (the zeros the trailing-zero rule
-dropped) become "0", the fraction moves one byte to the right, and a point
-goes after the integer part when a digit follows it.  The Python fallbacks
-overwrite their whole field.
+common path cannot take.  Three more lookups give each field's text: the head
+(sign, prefix, first digit, point), in two 4-byte halves, is indexed by (E,
+first digit, sign); digits 2 to 17 come from one lookup of four 4-digit
+groups; the first 4 bytes of the exponent are indexed by E.  Trailing zeros
+are the kernel's too: each group takes its full text, or its text with
+trailing zeros as NUL when every later group is 0000, and when all four are,
+the head's point is dropped.  A zero takes the first decade row, whose head
+is "0" or "-0".  A field's text is six 4-byte slots (FIELD_BYTES), picked
+from those seven rows by uint32 arithmetic, x[s] + k * (x[s + 1] - x[s]),
+with k = 1 where the head fits in its second half, so that no NUL stands
+for a head half or an exponent a value does not have; one strided copy per
+column then moves the slots into the caller's line buffer.  Two rare kinds,
+found with `flatnonzero`, are edited there afterwards, decade by decade.
+For 1 <= E <= 16 the point falls among the digits: the NULs of the integer
+part (the zeros the trailing-zero rule dropped) become "0", the fraction
+moves one byte to the right, and a point goes after the integer part when a
+digit follows it.  A three-digit exponent, one byte longer than its slot,
+moves the head and digits one byte to the left and is written whole.  The
+Python fallbacks overwrite their whole text.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["FIELD_BYTES", "FIELD_TEXT_BYTES", "Workspace", "format_g17"]
+__all__ = ["FIELD_BYTES", "Workspace", "format_g17"]
 
 _NUM = "{:.17g}"
 
@@ -68,30 +73,34 @@ _STAND_IN = 0.5
 _STAND_IN_T = -1 - _E_LO  # its decade row
 # The first decade row, below any the kernel reaches, holds the text of 0 and -0.
 _ZERO_T = 0
-# What the decade alone says of a value: the common path, a fixed-notation
-# mantissa with the point inside it (1 <= E <= 16), or outside the table.
-_COMMON, _GENERAL, _OUTSIDE = 0, 1, 2
+# What the decade alone says of a value: the common path, a field edited after
+# the common path has laid it out (a fixed-notation mantissa with the point
+# inside it, 1 <= E <= 16, or a three-digit exponent, |E| >= 100), or outside
+# the table.
+_COMMON, _EDITED, _OUTSIDE = 0, 1, 2
 
-# Each value's text, after a comma, sits in FIELD_BYTES bytes, NUL where unused:
-#   0-7 head: comma, sign, prefix "0.000", first digit and point, ending at byte 7;
-#   8-23 digits 2 to 17;
-#   24-28 tail: exponent "e±XX[X]", from byte 24.
-FIELD_BYTES = 29
-# The widest text a field holds, its comma included: ",-1.2345678901234567e-308".
-FIELD_TEXT_BYTES = 25
-_DIGITS = slice(8, 24)
-# A tail is written as the 8 bytes from _TAIL_AT, three NULs first; the digits,
-# written after it, overwrite those three.
-_TAIL_AT = 21
+# A value's field is its comma, in byte 0, and its text, NUL-padded in bytes
+# 1-24, which the kernel fills as six 4-byte slots.  Digits 2 to 17 (four
+# 4-digit groups) sit where the head puts them: a head (sign, prefix, first
+# digit and point) of at most 4 bytes ends at byte 4, and is followed by the
+# digits in 5-20 and the exponent "e±XX" in 21-24, if any; a longer head, as
+# in "-0.0001", ends at byte 8, and is followed by the digits in 9-24.  The
+# widest text, "-1.2345678901234567e-308", fills all 24 bytes: a three-digit
+# exponent moves the head and digits one byte to the left.
+FIELD_BYTES = 25
+# The six slots are picked from the seven rows [head bytes 0-3, head bytes 4-7,
+# four digit groups, exponent bytes 0-3]: rows 0-5 for a long head, 1-6 for a
+# short one, whose bytes 0-3 are NUL.
+_SLOTS = 6
 
 
 class _Tables(NamedTuple):
     hi: np.ndarray  # (3, T) by row t = E - _E_LO: 10**(16 - E) rounded to float64, and its two 26-bit halves
     lo: np.ndarray  # 10**(16 - E) - hi, correctly rounded
-    kind: np.ndarray  # uint8 by t: _COMMON, _GENERAL or _OUTSIDE
+    kind: np.ndarray  # uint8 by t: _COMMON, _EDITED or _OUTSIDE
     special: np.ndarray  # kind != _COMMON
-    head: np.ndarray  # uint64 bytes 0-7 at (10 * t + first digit) * 2 + sign
-    tail: np.ndarray  # uint64 bytes from _TAIL_AT by t: three NULs, then E's exponent, if any
+    head: np.ndarray  # (2, H) uint32 bytes 0-3 and 4-7 at (10 * t + first digit) * 2 + sign
+    tail: np.ndarray  # uint32 by t: E's exponent, if any, its first 4 bytes
     groups: np.ndarray  # uint32 text of 0..9999; then the same, trailing zeros NUL
 
 
@@ -126,20 +135,20 @@ def _tables() -> _Tables:
     fixed_neg = (e >= -4) & (e < 0)  # 0.0001 ... 0.9
     fixed_pos = (e >= 0) & (e <= 16)  # 1 ... 99999999999999999
     general = (e >= 1) & (e <= 16)
-    kind = np.where((e < _E_MIN) | (e > _E_MAX), _OUTSIDE, np.where(general, _GENERAL, _COMMON))
+    edited = general | (abs(e) >= 100)
+    kind = np.where((e < _E_MIN) | (e > _E_MAX), _OUTSIDE, np.where(edited, _EDITED, _COMMON))
     # the head's text by pattern, ending at byte 7: E = -4..-1, then a point
     # after the first digit (E = 0 and scientific), then none (1 <= E <= 16),
     # then the zero row's 0
     patterns = ["0.000{}", "0.00{}", "0.0{}", "0.{}", "{}.", "{}", "0"]
-    texts = [[_word(("," + sign + p.format(d)).encode("ascii")) for d in range(10) for sign in ("", "-")]
+    texts = [[_word((sign + p.format(d)).encode("ascii")) for d in range(10) for sign in ("", "-")]
              for p in patterns]
     pattern = np.where(fixed_neg, e + 4, np.where(general, 5, 4))
     pattern[_ZERO_T] = 6
     head = np.array(texts, np.uint64)[pattern]
     bare = fixed_neg | fixed_pos
     bare[_ZERO_T] = True
-    tail = np.array([b"\0" * 3 + (b"" if no else f"e{x:+03d}".encode("ascii"))
-                     for x, no in zip(e.tolist(), bare)], "S8")
+    tail = np.array([b"" if no else f"e{x:+03d}".encode("ascii")[:4] for x, no in zip(e.tolist(), bare)], "S4")
 
     # small dtypes keep every array here at 91 KB or less
     groups = np.empty((2, 10000, 4), np.uint8)
@@ -154,8 +163,8 @@ def _tables() -> _Tables:
         lo=lo,
         kind=kind.astype(np.uint8),
         special=kind != _COMMON,
-        head=head.ravel(),
-        tail=tail.view(np.uint64),
+        head=np.ascontiguousarray(head.ravel().view(np.uint32).reshape(-1, 2).T),
+        tail=tail.view(np.uint32),
         groups=groups.view(np.uint32).ravel(),
     )
     for value in tables:
@@ -171,9 +180,11 @@ _ROWS = 8
 
 # A format_g17 call's bytes per float beyond its Workspace: the index arrays it
 # builds over the values the common path sets aside, when every float of the
-# call is one.  Zeros, non-finite values and decades outside the table need up
-# to 72 under tracemalloc in the CSV writer; values of 10 or more, with their
-# decades and the bytes of one decade's fields at a time, 73.
+# call is one.  Under tracemalloc in the CSV writer, a file of such values
+# against one of random values, zeros, non-finite values and decades outside
+# the table need up to 77 (a 2,500-value vector of zeros); values of 10 or
+# more, or with a three-digit exponent, whose fields are edited decade by
+# decade, up to 50.
 INDEX_BYTES = 80
 
 
@@ -241,19 +252,20 @@ def _scaled(tables: _Tables, a: np.ndarray, t: np.ndarray, rows: np.ndarray):
 
 
 def format_g17(values: np.ndarray, fields: np.ndarray, workspace: Workspace | None = None) -> int:
-    """Lay out "," + "{:.17g}".format(v) for each float v of a 2-D array.
+    """Lay out "{:.17g}".format(v) for each float v of a 2-D array, as CSV fields.
 
     `fields`, uint8 of shape values.shape + (k,) with k >= FIELD_BYTES and
     each field's bytes adjacent, receives one NUL-padded text per value in
-    its first FIELD_BYTES bytes; the caller's other bytes are left as they
-    are.  Returns how many values were formatted by Python: non-finite, of
-    a decade outside [-280, 279], within _TIE_MARGIN of a rounding tie, or
-    whose D left [1e16, 1e17).
+    bytes 1 to FIELD_BYTES - 1; byte 0 is left for the comma, which the
+    caller lays once for all the blocks of a file, and so are the caller's
+    other bytes.  Returns how many values were formatted by Python:
+    non-finite, of a decade outside [-280, 279], within _TIE_MARGIN of a
+    rounding tie, or whose D left [1e16, 1e17).
 
     The kernel reads the floats column by column as one contiguous run (no
     copy when `values` is the transpose of a C-ordered array).  Every pass
     is a 1-D operation over the rows of `workspace` (a new one when None);
-    the finished parts are copied into `fields` at the end.
+    the finished slots are copied into `fields` at the end.
     """
     n, ncol = values.shape
     m = values.size
@@ -274,8 +286,8 @@ def format_g17(values: np.ndarray, fields: np.ndarray, workspace: Workspace | No
     special = np.flatnonzero(mask)
     kind = tables.kind.take(t[special], mode="clip")
     odd = special[kind == _OUTSIDE]  # zero, non-finite or out of range
-    general = special[kind == _GENERAL]
-    decade = (t[general] + _E_LO).astype(np.int8)  # their E, held to the end in one byte each
+    edited = special[kind == _EDITED]
+    decade = (t[edited] + _E_LO).astype(np.int16)  # their E, held to the end in two bytes each
     a[odd] = _STAND_IN
     t[odd] = _STAND_IN_T
     d, frac = _scaled(tables, a, t, rows)
@@ -319,43 +331,50 @@ def format_g17(values: np.ndarray, fields: np.ndarray, workspace: Workspace | No
         g[:3, short] = gz
         single = short[later[0]]  # D = lead * 1e16: no digit follows the first
 
-    # the head from (E, first digit, sign), the tail from E, the digits from the groups
-    head, tail = rows[2], rows[3]
-    index, sign = q, i[3]  # sign over low, which tail reuses
+    # the head from (E, first digit, sign), the exponent from E, the digits from the
+    # groups: seven 4-byte rows x, from which each field's six slots are picked
+    index, sign = i[3], i[0]  # over low and q
+    np.right_shift(v.view(np.int64), 63, out=sign)  # -1 where the sign bit is set
     np.multiply(t, 10, out=index)
     index += lead
     index *= 2
-    np.right_shift(v.view(np.int64), 63, out=sign)  # -1 where the sign bit is set
     index -= sign
-    tables.head.take(index, out=head, mode="clip")  # over lead
+    u = rows.view(np.uint32).reshape(2 * _ROWS, m)
+    x, shifted, slots = u[:7], u[7], u[8 : 8 + _SLOTS]
+    tables.head.take(index, axis=1, out=x[:2], mode="clip")  # over sign
     if short.size and single.size:  # a bare point ends the head: drop it
-        text = head[single].view(np.uint8).reshape(-1, 8)
-        text[text[:, 7] == ord("."), 7] = 0
-        head[single] = text.view(np.uint64).ravel()
-    tables.tail.take(t, out=tail, mode="clip")  # over low
-    groups = rows[:2].reshape(-1).view(np.uint32).reshape(4, m)
-    tables.groups.take(g, out=groups, mode="clip")  # over index and t
+        text = x[1, single].view(np.uint8).reshape(-1, 4)
+        text[text[:, 3] == ord("."), 3] = 0
+        x[1, single] = text.view(np.uint32).ravel()
+    tables.tail.take(t, out=x[6], mode="clip")  # over index
+    tables.groups.take(g, out=x[2:6], mode="clip")  # over t and lead
+    np.equal(x[0], 0, out=shifted)  # a head of at most 4 bytes
+    # slot s of a field is x[s + shifted]: x[s] + shifted * (x[s + 1] - x[s]), in uint32
+    # arithmetic, which wraps around and back
+    np.subtract(x[1:], x[:-1], out=slots)  # over g
+    np.multiply(slots, shifted, out=slots)
+    slots += x[:-1]
 
-    tails_at = fields[..., _TAIL_AT : _TAIL_AT + 8].view(np.uint64)[..., 0]
-    digits_at = fields[..., _DIGITS].view(np.uint32)
-    heads_at = fields[..., :8].view(np.uint64)[..., 0]
-    for j in range(ncol):  # one column at a time: each copy reads a contiguous run
-        column = slice(j * n, (j + 1) * n)
-        tails_at[:, j] = tail[column]
-        digits_at[:, j] = groups[:, column].T
-        heads_at[:, j] = head[column]
-    if general.size:  # 1 <= E <= 16: the integer part is the first E + 1 digits
+    slots_at = fields[..., 1:FIELD_BYTES].view(np.uint32)
+    for j in range(ncol):  # one column at a time: the copy reads contiguous runs
+        slots_at[:, j] = slots[:, j * n : (j + 1) * n].T
+    if edited.size:
         for e in np.unique(decade).tolist():
-            at = general[decade == e]
+            at = edited[decade == e]
             row, col = at % n, at // n
-            text = fields[row, col, 8:25]  # digits 2 to 17, and the NUL after them
-            whole = text[:, :e]
-            whole[whole == 0] = ord("0")  # zeros the trailing-zero rule dropped
-            text[:, e + 1 :] = text[:, e:-1]  # the fraction, one byte to the right
-            text[:, e] = np.where(text[:, e + 1 :].any(axis=1), ord("."), 0)
-            fields[row, col, 8:25] = text
+            text = fields[row, col, 1:FIELD_BYTES]
+            if 1 <= e <= 16:  # the integer part is the first E + 1 digits
+                digits = text[:, 4:21]  # digits 2 to 17, and the NUL after them
+                whole = digits[:, :e]
+                whole[whole == 0] = ord("0")  # zeros the trailing-zero rule dropped
+                digits[:, e + 1 :] = digits[:, e:-1]  # the fraction, one byte to the right
+                digits[:, e] = np.where(digits[:, e + 1 :].any(axis=1), ord("."), 0)
+            else:  # the head and digits one byte to the left, and the whole exponent
+                text[:, :19] = text[:, 1:20]
+                text[:, 19:] = np.frombuffer(f"e{e:+04d}".encode("ascii"), np.uint8)
+            fields[row, col, 1:FIELD_BYTES] = text
     for k in python:  # one index at a time, not a list of them all
-        field = ("," + _NUM.format(float(v[k]))).encode("ascii")
-        fields[k % n, k // n, :FIELD_BYTES] = np.frombuffer(field.ljust(FIELD_BYTES, b"\0"), np.uint8)
+        text = _NUM.format(float(v[k])).encode("ascii").ljust(FIELD_BYTES - 1, b"\0")
+        fields[k % n, k // n, 1:FIELD_BYTES] = np.frombuffer(text, np.uint8)
     return python.size
 

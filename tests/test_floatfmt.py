@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ddradar import ddcore
 from ddradar.ddcore import complex_to_csv
 from ddradar.floatfmt import FIELD_BYTES, format_g17
 from oracles import complex_to_csv_rows
@@ -16,6 +17,7 @@ def kernel_texts(values) -> tuple[list, int]:
     """Each value's text as the kernel lays it out, and the count Python formatted."""
     flat = np.asarray(values, dtype=np.float64).reshape(-1, 1)
     fields = np.zeros((flat.shape[0], 1, FIELD_BYTES), np.uint8)
+    fields[..., 0] = ord(",")  # the comma is the caller's
     python = format_g17(flat, fields)
     text = fields.tobytes().translate(None, b"\0").decode("ascii")
     return text.split(",")[1:], python
@@ -168,6 +170,86 @@ class TestIntegerPart:
         assert complex_to_csv(grid, tmp_path / "new.csv") == 0
         complex_to_csv_rows(grid, tmp_path / "oracle.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+# One or more floats of every layout a field can take, by the path that lays it
+# out: the common path's long heads (fixed notation below 0.001, or negative
+# below 0.1) and short heads (scientific with a two-digit exponent, E = 0, the
+# other fixed-notation values, zeros), and the fields edited afterwards or
+# formatted by Python
+COMMON_KINDS = [0.00012345678901234567, -0.0012, 0.012345, -0.012345678901234567, 0.5, -0.5,
+                1.2345678901234567e-17, -9.5e-05, 6.02e23, -1e-99, 1.5, -7.0, 1.0, 0.0, -0.0]
+RARE_KINDS = [12.5, -123456.789, 1e16, -4503599627370495.5,  # 1 <= E <= 16
+              1.2345678901234567e-150, -3e-101, 4.5e200, -1e100, -1.7976931348623157e279,  # |E| >= 100
+              2.0**-25, 1e-300, np.nan, np.inf, -np.inf]  # Python's
+
+
+def _complex(re, im) -> np.ndarray:
+    """re + 1j * im, with no product to turn an infinite part into a NaN."""
+    z = np.empty(np.broadcast(re, im).shape, np.complex128)
+    z.real, z.imag = re, im
+    return z
+
+
+def _engine_blocks(values: np.ndarray, sizes):
+    """`values` as engine blocks of the given row counts, in turn, and a magnitude
+    table with fewer entries than points: each distinct value's np.hypot, which is
+    Python's abs, indexed by each point's entry."""
+    bits, entries = np.unique(values.view(np.int64).reshape(-1, 2), axis=0, return_inverse=True)
+    entries = entries.reshape(values.shape)
+    distinct = np.ascontiguousarray(bits).view(np.complex128).ravel()
+    mags = np.hypot(distinct.real, distinct.imag)
+    cuts = np.cumsum([0] + list(sizes))
+    blocks = [(values[a:b], entries[a:b]) for a, b in zip(cuts[:-1], cuts[1:]) if a < values.shape[0]]
+    return blocks, mags
+
+
+class TestFieldLayout:
+    """Adjacent fields of different layouts, and a line position that changes layout
+    from one block to the next, byte for byte against the oracle: written as an
+    array and as engine blocks whose abs fields are gathered from a magnitude table."""
+
+    KINDS = COMMON_KINDS + RARE_KINDS
+
+    @pytest.fixture
+    def pairs(self) -> np.ndarray:
+        """Every ordered pair of kinds as (re, im), one line each, each re kind a row."""
+        return _complex(*np.meshgrid(self.KINDS, self.KINDS, indexing="ij"))
+
+    def _assert_same_bytes(self, tmp_path, values, blocks=None, mags=None):
+        complex_to_csv_rows(values, tmp_path / "oracle.csv")
+        if blocks is None:
+            complex_to_csv(values, tmp_path / "new.csv")
+        else:
+            complex_to_csv(iter(blocks), tmp_path / "new.csv", values.shape, mags)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    def test_every_pair_of_kinds_as_an_array(self, tmp_path, pairs):
+        """re next to im in every order, and im next to the abs each pair makes."""
+        self._assert_same_bytes(tmp_path, pairs)
+        self._assert_same_bytes(tmp_path, pairs.T)
+        self._assert_same_bytes(tmp_path, pairs.ravel())  # "n,re,im" lines
+
+    def test_every_pair_of_kinds_as_engine_blocks(self, tmp_path, monkeypatch, pairs):
+        """Blocks of 3, 1, 2 and 3 rows, cycling, through buffers of 3 rows: a short pass
+        between full ones, whose unused lines are laid again by the next."""
+        monkeypatch.setattr(ddcore, "_CSV_BLOCK_ROWS", 3 * pairs.shape[1])
+        values = np.concatenate((pairs, pairs[::-1]))  # each value twice: fewer table entries than points
+        blocks, mags = _engine_blocks(values, [3, 1, 2, 3] * values.shape[0])
+        self._assert_same_bytes(tmp_path, values, blocks, mags)
+
+    @pytest.mark.parametrize("engine", [False, True], ids=["array", "engine"])
+    def test_rare_then_common_at_one_position(self, tmp_path, monkeypatch, engine):
+        """Blocks of two rows alternate: every field of one block edited or Python's,
+        every field of the next one common, so each line position holds a rare field
+        and then a common one, whose text is shorter where the rare one was longest."""
+        width = len(RARE_KINDS)
+        rare = _complex(RARE_KINDS, RARE_KINDS[::-1])
+        common = _complex(np.resize(COMMON_KINDS, width), np.resize(COMMON_KINDS[::-1], width))
+        values = np.stack([rare, np.roll(rare, 1), common, np.roll(common, 1)] * 3)
+        monkeypatch.setattr(ddcore, "_CSV_BLOCK_ROWS", 2 * width)
+        blocks, mags = _engine_blocks(values, [2] * 6) if engine else (None, None)
+        self._assert_same_bytes(tmp_path, values, blocks, mags)
 
 
 class TestCsvBytes:

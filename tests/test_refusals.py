@@ -38,7 +38,7 @@ from ddradar.subgroups import pulsone
 from ddradar.symplectic import SL2Element, remap_for
 
 MOD = ["--M", "3", "--N", "5"]
-SELF_AMBIGUITY_NEED = 144 * 15 + max(16384 + (2 + 8) * 15 + 15 * (2 * 61 + 2 * (8 + 145)),
+SELF_AMBIGUITY_NEED = 144 * 15 + max(16384 + (2 + 8) * 15 + 15 * (2 * 53 + 2 * (8 + 145)),
                                      8192 + 80 * 15 * 15 + 9 * 15)
 # MN = 2,147,483,643, just under the cap: 32 GiB of samples, refused before the first O(MN) array
 BIG_MOD = ["--M", "3", "--N", "715827881", "--allow-composite"]
@@ -71,8 +71,8 @@ def _sim(*flags, scene="scene.json"):
         (["ambiguity", *MOD, "--x", "zc-coded:1,2", "--y", "pulsone:0,0"], 2, None),
         (_sim("--line", "3,5", "--region", "0:0,0:0", "--waveform", "zc-coded:1,2"), 2, None),
         # the self-ambiguity needs 28,487 bytes at (3, 5): 144 bytes per MN, and the larger
-        # of its two writers, held one after the other: waveform.csv's 22,954 (16 KiB, 15
-        # index texts of 2 bytes and their int64 indices, and 15 lines of 61 bytes, twice,
+        # of its two writers, held one after the other: waveform.csv's 22,714 (16 KiB, 15
+        # index texts of 2 bytes and their int64 indices, and 15 lines of 53 bytes, twice,
         # with 2 floats and their format_g17 bytes each) or its streamed PGM's 26,327: the
         # file's 8 KiB buffer, one index-only block of all 15 rows at 80 bytes a point (no
         # value is formed for a PGM alone), and 9 bytes for each of the 15 table entries

@@ -284,18 +284,21 @@ def test_simulate_formats_each_engine_block_in_one_pass(tmp_path, monkeypatch):
                          + [(shape, kind) for shape in ((31, 37), (127, 131)) for kind in ("pulsone", "real")]
                          + [((15, 15), "sparse"), ((29, 667), "sparse"), ((2500,), "tiny")]
                          + [(shape, "large") for shape in ((15, 15), (29, 667), (2500,))]
+                         + [(shape, "wide") for shape in ((29, 667), (2500,))]
                          + [(shape, "engine") for shape in ((143, 143), (667, 667), (127, 131))]
                          + [((667, 667), "zero-engine")],
                          ids=["15x15", "667x667", "29x667", "667x29", "2500", "pulsone-31x37", "real-31x37",
                               "pulsone-127x131", "real-127x131", "sparse-15x15", "sparse-29x667", "tiny-2500",
-                              "large-15x15", "large-29x667", "large-2500", "engine-143x143", "engine-667x667",
+                              "large-15x15", "large-29x667", "large-2500", "wide-29x667", "wide-2500",
+                              "engine-143x143", "engine-667x667",
                               "engine-127x131", "zero-engine-667x667"])
 def test_block_bytes_cover_the_csv_writer(tmp_path, shape, kind):
     """The CSV term is at least the writer's tracemalloc peak, and less than twice it,
     for random values and for values the formatter sets aside as special: mostly
     exact zeros (a pulsone's waveform.csv, a real vector's imaginary parts, a grid
     that is zero but at one point), values below its table, which Python formats,
-    or magnitudes of 10 or more, whose point falls among the digits.  A fast
+    magnitudes of 10 or more, whose point falls among the digits, or of three-digit
+    exponents, whose fields are edited decade by decade like those.  A fast
     engine's term, with its table's MN entries, covers the writer of its full grid,
     which formats an abs field per entry, at (11,13) and (23,29), and of a zero full
     grid, whose re, im and abs fields are all set aside; and of its fundamental grid,
@@ -313,6 +316,8 @@ def test_block_bytes_cover_the_csv_writer(tmp_path, shape, kind):
         values = 1e-300 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     elif kind == "large":  # an image of tap gains of 10 or more
         values = rng.uniform(10, 1e6, shape) * np.exp(2j * np.pi * rng.uniform(size=shape))
+    elif kind == "wide":  # decades -150 to -146
+        values = 1e-150 * rng.uniform(1, 1e4, shape) * np.exp(2j * np.pi * rng.uniform(size=shape))
     elif kind.endswith("engine"):  # the values, and the table entries, of each of its blocks
         mod = {(143, 143): Modulus(11, 13), (667, 667): Modulus(23, 29)}.get(shape) or Modulus(*shape)
         x = np.zeros(mod.MN) + 0j if kind == "zero-engine" else rng.standard_normal(mod.MN) + 1j
@@ -520,11 +525,11 @@ def test_refused_simulate_leaves_no_output(tmp_path, monkeypatch, capsys, refusa
     # the values, and 80 for the PGM's index-only block and pixels), the PGM's file
     # buffer 8 KiB, and its 15 table entries a magnitude and a pixel, 9; and the
     # CSV writer 16 KiB, 15-entry index texts of 3 and 2 bytes with their int64
-    # indices, a 29-byte abs field per table entry, and 521 bytes a line (two copies
-    # of a 93-byte line: "14," and "14" slots, three 29-byte fields and a newline;
+    # indices, a 25-byte abs field per table entry, and 493 bytes a line (two copies
+    # of an 81-byte line: "14," and "14" slots, three 25-byte fields and a newline;
     # its gathered abs field; re and im and their format_g17 bytes)
-    need = (144 * 15 + 416 * 15 + (48 + 80) * 15 * 15 + 8192 + 9 * 15 + 16384 + (3 + 8 + 2 + 8) * 15 + 29 * 15
-            + 15 * 15 * (2 * 93 + 29 + 2 * (8 + 145)))
+    need = (144 * 15 + 416 * 15 + (48 + 80) * 15 * 15 + 8192 + 9 * 15 + 16384 + (3 + 8 + 2 + 8) * 15 + 25 * 15
+            + 15 * 15 * (2 * 81 + 25 + 2 * (8 + 145)))
     argv = ["simulate", "--scene", scene, "--line", "3,5", "--region", "0:2,0:4"]
     if refusal == "not-crystallized":
         argv[-1] = "0:3,0:4"

@@ -56,3 +56,31 @@ def test_the_rule_reads_signatures_over_several_lines():
               "def fine(values, flat, out_dir):\n    pass\n")
     assert buffer_parameters(source) == [(1, "f", "out"), (6, "g", "entries"), (8, "<lambda>", "entries"),
                                          (9, "k", "out")]
+
+
+def group_table_lookups(source: str):
+    """(line, how) for each read of an attribute named `groups` in `source`: "take" when
+    it is the object of a `.take(...)` call, as in `tables.groups.take(g)`, else "other"."""
+    tree = ast.parse(source)
+    takes = {id(node.func.value) for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "take"}
+    return sorted((node.lineno, "take" if id(node) in takes else "other") for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "groups")
+
+
+def test_one_digit_table():
+    """One digit table: every digit the CSV writer prints comes from one `take` on the
+    formatter's group table.  The field kind is picked by arithmetic on what that take
+    returned, so floatfmt.py reads the table nowhere else (the CI step "One digit table"
+    counts the text `groups.take`)."""
+    assert [how for _, how in group_table_lookups((SRC / "floatfmt.py").read_text(encoding="utf-8"))] == ["take"]
+
+
+def test_the_digit_rule_sees_every_lookup():
+    """The twin sees a take split over two lines, and a lookup that is not a method take."""
+    source = ("a = tables.groups.take(g, out=x)\n"
+              "b = (tables\n     .groups\n     .take(g))\n"
+              "c = np.take(tables.groups, g)\n"
+              "d = tables.groups[g]\n"
+              "groups = np.empty(4)\n")
+    assert group_table_lookups(source) == [(1, "take"), (2, "take"), (5, "other"), (6, "other")]
