@@ -359,7 +359,8 @@ def format_g17(values: np.ndarray, fields: np.ndarray, workspace: Workspace | No
     for j in range(ncol):  # one column at a time: the copy reads contiguous runs
         slots_at[:, j] = slots[:, j * n : (j + 1) * n].T
     if edited.size:
-        for e in np.unique(decade).tolist():
+        # the decades present, ascending; np.unique would import numpy.ma (16 ms, 1 MB held)
+        for e in (np.flatnonzero(np.bincount(decade - _E_MIN)) + _E_MIN).tolist():
             at = edited[decade == e]
             row, col = at % n, at // n
             text = fields[row, col, 1:FIELD_BYTES]

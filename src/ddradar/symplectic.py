@@ -27,7 +27,8 @@ phase that LFM and the chirp waveforms also read.  Each transform costs
 O(MN log MN) time and O(MN) memory.
 A general determinant-1 matrix with non-invertible b is realised through a
 shear decomposition into two such transforms (sl2_factors), which fixes the
-operator only up to a global unimodular phase; chain_apply realises chains.
+operator only up to a global unimodular phase; chain_apply realises chains,
+and chain_adjoint undoes them exactly.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .modmath import Modulus, crt_join, mod_inv, quadratic_phase, reduce_mod, sa
 __all__ = [
     "AmbiguityRemap",
     "SL2Element",
+    "chain_adjoint",
     "chain_apply",
     "gdaft_adjoint",
     "gdaft_apply",
@@ -182,6 +184,15 @@ def chain_apply(labels: tuple[SL2Element, ...], x: PeriodicSequence) -> Periodic
     return x
 
 
+def chain_adjoint(labels: tuple[SL2Element, ...], x: PeriodicSequence) -> PeriodicSequence:
+    """Exact inverse of chain_apply: last label first, b = 0 as lfm_apply of the negated
+    rate, else gdaft_adjoint, after the same refusals."""
+    for g in reversed(labels):
+        remap_for(g)
+        x = lfm_apply(-g.c * g.mod.inv2 % g.mod.MN, x) if g.b == 0 else gdaft_adjoint(g, x)
+    return x
+
+
 @dataclass(frozen=True)
 class AmbiguityRemap:
     """Index map and phase law relating A_{x,y} to A_{Wx,Wy}.
@@ -191,6 +202,10 @@ class AmbiguityRemap:
     -(a*c*k^2 + b*d*l^2 + 2*b*c*l*k) to an even index mod 2MN.  For the LFM
     label [[1, 0], [2A, 1]] this specialises to -2*A*k^2, i.e. the factor
     exp(-j*2*pi*A*k^2/MN) in front of A_{Wx,Wy}[k, 2A*k + l].
+
+    W realises g alone (remap_for), or g is a product of such labels and W is
+    their chain (chain_apply): the form is k'*l' - k*l for (k', l') = g(k, l),
+    so the labels' phases telescope to the composite's.
     """
 
     g: SL2Element

@@ -3,6 +3,7 @@ import pytest
 
 from ddradar import Modulus, PeriodicSequence
 from ddradar.heisenberg import HeisenbergElement, apply_td
+from ddradar.symplectic import SL2Element, sl2_factors
 from oracles import basis_vector
 
 
@@ -26,6 +27,17 @@ def mod1147() -> Modulus:
 def rand_unit_seq(mod: Modulus, rng: np.random.Generator) -> PeriodicSequence:
     samples = rng.standard_normal(mod.MN) + 1j * rng.standard_normal(mod.MN)
     return PeriodicSequence(mod, samples / np.linalg.norm(samples))
+
+
+def mixed_chain(mod: Modulus, length: int) -> tuple:
+    """A chain of 2, 3 or 4 labels, first applied first: for 2, the sl2_factors shear pair
+    of [[1, M], [1, 1 + M]], whose b = M is not invertible; for 3, the GDAFT label
+    [[1, 2], [7, 15]] and that pair; for 4, the LFM label of rate 2, the pair and the
+    GDAFT label."""
+    gdaft = SL2Element(mod, 1, 2, 7, 15)
+    pair = sl2_factors(SL2Element(mod, 1, mod.M, 1, 1 + mod.M))
+    assert len(pair) == 2
+    return {2: pair, 3: (gdaft, *pair), 4: (SL2Element.lfm(mod, 2), *pair, gdaft)}[length]
 
 
 def op_matrix(h: HeisenbergElement) -> np.ndarray:

@@ -30,7 +30,7 @@ from ddradar.modmath import Modulus, _roots_of_unity
 from ddradar.radarsim import ScatteringEnvironment, predicted_image
 from ddradar.subgroups import LineSubgroup, chain_waveform, chirp, eigenvector, pulsone, pulsone_chain
 from ddradar.symplectic import SL2Element, chain_apply, gdaft_apply, lfm_apply
-from conftest import long_double_oracle, rand_unit_seq
+from conftest import long_double_oracle, mixed_chain, rand_unit_seq
 from oracles import ambiguity_ld, ambiguity_sum, basis_vector, chain_ld, pgm_bytes
 
 
@@ -260,6 +260,8 @@ def _chain(mod, kind):
         return (SL2Element.lfm(mod, mod.inv2),)
     if kind == "gdaft":
         return (SL2Element(mod, 1, 2, 7, 15),)
+    if kind in ("three-label", "four-label"):  # the composite's law, telescoped over the chain
+        return mixed_chain(mod, 3 if kind == "three-label" else 4)
     labels = pulsone_chain(LineSubgroup(mod, 0, 1), 0)[1]  # transported line, shear route
     assert len(labels) == 2
     return labels
@@ -290,7 +292,8 @@ def _reference(mod, kind):
 @pytest.mark.parametrize("grid", ["fundamental", "full"])
 @pytest.mark.parametrize(
     "kind",
-    ["empty", "lfm", "lfm-odd-c", "gdaft", "shear", "chirp", "zc", "lfm-chirp", "gdaft-chirp"],
+    ["empty", "lfm", "lfm-odd-c", "gdaft", "shear", "three-label", "four-label", "chirp", "zc", "lfm-chirp",
+     "gdaft-chirp"],
 )
 @pytest.mark.parametrize("M, N", [(3, 5), (11, 13), (13, 17)])
 def test_engine_matches_naive_for_every_chain(M, N, kind, grid):
@@ -377,6 +380,27 @@ def test_engine_within_its_long_double_bound(M, N):
                 K, L = np.append(rng.integers(0, mod.MN, (2, 36)), [[0], [0]], axis=1)
             err = np.abs(engine.points(K, L).astype(np.clongdouble) - ambiguity_ld(x.samples, ref, K, L))
             assert float(err.max()) <= bound, (name, float(err.max()) / bound * 8)
+
+
+@long_double_oracle
+@pytest.mark.parametrize("M, N", [(3, 5), (11, 13), (23, 29)])
+def test_fft_route_within_its_long_double_bound(M, N):
+    """cross_ambiguity_fft holds the literal sum (oracles.ambiguity_ld) to 2u*log2(MN) in
+    absolute error, u = 2**-53, for unit-norm inputs: a random pair, and a random x against
+    itself, whose |A| at (0, 0) is 1.  Whole surfaces at (3,5) and (11,13), 36 sampled
+    points and (0, 0) at (23,29)."""
+    mod = Modulus(M, N)
+    bound = 2 * 2.0**-53 * np.log2(mod.MN)
+    rng = np.random.default_rng(mod.MN)
+    x, y = rand_unit_seq(mod, rng), rand_unit_seq(mod, rng)
+    if mod.MN < 200:
+        K, L = (a.ravel() for a in np.indices((mod.MN, mod.MN)))
+    else:
+        K, L = np.append(rng.integers(0, mod.MN, (2, 36)), [[0], [0]], axis=1)
+    for ref in (y, x):
+        got = cross_ambiguity_fft(x, ref).values[K, L].astype(np.clongdouble)
+        err = np.abs(got - ambiguity_ld(x.samples, ref.samples, K, L))
+        assert float(err.max()) <= bound, float(err.max()) / bound * 2
 
 
 class TestMoyal:

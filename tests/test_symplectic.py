@@ -10,7 +10,9 @@ from ddradar.heisenberg import HeisenbergElement, apply_td
 from ddradar.modmath import Modulus, mod_inv
 from ddradar.subgroups import LineSubgroup, chirp, eigenvector, pulsone
 from ddradar.symplectic import (
+    AmbiguityRemap,
     SL2Element,
+    chain_adjoint,
     chain_apply,
     gdaft_adjoint,
     gdaft_apply,
@@ -20,7 +22,7 @@ from ddradar.symplectic import (
     sl2_factors,
     sl2_mapping_direction,
 )
-from conftest import long_double_oracle, op_matrix, rand_unit_seq
+from conftest import long_double_oracle, mixed_chain, op_matrix, rand_unit_seq
 from oracles import (
     basis_vector,
     dft_label,
@@ -264,6 +266,52 @@ class TestSl2Apply:
                 gdaft_apply(shear.inverse(), gdaft_apply(shear.matmul(g), x)).samples
             )
         assert abs(abs(np.vdot(outputs[1], outputs[0])) - 1) < 1e-10
+
+
+class TestChainAdjoint:
+    @pytest.mark.parametrize("length", [2, 3, 4])
+    @pytest.mark.parametrize("M, N", [(3, 5), (11, 13)])
+    def test_undoes_chain_apply(self, M, N, length):
+        mod = Modulus(M, N)
+        labels = mixed_chain(mod, length)
+        x = rand_unit_seq(mod, np.random.default_rng(length))
+        back = chain_adjoint(labels, chain_apply(labels, x))
+        np.testing.assert_allclose(back.samples, x.samples, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "label, error",
+        [
+            ((1, 0, 0, 1), NotCoprime),  # the identity: the LFM rate 0
+            ((1, 0, 6, 1), NotCoprime),  # lfm(3): the rate shares 3 with MN
+            ((2, 0, 1, 8), NotCoprime),  # b = 0 but not LFM-shaped
+            ((1, 3, 0, 1), BNotCoprime),  # b shares 3 with MN
+        ],
+    )
+    def test_refuses_what_chain_apply_refuses(self, mod15, label, error):
+        x = pulsone(mod15, 0, 0)
+        for labels in ((SL2Element(mod15, *label),), mixed_chain(mod15, 3) + (SL2Element(mod15, *label),)):
+            with pytest.raises(error):
+                chain_apply(labels, x)
+            with pytest.raises(error):
+                chain_adjoint(labels, x)
+
+    @pytest.mark.parametrize("length", [2, 3, 4])
+    def test_composite_remap_law(self, mod15, length):
+        """AmbiguityRemap of the labels' product holds for their chain, the labels' phases
+        telescoped, even where the product's b is not invertible (the shear pair alone)."""
+        labels = mixed_chain(mod15, length)
+        g = SL2Element.identity(mod15)
+        for h in labels:
+            g = h.matmul(g)
+        assert (gcd(g.b, 15) == 1) == (length != 2)
+        rng = np.random.default_rng(12)
+        x, y = rand_unit_seq(mod15, rng), rand_unit_seq(mod15, rng)
+        base = cross_ambiguity_naive(x, y, grid="full").values
+        rotated = cross_ambiguity_naive(chain_apply(labels, x), chain_apply(labels, y), grid="full").values
+        remap = AmbiguityRemap(g)
+        K, L = np.indices((15, 15))
+        phase = np.exp(1j * np.pi / 15 * remap.phase_index(K, L))
+        np.testing.assert_allclose(base, phase * rotated[remap.target(K, L)], rtol=0, atol=1e-10)
 
 
 class TestNormalizationLaw:
