@@ -1,6 +1,7 @@
 """The vectorised "{:.17g}" formatter and the CSV writer built on it, byte for byte
 against Python's own formatting."""
 
+import os
 import subprocess
 import sys
 import warnings
@@ -315,12 +316,18 @@ def test_edited_fields_import_no_numpy_ma(tmp_path):
     1 MB of modules held), in a fresh interpreter whose only CSV it is."""
     values = np.array([[12.5 + 1e-120j, 1e-120 + 12.5j]])
     script = ("import sys\nimport numpy as np\nfrom ddradar.ddcore import complex_to_csv\n"
+              "print('numpy.ma' in sys.modules)\n"
               f"complex_to_csv(np.array({values.tolist()!r}), sys.argv[1])\n"
               "print('numpy.ma' in sys.modules)\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+               OPENBLAS_NUM_THREADS="1")
     run = subprocess.run([sys.executable, "-c", script, str(tmp_path / "new.csv")], capture_output=True,
-                         text=True, env={"PYTHONPATH": src}, check=True)
-    assert run.stdout.split() == ["False"]
+                         text=True, env=env, timeout=120, check=True)
+    before, after = run.stdout.split()
+    if before == "True":
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    assert after == "False"
     complex_to_csv_rows(values, tmp_path / "oracle.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
