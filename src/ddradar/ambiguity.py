@@ -493,8 +493,9 @@ class FastEngine:
 
         A[K, L] = exp(j*2*pi*inv2*Q(K, L)/MN) * A_{W^H x, base}[G(K, L)]
 
-    After O(MN log MN) per label, points(K, L) costs O(1) per point at any
-    (K, L), whatever the `grid`, and entries(K, L) gives the table entry each
+    After O(MN) per b = 0 label (a dilation and a chirp) and O(MN log MN) per
+    GDAFT label, points(K, L) costs O(1) per point at any (K, L), whatever
+    the `grid`, and entries(K, L) gives the table entry each
     of those points reads, the integer map G alone with no phase or product;
     blocks() walks the `grid` in row blocks of ddcore._block_rows rows, each a
     pair (values, entries) that ddcore.complex_to_csv formats in one pass,
@@ -762,7 +763,7 @@ def write_surface(surface, csv_path, pgm_path, scale: str = "linear", floor: flo
     None) an engine's blocks are its index-only ones, so each engine value is
     formed once, and only for a CSV.  linear: 0..255 spans 0..max|A|.  db:
     0..255 spans floor..0 dB relative to the surface peak, clamping below the
-    floor; the floor must be a finite negative number.
+    floor; the floor must be a finite negative number, with 255*floor finite.
     An engine's every magnitude is that of its table entry,
     FastEngine.magnitudes: the pixels of the entries are formed once and
     gathered by each block's entries, as the CSV gathers the abs fields, and
@@ -807,8 +808,11 @@ def write_surface(surface, csv_path, pgm_path, scale: str = "linear", floor: flo
 
 
 def _check_scale(scale: str, floor: float) -> None:
-    """Refuse an unknown PGM scale, or a dB floor that is not finite and negative."""
+    """Refuse an unknown PGM scale, or a dB floor that is not a finite negative number or
+    whose 255*floor, the largest product _pixels forms, overflows."""
     if scale not in ("linear", "db"):
         raise ConfigurationError(f"unknown scale {scale!r}")
     if scale == "db" and not (math.isfinite(floor) and floor < 0):
         raise ConfigurationError(f"dB floor must be a finite negative number, got {floor}")
+    if scale == "db" and math.isinf(255.0 * floor):
+        raise ConfigurationError(f"dB floor {floor} overflows the PGM scale: 255*floor is not finite")

@@ -33,12 +33,15 @@ groups; the first 4 bytes of the exponent are indexed by E.  Trailing zeros
 are the kernel's too: each group takes its full text, or its text with
 trailing zeros as NUL when every later group is 0000, and when all four are,
 the head's point is dropped.  A zero takes the first decade row, whose head
-is "0" or "-0".  A field's text is six 4-byte slots (FIELD_BYTES), picked
-from those seven rows by uint32 arithmetic, x[s] + k * (x[s + 1] - x[s]),
-with k = 1 where the head fits in its second half, so that no NUL stands
-for a head half or an exponent a value does not have; one strided copy per
-column then moves the slots into the caller's line buffer.  Two rare kinds,
-found with `flatnonzero`, are edited there afterwards, decade by decade.
+is "0" or "-0", and its four groups are all dropped by its index alone, not
+by that search: a mostly-zero surface, such as a noiseless image, would
+otherwise spend most of its time there.  A field's text is six 4-byte slots
+(FIELD_BYTES), picked from those seven rows by uint32 arithmetic,
+x[s] + k * (x[s + 1] - x[s]), with k = 1 where the head fits in its second
+half, so that no NUL stands for a head half or an exponent a value does not
+have; one strided copy per column then moves the slots into the caller's
+line buffer.  Two rare kinds, found with `flatnonzero`, are edited there
+afterwards, decade by decade.
 For 1 <= E <= 16 the point falls among the digits: the NULs of the integer
 part (the zeros the trailing-zero rule dropped) become "0", the fraction
 moves one byte to the right, and a point goes after the integer part when a
@@ -321,6 +324,7 @@ def format_g17(values: np.ndarray, fields: np.ndarray, workspace: Workspace | No
     # group table.  When it is 0000, so is its text, and the group before it
     # drops its own; a group is full only when a later group is not 0000.
     np.equal(g[3], 0, out=mask)
+    mask[zero] = False  # a zero's groups are all dropped, below, with no search
     g[3] += 10000
     short = np.flatnonzero(mask)
     if short.size:
@@ -330,6 +334,7 @@ def format_g17(values: np.ndarray, fields: np.ndarray, workspace: Workspace | No
         gz[2] += 10000
         g[:3, short] = gz
         single = short[later[0]]  # D = lead * 1e16: no digit follows the first
+    g[:3, zero] = 10000
 
     # the head from (E, first digit, sign), the exponent from E, the digits from the
     # groups: seven 4-byte rows x, from which each field's six slots are picked

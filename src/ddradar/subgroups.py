@@ -136,7 +136,9 @@ def pulsone_chain(line: LineSubgroup, index: int) -> tuple:
     labels) gives its samples, which are the eigenvector.  A coprime-slope
     line gives the tone index under lfm(alpha), the chirp (alpha, index); the
     rectangular line the pulsone with no labels; any other line the pulsone
-    under the sl2_factors of a transform mapping (M, N) onto (c, d).
+    under the sl2_factors of a transform g mapping (M, N) onto (c, d): g alone
+    when its b is 0 (a dilation and a chirp, as on the (M, 1) line) or
+    invertible (one GDAFT), else a shear pair of GDAFTs (as on the (1, M) line).
     """
     mod = line.mod
     if not 0 <= index < mod.MN:

@@ -1,12 +1,15 @@
 """SL2(Z_MN)-labelled unitary transforms that rotate ambiguity surfaces.
 
-Two concrete realisations cover the group: quadratic-phase multiplication
-(LFM, lower-triangular label) and the generalised discrete affine Fourier
-transform (GDAFT, invertible b entry)
+Two concrete realisations cover the group.  A lower-triangular label
+[[a, 0], [c, d]], d = 1/a, is a dilation and a chirp, the gather
+x[d*n mod MN] (none for d = 1) times the quadratic phase
+exp(j*pi*c*d*n^2/MN), in O(MN) with no FFT; LFM, quadratic-phase
+multiplication, is its a = 1 case.  A label with invertible b is the
+generalised discrete affine Fourier transform (GDAFT)
 
     (W x)[n] = (1/sqrt(MN)) * sum_n1 exp(j*pi*binv*(d*n^2 - 2*n*n1 + a*n1^2)/MN) * x[n1].
 
-The half-integer exponent is evaluated ring-exactly: since MN is odd, the
+The half-integer exponents are evaluated ring-exactly: since MN is odd, the
 division by two is multiplication by inv2 = (MN+1)/2 in Z_MN, and every
 exponent is an integer reduced mod 2MN before the single complex
 exponential call.  This is the reading under which b*binv = 1 holds exactly
@@ -23,12 +26,12 @@ permuted bin binv*n mod MN, so the transform is chirp, FFT, chirp:
 
 with integer-index chirps c_a[n] = exp(j*pi*2*(inv2*binv*a*n^2 mod MN)/MN)
 and c_d likewise with d, both modmath.quadratic_phase, the one quadratic
-phase that LFM and the chirp waveforms also read.  Each transform costs
-O(MN log MN) time and O(MN) memory.
-A general determinant-1 matrix with non-invertible b is realised through a
-shear decomposition into two such transforms (sl2_factors), which fixes the
-operator only up to a global unimodular phase; chain_apply realises chains,
-and chain_adjoint undoes them exactly.
+phase that the dilation's chirp and the chirp waveforms also read.  Each
+transform costs O(MN log MN) time and O(MN) memory.
+A label whose b is neither 0 nor invertible (b = 0 mod exactly one prime
+factor) is realised through a shear decomposition into two GDAFTs
+(sl2_factors), which fixes the operator only up to a global unimodular
+phase; chain_apply realises chains, and chain_adjoint undoes them exactly.
 """
 
 from __future__ import annotations
@@ -106,12 +109,23 @@ class SL2Element:
 def lfm_apply(A: int, x: PeriodicSequence) -> PeriodicSequence:
     """Multiply by the quadratic phase exp(j*2*pi*A*n^2/MN); requires gcd(A, MN) = 1.
 
-    The phase is modmath.quadratic_phase(MN, A), exact for any integer A.
+    The realisation of the label lfm(A) = [[1, 0], [2A, 1]] (_dilation_chirp): the
+    phase modmath.quadratic_phase(MN, A), exact for any integer A.
     """
     mod = x.mod
     if gcd(A, mod.MN) != 1:
         raise NotCoprime(f"LFM rate {A} shares a factor with MN = {mod.MN}")
-    return PeriodicSequence(mod, x.samples * quadratic_phase(mod.MN, A))
+    return _dilation_chirp(SL2Element.lfm(mod, A), x)
+
+
+def _dilation_chirp(g: SL2Element, x: PeriodicSequence) -> PeriodicSequence:
+    """The unitary of a label g = [[a, 0], [c, d]] (b = 0, d = 1/a): the dilation
+    x[d*n mod MN], no gather for d = 1, times the chirp exp(j*pi*c*d*n^2/MN), which is
+    modmath.quadratic_phase(MN, c*d*inv2).  O(MN), with no FFT."""
+    same_modulus(g, x)
+    mn = x.mod.MN
+    samples = x.samples if g.d == 1 else x.samples[reduce_mod(g.d * np.arange(mn, dtype=np.int64), mn)]
+    return PeriodicSequence(x.mod, samples * quadratic_phase(mn, g.c * g.d * x.mod.inv2))
 
 
 def _gdaft_factors(g: SL2Element) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -158,14 +172,15 @@ def gdaft_adjoint(g: SL2Element, x: PeriodicSequence) -> PeriodicSequence:
 
 
 def sl2_factors(g: SL2Element) -> tuple[SL2Element, ...]:
-    """GDAFT labels whose product is g, first applied first: (g,) if gcd(b, MN) = 1.
+    """Labels realisable in one step whose product is g, first applied first: (g,) if
+    b = 0 (a dilation and a chirp) or gcd(b, MN) = 1 (one GDAFT).
 
     Otherwise (S g, S^-1) for the shear S = [[1, x0], [0, 1]] with the
     smallest x0 that makes both b entries invertible; their realisation
     matches g only up to a global unimodular phase.
     """
     mod = g.mod
-    if gcd(g.b, mod.MN) == 1:
+    if g.b == 0 or gcd(g.b, mod.MN) == 1:
         return (g,)
     for x0 in range(1, mod.MN):
         if gcd(x0, mod.MN) == 1 and gcd(g.b + x0 * g.d, mod.MN) == 1:
@@ -177,19 +192,19 @@ def sl2_factors(g: SL2Element) -> tuple[SL2Element, ...]:
 
 
 def chain_apply(labels: tuple[SL2Element, ...], x: PeriodicSequence) -> PeriodicSequence:
-    """Apply labels to x, first label first: b = 0 as lfm_apply, else gdaft_apply."""
+    """Apply labels to x, first label first: b = 0 as a dilation and a chirp
+    (_dilation_chirp), else gdaft_apply, which refuses a b that is not invertible."""
     for g in labels:
-        remap_for(g)  # refuses labels neither [[1, 0], [2A, 1]] nor with b invertible
-        x = lfm_apply(g.c * g.mod.inv2 % g.mod.MN, x) if g.b == 0 else gdaft_apply(g, x)
+        x = _dilation_chirp(g, x) if g.b == 0 else gdaft_apply(g, x)
     return x
 
 
 def chain_adjoint(labels: tuple[SL2Element, ...], x: PeriodicSequence) -> PeriodicSequence:
-    """Exact inverse of chain_apply: last label first, b = 0 as lfm_apply of the negated
-    rate, else gdaft_adjoint, after the same refusals."""
+    """Exact inverse of chain_apply: last label first, b = 0 as the dilation and chirp of
+    g.inverse() (for a = 1 the LFM of the negated rate), else gdaft_adjoint, with the same
+    refusals."""
     for g in reversed(labels):
-        remap_for(g)
-        x = lfm_apply(-g.c * g.mod.inv2 % g.mod.MN, x) if g.b == 0 else gdaft_adjoint(g, x)
+        x = _dilation_chirp(g.inverse(), x) if g.b == 0 else gdaft_adjoint(g, x)
     return x
 
 
@@ -199,13 +214,16 @@ class AmbiguityRemap:
 
     A_{x,y}[k, l] = exp(j*pi*phase_index(k, l)/MN) * A_{Wx,Wy}[g.apply_vec(k, l)]
     where phase_index is the ring-exact reduction of
-    -(a*c*k^2 + b*d*l^2 + 2*b*c*l*k) to an even index mod 2MN.  For the LFM
-    label [[1, 0], [2A, 1]] this specialises to -2*A*k^2, i.e. the factor
-    exp(-j*2*pi*A*k^2/MN) in front of A_{Wx,Wy}[k, 2A*k + l].
+    -(a*c*k^2 + b*d*l^2 + 2*b*c*l*k) to an even index mod 2MN.  For a label
+    [[a, 0], [c, d]], a dilation and a chirp, this specialises to -a*c*k^2, the
+    factor exp(-j*pi*a*c*k^2/MN) in front of A_{Wx,Wy}[a*k, c*k + d*l]; for the
+    LFM label [[1, 0], [2A, 1]] to exp(-j*2*pi*A*k^2/MN) in front of
+    A_{Wx,Wy}[k, 2A*k + l].
 
-    W realises g alone (remap_for), or g is a product of such labels and W is
-    their chain (chain_apply): the form is k'*l' - k*l for (k', l') = g(k, l),
-    so the labels' phases telescope to the composite's.
+    W realises g alone (remap_for: b = 0 or b invertible), or g is a product
+    of such labels and W is their chain (chain_apply): the form is
+    k'*l' - k*l for (k', l') = g(k, l), so the labels' phases telescope to the
+    composite's.
     """
 
     g: SL2Element
@@ -236,17 +254,10 @@ class AmbiguityRemap:
 
 
 def remap_for(g: SL2Element) -> AmbiguityRemap:
-    """Ambiguity remap for a label realisable as LFM (b = 0) or GDAFT (b invertible)."""
-    mn = g.mod.MN
-    if g.b != 0 and gcd(g.b, mn) != 1:
-        raise BNotCoprime(
-            f"remap law is defined for b = 0 or gcd(b, MN) = 1, got b = {g.b}"
-        )
-    # with b = 0, det = 1 forces d = 1/a; every c is 2A for A = c*inv2 (MN is odd)
-    if g.b == 0 and g.a != 1:
-        raise NotCoprime(
-            f"b = 0 labels must be LFM-shaped [[1, 0], [2A, 1]], got {g}"
-        )
+    """Ambiguity remap for a label realised in one step: b = 0 (a dilation and a chirp)
+    or b invertible (GDAFT)."""
+    if g.b != 0 and gcd(g.b, g.mod.MN) != 1:
+        raise BNotCoprime(f"remap law is defined for b = 0 or gcd(b, MN) = 1, got b = {g.b}")
     return AmbiguityRemap(g)
 
 

@@ -40,6 +40,11 @@ def mixed_chain(mod: Modulus, length: int) -> tuple:
     return {2: pair, 3: (gdaft, *pair), 4: (SL2Element.lfm(mod, 2), *pair, gdaft)}[length]
 
 
+def dilation_label(mod: Modulus, a: int, c: int) -> SL2Element:
+    """The b = 0 label [[a, 0], [c, 1/a]] for a unit a: a dilation and a chirp."""
+    return SL2Element(mod, a, 0, c, pow(a, -1, mod.MN))
+
+
 def op_matrix(h: HeisenbergElement) -> np.ndarray:
     """Operator-level view of a group element: its matrix on the standard basis."""
     mn = h.mod.MN

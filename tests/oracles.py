@@ -81,8 +81,21 @@ def dft_label(mod: Modulus) -> SL2Element:
 
 
 def sl2_apply(g: SL2Element, x: PeriodicSequence) -> PeriodicSequence:
-    """Apply a unitary realising any determinant-1 label g: the GDAFTs of sl2_factors(g)."""
+    """Apply a unitary realising any determinant-1 label g: the chain of sl2_factors(g),
+    one label for b = 0 or b invertible, else a shear pair of GDAFTs."""
     return chain_apply(sl2_factors(g), x)
+
+
+def shear_pair(g: SL2Element) -> tuple[SL2Element, SL2Element]:
+    """The GDAFT labels (S g, S^-1), first applied first, around the smallest shear
+    S = [[1, x0], [0, 1]] that makes both b entries invertible: sl2_factors' split of a
+    b that is not invertible, which it also took for b = 0 before a b = 0 label was
+    realised in one step (a dilation and a chirp)."""
+    mod = g.mod
+    mn = mod.MN
+    x0 = next(v for v in range(1, mn) if gcd(v, mn) == 1 and gcd(g.b + v * g.d, mn) == 1)
+    shear = SL2Element(mod, 1, x0, 0, 1)
+    return shear.matmul(g), shear.inverse()
 
 
 def dzt_direct(x: PeriodicSequence) -> QuasiPeriodicArray:
@@ -173,12 +186,26 @@ def gdaft_ld(g: SL2Element, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
     return (kernel * np.asarray(x, dtype=np.clongdouble)).sum(axis=1) / np.sqrt(np.longdouble(mn))
 
 
+def label_ld(g: SL2Element, x: np.ndarray) -> np.ndarray:
+    """One label's unitary on the MN samples x in np.clongdouble: a label [[a, 0], [c, d]]
+    as the dilation x[d*n mod MN] times exp(j*pi*c*d*n^2/MN), its half read through inv2
+    as the integer index 2*(inv2*c*d*n^2 mod MN) (phases_ld), so an LFM label
+    [[1, 0], [2A, 1]] is exp(j*2*pi*A*n^2/MN); any other as its literal GDAFT sum
+    (gdaft_ld).  O(MN) for b = 0."""
+    if g.b != 0:
+        return gdaft_ld(g, x)
+    mod = g.mod
+    mn = mod.MN
+    n = np.arange(mn, dtype=np.int64)
+    rate = g.c * g.d * mod.inv2 % mn
+    return np.asarray(x, dtype=np.clongdouble)[g.d * n % mn] * phases_ld(2 * (rate * (n * n % mn) % mn), mn)
+
+
 def chain_ld(mod: Modulus, base: tuple, labels: tuple) -> np.ndarray:
     """The reference of a fast engine's form (base, labels) in np.clongdouble, built from
     the form, each phase phases_ld of its integer index: the pulsone (k0, l0), or the tone
-    (0, beta, 1[, gamma]) times exp(j*2*pi*gamma/MN), then each label, first first, an
-    LFM label [[1, 0], [2A, 1]] as the quadratic phase exp(j*2*pi*A*n^2/MN) and any other
-    as its literal GDAFT sum (gdaft_ld)."""
+    (0, beta, 1[, gamma]) times exp(j*2*pi*gamma/MN), then each label, first first,
+    through label_ld: O(MN) a label with b = 0, (MN)**2 a GDAFT label."""
     mn = mod.MN
     n = np.arange(mn, dtype=np.int64)
     k0, l0, *tone = base
@@ -190,10 +217,7 @@ def chain_ld(mod: Modulus, base: tuple, labels: tuple) -> np.ndarray:
         p = np.arange(mod.N, dtype=np.int64)
         ref[k0 + p * mod.M] = phases_ld(2 * mod.M * p * l0, mn) / np.sqrt(np.longdouble(mod.N))
     for g in labels:
-        if g.b == 0:
-            ref = ref * phases_ld(2 * (g.c * mod.inv2 % mn * (n * n % mn) % mn), mn)
-        else:
-            ref = gdaft_ld(g, ref)
+        ref = label_ld(g, ref)
     return ref
 
 
@@ -230,14 +254,13 @@ def relative_error_ld(got: np.ndarray, want: np.ndarray) -> float:
 
 
 def sl2_matrix(g: SL2Element) -> np.ndarray:
-    """Dense matrix of sl2_apply(g, .): one kernel, or two around the smallest shear."""
-    mod = g.mod
-    mn = mod.MN
-    if gcd(g.b, mn) == 1:
+    """Dense matrix of a label g: its GDAFT kernel, or for a b that is not invertible
+    (b = 0 too) the product of the two kernels of its shear_pair, which equals the
+    matrix of sl2_apply(g, .) for b = 0 with global phase 1."""
+    if gcd(g.b, g.mod.MN) == 1:
         return gdaft_kernel(g)
-    x0 = next(v for v in range(1, mn) if gcd(v, mn) == 1 and gcd(g.b + v * g.d, mn) == 1)
-    shear = SL2Element(mod, 1, x0, 0, 1)
-    return gdaft_kernel(shear.inverse()) @ gdaft_kernel(shear.matmul(g))
+    first, second = shear_pair(g)
+    return gdaft_kernel(second) @ gdaft_kernel(first)
 
 
 def eigenbasis_for_line(line: LineSubgroup) -> list:

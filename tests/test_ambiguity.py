@@ -30,7 +30,7 @@ from ddradar.modmath import Modulus, _roots_of_unity
 from ddradar.radarsim import ScatteringEnvironment, predicted_image
 from ddradar.subgroups import LineSubgroup, chain_waveform, chirp, eigenvector, pulsone, pulsone_chain
 from ddradar.symplectic import SL2Element, chain_apply, gdaft_apply, lfm_apply
-from conftest import long_double_oracle, mixed_chain, rand_unit_seq
+from conftest import dilation_label, long_double_oracle, mixed_chain, rand_unit_seq
 from oracles import ambiguity_ld, ambiguity_sum, basis_vector, chain_ld, pgm_bytes
 
 
@@ -262,6 +262,12 @@ def _chain(mod, kind):
         return (SL2Element(mod, 1, 2, 7, 15),)
     if kind in ("three-label", "four-label"):  # the composite's law, telescoped over the chain
         return mixed_chain(mod, 3 if kind == "three-label" else 4)
+    if kind == "dilation":  # the (M, 1) line's map: b = 0, a != 1
+        labels = pulsone_chain(LineSubgroup(mod, mod.M, 1), 0)[1]
+        assert [(g.b, g.a != 1) for g in labels] == [(0, True)]
+        return labels
+    if kind == "dilation-chain":  # dilations around the shear pair, whose product has b = M
+        return (dilation_label(mod, 2, 5), *mixed_chain(mod, 2), dilation_label(mod, 4, 1))
     labels = pulsone_chain(LineSubgroup(mod, 0, 1), 0)[1]  # transported line, shear route
     assert len(labels) == 2
     return labels
@@ -273,7 +279,7 @@ def _reference(mod, kind):
     Pulsone chains use the pulsone (1, 2); the other kinds are chirps, the
     tone base (0, beta, 1, gamma) under an LFM label and any prefix labels.
     """
-    if kind not in ("chirp", "zc", "lfm-chirp", "gdaft-chirp"):
+    if kind not in ("chirp", "zc", "lfm-chirp", "gdaft-chirp", "dilation-chirp"):
         labels = _chain(mod, kind)
         return (1, 2), labels, chain_apply(labels, pulsone(mod, 1, 2))
     if kind == "zc":
@@ -286,14 +292,17 @@ def _reference(mod, kind):
     if kind == "gdaft-chirp":
         g = SL2Element(mod, 1, 2, 7, 15)
         return base, labels + (g,), gdaft_apply(g, ref)
+    if kind == "dilation-chirp":
+        g = dilation_label(mod, 2, 3)
+        return base, labels + (g,), chain_apply((g,), ref)
     return base, labels, ref
 
 
 @pytest.mark.parametrize("grid", ["fundamental", "full"])
 @pytest.mark.parametrize(
     "kind",
-    ["empty", "lfm", "lfm-odd-c", "gdaft", "shear", "three-label", "four-label", "chirp", "zc", "lfm-chirp",
-     "gdaft-chirp"],
+    ["empty", "lfm", "lfm-odd-c", "gdaft", "shear", "three-label", "four-label", "dilation", "dilation-chain",
+     "chirp", "zc", "lfm-chirp", "gdaft-chirp", "dilation-chirp"],
 )
 @pytest.mark.parametrize("M, N", [(3, 5), (11, 13), (13, 17)])
 def test_engine_matches_naive_for_every_chain(M, N, kind, grid):
@@ -305,13 +314,15 @@ def test_engine_matches_naive_for_every_chain(M, N, kind, grid):
     np.testing.assert_allclose(fast, naive, atol=1e-10)
 
 
-@pytest.mark.parametrize("chain", ["empty", "two-label"])
+@pytest.mark.parametrize("chain", ["empty", "one-label", "two-label"])
 @pytest.mark.parametrize("M, N", [(23, 29), (31, 37)])
 def test_full_grid_engine_memory(M, N, chain):
-    # the output plus at most 4 MB: a few 64-row blocks of index and phase work
+    # the output plus at most 4 MB: a few 64-row blocks of index and phase work; one label is
+    # the (M, 1) line's dilation and chirp, two the (1, M) line's shear pair of GDAFTs
     mod = Modulus(M, N)
-    labels = () if chain == "empty" else pulsone_chain(LineSubgroup(mod, M, 1), 0)[1]
-    assert len(labels) == (0 if chain == "empty" else 2)
+    line = {"empty": (M, N), "one-label": (M, 1), "two-label": (1, M)}[chain]
+    labels = pulsone_chain(LineSubgroup(mod, *line), 0)[1]
+    assert len(labels) == {"empty": 0, "one-label": 1, "two-label": 2}[chain]
     x = rand_unit_seq(mod, np.random.default_rng(M))
     tracemalloc.start()
     try:
@@ -324,8 +335,9 @@ def test_full_grid_engine_memory(M, N, chain):
 
 @pytest.mark.parametrize("M, N", [(127, 131), (251, 257)])
 def test_engine_is_exact_at_scale(M, N):
-    """Sampled FastEngine points of the rectangular, a coprime-slope and a transported
-    line's eigenvector, against direct sums in np.longdouble, for a random return."""
+    """Sampled FastEngine points of the rectangular, a coprime-slope and two transported
+    lines' eigenvectors, against direct sums in np.longdouble, for a random return: the
+    (M, 1) line under one dilation label, and the (1, M) line under a shear pair."""
     mod = Modulus(M, N)
     mn = mod.MN
     rng = np.random.default_rng(mn)
@@ -334,11 +346,11 @@ def test_engine_is_exact_at_scale(M, N):
     angle = 8 * np.arctan(np.longdouble(1)) * np.arange(mn, dtype=np.longdouble) / mn
     turns = np.cos(angle) - 1j * np.sin(angle)  # exp(-j*2*pi*r/MN) in extended precision
     x = y.samples.astype(np.clongdouble)
-    for c, d in ((M, N), (1, 2), (M, 1)):
+    for c, d in ((M, N), (1, 2), (M, 1), (1, M)):
         line = LineSubgroup(mod, c, d)
         index = int(rng.integers(mn))
         base, labels = pulsone_chain(line, index)
-        assert len(labels) == {(M, N): 0, (1, 2): 1, (M, 1): 2}[(c, d)]
+        assert len(labels) == {(M, N): 0, (1, 2): 1, (M, 1): 1, (1, M): 2}[(c, d)]
         engine = FastEngine(y, *base, transform=labels, grid="full")
         ref = np.conj(eigenvector(line, index).samples).astype(np.clongdouble)
         K, L = rng.integers(0, mn, (2, 24))
@@ -354,18 +366,22 @@ def test_engine_within_its_long_double_bound(M, N):
     """FastEngine.points holds the literal sum (oracles.ambiguity_ld) to 8u*log2(MN) in
     absolute error, u = 2**-53, for unit-norm inputs: a return x = (noise + ref)/norm, whose
     |A| at (0, 0) is about 0.7, against a pulsone, a chirp (a tone under an LFM label, with a
-    constant phase) and a transported (two GDAFT labels) reference, each built in long double
-    from its form (oracles.chain_ld).  Whole fundamental grids at (3,5) and (11,13), 36 sampled
-    full-grid points and (0, 0) above; the transported reference is left out at (251,257),
-    where its literal GDAFT sums take (MN)**2 = 4.2e9 long-double terms a label."""
+    constant phase), the (M, 1) line's transported reference (one dilation label) and the
+    (1, M) line's (two GDAFT labels), each built in long double from its form
+    (oracles.chain_ld).  Whole fundamental grids at (3,5) and (11,13), 36 sampled full-grid
+    points and (0, 0) above; the (1, M) reference is left out at (251,257), where its
+    literal GDAFT sums take (MN)**2 = 4.2e9 long-double terms a label, while the dilation
+    label's reference is a gather and a chirp, O(MN)."""
     mod = Modulus(M, N)
     bound = 8 * 2.0**-53 * np.log2(mod.MN)
     forms = {"pulsone": pulsone_chain(LineSubgroup(mod, M, N), 7),
              "chirp": parse_waveform_spec("chirp:2,3,4", mod).fast,
-             "transported": pulsone_chain(LineSubgroup(mod, M, 1), 5)}
-    assert [g.b != 0 for g in forms["transported"][1]] == [True, True]
+             "transported": pulsone_chain(LineSubgroup(mod, M, 1), 5),
+             "shear": pulsone_chain(LineSubgroup(mod, 1, M), 5)}
+    assert [g.b for g in forms["transported"][1]] == [0]
+    assert [g.b != 0 for g in forms["shear"][1]] == [True, True]
     if mod.MN > 10**4:
-        del forms["transported"]
+        del forms["shear"]
     grid = "fundamental" if mod.MN < 200 else "full"
     rng = np.random.default_rng(mod.MN)
     for name, (base, labels) in forms.items():

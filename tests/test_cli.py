@@ -412,7 +412,7 @@ class TestSimulateCommand:
 
 
 class TestDbFloorFlag:
-    @pytest.mark.parametrize("floor", ["nan", "-inf", "inf", "0"])
+    @pytest.mark.parametrize("floor", ["nan", "-inf", "inf", "0", "-1e308"])  # 255 * -1e308 overflows
     @pytest.mark.parametrize(
         "argv",
         [

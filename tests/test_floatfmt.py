@@ -139,6 +139,14 @@ class TestTrailingZeros:
         assert any(t in ("1", "2", "3", "4", "5", "6", "7", "8", "9") for t in texts)
         assert assert_formats_like_python(values) == 0
 
+    def test_among_zeros(self, values):
+        """Mostly ±0, as in a noiseless image, with these values among them: a zero's
+        groups are dropped by its index, apart from the search for trailing 0000 groups."""
+        mixed = np.zeros(10 * values.size)
+        mixed[1::20] = -0.0
+        mixed[::10] = values
+        assert assert_formats_like_python(mixed) == 0
+
     def test_every_column(self, tmp_path, values):
         """In the re, im and abs columns of a surface CSV, byte for byte, none by Python."""
         grid = np.concatenate((values + 0j, 1j * values)).reshape(-1, 4)

@@ -176,12 +176,13 @@ def test_the_phase_rule_sees_every_exp_and_reader():
     assert roots_table_reads(source) == [7, 8]
 
 
-LABEL_REALISATIONS = {"lfm_apply", "gdaft_apply", "gdaft_adjoint"}
+LABEL_REALISATIONS = {"_dilation_chirp", "lfm_apply", "gdaft_apply", "gdaft_adjoint"}
 
 
 def label_realisation_calls(source: str):
-    """(line, callee) of each call in `source` of lfm_apply, gdaft_apply or gdaft_adjoint,
-    by name, alias, re-binding or attribute (symplectic.gdaft_apply), over any number of lines."""
+    """(line, callee) of each call in `source` of _dilation_chirp, lfm_apply, gdaft_apply or
+    gdaft_adjoint, by name, alias, re-binding or attribute (symplectic.gdaft_apply), over any
+    number of lines."""
     tree = ast.parse(source)
     bound = _bound(tree, LABEL_REALISATIONS)
     return sorted((node.lineno, ast.unparse(node.func)) for node in ast.walk(tree)
@@ -190,10 +191,11 @@ def label_realisation_calls(source: str):
 
 def test_one_label_realisation():
     """One label realisation: a label becomes a transform in symplectic.py alone, where
-    chain_apply and its exact inverse chain_adjoint call lfm_apply, gdaft_apply and
-    gdaft_adjoint; no other module calls them, however the call is spelled (the CI step
-    "One label realisation" greps one-line calls by name).  Importing one, as __init__.py
-    does to export it, is not a call."""
+    chain_apply and its exact inverse chain_adjoint call _dilation_chirp (every b = 0
+    label, a dilation and a chirp, and lfm_apply's), gdaft_apply and gdaft_adjoint; no
+    other module calls them or lfm_apply, however the call is spelled (the CI step "One
+    label realisation" greps one-line calls by name).  Importing one, as __init__.py does
+    to export it, is not a call."""
     assert [p.name for p in MODULES if label_realisation_calls(p.read_text(encoding="utf-8"))] == ["symplectic.py"]
 
 
@@ -203,6 +205,104 @@ def test_the_label_rule_sees_every_call():
               "x = lfm_apply\\\n    (2, x)\n"
               "y = undo(g, x)\n"
               "realise = symplectic.gdaft_apply\nz = realise(g, x)\n"
-              "w = symplectic.gdaft_apply(g,\n    x)\n")
+              "w = symplectic.gdaft_apply(g,\n    x)\n"
+              "v = symplectic._dilation_chirp (g, x)\n")
     assert label_realisation_calls(source) == [(2, "lfm_apply"), (4, "undo"), (6, "realise"),
-                                               (7, "symplectic.gdaft_apply")]
+                                               (7, "symplectic.gdaft_apply"), (9, "symplectic._dilation_chirp")]
+
+
+def _enclosing(tree):
+    """Map id(node) -> the name of the innermost def around it, or '<module>'."""
+    where = {}
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else name
+            where[id(child)] = name
+            visit(child, inner)
+    visit(tree, "<module>")
+    return where
+
+
+def budget_check_uses(source: str):
+    """(line, function, how) for each use of _check_budget in `source`: its def ("def"), or
+    a read by name, alias, re-binding or attribute, "call" when it is called there, else
+    "read" (an import, or a reference passed on), with the def it sits in."""
+    tree = ast.parse(source)
+    names = {"_check_budget"}
+    bound = _bound(tree, names)
+    where = _enclosing(tree)
+    calls = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in names:
+            found.append((node.lineno, where[id(node)], "def"))
+        elif isinstance(node, ast.ImportFrom) and any(a.name in names for a in node.names):
+            found.append((node.lineno, where[id(node)], "read"))
+        elif isinstance(node, (ast.Name, ast.Attribute)) and _names(node, bound, names) and \
+                not (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)):
+            found.append((node.lineno, where[id(node)], "call" if id(node) in calls else "read"))
+    return sorted(found)
+
+
+def test_one_memory_model():
+    """One memory model: _check_budget, the one comparison of a need with the budget, is
+    defined in ambiguity.py and called once, by check_budget, which every route and command
+    calls with its named terms.  No module reads it otherwise, under any name, over any
+    number of lines (the CI step "One memory model" counts the text `_check_budget(`)."""
+    uses = {p.name: budget_check_uses(p.read_text(encoding="utf-8")) for p in MODULES}
+    assert {name: [(f, how) for _, f, how in found] for name, found in uses.items() if found} == {
+        "ambiguity.py": [("<module>", "def"), ("check_budget", "call")]}
+
+
+def test_the_memory_rule_sees_every_use():
+    """The twin sees a call through an alias, a re-binding, an attribute or a line break,
+    and a reference that is not called where it is read."""
+    source = ("from .ambiguity import _check_budget as charge\n"
+              "def route(mn):\n    charge(16 * mn, 'x')\n"
+              "def other(mn):\n    f = ambiguity._check_budget\n    f(mn, 'y')\n"
+              "    _check_budget \\\n        (mn, 'z')\n"
+              "    return map(_check_budget, [mn])\n")
+    assert budget_check_uses(source) == [(1, "<module>", "read"), (3, "route", "call"), (5, "other", "read"),
+                                         (6, "other", "call"), (7, "other", "call"), (9, "other", "read")]
+
+
+CLI_FORBIDDEN = {"_check_budget", "_BLOCK_ROWS", "cross_ambiguity_fft", "surface_to_pgm"}
+
+
+def cli_forbidden_reads(cli_source: str, library_sources=()):
+    """Lines of each read in `cli_source` of _check_budget, _BLOCK_ROWS, cross_ambiguity_fft
+    or surface_to_pgm: by name, `import ... as` alias, re-binding or attribute, and under any
+    name another library module binds to one of them (`fft_rows = cross_ambiguity_fft`, or
+    an import under an alias) and the CLI imports from it."""
+    aliases = set(CLI_FORBIDDEN)
+    for source in library_sources:
+        aliases |= _bound(ast.parse(source), CLI_FORBIDDEN)
+    tree = ast.parse(cli_source)
+    bound = _bound(tree, aliases)
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if (isinstance(node, ast.ImportFrom) and any(a.name in aliases for a in node.names))
+                   or (isinstance(node, (ast.Name, ast.Attribute)) and _names(node, bound, aliases))})
+
+
+def test_no_budget_formula_or_fft_route_in_the_cli():
+    """No budget formula or FFT route in the CLI: every command streams the fast engine and
+    charges the named terms through check_budget, so cli.py reads none of _check_budget,
+    _BLOCK_ROWS, cross_ambiguity_fft or surface_to_pgm, under their names or any other (the
+    CI step of that name greps cli.py for the four names)."""
+    library = [p.read_text(encoding="utf-8") for p in MODULES if p.name != "cli.py"]
+    assert cli_forbidden_reads((SRC / "cli.py").read_text(encoding="utf-8"), library) == []
+
+
+def test_the_cli_rule_sees_every_read():
+    """The twin sees a name that another module re-exports under an alias, which a text search
+    of cli.py misses, besides a read through an attribute or a line break; a comment naming
+    one is not a read."""
+    library = ["from .ambiguity import cross_ambiguity_fft as fft_rows\n",
+               "import numpy as np\nrows = np.zeros(3)\n"]
+    cli = ("from .radarsim import fft_rows\n"
+           "from . import ambiguity\n"
+           "surface = fft_rows(x, x)\n"
+           "rows = ambiguity.\\\n    _BLOCK_ROWS\n"
+           "# surface_to_pgm is not read here\n")
+    assert cli_forbidden_reads(cli, library) == [1, 3, 4]

@@ -8,7 +8,7 @@ from ddradar.ddcore import PeriodicSequence
 from ddradar.errors import BNotCoprime, DetNotOne, IndexOutOfRange, NotCoprime, ZeroSequence
 from ddradar.heisenberg import HeisenbergElement, apply_td
 from ddradar.modmath import Modulus, mod_inv
-from ddradar.subgroups import LineSubgroup, chirp, eigenvector, pulsone
+from ddradar.subgroups import LineSubgroup, chain_waveform, chirp, eigenvector, pulsone, pulsone_chain
 from ddradar.symplectic import (
     AmbiguityRemap,
     SL2Element,
@@ -22,14 +22,17 @@ from ddradar.symplectic import (
     sl2_factors,
     sl2_mapping_direction,
 )
-from conftest import long_double_oracle, mixed_chain, op_matrix, rand_unit_seq
+from conftest import dilation_label, long_double_oracle, mixed_chain, op_matrix, rand_unit_seq
 from oracles import (
     basis_vector,
+    chain_ld,
     dft_label,
     eigenbasis_for_line,
     gdaft_kernel,
     gdaft_ld,
+    label_ld,
     relative_error_ld,
+    shear_pair,
     sl2_apply,
     sl2_matrix,
     support_set,
@@ -55,6 +58,31 @@ def random_label(mod, rng, b_invertible):
             return SL2Element(mod, a, b, (a * d - 1) * mod_inv(b, mn), d)
         if gcd(a, mn) == 1:  # solve for d instead
             return SL2Element(mod, a, b, c, (1 + b * c) * mod_inv(a, mn))
+
+
+def dilation_labels(mod, rng, count):
+    """The identity, lfm(3) (whose rate shares 3 with MN at (3,5)), [[2, 0], [1, 1/2]] and
+    `count` random b = 0 labels [[a, 0], [c, 1/a]] with a a unit."""
+    mn = mod.MN
+    labels = [SL2Element.identity(mod), SL2Element.lfm(mod, 3), dilation_label(mod, 2, 1)]
+    while len(labels) < 3 + count:
+        a = int(rng.integers(1, mn))
+        if gcd(a, mn) == 1:
+            labels.append(dilation_label(mod, a, int(rng.integers(mn))))
+    return labels
+
+
+def every_line(mod):
+    """One generator (c, d) of each line of Z_MN x Z_MN, in the order first met."""
+    mn, seen, lines = mod.MN, set(), []
+    for c in range(mn):
+        for d in range(mn):
+            if gcd(c, d) == 1:
+                points = frozenset((x * c % mn, x * d % mn) for x in range(mn))
+                if points not in seen:
+                    seen.add(points)
+                    lines.append((c, d))
+    return lines
 
 
 GDAFT_LABELS = [(0, 1, -1, 0), (1, 1, 0, 1), (2, 1, 1, 1), (1, 2, 7, 0)]
@@ -177,6 +205,31 @@ class TestAgainstDenseOracle:
             assert relative_error_ld(gdaft_apply(g, x).samples, gdaft_ld(g, x.samples)) <= bound, g
             assert relative_error_ld(gdaft_adjoint(g, x).samples, gdaft_ld(g, x.samples, adjoint=True)) <= bound, g
 
+    @long_double_oracle
+    @pytest.mark.parametrize("M, N", [(3, 5), (5, 7), (11, 13), (23, 29), (251, 257)])
+    def test_dilation_within_its_long_double_bound(self, M, N):
+        """A b = 0 label [[a, 0], [c, 1/a]], a dilation and a chirp, is within 16*u of the
+        same in long double, relative in the 2-norm, u = 2**-53: chain_apply and
+        chain_adjoint of one label on a random input (oracles.label_ld of the label and of
+        its inverse), and the (M, 1) line's eigenvector, chain_waveform of its form
+        (oracles.chain_ld).  The gather is exact, so only the chirp rounds: each
+        roots-table phase within 16u, and one complex product a sample.
+
+        Measured on x86-64 (80-bit long double): up to 6.7u on one label at (3,5), whose
+        15 phases weigh most, and 2.0 to 2.3u from (5,7) to (251,257); 1.2 to 3.8u on the
+        eigenvector, whose pulsone's phases round too.  A flat chirp is exact.
+        """
+        mod = Modulus(M, N)
+        rng = np.random.default_rng(M * N)
+        bound = 16 * 2.0**-53
+        for g in dilation_labels(mod, rng, 3):
+            x = rand_unit_seq(mod, rng)
+            assert relative_error_ld(chain_apply((g,), x).samples, label_ld(g, x.samples)) <= bound, g
+            assert relative_error_ld(chain_adjoint((g,), x).samples, label_ld(g.inverse(), x.samples)) <= bound, g
+        base, labels = pulsone_chain(LineSubgroup(mod, M, 1), int(rng.integers(mod.MN)))
+        assert [g.b for g in labels] == [0]
+        assert relative_error_ld(chain_waveform(mod, base, labels).samples, chain_ld(mod, base, labels)) <= bound
+
     @pytest.mark.parametrize("M, N", ORACLE_SIZES)
     def test_sl2_apply_shear_route_matches_dense_composition(self, M, N):
         mod = Modulus(M, N)
@@ -188,6 +241,24 @@ class TestAgainstDenseOracle:
             x = rand_unit_seq(mod, rng)
             out = sl2_apply(g, x).samples
             assert np.max(np.abs(out - sl2_matrix(g) @ x.samples)) < 1e-12
+
+    @pytest.mark.parametrize("M, N, count", [(3, 5, 4), (5, 7, 6)])
+    def test_b_zero_lines_keep_the_shear_pair_eigenvectors(self, M, N, count):
+        """On every line whose map g from (M, N) has b = 0, the eigenvector, now the pulsone
+        under g's dilation and chirp, equals the pulsone under g's shear pair of GDAFTs
+        (oracles.shear_pair), the construction that took every such line before, to 1e-14:
+        the pair's global phase is 1 on each of them."""
+        mod = Modulus(M, N)
+        lines = [LineSubgroup(mod, c, d) for c, d in every_line(mod)]
+        maps = {line: sl2_mapping_direction(mod, (M, N), (line.c, line.d)) for line in lines
+                if line.coprime_slope() is None and not line.is_rectangular()}
+        b_zero = [line for line, g in maps.items() if g.b == 0]
+        assert len(lines) == (M + 1) * (N + 1) and len(b_zero) == count
+        for line in b_zero:
+            pair = shear_pair(maps[line])
+            for i in range(mod.MN):
+                want = chain_apply(pair, pulsone(mod, i % M, i // M)).samples
+                assert np.max(np.abs(eigenvector(line, i).samples - want)) <= 1e-14, (line, i)
 
     @pytest.mark.parametrize("c, d", [(3, 5), (1, 4), (3, 1)])
     def test_eigenvector_matches_basis_and_construction(self, mod15, c, d):
@@ -214,23 +285,19 @@ class TestAgainstDenseOracle:
 
 class TestSl2Apply:
     def test_factors_multiply_to_g_with_invertible_b(self, mod15):
+        """A label with b = 0 or b invertible is its own one factor, as the (M, 1) line's
+        map is; any other is a shear pair of two labels with b invertible, as the (1, M)
+        line's map is (b = 0 mod N only)."""
         rng = np.random.default_rng(4)
-        for _ in range(50):
-            g = random_sl2(mod15, rng)
+        lines = [sl2_mapping_direction(mod15, (3, 5), cd) for cd in ((3, 1), (1, 3))]
+        assert [g.b for g in lines] == [0, 5]
+        for g in lines + [random_sl2(mod15, rng) for _ in range(50)]:
             factors = sl2_factors(g)
-            assert len(factors) == (1 if gcd(g.b, 15) == 1 else 2)
-            assert all(gcd(f.b, 15) == 1 for f in factors)
-            product = factors[0] if len(factors) == 1 else factors[1].matmul(factors[0])
-            assert product == g
-
-    def test_chain_refuses_b_zero_label_that_is_not_lfm(self, mod15):
-        with pytest.raises(NotCoprime):
-            chain_apply((SL2Element(mod15, 2, 0, 1, 8),), pulsone(mod15, 0, 0))
-
-    def test_chain_names_the_lfm_rate_it_was_given(self, mod15):
-        # lfm(3) is [[1, 0], [6, 1]]; its rate is 6 * inv2 = 48 before reduction mod 15
-        with pytest.raises(NotCoprime, match=r"LFM rate 3 shares a factor with MN = 15"):
-            chain_apply((SL2Element.lfm(mod15, 3),), pulsone(mod15, 0, 0))
+            if g.b == 0 or gcd(g.b, 15) == 1:
+                assert factors == (g,)
+                continue
+            assert len(factors) == 2 and all(gcd(f.b, 15) == 1 for f in factors)
+            assert factors[1].matmul(factors[0]) == g
 
     def test_identity_up_to_phase(self, mod15):
         rng = np.random.default_rng(5)
@@ -278,18 +345,36 @@ class TestChainAdjoint:
         back = chain_adjoint(labels, chain_apply(labels, x))
         np.testing.assert_allclose(back.samples, x.samples, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("M, N", [(3, 5), (5, 7), (7, 11)])
+    def test_undoes_dilation_labels(self, M, N):
+        """chain_adjoint undoes b = 0 labels to 1e-12: each alone, the identity, lfm(3) and
+        [[2, 0], [1, 1/2]] among them, and all of them around a 4-label mixed chain."""
+        mod = Modulus(M, N)
+        rng = np.random.default_rng(M * N)
+        labels = dilation_labels(mod, rng, 4)
+        x = rand_unit_seq(mod, rng)
+        for chain in [(g,) for g in labels] + [(*labels[:3], *mixed_chain(mod, 4), *labels[3:])]:
+            back = chain_adjoint(chain, chain_apply(chain, x))
+            np.testing.assert_allclose(back.samples, x.samples, rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize(
         "label, error",
         [
-            ((1, 0, 0, 1), NotCoprime),  # the identity: the LFM rate 0
-            ((1, 0, 6, 1), NotCoprime),  # lfm(3): the rate shares 3 with MN
-            ((2, 0, 1, 8), NotCoprime),  # b = 0 but not LFM-shaped
+            ((1, 0, 0, 1), None),  # the identity: b = 0, the chirp of rate 0
+            ((1, 0, 6, 1), None),  # lfm(3): b = 0, whose rate shares 3 with MN
+            ((2, 0, 1, 8), None),  # b = 0 with a = 2: a dilation and a chirp
             ((1, 3, 0, 1), BNotCoprime),  # b shares 3 with MN
         ],
     )
     def test_refuses_what_chain_apply_refuses(self, mod15, label, error):
+        """Both refuse the same labels, alone and after a chain: a b that is neither 0 nor
+        invertible.  Every b = 0 label is realised by both, and the adjoint undoes it."""
         x = pulsone(mod15, 0, 0)
         for labels in ((SL2Element(mod15, *label),), mixed_chain(mod15, 3) + (SL2Element(mod15, *label),)):
+            if error is None:
+                np.testing.assert_allclose(chain_adjoint(labels, chain_apply(labels, x)).samples, x.samples,
+                                           rtol=0, atol=1e-12)
+                continue
             with pytest.raises(error):
                 chain_apply(labels, x)
             with pytest.raises(error):
@@ -400,9 +485,25 @@ class TestRemap:
                 worst = max(worst, abs(base[k, l] - phase * rotated[K, L]))
         assert worst < 1e-10
 
-    def test_remap_rejects_non_lfm_bzero(self, mod15):
-        with pytest.raises(NotCoprime):
-            remap_for(SL2Element(mod15, 2, 0, 1, 8))
+    @pytest.mark.parametrize("M, N", [(3, 5), (5, 7), (7, 11)])
+    def test_dilation_remap_against_brute_force(self, M, N):
+        """The remap law holds for b = 0 labels [[a, 0], [c, 1/a]], each realised alone by
+        chain_apply as a dilation and a chirp: the identity, lfm(3), [[2, 0], [1, 1/2]] and
+        random ones, on the whole grid against cross_ambiguity_naive.  The factor is
+        exp(-j*pi*a*c*k^2/MN) in front of the rotated surface at (a*k, c*k + d*l)."""
+        mod = Modulus(M, N)
+        mn = mod.MN
+        rng = np.random.default_rng(M * N + 2)
+        K, L = np.indices((mn, mn))
+        for g in dilation_labels(mod, rng, 6):
+            x, y = rand_unit_seq(mod, rng), rand_unit_seq(mod, rng)
+            base = cross_ambiguity_naive(x, y, grid="full").values
+            rotated = cross_ambiguity_naive(chain_apply((g,), x), chain_apply((g,), y), grid="full").values
+            remap = remap_for(g)
+            assert remap.target(3, 4) == (3 * g.a % mn, (3 * g.c + 4 * g.d) % mn)
+            np.testing.assert_array_equal(remap.phase_index(K, L), -2 * (mod.inv2 * g.a * g.c * K * K % mn) % (2 * mn))
+            phase = np.exp(1j * np.pi / mn * remap.phase_index(K, L))
+            np.testing.assert_allclose(base, phase * rotated[remap.target(K, L)], rtol=0, atol=1e-10, err_msg=str(g))
 
 
 class TestDirectionMapping:
