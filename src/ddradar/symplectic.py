@@ -112,10 +112,9 @@ def lfm_apply(A: int, x: PeriodicSequence) -> PeriodicSequence:
     The realisation of the label lfm(A) = [[1, 0], [2A, 1]] (_dilation_chirp): the
     phase modmath.quadratic_phase(MN, A), exact for any integer A.
     """
-    mod = x.mod
-    if gcd(A, mod.MN) != 1:
-        raise NotCoprime(f"LFM rate {A} shares a factor with MN = {mod.MN}")
-    return _dilation_chirp(SL2Element.lfm(mod, A), x)
+    if gcd(A, x.mod.MN) != 1:
+        raise NotCoprime(f"LFM rate {A} shares a factor with MN = {x.mod.MN}")
+    return _dilation_chirp(SL2Element.lfm(x.mod, A), x)
 
 
 def _dilation_chirp(g: SL2Element, x: PeriodicSequence) -> PeriodicSequence:
