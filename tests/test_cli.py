@@ -263,10 +263,11 @@ class TestSimulateCommand:
         assert not out.exists()
         assert "budget" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["3,5", "3,1", "5,1", "1,4"])
+    @pytest.mark.parametrize("line", ["3,5", "3,1", "5,1", "1,4", "1,3"])
     @pytest.mark.parametrize("waveform", ["eigen", "pulsone:1,2", "chirp:2,3,4", "zc:2"])
     def test_every_line_and_spec_uses_fast_engine(self, tmp_path, line, waveform):
-        # rectangular, two-label, one-label and chirp lines; every modulus-bound spec
+        # rectangular, dilation-label, GDAFT-label, chirp and two-label (shear pair) lines;
+        # every modulus-bound spec
         scene = tmp_path / "scene.json"
         write_scene(scene, [(0, 0, 1.0, 0.0)])
         out = tmp_path / "run"
@@ -349,7 +350,7 @@ class TestSimulateCommand:
         assert doc["targets"][0]["im"] == pytest.approx(-0.2, abs=1e-9)
 
 
-    @pytest.mark.parametrize("line", ["3,1", "5,1"])  # two labels (shear route), one label
+    @pytest.mark.parametrize("line", ["3,1", "5,1", "1,3"])  # a dilation label, one GDAFT, a shear pair
     def test_transported_line_uses_fast_engine(self, tmp_path, line):
         scene = tmp_path / "scene.json"
         taps = [(0, 0, 1.0, 0.0), (1, 2, 0.5, -0.25), (2, 1, 0.0, -0.8)]

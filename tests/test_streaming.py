@@ -73,8 +73,8 @@ def _traced_peak(call):
 
 
 def _lines(M, N):
-    """Rectangular, two-label, one-label and chirp (slope 4 = 2*2) lines."""
-    return {"rect": (M, N), "two-label": (M, 1), "one-label": (N, 1), "chirp": (1, 4)}
+    """Rectangular, two-label (a shear pair), one-label (one GDAFT) and chirp (slope 4 = 2*2) lines."""
+    return {"rect": (M, N), "two-label": (1, M), "one-label": (N, 1), "chirp": (1, 4)}
 
 
 def _region(mod, line):
@@ -354,7 +354,7 @@ def test_block_bytes_cover_an_engine_block(M, N):
     formed while the first is held, as the writers hold it."""
     mod = Modulus(M, N)
     y = PeriodicSequence(mod, np.random.default_rng(M).standard_normal(mod.MN) + 0j)
-    for c, d in ((M, N), (1, 4), (M, 1), (1, 0)):  # 0, 1, 2 and 2 labels, the last with a 2-D phase
+    for c, d in ((M, N), (1, 4), (1, M), (1, 0)):  # 0, 1, 2 and 2 labels, the last with a 2-D phase
         base, labels = pulsone_chain(LineSubgroup(mod, c, d), 5)
         engine = FastEngine(y, *base, transform=labels, grid="full")
         engine.points(0, 0)  # the roots table, built once per MN
@@ -451,7 +451,7 @@ def test_each_term_covers_its_route(tmp_path, route, M, N):
         # the PGM holds one engine block: every chain's within the term, and the
         # heaviest query's, two labels with a 2-D phase (the last), over half of it
         grid = route[4:]
-        for c, d in ((M, N), (1, 4), (M, 1), (1, 0)):
+        for c, d in ((M, N), (1, 4), (1, M), (1, 0)):
             base, labels = pulsone_chain(LineSubgroup(mod, c, d), 5)
             engine = FastEngine(x, *base, transform=labels, grid=grid)
             need = ambiguity._streamed_pgm(*engine.shape, mn)[0]
@@ -482,9 +482,8 @@ def test_readout_term_covers_its_region(tmp_path, M, N):
     mod = Modulus(M, N)
     mn = mod.MN
     y = PeriodicSequence(mod, np.random.default_rng(M).standard_normal(mn) + 0j)
-    strip = DDRegion(0, mn - 1, 0, 0)
-    for (c, d), region, threshold in [((M, 1), strip, 1e-300), ((M, 1), strip, None),
-                                      ((1, 0), DDRegion(0, 0, 0, mn - 1), None),
+    strip = DDRegion(0, 0, 0, mn - 1)
+    for (c, d), region, threshold in [((1, M), strip, 1e-300), ((1, M), strip, None), ((1, 0), strip, None),
                                       ((M, N), DDRegion(0, M - 1, 0, N - 1), None)]:
         line = LineSubgroup(mod, c, d)
         base, labels = pulsone_chain(line, 5)
@@ -846,7 +845,7 @@ class TestLazyReference:
 CHAINS = {
     "no-label": lambda mod: pulsone_chain(LineSubgroup(mod, mod.M, mod.N), 5),
     "one-label": lambda mod: pulsone_chain(LineSubgroup(mod, 1, 4), 5),
-    "two-labels": lambda mod: pulsone_chain(LineSubgroup(mod, mod.M, 1), 5),
+    "two-labels": lambda mod: pulsone_chain(LineSubgroup(mod, 1, mod.M), 5),  # a shear pair
     "gdaft-2d-phase": lambda mod: pulsone_chain(LineSubgroup(mod, 1, 0), 5),  # two labels, a 2-D phase
     "tone": lambda mod: ((0, 3, 1), ()),  # period 1, no label: the entries are l's alone
     "chirp": lambda mod: parse_waveform_spec("chirp:2,3,4", mod).fast,  # a tone under an LFM label
