@@ -14,9 +14,11 @@ size (M,N) (by default (3,5), (11,13) and (23,29)):
 * ambiguity with the naive and the fast engine on both grids, for every
   base and transform prefix (the naive full grid only below (23,29)), and
   the fast engine in dB scale on both grids;
-* simulate on the rectangular, a transported, a coprime-slope and the
-  (1,4) line, noiseless and noisy, and in dB scale at floors -120 and -300
-  on the noisy rectangular and the transported line;
+* simulate on the rectangular line, two transported lines, (M,1), whose map
+  has b = 0 (a dilation and a chirp), and (1,M), whose map has b = 0 mod N
+  only (one length-M DFT), a coprime-slope and the (1,4) line, noiseless and
+  noisy, and in dB scale at floors -120 and -300 on the noisy rectangular and
+  the (M,1) line;
 * simulate of a tie, taps of gains 1 and 0.5 on the (1,4) line's strip of MN
   points, at eigen-indices 2 and 12 and at --threshold 0.5, where the weaker
   tap's magnitude is the cut to within rounding;
@@ -111,6 +113,7 @@ def commands(M: int, N: int) -> list:
     lines = {
         "rectangular": (f"{M},{N}", f"0:{M - 1},0:{N - 1}"),
         "transported": (f"{M},1", "0:0,0:0"),
+        "one-axis": (f"1,{M}", "0:0,0:0"),
         "coprime": ("1,2", "0:0,0:0"),
         "one-four": ("1,4", "0:0,0:0"),
     }

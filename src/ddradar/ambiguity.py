@@ -119,19 +119,20 @@ MEMORY_BUDGET_BYTES = 2**30
 # tracemalloc peak per MN of a command run with its writers stubbed and a
 # one-point readout region, from a cold roots cache, at (127, 131) and
 # (251, 257), rounded up to a multiple of 16.
-# That peak is 136.5, simulate, whose readout's crystallization check holds about
-# 42; waveforms and fast ambiguities hold 80 to 120.  A larger region is _readout's.
+# That peak is 129.4, simulate, whose readout's crystallization check holds about
+# 42, on every line class; waveforms and fast ambiguities hold 80 to 112.  A larger
+# region is _readout's.
 _MN_BYTES = 144
 # Bytes per point of one fast-engine block: 24 for the block its consumer still
 # holds while the next forms, its complex values and int64 table entries, and 104
 # for the next block's query, which owns its output, and the int64 index and phase
 # arrays it holds at once (the tracemalloc peak of the second row block, the first
-# held, is at most 121 per point, on a two-label chain with a 2-D phase at (61, 67)).
+# held, is at most 121 per point, on a chain whose G gives a 2-D phase at (61, 67)).
 _ENGINE_POINT_BYTES = 128
 # Bytes per point of one index-only block (FastEngine.entry_blocks) and its gathered
 # pixels: the int64 terms and index arrays of its map, and the block its consumer
 # still holds while the next forms (the tracemalloc peak of the second such block, the
-# first held, is at most 72.5 per block point, two labels with a 2-D phase on a full
+# first held, is at most 72.5 per block point, a G with a 2-D phase on a full
 # grid of one-row blocks, whose columns' k and l shares are each as large as a block,
 # at (61, 67) and (127, 131); rounded up to a multiple of 16).  A value block follows
 # the index pass, so it is charged the rest of _ENGINE_POINT_BYTES.
@@ -493,9 +494,10 @@ class FastEngine:
 
         A[K, L] = exp(j*2*pi*inv2*Q(K, L)/MN) * A_{W^H x, base}[G(K, L)]
 
-    After O(MN) per b = 0 label (a dilation and a chirp) and O(MN log MN) per
-    GDAFT label, points(K, L) costs O(1) per point at any (K, L), whatever
-    the `grid`, and entries(K, L) gives the table entry each
+    After O(MN) per b = 0 label (a dilation and a chirp), O(MN log p) per label
+    whose b is 0 mod one prime only (a length-p DFT along the other prime p)
+    and O(MN log MN) per GDAFT label, points(K, L) costs O(1) per point at any
+    (K, L), whatever the `grid`, and entries(K, L) gives the table entry each
     of those points reads, the integer map G alone with no phase or product;
     blocks() walks the `grid` in row blocks of ddcore._block_rows rows, each a
     pair (values, entries) that ddcore.complex_to_csv formats in one pass,
@@ -543,8 +545,7 @@ class FastEngine:
             if not np.isfinite(255.0 * self.magnitudes.max()):
                 raise ConfigurationError("the surface is not finite, or too large for its 8-bit PGM scale")
         self._G = functools.reduce(SL2Element.matmul, [g.inverse() for g in transform], SL2Element.identity(mod))
-        # the added phase index is 2*(inv2*Q mod MN) for Q = -q_G; not remap_for, whose
-        # refusals are the labels': an sl2_factors pair's product may have b not invertible
+        # the added phase index is 2*(inv2*Q mod MN) for Q = -q_G
         self._q = tuple(mod.inv2 * -q % mod.MN for q in AmbiguityRemap(self._G).form + (2 * gamma,))
 
     def points(self, K, L) -> np.ndarray:

@@ -42,11 +42,11 @@ from .ambiguity import (
     zc_sequence,
 )
 from .ddcore import sequence_to_csv
-from .errors import BNotCoprime, ConfigurationError, EngineUnsupported, NotCoprime, PreconditionError, ValidationError
+from .errors import ConfigurationError, EngineUnsupported, PreconditionError, ValidationError
 from .modmath import Modulus
 from .radarsim import _write_json, add_noise, apply_channel, readout_targets, scene_from_json
 from .subgroups import DDRegion, LineSubgroup, _check_alpha, _check_pulsone, chain_waveform, eigenvector, pulsone_chain
-from .symplectic import SL2Element, papr_db
+from .symplectic import SL2Element, _check_gdaft_b, _check_lfm_rate, papr_db
 
 __all__ = ["main"]
 
@@ -71,18 +71,6 @@ def _parse_region(text: str) -> DDRegion:
             f"region must be 'kmin:kmax,lmin:lmax', got {text!r}"
         ) from exc
     return DDRegion(k_min, k_max, l_min, l_max)
-
-
-def _parse_sl2(text: str, mod: Modulus) -> SL2Element:
-    try:
-        parts = [int(v) for v in text.split(",")]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"--sl2 must be integers 'a,b,c,d', got {text!r}") from exc
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError(f"--sl2 must be 'a,b,c,d', got {text!r}")
-    if math.gcd(parts[1], mod.MN) != 1:
-        raise BNotCoprime(f"GDAFT needs gcd(b, MN) = 1, got b = {parts[1]}, MN = {mod.MN}")
-    return SL2Element(mod, *parts)
 
 
 class WaveformSpec:
@@ -132,7 +120,9 @@ def parse_waveform_spec(text: str, mod: Modulus) -> WaveformSpec:
                 lfm_rate = int(inner)
                 labels = (SL2Element.lfm(mod, lfm_rate),)
             else:
-                labels = (_parse_sl2(inner, mod),)
+                a, b, c, d = (int(v) for v in inner.split(","))  # ValueError unless four integers
+                _check_gdaft_b(mod, b)
+                labels = (SL2Element(mod, a, b, c, d),)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"malformed transform {head!r}") from exc
         spec = rest
@@ -167,8 +157,7 @@ def parse_waveform_spec(text: str, mod: Modulus) -> WaveformSpec:
             raise argparse.ArgumentTypeError(f"unknown waveform kind {kind!r}")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"malformed waveform parameters in {text!r}") from exc
-    if math.gcd(lfm_rate, mod.MN) != 1:
-        raise NotCoprime(f"LFM rate {lfm_rate} shares a factor with MN = {mod.MN}")
+    _check_lfm_rate(mod, lfm_rate)
     return WaveformSpec(text, lambda: chain_waveform(mod, *fast), fast)
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from .ddcore import PeriodicSequence
 from .errors import AlphaNotCoprime, ConfigurationError, IndexOutOfRange, NotPrimitive
 from .modmath import Modulus, mod_inv, phases_to_complex, quadratic_phase
-from .symplectic import SL2Element, chain_apply, sl2_factors, sl2_mapping_direction
+from .symplectic import SL2Element, chain_apply, sl2_mapping_direction
 
 __all__ = [
     "DDRegion",
@@ -136,9 +136,10 @@ def pulsone_chain(line: LineSubgroup, index: int) -> tuple:
     labels) gives its samples, which are the eigenvector.  A coprime-slope
     line gives the tone index under lfm(alpha), the chirp (alpha, index); the
     rectangular line the pulsone with no labels; any other line the pulsone
-    under the sl2_factors of a transform g mapping (M, N) onto (c, d): g alone
-    when its b is 0 (a dilation and a chirp, as on the (M, 1) line) or
-    invertible (one GDAFT), else a shear pair of GDAFTs (as on the (1, M) line).
+    under one label, a transform g mapping (M, N) onto (c, d), realised prime by
+    prime (symplectic): a dilation and a chirp when its b is 0 (as on the
+    (M, 1) line), one GDAFT when b is invertible, and otherwise one length-p
+    DFT along the prime p where b is invertible (as on the (1, M) line).
     """
     mod = line.mod
     if not 0 <= index < mod.MN:
@@ -148,7 +149,7 @@ def pulsone_chain(line: LineSubgroup, index: int) -> tuple:
         return (0, index, 1), (SL2Element.lfm(mod, alpha),)
     labels = ()
     if not line.is_rectangular():
-        labels = sl2_factors(sl2_mapping_direction(mod, (mod.M, mod.N), (line.c, line.d)))
+        labels = (sl2_mapping_direction(mod, (mod.M, mod.N), (line.c, line.d)),)
     return (index % mod.M, index // mod.M), labels
 
 

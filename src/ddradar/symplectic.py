@@ -1,10 +1,6 @@
 """SL2(Z_MN)-labelled unitary transforms that rotate ambiguity surfaces.
 
-Two concrete realisations cover the group.  A lower-triangular label
-[[a, 0], [c, d]], d = 1/a, is a dilation and a chirp, the gather
-x[d*n mod MN] (none for d = 1) times the quadratic phase
-exp(j*pi*c*d*n^2/MN), in O(MN) with no FFT; LFM, quadratic-phase
-multiplication, is its a = 1 case.  A label with invertible b is the
+One realisation covers the group.  A label with invertible b is the
 generalised discrete affine Fourier transform (GDAFT)
 
     (W x)[n] = (1/sqrt(MN)) * sum_n1 exp(j*pi*binv*(d*n^2 - 2*n*n1 + a*n1^2)/MN) * x[n1].
@@ -19,21 +15,42 @@ real-division-by-pi reading breaks both for labels such as [[1, 1], [0, 1]].
 
 The kernel is never formed.  Splitting the exponent term by term, the
 cross term -2*inv2*binv*n*n1 = -binv*n*n1 is a DFT kernel read at the
-permuted bin binv*n mod MN, so the transform is chirp, FFT, chirp:
+permuted bin binv*n mod MN, so the transform is chirp, FFT, chirp.  Under
+the Chinese remainder theorem, Z_MN = Z_M x Z_N, the same holds prime by
+prime (the Weil representation splits into one factor per prime), which
+realises every label in one step:
 
-    W x  = c_d * FFT(c_a * x)[binv*n mod MN] / sqrt(MN)
-    W^H y = conj(c_a) * IFFT(conj(c_d) * y)[binv*n mod MN] * sqrt(MN)
+    W x   = c_gamma * DFT_S(c_alpha * x)[r*n mod MN] / sqrt(s)
+    W^H y = conj(c_alpha) * IDFT_S(conj(c_gamma) * y)[r'*n mod MN] * sqrt(s)
 
-with integer-index chirps c_a[n] = exp(j*pi*2*(inv2*binv*a*n^2 mod MN)/MN)
-and c_d likewise with d, both modmath.quadratic_phase, the one quadratic
-phase that the dilation's chirp and the chirp waveforms also read.  Each
-transform costs O(MN log MN) time and O(MN) memory.
-A label whose b is neither 0 nor invertible (b = 0 mod exactly one prime
-factor) is realised through a shear decomposition into two GDAFTs
-(sl2_factors), which fixes the operator only up to a global unimodular
-phase; chain_apply realises chains, and chain_adjoint undoes them exactly.
+with S the primes where b is invertible, s their product, and the
+integer-index chirps c_alpha[n] = exp(j*2*pi*alpha*n^2/MN) and c_gamma
+likewise, both modmath.quadratic_phase, the one quadratic phase that the
+chirp waveforms also read.  alpha, r and gamma are joined by
+modmath.crt_join from one part per prime p:
+
+* b = 0 mod p: alpha = 0, the dilation r = d, and gamma = c*d/2;
+* b invertible mod p: alpha = a/(2b), r = 1/b and gamma = d/(2b).
+
+r' is r mod a prime in S, and the inverse dilation a mod a prime off S.
+DFT_S takes one of three forms:
+
+* S empty (b = 0): no transform, the gather x[d*n mod MN] (none for d = 1)
+  times the chirp exp(j*pi*c*d*n^2/MN), in O(MN) with no FFT; LFM,
+  quadratic-phase multiplication, is its a = 1 case, and W^H is the
+  realisation of g^-1;
+* S both primes: the length-MN FFT, the GDAFT, O(MN log MN);
+* S one prime p (b = 0 mod the other prime q only): a length-p FFT along
+  p's axis of the Good-Thomas view, whose input point is n1*q + n2*p mod MN
+  and whose output point keeps its residue mod q and takes the bin as its
+  residue mod p, O(MN log p).  Under the CRT exp(j*2*pi*x/MN) =
+  exp(j*2*pi*x_p*(1/q mod p)/p) * exp(j*2*pi*x_q*(1/p mod q)/q), so this is
+  the p-factor of the length-MN DFT.
+
+Each realisation costs O(MN) memory.  Every label's W satisfies its remap
+law (AmbiguityRemap) exactly; chain_apply realises chains, and chain_adjoint
+undoes them exactly.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -55,7 +72,6 @@ __all__ = [
     "lfm_apply",
     "papr_db",
     "remap_for",
-    "sl2_factors",
     "sl2_mapping_direction",
 ]
 
@@ -106,44 +122,30 @@ class SL2Element:
         return (self.a * k + self.b * l) % mn, (self.c * k + self.d * l) % mn
 
 
+def _check_lfm_rate(mod: Modulus, A: int) -> None:
+    """Refuse with NotCoprime an LFM rate that shares a factor with MN."""
+    if gcd(A, mod.MN) != 1:
+        raise NotCoprime(f"LFM rate {A} shares a factor with MN = {mod.MN}")
+
+
+def _check_gdaft_b(mod: Modulus, b: int) -> None:
+    """Refuse with BNotCoprime a GDAFT label whose b is not invertible mod MN."""
+    if gcd(b, mod.MN) != 1:
+        raise BNotCoprime(f"GDAFT needs gcd(b, MN) = 1, got b = {b}, MN = {mod.MN}")
+
+
 def lfm_apply(A: int, x: PeriodicSequence) -> PeriodicSequence:
     """Multiply by the quadratic phase exp(j*2*pi*A*n^2/MN); requires gcd(A, MN) = 1.
 
-    The realisation of the label lfm(A) = [[1, 0], [2A, 1]] (_dilation_chirp): the
-    phase modmath.quadratic_phase(MN, A), exact for any integer A.
+    The realisation of the label lfm(A) = [[1, 0], [2A, 1]]: the phase
+    modmath.quadratic_phase(MN, A), exact for any integer A.
     """
-    if gcd(A, x.mod.MN) != 1:
-        raise NotCoprime(f"LFM rate {A} shares a factor with MN = {x.mod.MN}")
-    return _dilation_chirp(SL2Element.lfm(x.mod, A), x)
-
-
-def _dilation_chirp(g: SL2Element, x: PeriodicSequence) -> PeriodicSequence:
-    """The unitary of a label g = [[a, 0], [c, d]] (b = 0, d = 1/a): the dilation
-    x[d*n mod MN], no gather for d = 1, times the chirp exp(j*pi*c*d*n^2/MN), which is
-    modmath.quadratic_phase(MN, c*d*inv2).  O(MN), with no FFT."""
-    same_modulus(g, x)
-    mn = x.mod.MN
-    samples = x.samples if g.d == 1 else x.samples[reduce_mod(g.d * np.arange(mn, dtype=np.int64), mn)]
-    return PeriodicSequence(x.mod, samples * quadratic_phase(mn, g.c * g.d * x.mod.inv2))
-
-
-def _gdaft_factors(g: SL2Element) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Chirps c_a, c_d and the output permutation binv*n mod MN of the GDAFT for g.
-
-    c_a is modmath.quadratic_phase(MN, inv2*binv*a), exp(j*pi*binv*a*n^2/MN)
-    with the half read ring-exactly, and c_d likewise with d.
-    """
-    mod = g.mod
-    if gcd(g.b, mod.MN) != 1:
-        raise BNotCoprime(f"GDAFT needs gcd(b, MN) = 1, got b = {g.b}, MN = {mod.MN}")
-    binv = mod_inv(g.b, mod.MN)
-    half_binv = mod.inv2 * binv
-    perm = reduce_mod(binv * np.arange(mod.MN, dtype=np.int64), mod.MN)
-    return quadratic_phase(mod.MN, half_binv * g.a), quadratic_phase(mod.MN, half_binv * g.d), perm
+    _check_lfm_rate(x.mod, A)
+    return _realise(SL2Element.lfm(x.mod, A), x)
 
 
 def gdaft_apply(g: SL2Element, x: PeriodicSequence) -> PeriodicSequence:
-    """Generalised discrete affine Fourier transform of x for label g.
+    """Generalised discrete affine Fourier transform of x for label g; needs b invertible.
 
     For g = [[0, 1], [-1, 0]] this reduces to the unitary DFT.  Unitary for
     every admissible g; maps impulse trains to constant-modulus waveforms
@@ -152,58 +154,81 @@ def gdaft_apply(g: SL2Element, x: PeriodicSequence) -> PeriodicSequence:
     gdaft_adjoint, within 6*u*log2(MN) of the exact sum, relative in the
     2-norm, u = 2**-53 (a tier-1 test against a long-double oracle).
     """
-    same_modulus(g, x)
-    c_a, c_d, perm = _gdaft_factors(g)
-    spectrum = np.fft.fft(c_a * x.samples)[perm]
-    return PeriodicSequence(x.mod, c_d * spectrum / np.sqrt(x.mod.MN))
+    _check_gdaft_b(g.mod, g.b)
+    return _realise(g, x)
 
 
 def gdaft_adjoint(g: SL2Element, x: PeriodicSequence) -> PeriodicSequence:
-    """Exact inverse (conjugate transpose) of gdaft_apply for the same g.
+    """Exact inverse (conjugate transpose) of gdaft_apply for the same g."""
+    _check_gdaft_b(g.mod, g.b)
+    return _realise(g, x, adjoint=True)
 
-    gdaft_apply(g.inverse(), .) agrees only up to a global unimodular phase;
-    the adjoint is phase-exact, which the fast ambiguity engine relies on.
+
+def _realise(g: SL2Element, x: PeriodicSequence, adjoint: bool = False) -> PeriodicSequence:
+    """The unitary W of the label g on x, or with `adjoint` its exact inverse W^H.
+
+    Built prime by prime (module docstring): alpha, r and gamma are joined from
+    their residues mod M and mod N, and the DFT runs along the primes S where b
+    is invertible, of size s = prod(S).  W^H x = conj(c_alpha) *
+    IDFT_S(conj(c_gamma) * x)[r'*n] * sqrt(s), with r' = r mod a prime in S and
+    the inverse dilation a mod a prime off S; a b = 0 label is undone by the
+    realisation of g^-1.  numpy's complex product is not bitwise commutative, so
+    the operand order of each product is fixed: samples first for a dilation and
+    a chirp, chirp first after a DFT.
     """
     same_modulus(g, x)
-    c_a, c_d, perm = _gdaft_factors(g)
-    spectrum = np.fft.ifft(np.conj(c_d) * x.samples)[perm]
-    return PeriodicSequence(x.mod, np.conj(c_a) * spectrum * np.sqrt(x.mod.MN))
-
-
-def sl2_factors(g: SL2Element) -> tuple[SL2Element, ...]:
-    """Labels realisable in one step whose product is g, first applied first: (g,) if
-    b = 0 (a dilation and a chirp) or gcd(b, MN) = 1 (one GDAFT).
-
-    Otherwise (S g, S^-1) for the shear S = [[1, x0], [0, 1]] with the
-    smallest x0 that makes both b entries invertible; their realisation
-    matches g only up to a global unimodular phase.
-    """
+    if adjoint and g.b == 0:
+        g, adjoint = g.inverse(), False
     mod = g.mod
-    if g.b == 0 or gcd(g.b, mod.MN) == 1:
-        return (g,)
-    for x0 in range(1, mod.MN):
-        if gcd(x0, mod.MN) == 1 and gcd(g.b + x0 * g.d, mod.MN) == 1:
-            break
-    else:  # unreachable for M, N >= 3 (two forbidden residues per prime factor)
-        raise DetNotOne(f"no admissible shear found for {g}")
-    shear = SL2Element(mod, 1, x0, 0, 1)
-    return shear.matmul(g), shear.inverse()
+    mn = mod.MN
+
+    def part(p: int) -> tuple[int, int, int]:
+        # (alpha, r, gamma) mod p, with 1/2 = (p + 1)/2
+        a, b, c, d = (v % p for v in (g.a, g.b, g.c, g.d))
+        if b == 0:
+            return 0, a if adjoint else d, (p + 1) // 2 * c * d
+        binv = mod_inv(b, p)
+        return (p + 1) // 2 * binv * a, binv, (p + 1) // 2 * binv * d
+
+    alpha, r, gamma = (crt_join(en, em, mod) for em, en in zip(part(mod.M), part(mod.N)))
+    axes = [p for p in (mod.M, mod.N) if g.b % p]
+    if not axes:  # a dilation and a chirp, no gather for r = 1
+        samples = x.samples if r == 1 else x.samples[reduce_mod(r * np.arange(mn, dtype=np.int64), mn)]
+        return PeriodicSequence(x.mod, samples * quadratic_phase(mn, gamma))
+    z = quadratic_phase(mn, gamma if adjoint else alpha)
+    z = (np.conj(z) if adjoint else z) * x.samples
+    transform = np.fft.ifft if adjoint else np.fft.fft
+    n = np.arange(mn, dtype=np.int64)
+    size = axes[0] if len(axes) == 1 else mn
+    if size == mn:
+        spectrum = transform(z)
+        del z
+        spectrum = spectrum[reduce_mod(r * n, mn)]
+    else:
+        # Good-Thomas: the point n1*q + n2*p is [n1, n2]; after the length-p transform
+        # along n1, the point k is [k mod p, n2] for the n2 with n2*p = k mod q
+        p, q = size, mn // size
+        spectrum = transform(z[reduce_mod(n[:p, None] * q + n[:q] * p, mn)], axis=0)
+        del z
+        spectrum = spectrum[reduce_mod(r % p * n, p), reduce_mod(r * mod_inv(p, q) % q * n, q)]
+    del n
+    last = quadratic_phase(mn, alpha if adjoint else gamma)
+    if adjoint:
+        return PeriodicSequence(x.mod, np.conj(last) * spectrum * np.sqrt(size))
+    return PeriodicSequence(x.mod, last * spectrum / np.sqrt(size))
 
 
 def chain_apply(labels: tuple[SL2Element, ...], x: PeriodicSequence) -> PeriodicSequence:
-    """Apply labels to x, first label first: b = 0 as a dilation and a chirp
-    (_dilation_chirp), else gdaft_apply, which refuses a b that is not invertible."""
+    """Apply labels to x, first label first, each through its one realisation."""
     for g in labels:
-        x = _dilation_chirp(g, x) if g.b == 0 else gdaft_apply(g, x)
+        x = _realise(g, x)
     return x
 
 
 def chain_adjoint(labels: tuple[SL2Element, ...], x: PeriodicSequence) -> PeriodicSequence:
-    """Exact inverse of chain_apply: last label first, b = 0 as the dilation and chirp of
-    g.inverse() (for a = 1 the LFM of the negated rate), else gdaft_adjoint, with the same
-    refusals."""
+    """Exact inverse of chain_apply: each label's inverse realisation, last label first."""
     for g in reversed(labels):
-        x = _dilation_chirp(g.inverse(), x) if g.b == 0 else gdaft_adjoint(g, x)
+        x = _realise(g, x, adjoint=True)
     return x
 
 
@@ -219,8 +244,8 @@ class AmbiguityRemap:
     LFM label [[1, 0], [2A, 1]] to exp(-j*2*pi*A*k^2/MN) in front of
     A_{Wx,Wy}[k, 2A*k + l].
 
-    W realises g alone (remap_for: b = 0 or b invertible), or g is a product
-    of such labels and W is their chain (chain_apply): the form is
+    W realises g in one step (chain_apply of g alone, for any label), or g is
+    a product of labels and W is their chain (chain_apply): the form is
     k'*l' - k*l for (k', l') = g(k, l), so the labels' phases telescope to the
     composite's.
     """
@@ -244,19 +269,14 @@ class AmbiguityRemap:
         quad = kk * (k * k % mn) + ll * (l * l % mn)
         quad = (quad + kl * (l * k % mn)) % mn
         idx = (-2 * (mod.inv2 * quad % mn)) % mod.twoMN
-        if idx.ndim == 0:
-            return int(idx)
-        return idx
+        return int(idx) if idx.ndim == 0 else idx
 
     def target(self, k: int, l: int) -> tuple[int, int]:
         return self.g.apply_vec(k, l)
 
 
 def remap_for(g: SL2Element) -> AmbiguityRemap:
-    """Ambiguity remap for a label realised in one step: b = 0 (a dilation and a chirp)
-    or b invertible (GDAFT)."""
-    if g.b != 0 and gcd(g.b, g.mod.MN) != 1:
-        raise BNotCoprime(f"remap law is defined for b = 0 or gcd(b, MN) = 1, got b = {g.b}")
+    """Ambiguity remap of any label g, which its one-step realisation satisfies exactly."""
     return AmbiguityRemap(g)
 
 

@@ -3,8 +3,8 @@ import pytest
 
 from ddradar import Modulus, PeriodicSequence
 from ddradar.heisenberg import HeisenbergElement, apply_td
-from ddradar.symplectic import SL2Element, sl2_factors
-from oracles import basis_vector
+from ddradar.symplectic import SL2Element
+from oracles import basis_vector, shear_pair
 
 
 # a long-double oracle resolves float64 rounding only where long double is wider
@@ -30,13 +30,12 @@ def rand_unit_seq(mod: Modulus, rng: np.random.Generator) -> PeriodicSequence:
 
 
 def mixed_chain(mod: Modulus, length: int) -> tuple:
-    """A chain of 2, 3 or 4 labels, first applied first: for 2, the sl2_factors shear pair
-    of [[1, M], [1, 1 + M]], whose b = M is not invertible; for 3, the GDAFT label
-    [[1, 2], [7, 15]] and that pair; for 4, the LFM label of rate 2, the pair and the
-    GDAFT label."""
+    """A chain of 2, 3 or 4 labels, first applied first: for 2, the shear pair
+    (oracles.shear_pair) of [[1, M], [1, 1 + M]], whose b = M is not invertible, two GDAFT
+    labels; for 3, the GDAFT label [[1, 2], [7, 15]] and that pair; for 4, the LFM label of
+    rate 2, the pair and the GDAFT label."""
     gdaft = SL2Element(mod, 1, 2, 7, 15)
-    pair = sl2_factors(SL2Element(mod, 1, mod.M, 1, 1 + mod.M))
-    assert len(pair) == 2
+    pair = shear_pair(SL2Element(mod, 1, mod.M, 1, 1 + mod.M))
     return {2: pair, 3: (gdaft, *pair), 4: (SL2Element.lfm(mod, 2), *pair, gdaft)}[length]
 
 

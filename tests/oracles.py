@@ -10,7 +10,7 @@ from ddradar.errors import BNotCoprime, NotPrimitive
 from ddradar.heisenberg import HeisenbergElement
 from ddradar.modmath import Modulus, mod_inv, phases_to_complex, to_complex
 from ddradar.subgroups import LineSubgroup, eigenvector
-from ddradar.symplectic import SL2Element, chain_apply, sl2_factors
+from ddradar.symplectic import SL2Element
 
 
 def zero_sequence(mod: Modulus) -> PeriodicSequence:
@@ -80,17 +80,11 @@ def dft_label(mod: Modulus) -> SL2Element:
     return SL2Element(mod, 0, 1, -1, 0)
 
 
-def sl2_apply(g: SL2Element, x: PeriodicSequence) -> PeriodicSequence:
-    """Apply a unitary realising any determinant-1 label g: the chain of sl2_factors(g),
-    one label for b = 0 or b invertible, else a shear pair of GDAFTs."""
-    return chain_apply(sl2_factors(g), x)
-
-
 def shear_pair(g: SL2Element) -> tuple[SL2Element, SL2Element]:
     """The GDAFT labels (S g, S^-1), first applied first, around the smallest shear
-    S = [[1, x0], [0, 1]] that makes both b entries invertible: sl2_factors' split of a
-    b that is not invertible, which it also took for b = 0 before a b = 0 label was
-    realised in one step (a dilation and a chirp)."""
+    S = [[1, x0], [0, 1]] that makes both b entries invertible: the split the library
+    took for a b that is not invertible before every label was realised in one step
+    prime by prime.  Its product realises g up to a global unimodular phase."""
     mod = g.mod
     mn = mod.MN
     x0 = next(v for v in range(1, mn) if gcd(v, mn) == 1 and gcd(g.b + v * g.d, mn) == 1)
@@ -186,16 +180,55 @@ def gdaft_ld(g: SL2Element, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
     return (kernel * np.asarray(x, dtype=np.clongdouble)).sum(axis=1) / np.sqrt(np.longdouble(mn))
 
 
-def label_ld(g: SL2Element, x: np.ndarray) -> np.ndarray:
-    """One label's unitary on the MN samples x in np.clongdouble: a label [[a, 0], [c, d]]
-    as the dilation x[d*n mod MN] times exp(j*pi*c*d*n^2/MN), its half read through inv2
-    as the integer index 2*(inv2*c*d*n^2 mod MN) (phases_ld), so an LFM label
-    [[1, 0], [2A, 1]] is exp(j*2*pi*A*n^2/MN); any other as its literal GDAFT sum
-    (gdaft_ld).  O(MN) for b = 0."""
-    if g.b != 0:
-        return gdaft_ld(g, x)
+def one_axis_ld(g: SL2Element, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """The literal per-prime product sum of a label whose b is 0 mod the prime q only and
+    invertible mod the other prime p, in np.clongdouble:
+
+        (W x)[n] = K_q[n mod q] * sum_{n1 = d*n mod q} K_p[n mod p, n1 mod p] * x[n1],
+
+    summed over the p points n1 whose residue mod q is d*n mod q.  K_p is g's GDAFT mod p,
+    p**-0.5 * exp(j*2*pi*(1/q mod p)*E_p/p) with E_p = binv*(d*n^2 - 2*n*n1 + a*n1^2)/2
+    mod p, and K_q its chirp mod q, exp(j*2*pi*(1/p mod q)*E_q/q) with E_q = c*d*n^2/2 mod
+    q, each half read as the inverse of 2 mod its prime and each exponential phases_ld of
+    its integer index: by the Chinese remainder theorem their product is
+    exp(j*2*pi*E/MN) for the E with those residues.  With `adjoint`, the sum of W^H, the
+    conjugate transpose.  O(MN*p), a loop over the residue mod p of the summed index."""
     mod = g.mod
     mn = mod.MN
+    p = mod.M if g.b % mod.M else mod.N
+    q = mn // p
+    i, m = np.arange(p, dtype=np.int64), np.arange(q, dtype=np.int64)
+    e_p = (g.d * (i * i % p))[:, None] - 2 * np.outer(i, i) + g.a * (i * i % p)
+    e_p = (p + 1) // 2 * pow(g.b % p, -1, p) * (e_p % p) % p
+    k_p = phases_ld(2 * (pow(q, -1, p) * e_p % p), p) / np.sqrt(np.longdouble(p))  # [n mod p, n1 mod p]
+    k_q = phases_ld(2 * (pow(p, -1, q) * ((q + 1) // 2 * g.c * g.d % q) * (m * m % q) % q), q)  # [n mod q]
+    x = np.asarray(x, dtype=np.clongdouble)
+    own = np.arange(mn, dtype=np.int64)  # the output index: n, or n1 for the adjoint
+    own_p = own % p
+    n_q = (g.a if adjoint else g.d) * own % q  # the summed index's residue mod q
+    summed = p * pow(p, -1, q) * n_q % mn  # the summed index with residue 0 mod p
+    unit_p = q * pow(q, -1, p)  # the index with residue 1 mod p and 0 mod q
+    out = np.zeros(mn, dtype=np.clongdouble)
+    for j in range(p):  # the summed index's residue mod p
+        out += (np.conj(k_p[j, own_p]) if adjoint else k_p[own_p, j]) * x[(summed + j * unit_p) % mn]
+    return (np.conj(k_q[n_q]) if adjoint else k_q[own % q]) * out
+
+
+def label_ld(g: SL2Element, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """One label's unitary on the MN samples x in np.clongdouble, or with `adjoint` its
+    inverse: a label [[a, 0], [c, d]] as the dilation x[d*n mod MN] times
+    exp(j*pi*c*d*n^2/MN), its half read through inv2 as the integer index
+    2*(inv2*c*d*n^2 mod MN) (phases_ld), so an LFM label [[1, 0], [2A, 1]] is
+    exp(j*2*pi*A*n^2/MN), and its inverse as that of g^-1; a label whose b is 0 mod one
+    prime only as its literal per-prime sum (one_axis_ld); any other as its literal GDAFT
+    sum (gdaft_ld).  O(MN) for b = 0."""
+    mod = g.mod
+    mn = mod.MN
+    if g.b % mod.M and g.b % mod.N:
+        return gdaft_ld(g, x, adjoint)
+    if g.b != 0:
+        return one_axis_ld(g, x, adjoint)
+    g = g.inverse() if adjoint else g
     n = np.arange(mn, dtype=np.int64)
     rate = g.c * g.d * mod.inv2 % mn
     return np.asarray(x, dtype=np.clongdouble)[g.d * n % mn] * phases_ld(2 * (rate * (n * n % mn) % mn), mn)
@@ -205,7 +238,8 @@ def chain_ld(mod: Modulus, base: tuple, labels: tuple) -> np.ndarray:
     """The reference of a fast engine's form (base, labels) in np.clongdouble, built from
     the form, each phase phases_ld of its integer index: the pulsone (k0, l0), or the tone
     (0, beta, 1[, gamma]) times exp(j*2*pi*gamma/MN), then each label, first first,
-    through label_ld: O(MN) a label with b = 0, (MN)**2 a GDAFT label."""
+    through label_ld: O(MN) a label with b = 0, MN*p a label whose b is 0 mod one prime
+    only and invertible mod p, (MN)**2 a GDAFT label."""
     mn = mod.MN
     n = np.arange(mn, dtype=np.int64)
     k0, l0, *tone = base
@@ -256,7 +290,7 @@ def relative_error_ld(got: np.ndarray, want: np.ndarray) -> float:
 def sl2_matrix(g: SL2Element) -> np.ndarray:
     """Dense matrix of a label g: its GDAFT kernel, or for a b that is not invertible
     (b = 0 too) the product of the two kernels of its shear_pair, which equals the
-    matrix of sl2_apply(g, .) for b = 0 with global phase 1."""
+    matrix of chain_apply((g,), .) up to a global unimodular phase, 1 for b = 0."""
     if gcd(g.b, g.mod.MN) == 1:
         return gdaft_kernel(g)
     first, second = shear_pair(g)

@@ -28,7 +28,7 @@ from ddradar.ddcore import PeriodicSequence
 from ddradar.errors import BadRoot, ConfigurationError, EmptyChip, OverBudget
 from ddradar.modmath import Modulus, _roots_of_unity
 from ddradar.radarsim import ScatteringEnvironment, predicted_image
-from ddradar.subgroups import LineSubgroup, chain_waveform, chirp, eigenvector, pulsone, pulsone_chain
+from ddradar.subgroups import LineSubgroup, chain_waveform, chirp, pulsone, pulsone_chain
 from ddradar.symplectic import SL2Element, chain_apply, gdaft_apply, lfm_apply
 from conftest import dilation_label, long_double_oracle, mixed_chain, rand_unit_seq
 from oracles import ambiguity_ld, ambiguity_sum, basis_vector, chain_ld, pgm_bytes
@@ -268,8 +268,10 @@ def _chain(mod, kind):
         return labels
     if kind == "dilation-chain":  # dilations around the shear pair, whose product has b = M
         return (dilation_label(mod, 2, 5), *mixed_chain(mod, 2), dilation_label(mod, 4, 1))
-    labels = pulsone_chain(LineSubgroup(mod, 0, 1), 0)[1]  # transported line, shear route
-    assert len(labels) == 2
+    if kind == "shear":  # two GDAFT labels whose product has b = M
+        return mixed_chain(mod, 2)
+    labels = pulsone_chain(LineSubgroup(mod, 0, 1), 0)[1]  # transported line: b = 0 mod M only
+    assert [(g.b % mod.M, g.b % mod.N != 0) for g in labels] == [(0, True)]
     return labels
 
 
@@ -302,7 +304,7 @@ def _reference(mod, kind):
 @pytest.mark.parametrize(
     "kind",
     ["empty", "lfm", "lfm-odd-c", "gdaft", "shear", "three-label", "four-label", "dilation", "dilation-chain",
-     "chirp", "zc", "lfm-chirp", "gdaft-chirp", "dilation-chirp"],
+     "one-axis", "chirp", "zc", "lfm-chirp", "gdaft-chirp", "dilation-chirp"],
 )
 @pytest.mark.parametrize("M, N", [(3, 5), (11, 13), (13, 17)])
 def test_engine_matches_naive_for_every_chain(M, N, kind, grid):
@@ -314,15 +316,19 @@ def test_engine_matches_naive_for_every_chain(M, N, kind, grid):
     np.testing.assert_allclose(fast, naive, atol=1e-10)
 
 
-@pytest.mark.parametrize("chain", ["empty", "one-label", "two-label"])
+@pytest.mark.parametrize("chain", ["empty", "one-label", "one-axis", "two-label"])
 @pytest.mark.parametrize("M, N", [(23, 29), (31, 37)])
 def test_full_grid_engine_memory(M, N, chain):
     # the output plus at most 4 MB: a few 64-row blocks of index and phase work; one label is
-    # the (M, 1) line's dilation and chirp, two the (1, M) line's shear pair of GDAFTs
+    # the (M, 1) line's dilation and chirp, one-axis the (1, M) line's length-M DFT, and two
+    # labels a shear pair of GDAFTs (conftest.mixed_chain)
     mod = Modulus(M, N)
-    line = {"empty": (M, N), "one-label": (M, 1), "two-label": (1, M)}[chain]
-    labels = pulsone_chain(LineSubgroup(mod, *line), 0)[1]
-    assert len(labels) == {"empty": 0, "one-label": 1, "two-label": 2}[chain]
+    if chain == "two-label":
+        labels = mixed_chain(mod, 2)
+    else:
+        line = {"empty": (M, N), "one-label": (M, 1), "one-axis": (1, M)}[chain]
+        labels = pulsone_chain(LineSubgroup(mod, *line), 0)[1]
+        assert len(labels) == (chain != "empty")
     x = rand_unit_seq(mod, np.random.default_rng(M))
     tracemalloc.start()
     try:
@@ -337,7 +343,8 @@ def test_full_grid_engine_memory(M, N, chain):
 def test_engine_is_exact_at_scale(M, N):
     """Sampled FastEngine points of the rectangular, a coprime-slope and two transported
     lines' eigenvectors, against direct sums in np.longdouble, for a random return: the
-    (M, 1) line under one dilation label, and the (1, M) line under a shear pair."""
+    (M, 1) line under one dilation label, and the (1, M) line under one length-M DFT; and
+    of a pulsone under two labels, a shear pair of GDAFTs (conftest.mixed_chain)."""
     mod = Modulus(M, N)
     mn = mod.MN
     rng = np.random.default_rng(mn)
@@ -346,18 +353,20 @@ def test_engine_is_exact_at_scale(M, N):
     angle = 8 * np.arctan(np.longdouble(1)) * np.arange(mn, dtype=np.longdouble) / mn
     turns = np.cos(angle) - 1j * np.sin(angle)  # exp(-j*2*pi*r/MN) in extended precision
     x = y.samples.astype(np.clongdouble)
-    for c, d in ((M, N), (1, 2), (M, 1), (1, M)):
-        line = LineSubgroup(mod, c, d)
+    for line in ((M, N), (1, 2), (M, 1), (1, M), None):
         index = int(rng.integers(mn))
-        base, labels = pulsone_chain(line, index)
-        assert len(labels) == {(M, N): 0, (1, 2): 1, (M, 1): 1, (1, M): 2}[(c, d)]
+        if line is None:  # two labels
+            base, labels = (index % M, index // M), mixed_chain(mod, 2)
+        else:
+            base, labels = pulsone_chain(LineSubgroup(mod, *line), index)
+            assert len(labels) == (line != (M, N))
         engine = FastEngine(y, *base, transform=labels, grid="full")
-        ref = np.conj(eigenvector(line, index).samples).astype(np.clongdouble)
+        ref = np.conj(chain_waveform(mod, base, labels).samples).astype(np.clongdouble)  # a line's eigenvector
         K, L = rng.integers(0, mn, (2, 24))
         for k, l, got in zip(K, L, engine.points(K, L)):
             lag = (n - k) % mn
             want = np.sum(x * ref[lag] * turns[l * lag % mn])
-            assert abs(got - complex(want)) < 1e-10, (c, d, k, l)
+            assert abs(got - complex(want)) < 1e-10, (line, k, l)
 
 
 @long_double_oracle
@@ -366,20 +375,23 @@ def test_engine_within_its_long_double_bound(M, N):
     """FastEngine.points holds the literal sum (oracles.ambiguity_ld) to 8u*log2(MN) in
     absolute error, u = 2**-53, for unit-norm inputs: a return x = (noise + ref)/norm, whose
     |A| at (0, 0) is about 0.7, against a pulsone, a chirp (a tone under an LFM label, with a
-    constant phase), the (M, 1) line's transported reference (one dilation label) and the
-    (1, M) line's (two GDAFT labels), each built in long double from its form
+    constant phase), the (M, 1) line's transported reference (one dilation label), the
+    (1, M) line's (one length-M DFT label) and a pulsone under two GDAFT labels, a shear
+    pair (conftest.mixed_chain), each built in long double from its form
     (oracles.chain_ld).  Whole fundamental grids at (3,5) and (11,13), 36 sampled full-grid
-    points and (0, 0) above; the (1, M) reference is left out at (251,257), where its
-    literal GDAFT sums take (MN)**2 = 4.2e9 long-double terms a label, while the dilation
-    label's reference is a gather and a chirp, O(MN)."""
+    points and (0, 0) above; the two GDAFT labels are left out at (251,257), where their
+    literal sums take (MN)**2 = 4.2e9 long-double terms a label, while the dilation label's
+    reference is a gather and a chirp, O(MN), and the one-axis label's a per-prime sum,
+    O(MN*M)."""
     mod = Modulus(M, N)
     bound = 8 * 2.0**-53 * np.log2(mod.MN)
     forms = {"pulsone": pulsone_chain(LineSubgroup(mod, M, N), 7),
              "chirp": parse_waveform_spec("chirp:2,3,4", mod).fast,
              "transported": pulsone_chain(LineSubgroup(mod, M, 1), 5),
-             "shear": pulsone_chain(LineSubgroup(mod, 1, M), 5)}
+             "one-axis": pulsone_chain(LineSubgroup(mod, 1, M), 5),
+             "shear": ((1, 2), mixed_chain(mod, 2))}
     assert [g.b for g in forms["transported"][1]] == [0]
-    assert [g.b != 0 for g in forms["shear"][1]] == [True, True]
+    assert [(g.b % M != 0, g.b % N) for g in forms["one-axis"][1]] == [(True, 0)]
     if mod.MN > 10**4:
         del forms["shear"]
     grid = "fundamental" if mod.MN < 200 else "full"

@@ -110,6 +110,35 @@ class TestWaveformCommand:
                     "--out", tmp_path / "out"]) == 4
 
 
+    @pytest.mark.parametrize("argv", [
+        ["ambiguity", "--x", "pulsone:0,0", "--y", "gdaft(1,1,0,1,5):pulsone:0,0"],
+        ["ambiguity", "--x", "gdaft(1,1,0,1,5):pulsone:0,0", "--y", "pulsone:0,0"],
+        ["waveform", "gdaft-of", "pulsone", "--sl2", "1,1,0,1,5"],
+    ])
+    def test_malformed_label_is_named_as_written(self, tmp_path, capsys, argv):
+        """A GDAFT label of five entries exits 2, and the message names the label the command
+        read, gdaft(1,1,0,1,5), through --x, --y or waveform's --sl2, and no flag."""
+        assert run([*argv, "--M", 3, "--N", 5, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert "'gdaft(1,1,0,1,5)'" in err and "--" not in err, err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["ambiguity", "--x", "pulsone:0,0", "--y", "gdaft(1,3,0,1):pulsone:0,0"],
+         "GDAFT needs gcd(b, MN) = 1, got b = 3, MN = 15"),
+        (["waveform", "gdaft-of", "pulsone", "--sl2", "1,18,0,1"], "GDAFT needs gcd(b, MN) = 1, got b = 18, MN = 15"),
+        (["ambiguity", "--x", "lfm(3):pulsone:0,0", "--y", "pulsone:0,0"], "LFM rate 3 shares a factor with MN = 15"),
+        (["waveform", "lfm-of", "zc", "--lfm", "-5"], "LFM rate -5 shares a factor with MN = 15"),
+    ])
+    def test_label_refusals_keep_their_messages(self, tmp_path, capsys, argv, message):
+        """A GDAFT label whose b is not invertible (BNotCoprime) and an LFM rate that shares a
+        factor with MN (NotCoprime) exit 4 with symplectic's one message each, the entry as
+        written, before --out exists."""
+        assert run([*argv, "--M", 3, "--N", 5, "--out", tmp_path / "out"]) == 4
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+
 class TestAmbiguityCommand:
     def test_naive_and_fast_agree_after_rounding(self, tmp_path):
         a, b = tmp_path / "naive", tmp_path / "fast"
@@ -266,7 +295,7 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("line", ["3,5", "3,1", "5,1", "1,4", "1,3"])
     @pytest.mark.parametrize("waveform", ["eigen", "pulsone:1,2", "chirp:2,3,4", "zc:2"])
     def test_every_line_and_spec_uses_fast_engine(self, tmp_path, line, waveform):
-        # rectangular, dilation-label, GDAFT-label, chirp and two-label (shear pair) lines;
+        # rectangular, dilation-label, GDAFT-label, chirp and one-axis (b = 0 mod 5 only) lines;
         # every modulus-bound spec
         scene = tmp_path / "scene.json"
         write_scene(scene, [(0, 0, 1.0, 0.0)])
@@ -350,7 +379,7 @@ class TestSimulateCommand:
         assert doc["targets"][0]["im"] == pytest.approx(-0.2, abs=1e-9)
 
 
-    @pytest.mark.parametrize("line", ["3,1", "5,1", "1,3"])  # a dilation label, one GDAFT, a shear pair
+    @pytest.mark.parametrize("line", ["3,1", "5,1", "1,3"])  # a dilation label, one GDAFT, a length-3 DFT
     def test_transported_line_uses_fast_engine(self, tmp_path, line):
         scene = tmp_path / "scene.json"
         taps = [(0, 0, 1.0, 0.0), (1, 2, 0.5, -0.25), (2, 1, 0.0, -0.8)]

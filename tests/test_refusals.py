@@ -30,12 +30,11 @@ from ddradar.ambiguity import (
 )
 from ddradar.cli import main
 from ddradar.ddcore import PeriodicSequence, QuasiPeriodicArray, complex_from_csv, complex_to_csv
-from ddradar.errors import BadSeed, BNotCoprime, ConfigurationError, EnergyOverflow, IndexOutOfRange
+from ddradar.errors import BadSeed, ConfigurationError, EnergyOverflow, IndexOutOfRange
 from ddradar.floatfmt import FIELD_BYTES, Workspace, format_g17
 from ddradar.modmath import Modulus
 from ddradar.radarsim import ScatteringEnvironment, add_noise, apply_channel
 from ddradar.subgroups import pulsone
-from ddradar.symplectic import SL2Element, remap_for
 
 MOD = ["--M", "3", "--N", "5"]
 SELF_AMBIGUITY_NEED = 144 * 15 + max(16384 + (2 + 8) * 15 + 15 * (2 * 53 + 2 * (8 + 145)),
@@ -261,7 +260,6 @@ OVERFLOWING_ENV = ScatteringEnvironment(MOD15, ((0, 0, 1.7e308), (3, 0, 1.7e308)
         (lambda: write_surface(np.ones((3, 5)), None, "never.pgm", scale="log"), ConfigurationError,
          "unknown scale"),
         (_format_more_than_the_workspace, ValueError, "cannot format 5"),
-        (lambda: remap_for(SL2Element(MOD15, 1, 3, 0, 1)), BNotCoprime, "b = 3"),
         (lambda: PeriodicSequence(MOD15, np.zeros(14)), ConfigurationError, r"expected shape \(15,\)"),
         (lambda: QuasiPeriodicArray(MOD15, np.zeros((5, 3))), ConfigurationError,
          r"expected shape \(3, 5\)"),
@@ -277,7 +275,7 @@ OVERFLOWING_ENV = ScatteringEnvironment(MOD15, ((0, 0, 1.7e308), (3, 0, 1.7e308)
          "energy"),
     ],
     ids=["mn-cap", "csv-missing-rows", "period", "pulsone-indices", "zero-coded-waveform",
-         "pgm-scale", "workspace", "remap-b", "sequence-shape", "dd-array-shape", "surface-shape",
+         "pgm-scale", "workspace", "sequence-shape", "dd-array-shape", "surface-shape",
          "return-not-finite", "image-too-large", "image-nan", "negative-seed", "energy-overflow"],
 )
 def test_library_refusal(tmp_path, monkeypatch, call, error, match):

@@ -46,6 +46,7 @@ from ddradar.radarsim import (
 )
 from ddradar.subgroups import DDRegion, LineSubgroup, crystallization_check, eigenvector, pulsone, pulsone_chain
 from oracles import pgm_bytes, table_abs_fields, table_entries, table_magnitudes
+from conftest import mixed_chain
 
 SIZES = [(3, 5), (11, 13), (13, 17)]  # row counts 15, 143, 221: none a multiple of a block
 SPECS = ["eigen", "pulsone:1,2", "chirp:2,3,4", "zc:2", "lfm(2):pulsone:0,1",
@@ -73,7 +74,9 @@ def _traced_peak(call):
 
 
 def _lines(M, N):
-    """Rectangular, two-label (a shear pair), one-label (one GDAFT) and chirp (slope 4 = 2*2) lines."""
+    """Rectangular, (1, M) (its map's b is 0 mod N only: one length-M DFT, the label whose
+    product a shear pair of two GDAFTs once realised, hence its name), one-label (one GDAFT)
+    and chirp (slope 4 = 2*2) lines."""
     return {"rect": (M, N), "two-label": (1, M), "one-label": (N, 1), "chirp": (1, 4)}
 
 
@@ -354,7 +357,7 @@ def test_block_bytes_cover_an_engine_block(M, N):
     formed while the first is held, as the writers hold it."""
     mod = Modulus(M, N)
     y = PeriodicSequence(mod, np.random.default_rng(M).standard_normal(mod.MN) + 0j)
-    for c, d in ((M, N), (1, 4), (1, M), (1, 0)):  # 0, 1, 2 and 2 labels, the last with a 2-D phase
+    for c, d in ((M, N), (1, 4), (1, M), (1, 0)):  # no label, an LFM, two one-axis labels, the last with a 2-D phase
         base, labels = pulsone_chain(LineSubgroup(mod, c, d), 5)
         engine = FastEngine(y, *base, transform=labels, grid="full")
         engine.points(0, 0)  # the roots table, built once per MN
@@ -398,7 +401,8 @@ def test_mn_bytes_cover_a_command(tmp_path, monkeypatch, M, N):
     fundamental-grid fast ambiguity, the heavier, needs less than twice its peak.
     With the writers stubbed and a one-point readout region, the peak is the
     command's O(MN) arrays, at most _MN_BYTES per MN and, for the heaviest, over
-    half of it; a strip of MN points, every one a hit, adds at most its readout term."""
+    half of it, an eigenvector simulate on the (1, M) line among them; a strip of MN
+    points, every one a hit, adds at most its readout term."""
     mod = ["--M", M, "--N", N]
     scene = tmp_path / "scene.json"
     scene.write_text(json.dumps({"M": M, "N": N, "taps": [{"k": 3, "l": 5, "re": 0.5, "im": 0.2}]}))
@@ -421,8 +425,10 @@ def test_mn_bytes_cover_a_command(tmp_path, monkeypatch, M, N):
     monkeypatch.setattr(cli, "check_disk", lambda *args: None)
     monkeypatch.setattr(cli, "sequence_to_csv", lambda *args: None)
     monkeypatch.setattr(cli, "write_surface", lambda *args, **kwargs: None)
+    # and an eigenvector simulate on the (1, M) line, whose map has b = 0 mod N only
+    eigen = ["simulate", "--scene", scene, "--line", f"1,{M}", "--region", "0:0,0:0", "--snr-db", 20]
     peaks = [_peak_and_need(monkeypatch, tmp_path / f"stub{i}", argv)[0]
-             for i, argv in enumerate(commands + [simulate("0:0,0:0")])]
+             for i, argv in enumerate(commands + [simulate("0:0,0:0"), eigen])]
     assert max(peaks) <= ambiguity._MN_BYTES * M * N < 2 * max(peaks)
     # every point of the strip a hit, in targets.json
     argv = simulate(f"0:{M * N - 1},0:0", "--threshold", 1e-300)
@@ -449,7 +455,7 @@ def test_each_term_covers_its_route(tmp_path, route, M, N):
     env = ScatteringEnvironment(mod, ((0, 0, 1.0), (3, 2, 0.5j)))
     if route.startswith("pgm"):
         # the PGM holds one engine block: every chain's within the term, and the
-        # heaviest query's, two labels with a 2-D phase (the last), over half of it
+        # heaviest query's, a one-axis label with a 2-D phase (the last), over half of it
         grid = route[4:]
         for c, d in ((M, N), (1, 4), (1, M), (1, 0)):
             base, labels = pulsone_chain(LineSubgroup(mod, c, d), 5)
@@ -476,8 +482,8 @@ def test_each_term_covers_its_route(tmp_path, route, M, N):
 def test_readout_term_covers_its_region(tmp_path, M, N):
     """readout_targets' peak on a region of MN points, with the targets.json of its hits,
     is at most the readout term, and over half of it when a threshold below every
-    magnitude makes every point a hit, on a two-label line, the heaviest query; lines
-    with fewer labels, and fewer hits, hold less.  (Its crystallization check, about
+    magnitude makes every point a hit, on the (1, M) line, whose composite G has b and c
+    nonzero, the heaviest query; the other lines, and fewer hits, hold less.  (Its crystallization check, about
     42 bytes per MN, is counted among the O(MN) arrays, whatever the region.)"""
     mod = Modulus(M, N)
     mn = mod.MN
@@ -845,8 +851,8 @@ class TestLazyReference:
 CHAINS = {
     "no-label": lambda mod: pulsone_chain(LineSubgroup(mod, mod.M, mod.N), 5),
     "one-label": lambda mod: pulsone_chain(LineSubgroup(mod, 1, 4), 5),
-    "two-labels": lambda mod: pulsone_chain(LineSubgroup(mod, 1, mod.M), 5),  # a shear pair
-    "gdaft-2d-phase": lambda mod: pulsone_chain(LineSubgroup(mod, 1, 0), 5),  # two labels, a 2-D phase
+    "two-labels": lambda mod: ((1, 2), mixed_chain(mod, 2)),  # a shear pair of GDAFTs
+    "one-axis-2d-phase": lambda mod: pulsone_chain(LineSubgroup(mod, 1, 0), 5),  # a one-axis label, a 2-D phase
     "tone": lambda mod: ((0, 3, 1), ()),  # period 1, no label: the entries are l's alone
     "chirp": lambda mod: parse_waveform_spec("chirp:2,3,4", mod).fast,  # a tone under an LFM label
 }

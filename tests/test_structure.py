@@ -176,27 +176,31 @@ def test_the_phase_rule_sees_every_exp_and_reader():
     assert roots_table_reads(source) == [7, 8]
 
 
-LABEL_REALISATIONS = {"_dilation_chirp", "lfm_apply", "gdaft_apply", "gdaft_adjoint"}
+LABEL_REALISATION = {"_realise"}
+LABEL_WRAPPERS = {"lfm_apply", "gdaft_apply", "gdaft_adjoint"}
 
 
-def label_realisation_calls(source: str):
-    """(line, callee) of each call in `source` of _dilation_chirp, lfm_apply, gdaft_apply or
-    gdaft_adjoint, by name, alias, re-binding or attribute (symplectic.gdaft_apply), over any
-    number of lines."""
+def label_realisation_calls(source: str, names=LABEL_REALISATION | LABEL_WRAPPERS):
+    """(line, callee) of each call in `source` of one of `names` (by default _realise,
+    lfm_apply, gdaft_apply and gdaft_adjoint), by name, alias, re-binding or attribute
+    (symplectic.gdaft_apply), over any number of lines."""
     tree = ast.parse(source)
-    bound = _bound(tree, LABEL_REALISATIONS)
+    bound = _bound(tree, names)
     return sorted((node.lineno, ast.unparse(node.func)) for node in ast.walk(tree)
-                  if isinstance(node, ast.Call) and _names(node.func, bound, LABEL_REALISATIONS))
+                  if isinstance(node, ast.Call) and _names(node.func, bound, names))
 
 
 def test_one_label_realisation():
     """One label realisation: a label becomes a transform in symplectic.py alone, where
-    chain_apply and its exact inverse chain_adjoint call _dilation_chirp (every b = 0
-    label, a dilation and a chirp, and lfm_apply's), gdaft_apply and gdaft_adjoint; no
-    other module calls them or lfm_apply, however the call is spelled (the CI step "One
-    label realisation" greps one-line calls by name).  Importing one, as __init__.py does
-    to export it, is not a call."""
-    assert [p.name for p in MODULES if label_realisation_calls(p.read_text(encoding="utf-8"))] == ["symplectic.py"]
+    chain_apply, its exact inverse chain_adjoint and the public lfm_apply, gdaft_apply and
+    gdaft_adjoint (after their refusals) call _realise, every label's one realisation prime
+    by prime; no other module calls it, and nothing in src/ddradar calls the three public
+    ones, however the call is spelled (the CI step "One label realisation" greps one-line
+    calls by name).  Importing one, as __init__.py does to export it, is not a call."""
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    assert [name for name, source in sources.items() if label_realisation_calls(source, LABEL_REALISATION)] == [
+        "symplectic.py"]
+    assert [name for name, source in sources.items() if label_realisation_calls(source, LABEL_WRAPPERS)] == []
 
 
 def test_the_label_rule_sees_every_call():
@@ -206,9 +210,41 @@ def test_the_label_rule_sees_every_call():
               "y = undo(g, x)\n"
               "realise = symplectic.gdaft_apply\nz = realise(g, x)\n"
               "w = symplectic.gdaft_apply(g,\n    x)\n"
-              "v = symplectic._dilation_chirp (g, x)\n")
+              "v = symplectic._realise (g, x)\n")
     assert label_realisation_calls(source) == [(2, "lfm_apply"), (4, "undo"), (6, "realise"),
-                                               (7, "symplectic.gdaft_apply"), (9, "symplectic._dilation_chirp")]
+                                               (7, "symplectic.gdaft_apply"), (9, "symplectic._realise")]
+    assert label_realisation_calls(source, LABEL_REALISATION) == [(9, "symplectic._realise")]
+
+
+def shear_pair_uses(source: str):
+    """Lines of each def of sl2_factors in `source`, and of each import or call of it, by
+    name, alias, re-binding or attribute, over any number of lines."""
+    tree = ast.parse(source)
+    names = {"sl2_factors"}
+    bound = _bound(tree, names)
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in names)
+                  or (isinstance(node, ast.ImportFrom) and any(a.name in names for a in node.names))
+                  or (isinstance(node, ast.Call) and _names(node.func, bound, names)))
+
+
+def test_no_shear_pair_in_src():
+    """No shear pair in src: every label is realised in one step prime by prime, so nothing
+    in src/ddradar defines, imports or calls sl2_factors, the split of a label into two
+    GDAFTs; tests/oracles.py keeps its own shear_pair (the CI step of that name greps the
+    text `sl2_factors`)."""
+    assert [p.name for p in MODULES if shear_pair_uses(p.read_text(encoding="utf-8"))] == []
+
+
+def test_the_shear_rule_sees_every_use():
+    """The twin sees a def, an aliased import and its call, and a call through the module
+    split over lines, and no mere mention in a comment or a string."""
+    source = ("def sl2_factors(g):\n    return (g,)\n"
+              "from .symplectic import sl2_factors as split\n"
+              "pair = split(g)\n"
+              "pair = symplectic.sl2_factors(\n    g)\n"
+              "# sl2_factors is gone\nname = 'sl2_factors'\n")
+    assert shear_pair_uses(source) == [1, 3, 4, 5]
 
 
 def _enclosing(tree):
@@ -306,3 +342,109 @@ def test_the_cli_rule_sees_every_read():
            "rows = ambiguity.\\\n    _BLOCK_ROWS\n"
            "# surface_to_pgm is not read here\n")
     assert cli_forbidden_reads(cli, library) == [1, 3, 4]
+
+
+def _is_magnitude(node) -> bool:
+    """Whether `node` is a magnitude: a call of abs, np.abs, np.absolute or x.norm()."""
+    return isinstance(node, ast.Call) and (
+        (isinstance(node.func, ast.Name) and node.func.id == "abs")
+        or (isinstance(node.func, ast.Attribute) and node.func.attr in ("abs", "absolute", "norm")))
+
+
+def index_squares(source: str):
+    """(line, function) for each square in `source` that is not a magnitude's: an expression
+    times itself (n * n, k * k), a power of 2 (n**2) or a square call (np.square(n)),
+    with the def it sits in.  The square of a magnitude (abs(v)**2, x.norm()**2) is an
+    energy, not a phase."""
+    tree = ast.parse(source)
+    where = _enclosing(tree)
+    found = []
+    for node in ast.walk(tree):
+        base = None
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and ast.dump(node.left) == ast.dump(node.right):
+            base = node.left
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and isinstance(node.right, ast.Constant) \
+                and node.right.value == 2:
+            base = node.left
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "square":
+            base = node.args[0] if node.args else node
+        if base is not None and not _is_magnitude(base):
+            found.append((node.lineno, where[id(node)]))
+    return sorted(found)
+
+
+# the quadratic form of the remap law on the delay-Doppler grid, in the remap and in the
+# fast engine's phase terms
+GRID_SQUARES = {("symplectic.py", "phase_index"), ("ambiguity.py", "_terms")}
+
+
+def test_one_quadratic_phase():
+    """One quadratic phase: every chirp over the samples (chirp, Zadoff-Chu, and each label's
+    chirps, LFM's among them) takes its phase from modmath.quadratic_phase, so outside
+    modmath.py, the module of exact integer arithmetic (its is_prime squares a trial
+    divisor), an index is squared nowhere, however it is spelled, but in the quadratic form
+    of the remap law on the delay-Doppler grid (AmbiguityRemap.phase_index and
+    FastEngine._terms, whose squares are of grid coordinates); squares of magnitudes are
+    energies (the CI step "One quadratic phase" greps the texts `n * n` and `n * (n`
+    outside modmath.py)."""
+    found = {(p.name, f) for p in MODULES for _, f in index_squares(p.read_text(encoding="utf-8"))}
+    assert ("modmath.py", "quadratic_phase") in found
+    assert {(name, f) for name, f in found if name != "modmath.py"} == GRID_SQUARES
+
+
+def test_the_square_rule_sees_every_square():
+    """The twin sees what the grep misses, n**2, k * k and np.square, in any function, and
+    no square of a magnitude."""
+    source = ("def chirp_phase(n, k):\n    a = n**2 % 15\n    b = k * k\n    return np.square(n), a, b\n"
+              "def energy(y, x):\n    return y.norm() ** 2 + abs(x) ** 2 + np.abs(x) ** 2\n"
+              "c = (n + 1) * (n + 1)\nd = 2**30 * n * 3\n")
+    assert index_squares(source) == [(2, "chirp_phase"), (3, "chirp_phase"), (4, "chirp_phase"),
+                                     (7, "<module>")]
+
+
+def raveled_entries(source: str):
+    """(line, function) of each raveled index into the fast engine's table in `source`: a
+    product with the table's row length R, read as rowfft.shape[1] or as the second name
+    unpacked from the shape of a `rowfft` attribute or of a name `table`, in either order;
+    or a call of ravel_multi_index."""
+    tree = ast.parse(source)
+    where = _enclosing(tree)
+    lengths = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Attribute) and node.value.attr == "shape" \
+                and isinstance(node.targets[0], ast.Tuple) and len(node.targets[0].elts) == 2:
+            table = node.value.value
+            if (isinstance(table, ast.Attribute) and table.attr == "rowfft") or \
+                    (isinstance(table, ast.Name) and table.id == "table"):
+                second = node.targets[0].elts[1]
+                lengths |= {(where[id(node)], second.id)} if isinstance(second, ast.Name) else set()
+
+    def row_length(node) -> bool:
+        return ((isinstance(node, ast.Name) and (where[id(node)], node.id) in lengths)
+                or (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "shape" and isinstance(node.value.value, ast.Attribute)
+                    and node.value.value.attr == "rowfft" and ast.unparse(node.slice) in ("1", "-1")))
+    return sorted((node.lineno, where[id(node)]) for node in ast.walk(tree)
+                  if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                      and (row_length(node.left) or row_length(node.right)))
+                  or (isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+                      and ast.unparse(node.func).split(".")[-1] == "ravel_multi_index"))
+
+
+def test_one_index_map():
+    """One index map: the raveled table entry row*R + col, the index each point reads in the
+    fast engine's P x R table, is formed in ambiguity._pulsone_map alone, however the product
+    is spelled (the CI step "One index map" counts the text `row * length`)."""
+    found = [(p.name, f) for p in MODULES for _, f in raveled_entries(p.read_text(encoding="utf-8"))]
+    assert found == [("ambiguity.py", "_pulsone_map")]
+
+
+def test_the_index_rule_sees_every_product():
+    """The twin sees what the grep misses, length * row, the row length under other names
+    or as a shape entry, and ravel_multi_index; a product with another shape is not one."""
+    source = ("def walk(pre, row, col):\n    period, length = pre.rowfft.shape\n    a = length * row + col\n"
+              "    P, R = pre.engine.rowfft.shape\n    b = col + k * R\n"
+              "    c = row * pre.rowfft.shape[1]\n"
+              "    return np.ravel_multi_index((row, col), (period, length))\n"
+              "def other(values, row):\n    nk, nl = values.shape\n    length = 4\n    return row * nl + length * row\n")
+    assert raveled_entries(source) == [(3, "walk"), (5, "walk"), (6, "walk"), (7, "walk")]

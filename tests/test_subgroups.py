@@ -20,7 +20,7 @@ from ddradar.subgroups import (
     pulsone,
     pulsone_chain,
 )
-from ddradar.symplectic import SL2Element, chain_apply, papr_db, sl2_factors, sl2_mapping_direction
+from ddradar.symplectic import SL2Element, chain_apply, papr_db, sl2_mapping_direction
 from conftest import rand_unit_seq
 from oracles import commutes, eigenbasis_for_line, support_set
 
@@ -247,8 +247,9 @@ class TestPulsoneChain:
     def test_families(self, mod15):
         assert pulsone_chain(LineSubgroup(mod15, 3, 5), 7) == ((1, 2), ())
         assert pulsone_chain(LineSubgroup(mod15, 1, 4), 7) == ((0, 7, 1), (SL2Element.lfm(mod15, 2),))
-        g = sl2_mapping_direction(mod15, (3, 5), (3, 1))
-        assert pulsone_chain(LineSubgroup(mod15, 3, 1), 7) == ((1, 2), sl2_factors(g))
+        for line in ((3, 1), (1, 3), (5, 1)):  # b = 0, b = 0 mod 5 only, b invertible
+            g = sl2_mapping_direction(mod15, (3, 5), line)
+            assert pulsone_chain(LineSubgroup(mod15, *line), 7) == ((1, 2), (g,)), line
 
     def test_index_out_of_range(self, mod15):
         with pytest.raises(IndexOutOfRange):

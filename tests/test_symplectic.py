@@ -5,7 +5,7 @@ import pytest
 
 from ddradar.ambiguity import cross_ambiguity_naive
 from ddradar.ddcore import PeriodicSequence
-from ddradar.errors import BNotCoprime, DetNotOne, IndexOutOfRange, NotCoprime, ZeroSequence
+from ddradar.errors import BNotCoprime, DetNotOne, IndexOutOfRange, ModulusMismatch, NotCoprime, ZeroSequence
 from ddradar.heisenberg import HeisenbergElement, apply_td
 from ddradar.modmath import Modulus, mod_inv
 from ddradar.subgroups import LineSubgroup, chain_waveform, chirp, eigenvector, pulsone, pulsone_chain
@@ -19,7 +19,6 @@ from ddradar.symplectic import (
     lfm_apply,
     papr_db,
     remap_for,
-    sl2_factors,
     sl2_mapping_direction,
 )
 from conftest import dilation_label, long_double_oracle, mixed_chain, op_matrix, rand_unit_seq
@@ -33,7 +32,6 @@ from oracles import (
     label_ld,
     relative_error_ld,
     shear_pair,
-    sl2_apply,
     sl2_matrix,
     support_set,
     zero_sequence,
@@ -69,6 +67,20 @@ def dilation_labels(mod, rng, count):
         a = int(rng.integers(1, mn))
         if gcd(a, mn) == 1:
             labels.append(dilation_label(mod, a, int(rng.integers(mn))))
+    return labels
+
+
+def one_axis_labels(mod, rng, count):
+    """`count` random determinant-1 labels whose b is 0 mod exactly one prime, alternating
+    between b = 0 mod M and b = 0 mod N: one length-N or length-M DFT each."""
+    mn, labels = mod.MN, []
+    while len(labels) < count:
+        zero = (mod.M, mod.N)[len(labels) % 2]
+        b = zero * int(rng.integers(1, mn // zero))
+        a = int(rng.integers(1, mn))
+        if gcd(b, mn) == zero and gcd(a, mn) == 1:  # solve a*d - b*c = 1 for d
+            c = int(rng.integers(mn))
+            labels.append(SL2Element(mod, a, b, c, (1 + b * c) * mod_inv(a, mn)))
     return labels
 
 
@@ -230,17 +242,43 @@ class TestAgainstDenseOracle:
         assert [g.b for g in labels] == [0]
         assert relative_error_ld(chain_waveform(mod, base, labels).samples, chain_ld(mod, base, labels)) <= bound
 
+    @long_double_oracle
+    @pytest.mark.parametrize("M, N", [(3, 5), (5, 7), (11, 13), (23, 29), (251, 257)])
+    def test_one_axis_within_its_long_double_bound(self, M, N):
+        """A label whose b is 0 mod exactly one prime, one length-p DFT along the other
+        prime p, is within 6*u*log2(MN) of its literal per-prime product sum in long double
+        (oracles.one_axis_ld, through label_ld), relative in the 2-norm, u = 2**-53: chain_apply
+        and chain_adjoint of one label on a random input, b = 0 mod M and mod N in turn.
+
+        Measured on x86-64 (80-bit long double): 0.37 to 2.5 u*log2(MN), the most at (3,5)
+        (300 random labels and inputs, each by both routes), 0.4 from (11,13) up; the
+        GDAFT's bound, whose chirps and transform this route shares.
+        """
+        mod = Modulus(M, N)
+        rng = np.random.default_rng(M * N)
+        bound = 6 * 2.0**-53 * np.log2(mod.MN)
+        for g in one_axis_labels(mod, rng, 2 if mod.MN > 10**4 else 4):
+            x = rand_unit_seq(mod, rng)
+            assert relative_error_ld(chain_apply((g,), x).samples, label_ld(g, x.samples)) <= bound, g
+            assert relative_error_ld(chain_adjoint((g,), x).samples, label_ld(g, x.samples, adjoint=True)) <= bound, g
+
     @pytest.mark.parametrize("M, N", ORACLE_SIZES)
-    def test_sl2_apply_shear_route_matches_dense_composition(self, M, N):
+    def test_one_step_matches_the_dense_shear_pair(self, M, N):
+        """A label whose b is not invertible, realised in one step (chain_apply of it alone),
+        is the dense product of its shear pair's GDAFT kernels (oracles.sl2_matrix) up to
+        one global unimodular phase, to 1e-12: exactly for b = 0, and for b = 0 mod one
+        prime only, where a one-axis DFT replaces the pair."""
         mod = Modulus(M, N)
         rng = np.random.default_rng(M * N + 1)
         labels = [SL2Element.identity(mod), SL2Element(mod, 1, 0, 2, 1), SL2Element(mod, 1, M, 0, 1)]
-        labels += [random_label(mod, rng, False) for _ in range(4)]
+        labels += [random_label(mod, rng, False) for _ in range(4)] + one_axis_labels(mod, rng, 2)
         for g in labels:
             assert gcd(g.b, mod.MN) != 1
             x = rand_unit_seq(mod, rng)
-            out = sl2_apply(g, x).samples
-            assert np.max(np.abs(out - sl2_matrix(g) @ x.samples)) < 1e-12
+            out = chain_apply((g,), x).samples
+            want = sl2_matrix(g) @ x.samples
+            phase = 1.0 if g.b == 0 else np.vdot(out, want) / abs(np.vdot(out, want))
+            assert np.max(np.abs(phase * out - want)) < 1e-12, g
 
     @pytest.mark.parametrize("M, N, count", [(3, 5, 4), (5, 7, 6)])
     def test_b_zero_lines_keep_the_shear_pair_eigenvectors(self, M, N, count):
@@ -259,6 +297,27 @@ class TestAgainstDenseOracle:
             for i in range(mod.MN):
                 want = chain_apply(pair, pulsone(mod, i % M, i // M)).samples
                 assert np.max(np.abs(eigenvector(line, i).samples - want)) <= 1e-14, (line, i)
+
+    @pytest.mark.parametrize("M, N, count", [(3, 5, 8), (5, 7, 12)])
+    def test_one_axis_lines_keep_the_shear_pair_eigenvectors(self, M, N, count):
+        """On every line whose map g from (M, N) has b = 0 mod exactly one prime, every
+        index's eigenvector, the pulsone under g's one-axis DFT, equals the pulsone under g's
+        shear pair of GDAFTs (oracles.shear_pair), the construction that took these lines
+        before, up to one global unimodular phase for the whole line, to 1e-14."""
+        mod = Modulus(M, N)
+        lines = [LineSubgroup(mod, c, d) for c, d in every_line(mod)]
+        maps = {line: sl2_mapping_direction(mod, (M, N), (line.c, line.d)) for line in lines
+                if line.coprime_slope() is None and not line.is_rectangular()}
+        one_axis = [line for line, g in maps.items() if g.b != 0 and gcd(g.b, mod.MN) != 1]
+        assert len(one_axis) == count
+        for line in one_axis:
+            pair = shear_pair(maps[line])
+            want = [chain_apply(pair, pulsone(mod, i % M, i // M)).samples for i in range(mod.MN)]
+            got = [eigenvector(line, i).samples for i in range(mod.MN)]
+            phase = np.vdot(got[0], want[0])
+            assert abs(abs(phase) - 1) <= 1e-14, line
+            for i in range(mod.MN):
+                assert np.max(np.abs(phase / abs(phase) * got[i] - want[i])) <= 1e-14, (line, i)
 
     @pytest.mark.parametrize("c, d", [(3, 5), (1, 4), (3, 1)])
     def test_eigenvector_matches_basis_and_construction(self, mod15, c, d):
@@ -285,30 +344,33 @@ class TestAgainstDenseOracle:
 
 class TestSl2Apply:
     def test_factors_multiply_to_g_with_invertible_b(self, mod15):
-        """A label with b = 0 or b invertible is its own one factor, as the (M, 1) line's
-        map is; any other is a shear pair of two labels with b invertible, as the (1, M)
-        line's map is (b = 0 mod N only)."""
+        """The test-side shear pair (oracles.shear_pair, which conftest.mixed_chain uses for a
+        two-label chain) is two labels with b invertible whose product is g, for every g
+        whose b is not invertible: b = 0, as the (M, 1) line's map, and b = 0 mod N only,
+        as the (1, M) line's.  The library realises each such g in one step, so every line's
+        form (pulsone_chain) holds at most one label."""
         rng = np.random.default_rng(4)
         lines = [sl2_mapping_direction(mod15, (3, 5), cd) for cd in ((3, 1), (1, 3))]
         assert [g.b for g in lines] == [0, 5]
-        for g in lines + [random_sl2(mod15, rng) for _ in range(50)]:
-            factors = sl2_factors(g)
-            if g.b == 0 or gcd(g.b, 15) == 1:
-                assert factors == (g,)
-                continue
-            assert len(factors) == 2 and all(gcd(f.b, 15) == 1 for f in factors)
+        labels = [g for g in lines + [random_sl2(mod15, rng) for _ in range(50)] if gcd(g.b, 15) != 1]
+        assert len(labels) >= 10
+        for g in labels:
+            factors = shear_pair(g)
+            assert all(gcd(f.b, 15) == 1 for f in factors)
             assert factors[1].matmul(factors[0]) == g
+        for c, d in every_line(mod15):
+            assert len(pulsone_chain(LineSubgroup(mod15, c, d), 7)[1]) <= 1, (c, d)
 
     def test_identity_up_to_phase(self, mod15):
         rng = np.random.default_rng(5)
         x = rand_unit_seq(mod15, rng)
-        out = sl2_apply(SL2Element.identity(mod15), x)
+        out = chain_apply((SL2Element.identity(mod15),), x)
         assert abs(abs(np.vdot(out.samples, x.samples)) - 1) < 1e-12
 
     def test_b_zero_matches_lfm_up_to_phase(self, mod15):
         rng = np.random.default_rng(6)
         x = rand_unit_seq(mod15, rng)
-        out = sl2_apply(SL2Element(mod15, 1, 0, 2, 1), x)
+        out = chain_apply((SL2Element(mod15, 1, 0, 2, 1),), x)
         ref = lfm_apply(1, x)
         assert abs(abs(np.vdot(ref.samples, out.samples)) - 1) < 1e-12
 
@@ -317,8 +379,8 @@ class TestSl2Apply:
         x = rand_unit_seq(mod15, rng)
         for _ in range(100):
             g1, g2 = random_sl2(mod15, rng), random_sl2(mod15, rng)
-            lhs = sl2_apply(g1.matmul(g2), x)
-            rhs = sl2_apply(g1, sl2_apply(g2, x))
+            lhs = chain_apply((g1.matmul(g2),), x)
+            rhs = chain_apply((g1,), chain_apply((g2,), x))
             assert abs(abs(np.vdot(rhs.samples, lhs.samples)) - 1) < 1e-10
 
     def test_shear_choice_only_changes_global_phase(self, mod15):
@@ -357,20 +419,36 @@ class TestChainAdjoint:
             back = chain_adjoint(chain, chain_apply(chain, x))
             np.testing.assert_allclose(back.samples, x.samples, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("M, N", [(3, 5), (5, 7), (11, 13), (23, 29)])
+    def test_undoes_every_label_class(self, M, N):
+        """chain_adjoint undoes one label of each class to 1e-12: b = 0, b = 0 mod M only,
+        b = 0 mod N only and b invertible, each alone and all four in one chain."""
+        mod = Modulus(M, N)
+        rng = np.random.default_rng(M * N + 3)
+        labels = [dilation_label(mod, 2, 5), *one_axis_labels(mod, rng, 2), random_label(mod, rng, True)]
+        assert [(g.b % M == 0, g.b % N == 0) for g in labels] == [(True, True), (True, False), (False, True),
+                                                                   (False, False)]
+        x = rand_unit_seq(mod, rng)
+        for chain in [(g,) for g in labels] + [tuple(labels)]:
+            back = chain_adjoint(chain, chain_apply(chain, x))
+            np.testing.assert_allclose(back.samples, x.samples, rtol=0, atol=1e-12, err_msg=str(chain))
+
     @pytest.mark.parametrize(
         "label, error",
         [
             ((1, 0, 0, 1), None),  # the identity: b = 0, the chirp of rate 0
             ((1, 0, 6, 1), None),  # lfm(3): b = 0, whose rate shares 3 with MN
             ((2, 0, 1, 8), None),  # b = 0 with a = 2: a dilation and a chirp
-            ((1, 3, 0, 1), BNotCoprime),  # b shares 3 with MN
+            ((1, 3, 0, 1), None),  # b = 0 mod 3 only: one length-5 DFT
+            ((1, 0, 0, 1), ModulusMismatch),  # the identity over (5, 7), not the chain's (3, 5)
         ],
     )
     def test_refuses_what_chain_apply_refuses(self, mod15, label, error):
-        """Both refuse the same labels, alone and after a chain: a b that is neither 0 nor
-        invertible.  Every b = 0 label is realised by both, and the adjoint undoes it."""
+        """Both refuse the same labels, alone and after a chain: a label over another modulus.
+        Every label over the chain's modulus is realised by both, and the adjoint undoes it."""
         x = pulsone(mod15, 0, 0)
-        for labels in ((SL2Element(mod15, *label),), mixed_chain(mod15, 3) + (SL2Element(mod15, *label),)):
+        g = SL2Element(Modulus(5, 7) if error else mod15, *label)
+        for labels in ((g,), mixed_chain(mod15, 3) + (g,)):
             if error is None:
                 np.testing.assert_allclose(chain_adjoint(labels, chain_apply(labels, x)).samples, x.samples,
                                            rtol=0, atol=1e-12)
@@ -504,6 +582,25 @@ class TestRemap:
             np.testing.assert_array_equal(remap.phase_index(K, L), -2 * (mod.inv2 * g.a * g.c * K * K % mn) % (2 * mn))
             phase = np.exp(1j * np.pi / mn * remap.phase_index(K, L))
             np.testing.assert_allclose(base, phase * rotated[remap.target(K, L)], rtol=0, atol=1e-10, err_msg=str(g))
+
+
+    @pytest.mark.parametrize("M, N", [(3, 5), (5, 7), (7, 11)])
+    def test_one_axis_remap_against_brute_force(self, M, N):
+        """The remap law holds for labels whose b is 0 mod exactly one prime, each realised
+        alone by chain_apply as one length-p DFT along the prime p where b is invertible:
+        the shear [[1, M], [0, 1]] and random ones of both kinds, on the whole grid against
+        cross_ambiguity_naive, to 1e-12."""
+        mod = Modulus(M, N)
+        mn = mod.MN
+        rng = np.random.default_rng(M * N + 4)
+        K, L = np.indices((mn, mn))
+        for g in [SL2Element(mod, 1, M, 0, 1)] + one_axis_labels(mod, rng, 6):
+            x, y = rand_unit_seq(mod, rng), rand_unit_seq(mod, rng)
+            base = cross_ambiguity_naive(x, y, grid="full").values
+            rotated = cross_ambiguity_naive(chain_apply((g,), x), chain_apply((g,), y), grid="full").values
+            remap = remap_for(g)
+            phase = np.exp(1j * np.pi / mn * remap.phase_index(K, L))
+            np.testing.assert_allclose(base, phase * rotated[remap.target(K, L)], rtol=0, atol=1e-12, err_msg=str(g))
 
 
 class TestDirectionMapping:
